@@ -79,6 +79,7 @@ from .radiomap import (
     Fingerprint,
     Radiomap,
     ReferencePoint,
+    RpArrays,
     RpKind,
     build_real_fingerprints,
     generate_virtual_fingerprints,
@@ -86,6 +87,7 @@ from .radiomap import (
     place_virtual_rps,
     save_radiomap,
     select_rps,
+    virtual_rp_positions,
 )
 from .simulator import (
     NoiseConfig,

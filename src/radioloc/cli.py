@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .evaluation import (
 )
 from .fitting import (
     FitStrategy,
+    MeasurementSet,
     StrategyKind,
     fit,
     load_fit_result,
@@ -32,7 +34,7 @@ from .fitting import (
 )
 from .floorplan import load_floorplan, save_floorplan
 from .ioutil import write_text_atomic
-from .positioning import WknnConfig, locate
+from .positioning import WknnConfig, k_est_from_counts, locate
 from .propagation import (
     ModelKind,
     load_access_points,
@@ -49,9 +51,9 @@ from .radiomap import (
     ceil_scaled,
     generate_virtual_fingerprints,
     load_radiomap,
-    place_virtual_rps,
     save_radiomap,
     select_rps,
+    virtual_rp_positions,
 )
 from .simulator import (
     NoiseConfig,
@@ -77,6 +79,41 @@ def _alpha_range(text: str) -> tuple[float, float]:
     return (float(lo), float(hi))
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert`` the flag's text, then require ``ok(value)``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_COUNT = _checked(int, lambda k: k >= 1, "must be >= 1")
+_POSITIVE = _checked(float, lambda v: v > 0 and math.isfinite(v), "must be positive")
+_NONNEGATIVE = _checked(float, lambda v: v >= 0 and math.isfinite(v), "must be finite and >= 0")
+_RHO = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_ORDER = _checked(float, lambda v: 1.0 <= v < math.inf, "Minkowski order must be >= 1")
+_SENTINEL = _checked(float, lambda v: -120.0 <= v <= 0.0, "must lie within [-120, 0] dBm")
+_RHO_GRID = _checked(_float_list, lambda vs: vs and all(0.0 < v <= 1.0 for v in vs),
+                     "needs values in (0, 1]")
+_DV_GRID = _checked(
+    _float_list, lambda vs: vs and all(0 <= v < math.inf for v in vs) and max(vs) > 0,
+    "needs finite values >= 0, at least one of them positive")
+_ALPHA_RANGE = _checked(_alpha_range, lambda r: 0.0 < r[0] <= r[1] < math.inf,
+                        "expected MIN:MAX with 0 < MIN <= MAX")
+
+
+def _check_survey_aps(meas: MeasurementSet, aps, source) -> None:
+    """Every AP the survey names must be in the AP file."""
+    missing = set(meas.ap_ids()) - {ap.id for ap in aps}
+    if missing:
+        raise InputError(f"{source} references APs missing from the AP file: "
+                         f"{sorted(missing)}")
+
+
 def _strategy_from_args(args) -> FitStrategy:
     if args.strategy == "no-fit":
         if not args.params:
@@ -87,6 +124,8 @@ def _strategy_from_args(args) -> FitStrategy:
 
 
 def cmd_simulate(args) -> int:
+    if args.template == "custom" and args.custom_file is None:
+        raise InputError("--template custom requires --custom-file")
     noise = NoiseConfig(
         shadowing_sigma_db=args.shadowing_sigma,
         mismatch_sigma_db=args.mismatch_sigma,
@@ -97,7 +136,10 @@ def cmd_simulate(args) -> int:
                        custom_file=args.custom_file)
     preset = preset_by_name(args.preset)
     d_real = args.dr if args.dr is not None else template_info(args.template).dr_max
-    rp_positions = grid_rp_positions(world.plan, d_real)
+    try:
+        rp_positions = grid_rp_positions(world.plan, d_real)
+    except ValueError as exc:
+        raise InputError(f"--dr {d_real}: {exc}") from exc
     tp_positions = template_test_positions(args.template, args.seed, world.plan,
                                         args.tp_count)
     measurements, test_points = simulate_campaign(world, rp_positions, tp_positions, preset)
@@ -125,6 +167,7 @@ def cmd_fit(args) -> int:
     plan = load_floorplan(args.floorplan)
     aps = load_access_points(args.aps)
     measurements = load_measurements(args.measurements)
+    _check_survey_aps(measurements, aps, args.measurements)
     strategy = _strategy_from_args(args)
     result = fit(strategy, ModelKind(args.model), plan, aps, measurements)
     save_fit_result(result, args.out)
@@ -144,8 +187,8 @@ def cmd_build_radiomap(args) -> int:
     real_rps = select_rps(real_rps, args.rho)
     virtual_rps = []
     if args.dv > 0:
-        positions = place_virtual_rps(plan, args.dv, args.placement,
-                                      seed=args.seed, z_m=args.rp_height)
+        positions = virtual_rp_positions(plan, args.dv, args.placement,
+                                         seed=args.seed, z_m=args.rp_height)
         virtual_rps = generate_virtual_fingerprints(
             fit_result, fit_result.model, plan, aps, positions,
             sentinel_dbm=args.sentinel, detection_floor_dbm=args.detection_floor)
@@ -168,23 +211,31 @@ def _load_target(path: str | Path, rmap: Radiomap) -> Fingerprint:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 2:
+                    raise InputError(f"{path}: malformed row {row!r}")
                 ap_id, rss = row[0], row[1]
                 if ap_id not in values:
                     raise InputError(f"{path}: unknown AP {ap_id!r}")
                 values[ap_id] = (rmap.sentinel_dbm if rss == "ND" else float(rss))
+        return Fingerprint([values[ap.id] for ap in rmap.aps])
     except OSError as exc:
         raise InputError(f"cannot read target file {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return Fingerprint([values[ap.id] for ap in rmap.aps])
 
 
 def cmd_locate(args) -> int:
     rmap = load_radiomap(args.radiomap)
     target = _load_target(args.target, rmap)
-    cfg = WknnConfig(k=args.k, alpha=args.alpha, order=args.order,
-                     sentinel_dbm=rmap.sentinel_dbm)
-    estimate = locate(rmap, target, cfg)
+    n = len(rmap)
+    if n == 0:
+        raise InputError(f"{args.radiomap}: radiomap has no reference points")
+    k = args.k if args.k is not None else k_est_from_counts(rmap.n_real, rmap.n_virtual,
+                                                            args.alpha)
+    if k > n:
+        source = "--k" if args.k is not None else f"--alpha {args.alpha}"
+        raise InputError(f"k={k} from {source} exceeds the radiomap's {n} reference points")
+    estimate = locate(rmap, target, WknnConfig(k=k, order=args.order))
     print(json.dumps({
         "x": estimate.position.x,
         "y": estimate.position.y,
@@ -200,6 +251,8 @@ def _load_world_dir(world_dir: str | Path, seed: int) -> EvalWorld:
     aps = load_access_points(world_dir / "aps.json")
     measurements = load_measurements(world_dir / "measurements.csv")
     tp_meas = load_measurements(world_dir / "testpoints.csv")
+    for meas, name in ((measurements, "measurements.csv"), (tp_meas, "testpoints.csv")):
+        _check_survey_aps(meas, aps, world_dir / name)
     tp_rps = build_real_fingerprints(tp_meas, aps, NOT_DETECTED_DBM)
     from .simulator import TestPoint
 
@@ -282,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--custom-file", default=None)
     p.add_argument("--preset", default="controlled",
                    choices=["controlled", "crowdsourcing"])
-    p.add_argument("--dr", type=float, default=None,
+    p.add_argument("--dr", type=_POSITIVE, default=None,
                    help="survey RP density (RPs/m^2); default: template full grid")
-    p.add_argument("--tp-count", type=int, default=None)
-    p.add_argument("--shadowing-sigma", type=float, default=3.0)
-    p.add_argument("--mismatch-sigma", type=float, default=2.75)
-    p.add_argument("--mismatch-corr", type=float, default=6.0)
-    p.add_argument("--drift-sigma", type=float, default=1.5)
+    p.add_argument("--tp-count", type=_COUNT, default=None)
+    p.add_argument("--shadowing-sigma", type=_NONNEGATIVE, default=3.0)
+    p.add_argument("--mismatch-sigma", type=_NONNEGATIVE, default=2.75)
+    p.add_argument("--mismatch-corr", type=_POSITIVE, default=6.0)
+    p.add_argument("--drift-sigma", type=_NONNEGATIVE, default=1.5)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -311,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floorplan", required=True)
     p.add_argument("--aps", required=True)
     p.add_argument("--fit", required=True, help="fit result JSON from the fit command")
-    p.add_argument("--rho", type=float, default=1.0,
+    p.add_argument("--rho", type=_RHO, default=1.0,
                    help="fraction of survey points kept as real RPs")
-    p.add_argument("--dv", type=float, default=0.0, help="virtual RP density (RPs/m^2)")
+    p.add_argument("--dv", type=_NONNEGATIVE, default=0.0, help="virtual RP density (RPs/m^2)")
     p.add_argument("--placement", default="grid", choices=["grid", "random"])
     p.add_argument("--rp-height", type=float, default=DEVICE_HEIGHT_M)
-    p.add_argument("--sentinel", type=float, default=NOT_DETECTED_DBM)
+    p.add_argument("--sentinel", type=_SENTINEL, default=NOT_DETECTED_DBM)
     p.add_argument("--detection-floor", type=float, default=DETECTION_FLOOR_DBM)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_radiomap)
@@ -326,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radiomap", required=True)
     p.add_argument("--target", required=True, help="CSV with header ap_id,rss_dbm")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None)
-    group.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--order", type=float, default=2.0)
+    group.add_argument("--k", type=_COUNT, default=None)
+    group.add_argument("--alpha", type=_POSITIVE, default=0.05)
+    p.add_argument("--order", type=_ORDER, default=2.0)
     p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("evaluate", parents=[common],
@@ -340,11 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--model", default="mwmf", choices=["mwmf", "os"])
     p.add_argument("--placement", default="grid", choices=["grid", "random"])
-    p.add_argument("--rho-grid", type=_float_list, default=list(DEFAULT_RHO_GRID))
-    p.add_argument("--dv-grid", type=_float_list, default=list(DEFAULT_DV_GRID))
-    p.add_argument("--alpha-range", type=_alpha_range, default=DEFAULT_ALPHA_RANGE,
+    p.add_argument("--rho-grid", type=_RHO_GRID, default=list(DEFAULT_RHO_GRID))
+    p.add_argument("--dv-grid", type=_DV_GRID, default=list(DEFAULT_DV_GRID))
+    p.add_argument("--alpha-range", type=_ALPHA_RANGE, default=DEFAULT_ALPHA_RANGE,
                    metavar="MIN:MAX")
-    p.add_argument("--alpha-step", type=float, default=0.01)
+    p.add_argument("--alpha-step", type=_POSITIVE, default=0.01)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -38,7 +38,7 @@ from .radiomap import (
     ceil_scaled,
     decimation_order,
     generate_virtual_fingerprints,
-    place_virtual_rps,
+    virtual_rp_positions,
 )
 from .simulator import (
     ScenarioPreset,
@@ -256,11 +256,9 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
     if any(not 0.0 < rho <= 1.0 for rho in rho_grid):
         raise ValueError("rho grid values must lie in (0, 1]")
     rp_ids = meas.rp_ids()
-    locations = meas.locations()
-    averaged = meas.averaged()
-    positions = np.array([[locations[r].x, locations[r].y, locations[r].z] for r in rp_ids])
-    order = decimation_order(positions)
-    all_locations = [locations[r] for r in rp_ids]
+    means = meas.mean_matrix()
+    column = {ap_id: j for j, ap_id in enumerate(meas.ap_ids())}
+    order = decimation_order(meas.xyz)
 
     report = PredictionReport()
     for rho in rho_grid:
@@ -282,17 +280,16 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                     continue
                 per_ap_deltas: dict[str, list[float]] = {}
                 for ap in aps:
-                    params = result.params_for(ap.id)
-                    predicted = predict_rss_many(model, params, plan, ap,
-                                                 np.array([[p.x, p.y, p.z]
-                                                           for p in all_locations]))
-                    deltas = []
-                    for rp_id, value in zip(rp_ids, predicted):
-                        measured = averaged.get((rp_id, ap.id))
-                        if measured is not None:
-                            deltas.append(abs(measured - float(value)))
-                    if deltas:
-                        per_ap_deltas[ap.id] = deltas
+                    j = column.get(ap.id)
+                    if j is None:
+                        continue
+                    measured = means[:, j]
+                    detected = ~np.isnan(measured)
+                    if not detected.any():
+                        continue
+                    predicted = predict_rss_many(model, result.params_for(ap.id), plan, ap,
+                                                 meas.xyz)
+                    per_ap_deltas[ap.id] = np.abs(measured - predicted)[detected].tolist()
                 pooled = [d for deltas in per_ap_deltas.values() for d in deltas]
                 cell.n_pairs = len(pooled)
                 cell.mean_delta_db = float(np.mean(pooled)) if pooled else float("nan")
@@ -317,14 +314,12 @@ def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
                    k_grid: Sequence[int] | None) -> PositioningCell:
     virtual_rps = []
     if d_virtual > 0:
-        positions = place_virtual_rps(world.plan, d_virtual, placement, seed=seed)
+        positions = virtual_rp_positions(world.plan, d_virtual, placement, seed=seed)
         virtual_rps = generate_virtual_fingerprints(
             fit_result, model, world.plan, world.aps, positions,
             sentinel_dbm=world.sentinel_dbm,
             detection_floor_dbm=world.detection_floor_dbm)
-    rps = list(real_rps) + virtual_rps
-    rp_rss = np.array([rp.fingerprint.rss for rp in rps])
-    rp_pos = np.array([[rp.position.x, rp.position.y, rp.position.z] for rp in rps])
+    rps = real_rps + virtual_rps
 
     if k_grid is None:
         k_values = _default_k_values(len(rps))
@@ -332,7 +327,7 @@ def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
         k_values = sorted({int(k) for k in k_grid if 1 <= int(k) <= len(rps)})
         if not k_values:
             raise ValueError("k grid has no feasible value for this cell")
-    curves = error_curves(rp_rss, rp_pos, world.test_points, k_values[-1])
+    curves = error_curves(rps.rss, rps.pos, world.test_points, k_values[-1])
     means = curves.mean(axis=0)
     quartiles = np.percentile(curves, [25, 50, 75], axis=0)
 
@@ -384,8 +379,7 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
 
     rps_all = build_real_fingerprints(world.measurements, world.aps, world.sentinel_dbm)
     rp_ids = world.measurements.rp_ids()
-    positions = np.array([[rp.position.x, rp.position.y, rp.position.z] for rp in rps_all])
-    order = decimation_order(positions)
+    order = decimation_order(rps_all.pos)
     area = world.area
 
     dv_values = sorted({float(dv) for dv in dv_grid} | {0.0})
@@ -396,7 +390,7 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
         n_real = int(math.floor(round(d_real * area, 9) + 0.5))
         n_real = max(1, min(n_real, len(rps_all)))
         keep = order[:n_real]
-        real_rps = [rps_all[i] for i in keep]
+        real_rps = rps_all[keep]
         selected_ids = {rp_ids[i] for i in keep}
         try:
             fit_result = fit(strategy, model, world.plan, world.aps,
@@ -464,6 +458,8 @@ def run_kest_sweep(world: EvalWorld, dr_grid: Sequence[float], dv_max: float,
         raise ValueError("alpha range must satisfy 0 < min <= max")
     if dv_max <= 0:
         raise ValueError("k-rule sweep needs a positive virtual density")
+    if not alpha_step > 0:
+        raise ValueError("alpha step must be positive")
     alphas = []
     i = 0
     while True:

@@ -15,14 +15,17 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateFitError, InputError, InsufficientDataError
-from .floorplan import Floorplan, ObstacleKey, Point3, crossing_counts_batch
+from .floorplan import Floorplan, ObstacleKey, Point3, crossing_counts_batch, points_xyz
 from .ioutil import write_text_atomic
 from .propagation import (
     AccessPoint,
@@ -52,56 +55,217 @@ class MeasurementRecord:
             raise ValueError(f"rss_dbm {self.rss_dbm} outside [-120, 0]")
 
 
-class MeasurementSet:
-    """A survey: raw per-scan RSS observations keyed by (point, AP, scan)."""
+def _first_appearance(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of ``index`` in order of first appearance, and ``index`` renumbered to them.
 
-    def __init__(self, records: list[MeasurementRecord]):
+    Codes in 0..n-1 that never appear are dropped.
+    """
+    codes, first = np.unique(index, return_index=True)
+    used = codes[np.argsort(first, kind="stable")]
+    renumber = np.zeros(n, dtype=np.intp)
+    renumber[used] = np.arange(used.shape[0])
+    return used, renumber[index]
+
+
+def _index_names(names) -> tuple[list[str], np.ndarray]:
+    """Unique names in first-appearance order, and each entry's position among them."""
+    unique = list(dict.fromkeys(names))
+    lookup = {name: i for i, name in enumerate(unique)}
+    return unique, np.fromiter(map(lookup.__getitem__, names), dtype=np.intp,
+                               count=len(names))
+
+
+def _survey_points(rp_ids: Sequence[str], coords: Iterable, to_xyz,
+                   ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Point ids, each row's point index, and one (x, y, z) row per point.
+
+    ``coords`` holds one hashable coordinate value per row and ``to_xyz``
+    turns it into three floats. Only distinct (id, coordinate) pairs are
+    converted; rows of one point that disagree in value raise ValueError.
+    """
+    names, rp_index = _index_names(rp_ids)
+    lookup = {name: i for i, name in enumerate(names)}
+    xyz: list = [None] * len(names)
+    for rp_id, coord in dict.fromkeys(zip(rp_ids, coords)):
+        point = tuple(to_xyz(coord))
+        i = lookup[rp_id]
+        if xyz[i] is None:
+            xyz[i] = point
+        elif xyz[i] != point:
+            raise ValueError(f"point {rp_id!r} has inconsistent coordinates")
+    return names, rp_index, np.array(xyz, dtype=float).reshape(-1, 3)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class _Records(Sequence):
+    """The survey's rows as MeasurementRecord objects, built on access."""
+
+    def __init__(self, meas: "MeasurementSet"):
+        self._meas = meas
+
+    def __len__(self) -> int:
+        return self._meas.rp_index.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._meas._record(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._meas._record, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __add__(self, other) -> list[MeasurementRecord]:
+        return list(self) + list(other)
+
+
+class MeasurementSet:
+    """A survey stored as columns: one entry per scan row, one position per point.
+
+    Row columns: ``rp_index`` and ``ap_index`` (positions in ``rp_ids()`` and
+    ``ap_ids()``, both in first-appearance order), ``rss`` (dBm, NaN where the
+    row is not detected), ``detected`` and ``scan``. ``xyz`` holds one
+    (x, y, z) row per survey point. All arrays are read-only. ``records``
+    presents the rows as MeasurementRecord objects without storing them.
+    """
+
+    def __init__(self, records: Iterable[MeasurementRecord]):
+        records = list(records)
         if not records:
             raise ValueError("measurement set is empty")
-        self.records = list(records)
-        scan_counts: dict[tuple[str, str], int] = {}
-        for rec in self.records:
-            key = (rec.rp_id, rec.ap_id)
-            scan_counts[key] = scan_counts.get(key, 0) + 1
-        self.q = max(scan_counts.values())
+        rp_ids, rp_index, xyz = _survey_points(
+            [rec.rp_id for rec in records], [rec.location for rec in records],
+            lambda p: (p.x, p.y, p.z))
+        ap_ids, ap_index = _index_names([rec.ap_id for rec in records])
+        self._init_indexed(
+            rp_ids, xyz, ap_ids, rp_index, ap_index,
+            np.array([np.nan if rec.rss_dbm is None else rec.rss_dbm for rec in records],
+                     dtype=float),
+            np.array([rec.rss_dbm is not None for rec in records], dtype=bool),
+            np.array([rec.scan_index for rec in records], dtype=np.int64))
+
+    @classmethod
+    def from_arrays(cls, rp_ids: Sequence[str], xyz: np.ndarray, ap_ids: Sequence[str],
+                    rp_index: np.ndarray, ap_index: np.ndarray, rss: np.ndarray,
+                    detected: np.ndarray, scan: np.ndarray) -> "MeasurementSet":
+        """A survey from indexed columns: ``xyz`` has one row per entry of ``rp_ids``.
+
+        ``rss`` is ignored where ``detected`` is False. Points and APs no row
+        refers to are dropped; the rest are renumbered in first-appearance
+        order.
+        """
+        meas = cls.__new__(cls)
+        meas._init_indexed(rp_ids, xyz, ap_ids, rp_index, ap_index, rss, detected, scan)
+        return meas
+
+    def _init_indexed(self, rp_ids, xyz, ap_ids, rp_index, ap_index, rss, detected,
+                      scan) -> None:
+        rp_index = np.asarray(rp_index, dtype=np.intp)
+        m = rp_index.shape[0]
+        if m == 0:
+            raise ValueError("measurement set is empty")
+        columns = [np.asarray(ap_index, dtype=np.intp), np.asarray(rss, dtype=float),
+                   np.asarray(detected, dtype=bool), np.asarray(scan, dtype=np.int64)]
+        if any(col.shape != (m,) for col in columns):
+            raise ValueError("measurement columns must have equal lengths")
+        ap_index, rss, detected, scan = columns
+        for index, names in ((rp_index, rp_ids), (ap_index, ap_ids)):
+            if index.min() < 0 or index.max() >= len(names):
+                raise ValueError("measurement index out of range")
+        xyz = np.asarray(xyz, dtype=float)
+        if xyz.shape != (len(rp_ids), 3):
+            raise ValueError("expected one (x, y, z) row per point id")
+        if not np.all(np.isfinite(xyz)):
+            raise ValueError("coordinates must be finite")
+        values = rss[detected]
+        out_of_range = ~((values >= -120.0) & (values <= 0.0))
+        if out_of_range.any():
+            raise ValueError(
+                f"rss_dbm {float(values[np.argmax(out_of_range)])!r} outside [-120, 0]")
+
+        rp_used, rp_index = _first_appearance(rp_index, len(rp_ids))
+        ap_used, ap_index = _first_appearance(ap_index, len(ap_ids))
+        self._rp_ids = [rp_ids[i] for i in rp_used]
+        self._ap_ids = [ap_ids[i] for i in ap_used]
+        self.xyz = _read_only(xyz[rp_used])
+        self.rp_index = _read_only(rp_index)
+        self.ap_index = _read_only(ap_index)
+        self.rss = _read_only(np.where(detected, rss, np.nan))
+        self.detected = _read_only(np.array(detected))
+        self.scan = _read_only(np.array(scan))
+        n_ap = len(self._ap_ids)
+        self.q = int(np.bincount(rp_index * n_ap + ap_index).max())
+        self._means: np.ndarray | None = None
+
+    @property
+    def records(self) -> Sequence[MeasurementRecord]:
+        return _Records(self)
+
+    def _record(self, i: int) -> MeasurementRecord:
+        x, y, z = self.xyz[self.rp_index[i]].tolist()
+        return MeasurementRecord(
+            rp_id=self._rp_ids[self.rp_index[i]],
+            location=Point3(x, y, z),
+            ap_id=self._ap_ids[self.ap_index[i]],
+            rss_dbm=float(self.rss[i]) if self.detected[i] else None,
+            scan_index=int(self.scan[i]),
+        )
 
     def rp_ids(self) -> list[str]:
         """Survey point ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.rp_id, None)
-        return list(seen)
+        return list(self._rp_ids)
 
     def ap_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.ap_id, None)
-        return list(seen)
+        return list(self._ap_ids)
 
     def locations(self) -> dict[str, Point3]:
-        locs: dict[str, Point3] = {}
-        for rec in self.records:
-            prev = locs.setdefault(rec.rp_id, rec.location)
-            if prev != rec.location:
-                raise ValueError(f"point {rec.rp_id!r} has inconsistent coordinates")
-        return locs
+        return {rp_id: Point3(x, y, z)
+                for rp_id, (x, y, z) in zip(self._rp_ids, self.xyz.tolist())}
+
+    def mean_matrix(self) -> np.ndarray:
+        """Mean detected RSS as an (n_points, n_aps) array; NaN where never detected.
+
+        Each mean adds the detected scans in row order, then divides by their
+        count, so it equals a plain sequential loop over the rows bit for bit.
+        """
+        if self._means is None:
+            n_rp, n_ap = len(self._rp_ids), len(self._ap_ids)
+            pair = (self.rp_index * n_ap + self.ap_index)[self.detected]
+            sums = np.bincount(pair, weights=self.rss[self.detected], minlength=n_rp * n_ap)
+            counts = np.bincount(pair, minlength=n_rp * n_ap)
+            with np.errstate(invalid="ignore"):
+                means = sums / counts
+            self._means = _read_only(means.reshape(n_rp, n_ap))
+        return self._means
 
     def averaged(self) -> dict[tuple[str, str], float]:
-        """Mean detected RSS per (rp_id, ap_id); pairs never detected are absent."""
-        sums: dict[tuple[str, str], tuple[float, int]] = {}
-        for rec in self.records:
-            if rec.rss_dbm is None:
-                continue
-            key = (rec.rp_id, rec.ap_id)
-            total, count = sums.get(key, (0.0, 0))
-            sums[key] = (total + rec.rss_dbm, count + 1)
-        return {key: total / count for key, (total, count) in sums.items()}
+        """Mean detected RSS per (rp_id, ap_id); pairs never detected are absent.
+
+        Pairs appear in the order of their first detected scan.
+        """
+        n_ap = len(self._ap_ids)
+        means = self.mean_matrix().ravel().tolist()
+        pair = (self.rp_index * n_ap + self.ap_index)[self.detected]
+        used, _ = _first_appearance(pair, len(means))
+        return {(self._rp_ids[code // n_ap], self._ap_ids[code % n_ap]): means[code]
+                for code in used.tolist()}
 
     def subset(self, rp_ids: set[str]) -> "MeasurementSet":
-        kept = [rec for rec in self.records if rec.rp_id in rp_ids]
-        if not kept:
+        keep = np.array([rp_id in rp_ids for rp_id in self._rp_ids])
+        rows = keep[self.rp_index]
+        if not rows.any():
             raise ValueError("subset selects no measurements")
-        return MeasurementSet(kept)
+        return MeasurementSet.from_arrays(
+            self._rp_ids, self.xyz, self._ap_ids, self.rp_index[rows], self.ap_index[rows],
+            self.rss[rows], self.detected[rows], self.scan[rows])
 
 
 class StrategyKind(str, Enum):
@@ -171,24 +335,26 @@ def _collect_samples(
         raise ValueError(f"measurements reference unknown APs: {sorted(unknown)}")
 
     keys = plan.obstacle_keys()
-    locations = meas.locations()
-    averaged = meas.averaged()
-
-    by_ap: dict[str, list[tuple[str, float]]] = {}
-    for (rp_id, ap_id), rss in averaged.items():
-        by_ap.setdefault(ap_id, []).append((rp_id, rss))
+    means = meas.mean_matrix()
+    rp_ids = meas.rp_ids()
+    ap_ids = meas.ap_ids()
+    # Samples go in (AP id, point id) order; the solve's rounding depends on it.
+    by_id = np.array(sorted(range(len(rp_ids)), key=rp_ids.__getitem__), dtype=np.intp)
 
     samples: list[_Sample] = []
     skipped_floor = 0
-    for ap_id in sorted(by_ap):
+    for j in sorted(range(len(ap_ids)), key=ap_ids.__getitem__):
+        rows = by_id[~np.isnan(means[by_id, j])]
+        if rows.shape[0] == 0:
+            continue
+        ap_id = ap_ids[j]
         ap = ap_by_id[ap_id]
-        entries = sorted(by_ap[ap_id])
-        pts = np.array([[locations[rp].x, locations[rp].y, locations[rp].z]
-                        for rp, _ in entries])
+        pts = meas.xyz[rows]
         delta = pts - ap.position.as_array()
         dists = np.sqrt(np.sum(delta * delta, axis=1))
         counts, floors = crossing_counts_batch(plan, ap.position, pts)
-        for i, (rp_id, rss) in enumerate(entries):
+        for i, (row, rss) in enumerate(zip(rows.tolist(), means[rows, j].tolist())):
+            rp_id = rp_ids[row]
             if dists[i] <= 0:
                 raise ValueError(f"point {rp_id!r} coincides with AP {ap_id!r}")
             if floors[i] > 0:
@@ -265,9 +431,9 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
     excluded from the solved set; a free intercept would be collinear with the
     constant loss.
 
-    Cost: one QR-based solve of an (M x p) system, O(p * M^2) flops on the M
-    pooled samples; per-AP fitting solves one such system per AP on its own
-    samples.
+    Cost: one SVD-based least-squares solve (``np.linalg.lstsq``) of an
+    (M x p) system, O(M * p^2) flops on the M pooled samples; per-AP fitting
+    solves one such system per AP on its own samples.
     """
     if l0_db is None:
         l0_db = PropagationParams().l0_db
@@ -323,7 +489,7 @@ def predict_for_measurements(
     predictions: dict[tuple[str, Point3], float] = {}
     if not locations:
         return predictions
-    pts = np.array([[p.x, p.y, p.z] for p in locations])
+    pts = points_xyz(locations)
     for ap in aps:
         params = result.params_for(ap.id)
         values = predict_rss_many(model, params, plan, ap, pts)
@@ -339,17 +505,29 @@ def predict_for_measurements(
 def save_measurements(meas: MeasurementSet, path: str | Path) -> None:
     import io
 
+    points = [[rp_id, repr(x), repr(y), repr(z)]
+              for rp_id, (x, y, z) in zip(meas.rp_ids(), meas.xyz.tolist())]
+    ap_ids = meas.ap_ids()
+    rss = [repr(v) if hit else NOT_DETECTED_TOKEN
+           for v, hit in zip(meas.rss.tolist(), meas.detected.tolist())]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(MEASUREMENT_COLUMNS)
-    for rec in meas.records:
-        rss = NOT_DETECTED_TOKEN if rec.rss_dbm is None else repr(rec.rss_dbm)
-        writer.writerow([rec.rp_id, repr(rec.location.x), repr(rec.location.y),
-                         repr(rec.location.z), rec.ap_id, rss, rec.scan_index])
+    writer.writerows(
+        [*points[i], ap_ids[a], value, scan]
+        for i, a, value, scan in zip(meas.rp_index.tolist(), meas.ap_index.tolist(), rss,
+                                     meas.scan.tolist()))
     write_text_atomic(path, buf.getvalue())
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:
+    """Parse a survey CSV straight into columns.
+
+    Raises InputError on an unreadable file, a wrong header, a short or long
+    row, an unparsable number, an rss_dbm outside [-120, 0] (NaN included;
+    only the ``ND`` token marks a non-detection), non-finite coordinates, or
+    a point id whose rows disagree on its coordinates.
+    """
     path = Path(path)
     try:
         with open(path, newline="") as fh:
@@ -358,27 +536,32 @@ def load_measurements(path: str | Path) -> MeasurementSet:
             if header != MEASUREMENT_COLUMNS:
                 raise InputError(
                     f"{path}: expected header {','.join(MEASUREMENT_COLUMNS)}")
-            records = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(MEASUREMENT_COLUMNS):
-                    raise InputError(f"{path}: malformed row {row!r}")
-                rp_id, x, y, z, ap_id, rss, scan = row
-                records.append(MeasurementRecord(
-                    rp_id=rp_id,
-                    location=Point3(float(x), float(y), float(z)),
-                    ap_id=ap_id,
-                    rss_dbm=None if rss == NOT_DETECTED_TOKEN else float(rss),
-                    scan_index=int(scan),
-                ))
+            rows = [row for row in reader if row]
     except OSError as exc:
         raise InputError(f"cannot read measurement file {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    if not records:
+    if not rows:
         raise InputError(f"{path}: no measurement rows")
-    return MeasurementSet(records)
+    if set(map(len, rows)) != {len(MEASUREMENT_COLUMNS)}:
+        malformed = next(row for row in rows if len(row) != len(MEASUREMENT_COLUMNS))
+        raise InputError(f"{path}: malformed row {malformed!r}")
+
+    rp_ids, ap_ids, tokens, scans = (list(map(itemgetter(j), rows)) for j in (0, 4, 5, 6))
+    detected = [token != NOT_DETECTED_TOKEN for token in tokens]
+    try:
+        names, rp_index, xyz = _survey_points(rp_ids, map(itemgetter(1, 2, 3), rows),
+                                              lambda coord: map(float, coord))
+        ap_names, ap_index = _index_names(ap_ids)
+        rss = np.full(len(rows), np.nan)
+        rss[np.array(detected)] = np.fromiter(map(float, compress(tokens, detected)),
+                                              dtype=float)
+        scan_of = {text: int(text) for text in dict.fromkeys(scans)}
+        return MeasurementSet.from_arrays(
+            names, xyz, ap_names, rp_index, ap_index, rss, np.array(detected),
+            np.fromiter(map(scan_of.__getitem__, scans), dtype=np.int64, count=len(scans)))
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def fit_result_to_dict(result: FitResult) -> dict:

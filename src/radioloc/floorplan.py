@@ -166,6 +166,17 @@ class ObstructionCount:
         return sum(self.counts.values())
 
 
+def points_xyz(points) -> np.ndarray:
+    """Positions as an (n, 3) float array, from such an array or a sequence of Point3."""
+    if isinstance(points, np.ndarray):
+        pts = np.asarray(points, dtype=float)
+    else:
+        pts = np.array([(p.x, p.y, p.z) for p in points], dtype=float).reshape(-1, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("positions must have shape (n, 3)")
+    return pts
+
+
 def link_distance(tx: Point3, rx: Point3) -> float:
     """Euclidean 3D distance of the tx-rx link, in meters."""
     if tx == rx:

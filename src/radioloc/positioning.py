@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floorplan import Point3
-from .radiomap import NOT_DETECTED_DBM, Fingerprint, Radiomap
+from .radiomap import Fingerprint, Radiomap
 
 # Similarity assigned to an exact fingerprint match, where the inverse
 # distance is singular.
@@ -28,14 +28,13 @@ class WknnConfig:
 
     Exactly one of ``k`` (explicit neighbor count) or ``alpha`` (density rule)
     drives neighbor selection; ``alpha`` applies when ``k`` is None. Sentinel
-    entries participate in fingerprint distances at their numeric dBm value
-    (``sentinel_dbm``), for targets and reference points alike.
+    entries participate in fingerprint distances at their numeric dBm value,
+    for targets and reference points alike.
     """
 
     k: int | None = None
     order: float = 2.0
     alpha: float = 0.05
-    sentinel_dbm: float = NOT_DETECTED_DBM
     cap: float = SIMILARITY_CAP
 
     def __post_init__(self):

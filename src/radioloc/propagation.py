@@ -34,6 +34,7 @@ from .floorplan import (
     count_obstructions,
     crossing_counts_batch,
     link_distance,
+    points_xyz,
 )
 from .ioutil import write_text_atomic
 
@@ -155,12 +156,7 @@ def predict_rss(model: ModelKind, params: PropagationParams, plan: Floorplan,
 def predict_rss_many(model: ModelKind, params: PropagationParams, plan: Floorplan,
                      ap: AccessPoint, positions: np.ndarray | list[Point3]) -> np.ndarray:
     """Vectorized predict_rss over many receiver positions ((n, 3) array or Point3 list)."""
-    if isinstance(positions, np.ndarray):
-        pts = np.asarray(positions, dtype=float)
-    else:
-        pts = np.array([[p.x, p.y, p.z] for p in positions], dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("positions must have shape (n, 3)")
+    pts = points_xyz(positions)
 
     delta = pts - ap.position.as_array()
     d = np.sqrt(np.sum(delta * delta, axis=1))

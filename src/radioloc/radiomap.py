@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .fitting import FitResult, MeasurementSet
-from .floorplan import Floorplan, Point3, lattice_positions
+from .floorplan import Floorplan, Point3, lattice_positions, points_xyz
 from .ioutil import write_text_atomic
 from .propagation import (
     AccessPoint,
@@ -47,11 +47,15 @@ class Fingerprint:
         values = np.asarray(rss, dtype=float)
         if values.ndim != 1:
             raise ValueError("fingerprint must be a 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("fingerprint values must be finite")
-        if np.any(values < -120.0) or np.any(values > 0.0):
-            raise ValueError("fingerprint values must lie within [-120, 0] dBm")
+        _check_rss(values)
         self.rss = values
+
+    @classmethod
+    def _view(cls, values: np.ndarray) -> "Fingerprint":
+        """Wrap an already validated vector without copying or checking it."""
+        fp = cls.__new__(cls)
+        fp.rss = values
+        return fp
 
     def __len__(self) -> int:
         return self.rss.shape[0]
@@ -63,6 +67,13 @@ class Fingerprint:
         return f"Fingerprint({self.rss.tolist()})"
 
 
+def _check_rss(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("fingerprint values must be finite")
+    if np.any(values < -120.0) or np.any(values > 0.0):
+        raise ValueError("fingerprint values must lie within [-120, 0] dBm")
+
+
 @dataclass(frozen=True)
 class ReferencePoint:
     position: Point3
@@ -70,40 +81,142 @@ class ReferencePoint:
     kind: RpKind
 
 
+class RpArrays:
+    """Reference points stored as arrays: ``pos`` (n, 3), ``rss`` (n, L), ``virtual`` (n,).
+
+    ``virtual`` marks virtual reference points; the rest are real. The arrays
+    are validated once, on construction, and are read-only. Indexing with an
+    int gives a ReferencePoint whose fingerprint is a view of the ``rss`` row;
+    indexing with a slice or an index sequence, and ``+`` (with another
+    RpArrays or a sequence of ReferencePoint), give a new RpArrays.
+    """
+
+    __slots__ = ("pos", "rss", "virtual")
+    __hash__ = None
+
+    def __init__(self, pos, rss, virtual):
+        pos = np.array(pos, dtype=float)
+        rss = np.array(rss, dtype=float)
+        virtual = np.array(virtual, dtype=bool)
+        n = pos.shape[0] if pos.ndim == 2 else -1
+        if pos.shape != (n, 3) or rss.ndim != 2 or rss.shape[0] != n or virtual.shape != (n,):
+            raise ValueError("reference points need pos (n, 3), rss (n, L) and virtual (n,)")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("coordinates must be finite")
+        _check_rss(rss)
+        self._set(pos, rss, virtual)
+
+    def _set(self, pos: np.ndarray, rss: np.ndarray, virtual: np.ndarray) -> None:
+        for array in (pos, rss, virtual):
+            array.setflags(write=False)
+        self.pos, self.rss, self.virtual = pos, rss, virtual
+
+    @classmethod
+    def _trusted(cls, pos, rss, virtual) -> "RpArrays":
+        rps = cls.__new__(cls)
+        rps._set(pos, rss, virtual)
+        return rps
+
+    @classmethod
+    def empty(cls, n_aps: int) -> "RpArrays":
+        return cls._trusted(np.zeros((0, 3)), np.zeros((0, n_aps)), np.zeros(0, dtype=bool))
+
+    @classmethod
+    def from_points(cls, points, n_aps: int = 0) -> "RpArrays":
+        """RpArrays from RpArrays (returned as is) or ReferencePoint objects.
+
+        ``n_aps`` sets the fingerprint length of an empty result.
+        """
+        if isinstance(points, RpArrays):
+            return points
+        points = list(points)
+        if not points:
+            return cls.empty(n_aps)
+        return cls([(p.position.x, p.position.y, p.position.z) for p in points],
+                   [p.fingerprint.rss for p in points],
+                   [p.kind is RpKind.VIRTUAL for p in points])
+
+    @property
+    def n_aps(self) -> int:
+        return self.rss.shape[1]
+
+    @property
+    def n_virtual(self) -> int:
+        return int(np.count_nonzero(self.virtual))
+
+    @property
+    def n_real(self) -> int:
+        return len(self) - self.n_virtual
+
+    def __len__(self) -> int:
+        return self.pos.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            x, y, z = self.pos[i].tolist()
+            return ReferencePoint(Point3(x, y, z), Fingerprint._view(self.rss[i]),
+                                  RpKind.VIRTUAL if self.virtual[i] else RpKind.REAL)
+        return RpArrays._trusted(self.pos[key], self.rss[key], self.virtual[key])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __add__(self, other) -> "RpArrays":
+        other = RpArrays.from_points(other, self.n_aps)
+        if not len(other):
+            return self
+        if not len(self):
+            return other
+        if other.n_aps != self.n_aps:
+            raise ValueError("fingerprint lengths differ")
+        return RpArrays._trusted(np.concatenate([self.pos, other.pos]),
+                                 np.concatenate([self.rss, other.rss]),
+                                 np.concatenate([self.virtual, other.virtual]))
+
+    def __radd__(self, other) -> "RpArrays":
+        return RpArrays.from_points(other, self.n_aps) + self
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RpArrays):
+            return NotImplemented
+        return (np.array_equal(self.pos, other.pos) and np.array_equal(self.rss, other.rss)
+                and np.array_equal(self.virtual, other.virtual))
+
+    def __repr__(self) -> str:
+        return (f"RpArrays({self.n_real} real + {self.n_virtual} virtual, "
+                f"{self.n_aps} APs)")
+
+
 class Radiomap:
     """The fingerprint database: APs plus real and/or virtual reference points.
 
+    ``rps`` is an RpArrays, or a sequence of ReferencePoint converted to one.
     ``area_m2`` is needed to express RP counts as spatial densities; it may be
     omitted when only counts matter (e.g. a map loaded for bare positioning).
     Treated as immutable once built; positioning reads it concurrently without
     locking.
     """
 
-    def __init__(self, aps: list[AccessPoint], rps: list[ReferencePoint],
+    def __init__(self, aps: list[AccessPoint], rps,
                  area_m2: float | None = None,
                  sentinel_dbm: float = NOT_DETECTED_DBM):
         if not aps:
             raise ValueError("radiomap needs at least one AP")
-        for rp in rps:
-            if len(rp.fingerprint) != len(aps):
-                raise ValueError("fingerprint length must equal the number of APs")
+        rps = RpArrays.from_points(rps, len(aps))
+        if rps.n_aps != len(aps):
+            raise ValueError("fingerprint length must equal the number of APs")
         if area_m2 is not None and area_m2 <= 0:
             raise ValueError("area must be positive")
         self.aps = list(aps)
-        self.rps = list(rps)
+        self.rps = rps
+        self.n_virtual = rps.n_virtual
+        self.n_real = len(rps) - self.n_virtual
         self.area_m2 = area_m2
         self.sentinel_dbm = sentinel_dbm
 
     def __len__(self) -> int:
         return len(self.rps)
-
-    @property
-    def n_real(self) -> int:
-        return sum(1 for rp in self.rps if rp.kind is RpKind.REAL)
-
-    @property
-    def n_virtual(self) -> int:
-        return sum(1 for rp in self.rps if rp.kind is RpKind.VIRTUAL)
 
     def _require_area(self) -> float:
         if self.area_m2 is None:
@@ -119,31 +232,31 @@ class Radiomap:
         return self.n_virtual / self._require_area()
 
     def rss_matrix(self) -> np.ndarray:
-        return np.array([rp.fingerprint.rss for rp in self.rps])
+        """The stored, read-only (N, L) fingerprint array."""
+        return self.rps.rss
 
     def positions_matrix(self) -> np.ndarray:
-        return np.array([[rp.position.x, rp.position.y, rp.position.z] for rp in self.rps])
+        """The stored, read-only (N, 3) position array."""
+        return self.rps.pos
 
 
 def build_real_fingerprints(meas: MeasurementSet, aps: list[AccessPoint],
                             sentinel_dbm: float = NOT_DETECTED_DBM,
-                            ) -> list[ReferencePoint]:
+                            ) -> RpArrays:
     """Average the survey into one real fingerprint per point.
 
     Each entry is the arithmetic mean of that AP's detected scans; an AP never
-    detected at the point gets the sentinel.
+    detected at the point gets the sentinel. Points keep the survey's order.
     """
-    averaged = meas.averaged()
-    locations = meas.locations()
-    points = []
-    for rp_id in meas.rp_ids():
-        values = [averaged.get((rp_id, ap.id), sentinel_dbm) for ap in aps]
-        points.append(ReferencePoint(
-            position=locations[rp_id],
-            fingerprint=Fingerprint(values),
-            kind=RpKind.REAL,
-        ))
-    return points
+    means = meas.mean_matrix()
+    column = {ap_id: j for j, ap_id in enumerate(meas.ap_ids())}
+    rss = np.full((means.shape[0], len(aps)), float(sentinel_dbm))
+    for l, ap in enumerate(aps):
+        j = column.get(ap.id)
+        if j is not None:
+            detected = ~np.isnan(means[:, j])
+            rss[detected, l] = means[detected, j]
+    return RpArrays(meas.xyz, rss, np.zeros(means.shape[0], dtype=bool))
 
 
 def ceil_scaled(value: float) -> int:
@@ -171,24 +284,24 @@ def decimation_order(positions: np.ndarray) -> list[int]:
     return order
 
 
-def select_rps(all_rps: list[ReferencePoint], rho: float) -> list[ReferencePoint]:
+def select_rps(all_rps, rho: float) -> RpArrays:
     """Keep ceil(rho * N) reference points by farthest-point decimation.
 
-    Selections nest: the kept set for a smaller rho is a subset of the kept
-    set for any larger rho.
+    ``all_rps`` is an RpArrays or a sequence of ReferencePoint. Selections
+    nest: the kept set for a smaller rho is a subset of the kept set for any
+    larger rho.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    n_keep = ceil_scaled(rho * len(all_rps))
-    positions = np.array([[rp.position.x, rp.position.y, rp.position.z] for rp in all_rps])
-    order = decimation_order(positions)
-    return [all_rps[i] for i in order[:n_keep]]
+    rps = RpArrays.from_points(all_rps)
+    n_keep = ceil_scaled(rho * len(rps))
+    return rps[decimation_order(rps.pos)[:n_keep]]
 
 
-def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid",
-                      seed: int | None = None, z_m: float = DEVICE_HEIGHT_M,
-                      ) -> list[Point3]:
-    """Positions for ceil(d_virtual * area) virtual reference points.
+def virtual_rp_positions(plan: Floorplan, d_virtual: float, placement: str = "grid",
+                         seed: int | None = None, z_m: float = DEVICE_HEIGHT_M,
+                         ) -> np.ndarray:
+    """Positions for ceil(d_virtual * area) virtual reference points, as an (n, 3) array.
 
     ``placement`` is "grid" (near-uniform lattice at cell centers) or "random"
     (uniform i.i.d. inside the bounds, seeded).
@@ -198,34 +311,45 @@ def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid"
     n = ceil_scaled(d_virtual * plan.area)
     bounds = plan.bounds
     if placement == "grid":
-        return [Point3(x, y, z_m) for x, y in lattice_positions(bounds, n)]
-    if placement == "random":
+        xy = np.array(lattice_positions(bounds, n), dtype=float)
+    elif placement == "random":
         if seed is None:
             raise ValueError("random placement requires a seed")
         rng = np.random.default_rng(seed)
         xs = rng.uniform(bounds.min_x, bounds.max_x, n)
         ys = rng.uniform(bounds.min_y, bounds.max_y, n)
-        return [Point3(float(x), float(y), z_m) for x, y in zip(xs, ys)]
-    raise ValueError(f"unknown placement {placement!r}")
+        xy = np.column_stack([xs, ys])
+    else:
+        raise ValueError(f"unknown placement {placement!r}")
+    return np.column_stack([xy, np.full(n, float(z_m))])
+
+
+def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid",
+                      seed: int | None = None, z_m: float = DEVICE_HEIGHT_M,
+                      ) -> list[Point3]:
+    """virtual_rp_positions as a list of Point3."""
+    return [Point3(x, y, z) for x, y, z in
+            virtual_rp_positions(plan, d_virtual, placement, seed, z_m).tolist()]
 
 
 def generate_virtual_fingerprints(
     fit_result: FitResult, model: ModelKind, plan: Floorplan,
-    aps: list[AccessPoint], positions: list[Point3],
+    aps: list[AccessPoint], positions,
     sentinel_dbm: float = NOT_DETECTED_DBM,
     detection_floor_dbm: float = DETECTION_FLOOR_DBM,
-) -> list[ReferencePoint]:
+) -> RpArrays:
     """Predict one virtual fingerprint per position with each AP's fitted params.
 
-    Predictions below the detection floor become the sentinel, mirroring how
-    real non-detections are recorded.
+    ``positions`` is an (n, 3) array or a sequence of Point3. Predictions
+    below the detection floor become the sentinel, mirroring how real
+    non-detections are recorded.
 
     Cost: dominated by obstruction counting, O(n_obstacles * n_positions) per
     AP, i.e. O(n_obstacles * n_positions * L) for the full map.
     """
-    if not positions:
-        return []
-    pts = np.array([[p.x, p.y, p.z] for p in positions])
+    pts = points_xyz(positions)
+    if pts.shape[0] == 0:
+        return RpArrays.empty(len(aps))
     columns = []
     for ap in aps:
         params = fit_result.params_for(ap.id)
@@ -235,59 +359,65 @@ def generate_virtual_fingerprints(
     # A strong fit can predict above 0 dBm only for degenerate geometry; clip
     # to the fingerprint's representable range.
     matrix = np.clip(matrix, -120.0, 0.0)
-    return [
-        ReferencePoint(position=pos, fingerprint=Fingerprint(matrix[i]), kind=RpKind.VIRTUAL)
-        for i, pos in enumerate(positions)
-    ]
+    return RpArrays(pts, matrix, np.ones(pts.shape[0], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def radiomap_to_dict(rmap: Radiomap) -> dict:
-    doc = {
-        "aps": aps_to_list(rmap.aps),
-        "sentinel_dbm": rmap.sentinel_dbm,
-        "rps": [
-            {
-                "x": rp.position.x,
-                "y": rp.position.y,
-                "z": rp.position.z,
-                "kind": rp.kind.value,
-                "rss": [None if v == rmap.sentinel_dbm else v
-                        for v in rp.fingerprint.rss.tolist()],
-            }
-            for rp in rmap.rps
-        ],
-    }
+def _indent(text: str) -> str:
+    """A nested value's ``json.dumps(..., indent=2)`` text one level deeper."""
+    return text.replace("\n", "\n  ")
+
+
+def radiomap_to_json(rmap: Radiomap) -> str:
+    """The radiomap document, byte-identical to ``json.dumps(doc, indent=2)``.
+
+    The reference points are formatted straight from the arrays; the small
+    remaining fields go through ``json``. Not-detected entries become null.
+    """
+    sentinel = rmap.sentinel_dbm
+    rps = rmap.rps
+    item = ('    {\n      "x": %r,\n      "y": %r,\n      "z": %r,\n      "kind": "%s",\n'
+            '      "rss": [\n        ' + ",\n        ".join(["%s"] * rps.n_aps)
+            + "\n      ]\n    }")
+    kinds = [RpKind.VIRTUAL.value if v else RpKind.REAL.value for v in rps.virtual.tolist()]
+    items = [item % (x, y, z, kind, *["null" if v == sentinel else repr(v) for v in row])
+             for (x, y, z), kind, row in zip(rps.pos.tolist(), kinds, rps.rss.tolist())]
+    fields = [
+        ("aps", _indent(json.dumps(aps_to_list(rmap.aps), indent=2))),
+        ("sentinel_dbm", json.dumps(sentinel)),
+        ("rps", "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"),
+    ]
     if rmap.area_m2 is not None:
-        doc["area_m2"] = rmap.area_m2
-    return doc
+        fields.append(("area_m2", json.dumps(rmap.area_m2)))
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}"
 
 
 def radiomap_from_dict(doc: dict) -> Radiomap:
     try:
         aps = aps_from_list(doc["aps"])
         sentinel = float(doc.get("sentinel_dbm", NOT_DETECTED_DBM))
-        rps = [
-            ReferencePoint(
-                position=Point3(float(item["x"]), float(item["y"]), float(item["z"])),
-                fingerprint=Fingerprint([sentinel if v is None else float(v)
-                                         for v in item["rss"]]),
-                kind=RpKind(item.get("kind", "real")),
-            )
-            for item in doc.get("rps", [])
-        ]
+        items = doc.get("rps", [])
+        kinds = [item.get("kind", RpKind.REAL.value) for item in items]
+        for kind in set(kinds):
+            RpKind(kind)  # rejects unknown kinds
+        rps = RpArrays.empty(len(aps))
+        if items:
+            rps = RpArrays(
+                [(item["x"], item["y"], item["z"]) for item in items],
+                [[sentinel if v is None else v for v in item["rss"]] for item in items],
+                [kind == RpKind.VIRTUAL.value for kind in kinds])
         area = doc.get("area_m2")
         return Radiomap(aps, rps, area_m2=None if area is None else float(area),
                         sentinel_dbm=sentinel)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed radiomap document: {exc}") from exc
 
 
 def save_radiomap(rmap: Radiomap, path: str | Path) -> None:
-    write_text_atomic(path, json.dumps(radiomap_to_dict(rmap), indent=2) + "\n")
+    write_text_atomic(path, radiomap_to_json(rmap) + "\n")
 
 
 def load_radiomap(path: str | Path) -> Radiomap:

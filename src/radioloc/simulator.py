@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .fitting import MeasurementRecord, MeasurementSet
+from .fitting import MeasurementSet
 from .floorplan import (
     Bounds,
     Floorplan,
@@ -35,6 +35,7 @@ from .floorplan import (
     Point3,
     floorplan_from_dict,
     lattice_positions,
+    points_xyz,
 )
 from .propagation import (
     AccessPoint,
@@ -513,7 +514,7 @@ def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
                else np.zeros(n_tp))
 
     slow_sigma = world.noise.slow_fading_sigma_db
-    rp_xyz = np.array([[p.x, p.y, p.z] for p in rp_positions])
+    rp_xyz = points_xyz(rp_positions)
     base_rp = _true_rss_matrix(world, rp_xyz)
     slow_rp = (rp_rng.normal(0.0, slow_sigma, size=(n_rp, n_ap)) if slow_sigma > 0
                else np.zeros((n_rp, n_ap)))
@@ -521,22 +522,19 @@ def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
               else np.zeros((n_rp, n_ap, preset.q)))
     scans_rp = np.minimum(base_rp[:, :, None] + slow_rp[:, :, None] + shadow + rp_bias, 0.0)
 
-    records = []
-    for i in range(n_rp):
-        rp_id = f"rp{i:03d}"
-        for l, ap in enumerate(world.aps):
-            for s in range(preset.q):
-                value = scans_rp[i, l, s]
-                detected = value >= world.detection_floor_dbm
-                records.append(MeasurementRecord(
-                    rp_id=rp_id, location=rp_positions[i], ap_id=ap.id,
-                    rss_dbm=float(value) if detected else None, scan_index=s,
-                ))
-    measurements = MeasurementSet(records)
+    # Rows run over (point, AP, scan), scan fastest.
+    rss = scans_rp.reshape(-1)
+    per_point = n_ap * preset.q
+    measurements = MeasurementSet.from_arrays(
+        [f"rp{i:03d}" for i in range(n_rp)], rp_xyz, [ap.id for ap in world.aps],
+        rp_index=np.repeat(np.arange(n_rp), per_point),
+        ap_index=np.tile(np.repeat(np.arange(n_ap), preset.q), n_rp),
+        rss=rss, detected=rss >= world.detection_floor_dbm,
+        scan=np.tile(np.arange(preset.q), n_rp * n_ap))
 
     test_points = []
     if n_tp:
-        tp_xyz = np.array([[p.x, p.y, p.z] for p in tp_positions])
+        tp_xyz = points_xyz(tp_positions)
         base_tp = _true_rss_matrix(world, tp_xyz)
         slow_tp = (tp_rng.normal(0.0, slow_sigma, size=(n_tp, n_ap)) if slow_sigma > 0
                    else np.zeros((n_tp, n_ap)))

@@ -34,6 +34,27 @@ def fit_file(world_dir, tmp_path_factory):
     return out
 
 
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def map_file(world_dir, fit_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("map") / "map.json"
+    code = main(["build-radiomap",
+                 "--measurements", str(world_dir / "measurements.csv"),
+                 "--floorplan", str(world_dir / "floorplan.json"),
+                 "--aps", str(world_dir / "aps.json"),
+                 "--fit", str(fit_file), "--rho", "1", "--dv", "0.1",
+                 "--out", str(out)])
+    assert code == 0
+    return out
+
+
 class TestSimulate:
     def test_writes_all_artifacts(self, world_dir):
         for name in ("floorplan.json", "aps.json", "measurements.csv",
@@ -179,6 +200,72 @@ class TestBuildRadiomapAndLocate:
         target.write_text("ap_id,rss_dbm\nbogus,-55.0\n")
         assert main(["locate", "--radiomap", str(map_path),
                      "--target", str(target), "--k", "1"]) == 2
+
+
+class TestInputErrorsExit2:
+    """Malformed inputs and flags end with exit 2 and an error line, not a traceback."""
+
+    @pytest.mark.parametrize("row", ["ap01,nan", "ap01,-130.0", "ap01"])
+    def test_locate_bad_target_row(self, map_file, tmp_path, capsys, row):
+        target = tmp_path / "target.csv"
+        target.write_text(f"ap_id,rss_dbm\n{row}\n")
+        code = exit_code(["locate", "--radiomap", str(map_file),
+                          "--target", str(target), "--k", "1"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_locate_k_above_map_size(self, map_file, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-55.0\n")
+        n = len(load_radiomap(map_file))
+        code = exit_code(["locate", "--radiomap", str(map_file),
+                          "--target", str(target), "--k", str(n + 1)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_fit_with_ap_file_missing_survey_aps(self, world_dir, tmp_path, capsys):
+        aps_doc = json.loads((world_dir / "aps.json").read_text())
+        (tmp_path / "aps.json").write_text(json.dumps(aps_doc[:1]))
+        code = exit_code(["fit", "--measurements", str(world_dir / "measurements.csv"),
+                          "--floorplan", str(world_dir / "floorplan.json"),
+                          "--aps", str(tmp_path / "aps.json"),
+                          "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_evaluate_rho_grid_zero(self, world_dir, tmp_path, capsys):
+        code = exit_code(["evaluate", "--world-dir", str(world_dir),
+                          "--out-dir", str(tmp_path / "out"), "--rho-grid", "0"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dr", "0"],
+        ["simulate", "--dr", "1e-9"],
+        ["simulate", "--tp-count", "0"],
+        ["simulate", "--shadowing-sigma", "-1"],
+        ["simulate", "--template", "custom"],
+        ["build-radiomap", "--rho", "0", "--measurements", "m", "--floorplan", "f",
+         "--aps", "a", "--fit", "x"],
+        ["build-radiomap", "--sentinel", "-130", "--measurements", "m", "--floorplan", "f",
+         "--aps", "a", "--fit", "x"],
+        ["locate", "--k", "0", "--radiomap", "m", "--target", "t"],
+        ["locate", "--alpha", "nan", "--radiomap", "m", "--target", "t"],
+        ["locate", "--order", "0.5", "--radiomap", "m", "--target", "t"],
+        ["evaluate", "--alpha-step", "0", "--world-dir", "w"],
+        ["evaluate", "--dv-grid", "0", "--world-dir", "w"],
+        ["evaluate", "--alpha-range", "0.3:0.1", "--world-dir", "w"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_out_of_range_flags(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        flag = "--out" if argv[0] in ("build-radiomap",) else "--out-dir"
+        extra = [] if argv[0] == "locate" else [flag, str(out)]
+        assert exit_code(argv + extra) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:

@@ -226,6 +226,9 @@ class TestKestSweep:
             run_kest_sweep(world, [0.1], 0.0)
         with pytest.raises(ValueError):
             run_kest_sweep(world, [0.1], 1.0, alpha_range=(0.0, 0.1))
+        for step in (0.0, -0.01):  # would never reach the top of the range
+            with pytest.raises(ValueError):
+                run_kest_sweep(world, [0.1], 1.0, alpha_step=step)
 
 
 class TestReports:

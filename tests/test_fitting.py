@@ -276,6 +276,43 @@ class TestMeasurementIo:
         with pytest.raises(InputError):
             load_measurements(path)
 
+    @pytest.mark.parametrize("body", [
+        "rp0,1,2,1.2,ap01,nan,0\n",            # NaN is not the ND marker
+        "rp0,1,2,1.2,ap01,inf,0\n",
+        "rp0,1,2,1.2,ap01,-130.0,0\n",
+        "rp0,1,2,1.2,ap01,0.5,0\n",
+        "rp0,1,nan,1.2,ap01,-50.0,0\n",
+        "rp0,1,2,inf,ap01,-50.0,0\n",
+        "rp0,1,2,1.2,ap01,-50.0,0\nrp0,1,2.5,1.2,ap01,-51.0,1\n",
+        "rp0,1,2,1.2,ap01,-50.0,1.5\n",
+        "rp0,1,2,1.2,ap01,-50.0\n",
+        "rp0,1,2,1.2,ap01,-50.0,0,7\n",
+        "",
+    ], ids=["nan-rss", "inf-rss", "rss-below-range", "rss-above-range", "nan-coordinate",
+            "inf-coordinate", "two-coordinates", "fractional-scan", "short-row",
+            "long-row", "no-rows"])
+    def test_malformed_rows_rejected(self, tmp_path, body):
+        path = tmp_path / "meas.csv"
+        path.write_text("rp_id,x,y,z,ap_id,rss_dbm,scan_index\n" + body)
+        with pytest.raises(InputError):
+            load_measurements(path)
+
+    @pytest.mark.parametrize("text", ["", "rp_id,x,y,z,ap_id,rss_dbm\n"],
+                             ids=["empty-file", "short-header"])
+    def test_missing_or_wrong_header_rejected(self, tmp_path, text):
+        path = tmp_path / "meas.csv"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            load_measurements(path)
+
+    def test_equal_coordinates_in_other_spelling_accepted(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("rp_id,x,y,z,ap_id,rss_dbm,scan_index\n"
+                        "rp0,1,2,1.2,ap01,-50.0,0\nrp0,1.0,2e0,1.20,ap01,ND,1\n")
+        meas = load_measurements(path)
+        assert meas.locations() == {"rp0": Point3(1.0, 2.0, 1.2)}
+        assert meas.averaged() == {("rp0", "ap01"): -50.0}
+
     def test_rss_range_validated(self):
         with pytest.raises(ValueError):
             MeasurementRecord("rp", Point3(0, 0, 0), "ap", 5.0, 0)

@@ -76,12 +76,14 @@ class TestSelectRps:
         assert len(select_rps(self.grid_rps(41), 0.2)) == 9
 
     def test_nested_across_grid(self):
+        # Grid positions are distinct, so they identify the selected points.
         rps = self.grid_rps(72)
         previous = set()
         for rho in (0.1, 0.2, 0.5, 1.0):
-            chosen = {id(rp) for rp in select_rps(rps, rho)}
+            chosen = {rp.position for rp in select_rps(rps, rho)}
             assert previous <= chosen
             previous = chosen
+        assert len(previous) == 72
 
     def test_rho_out_of_range(self):
         rps = self.grid_rps(10)
@@ -229,6 +231,19 @@ class TestRadiomap:
         for a, b in zip(loaded.rps, rmap.rps):
             assert a.kind == b.kind and a.position == b.position
             assert a.fingerprint == b.fingerprint
+
+    def test_matrices_are_stored_read_only_arrays(self):
+        aps = [AccessPoint("a", Point3(1, 1, 2.8))]
+        rmap = Radiomap(aps, [rp_at(1, 1), rp_at(2, 2, kind=RpKind.VIRTUAL)])
+        rss = rmap.rss_matrix()
+        assert rmap.rss_matrix() is rss
+        assert rmap.positions_matrix() is rmap.positions_matrix()
+        for array in (rss, rmap.positions_matrix()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = -1.0
+        assert rss.tolist() == [[-50.0], [-50.0]]
+        assert rmap.rps[1].fingerprint.rss.base is not None  # a view, not a copy
 
     def test_fingerprint_validation(self):
         with pytest.raises(ValueError):
