@@ -61,6 +61,7 @@ from .positioning import (
 )
 from .propagation import (
     AccessPoint,
+    LinkTable,
     ModelKind,
     PropagationParams,
     additional_loss,

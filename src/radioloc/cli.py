@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -404,9 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _cached_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building the tree costs more than parsing with it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _cached_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, FileNotFoundError) as exc:

@@ -30,7 +30,7 @@ from .fitting import FitResult, FitStrategy, MeasurementSet, fit
 from .floorplan import Floorplan
 from .ioutil import write_text_atomic
 from .positioning import error_curves
-from .propagation import AccessPoint, ModelKind, predict_rss_many
+from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
     DETECTION_FLOOR_DBM,
     NOT_DETECTED_DBM,
@@ -259,6 +259,8 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
     means = meas.mean_matrix()
     column = {ap_id: j for j, ap_id in enumerate(meas.ap_ids())}
     order = decimation_order(meas.xyz)
+    # Every cell predicts at all survey points: one link table per AP serves them all.
+    links: dict[str, LinkTable] = {}
 
     report = PredictionReport()
     for rho in rho_grid:
@@ -287,8 +289,9 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                     detected = ~np.isnan(measured)
                     if not detected.any():
                         continue
-                    predicted = predict_rss_many(model, result.params_for(ap.id), plan, ap,
-                                                 meas.xyz)
+                    if ap.id not in links:
+                        links[ap.id] = LinkTable(plan, ap, meas.xyz)
+                    predicted = links[ap.id].predict_rss(model, result.params_for(ap.id))
                     per_ap_deltas[ap.id] = np.abs(measured - predicted)[detected].tolist()
                 pooled = [d for deltas in per_ap_deltas.values() for d in deltas]
                 cell.n_pairs = len(pooled)
@@ -311,14 +314,20 @@ def _default_k_values(n_rps: int) -> list[int]:
 def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
                    real_rps, d_real: float, d_virtual: float,
                    placement: str, seed: int,
-                   k_grid: Sequence[int] | None) -> PositioningCell:
+                   k_grid: Sequence[int] | None,
+                   links: dict[bytes, list[LinkTable]]) -> PositioningCell:
+    """One sweep cell. ``links`` holds the link tables of the virtual position
+    sets seen so far in the sweep, keyed by the positions' bytes."""
     virtual_rps = []
     if d_virtual > 0:
         positions = virtual_rp_positions(world.plan, d_virtual, placement, seed=seed)
+        key = positions.tobytes()
+        if key not in links:
+            links[key] = [LinkTable(world.plan, ap, positions) for ap in world.aps]
         virtual_rps = generate_virtual_fingerprints(
             fit_result, model, world.plan, world.aps, positions,
             sentinel_dbm=world.sentinel_dbm,
-            detection_floor_dbm=world.detection_floor_dbm)
+            detection_floor_dbm=world.detection_floor_dbm, links=links[key])
     rps = real_rps + virtual_rps
 
     if k_grid is None:
@@ -385,6 +394,9 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
     dv_values = sorted({float(dv) for dv in dv_grid} | {0.0})
     report = PositioningReport(strategy=strategy.kind.value, model=model.value,
                                placement=placement, cells=[])
+    # Grid placement gives every d_real the same virtual positions, so their
+    # geometry is computed once per sweep; random placement never repeats.
+    links: dict[bytes, list[LinkTable]] = {}
 
     for i_dr, d_real in enumerate(dr_grid):
         n_real = int(math.floor(round(d_real * area, 9) + 0.5))
@@ -404,7 +416,7 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
                 [world.seed, _SWEEP_STREAM, i_dr, i_dv]).generate_state(1)[0])
             try:
                 cell = _evaluate_cell(world, fit_result, model, real_rps,
-                                      d_real, dv, placement, cell_seed, k_grid)
+                                      d_real, dv, placement, cell_seed, k_grid, links)
             except ValueError as exc:
                 cell = _failed_cell(d_real, dv, n_real, str(exc))
             report.cells.append(cell)

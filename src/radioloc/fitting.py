@@ -25,7 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateFitError, InputError, InsufficientDataError
-from .floorplan import Floorplan, ObstacleKey, Point3, crossing_counts_batch, points_xyz
+from .floorplan import (
+    Floorplan,
+    ObstacleKey,
+    Point3,
+    crossing_counts_batch,
+    floors_crossed_batch,
+    points_xyz,
+)
 from .ioutil import write_text_atomic
 from .propagation import (
     AccessPoint,
@@ -323,11 +330,11 @@ class _Sample:
     ap: AccessPoint
     rss_dbm: float
     log_term: float  # 10 * log10(d)
-    counts: tuple[int, ...]  # aligned to the plan's obstacle keys
+    counts: tuple[int, ...]  # aligned to the plan's obstacle keys; empty for one-slope
 
 
 def _collect_samples(
-    plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet
+    plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet, model: ModelKind,
 ) -> tuple[list[_Sample], list[ObstacleKey]]:
     ap_by_id = {ap.id: ap for ap in aps}
     unknown = set(meas.ap_ids()) - set(ap_by_id)
@@ -352,7 +359,10 @@ def _collect_samples(
         pts = meas.xyz[rows]
         delta = pts - ap.position.as_array()
         dists = np.sqrt(np.sum(delta * delta, axis=1))
-        counts, floors = crossing_counts_batch(plan, ap.position, pts)
+        if model is ModelKind.MWMF:
+            counts, floors = crossing_counts_batch(plan, ap.position, pts)
+        else:  # the one-slope model reads no obstruction counts
+            counts, floors = {}, floors_crossed_batch(plan, ap.position, pts)
         for i, (row, rss) in enumerate(zip(rows.tolist(), means[rows, j].tolist())):
             rp_id = rp_ids[row]
             if dists[i] <= 0:
@@ -366,7 +376,7 @@ def _collect_samples(
                 ap=ap,
                 rss_dbm=rss,
                 log_term=10.0 * math.log10(dists[i]),
-                counts=tuple(int(counts[key][i]) for key in keys),
+                counts=tuple(int(arr[i]) for arr in counts.values()),
             ))
     if skipped_floor:
         warnings.warn(f"excluded {skipped_floor} cross-floor samples from the fit",
@@ -437,7 +447,7 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
     """
     if l0_db is None:
         l0_db = PropagationParams().l0_db
-    samples, keys = _collect_samples(plan, aps, meas)
+    samples, keys = _collect_samples(plan, aps, meas, model)
 
     if strategy.kind is StrategyKind.NO_FIT:
         params = strategy.no_fit_params

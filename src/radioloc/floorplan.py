@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .ioutil import write_text_atomic
 # Contacts closer than this to an obstacle endpoint or line (in meters) are
 # treated as grazing and count as zero crossings.
 GRAZE_EPS_M = 1e-9
+
+# crossing_flags_batch tests n links against blocks of max(1, CROSSING_BLOCK // n)
+# obstacles at a time, so its (n, block) temporaries stay cache-sized.
+CROSSING_BLOCK = 8192
 
 
 class ObstacleFamily(str, Enum):
@@ -112,6 +117,37 @@ class PlanarObstacle:
 ObstacleKey = tuple[ObstacleFamily, int]
 
 
+class _ObstacleColumns(NamedTuple):
+    """Per-obstacle scalars of a plan as read-only arrays aligned with its obstacles."""
+
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    vx: np.ndarray  # x2 - x1
+    vy: np.ndarray  # y2 - y1
+    tol_t: np.ndarray  # grazing tolerance of the side-of-obstacle-line test
+    floor_index: np.ndarray
+    key_columns: dict[ObstacleKey, np.ndarray]  # obstacle indices per key, in key order
+
+    @classmethod
+    def of(cls, obstacles: tuple[PlanarObstacle, ...],
+           keys: list[ObstacleKey]) -> "_ObstacleColumns":
+        def column(values, dtype=float):
+            array = np.array(values, dtype=dtype)
+            array.setflags(write=False)
+            return array
+
+        x1, y1 = column([o.x1 for o in obstacles]), column([o.y1 for o in obstacles])
+        x2, y2 = column([o.x2 for o in obstacles]), column([o.y2 for o in obstacles])
+        tol_t = column([GRAZE_EPS_M * math.hypot(o.x2 - o.x1, o.y2 - o.y1) for o in obstacles])
+        key_of = [(o.family, o.type_index) for o in obstacles]
+        key_columns = {key: column([j for j, k in enumerate(key_of) if k == key], np.intp)
+                       for key in keys}
+        return cls(x1, y1, x2, y2, column(x2 - x1), column(y2 - y1), tol_t,
+                   column([o.floor_index for o in obstacles], int), key_columns)
+
+
 @dataclass(frozen=True)
 class Floorplan:
     """Environment geometry used for obstruction counting.
@@ -124,6 +160,8 @@ class Floorplan:
     bounds: Bounds
     floors: tuple[float, ...] = ()
     obstacles: tuple[PlanarObstacle, ...] = ()
+    # Derived from ``obstacles`` once, for crossing_flags_batch; not compared.
+    _columns: _ObstacleColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "floors", tuple(float(z) for z in self.floors))
@@ -136,6 +174,8 @@ class Floorplan:
                 raise ValueError(
                     f"obstacle floor_index {obs.floor_index} invalid for {n_stories} stories"
                 )
+        object.__setattr__(self, "_columns",
+                           _ObstacleColumns.of(self.obstacles, self.obstacle_keys()))
 
     @property
     def area(self) -> float:
@@ -196,17 +236,37 @@ def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     array aligned with ``plan.obstacles``. Grazing contacts (within
     GRAZE_EPS_M of an obstacle line or endpoint) count as no crossing, as do
     links whose 2D projection degenerates to a point.
+
+    Obstacles are tested in blocks of max(1, CROSSING_BLOCK // n), each as
+    one set of (block, n) elementwise expressions, so small calls pay no
+    per-obstacle Python overhead and large ones keep their temporaries
+    cache-sized.
     """
     pts = np.asarray(rx_xyz, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("rx_xyz must have shape (n, 3)")
     n = pts.shape[0]
+    m = len(plan.obstacles)
+    obs = plan._columns
+
+    # Receiver terms are (n,) rows. Obstacle terms index to (block, 1) columns,
+    # so every elementwise pass runs along the receivers; with one obstacle
+    # per block they index to scalars, the cheapest form for large n.
+    terms = (obs.x1, obs.y1, obs.x2, obs.y2, obs.vx, obs.vy, obs.tol_t, obs.floor_index)
+    block = max(1, CROSSING_BLOCK // max(n, 1))
+    if block == 1:
+        blocks = range(m)
+    else:
+        blocks = [slice(start, start + block) for start in range(0, m, block)]
+        terms = tuple(a[:, None] for a in terms)
+    x1, y1, x2, y2, vx, vy, tol_t, floor_index = terms
 
     ax, ay = tx.x, tx.y
     ux = pts[:, 0] - ax
     uy = pts[:, 1] - ay
     norm_u = np.hypot(ux, uy)
     planar = norm_u > GRAZE_EPS_M  # vertical links cross no 2D obstacle
+    tol_s = GRAZE_EPS_M * norm_u
 
     # Stories traversed per link; an obstacle applies when its story lies in range.
     story_tx = plan.story_of(tx.z)
@@ -214,26 +274,22 @@ def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     story_lo = np.minimum(stories_rx, story_tx)
     story_hi = np.maximum(stories_rx, story_tx)
 
-    flags = np.zeros((n, len(plan.obstacles)), dtype=bool)
-    tol_s = GRAZE_EPS_M * norm_u
-    for j, obs in enumerate(plan.obstacles):
-        in_story = (story_lo <= obs.floor_index) & (obs.floor_index <= story_hi)
+    ta_all = vx * (ay - y1) - vy * (ax - x1)  # cross(v, a - c): tx vs obstacle lines
+
+    flags = np.zeros((n, m), dtype=bool)
+    for b in blocks:
+        in_story = (story_lo <= floor_index[b]) & (floor_index[b] <= story_hi)
         if not in_story.any():
             continue
-        wcx, wcy = obs.x1 - ax, obs.y1 - ay
-        wdx, wdy = obs.x2 - ax, obs.y2 - ay
-        sc = ux * wcy - uy * wcx  # cross(u, c - a): obstacle endpoints vs link line
-        sd = ux * wdy - uy * wdx
+        sc = ux * (y1[b] - ay) - uy * (x1[b] - ax)  # cross(u, c - a): obstacle ends vs link line
+        sd = ux * (y2[b] - ay) - uy * (x2[b] - ax)
         straddles_link_line = ((sc > tol_s) & (sd < -tol_s)) | ((sc < -tol_s) & (sd > tol_s))
 
-        vx, vy = obs.x2 - obs.x1, obs.y2 - obs.y1
-        norm_v = math.hypot(vx, vy)
-        tol_t = GRAZE_EPS_M * norm_v
-        ta = vx * (ay - obs.y1) - vy * (ax - obs.x1)  # cross(v, a - c): link ends vs obstacle line
-        tb = vx * (pts[:, 1] - obs.y1) - vy * (pts[:, 0] - obs.x1)
-        straddles_obstacle_line = ((ta > tol_t) & (tb < -tol_t)) | ((ta < -tol_t) & (tb > tol_t))
+        ta, tol = ta_all[b], tol_t[b]
+        tb = vx[b] * (pts[:, 1] - y1[b]) - vy[b] * (pts[:, 0] - x1[b])  # rx vs obstacle lines
+        straddles_obstacle_line = ((ta > tol) & (tb < -tol)) | ((ta < -tol) & (tb > tol))
 
-        flags[:, j] = planar & in_story & straddles_link_line & straddles_obstacle_line
+        flags[:, b] = (planar & in_story & straddles_link_line & straddles_obstacle_line).T
     return flags
 
 
@@ -248,6 +304,16 @@ def floors_crossed_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     return np.sum((planes > lo) & (planes < hi), axis=1).astype(int)
 
 
+def counts_by_key(plan: Floorplan, flags: np.ndarray) -> dict[ObstacleKey, np.ndarray]:
+    """Per-key crossing counts from crossing_flags_batch's (n, n_obstacles) flags.
+
+    Maps each obstacle key of the plan, in ``plan.obstacle_keys()`` order, to
+    an (n,) int array.
+    """
+    return {key: flags[:, columns].sum(axis=1, dtype=int)
+            for key, columns in plan._columns.key_columns.items()}
+
+
 def crossing_counts_batch(
     plan: Floorplan, tx: Point3, rx_xyz: np.ndarray
 ) -> tuple[dict[ObstacleKey, np.ndarray], np.ndarray]:
@@ -258,10 +324,7 @@ def crossing_counts_batch(
     crossed floor planes.
     """
     flags = crossing_flags_batch(plan, tx, rx_xyz)
-    counts = {key: np.zeros(flags.shape[0], dtype=int) for key in plan.obstacle_keys()}
-    for j, obs in enumerate(plan.obstacles):
-        counts[(obs.family, obs.type_index)] += flags[:, j]
-    return counts, floors_crossed_batch(plan, tx, rx_xyz)
+    return counts_by_key(plan, flags), floors_crossed_batch(plan, tx, rx_xyz)
 
 
 def count_obstructions(plan: Floorplan, tx: Point3, rx: Point3) -> ObstructionCount:

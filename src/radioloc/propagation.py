@@ -32,7 +32,9 @@ from .floorplan import (
     ObstructionCount,
     Point3,
     count_obstructions,
-    crossing_counts_batch,
+    counts_by_key,
+    crossing_flags_batch,
+    floors_crossed_batch,
     link_distance,
     points_xyz,
 )
@@ -153,30 +155,73 @@ def predict_rss(model: ModelKind, params: PropagationParams, plan: Floorplan,
     return ap.eirp_dbm - path_loss(model, params, plan, ap.position, rx)
 
 
+class LinkTable:
+    """Parameter-free geometry of the links from one AP to a set of receiver positions.
+
+    Holds ``log10_d``, the (n,) base-10 log distances, and on first use by
+    the multi-wall model the per-key crossing counts and the crossed floor
+    planes (``obstructions``). The one-slope model reads only ``log10_d``,
+    so it never counts crossings. One table serves any parameters of either
+    model; ``predict_rss`` equals ``predict_rss_many`` bit for bit.
+    """
+
+    def __init__(self, plan: Floorplan, ap: AccessPoint,
+                 positions: np.ndarray | list[Point3]):
+        pts = points_xyz(positions)
+        delta = pts - ap.position.as_array()
+        d = np.sqrt(np.sum(delta * delta, axis=1))
+        if np.any(d <= 0):
+            raise ValueError("a receiver position coincides with the AP")
+        self.plan = plan
+        self.ap = ap
+        self.positions = pts
+        self.log10_d = np.log10(d)
+        self._obstructions: tuple[dict[ObstacleKey, np.ndarray], np.ndarray] | None = None
+
+    def crossing_flags(self) -> np.ndarray:
+        """Per-obstacle crossing flags (n, n_obstacles), counted afresh and not kept.
+
+        The first call also fills ``obstructions`` from them, so a caller that
+        needs both counts the links once.
+        """
+        flags = crossing_flags_batch(self.plan, self.ap.position, self.positions)
+        if self._obstructions is None:
+            self._obstructions = (
+                counts_by_key(self.plan, flags),
+                floors_crossed_batch(self.plan, self.ap.position, self.positions),
+            )
+        return flags
+
+    @property
+    def obstructions(self) -> tuple[dict[ObstacleKey, np.ndarray], np.ndarray]:
+        """Per-key crossing counts (plan key order) and crossed floor planes, per link."""
+        if self._obstructions is None:
+            self.crossing_flags()
+        return self._obstructions
+
+    def predict_rss(self, model: ModelKind, params: PropagationParams) -> np.ndarray:
+        """Predicted received power at every position, in dBm."""
+        pl = params.l0_db + 10.0 * params.gamma * self.log10_d
+
+        if model is ModelKind.MWMF:
+            counts, floors = self.obstructions
+            extra = np.full(self.log10_d.shape[0], params.lc_db)
+            for key, arr in counts.items():
+                loss = params.loss_2d.get(key, 0.0)
+                if loss:
+                    extra += arr * loss
+            for nf in np.unique(floors):
+                if nf > 0:
+                    extra[floors == nf] += floor_term_db(params, int(nf))
+            pl = pl + extra
+
+        return self.ap.eirp_dbm - pl
+
+
 def predict_rss_many(model: ModelKind, params: PropagationParams, plan: Floorplan,
                      ap: AccessPoint, positions: np.ndarray | list[Point3]) -> np.ndarray:
     """Vectorized predict_rss over many receiver positions ((n, 3) array or Point3 list)."""
-    pts = points_xyz(positions)
-
-    delta = pts - ap.position.as_array()
-    d = np.sqrt(np.sum(delta * delta, axis=1))
-    if np.any(d <= 0):
-        raise ValueError("a receiver position coincides with the AP")
-    pl = params.l0_db + 10.0 * params.gamma * np.log10(d)
-
-    if model is ModelKind.MWMF:
-        counts, floors = crossing_counts_batch(plan, ap.position, pts)
-        extra = np.full(pts.shape[0], params.lc_db)
-        for key, arr in counts.items():
-            loss = params.loss_2d.get(key, 0.0)
-            if loss:
-                extra += arr * loss
-        for nf in np.unique(floors):
-            if nf > 0:
-                extra[floors == nf] += floor_term_db(params, int(nf))
-        pl = pl + extra
-
-    return ap.eirp_dbm - pl
+    return LinkTable(plan, ap, positions).predict_rss(model, params)
 
 
 # ---------------------------------------------------------------------------

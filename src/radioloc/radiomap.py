@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -22,10 +23,10 @@ from .floorplan import Floorplan, Point3, lattice_positions, points_xyz
 from .ioutil import write_text_atomic
 from .propagation import (
     AccessPoint,
+    LinkTable,
     ModelKind,
     aps_from_list,
     aps_to_list,
-    predict_rss_many,
 )
 
 NOT_DETECTED_DBM = -100.0
@@ -337,23 +338,28 @@ def generate_virtual_fingerprints(
     aps: list[AccessPoint], positions,
     sentinel_dbm: float = NOT_DETECTED_DBM,
     detection_floor_dbm: float = DETECTION_FLOOR_DBM,
+    links: Sequence[LinkTable] | None = None,
 ) -> RpArrays:
     """Predict one virtual fingerprint per position with each AP's fitted params.
 
     ``positions`` is an (n, 3) array or a sequence of Point3. Predictions
     below the detection floor become the sentinel, mirroring how real
-    non-detections are recorded.
+    non-detections are recorded. ``links`` may pass one LinkTable per AP,
+    built for these positions, so that a caller synthesizing the same
+    positions under several fits computes their geometry once.
 
-    Cost: dominated by obstruction counting, O(n_obstacles * n_positions) per
-    AP, i.e. O(n_obstacles * n_positions * L) for the full map.
+    Cost: O(n_positions * n_keys) per AP from ready tables. Building a table
+    for the multi-wall model counts obstructions, O(n_obstacles * n_positions)
+    per AP; the one-slope model needs only distances.
     """
     pts = points_xyz(positions)
     if pts.shape[0] == 0:
         return RpArrays.empty(len(aps))
+    if links is None:
+        links = [LinkTable(plan, ap, pts) for ap in aps]
     columns = []
-    for ap in aps:
-        params = fit_result.params_for(ap.id)
-        values = predict_rss_many(model, params, plan, ap, pts)
+    for ap, table in zip(aps, links, strict=True):
+        values = table.predict_rss(model, fit_result.params_for(ap.id))
         columns.append(np.where(values < detection_floor_dbm, sentinel_dbm, values))
     matrix = np.column_stack(columns)
     # A strong fit can predict above 0 dBm only for degenerate geometry; clip

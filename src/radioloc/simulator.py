@@ -39,11 +39,11 @@ from .floorplan import (
 )
 from .propagation import (
     AccessPoint,
+    LinkTable,
     ModelKind,
     PropagationParams,
     aps_from_list,
     params_from_dict,
-    predict_rss_many,
 )
 from .radiomap import DETECTION_FLOOR_DBM, DEVICE_HEIGHT_M, NOT_DETECTED_DBM, Fingerprint
 
@@ -428,16 +428,15 @@ def _residual_fields(world: WorldSpec) -> list[_ResidualField] | None:
 def _true_rss_matrix(world: WorldSpec, positions: np.ndarray) -> np.ndarray:
     """Noise-free received power including per-obstacle loss spread and the
     residual field, shape (n, L)."""
-    from .floorplan import crossing_flags_batch
-
     fields = _residual_fields(world)
     offsets = world.obstacle_loss_offsets_db
     columns = []
     for l, ap in enumerate(world.aps):
-        values = predict_rss_many(ModelKind.MWMF, world.truth_for(ap.id), world.plan,
-                                  ap, positions)
-        if offsets is not None:
-            flags = crossing_flags_batch(world.plan, ap.position, positions)
+        table = LinkTable(world.plan, ap, positions)
+        # Counting the flags first lets the prediction reuse them.
+        flags = table.crossing_flags() if offsets is not None else None
+        values = table.predict_rss(ModelKind.MWMF, world.truth_for(ap.id))
+        if flags is not None:
             values = values - flags @ offsets
         if fields is not None:
             values = values + fields[l](positions[:, :2])

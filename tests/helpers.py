@@ -2,7 +2,9 @@
 
 The oracles here are deliberately independent of the library's computation
 paths: obstruction counts come from dense sampling along the link, and WkNN
-estimates from a plain Python sort-and-accumulate loop.
+estimates from a plain Python sort-and-accumulate loop. The one exception is
+``reference_crossing_flags``, the per-obstacle loop that the blocked
+``crossing_flags_batch`` must match bit for bit.
 """
 
 import math
@@ -10,13 +12,14 @@ import math
 import numpy as np
 
 from radioloc.floorplan import (
+    GRAZE_EPS_M,
     Bounds,
     Floorplan,
     ObstacleFamily,
     PlanarObstacle,
     Point3,
 )
-from radioloc.propagation import AccessPoint, PropagationParams
+from radioloc.propagation import AccessPoint, ModelKind, PropagationParams, floor_term_db
 
 
 def oracle_count_2d(plan, tx, rx, samples=2000):
@@ -60,6 +63,95 @@ def oracle_count_2d(plan, tx, rx, samples=2000):
                     counts[(obs.family, obs.type_index)] += 1
     floors = sum(1 for z in plan.floors if min(tx.z, rx.z) < z < max(tx.z, rx.z))
     return counts, floors
+
+
+def reference_crossing_flags(plan, tx, rx_xyz):
+    """crossing_flags_batch evaluated one obstacle at a time, with scalar obstacle terms."""
+    pts = np.asarray(rx_xyz, dtype=float)
+    n = pts.shape[0]
+
+    ax, ay = tx.x, tx.y
+    ux = pts[:, 0] - ax
+    uy = pts[:, 1] - ay
+    norm_u = np.hypot(ux, uy)
+    planar = norm_u > GRAZE_EPS_M
+
+    story_tx = plan.story_of(tx.z)
+    stories_rx = np.searchsorted(plan.floors, pts[:, 2], side="right")
+    story_lo = np.minimum(stories_rx, story_tx)
+    story_hi = np.maximum(stories_rx, story_tx)
+
+    flags = np.zeros((n, len(plan.obstacles)), dtype=bool)
+    tol_s = GRAZE_EPS_M * norm_u
+    for j, obs in enumerate(plan.obstacles):
+        in_story = (story_lo <= obs.floor_index) & (obs.floor_index <= story_hi)
+        if not in_story.any():
+            continue
+        wcx, wcy = obs.x1 - ax, obs.y1 - ay
+        wdx, wdy = obs.x2 - ax, obs.y2 - ay
+        sc = ux * wcy - uy * wcx
+        sd = ux * wdy - uy * wdx
+        straddles_link_line = ((sc > tol_s) & (sd < -tol_s)) | ((sc < -tol_s) & (sd > tol_s))
+
+        vx, vy = obs.x2 - obs.x1, obs.y2 - obs.y1
+        tol_t = GRAZE_EPS_M * math.hypot(vx, vy)
+        ta = vx * (ay - obs.y1) - vy * (ax - obs.x1)
+        tb = vx * (pts[:, 1] - obs.y1) - vy * (pts[:, 0] - obs.x1)
+        straddles_obstacle_line = ((ta > tol_t) & (tb < -tol_t)) | ((ta < -tol_t) & (tb > tol_t))
+
+        flags[:, j] = planar & in_story & straddles_link_line & straddles_obstacle_line
+    return flags
+
+
+def reference_predict_rss(model, params, plan, ap, pts):
+    """predict_rss_many's expression, on counts summed from reference_crossing_flags.
+
+    The terms are added in the library's order (distance term; then lc, the
+    per-key losses in key order and the floor term; then EIRP minus the
+    loss), so equal inputs give equal bits.
+    """
+    delta = pts - ap.position.as_array()
+    pl = params.l0_db + 10.0 * params.gamma * np.log10(np.sqrt(np.sum(delta * delta, axis=1)))
+    if model is ModelKind.MWMF:
+        flags = reference_crossing_flags(plan, ap.position, pts)
+        extra = np.full(pts.shape[0], params.lc_db)
+        for key in plan.obstacle_keys():
+            loss = params.loss_2d.get(key, 0.0)
+            if loss:
+                columns = [j for j, o in enumerate(plan.obstacles)
+                           if (o.family, o.type_index) == key]
+                extra += flags[:, columns].sum(axis=1) * loss
+        floors = np.array([sum(1 for z in plan.floors
+                               if min(p[2], ap.position.z) < z < max(p[2], ap.position.z))
+                           for p in pts], dtype=int)
+        for nf in np.unique(floors):
+            if nf > 0:
+                extra[floors == nf] += floor_term_db(params, int(nf))
+        pl = pl + extra
+    return ap.eirp_dbm - pl
+
+
+def count_crossing_calls(monkeypatch):
+    """Count crossing_flags_batch calls per (tx, receiver bytes) from here on.
+
+    Wraps the function where the library binds it: in floorplan (behind
+    crossing_counts_batch and count_obstructions) and in propagation (behind
+    LinkTable).
+    """
+    from collections import Counter
+
+    from radioloc import floorplan, propagation
+
+    calls = Counter()
+    original = floorplan.crossing_flags_batch
+
+    def counting(plan, tx, rx_xyz):
+        calls[(tx, np.asarray(rx_xyz, dtype=float).tobytes())] += 1
+        return original(plan, tx, rx_xyz)
+
+    for module in (floorplan, propagation):
+        monkeypatch.setattr(module, "crossing_flags_batch", counting)
+    return calls
 
 
 def oracle_wknn(rp_rss, rp_positions, target, k, order=2.0, cap=1e9):

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+import radioloc.cli as cli
 from radioloc.cli import (
     DEFAULT_ALPHA_RANGE,
     DEFAULT_DV_GRID,
     DEFAULT_RHO_GRID,
+    build_parser,
     main,
 )
 from radioloc.fitting import load_fit_result, load_measurements
@@ -305,3 +307,14 @@ def test_default_grids_match_published_tables():
     assert DEFAULT_RHO_GRID == (0.1, 0.2, 0.5, 1.0)
     assert DEFAULT_DV_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
     assert DEFAULT_ALPHA_RANGE == (0.01, 0.25)
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._cached_parser.cache_clear()
+    argv = ["locate", "--radiomap", str(tmp_path / "missing.json"),
+            "--target", str(tmp_path / "missing.csv")]
+    assert [main(argv), main(argv)] == [2, 2]
+    assert len(built) == 1
+    assert build_parser() is not build_parser()

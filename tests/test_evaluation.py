@@ -20,8 +20,10 @@ from radioloc.evaluation import (
 from radioloc.fitting import FitStrategy
 from radioloc.positioning import WknnConfig, locate
 from radioloc.propagation import ModelKind
-from radioloc.radiomap import Radiomap, build_real_fingerprints
+from radioloc.radiomap import Radiomap, build_real_fingerprints, virtual_rp_positions
 from radioloc.simulator import NoiseConfig, ScenarioPreset, template_info
+
+from helpers import count_crossing_calls
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +190,38 @@ class TestPositioningSweep:
         report, _ = run_positioning_sweep(world, [info.dr_max], [],
                                           k_grid=[1, 3, 5])
         assert report.cell(info.dr_max, 0.0).k_values == [1, 3, 5]
+
+
+class TestGeometryReuse:
+    DV_GRID = [0.1, 1.0, 5.0]
+
+    def test_sweep_counts_each_virtual_position_set_once(self, noisy_world, monkeypatch):
+        world, _ = noisy_world
+        dr_grid = template_info("spinv_like").dr_grid
+        calls = count_crossing_calls(monkeypatch)
+        report, _ = run_positioning_sweep(world, dr_grid, self.DV_GRID)
+        assert len(dr_grid) == 4 and not any(c.error for c in report.cells)
+        for dv in self.DV_GRID:
+            positions = virtual_rp_positions(world.plan, dv).tobytes()
+            assert [calls[(ap.position, positions)] for ap in world.aps] == [1] * len(world.aps)
+
+    def test_prediction_analysis_counts_survey_links_once(self, noisy_world, monkeypatch):
+        world, _ = noisy_world
+        calls = count_crossing_calls(monkeypatch)
+        run_prediction_analysis(world.measurements, world.plan, world.aps, [0.2, 0.5, 1.0],
+                                [FitStrategy.environment()], [ModelKind.MWMF])
+        survey = world.measurements.xyz.tobytes()
+        assert [calls[(ap.position, survey)] for ap in world.aps] == [1] * len(world.aps)
+
+    def test_one_slope_makes_no_crossing_calls(self, noisy_world, monkeypatch):
+        world, _ = noisy_world
+        calls = count_crossing_calls(monkeypatch)
+        report, _ = run_positioning_sweep(world, template_info("spinv_like").dr_grid,
+                                          self.DV_GRID, model=ModelKind.ONE_SLOPE)
+        run_prediction_analysis(world.measurements, world.plan, world.aps, [0.2, 1.0],
+                                [FitStrategy.environment()], [ModelKind.ONE_SLOPE])
+        assert not any(c.error for c in report.cells)
+        assert sum(calls.values()) == 0
 
 
 class TestKestSweep:

@@ -12,6 +12,7 @@ from radioloc.floorplan import (
 )
 from radioloc.propagation import (
     AccessPoint,
+    LinkTable,
     ModelKind,
     PropagationParams,
     additional_loss,
@@ -25,6 +26,8 @@ from radioloc.propagation import (
     save_access_points,
     save_params,
 )
+
+from helpers import count_crossing_calls, reference_predict_rss
 
 WALL = ObstacleFamily.WALL
 DOOR = ObstacleFamily.DOOR
@@ -171,6 +174,65 @@ class TestPredictRss:
         with pytest.raises(ValueError):
             predict_rss_many(ModelKind.ONE_SLOPE, PropagationParams(), plan, ap,
                              [ap.position])
+
+
+def two_story_scene():
+    """A two-story plan with walls and doors of two types, an AP on the upper
+    story and receivers on both."""
+    plan = Floorplan(
+        bounds=Bounds(0.0, 0.0, 30.0, 10.0),
+        floors=(3.0,),
+        obstacles=(
+            PlanarObstacle(8.0, 0.0, 8.0, 10.0, floor_index=0, family=WALL),
+            PlanarObstacle(14.0, 0.0, 14.0, 7.0, floor_index=1, family=WALL, type_index=2),
+            PlanarObstacle(14.0, 7.0, 14.0, 10.0, floor_index=1, family=DOOR),
+            PlanarObstacle(22.0, 2.0, 22.0, 10.0, floor_index=0, family=WALL),
+            PlanarObstacle(0.0, 5.0, 30.0, 5.0, floor_index=1, family=WALL),
+        ),
+    )
+    ap = AccessPoint("ap", Point3(3.0, 2.0, 5.5), eirp_dbm=18.0)
+    rng = np.random.default_rng(11)
+    pts = np.column_stack([rng.uniform(0.5, 29.5, 60), rng.uniform(0.5, 9.5, 60),
+                           rng.choice([1.2, 4.2], 60)])
+    return plan, ap, pts
+
+
+class TestLinkTable:
+    PARAMS = [
+        PropagationParams(gamma=2.4, lc_db=1.3,
+                          loss_2d={(WALL, 1): 4.7, (WALL, 2): 7.9, (DOOR, 1): 1.1},
+                          lf_db=15.5, b=0.5),
+        PropagationParams.simple(gamma=3.1, lc_db=0.0, wall_db=5.0, door_db=0.0),
+        PropagationParams(l0_db=38.0, gamma=1.9, lc_db=-0.7, loss_2d={}),
+    ]
+
+    def test_reused_table_matches_fresh_prediction_bit_for_bit(self):
+        plan, ap, pts = two_story_scene()
+        table = LinkTable(plan, ap, pts)
+        for model in (ModelKind.ONE_SLOPE, ModelKind.MWMF, ModelKind.ONE_SLOPE):
+            for params in self.PARAMS:
+                got = table.predict_rss(model, params)
+                assert got.tobytes() == predict_rss_many(model, params, plan, ap,
+                                                         pts).tobytes()
+                assert got.tobytes() == reference_predict_rss(model, params, plan, ap,
+                                                              pts).tobytes()
+
+    def test_one_slope_counts_no_crossings(self, monkeypatch):
+        plan, ap, pts = two_story_scene()
+        calls = count_crossing_calls(monkeypatch)
+        LinkTable(plan, ap, pts).predict_rss(ModelKind.ONE_SLOPE, self.PARAMS[0])
+        predict_rss_many(ModelKind.ONE_SLOPE, self.PARAMS[0], plan, ap, pts)
+        assert not calls
+
+    def test_flags_and_predictions_count_once(self, monkeypatch):
+        plan, ap, pts = two_story_scene()
+        calls = count_crossing_calls(monkeypatch)
+        table = LinkTable(plan, ap, pts)
+        flags = table.crossing_flags()
+        for params in self.PARAMS:
+            table.predict_rss(ModelKind.MWMF, params)
+        assert list(calls.values()) == [1]
+        assert flags.shape == (60, len(plan.obstacles)) and flags.any()
 
 
 class TestParamsValidation:

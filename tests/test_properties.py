@@ -1,7 +1,9 @@
-"""Property-based checks of the columnar survey and the array-backed radiomap.
+"""Property-based checks of the columnar survey, the array-backed radiomap and
+the blocked obstruction counting.
 
-The oracles are plain per-record Python loops and ``json.dumps``; they do
-not share code with the array paths they check.
+The oracles are plain per-record Python loops, ``json.dumps`` and, for
+``crossing_flags_batch``, the per-obstacle loop it replaced; they do not share
+code with the array paths they check.
 """
 
 import json
@@ -16,7 +18,15 @@ from radioloc.fitting import (
     load_measurements,
     save_measurements,
 )
-from radioloc.floorplan import Point3
+from radioloc.floorplan import (
+    CROSSING_BLOCK,
+    Bounds,
+    Floorplan,
+    ObstacleFamily,
+    PlanarObstacle,
+    Point3,
+    crossing_flags_batch,
+)
 from radioloc.propagation import AccessPoint
 from radioloc.radiomap import (
     NOT_DETECTED_DBM,
@@ -29,6 +39,8 @@ from radioloc.radiomap import (
     load_radiomap,
     save_radiomap,
 )
+
+from helpers import reference_crossing_flags
 
 # Surveys of up to ~170 shuffled rows are slow to draw on a loaded machine.
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -180,3 +192,87 @@ def test_concatenation_keeps_order_and_kinds(pair):
         assert [rp.fingerprint for rp in combined] == ([rp.fingerprint for rp in real]
                                                        + [rp.fingerprint for rp in virtual])
         assert (combined.n_real, combined.n_virtual) == (len(real), len(virtual))
+
+
+# Obstacles, transmitters and many receivers lie on a half-meter lattice, so
+# links through obstacle endpoints and along obstacle lines occur often; the
+# story heights put links within one story, across floor planes and exactly
+# on a plane.
+HEIGHTS = (1.2, 3.0, 4.2, 7.2)
+
+
+def half_meters(limit):
+    return st.integers(0, 2 * limit).map(lambda k: k / 2)
+
+
+@st.composite
+def obstacle_scenes(draw, n_obstacles):
+    """(plan, tx, rx_seed): a 1-3 story plan with ``n_obstacles`` lattice obstacles."""
+    w, h = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    floors = draw(st.sampled_from([(), (3.0,), (3.0, 6.0)]))
+    obstacles = []
+    for _ in range(n_obstacles):
+        ends = draw(st.tuples(half_meters(w), half_meters(h), half_meters(w), half_meters(h))
+                    .filter(lambda e: e[:2] != e[2:]))
+        obstacles.append(PlanarObstacle(
+            *ends, floor_index=draw(st.integers(0, len(floors))),
+            family=draw(st.sampled_from(ObstacleFamily)), type_index=draw(st.integers(1, 2))))
+    plan = Floorplan(Bounds(0.0, 0.0, float(w), float(h)), floors, tuple(obstacles))
+    if obstacles and draw(st.booleans()):
+        # On an obstacle's line, one obstacle length before it: collinear links.
+        o = obstacles[draw(st.integers(0, len(obstacles) - 1))]
+        tx_xy = (2 * o.x1 - o.x2, 2 * o.y1 - o.y2)
+    else:
+        tx_xy = (draw(half_meters(w)), draw(half_meters(h)))
+    tx = Point3(*tx_xy, draw(st.sampled_from(HEIGHTS)))
+    return plan, tx, draw(st.integers(0, 2**32 - 1))
+
+
+def scene_receivers(plan, tx, n, seed):
+    """n receivers mixing uniform points, lattice points, obstacle endpoints,
+    points on obstacle lines and on the tx-endpoint lines, and tx's own xy."""
+    rng = np.random.default_rng(seed)
+    b = plan.bounds
+    special = [(tx.x, tx.y)]
+    for o in plan.obstacles:
+        special += [(o.x1, o.y1), (o.x2, o.y2), (0.5 * (o.x1 + o.x2), 0.5 * (o.y1 + o.y2)),
+                    (2 * o.x2 - o.x1, 2 * o.y2 - o.y1),
+                    (2 * o.x1 - tx.x, 2 * o.y1 - tx.y)]
+    special = np.array(special)
+    uniform = np.column_stack([rng.uniform(b.min_x, b.max_x, n), rng.uniform(b.min_y, b.max_y, n)])
+    lattice = np.column_stack([rng.integers(0, 2 * b.max_x + 1, n),
+                               rng.integers(0, 2 * b.max_y + 1, n)]) / 2
+    picked = special[rng.integers(0, len(special), n)]
+    kind = rng.integers(0, 3, n)[:, None]
+    xy = np.where(kind == 0, uniform, np.where(kind == 1, lattice, picked))
+    return np.column_stack([xy, rng.choice(HEIGHTS, n)])
+
+
+def assert_matches_reference(plan, tx, pts):
+    got = crossing_flags_batch(plan, tx, pts)
+    assert got.dtype == bool and got.shape == (pts.shape[0], len(plan.obstacles))
+    np.testing.assert_array_equal(got, reference_crossing_flags(plan, tx, pts))
+
+
+# Receiver counts around CROSSING_BLOCK: one block of all obstacles (n = 0, 1)
+# and one obstacle per block (n >= CROSSING_BLOCK // 2 + 1).
+@SETTINGS
+@given(st.sampled_from([0, 1, CROSSING_BLOCK - 1, CROSSING_BLOCK, CROSSING_BLOCK + 1,
+                        3 * CROSSING_BLOCK + 7]),
+       st.integers(0, 12).flatmap(obstacle_scenes))
+def test_crossing_flags_match_per_obstacle_loop(n, scene):
+    plan, tx, seed = scene
+    assert_matches_reference(plan, tx, scene_receivers(plan, tx, n, seed))
+
+
+# Obstacle counts around the block size a receiver count gives: a short last
+# block, exact blocks, one obstacle over, and several blocks plus a remainder.
+@SETTINGS
+@given(st.sampled_from([1, 2, 3, 5, 8]).flatmap(lambda block: st.tuples(
+    st.just(block),
+    st.sampled_from([block - 1, block, block + 1, 3 * block + 7]).flatmap(obstacle_scenes))))
+def test_crossing_flags_match_per_obstacle_loop_across_obstacle_blocks(case):
+    block, (plan, tx, seed) = case
+    n = CROSSING_BLOCK // block
+    assert CROSSING_BLOCK // n == block
+    assert_matches_reference(plan, tx, scene_receivers(plan, tx, n, seed))
