@@ -57,6 +57,7 @@ from .positioning import (
     k_est,
     k_est_from_counts,
     locate,
+    locate_many,
     similarity,
 )
 from .propagation import (

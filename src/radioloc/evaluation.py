@@ -29,7 +29,7 @@ from .errors import DegenerateFitError, InputError, InsufficientDataError
 from .fitting import FitResult, FitStrategy, MeasurementSet, fit
 from .floorplan import Floorplan
 from .ioutil import write_text_atomic
-from .positioning import error_curves
+from .positioning import _best_k, error_curves
 from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
     DETECTION_FLOOR_DBM,
@@ -339,20 +339,20 @@ def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
     curves = error_curves(rps.rss, rps.pos, world.test_points, k_values[-1])
     means = curves.mean(axis=0)
     quartiles = np.percentile(curves, [25, 50, 75], axis=0)
-
-    k_opt = min(k_values, key=lambda k: (means[k - 1], k))
+    at_k = np.asarray(k_values) - 1
+    k_opt = _best_k(k_values, means)
     return PositioningCell(
         d_real=float(d_real), d_virtual=float(d_virtual),
         n_real=len(real_rps), n_virtual=len(virtual_rps),
         k_values=k_values,
-        mean_error_by_k=[float(means[k - 1]) for k in k_values],
-        p25_by_k=[float(quartiles[0, k - 1]) for k in k_values],
-        p50_by_k=[float(quartiles[1, k - 1]) for k in k_values],
-        p75_by_k=[float(quartiles[2, k - 1]) for k in k_values],
-        min_by_k=[float(curves[:, k - 1].min()) for k in k_values],
-        max_by_k=[float(curves[:, k - 1].max()) for k in k_values],
-        k_opt=int(k_opt),
-        errors_at_k_opt=[float(v) for v in curves[:, k_opt - 1]],
+        mean_error_by_k=means[at_k].tolist(),
+        p25_by_k=quartiles[0, at_k].tolist(),
+        p50_by_k=quartiles[1, at_k].tolist(),
+        p75_by_k=quartiles[2, at_k].tolist(),
+        min_by_k=curves.min(axis=0)[at_k].tolist(),
+        max_by_k=curves.max(axis=0)[at_k].tolist(),
+        k_opt=k_opt,
+        errors_at_k_opt=curves[:, k_opt - 1].tolist(),
     )
 
 

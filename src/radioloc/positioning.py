@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floorplan import Point3
-from .radiomap import Fingerprint, Radiomap
+from .radiomap import Fingerprint, Radiomap, _check_rss
 
 # Similarity assigned to an exact fingerprint match, where the inverse
 # distance is singular.
@@ -54,24 +54,32 @@ class PositionEstimate:
     neighbors: list[tuple[int, float]]  # (rp index, similarity), non-increasing
 
 
-def _powered_distances(rss_matrix: np.ndarray, target: np.ndarray, order: float) -> np.ndarray:
-    # Cumulative sum keeps strictly sequential accumulation semantics so that
-    # results are reproducible against a plain per-entry loop; squaring by
-    # multiplication keeps the default order free of libm pow rounding.
-    diff = np.abs(rss_matrix - target)
-    powered = diff * diff if order == 2.0 else diff ** order
-    return np.cumsum(powered, axis=1)[:, -1]
+# Targets are scored in row blocks so that every (targets x reference points)
+# temporary holds at most this many elements.
+SCORE_BLOCK = 2 ** 15
 
 
-def _similarities(rss_matrix: np.ndarray, target: np.ndarray, order: float,
-                  cap: float) -> np.ndarray:
-    dist_pow = _powered_distances(rss_matrix, target, order)
-    sims = np.full(dist_pow.shape, cap)
-    nonzero = dist_pow > 0.0
-    if order == 2.0:
-        sims[nonzero] = 1.0 / np.sqrt(dist_pow[nonzero])
-    else:
-        sims[nonzero] = 1.0 / (dist_pow[nonzero] ** (1.0 / order))
+def _similarity_rows(rss_matrix: np.ndarray, targets: np.ndarray, order: float,
+                     cap: float) -> np.ndarray:
+    """(B, N) similarities of B target rows to the N reference points.
+
+    The powered Minkowski distance is summed one AP column at a time, from
+    column 0 up, so each entry gets the same sequential adds as a plain
+    per-entry loop; squaring by multiplication keeps the default order free
+    of libm pow rounding.
+    """
+    acc = np.zeros((targets.shape[0], rss_matrix.shape[0]))
+    diff = np.empty_like(acc)
+    for col in range(rss_matrix.shape[1]):
+        np.subtract(rss_matrix[:, col], targets[:, col, None], out=diff)
+        np.abs(diff, out=diff)
+        if order == 2.0:
+            acc += np.multiply(diff, diff, out=diff)
+        else:
+            acc += diff ** order
+    root = np.sqrt(acc, out=diff) if order == 2.0 else acc ** (1.0 / order)
+    sims = np.full(acc.shape, cap)
+    np.divide(1.0, root, out=sims, where=acc > 0.0)
     return sims
 
 
@@ -82,7 +90,7 @@ def similarity(a: Fingerprint, b: Fingerprint, order: float = 2.0,
         raise ValueError(f"fingerprint lengths differ: {len(a)} vs {len(b)}")
     if order < 1.0:
         raise ValueError("Minkowski order must be >= 1")
-    return float(_similarities(a.rss[None, :], b.rss, order, cap)[0])
+    return float(_similarity_rows(a.rss[None, :], b.rss[None, :], order, cap)[0, 0])
 
 
 def k_est(d_real: float, d_virtual: float, area_m2: float, alpha: float = 0.05) -> int:
@@ -109,24 +117,70 @@ def k_est_from_counts(n_real: int, n_virtual: int, alpha: float = 0.05) -> int:
     return int(math.ceil(round(alpha * (n_real + n_virtual), 9)))
 
 
-def _ranked_neighbors(sims: np.ndarray) -> np.ndarray:
-    # Stable sort on descending similarity: ties resolve to the lower RP index.
-    return np.argsort(-sims, kind="stable")
+def _best_k(ks, means) -> int:
+    """The k in ks with the least mean error; ties pick the smallest k."""
+    return int(min(ks, key=lambda k: (means[k - 1], k)))
 
 
-def _estimates_by_k(sims: np.ndarray, positions: np.ndarray, k_max: int,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted-centroid estimates for every k in 1..k_max at once.
+def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
+    """(B, k) indices of each row's k most similar reference points, in rank order.
 
-    Returns (ranked indices, sorted similarities, (k_max, 3) estimates).
-    Running sums make the k-th estimate identical to summing the top-k terms
-    in rank order.
+    Ranking is by descending similarity with ties going to the lower RP
+    index. A partition finds each row's k-th value; every entry at or above
+    it is kept, so ties straddling the boundary all compete, and only that
+    band is sorted: by row, then value, stably, so equal values keep index
+    order.
     """
-    ranked = _ranked_neighbors(sims)[:k_max]
-    w = sims[ranked]
-    weighted = np.cumsum(w[:, None] * positions[ranked], axis=0)
-    total = np.cumsum(w)
-    return ranked, w, weighted / total[:, None]
+    neg = -sims
+    b, n = neg.shape
+    if k == n:
+        return np.argsort(neg, axis=1, kind="stable")
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    band = np.flatnonzero(neg <= kth)
+    rows = band // n
+    band = band[np.lexsort((neg.ravel()[band], rows))]
+    starts = np.searchsorted(rows, np.arange(b))
+    return band[starts[:, None] + np.arange(k)] % n
+
+
+def _wknn(rss_matrix: np.ndarray, positions: np.ndarray, targets: np.ndarray,
+          k: int, order: float, cap: float,
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """WkNN over one row block of targets, for every neighbor count 1..k.
+
+    Returns (ranked indices (B, k), their similarities (B, k), estimates
+    (B, k, 3)). Running sums along the rank axis make the j-th estimate
+    identical to summing the top-j terms in rank order.
+    """
+    sims = _similarity_rows(rss_matrix, targets, order, cap)
+    ranked = _top_k(sims, k)
+    w = np.take_along_axis(sims, ranked, axis=1)
+    weighted = np.cumsum(w[:, :, None] * positions[ranked], axis=1)
+    total = np.cumsum(w, axis=1)
+    return ranked, w, weighted / total[:, :, None]
+
+
+def _row_blocks(n_targets: int, n_rps: int):
+    """Slices of at most SCORE_BLOCK // n_rps target rows (at least one)."""
+    step = max(1, SCORE_BLOCK // n_rps)
+    return (slice(start, start + step) for start in range(0, n_targets, step))
+
+
+def _locate_rows(rmap: Radiomap, rows: np.ndarray, cfg: WknnConfig) -> list[PositionEstimate]:
+    n = len(rmap)
+    if n == 0:
+        raise ValueError("radiomap has no reference points")
+    k = cfg.k if cfg.k is not None else k_est_from_counts(rmap.n_real, rmap.n_virtual, cfg.alpha)
+    if k > n:
+        raise ValueError(f"k={k} exceeds the number of reference points ({n})")
+    out = []
+    for block in _row_blocks(rows.shape[0], n):
+        ranked, w, estimates = _wknn(rmap.rss_matrix(), rmap.positions_matrix(), rows[block],
+                                     k, cfg.order, cfg.cap)
+        out += [PositionEstimate(position=Point3(*xyz), neighbors=list(zip(r, s)))
+                for r, s, xyz in zip(ranked.tolist(), w.tolist(),
+                                     estimates[:, k - 1].tolist())]
+    return out
 
 
 def locate(rmap: Radiomap, target: Fingerprint, cfg: WknnConfig = WknnConfig(),
@@ -134,24 +188,26 @@ def locate(rmap: Radiomap, target: Fingerprint, cfg: WknnConfig = WknnConfig(),
     """Estimate the target position as the weighted centroid of its top-k RPs.
 
     Cost per request: O(N * L) distance arithmetic over the N reference
-    points plus an O(N log N) ranking.
+    points, an O(N) selection of the k-th similarity, and an O(k log k) sort
+    of the band of RPs at or above it.
     """
-    n = len(rmap)
-    if n == 0:
-        raise ValueError("radiomap has no reference points")
     if len(target) != len(rmap.aps):
         raise ValueError("target fingerprint length must match the AP count")
-    k = cfg.k if cfg.k is not None else k_est_from_counts(rmap.n_real, rmap.n_virtual, cfg.alpha)
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of reference points ({n})")
+    return _locate_rows(rmap, target.rss[None, :], cfg)[0]
 
-    sims = _similarities(rmap.rss_matrix(), target.rss, cfg.order, cfg.cap)
-    ranked, w, estimates = _estimates_by_k(sims, rmap.positions_matrix(), k)
-    x, y, z = estimates[k - 1]
-    return PositionEstimate(
-        position=Point3(float(x), float(y), float(z)),
-        neighbors=[(int(i), float(s)) for i, s in zip(ranked, w)],
-    )
+
+def locate_many(rmap: Radiomap, targets, cfg: WknnConfig = WknnConfig(),
+                ) -> list[PositionEstimate]:
+    """``locate`` for each row of a (B, L) array of target fingerprints.
+
+    Rows are checked like ``Fingerprint`` values and scored in row blocks;
+    each estimate equals ``locate(rmap, Fingerprint(row), cfg)``.
+    """
+    rows = np.asarray(targets, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(rmap.aps):
+        raise ValueError("targets must be a (B, L) array with one column per AP")
+    _check_rss(rows)
+    return _locate_rows(rmap, rows, cfg)
 
 
 def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray,
@@ -160,17 +216,22 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray,
     """Positioning error of every test point for every k in 1..k_max.
 
     Returns an (n_test_points, k_max) array of 3D errors in meters; the
-    array-level entry point the evaluation sweeps build on.
+    array-level entry point the evaluation sweeps build on. Test points are
+    scored in row blocks.
     """
     n = rp_rss.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}]")
+    # Shaped by the test point count, so a fingerprint of the wrong length
+    # raises instead of wrapping into another row.
+    targets = np.array([fp.rss for _, fp in test_points]).reshape(len(test_points),
+                                                                  rp_rss.shape[1])
+    truth = np.array([pos.as_array() for pos, _ in test_points]).reshape(len(test_points), 3)
     errors = np.empty((len(test_points), k_max))
-    for i, (pos, fingerprint) in enumerate(test_points):
-        sims = _similarities(rp_rss, fingerprint.rss, order, cap)
-        _, _, estimates = _estimates_by_k(sims, rp_positions, k_max)
-        delta = estimates - pos.as_array()
-        errors[i] = np.sqrt(np.sum(delta * delta, axis=1))
+    for block in _row_blocks(len(test_points), n):
+        _, _, estimates = _wknn(rp_rss, rp_positions, targets[block], k_max, order, cap)
+        delta = estimates - truth[block, None, :]
+        errors[block] = np.sqrt(np.sum(delta * delta, axis=2))
     return errors
 
 
@@ -187,6 +248,4 @@ def find_k_opt(rmap: Radiomap, test_points: list[tuple[Point3, Fingerprint]],
         raise ValueError(f"k range must lie within [1, {n}]")
     curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(),
                           test_points, ks[-1], cfg.order, cfg.cap)
-    means = curves.mean(axis=0)
-    best = min(ks, key=lambda k: (means[k - 1], k))
-    return int(best)
+    return _best_k(ks, curves.mean(axis=0))

@@ -2,9 +2,10 @@
 
 The oracles here are deliberately independent of the library's computation
 paths: obstruction counts come from dense sampling along the link, and WkNN
-estimates from a plain Python sort-and-accumulate loop. The one exception is
+estimates from a plain Python sort-and-accumulate loop. The exceptions are
 ``reference_crossing_flags``, the per-obstacle loop that the blocked
-``crossing_flags_batch`` must match bit for bit.
+``crossing_flags_batch`` must match bit for bit, and ``reference_wknn``, the
+per-target loop that the batched WkNN kernel must match bit for bit.
 """
 
 import math
@@ -177,6 +178,40 @@ def oracle_wknn(rp_rss, rp_positions, target, k, order=2.0, cap=1e9):
             num[axis] = num[axis] + w * float(rp_positions[i][axis])
         den = den + w
     return [v / den for v in num], ranked, [sims[i] for i in ranked]
+
+
+def reference_wknn(rp_rss, rp_positions, targets, k, order=2.0, cap=1e9):
+    """WkNN one target row at a time, with the benchmark oracle's semantics.
+
+    The powered Minkowski distance is accumulated one AP column at a time from
+    0.0 over numpy columns, an exact match gets the cap, neighbours are ranked
+    by descending similarity with ties going to the lower index (a lexsort of
+    the whole row), and running sums in rank order give the estimate for
+    every neighbour count. Returns, per target, ``(estimates, ranked, sims)``:
+    the (x, y, z) estimate for each count 1..k, the k ranked indices and the
+    similarities of all reference points.
+    """
+    results = []
+    for target in targets:
+        acc = np.zeros(rp_rss.shape[0])
+        for col in range(rp_rss.shape[1]):
+            d = np.abs(rp_rss[:, col] - target[col])
+            acc = acc + (d * d if order == 2.0 else d ** order)
+        sims = np.full(acc.shape, cap)
+        hit = acc > 0.0
+        sims[hit] = 1.0 / (np.sqrt(acc[hit]) if order == 2.0 else acc[hit] ** (1.0 / order))
+        ranked = np.lexsort((np.arange(sims.shape[0]), -sims))[:k].tolist()
+        num = [0.0, 0.0, 0.0]
+        den = 0.0
+        estimates = []
+        for i in ranked:
+            w = float(sims[i])
+            for axis in range(3):
+                num[axis] = num[axis] + w * float(rp_positions[i, axis])
+            den = den + w
+            estimates.append((num[0] / den, num[1] / den, num[2] / den))
+        results.append((estimates, ranked, sims))
+    return results
 
 
 def random_plan(rng, n_obstacles=10):

@@ -3,6 +3,7 @@ import pytest
 
 from radioloc.floorplan import Point3
 from radioloc.positioning import (
+    SCORE_BLOCK,
     SIMILARITY_CAP,
     WknnConfig,
     error_curves,
@@ -10,6 +11,7 @@ from radioloc.positioning import (
     k_est,
     k_est_from_counts,
     locate,
+    locate_many,
     similarity,
 )
 from radioloc.propagation import AccessPoint
@@ -137,6 +139,40 @@ class TestLocate:
             WknnConfig(alpha=0.0)
 
 
+class TestLocateMany:
+    def _instance(self, n=30, length=4, n_targets=9):
+        rng = np.random.default_rng(13)
+        entries = [(float(rng.uniform(0, 50)), float(rng.uniform(0, 50)),
+                    list(np.round(rng.uniform(-80, -60, length)))) for _ in range(n)]
+        targets = np.round(rng.uniform(-80, -60, (n_targets, length)))
+        targets[0] = entries[3][2]  # an exact match
+        return make_map(entries), targets
+
+    def test_matches_locate_per_row(self):
+        rmap, targets = self._instance()
+        for cfg in (WknnConfig(k=1), WknnConfig(k=7, order=1.0), WknnConfig(k=30),
+                    WknnConfig(alpha=0.1)):
+            got = locate_many(rmap, targets, cfg)
+            want = [locate(rmap, Fingerprint(t), cfg) for t in targets]
+            assert got == want
+            assert all(type(i) is int and type(s) is float
+                       for e in got for i, s in e.neighbors)
+
+    def test_empty_batch(self):
+        rmap, _ = self._instance()
+        assert locate_many(rmap, np.empty((0, 4)), WknnConfig(k=3)) == []
+
+    def test_errors(self):
+        rmap, targets = self._instance()
+        with pytest.raises(ValueError):
+            locate_many(rmap, targets[:, :3], WknnConfig(k=3))
+        with pytest.raises(ValueError):
+            locate_many(rmap, targets, WknnConfig(k=31))
+        empty = Radiomap(rmap.aps, [], area_m2=100.0)
+        with pytest.raises(ValueError):
+            locate_many(empty, targets, WknnConfig(k=1))
+
+
 class TestProperties:
     def _random_instance(self, rng, n=30, length=5):
         entries = [(float(rng.uniform(0, 50)), float(rng.uniform(0, 50)),
@@ -237,6 +273,14 @@ class TestFindKOpt:
             find_k_opt(rmap, tps, range(1, 10))  # k beyond N
         with pytest.raises(ValueError):
             find_k_opt(rmap, [], range(1, 2))
+
+    def test_error_curves_rejects_wrong_fingerprint_length(self):
+        # Two 3-AP test points hold as many values as three 2-AP rows, and
+        # with SCORE_BLOCK RPs each row block is a single test point.
+        rss = np.linspace(-90.0, -40.0, 2 * SCORE_BLOCK).reshape(SCORE_BLOCK, 2)
+        tps = [(Point3(0.5, 0.0, 1.2), Fingerprint([-52.0, -60.0, -70.0]))] * 2
+        with pytest.raises(ValueError):
+            error_curves(rss, np.zeros((SCORE_BLOCK, 3)), tps, 2)
 
     def test_matches_error_curves(self):
         rng = np.random.default_rng(12)

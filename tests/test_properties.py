@@ -1,15 +1,18 @@
-"""Property-based checks of the columnar survey, the array-backed radiomap and
-the blocked obstruction counting.
+"""Property-based checks of the columnar survey, the array-backed radiomap, the
+blocked obstruction counting and the batched WkNN kernel.
 
-The oracles are plain per-record Python loops, ``json.dumps`` and, for
-``crossing_flags_batch``, the per-obstacle loop it replaced; they do not share
-code with the array paths they check.
+The oracles are plain per-record Python loops, ``json.dumps``, for
+``crossing_flags_batch`` the per-obstacle loop it replaced and, for
+``locate``, ``locate_many`` and ``error_curves``, a per-target loop with the
+benchmark oracle's semantics; they do not share code with the array paths
+they check.
 """
 
 import json
+import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from radioloc.fitting import (
@@ -27,6 +30,14 @@ from radioloc.floorplan import (
     Point3,
     crossing_flags_batch,
 )
+from radioloc.positioning import (
+    SCORE_BLOCK,
+    PositionEstimate,
+    WknnConfig,
+    error_curves,
+    locate,
+    locate_many,
+)
 from radioloc.propagation import AccessPoint
 from radioloc.radiomap import (
     NOT_DETECTED_DBM,
@@ -40,7 +51,7 @@ from radioloc.radiomap import (
     save_radiomap,
 )
 
-from helpers import reference_crossing_flags
+from helpers import reference_crossing_flags, reference_wknn
 
 # Surveys of up to ~170 shuffled rows are slow to draw on a loaded machine.
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -276,3 +287,93 @@ def test_crossing_flags_match_per_obstacle_loop_across_obstacle_blocks(case):
     n = CROSSING_BLOCK // block
     assert CROSSING_BLOCK // n == block
     assert_matches_reference(plan, tx, scene_receivers(plan, tx, n, seed))
+
+
+# Reference point counts: maps of 40-64 RPs give row blocks of 512-819
+# targets, large ones blocks of 1-8 targets.
+@st.composite
+def wknn_cases(draw):
+    """(rss, positions, targets, truth, k, order) for one WkNN batch.
+
+    Fingerprints take a few levels in a narrow dBm range, integer or in
+    0.1 dB steps, so similarities tie often, also at the k-th place; or
+    continuous values, where the order of the column sums shows. Some RP
+    rows are duplicated and some targets copy an RP row, so the cap applies,
+    possibly to several RPs at once. The batch size sits around the row
+    block the map size gives.
+    """
+    n = draw(st.integers(40, 64) | st.sampled_from([SCORE_BLOCK // b for b in (1, 2, 3, 5, 8)]))
+    block = max(1, SCORE_BLOCK // n)
+    n_targets = draw(st.sampled_from([0, 1, block - 1, block, block + 1]))
+    n_aps = draw(st.integers(1, 6))
+    k = draw(st.sampled_from(sorted({k for k in (1, 2, n - 1, n) if 1 <= k <= n})))
+    order = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    step = draw(st.sampled_from([1.0, 0.1, None]))
+    low = draw(st.integers(-100, -40))
+    levels = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def fingerprints(rows):
+        if step is None:
+            return rng.uniform(low, low + levels, (rows, n_aps))
+        return np.round(low + step * rng.integers(0, levels, (rows, n_aps)), 1)
+
+    rss = fingerprints(n)
+    copies = rng.random(n) < 0.2
+    rss[copies] = rss[rng.integers(0, n, copies.sum())]
+    targets = fingerprints(n_targets)
+    exact = rng.random(n_targets) < 0.3
+    targets[exact] = rss[rng.integers(0, n, exact.sum())]
+    positions = rng.uniform(0.0, 60.0, (n, 3))
+    truth = rng.uniform(0.0, 60.0, (n_targets, 3))
+    return rss, positions, targets, truth, k, order
+
+
+def dense_map(rss, positions):
+    aps = [AccessPoint(f"ap{i}", Point3(float(i), 0.0, 2.8)) for i in range(rss.shape[1])]
+    return Radiomap(aps, RpArrays(positions, rss, np.zeros(len(rss), dtype=bool)))
+
+
+@SETTINGS
+@given(wknn_cases())
+def test_locate_and_locate_many_match_per_target_loop(case):
+    rss, positions, targets, _, k, order = case
+    rmap = dense_map(rss, positions)
+    cfg = WknnConfig(k=k, order=order)
+    want = [PositionEstimate(Point3(*estimates[k - 1]),
+                             [(i, float(sims[i])) for i in ranked])
+            for estimates, ranked, sims in reference_wknn(rss, positions, targets, k, order)]
+    assert locate_many(rmap, targets, cfg) == want
+    assert [locate(rmap, Fingerprint(t), cfg) for t in targets] == want
+
+
+@SETTINGS
+@given(wknn_cases())
+def test_error_curves_match_per_target_loop(case):
+    rss, positions, targets, truth, k, order = case
+    test_points = [(Point3(*p), Fingerprint(t)) for p, t in zip(truth.tolist(), targets)]
+    want = [[math.sqrt(sum((e - p) * (e - p) for e, p in zip(est, point)))
+             for est in estimates]
+            for (estimates, _, _), point in zip(
+                reference_wknn(rss, positions, targets, k, order), truth.tolist())]
+    got = error_curves(rss, positions, test_points, k, order)
+    assert got.shape == (len(targets), k)
+    assert got.tolist() == want
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+def test_permuting_rps_permutes_neighbors(n, n_aps, seed, data):
+    rng = np.random.default_rng(seed)
+    rss = rng.uniform(-100.0, -30.0, (n, n_aps))
+    positions = rng.uniform(0.0, 60.0, (n, 3))
+    target = rng.uniform(-100.0, -30.0, n_aps)
+    sims = reference_wknn(rss, positions, [target], n)[0][2]
+    assume(len(set(sims.tolist())) == n)  # no ties
+    k = data.draw(st.integers(1, n))
+    perm = np.asarray(data.draw(st.permutations(range(n))))
+    est = locate(dense_map(rss, positions), Fingerprint(target), WknnConfig(k=k))
+    permuted = locate(dense_map(rss[perm], positions[perm]), Fingerprint(target),
+                      WknnConfig(k=k))
+    assert [(int(perm[i]), s) for i, s in permuted.neighbors] == est.neighbors
+    assert permuted.position == est.position
