@@ -133,8 +133,6 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     """
     neg = -sims
     b, n = neg.shape
-    if k == n:
-        return np.argsort(neg, axis=1, kind="stable")
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
     band = np.flatnonzero(neg <= kth)
     rows = band // n
