@@ -35,7 +35,6 @@ from .fitting import (
     StrategyKind,
     fit,
     load_measurements,
-    predict_for_measurements,
     save_measurements,
 )
 from .floorplan import (
@@ -46,7 +45,6 @@ from .floorplan import (
     PlanarObstacle,
     Point3,
     count_obstructions,
-    link_distance,
     load_floorplan,
     save_floorplan,
 )
@@ -65,11 +63,8 @@ from .propagation import (
     LinkTable,
     ModelKind,
     PropagationParams,
-    additional_loss,
     load_access_points,
     load_params,
-    path_loss,
-    path_loss_os,
     predict_rss,
     predict_rss_many,
     save_access_points,

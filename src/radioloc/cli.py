@@ -2,7 +2,8 @@
 
 Every subcommand is a pure function of its input files, flags, and seed, so
 reruns with identical arguments produce byte-identical outputs. Exit codes:
-0 success, 2 unreadable or malformed input, 3 degenerate/underdetermined fit.
+0 success, 2 unreadable or malformed input (invalid geometry included),
+3 degenerate/underdetermined fit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import DegenerateFitError, InputError, InsufficientDataError
+from .errors import DegenerateFitError, GeometryError, InputError, InsufficientDataError
 from .evaluation import (
     EvalWorld,
     emit_report,
@@ -95,6 +96,7 @@ def _checked(convert, ok, requirement: str):
 _COUNT = _checked(int, lambda k: k >= 1, "must be >= 1")
 _POSITIVE = _checked(float, lambda v: v > 0 and math.isfinite(v), "must be positive")
 _NONNEGATIVE = _checked(float, lambda v: v >= 0 and math.isfinite(v), "must be finite and >= 0")
+_FINITE = _checked(float, math.isfinite, "must be finite")
 _RHO = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 _ORDER = _checked(float, lambda v: 1.0 <= v < math.inf, "Minkowski order must be >= 1")
 _SENTINEL = _checked(float, lambda v: -120.0 <= v <= 0.0, "must lie within [-120, 0] dBm")
@@ -369,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of survey points kept as real RPs")
     p.add_argument("--dv", type=_NONNEGATIVE, default=0.0, help="virtual RP density (RPs/m^2)")
     p.add_argument("--placement", default="grid", choices=["grid", "random"])
-    p.add_argument("--rp-height", type=float, default=DEVICE_HEIGHT_M)
+    p.add_argument("--rp-height", type=_FINITE, default=DEVICE_HEIGHT_M)
     p.add_argument("--sentinel", type=_SENTINEL, default=NOT_DETECTED_DBM)
-    p.add_argument("--detection-floor", type=float, default=DETECTION_FLOOR_DBM)
+    p.add_argument("--detection-floor", type=_FINITE, default=DETECTION_FLOOR_DBM)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_radiomap)
 
@@ -415,7 +417,7 @@ def main(argv=None) -> int:
     args = _cached_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, GeometryError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateFitError, InsufficientDataError) as exc:

@@ -5,7 +5,7 @@ class RadiolocError(Exception):
     """Base class for errors raised by this package."""
 
 
-class GeometryError(RadiolocError):
+class GeometryError(RadiolocError, ValueError):
     """Invalid geometric input (coincident link endpoints, out-of-bounds points, ...)."""
 
 

@@ -3,9 +3,11 @@
 With the 1 m reference loss pinned, the received power is linear in the
 unknowns: gamma multiplies a 10*log10(d) regressor, the constant loss is an
 intercept, and each obstacle (family, type) pair contributes its crossing
-count as a regressor. Calibration is therefore ordinary linear least squares,
-solved either pooled over every AP (environment fitting) or independently per
-AP (specific-AP fitting). Scans are averaged per (point, AP) pair first and
+count as a regressor. Calibration is therefore ordinary linear least squares
+on one design matrix per survey, one row per detected same-floor (point, AP)
+pair: solved whole (environment fitting) or one AP's rows at a time
+(specific-AP fitting), while the no-fit strategy scores its fixed parameters
+through the same columns. Scans are averaged per (point, AP) pair first and
 not-detected entries are dropped, never imputed.
 """
 
@@ -21,17 +23,17 @@ from enum import Enum
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, InputError, InsufficientDataError
+from .errors import DegenerateFitError, GeometryError, InputError, InsufficientDataError
 from .floorplan import (
     Floorplan,
     ObstacleKey,
     Point3,
     crossing_counts_batch,
     floors_crossed_batch,
-    points_xyz,
 )
 from .ioutil import write_text_atomic
 from .propagation import (
@@ -40,7 +42,6 @@ from .propagation import (
     PropagationParams,
     params_from_dict,
     params_to_dict,
-    predict_rss_many,
 )
 
 MEASUREMENT_COLUMNS = ["rp_id", "x", "y", "z", "ap_id", "rss_dbm", "scan_index"]
@@ -325,17 +326,23 @@ class FitResult:
             raise KeyError(f"no fitted parameters for AP {ap_id!r}") from None
 
 
-@dataclass
-class _Sample:
-    ap: AccessPoint
-    rss_dbm: float
-    log_term: float  # 10 * log10(d)
-    counts: tuple[int, ...]  # aligned to the plan's obstacle keys; empty for one-slope
+class _Design(NamedTuple):
+    """The least-squares system of one survey, rows in (AP id, point id) order.
+
+    Each row is one detected same-floor (point, AP) pair. ``columns`` holds
+    10*log10(d) for the one-slope model and, for the multi-wall model, also a
+    constant 1 and one crossing count per plan key; ``y`` is EIRP - l0 - mean
+    RSS. ``rows`` maps each AP id with rows to its slice.
+    """
+
+    columns: np.ndarray
+    y: np.ndarray
+    rows: dict[str, slice]
+    keys: list[ObstacleKey]
 
 
-def _collect_samples(
-    plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet, model: ModelKind,
-) -> tuple[list[_Sample], list[ObstacleKey]]:
+def _design(plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet,
+            model: ModelKind, l0_db: float) -> _Design:
     ap_by_id = {ap.id: ap for ap in aps}
     unknown = set(meas.ap_ids()) - set(ap_by_id)
     if unknown:
@@ -345,75 +352,72 @@ def _collect_samples(
     means = meas.mean_matrix()
     rp_ids = meas.rp_ids()
     ap_ids = meas.ap_ids()
-    # Samples go in (AP id, point id) order; the solve's rounding depends on it.
+    # Rows go in (AP id, point id) order; the solve's rounding depends on it.
     by_id = np.array(sorted(range(len(rp_ids)), key=rp_ids.__getitem__), dtype=np.intp)
 
-    samples: list[_Sample] = []
-    skipped_floor = 0
+    n_columns = 1 if model is ModelKind.ONE_SLOPE else 2 + len(keys)
+    columns, ys = [np.empty((0, n_columns))], [np.empty(0)]
+    rows: dict[str, slice] = {}
+    start = skipped_floor = 0
     for j in sorted(range(len(ap_ids)), key=ap_ids.__getitem__):
-        rows = by_id[~np.isnan(means[by_id, j])]
-        if rows.shape[0] == 0:
+        points = by_id[~np.isnan(means[by_id, j])]
+        if points.shape[0] == 0:
             continue
-        ap_id = ap_ids[j]
-        ap = ap_by_id[ap_id]
-        pts = meas.xyz[rows]
+        ap = ap_by_id[ap_ids[j]]
+        pts = meas.xyz[points]
         delta = pts - ap.position.as_array()
         dists = np.sqrt(np.sum(delta * delta, axis=1))
+        if np.any(dists <= 0):
+            rp_id = rp_ids[points[np.argmax(dists <= 0)]]
+            raise GeometryError(f"point {rp_id!r} coincides with AP {ap.id!r}")
         if model is ModelKind.MWMF:
             counts, floors = crossing_counts_batch(plan, ap.position, pts)
         else:  # the one-slope model reads no obstruction counts
             counts, floors = {}, floors_crossed_batch(plan, ap.position, pts)
-        for i, (row, rss) in enumerate(zip(rows.tolist(), means[rows, j].tolist())):
-            rp_id = rp_ids[row]
-            if dists[i] <= 0:
-                raise ValueError(f"point {rp_id!r} coincides with AP {ap_id!r}")
-            if floors[i] > 0:
-                # The floor term is not part of the fitted set; cross-floor
-                # samples cannot be attributed and are excluded.
-                skipped_floor += 1
-                continue
-            samples.append(_Sample(
-                ap=ap,
-                rss_dbm=rss,
-                log_term=10.0 * math.log10(dists[i]),
-                counts=tuple(int(arr[i]) for arr in counts.values()),
-            ))
+        # The floor term is not part of the fitted set; cross-floor samples
+        # cannot be attributed and are excluded.
+        same = floors == 0
+        skipped_floor += int(np.count_nonzero(~same))
+        n = int(np.count_nonzero(same))
+        if n == 0:
+            continue
+        # math.log10 per distance, not np.log10: numpy's SIMD log10 (numpy
+        # 2.4.6 on an AVX-512 Xeon) differs from it in the last bit for about
+        # 7% of uniform random distances, which would move the fitted params.
+        log_term = 10.0 * np.fromiter(map(math.log10, dists[same].tolist()), float, count=n)
+        if model is ModelKind.MWMF:
+            columns.append(np.column_stack(
+                [log_term, np.ones(n), *(arr[same] for arr in counts.values())]))
+        else:
+            columns.append(log_term[:, None])
+        ys.append(ap.eirp_dbm - l0_db - means[points[same], j])
+        rows[ap.id] = slice(start, start + n)
+        start += n
     if skipped_floor:
         warnings.warn(f"excluded {skipped_floor} cross-floor samples from the fit",
                       stacklevel=3)
-    return samples, keys
+    return _Design(np.concatenate(columns), np.concatenate(ys), rows, keys)
 
 
-def _solve(samples: list[_Sample], keys: list[ObstacleKey], model: ModelKind,
-           scope: str, l0_db: float) -> tuple[PropagationParams, np.ndarray]:
-    """Solve one least-squares system; returns (params, per-sample residuals)."""
-    y = np.array([s.ap.eirp_dbm - l0_db - s.rss_dbm for s in samples])
-    if model is ModelKind.ONE_SLOPE:
-        design = np.array([[s.log_term] for s in samples])
-        used_keys: list[ObstacleKey] = []
-    else:
-        counts = np.array([s.counts for s in samples], dtype=float).reshape(len(samples),
-                                                                            len(keys))
-        # Obstacle types never crossed by any sample are unidentifiable; they
-        # are excluded from the solve and their loss reported as zero.
-        observed = [j for j in range(len(keys)) if counts[:, j].any()]
-        if len(observed) < len(keys):
-            missing = [keys[j] for j in range(len(keys)) if j not in observed]
+def _solve(design: _Design, rows: slice, model: ModelKind, scope: str,
+           l0_db: float) -> tuple[PropagationParams, np.ndarray]:
+    """Solve the system on ``rows``; returns (params, per-row residuals)."""
+    columns, y, keys = design.columns[rows], design.y[rows], design.keys
+    if model is ModelKind.MWMF:
+        # Obstacle types no row crosses are unidentifiable; they are excluded
+        # from the solve and their loss reported as zero.
+        observed = columns[:, 2:].any(axis=0)
+        if not observed.all():
+            missing = [key for key, seen in zip(keys, observed) if not seen]
             warnings.warn(f"{scope}: no sample crosses {missing}; "
                           "their losses are unconstrained and set to 0",
                           stacklevel=3)
-        used_keys = [keys[j] for j in observed]
-        design = np.column_stack([
-            np.array([s.log_term for s in samples]),
-            np.ones(len(samples)),
-            counts[:, observed],
-        ])
+        columns = columns[:, np.concatenate([[True, True], observed])]
 
-    n_params = design.shape[1]
-    if len(samples) < n_params:
-        raise InsufficientDataError(
-            f"{scope}: {len(samples)} samples for {n_params} parameters")
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    m, n_params = columns.shape
+    if m < n_params:
+        raise InsufficientDataError(f"{scope}: {m} samples for {n_params} parameters")
+    solution, _, rank, _ = np.linalg.lstsq(columns, y, rcond=None)
     if rank < n_params:
         raise DegenerateFitError(scope)
 
@@ -421,7 +425,7 @@ def _solve(samples: list[_Sample], keys: list[ObstacleKey], model: ModelKind,
         params = PropagationParams(l0_db=l0_db, gamma=float(solution[0]), lc_db=0.0)
     else:
         loss_2d = {key: 0.0 for key in keys}
-        loss_2d.update({key: float(v) for key, v in zip(used_keys, solution[2:])})
+        loss_2d.update(zip(compress(keys, observed), solution[2:].tolist()))
         if any(v < 0 for v in loss_2d.values()):
             warnings.warn(f"{scope}: fitted obstacle losses include negative values",
                           stacklevel=3)
@@ -429,7 +433,15 @@ def _solve(samples: list[_Sample], keys: list[ObstacleKey], model: ModelKind,
             warnings.simplefilter("ignore")  # range warning already issued above
             params = PropagationParams(l0_db=l0_db, gamma=float(solution[0]),
                                        lc_db=float(solution[1]), loss_2d=loss_2d)
-    return params, design @ solution - y
+    return params, columns @ solution - y
+
+
+def _theta(model: ModelKind, params: PropagationParams, keys: list[ObstacleKey]) -> np.ndarray:
+    """Fixed parameters as a coefficient vector over the design's columns."""
+    if model is ModelKind.ONE_SLOPE:
+        return np.array([params.gamma])
+    return np.array([params.gamma, params.lc_db,
+                     *(params.loss_2d.get(key, 0.0) for key in keys)])
 
 
 def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
@@ -437,75 +449,44 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
         l0_db: float | None = None) -> FitResult:
     """Estimate propagation parameters from scan-averaged measurements.
 
-    The reference loss is pinned (free-space 40.22 dB unless overridden) and
-    excluded from the solved set; a free intercept would be collinear with the
-    constant loss.
+    The reference loss is pinned (free-space 40.22 dB unless overridden; the
+    no-fit strategy uses its own parameters' l0) and excluded from the solved
+    set; a free intercept would be collinear with the constant loss.
 
-    Cost: one SVD-based least-squares solve (``np.linalg.lstsq``) of an
-    (M x p) system, O(M * p^2) flops on the M pooled samples; per-AP fitting
-    solves one such system per AP on its own samples.
+    Cost: one design matrix of the M detected same-floor (point, AP) pairs,
+    built from the survey arrays with one batched obstruction count per AP.
+    Environment fitting solves it whole with one SVD-based least-squares
+    solve (``np.linalg.lstsq``), O(M * p^2) flops for p parameters; per-AP
+    fitting solves each AP's rows on their own; no-fit scores its fixed
+    parameters with one matrix-vector product over the same rows.
     """
-    if l0_db is None:
-        l0_db = PropagationParams().l0_db
-    samples, keys = _collect_samples(plan, aps, meas, model)
-
     if strategy.kind is StrategyKind.NO_FIT:
-        params = strategy.no_fit_params
-        residuals = []
-        for s in samples:
-            predicted = s.ap.eirp_dbm - (
-                params.l0_db + params.gamma * s.log_term
-                + (0.0 if model is ModelKind.ONE_SLOPE else
-                   params.lc_db + sum(n * params.loss_2d.get(k, 0.0)
-                                      for k, n in zip(keys, s.counts)))
-            )
-            residuals.append(predicted - s.rss_dbm)
-        rms = float(np.sqrt(np.mean(np.square(residuals)))) if residuals else 0.0
-        return FitResult(params_by_ap={ap.id: params for ap in aps},
-                         residual_rms_db=rms, m_used=len(samples),
-                         model=model, strategy=strategy.kind)
+        l0_db = strategy.no_fit_params.l0_db
+    elif l0_db is None:
+        l0_db = PropagationParams().l0_db
+    design = _design(plan, aps, meas, model, l0_db)
 
-    if strategy.kind is StrategyKind.ENVIRONMENT:
-        params, residuals = _solve(samples, keys, model, "environment", l0_db)
-        return FitResult(params_by_ap={ap.id: params for ap in aps},
-                         residual_rms_db=float(np.sqrt(np.mean(residuals ** 2))),
-                         m_used=len(samples), model=model, strategy=strategy.kind)
-
-    # Per-AP fitting: one independent system per AP that has samples.
-    params_by_ap: dict[str, PropagationParams] = {}
-    all_residuals: list[np.ndarray] = []
-    m_used = 0
-    for ap in aps:
-        ap_samples = [s for s in samples if s.ap.id == ap.id]
-        if not ap_samples:
-            continue
-        params, residuals = _solve(ap_samples, keys, model, ap.id, l0_db)
-        params_by_ap[ap.id] = params
-        all_residuals.append(residuals)
-        m_used += len(ap_samples)
-    if not params_by_ap:
-        raise InsufficientDataError("no AP has any detected sample")
-    pooled = np.concatenate(all_residuals)
-    return FitResult(params_by_ap=params_by_ap,
-                     residual_rms_db=float(np.sqrt(np.mean(pooled ** 2))),
-                     m_used=m_used, model=model, strategy=strategy.kind)
-
-
-def predict_for_measurements(
-    result: FitResult, model: ModelKind, plan: Floorplan,
-    aps: list[AccessPoint], locations: list[Point3],
-) -> dict[tuple[str, Point3], float]:
-    """Predicted RSS for every (AP, location) pair, using each AP's fitted params."""
-    predictions: dict[tuple[str, Point3], float] = {}
-    if not locations:
-        return predictions
-    pts = points_xyz(locations)
-    for ap in aps:
-        params = result.params_for(ap.id)
-        values = predict_rss_many(model, params, plan, ap, pts)
-        for loc, value in zip(locations, values):
-            predictions[(ap.id, loc)] = float(value)
-    return predictions
+    if strategy.kind is StrategyKind.PER_AP:
+        params_by_ap: dict[str, PropagationParams] = {}
+        per_ap_residuals = []
+        for ap in aps:
+            if ap.id in design.rows:
+                params_by_ap[ap.id], residuals = _solve(design, design.rows[ap.id], model,
+                                                        ap.id, l0_db)
+                per_ap_residuals.append(residuals)
+        if not params_by_ap:
+            raise InsufficientDataError("no AP has any detected sample")
+        residuals = np.concatenate(per_ap_residuals)
+    else:
+        if strategy.kind is StrategyKind.NO_FIT:
+            params = strategy.no_fit_params
+            residuals = design.columns @ _theta(model, params, design.keys) - design.y
+        else:
+            params, residuals = _solve(design, slice(None), model, "environment", l0_db)
+        params_by_ap = {ap.id: params for ap in aps}
+    rms = float(np.sqrt(np.mean(residuals ** 2))) if residuals.size else 0.0
+    return FitResult(params_by_ap=params_by_ap, residual_rms_db=rms,
+                     m_used=design.y.shape[0], model=model, strategy=strategy.kind)
 
 
 # ---------------------------------------------------------------------------

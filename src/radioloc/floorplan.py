@@ -217,13 +217,6 @@ def points_xyz(points) -> np.ndarray:
     return pts
 
 
-def link_distance(tx: Point3, rx: Point3) -> float:
-    """Euclidean 3D distance of the tx-rx link, in meters."""
-    if tx == rx:
-        raise GeometryError("link endpoints coincide")
-    return math.dist((tx.x, tx.y, tx.z), (rx.x, rx.y, rx.z))
-
-
 def _check_in_bounds(plan: Floorplan, p: Point3, name: str) -> None:
     if not plan.bounds.contains(p.x, p.y):
         raise GeometryError(f"{name} ({p.x}, {p.y}) lies outside the floorplan bounds")

@@ -24,18 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import GeometryError, InputError
 from .floorplan import (
     Floorplan,
     ObstacleFamily,
     ObstacleKey,
-    ObstructionCount,
     Point3,
-    count_obstructions,
     counts_by_key,
     crossing_flags_batch,
     floors_crossed_batch,
-    link_distance,
     points_xyz,
 )
 from .ioutil import write_text_atomic
@@ -109,13 +106,6 @@ class AccessPoint:
     eirp_dbm: float = 20.0
 
 
-def path_loss_os(params: PropagationParams, distance_m: float) -> float:
-    """One-slope path loss l0 + 10*gamma*log10(d), in dB."""
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    return params.l0_db + 10.0 * params.gamma * math.log10(distance_m)
-
-
 def floor_term_db(params: PropagationParams, n_floors: int) -> float:
     """Empirical floor-crossing loss; zero when no floor plane is crossed."""
     if n_floors <= 0:
@@ -124,35 +114,15 @@ def floor_term_db(params: PropagationParams, n_floors: int) -> float:
     return (n_floors ** exponent) * params.lf_db
 
 
-def additional_loss(params: PropagationParams, obstructions: ObstructionCount) -> float:
-    """Extra loss from obstructing objects and floors on a link, in dB.
-
-    Obstacle types without a configured loss contribute nothing.
-    """
-    extra = params.lc_db
-    for key, n in obstructions.counts.items():
-        if n:
-            extra += n * params.loss_2d.get(key, 0.0)
-    return extra + floor_term_db(params, obstructions.floors_crossed)
-
-
-def path_loss(model: ModelKind, params: PropagationParams, plan: Floorplan,
-              tx: Point3, rx: Point3) -> float:
-    """Total link path loss in dB for the selected model."""
-    pl = path_loss_os(params, link_distance(tx, rx))
-    if model is ModelKind.MWMF:
-        pl += additional_loss(params, count_obstructions(plan, tx, rx))
-    return pl
-
-
 def predict_rss(model: ModelKind, params: PropagationParams, plan: Floorplan,
                 ap: AccessPoint, rx: Point3) -> float:
     """Predicted received power at rx, in dBm (EIRP minus path loss).
 
-    The value is not clamped to any detection floor here; flooring happens
-    when fingerprints are assembled.
+    A one-receiver ``LinkTable``, so it equals ``predict_rss_many`` bit for
+    bit. The value is not clamped to any detection floor here; flooring
+    happens when fingerprints are assembled.
     """
-    return ap.eirp_dbm - path_loss(model, params, plan, ap.position, rx)
+    return float(LinkTable(plan, ap, [rx]).predict_rss(model, params)[0])
 
 
 class LinkTable:
@@ -171,7 +141,9 @@ class LinkTable:
         delta = pts - ap.position.as_array()
         d = np.sqrt(np.sum(delta * delta, axis=1))
         if np.any(d <= 0):
-            raise ValueError("a receiver position coincides with the AP")
+            x, y, z = pts[np.argmax(d <= 0)].tolist()
+            raise GeometryError(f"receiver position ({x}, {y}, {z}) coincides with AP "
+                                f"{ap.id!r}")
         self.plan = plan
         self.ap = ap
         self.positions = pts

@@ -4,8 +4,10 @@ The oracles here are deliberately independent of the library's computation
 paths: obstruction counts come from dense sampling along the link, and WkNN
 estimates from a plain Python sort-and-accumulate loop. The exceptions are
 ``reference_crossing_flags``, the per-obstacle loop that the blocked
-``crossing_flags_batch`` must match bit for bit, and ``reference_wknn``, the
-per-target loop that the batched WkNN kernel must match bit for bit.
+``crossing_flags_batch`` must match bit for bit, ``reference_wknn``, the
+per-target loop that the batched WkNN kernel must match bit for bit, and
+``reference_fit_rows``, the per-sample loop whose rows the fit's design matrix
+must equal bit for bit.
 """
 
 import math
@@ -130,6 +132,41 @@ def reference_predict_rss(model, params, plan, ap, pts):
                 extra[floors == nf] += floor_term_db(params, int(nf))
         pl = pl + extra
     return ap.eirp_dbm - pl
+
+
+def reference_fit_rows(plan, aps, meas, model, l0_db):
+    """The fit's least-squares rows, built one (AP, point) sample at a time.
+
+    APs go in id order and each AP's points in id order. A sample is a
+    detected (point, AP) pair whose link crosses no floor plane. Its row is
+    ``(ap_id, x, y)``: ``x`` is ``[10*log10(d)]`` for the one-slope model and
+    ``[10*log10(d), 1, count per plan key...]`` for the multi-wall model, with
+    ``d`` summed and rooted in Python and the log from ``math.log10``; ``y``
+    is EIRP - l0 - the scan-averaged RSS.
+    """
+    means = meas.averaged()
+    locations = meas.locations()
+    ap_by_id = {ap.id: ap for ap in aps}
+    keys = plan.obstacle_keys()
+    rows = []
+    for ap_id in sorted(meas.ap_ids()):
+        ap = ap_by_id[ap_id]
+        a = ap.position
+        for rp_id in sorted(meas.rp_ids()):
+            if (rp_id, ap_id) not in means:
+                continue
+            p = locations[rp_id]
+            if any(min(p.z, a.z) < z < max(p.z, a.z) for z in plan.floors):
+                continue
+            dx, dy, dz = p.x - a.x, p.y - a.y, p.z - a.z
+            x = [10.0 * math.log10(math.sqrt(dx * dx + dy * dy + dz * dz))]
+            if model is ModelKind.MWMF:
+                flags = reference_crossing_flags(plan, a, np.array([[p.x, p.y, p.z]]))[0]
+                x += [1.0] + [float(sum(flag for flag, o in zip(flags, plan.obstacles)
+                                        if (o.family, o.type_index) == key))
+                              for key in keys]
+            rows.append((ap_id, x, ap.eirp_dbm - l0_db - means[(rp_id, ap_id)]))
+    return rows
 
 
 def count_crossing_calls(monkeypatch):

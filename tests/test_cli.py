@@ -11,7 +11,8 @@ from radioloc.cli import (
     main,
 )
 from radioloc.fitting import load_fit_result, load_measurements
-from radioloc.radiomap import load_radiomap
+from radioloc.floorplan import load_floorplan
+from radioloc.radiomap import load_radiomap, virtual_rp_positions
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,55 @@ class TestInputErrorsExit2:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def world_with_point_at_ap01(world_dir, tmp_path):
+        """A copy of the world whose survey has one more point, at ap01's position."""
+        out = tmp_path / "world"
+        out.mkdir()
+        for name in ("floorplan.json", "aps.json", "testpoints.csv"):
+            (out / name).write_bytes((world_dir / name).read_bytes())
+        ap = next(a for a in json.loads((world_dir / "aps.json").read_text())
+                  if a["id"] == "ap01")
+        (out / "measurements.csv").write_text(
+            (world_dir / "measurements.csv").read_text()
+            + f"rpX,{ap['x']!r},{ap['y']!r},{ap['z']!r},ap01,-30.0,0\n")
+        return out
+
+    def test_fit_survey_point_at_ap(self, world_dir, tmp_path, capsys):
+        world = self.world_with_point_at_ap01(world_dir, tmp_path)
+        code = exit_code(["fit", "--measurements", str(world / "measurements.csv"),
+                          "--floorplan", str(world / "floorplan.json"),
+                          "--aps", str(world / "aps.json"),
+                          "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "error: point 'rpX' coincides with AP 'ap01'" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_evaluate_survey_point_at_ap(self, world_dir, tmp_path, capsys):
+        world = self.world_with_point_at_ap01(world_dir, tmp_path)
+        code = exit_code(["evaluate", "--world-dir", str(world),
+                          "--out-dir", str(tmp_path / "out"),
+                          "--rho-grid", "1.0", "--dv-grid", "0.1"])
+        assert code == 2
+        assert "error: point 'rpX' coincides with AP 'ap01'" in capsys.readouterr().err
+
+    def test_build_radiomap_virtual_rp_at_ap(self, world_dir, fit_file, tmp_path, capsys):
+        plan = load_floorplan(world_dir / "floorplan.json")
+        x, y, z = virtual_rp_positions(plan, 1.0, "grid", z_m=1.2)[0].tolist()
+        aps_doc = json.loads((world_dir / "aps.json").read_text())
+        for ap in aps_doc:
+            if ap["id"] == "ap01":
+                ap.update(x=x, y=y, z=z)
+        (tmp_path / "aps.json").write_text(json.dumps(aps_doc))
+        out = tmp_path / "map.json"
+        code = exit_code(["build-radiomap",
+                          "--measurements", str(world_dir / "measurements.csv"),
+                          "--floorplan", str(world_dir / "floorplan.json"),
+                          "--aps", str(tmp_path / "aps.json"), "--fit", str(fit_file),
+                          "--dv", "1", "--out", str(out)])
+        assert code == 2
+        assert "coincides with AP 'ap01'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--dr", "0"],
@@ -254,6 +304,14 @@ class TestInputErrorsExit2:
          "--aps", "a", "--fit", "x"],
         ["build-radiomap", "--sentinel", "-130", "--measurements", "m", "--floorplan", "f",
          "--aps", "a", "--fit", "x"],
+        ["build-radiomap", "--rp-height", "nan", "--measurements", "m", "--floorplan", "f",
+         "--aps", "a", "--fit", "x"],
+        ["build-radiomap", "--rp-height", "inf", "--measurements", "m", "--floorplan", "f",
+         "--aps", "a", "--fit", "x"],
+        ["build-radiomap", "--detection-floor", "nan", "--measurements", "m",
+         "--floorplan", "f", "--aps", "a", "--fit", "x"],
+        ["build-radiomap", "--detection-floor", "inf", "--measurements", "m",
+         "--floorplan", "f", "--aps", "a", "--fit", "x"],
         ["locate", "--k", "0", "--radiomap", "m", "--target", "t"],
         ["locate", "--alpha", "nan", "--radiomap", "m", "--target", "t"],
         ["locate", "--order", "0.5", "--radiomap", "m", "--target", "t"],
@@ -266,7 +324,8 @@ class TestInputErrorsExit2:
         flag = "--out" if argv[0] in ("build-radiomap",) else "--out-dir"
         extra = [] if argv[0] == "locate" else [flag, str(out)]
         assert exit_code(argv + extra) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and argv[1] in err  # rejected for that flag, not a missing file
         assert not out.exists()
 
 

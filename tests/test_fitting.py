@@ -12,13 +12,13 @@ from radioloc.fitting import (
     fit_result_to_dict,
     load_fit_result,
     load_measurements,
-    predict_for_measurements,
     save_fit_result,
     save_measurements,
 )
-from radioloc.floorplan import Bounds, Floorplan, Point3
+from radioloc.floorplan import Bounds, Floorplan, ObstacleFamily, PlanarObstacle, Point3
 from radioloc.propagation import (
     AccessPoint,
+    LinkTable,
     ModelKind,
     PropagationParams,
     predict_rss,
@@ -191,6 +191,12 @@ class TestFitContracts:
             FitStrategy(StrategyKind.NO_FIT)
 
 
+def fitted_predictions(result, model, plan, aps, positions):
+    """Predicted RSS per AP id at ``positions``, from each AP's fitted parameters."""
+    return {ap.id: LinkTable(plan, ap, positions).predict_rss(model, result.params_for(ap.id))
+            for ap in aps}
+
+
 class TestPredictForMeasurements:
     def test_no_fit_os_baseline(self):
         plan, aps, _ = tiny_world()
@@ -199,33 +205,32 @@ class TestPredictForMeasurements:
                      synth_measurements(plan, aps, {ap.id: baseline for ap in aps},
                                         survey_points(), model=ModelKind.ONE_SLOPE))
         rx = Point3(11.0, 5.0, 1.2)
-        predictions = predict_for_measurements(result, ModelKind.ONE_SLOPE, plan,
-                                               aps, [rx])
+        predictions = fitted_predictions(result, ModelKind.ONE_SLOPE, plan, aps, [rx])
         d = np.sqrt((11 - 1) ** 2 + (5 - 5) ** 2 + (1.2 - 2.5) ** 2)
         expected = 20.0 - (20.0 + 20.0 * np.log10(d))
-        assert predictions[("a", rx)] == pytest.approx(expected)
+        assert predictions["a"][0] == pytest.approx(expected)
 
     def test_exact_fit_reproduces_measurements(self):
         plan, aps, truth = tiny_world()
         points = survey_points()
         meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps}, points)
         result = fit(FitStrategy.environment(), ModelKind.MWMF, plan, aps, meas)
-        predictions = predict_for_measurements(result, ModelKind.MWMF, plan, aps,
-                                               points)
-        for (rp_id, ap_id), measured in meas.averaged().items():
-            p = meas.locations()[rp_id]
-            assert predictions[(ap_id, p)] == pytest.approx(measured, abs=1e-6)
+        predictions = fitted_predictions(result, ModelKind.MWMF, plan, aps, meas.xyz)
+        means = meas.mean_matrix()
+        for j, ap_id in enumerate(meas.ap_ids()):
+            detected = ~np.isnan(means[:, j])
+            assert detected.all()
+            np.testing.assert_allclose(predictions[ap_id][detected], means[detected, j],
+                                       rtol=0, atol=1e-6)
 
     def test_rigid_translation_invariance(self):
         plan, aps, truth = tiny_world()
         points = survey_points()
         meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps}, points)
         result = fit(FitStrategy.environment(), ModelKind.MWMF, plan, aps, meas)
-        base = predict_for_measurements(result, ModelKind.MWMF, plan, aps, points)
+        base = fitted_predictions(result, ModelKind.MWMF, plan, aps, points)
 
         dx, dy = 100.0, -40.0
-        from radioloc.floorplan import PlanarObstacle
-
         shifted_plan = Floorplan(
             bounds=Bounds(plan.bounds.min_x + dx, plan.bounds.min_y + dy,
                           plan.bounds.max_x + dx, plan.bounds.max_y + dy),
@@ -237,20 +242,68 @@ class TestPredictForMeasurements:
                                                  ap.position.y + dy, ap.position.z),
                                    ap.eirp_dbm) for ap in aps]
         shifted_points = [Point3(p.x + dx, p.y + dy, p.z) for p in points]
-        shifted = predict_for_measurements(result, ModelKind.MWMF, shifted_plan,
-                                           shifted_aps, shifted_points)
-        for p, sp in zip(points, shifted_points):
-            for ap in aps:
-                assert shifted[(ap.id, sp)] == pytest.approx(base[(ap.id, p)],
-                                                             abs=1e-9)
+        shifted = fitted_predictions(result, ModelKind.MWMF, shifted_plan, shifted_aps,
+                                     shifted_points)
+        for ap in aps:
+            np.testing.assert_allclose(shifted[ap.id], base[ap.id], rtol=0, atol=1e-9)
 
     def test_unknown_ap_rejected(self):
         plan, aps, truth = tiny_world()
         meas = synth_measurements(plan, [aps[0]], {"a": truth}, survey_points())
         result = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, [aps[0]], meas)
         with pytest.raises(KeyError):
-            predict_for_measurements(result, ModelKind.MWMF, plan, aps,
-                                     [Point3(3, 3, 1.2)])
+            fitted_predictions(result, ModelKind.MWMF, plan, aps, [Point3(3, 3, 1.2)])
+
+
+def two_story_survey():
+    """A two-story plan, one AP per story, and a noisy survey on both stories
+    with some pairs never detected."""
+    plan = Floorplan(
+        bounds=Bounds(0.0, 0.0, 20.0, 10.0), floors=(3.0,),
+        obstacles=(PlanarObstacle(6.0, 0.0, 6.0, 10.0, floor_index=0),
+                   PlanarObstacle(13.0, 0.0, 13.0, 7.0, floor_index=1),
+                   PlanarObstacle(13.0, 7.0, 13.0, 10.0, floor_index=1,
+                                  family=ObstacleFamily.DOOR)))
+    aps = [AccessPoint("up", Point3(18.0, 2.0, 5.5), eirp_dbm=18.0),
+           AccessPoint("down", Point3(1.0, 5.0, 2.5), eirp_dbm=20.0)]
+    truth = PropagationParams.simple(gamma=2.6, lc_db=1.0, wall_db=5.0, door_db=2.0)
+    rng = np.random.default_rng(4)
+    records = []
+    for i, p in enumerate(survey_points(z=1.2) + survey_points(z=4.2)):
+        for ap in aps:
+            if rng.random() < 0.15:
+                continue
+            value = predict_rss(ModelKind.MWMF, truth, plan, ap, p)
+            for scan in range(2):
+                records.append(MeasurementRecord(
+                    f"rp{i:03d}", p, ap.id,
+                    float(np.clip(value + rng.normal(0, 3.0), -120, 0)), scan))
+    return plan, aps, MeasurementSet(records)
+
+
+class TestNoFitResidual:
+    PARAMS = PropagationParams.simple(gamma=2.3, lc_db=0.7, wall_db=4.0, door_db=1.5,
+                                      l0_db=38.0)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_rms_over_same_floor_detected_pairs(self, model):
+        plan, aps, meas = two_story_survey()
+        with pytest.warns(UserWarning, match="cross-floor samples"):
+            result = fit(FitStrategy.no_fit(self.PARAMS), model, plan, aps, meas)
+        means = meas.mean_matrix()
+        stories = np.array([plan.story_of(z) for z in meas.xyz[:, 2].tolist()])
+        deltas = []
+        for j, ap_id in enumerate(meas.ap_ids()):
+            ap = next(ap for ap in aps if ap.id == ap_id)
+            pairs = ~np.isnan(means[:, j]) & (stories == plan.story_of(ap.position.z))
+            predicted = LinkTable(plan, ap, meas.xyz).predict_rss(model, self.PARAMS)
+            deltas.append((predicted - means[:, j])[pairs])
+        deltas = np.concatenate(deltas)
+        assert 0 < deltas.size < np.count_nonzero(~np.isnan(means))
+        assert result.m_used == deltas.size
+        assert result.residual_rms_db == pytest.approx(
+            float(np.sqrt(np.mean(deltas ** 2))), rel=1e-12)
+        assert result.params_for("up") is self.PARAMS
 
 
 class TestMeasurementIo:

@@ -14,7 +14,6 @@ from radioloc.floorplan import (
     floorplan_from_dict,
     floorplan_to_dict,
     lattice_positions,
-    link_distance,
     load_floorplan,
     save_floorplan,
 )
@@ -27,21 +26,6 @@ DOOR = ObstacleFamily.DOOR
 
 def empty_plan():
     return Floorplan(bounds=Bounds(0.0, 0.0, 20.0, 10.0))
-
-
-class TestLinkDistance:
-    def test_pythagorean(self):
-        assert link_distance(Point3(0, 0, 0), Point3(3, 4, 0)) == 5.0
-
-    def test_axis_aligned(self):
-        assert link_distance(Point3(0, 0, 0), Point3(0, 0, 3)) == 3.0
-
-    def test_3d(self):
-        assert link_distance(Point3(1, 2, 0), Point3(4, 6, 12)) == 13.0
-
-    def test_coincident_raises(self):
-        with pytest.raises(GeometryError):
-            link_distance(Point3(1, 1, 1), Point3(1, 1, 1))
 
 
 class TestCountObstructions:

@@ -1,26 +1,23 @@
 import numpy as np
 import pytest
 
-from radioloc.errors import InputError
+from radioloc.errors import GeometryError, InputError
 from radioloc.floorplan import (
     Bounds,
     Floorplan,
     ObstacleFamily,
-    ObstructionCount,
     PlanarObstacle,
     Point3,
+    count_obstructions,
 )
 from radioloc.propagation import (
     AccessPoint,
     LinkTable,
     ModelKind,
     PropagationParams,
-    additional_loss,
     aps_from_list,
     load_access_points,
     load_params,
-    path_loss,
-    path_loss_os,
     predict_rss,
     predict_rss_many,
     save_access_points,
@@ -33,58 +30,97 @@ WALL = ObstacleFamily.WALL
 DOOR = ObstacleFamily.DOOR
 
 
+def link_loss(model, params, plan, tx, rx):
+    """Path loss of the tx-rx link in dB: a 0 dBm transmitter's predicted RSS, negated."""
+    return -predict_rss(model, params, plan, AccessPoint("tx", tx, eirp_dbm=0.0), rx)
+
+
+def one_slope_losses(params, distances):
+    """One-slope path losses at the given distances from a transmitter at the origin."""
+    ap = AccessPoint("ap", Point3(0.0, 0.0, 0.0), eirp_dbm=0.0)
+    positions = np.column_stack([distances, np.zeros(len(distances)), np.zeros(len(distances))])
+    return -LinkTable(Floorplan(bounds=Bounds(-1, -1, 100, 1)), ap,
+                      positions).predict_rss(ModelKind.ONE_SLOPE, params)
+
+
 class TestPathLossOs:
     def test_reference_distance(self):
         params = PropagationParams(gamma=2.0, l0_db=40.22)
-        assert path_loss_os(params, 1.0) == pytest.approx(40.22)
+        assert one_slope_losses(params, [1.0])[0] == pytest.approx(40.22)
 
     def test_one_decade(self):
         params = PropagationParams(gamma=2.0, l0_db=40.22)
-        assert path_loss_os(params, 10.0) == pytest.approx(60.22)
+        assert one_slope_losses(params, [10.0])[0] == pytest.approx(60.22)
 
     def test_two_decades_gamma3(self):
         params = PropagationParams(gamma=3.0, l0_db=40.0)
-        assert path_loss_os(params, 100.0) == pytest.approx(100.0)
+        assert one_slope_losses(params, [100.0])[0] == pytest.approx(100.0)
 
     def test_nonpositive_distance_rejected(self):
         params = PropagationParams()
-        for d in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                path_loss_os(params, d)
+        for distances in ([0.0], [3.0, 0.0, 5.0]):
+            with pytest.raises(GeometryError, match="coincides with AP 'ap'"):
+                one_slope_losses(params, distances)
+        plan = Floorplan(bounds=Bounds(0, 0, 10, 10))
+        with pytest.raises(ValueError):
+            link_loss(ModelKind.ONE_SLOPE, params, plan, Point3(1, 1, 1), Point3(1, 1, 1))
 
     def test_strictly_increasing_in_distance(self):
         params = PropagationParams(gamma=2.4)
-        ds = np.linspace(0.5, 60.0, 200)
-        losses = [path_loss_os(params, d) for d in ds]
-        assert all(b > a for a, b in zip(losses, losses[1:]))
+        losses = one_slope_losses(params, np.linspace(0.5, 60.0, 200))
+        assert np.all(np.diff(losses) > 0)
+
+
+def extra_loss(params, plan, tx, rx):
+    """The multi-wall model's loss on top of the one-slope loss for one link, in dB."""
+    return (link_loss(ModelKind.MWMF, params, plan, tx, rx)
+            - link_loss(ModelKind.ONE_SLOPE, params, plan, tx, rx))
 
 
 class TestAdditionalLoss:
     def test_linear_sum(self):
+        # Three walls and one door across a 10 m corridor link.
+        plan = Floorplan(
+            bounds=Bounds(0, 0, 12, 4),
+            obstacles=(PlanarObstacle(3, 0, 3, 4, family=WALL),
+                       PlanarObstacle(5, 0, 5, 4, family=WALL),
+                       PlanarObstacle(7, 0, 7, 4, family=DOOR),
+                       PlanarObstacle(9, 0, 9, 4, family=WALL)))
         params = PropagationParams.simple(gamma=2, lc_db=2.0, wall_db=5.0, door_db=1.0)
-        obs = ObstructionCount(counts={(WALL, 1): 3, (DOOR, 1): 1}, floors_crossed=0)
-        assert additional_loss(params, obs) == pytest.approx(18.0)
+        tx, rx = Point3(1, 2, 1.5), Point3(11, 2, 1.5)
+        assert count_obstructions(plan, tx, rx).counts == {(DOOR, 1): 1, (WALL, 1): 3}
+        assert extra_loss(params, plan, tx, rx) == pytest.approx(18.0)
 
     def test_single_floor_term_independent_of_b(self):
-        obs = ObstructionCount(counts={}, floors_crossed=1)
+        plan = Floorplan(bounds=Bounds(0, 0, 10, 10), floors=(3.0,))
+        tx, rx = Point3(2, 2, 1.5), Point3(7, 6, 4.5)
+        assert count_obstructions(plan, tx, rx).floors_crossed == 1
         for b in (0.0, 0.46, 1.3):
             params = PropagationParams(lf_db=18.0, b=b)
-            assert additional_loss(params, obs) == pytest.approx(18.0)
+            assert extra_loss(params, plan, tx, rx) == pytest.approx(18.0)
 
     def test_empty_link_zero(self):
-        params = PropagationParams(lc_db=0.0)
-        obs = ObstructionCount(counts={(WALL, 1): 0}, floors_crossed=0)
-        assert additional_loss(params, obs) == 0.0
+        plan = Floorplan(bounds=Bounds(0, 0, 10, 10),
+                         obstacles=(PlanarObstacle(5, 6, 5, 10, family=WALL),))
+        params = PropagationParams.simple(gamma=2.0, lc_db=0.0, wall_db=5.0)
+        tx, rx = Point3(1, 2, 1.5), Point3(9, 2, 1.5)
+        assert count_obstructions(plan, tx, rx).counts == {(WALL, 1): 0}
+        assert extra_loss(params, plan, tx, rx) == 0.0
 
     def test_no_floor_crossing_no_floor_term(self):
+        plan = Floorplan(bounds=Bounds(0, 0, 10, 10), floors=(3.0,))
         params = PropagationParams(lc_db=0.5, lf_db=18.0)
-        obs = ObstructionCount(counts={}, floors_crossed=0)
-        assert additional_loss(params, obs) == pytest.approx(0.5)
+        assert extra_loss(params, plan, Point3(2, 2, 1.5),
+                          Point3(7, 6, 2.5)) == pytest.approx(0.5)
 
     def test_unparameterized_type_contributes_nothing(self):
+        plan = Floorplan(
+            bounds=Bounds(0, 0, 12, 4),
+            obstacles=tuple(PlanarObstacle(x, 0, x, 4, family=WALL) for x in (3, 5, 7, 9)))
         params = PropagationParams(lc_db=0.0, loss_2d={})
-        obs = ObstructionCount(counts={(WALL, 1): 4}, floors_crossed=0)
-        assert additional_loss(params, obs) == 0.0
+        tx, rx = Point3(1, 2, 1.5), Point3(11, 2, 1.5)
+        assert count_obstructions(plan, tx, rx).counts == {(WALL, 1): 4}
+        assert extra_loss(params, plan, tx, rx) == 0.0
 
 
 def walled_plan():
@@ -99,8 +135,8 @@ class TestPathLoss:
         plan = Floorplan(bounds=Bounds(0, 0, 30, 10))
         params = PropagationParams.simple(gamma=2.6, lc_db=0.0, wall_db=5.0)
         tx, rx = Point3(1, 5, 2), Point3(25, 5, 2)
-        assert path_loss(ModelKind.MWMF, params, plan, tx, rx) == pytest.approx(
-            path_loss(ModelKind.ONE_SLOPE, params, plan, tx, rx))
+        assert link_loss(ModelKind.MWMF, params, plan, tx, rx) == pytest.approx(
+            link_loss(ModelKind.ONE_SLOPE, params, plan, tx, rx))
 
     def test_decomposition(self):
         plan = walled_plan()
@@ -111,11 +147,11 @@ class TestPathLoss:
             rx = Point3(float(rng.uniform(0.5, 29.5)), float(rng.uniform(0.5, 9.5)), 1.2)
             if tx == rx:
                 continue
-            from radioloc.floorplan import count_obstructions
-
-            extra = additional_loss(params, count_obstructions(plan, tx, rx))
-            assert path_loss(ModelKind.MWMF, params, plan, tx, rx) == pytest.approx(
-                path_loss(ModelKind.ONE_SLOPE, params, plan, tx, rx) + extra)
+            obs = count_obstructions(plan, tx, rx)
+            extra = params.lc_db + sum(n * params.loss_2d.get(key, 0.0)
+                                       for key, n in obs.counts.items())
+            assert link_loss(ModelKind.MWMF, params, plan, tx, rx) == pytest.approx(
+                link_loss(ModelKind.ONE_SLOPE, params, plan, tx, rx) + extra)
 
     def test_hand_evaluated_link(self):
         # 10 m link crossing two 6 dB walls with 1 dB constant loss.
@@ -125,7 +161,7 @@ class TestPathLoss:
                        PlanarObstacle(7, 0, 7, 6, family=WALL)))
         params = PropagationParams.simple(gamma=2.0, lc_db=1.0, wall_db=6.0,
                                           l0_db=40.22)
-        pl = path_loss(ModelKind.MWMF, params, plan, Point3(1, 3, 1.5),
+        pl = link_loss(ModelKind.MWMF, params, plan, Point3(1, 3, 1.5),
                        Point3(11, 3, 1.5))
         assert pl == pytest.approx(73.22)
 

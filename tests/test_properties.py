@@ -1,10 +1,12 @@
 """Property-based checks of the columnar survey, the array-backed radiomap, the
-blocked obstruction counting and the batched WkNN kernel.
+blocked obstruction counting, the batched WkNN kernel and the fit's design
+matrix.
 
 The oracles are plain per-record Python loops, ``json.dumps``, for
-``crossing_flags_batch`` the per-obstacle loop it replaced and, for
-``locate``, ``locate_many`` and ``error_curves``, a per-target loop with the
-benchmark oracle's semantics; they do not share code with the array paths
+``crossing_flags_batch`` the per-obstacle loop it replaced, for ``locate``,
+``locate_many`` and ``error_curves``, a per-target loop with the benchmark
+oracle's semantics and, for ``fit``, ``np.linalg.lstsq`` on the per-sample
+rows of ``reference_fit_rows``; they do not share code with the array paths
 they check.
 """
 
@@ -12,12 +14,17 @@ import json
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
+from radioloc.errors import DegenerateFitError, InsufficientDataError
 from radioloc.fitting import (
+    FitStrategy,
     MeasurementRecord,
     MeasurementSet,
+    StrategyKind,
+    fit,
     load_measurements,
     save_measurements,
 )
@@ -38,7 +45,13 @@ from radioloc.positioning import (
     locate,
     locate_many,
 )
-from radioloc.propagation import AccessPoint
+from radioloc.propagation import (
+    FREE_SPACE_L0_DB,
+    AccessPoint,
+    ModelKind,
+    PropagationParams,
+    predict_rss,
+)
 from radioloc.radiomap import (
     NOT_DETECTED_DBM,
     Fingerprint,
@@ -51,7 +64,7 @@ from radioloc.radiomap import (
     save_radiomap,
 )
 
-from helpers import reference_crossing_flags, reference_wknn
+from helpers import reference_crossing_flags, reference_fit_rows, reference_wknn
 
 # Surveys of up to ~170 shuffled rows are slow to draw on a loaded machine.
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -377,3 +390,142 @@ def test_permuting_rps_permutes_neighbors(n, n_aps, seed, data):
                       WknnConfig(k=k))
     assert [(int(perm[i]), s) for i, s in permuted.neighbors] == est.neighbors
     assert permuted.position == est.position
+
+
+# Fit worlds: up to five lattice obstacles on one or two stories, APs just
+# below the ceilings and survey points at device height on every story.
+AP_HEIGHTS = (2.5, 5.5)
+RP_HEIGHTS = (1.2, 4.2)
+
+
+@st.composite
+def fit_worlds(draw):
+    """(plan, aps, ids, positions, seed) for a survey to fit.
+
+    AP ids and point ids are shuffled numberings, so neither id order is the
+    order of appearance; on two stories some links cross the floor plane.
+    """
+    w, h = draw(st.integers(6, 14)), draw(st.integers(4, 10))
+    floors = draw(st.sampled_from([(), (3.0,)]))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 5))):
+        ends = draw(st.tuples(half_meters(w), half_meters(h), half_meters(w), half_meters(h))
+                    .filter(lambda e: e[:2] != e[2:]))
+        obstacles.append(PlanarObstacle(
+            *ends, floor_index=draw(st.integers(0, len(floors))),
+            family=draw(st.sampled_from(ObstacleFamily)), type_index=draw(st.integers(1, 2))))
+    plan = Floorplan(Bounds(0.0, 0.0, float(w), float(h)), floors, tuple(obstacles))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def position(heights):
+        return Point3(float(rng.uniform(0.0, w)), float(rng.uniform(0.0, h)),
+                      float(rng.choice(heights[:len(floors) + 1])))
+
+    aps = [AccessPoint(f"ap{i}", position(AP_HEIGHTS), draw(st.sampled_from([15.0, 20.0])))
+           for i in draw(st.integers(1, 3).flatmap(lambda n: st.permutations(range(n))))]
+    n = draw(st.integers(6, 14))
+    ids = [f"p{i:02d}" for i in draw(st.permutations(range(n)))]
+    return plan, aps, ids, [position(RP_HEIGHTS) for _ in range(n)], draw(
+        st.integers(0, 2**32 - 1))
+
+
+def fit_survey(aps, ids, positions, seed, rss_of):
+    """A survey with 1-2 scans per detected pair; pairs whose RSS falls outside
+    [-120, 0] dBm, and about one in five others, are not detected."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for rp_id, p in zip(ids, positions):
+        for ap in aps:
+            scans = [rss_of(ap, p, rng) for _ in range(rng.integers(1, 3))]
+            if rng.random() < 0.2 or not all(-120.0 <= v <= 0.0 for v in scans):
+                scans = [None]
+            records += [MeasurementRecord(rp_id, p, ap.id, v, s) for s, v in enumerate(scans)]
+    return MeasurementSet(records)
+
+
+def reference_blocks(plan, aps, meas, model, kind):
+    """The systems fit solves, from reference_fit_rows: (x, y, used) per AP in
+    ``aps`` order for per-AP fitting, or one pooled system. ``used`` marks the
+    columns kept: every multi-wall key column no row crosses is dropped."""
+    rows = reference_fit_rows(plan, aps, meas, model, FREE_SPACE_L0_DB)
+    width = 1 if model is ModelKind.ONE_SLOPE else 2 + len(plan.obstacle_keys())
+    groups = ([[r for r in rows if r[0] == ap.id] for ap in aps]
+              if kind is StrategyKind.PER_AP else [rows])
+    blocks = []
+    for group in filter(None, groups):
+        x = np.array([r[1] for r in group], dtype=float).reshape(len(group), width)
+        used = [True] * min(width, 2) + x[:, 2:].any(axis=0).tolist()
+        blocks.append((x[:, used], np.array([r[2] for r in group]), used))
+    return blocks
+
+
+def coefficients(params, model, plan):
+    """Parameters as the design's coefficients: [gamma] or [gamma, lc, loss per plan key]."""
+    if model is ModelKind.ONE_SLOPE:
+        return [params.gamma]
+    return [params.gamma, params.lc_db, *(params.loss_2d[key] for key in plan.obstacle_keys())]
+
+
+@SETTINGS
+@given(fit_worlds(), st.sampled_from(ModelKind),
+       st.sampled_from([StrategyKind.ENVIRONMENT, StrategyKind.PER_AP]))
+def test_fit_equals_lstsq_on_reference_rows_bit_for_bit(world, model, kind):
+    plan, aps, ids, positions, seed = world
+    meas = fit_survey(aps, ids, positions, seed, lambda ap, p, rng: rng.uniform(-100.0, -30.0))
+    blocks = reference_blocks(plan, aps, meas, model, kind)
+    try:
+        if not blocks:
+            raise InsufficientDataError("no rows")
+        want, residuals = [], []
+        for x, y, used in blocks:
+            if x.shape[0] < x.shape[1]:
+                raise InsufficientDataError("fewer rows than columns")
+            solution, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+            if rank < x.shape[1]:
+                raise DegenerateFitError("reference")
+            values = iter(solution.tolist())
+            want.append([next(values) if u else 0.0 for u in used])
+            residuals.append(x @ solution - y)
+    except (DegenerateFitError, InsufficientDataError) as exc:
+        event(f"fit raises {type(exc).__name__}")
+        with pytest.raises(type(exc)):
+            fit(FitStrategy(kind), model, plan, aps, meas)
+        return
+
+    result = fit(FitStrategy(kind), model, plan, aps, meas)
+    got = {ap_id: coefficients(p, model, plan) for ap_id, p in result.params_by_ap.items()}
+    if kind is StrategyKind.PER_AP:
+        assert list(got.values()) == want
+    else:
+        assert all(values == want[0] for values in got.values())
+    pooled = np.concatenate(residuals)
+    assert result.residual_rms_db == float(np.sqrt(np.mean(pooled ** 2)))
+    assert result.m_used == pooled.shape[0]
+
+
+@SETTINGS
+@given(fit_worlds(), st.sampled_from(ModelKind),
+       st.sampled_from([StrategyKind.ENVIRONMENT, StrategyKind.PER_AP]), st.data())
+def test_fit_recovers_noiseless_parameters(world, model, kind, data):
+    plan, aps, ids, positions, seed = world
+    gamma = data.draw(st.floats(1.8, 3.5))
+    if model is ModelKind.ONE_SLOPE:
+        truth = PropagationParams(gamma=gamma)
+    else:
+        truth = PropagationParams(
+            gamma=gamma, lc_db=data.draw(st.floats(0.0, 3.0)),
+            loss_2d={key: data.draw(st.floats(1.0, 8.0)) for key in plan.obstacle_keys()})
+    meas = fit_survey(aps, ids, positions, seed,
+                      lambda ap, p, rng: predict_rss(model, truth, plan, ap, p))
+    blocks = reference_blocks(plan, aps, meas, model, kind)
+    assume(blocks and all(x.shape[0] >= x.shape[1] and np.linalg.cond(x) < 1e6
+                          for x, _, _ in blocks))
+
+    result = fit(FitStrategy(kind), model, plan, aps, meas)
+    want = coefficients(truth, model, plan)
+    for (_, _, used), params in zip(blocks, result.params_by_ap.values()):
+        values = coefficients(params, model, plan)
+        assert [v for v, u in zip(values, used) if not u] == [0.0] * used.count(False)
+        np.testing.assert_allclose([v for v, u in zip(values, used) if u],
+                                   [v for v, u in zip(want, used) if u], rtol=0, atol=1e-6)
+    assert result.residual_rms_db < 1e-6
