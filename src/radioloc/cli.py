@@ -2,14 +2,14 @@
 
 Every subcommand is a pure function of its input files, flags, and seed, so
 reruns with identical arguments produce byte-identical outputs. Exit codes:
-0 success, 2 unreadable or malformed input (invalid geometry included),
-3 degenerate/underdetermined fit.
+0 success; 2 a bad flag, an unreadable, non-UTF-8 or malformed input file
+(invalid geometry included) or an unwritable output path; 3 a degenerate or
+underdetermined fit.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -35,7 +35,7 @@ from .fitting import (
     save_measurements,
 )
 from .floorplan import load_floorplan, save_floorplan
-from .ioutil import write_text_atomic
+from .ioutil import read_csv, write_text_atomic
 from .positioning import WknnConfig, k_est_from_counts, locate
 from .propagation import (
     ModelKind,
@@ -127,8 +127,11 @@ def _strategy_from_args(args) -> FitStrategy:
 
 
 def cmd_simulate(args) -> int:
-    if args.template == "custom" and args.custom_file is None:
-        raise InputError("--template custom requires --custom-file")
+    if args.template == "custom":
+        for flag, value in (("--custom-file", args.custom_file), ("--dr", args.dr),
+                            ("--tp-count", args.tp_count)):
+            if value is None:
+                raise InputError(f"--template custom requires {flag}")
     noise = NoiseConfig(
         shadowing_sigma_db=args.shadowing_sigma,
         mismatch_sigma_db=args.mismatch_sigma,
@@ -190,6 +193,9 @@ def cmd_build_radiomap(args) -> int:
     real_rps = select_rps(real_rps, args.rho)
     virtual_rps = []
     if args.dv > 0:
+        missing = {ap.id for ap in aps} - set(fit_result.params_by_ap)
+        if missing:
+            raise InputError(f"{args.fit} has no fitted parameters for APs {sorted(missing)}")
         positions = virtual_rp_positions(plan, args.dv, args.placement,
                                          seed=args.seed, z_m=args.rp_height)
         virtual_rps = generate_virtual_fingerprints(
@@ -204,27 +210,20 @@ def cmd_build_radiomap(args) -> int:
 
 
 def _load_target(path: str | Path, rmap: Radiomap) -> Fingerprint:
-    values = {ap.id: rmap.sentinel_dbm for ap in rmap.aps}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:2] != ["ap_id", "rss_dbm"]:
-                raise InputError(f"{path}: expected header ap_id,rss_dbm")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < 2:
-                    raise InputError(f"{path}: malformed row {row!r}")
-                ap_id, rss = row[0], row[1]
-                if ap_id not in values:
-                    raise InputError(f"{path}: unknown AP {ap_id!r}")
-                values[ap_id] = (rmap.sentinel_dbm if rss == "ND" else float(rss))
+    def parse(rows: list[list[str]]) -> Fingerprint:
+        if not rows or rows[0][:2] != ["ap_id", "rss_dbm"]:
+            raise ValueError("expected header ap_id,rss_dbm")
+        values = {ap.id: rmap.sentinel_dbm for ap in rmap.aps}
+        for row in rows[1:]:
+            if len(row) < 2:
+                raise ValueError(f"malformed row {row!r}")
+            ap_id, rss = row[0], row[1]
+            if ap_id not in values:
+                raise ValueError(f"unknown AP {ap_id!r}")
+            values[ap_id] = (rmap.sentinel_dbm if rss == "ND" else float(rss))
         return Fingerprint([values[ap.id] for ap in rmap.aps])
-    except OSError as exc:
-        raise InputError(f"cannot read target file {path}: {exc}") from exc
-    except (ValueError, csv.Error) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+
+    return read_csv(path, "target", parse)
 
 
 def cmd_locate(args) -> int:
@@ -266,9 +265,6 @@ def _load_world_dir(world_dir: str | Path, seed: int) -> EvalWorld:
 
 def cmd_evaluate(args) -> int:
     world = _load_world_dir(args.world_dir, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     strategy = _strategy_from_args(args)
     model = ModelKind(args.model)
     n_total = len(world.measurements.rp_ids())
@@ -286,6 +282,8 @@ def cmd_evaluate(args) -> int:
     kest = run_kest_sweep(world, dr_grid, dv_max, alpha_range=args.alpha_range,
                           alpha_step=args.alpha_step, positioning=positioning)
 
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, report in (("prediction", prediction), ("positioning", positioning),
                          ("gain", gain), ("kest", kest)):
         emit_report(report, out / f"{name}.csv", fmt="csv")
@@ -315,9 +313,11 @@ def cmd_evaluate(args) -> int:
         print(f"k rule: worst beta at alpha=0.05 is {worst.beta_m:.3f} m "
               f"(d_real={worst.d_real:.4f})")
 
+    # Prediction cells fail only through fit errors, so a sweep that failed
+    # everywhere had no solvable fit.
     all_cells = len(prediction.cells) + len(positioning.cells)
     if all_cells and len(failures) == all_cells:
-        return 1
+        return 3
     return 0
 
 
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     args = _cached_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, GeometryError, FileNotFoundError) as exc:
+    except (InputError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateFitError, InsufficientDataError) as exc:

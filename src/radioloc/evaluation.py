@@ -25,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InputError, InsufficientDataError
+from .errors import DegenerateFitError, InsufficientDataError
 from .fitting import FitResult, FitStrategy, MeasurementSet, fit
 from .floorplan import Floorplan
-from .ioutil import write_text_atomic
+from .ioutil import read_json, write_text_atomic
 from .positioning import _best_k, error_curves
 from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
@@ -600,24 +600,13 @@ def emit_report(report, path: str | Path, fmt: str = "json") -> None:
         text = _report_json(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    try:
-        write_text_atomic(path, text)
-    except OSError as exc:
-        raise InputError(f"cannot write report to {path}: {exc}") from exc
+    write_text_atomic(path, text)
 
 
-def load_report(path: str | Path):
-    """Re-parse a JSON report emitted by emit_report into an equal report object."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read report file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"report file {path} is not valid JSON: {exc}") from exc
+def _report_from_dict(doc: dict):
     kind = doc.pop("type", None)
     if kind not in _REPORT_TYPES:
-        raise InputError(f"report file {path} has unknown type {kind!r}")
+        raise ValueError(f"unknown report type {kind!r}")
     report_cls, cell_cls = _REPORT_TYPES[kind]
     cell_fields = set(cell_cls.__dataclass_fields__)
     cells = [cell_cls(**{k: v for k, v in item.items() if k in cell_fields})
@@ -625,3 +614,8 @@ def load_report(path: str | Path):
     top_fields = {k: v for k, v in doc.items()
                   if k in report_cls.__dataclass_fields__ and k != "cells"}
     return report_cls(cells=cells, **top_fields)
+
+
+def load_report(path: str | Path):
+    """Re-parse a JSON report emitted by emit_report into an equal report object."""
+    return read_json(path, "report", _report_from_dict)

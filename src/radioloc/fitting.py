@@ -14,7 +14,6 @@ not-detected entries are dropped, never imputed.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from collections.abc import Iterable, Sequence
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, GeometryError, InputError, InsufficientDataError
+from .errors import DegenerateFitError, GeometryError, InsufficientDataError
 from .floorplan import (
     Floorplan,
     ObstacleKey,
@@ -35,7 +34,7 @@ from .floorplan import (
     crossing_counts_batch,
     floors_crossed_batch,
 )
-from .ioutil import write_text_atomic
+from .ioutil import read_csv, read_json, write_json, write_text_atomic
 from .propagation import (
     AccessPoint,
     ModelKind,
@@ -519,40 +518,31 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     only the ``ND`` token marks a non-detection), non-finite coordinates, or
     a point id whose rows disagree on its coordinates.
     """
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != MEASUREMENT_COLUMNS:
-                raise InputError(
-                    f"{path}: expected header {','.join(MEASUREMENT_COLUMNS)}")
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise InputError(f"cannot read measurement file {path}: {exc}") from exc
-    except (ValueError, csv.Error) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return read_csv(path, "measurement", _measurements_from_rows)
+
+
+def _measurements_from_rows(rows: list[list[str]]) -> MeasurementSet:
+    if rows[:1] != [MEASUREMENT_COLUMNS]:
+        raise ValueError(f"expected header {','.join(MEASUREMENT_COLUMNS)}")
+    del rows[0]
     if not rows:
-        raise InputError(f"{path}: no measurement rows")
+        raise ValueError("no measurement rows")
     if set(map(len, rows)) != {len(MEASUREMENT_COLUMNS)}:
         malformed = next(row for row in rows if len(row) != len(MEASUREMENT_COLUMNS))
-        raise InputError(f"{path}: malformed row {malformed!r}")
+        raise ValueError(f"malformed row {malformed!r}")
 
     rp_ids, ap_ids, tokens, scans = (list(map(itemgetter(j), rows)) for j in (0, 4, 5, 6))
     detected = [token != NOT_DETECTED_TOKEN for token in tokens]
-    try:
-        names, rp_index, xyz = _survey_points(rp_ids, map(itemgetter(1, 2, 3), rows),
-                                              lambda coord: map(float, coord))
-        ap_names, ap_index = _index_names(ap_ids)
-        rss = np.full(len(rows), np.nan)
-        rss[np.array(detected)] = np.fromiter(map(float, compress(tokens, detected)),
-                                              dtype=float)
-        scan_of = {text: int(text) for text in dict.fromkeys(scans)}
-        return MeasurementSet.from_arrays(
-            names, xyz, ap_names, rp_index, ap_index, rss, np.array(detected),
-            np.fromiter(map(scan_of.__getitem__, scans), dtype=np.int64, count=len(scans)))
-    except (ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    names, rp_index, xyz = _survey_points(rp_ids, map(itemgetter(1, 2, 3), rows),
+                                          lambda coord: map(float, coord))
+    ap_names, ap_index = _index_names(ap_ids)
+    rss = np.full(len(rows), np.nan)
+    rss[np.array(detected)] = np.fromiter(map(float, compress(tokens, detected)),
+                                          dtype=float)
+    scan_of = {text: int(text) for text in dict.fromkeys(scans)}
+    return MeasurementSet.from_arrays(
+        names, xyz, ap_names, rp_index, ap_index, rss, np.array(detected),
+        np.fromiter(map(scan_of.__getitem__, scans), dtype=np.int64, count=len(scans)))
 
 
 def fit_result_to_dict(result: FitResult) -> dict:
@@ -573,33 +563,23 @@ def fit_result_to_dict(result: FitResult) -> dict:
 
 
 def fit_result_from_dict(doc: dict) -> FitResult:
-    try:
-        model = ModelKind(doc["model"])
-        strategy = StrategyKind(doc["strategy"])
-        if "params" in doc:
-            _, params = params_from_dict(doc["params"])
-            params_by_ap = {ap_id: params for ap_id in doc["ap_ids"]}
-        else:
-            params_by_ap = {}
-            for ap_id, item in doc["params_by_ap"].items():
-                _, params_by_ap[ap_id] = params_from_dict(item)
-        return FitResult(params_by_ap=params_by_ap,
-                         residual_rms_db=float(doc["residual_rms_db"]),
-                         m_used=int(doc["m_used"]), model=model, strategy=strategy)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed fit result document: {exc}") from exc
+    model = ModelKind(doc["model"])
+    strategy = StrategyKind(doc["strategy"])
+    if "params" in doc:
+        _, params = params_from_dict(doc["params"])
+        params_by_ap = {ap_id: params for ap_id in doc["ap_ids"]}
+    else:
+        params_by_ap = {}
+        for ap_id, item in doc["params_by_ap"].items():
+            _, params_by_ap[ap_id] = params_from_dict(item)
+    return FitResult(params_by_ap=params_by_ap,
+                     residual_rms_db=float(doc["residual_rms_db"]),
+                     m_used=int(doc["m_used"]), model=model, strategy=strategy)
 
 
 def save_fit_result(result: FitResult, path: str | Path) -> None:
-    write_text_atomic(path, json.dumps(fit_result_to_dict(result), indent=2) + "\n")
+    write_json(path, fit_result_to_dict(result))
 
 
 def load_fit_result(path: str | Path) -> FitResult:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read fit result file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"fit result file {path} is not valid JSON: {exc}") from exc
-    return fit_result_from_dict(doc)
+    return read_json(path, "fit result", fit_result_from_dict)

@@ -10,7 +10,6 @@ floor planes the link passes through vertically.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -20,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GeometryError, InputError
-from .ioutil import write_text_atomic
+from .errors import GeometryError
+from .ioutil import read_json, write_json
 
 # Contacts closer than this to an obstacle endpoint or line (in meters) are
 # treated as grazing and count as zero crossings.
@@ -397,36 +396,26 @@ def floorplan_to_dict(plan: Floorplan) -> dict:
 
 
 def floorplan_from_dict(doc: dict) -> Floorplan:
-    try:
-        b = doc["bounds"]
-        bounds = Bounds(float(b["min_x"]), float(b["min_y"]), float(b["max_x"]), float(b["max_y"]))
-        obstacles = tuple(
-            PlanarObstacle(
-                x1=float(o["x1"]),
-                y1=float(o["y1"]),
-                x2=float(o["x2"]),
-                y2=float(o["y2"]),
-                floor_index=int(o.get("floor", 0)),
-                family=ObstacleFamily(o["family"]),
-                type_index=int(o.get("type_index", 1)),
-            )
-            for o in doc.get("obstacles", [])
+    b = doc["bounds"]
+    bounds = Bounds(float(b["min_x"]), float(b["min_y"]), float(b["max_x"]), float(b["max_y"]))
+    obstacles = tuple(
+        PlanarObstacle(
+            x1=float(o["x1"]),
+            y1=float(o["y1"]),
+            x2=float(o["x2"]),
+            y2=float(o["y2"]),
+            floor_index=int(o.get("floor", 0)),
+            family=ObstacleFamily(o["family"]),
+            type_index=int(o.get("type_index", 1)),
         )
-        return Floorplan(bounds=bounds, floors=tuple(doc.get("floors", [])), obstacles=obstacles)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed floorplan document: {exc}") from exc
+        for o in doc.get("obstacles", [])
+    )
+    return Floorplan(bounds=bounds, floors=tuple(doc.get("floors", [])), obstacles=obstacles)
 
 
 def save_floorplan(plan: Floorplan, path: str | Path) -> None:
-    write_text_atomic(path, json.dumps(floorplan_to_dict(plan), indent=2) + "\n")
+    write_json(path, floorplan_to_dict(plan))
 
 
 def load_floorplan(path: str | Path) -> Floorplan:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read floorplan file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"floorplan file {path} is not valid JSON: {exc}") from exc
-    return floorplan_from_dict(doc)
+    return read_json(path, "floorplan", floorplan_from_dict)

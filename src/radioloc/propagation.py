@@ -15,7 +15,6 @@ Received power is the AP's EIRP minus the path loss.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from .floorplan import (
     floors_crossed_batch,
     points_xyz,
 )
-from .ioutil import write_text_atomic
+from .ioutil import read_json, write_json
 
 # Free-space reference loss at d = 1 m for the 2.45 GHz band.
 FREE_SPACE_L0_DB = 40.22
@@ -216,35 +215,25 @@ def params_to_dict(model: ModelKind, params: PropagationParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> tuple[ModelKind, PropagationParams]:
-    try:
-        losses = doc.get("losses", {})
-        params = PropagationParams.simple(
-            gamma=float(doc["gamma"]),
-            lc_db=float(doc.get("lc_db", 0.0)),
-            wall_db=float(losses.get("wall", 0.0)),
-            door_db=float(losses.get("door", 0.0)),
-            l0_db=float(doc.get("l0_db", FREE_SPACE_L0_DB)),
-            lf_db=float(doc.get("lf_db", DEFAULT_FLOOR_LOSS_DB)),
-            b=float(doc.get("b", DEFAULT_FLOOR_B)),
-        )
-        return ModelKind(doc.get("model", ModelKind.MWMF.value)), params
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed params document: {exc}") from exc
+    losses = doc.get("losses", {})
+    params = PropagationParams.simple(
+        gamma=float(doc["gamma"]),
+        lc_db=float(doc.get("lc_db", 0.0)),
+        wall_db=float(losses.get("wall", 0.0)),
+        door_db=float(losses.get("door", 0.0)),
+        l0_db=float(doc.get("l0_db", FREE_SPACE_L0_DB)),
+        lf_db=float(doc.get("lf_db", DEFAULT_FLOOR_LOSS_DB)),
+        b=float(doc.get("b", DEFAULT_FLOOR_B)),
+    )
+    return ModelKind(doc.get("model", ModelKind.MWMF.value)), params
 
 
 def save_params(model: ModelKind, params: PropagationParams, path: str | Path) -> None:
-    write_text_atomic(path, json.dumps(params_to_dict(model, params), indent=2) + "\n")
+    write_json(path, params_to_dict(model, params))
 
 
 def load_params(path: str | Path) -> tuple[ModelKind, PropagationParams]:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read params file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"params file {path} is not valid JSON: {exc}") from exc
-    return params_from_dict(doc)
+    return read_json(path, "params", params_from_dict)
 
 
 def aps_to_list(aps: list[AccessPoint]) -> list[dict]:
@@ -256,17 +245,18 @@ def aps_to_list(aps: list[AccessPoint]) -> list[dict]:
 
 
 def aps_from_list(items: list[dict]) -> list[AccessPoint]:
-    try:
-        aps = [
-            AccessPoint(
-                id=str(item["id"]),
-                position=Point3(float(item["x"]), float(item["y"]), float(item["z"])),
-                eirp_dbm=float(item.get("eirp_dbm", 20.0)),
-            )
-            for item in items
-        ]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed AP list: {exc}") from exc
+    if not isinstance(items, list):
+        raise TypeError(f"an AP list must be a JSON list, got {type(items).__name__}")
+    if not items:
+        raise ValueError("an AP list needs at least one AP")
+    aps = [
+        AccessPoint(
+            id=str(item["id"]),
+            position=Point3(float(item["x"]), float(item["y"]), float(item["z"])),
+            eirp_dbm=float(item.get("eirp_dbm", 20.0)),
+        )
+        for item in items
+    ]
     ids = [ap.id for ap in aps]
     if len(set(ids)) != len(ids):
         raise InputError("AP ids must be unique within a deployment")
@@ -274,17 +264,8 @@ def aps_from_list(items: list[dict]) -> list[AccessPoint]:
 
 
 def save_access_points(aps: list[AccessPoint], path: str | Path) -> None:
-    write_text_atomic(path, json.dumps(aps_to_list(aps), indent=2) + "\n")
+    write_json(path, aps_to_list(aps))
 
 
 def load_access_points(path: str | Path) -> list[AccessPoint]:
-    path = Path(path)
-    try:
-        items = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read AP file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"AP file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(items, list):
-        raise InputError(f"AP file {path} must contain a JSON list")
-    return aps_from_list(items)
+    return read_json(path, "AP", aps_from_list)

@@ -17,10 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
 from .fitting import FitResult, MeasurementSet
 from .floorplan import Floorplan, Point3, lattice_positions, points_xyz
-from .ioutil import write_text_atomic
+from .ioutil import read_json, write_text_atomic
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -402,24 +401,21 @@ def radiomap_to_json(rmap: Radiomap) -> str:
 
 
 def radiomap_from_dict(doc: dict) -> Radiomap:
-    try:
-        aps = aps_from_list(doc["aps"])
-        sentinel = float(doc.get("sentinel_dbm", NOT_DETECTED_DBM))
-        items = doc.get("rps", [])
-        kinds = [item.get("kind", RpKind.REAL.value) for item in items]
-        for kind in set(kinds):
-            RpKind(kind)  # rejects unknown kinds
-        rps = RpArrays.empty(len(aps))
-        if items:
-            rps = RpArrays(
-                [(item["x"], item["y"], item["z"]) for item in items],
-                [[sentinel if v is None else v for v in item["rss"]] for item in items],
-                [kind == RpKind.VIRTUAL.value for kind in kinds])
-        area = doc.get("area_m2")
-        return Radiomap(aps, rps, area_m2=None if area is None else float(area),
-                        sentinel_dbm=sentinel)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed radiomap document: {exc}") from exc
+    aps = aps_from_list(doc["aps"])
+    sentinel = float(doc.get("sentinel_dbm", NOT_DETECTED_DBM))
+    items = doc.get("rps", [])
+    kinds = [item.get("kind", RpKind.REAL.value) for item in items]
+    for kind in set(kinds):
+        RpKind(kind)  # rejects unknown kinds
+    rps = RpArrays.empty(len(aps))
+    if items:
+        rps = RpArrays(
+            [(item["x"], item["y"], item["z"]) for item in items],
+            [[sentinel if v is None else v for v in item["rss"]] for item in items],
+            [kind == RpKind.VIRTUAL.value for kind in kinds])
+    area = doc.get("area_m2")
+    return Radiomap(aps, rps, area_m2=None if area is None else float(area),
+                    sentinel_dbm=sentinel)
 
 
 def save_radiomap(rmap: Radiomap, path: str | Path) -> None:
@@ -427,11 +423,4 @@ def save_radiomap(rmap: Radiomap, path: str | Path) -> None:
 
 
 def load_radiomap(path: str | Path) -> Radiomap:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read radiomap file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"radiomap file {path} is not valid JSON: {exc}") from exc
-    return radiomap_from_dict(doc)
+    return read_json(path, "radiomap", radiomap_from_dict)

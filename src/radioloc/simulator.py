@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GeometryError, InputError
+from .errors import GeometryError
 from .fitting import MeasurementSet
 from .floorplan import (
     Bounds,
@@ -37,6 +37,7 @@ from .floorplan import (
     lattice_positions,
     points_xyz,
 )
+from .ioutil import read_json
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -212,7 +213,7 @@ _TEMPLATES = {
     "spinv_like": TemplateInfo("spinv_like", 42.0, 12.0, 72, 31),
     "twist_like": TemplateInfo("twist_like", 30.0, 15.0, 41, 80),
 }
-_TEMPLATE_TAGS = {"spinv_like": 3, "twist_like": 5}
+_TEMPLATE_TAGS = {"spinv_like": 3, "twist_like": 5, "custom": 7}
 
 
 def template_info(name: str) -> TemplateInfo:
@@ -298,32 +299,24 @@ def _office_layout(rng: np.random.Generator, bounds: Bounds, corridor_y: float,
     return obstacles, n_structural
 
 
-def _load_custom_world(path: str | Path, seed: int) -> WorldSpec:
-    import json
-
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-        plan = floorplan_from_dict(doc["floorplan"])
-        aps = aps_from_list(doc["aps"])
-        _, truth = params_from_dict(doc["truth_params"])
-        noise = NoiseConfig(**{key: float(value)
-                               for key, value in doc.get("noise", {}).items()})
-        offsets = None
-        if noise.wall_loss_spread_db > 0 and plan.obstacles:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _LAYOUT_STREAM]))
-            offsets = rng.normal(0.0, noise.wall_loss_spread_db, len(plan.obstacles))
-            nominal = np.array([truth.loss_2d.get((o.family, o.type_index), 0.0)
-                                for o in plan.obstacles])
-            offsets = np.maximum(offsets, 0.3 - nominal)
-        return WorldSpec(
-            plan=plan, aps=aps, truth={ap.id: truth for ap in aps}, noise=noise,
-            detection_floor_dbm=float(doc.get("detection_floor_dbm", DETECTION_FLOOR_DBM)),
-            sentinel_dbm=float(doc.get("sentinel_dbm", NOT_DETECTED_DBM)),
-            seed=seed, obstacle_loss_offsets_db=offsets,
-        )
-    except (KeyError, TypeError, ValueError, OSError) as exc:
-        raise InputError(f"malformed custom world file {path}: {exc}") from exc
+def _custom_world_from_dict(doc: dict, seed: int) -> WorldSpec:
+    plan = floorplan_from_dict(doc["floorplan"])
+    aps = aps_from_list(doc["aps"])
+    _, truth = params_from_dict(doc["truth_params"])
+    noise = NoiseConfig(**{key: float(value) for key, value in doc.get("noise", {}).items()})
+    offsets = None
+    if noise.wall_loss_spread_db > 0 and plan.obstacles:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _LAYOUT_STREAM]))
+        offsets = rng.normal(0.0, noise.wall_loss_spread_db, len(plan.obstacles))
+        nominal = np.array([truth.loss_2d.get((o.family, o.type_index), 0.0)
+                            for o in plan.obstacles])
+        offsets = np.maximum(offsets, 0.3 - nominal)
+    return WorldSpec(
+        plan=plan, aps=aps, truth={ap.id: truth for ap in aps}, noise=noise,
+        detection_floor_dbm=float(doc.get("detection_floor_dbm", DETECTION_FLOOR_DBM)),
+        sentinel_dbm=float(doc.get("sentinel_dbm", NOT_DETECTED_DBM)),
+        seed=seed, obstacle_loss_offsets_db=offsets,
+    )
 
 
 def make_world(template: str, seed: int, noise: NoiseConfig | None = None,
@@ -339,7 +332,8 @@ def make_world(template: str, seed: int, noise: NoiseConfig | None = None,
     if template == "custom":
         if custom_file is None:
             raise ValueError("custom template requires custom_file")
-        world = _load_custom_world(custom_file, seed)
+        world = read_json(custom_file, "custom world",
+                          lambda doc: _custom_world_from_dict(doc, seed))
         if noise is not None:
             world.noise = noise
         return world
@@ -467,10 +461,14 @@ def random_positions(plan: Floorplan, n: int, seed: int | np.random.SeedSequence
 
 def template_test_positions(template: str, seed: int, plan: Floorplan,
                             n: int | None = None) -> list[Point3]:
-    """The template's randomly distributed target locations for a given seed."""
-    info = template_info(template)
+    """The template's randomly distributed target locations for a given seed.
+
+    ``n`` defaults to the template's target count; ``custom`` has none.
+    """
+    if n is None:
+        n = template_info(template).n_test_points
     ss = np.random.SeedSequence([int(seed), _TEMPLATE_TAGS[template], _TP_POSITION_STREAM])
-    return random_positions(plan, n if n is not None else info.n_test_points, ss)
+    return random_positions(plan, n, ss)
 
 
 def _average_detected(scans: np.ndarray, detection_floor: float,

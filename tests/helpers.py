@@ -24,6 +24,16 @@ from radioloc.floorplan import (
 )
 from radioloc.propagation import AccessPoint, ModelKind, PropagationParams, floor_term_db
 
+# A custom world file: a 20 x 10 m empty floor with one AP.
+CUSTOM_WORLD = {
+    "floorplan": {"bounds": {"min_x": 0, "min_y": 0, "max_x": 20, "max_y": 10},
+                  "floors": [], "obstacles": []},
+    "aps": [{"id": "x", "x": 5, "y": 5, "z": 2.8, "eirp_dbm": 20}],
+    "truth_params": {"model": "mwmf", "gamma": 2.5, "l0_db": 40.22,
+                     "lc_db": 1.0, "losses": {"wall": 5, "door": 1},
+                     "lf_db": 18, "b": 0.46},
+}
+
 
 def oracle_count_2d(plan, tx, rx, samples=2000):
     """Dense-sampling obstruction count for the 2D projection of a link.

@@ -14,6 +14,8 @@ from radioloc.fitting import load_fit_result, load_measurements
 from radioloc.floorplan import load_floorplan
 from radioloc.radiomap import load_radiomap, virtual_rp_positions
 
+from helpers import CUSTOM_WORLD
+
 
 @pytest.fixture(scope="module")
 def world_dir(tmp_path_factory):
@@ -78,6 +80,24 @@ class TestSimulate:
                      "testpoints.csv"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+    def test_custom_template(self, tmp_path):
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps(CUSTOM_WORLD))
+        args = ["simulate", "--template", "custom", "--custom-file", str(world),
+                "--dr", "0.2", "--tp-count", "5", "--seed", "4"]
+        assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("floorplan.json", "aps.json", "measurements.csv",
+                     "testpoints.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+        assert len(load_measurements(tmp_path / "a" / "measurements.csv").rp_ids()) == 40
+        assert len(load_measurements(tmp_path / "a" / "testpoints.csv").rp_ids()) == 5
+        assert main(["fit", "--measurements", str(tmp_path / "a" / "measurements.csv"),
+                     "--floorplan", str(tmp_path / "a" / "floorplan.json"),
+                     "--aps", str(tmp_path / "a" / "aps.json"),
+                     "--out", str(tmp_path / "fit.json")]) == 0
 
 
 class TestFit:
@@ -275,6 +295,7 @@ class TestInputErrorsExit2:
                           "--rho-grid", "1.0", "--dv-grid", "0.1"])
         assert code == 2
         assert "error: point 'rpX' coincides with AP 'ap01'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_build_radiomap_virtual_rp_at_ap(self, world_dir, fit_file, tmp_path, capsys):
         plan = load_floorplan(world_dir / "floorplan.json")
@@ -292,6 +313,40 @@ class TestInputErrorsExit2:
                           "--dv", "1", "--out", str(out)])
         assert code == 2
         assert "coincides with AP 'ap01'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["no-ap-ids", "no-params-by-ap"])
+    def test_build_radiomap_fit_missing_aps(self, world_dir, fit_file, tmp_path, capsys,
+                                            shared):
+        doc = json.loads(fit_file.read_text())
+        if shared:
+            doc["ap_ids"] = []
+        else:
+            del doc["params"], doc["ap_ids"]
+            doc["params_by_ap"] = {}
+        (tmp_path / "fit.json").write_text(json.dumps(doc))
+        out = tmp_path / "map.json"
+        code = exit_code(["build-radiomap",
+                          "--measurements", str(world_dir / "measurements.csv"),
+                          "--floorplan", str(world_dir / "floorplan.json"),
+                          "--aps", str(world_dir / "aps.json"),
+                          "--fit", str(tmp_path / "fit.json"), "--dv", "0.1",
+                          "--out", str(out)])
+        assert code == 2
+        assert ("has no fitted parameters for APs ['ap01', 'ap02', 'ap03', 'ap04']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["--dr", "--tp-count"])
+    def test_custom_template_needs_dr_and_tp_count(self, tmp_path, capsys, missing):
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps(CUSTOM_WORLD))
+        given = {"--dr": "0.2", "--tp-count": "5"}
+        del given[missing]
+        out = tmp_path / "out"
+        assert exit_code(["simulate", "--template", "custom", "--custom-file", str(world),
+                          *given.popitem(), "--out-dir", str(out)]) == 2
+        assert f"error: --template custom requires {missing}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -356,6 +411,16 @@ class TestEvaluate:
                 a = (tmp_path / "r1" / f"{name}.{ext}").read_bytes()
                 b = (tmp_path / "r2" / f"{name}.{ext}").read_bytes()
                 assert a == b, f"{name}.{ext} differs between reruns"
+
+    def test_every_cell_failed_exits_3(self, tmp_path, capsys):
+        # Two survey points: every fit of the sweep is underdetermined or degenerate.
+        world = tmp_path / "world"
+        assert main(["simulate", "--template", "twist_like", "--seed", "2", "--dr", "0.005",
+                     "--out-dir", str(world)]) == 0
+        code = main(["evaluate", "--world-dir", str(world), "--rho-grid", "0.5,1",
+                     "--dv-grid", "0.1", "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "cell failed" in capsys.readouterr().err
 
     def test_missing_world_dir_exits_2(self, tmp_path):
         assert main(["evaluate", "--world-dir", str(tmp_path / "nope"),

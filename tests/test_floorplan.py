@@ -186,6 +186,12 @@ class TestSerialization:
         path.write_text(json.dumps({"bounds": {"min_x": 0}}))
         with pytest.raises(InputError):
             load_floorplan(path)
+        path.write_text("[" * 100_000)  # nested deeper than the decoder's recursion limit
+        with pytest.raises(InputError, match="not valid JSON"):
+            load_floorplan(path)
+        path.write_bytes(b'{"bounds": "\xe9"}')
+        with pytest.raises(InputError, match="not valid JSON"):
+            load_floorplan(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):

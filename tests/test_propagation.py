@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,20 @@ class TestSerialization:
         path.write_text("[1, 2]")
         with pytest.raises(InputError):
             load_params(path)
+
+    @pytest.mark.parametrize("doc, error", [({"id": "a"}, TypeError), ([], ValueError)],
+                             ids=["object", "empty-list"])
+    def test_ap_list_shape(self, tmp_path, doc, error):
+        # The parser raises a plain error; only the file reader wraps it.
+        with pytest.raises(error):
+            aps_from_list(doc)
+        path = tmp_path / "aps.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="malformed AP file"):
+            load_access_points(path)
+
+    def test_ap_file_not_utf8(self, tmp_path):
+        path = tmp_path / "aps.json"
+        path.write_bytes(b'[{"id": "\xe9"}]')
+        with pytest.raises(InputError, match="not valid JSON"):
+            load_access_points(path)

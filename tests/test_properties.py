@@ -1,6 +1,6 @@
 """Property-based checks of the columnar survey, the array-backed radiomap, the
 blocked obstruction counting, the batched WkNN kernel and the fit's design
-matrix.
+matrix; and fuzzed input files through ``cli.main``, which must exit 0, 2 or 3.
 
 The oracles are plain per-record Python loops, ``json.dumps``, for
 ``crossing_flags_batch`` the per-obstacle loop it replaced, for ``locate``,
@@ -10,14 +10,19 @@ rows of ``reference_fit_rows``; they do not share code with the array paths
 they check.
 """
 
+import contextlib
+import copy
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
+import radioloc.cli as cli
 from radioloc.errors import DegenerateFitError, InsufficientDataError
 from radioloc.fitting import (
     FitStrategy,
@@ -529,3 +534,149 @@ def test_fit_recovers_noiseless_parameters(world, model, kind, data):
         np.testing.assert_allclose([v for v, u in zip(values, used) if u],
                                    [v for v, u in zip(want, used) if u], rtol=0, atol=1e-6)
     assert result.residual_rms_db < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed input files through cli.main
+# ---------------------------------------------------------------------------
+
+# A 20 x 10 m floor split by a wall with a door, one AP on each side.
+FUZZ_WORLD = {
+    "floorplan": {
+        "bounds": {"min_x": 0, "min_y": 0, "max_x": 20, "max_y": 10}, "floors": [],
+        "obstacles": [
+            {"family": "wall", "type_index": 1, "floor": 0, "x1": 10, "y1": 0, "x2": 10, "y2": 6},
+            {"family": "door", "type_index": 1, "floor": 0, "x1": 10, "y1": 6, "x2": 10,
+             "y2": 7.5},
+        ]},
+    "aps": [{"id": "ap01", "x": 3, "y": 5, "z": 2.8, "eirp_dbm": 20},
+            {"id": "ap02", "x": 17, "y": 5, "z": 2.8, "eirp_dbm": 18}],
+    "truth_params": {"model": "mwmf", "gamma": 2.5, "l0_db": 40.22, "lc_db": 1.0,
+                     "losses": {"wall": 5, "door": 1}, "lf_db": 18, "b": 0.46},
+    "noise": {"shadowing_sigma_db": 2.0},
+}
+# What a drawn value in a JSON artifact is replaced with.
+REPLACEMENTS = [None, True, -1, 1.5, "x", [], {}, [1], {"a": 1}]
+
+# The commands that read each input file. A file name in an argv stands for
+# that file in the fuzz directory; "out.json" and "out" are output paths.
+FIT_ARGV = ["fit", "--measurements", "measurements.csv", "--floorplan", "floorplan.json",
+            "--aps", "aps.json", "--out", "out.json"]
+BUILD_ARGV = ["build-radiomap", "--measurements", "measurements.csv", "--floorplan",
+              "floorplan.json", "--aps", "aps.json", "--fit", "environment.json",
+              "--dv", "0.1", "--out", "out.json"]
+SIMULATE_ARGV = ["simulate", "--template", "custom", "--custom-file", "world.json",
+                 "--dr", "0.2", "--tp-count", "2", "--preset", "crowdsourcing",
+                 "--out-dir", "out"]
+LOCATE_ARGV = ["locate", "--radiomap", "radiomap.json", "--target", "target.csv", "--k", "3"]
+FUZZ_CONSUMERS = {
+    "floorplan.json": [FIT_ARGV, BUILD_ARGV],
+    "aps.json": [FIT_ARGV, BUILD_ARGV],
+    "measurements.csv": [FIT_ARGV, BUILD_ARGV],
+    "params.json": [FIT_ARGV + ["--strategy", "no-fit", "--params", "params.json"]],
+    "environment.json": [BUILD_ARGV],
+    "per_ap.json": [[a.replace("environment", "per_ap") for a in BUILD_ARGV]],
+    "radiomap.json": [LOCATE_ARGV],
+    "target.csv": [LOCATE_ARGV],
+    "world.json": [SIMULATE_ARGV],
+}
+FUZZ_NAMES = set(FUZZ_CONSUMERS) | {"out.json", "out"}
+
+
+def in_dir(directory, argv, paths=None):
+    """``argv`` with each file name mapped by ``paths``, else resolved in ``directory``."""
+    paths = paths or {}
+    return [str(paths.get(a, directory / a)) if a in FUZZ_NAMES else str(a) for a in argv]
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """cli.main's exit code and stderr; any exception escapes to the caller."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A small simulated world and every artifact the CLI reads, all valid."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "world.json").write_text(json.dumps(FUZZ_WORLD))
+    for argv, out in ((SIMULATE_ARGV, d), (FIT_ARGV, d / "environment.json"),
+                      (FIT_ARGV + ["--strategy", "per-ap"], d / "per_ap.json"),
+                      (BUILD_ARGV, d / "radiomap.json")):
+        assert run_cli(in_dir(d, argv, {"out": out, "out.json": out})) == (0, "")
+    (d / "params.json").write_text(json.dumps(json.loads(
+        (d / "environment.json").read_text())["params"]))
+    (d / "target.csv").write_text("ap_id,rss_dbm\nap01,-55.5\nap02,ND\n")
+    return d
+
+
+def doc_paths(doc, prefix=()):
+    """The key path of every value in a JSON document, the root's first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from doc_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def corrupted_bytes(draw, data: bytes) -> bytes:
+    """``data`` cut short, or with bytes that are not UTF-8 spliced in."""
+    at = draw(st.integers(0, len(data)))
+    if draw(st.booleans()):
+        return data[:at]
+    return data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\x80\x80"])) + data[at:]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(FUZZ_CONSUMERS)), st.data())
+def test_fuzzed_input_files_exit_0_2_or_3(fuzz_dir, name, data):
+    raw = (fuzz_dir / name).read_bytes()
+    if name.endswith(".json") and data.draw(st.booleans(), label="replace a value"):
+        doc = json.loads(raw)
+        path = data.draw(st.sampled_from(list(doc_paths(doc))), label="path")
+        value = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+        raw = json.dumps(replaced(doc, path, value)).encode()
+    else:
+        raw = data.draw(corrupted_bytes(raw), label="bytes")
+    work = fuzz_dir / "case"  # outputs of earlier examples here are never read
+    work.mkdir(exist_ok=True)
+    (work / name).write_bytes(raw)
+    argv = data.draw(st.sampled_from(FUZZ_CONSUMERS[name]), label="argv")
+    code, err = run_cli(in_dir(fuzz_dir, argv, {name: work / name, "out.json": work / "out.json",
+                                               "out": work / "out"}))
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    if code:
+        assert err.count("error:") == 1, err
+
+
+@pytest.mark.parametrize("command", ["fit", "build-radiomap", "simulate", "evaluate"])
+def test_output_path_of_the_wrong_kind_exits_2(fuzz_dir, tmp_path, command):
+    existing = tmp_path / "existing"
+    if command in ("fit", "build-radiomap"):
+        existing.mkdir()  # for --out
+        argv = FIT_ARGV if command == "fit" else BUILD_ARGV
+    else:
+        existing.write_text("x")  # for --out-dir
+        argv = SIMULATE_ARGV if command == "simulate" else [
+            "evaluate", "--world-dir", fuzz_dir, "--rho-grid", "1", "--dv-grid", "0.1",
+            "--out-dir", "out"]
+    code, err = run_cli(in_dir(fuzz_dir, argv, {"out.json": existing, "out": existing}))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -25,6 +25,8 @@ from radioloc.simulator import (
     template_test_positions,
 )
 
+from helpers import CUSTOM_WORLD
+
 
 class TestTemplates:
     def test_spinv_like_shape(self):
@@ -66,17 +68,8 @@ class TestTemplates:
             make_world("nonexistent", 0)
 
     def test_custom_template(self, tmp_path):
-        doc = {
-            "floorplan": {"bounds": {"min_x": 0, "min_y": 0, "max_x": 20,
-                                     "max_y": 10},
-                          "floors": [], "obstacles": []},
-            "aps": [{"id": "x", "x": 5, "y": 5, "z": 2.8, "eirp_dbm": 20}],
-            "truth_params": {"model": "mwmf", "gamma": 2.5, "l0_db": 40.22,
-                             "lc_db": 1.0, "losses": {"wall": 5, "door": 1},
-                             "lf_db": 18, "b": 0.46},
-        }
         path = tmp_path / "world.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(CUSTOM_WORLD))
         world = make_world("custom", 7, custom_file=path)
         assert world.plan.area == 200.0
         assert world.truth_for("x").gamma == 2.5
