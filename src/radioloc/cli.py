@@ -187,6 +187,7 @@ def cmd_build_radiomap(args) -> int:
     plan = load_floorplan(args.floorplan)
     aps = load_access_points(args.aps)
     measurements = load_measurements(args.measurements)
+    _check_survey_aps(measurements, aps, args.measurements)
     fit_result = load_fit_result(args.fit)
 
     real_rps = build_real_fingerprints(measurements, aps, args.sentinel)

@@ -17,9 +17,10 @@ JSON (round-trippable).
 
 from __future__ import annotations
 
-import json
+import csv
+import io
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DegenerateFitError, InsufficientDataError
 from .fitting import FitResult, FitStrategy, MeasurementSet, fit
 from .floorplan import Floorplan
-from .ioutil import read_json, write_text_atomic
+from .ioutil import format_json, read_json, write_text_atomic
 from .positioning import _best_k, error_curves
 from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
@@ -514,55 +515,62 @@ _POSITIONING_CSV = ["d_real", "d_virtual", "k", "strategy", "model",
                     "mean_error_m", "p25", "p50", "p75", "min", "max", "gain"]
 
 
-def _positioning_csv_rows(report: PositioningReport) -> list[list]:
-    rows = []
+def _csv_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them: minimal quoting, ``\\r\\n`` line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _positioning_csv(report: PositioningReport) -> str:
+    """One row per (cell, k), joined from the cells' lists.
+
+    The bytes are those of ``csv.writer``: floats as ``repr``, ints as ``str``,
+    ``\\r\\n`` line ends. The gain is ``baseline mean / cell mean`` in Python
+    floats, empty where the baseline lacks the k.
+    """
+    lines = [",".join(_POSITIONING_CSV)]
+    middle = "," + _csv_text([[report.strategy, report.model]])[:-2] + ","
     baselines = {c.d_real: c for c in report.cells if c.d_virtual == 0.0 and not c.error}
     for cell in report.cells:
         if cell.error:
             continue
+        head = f"{cell.d_real!r},{cell.d_virtual!r},"
+        stats = map(",".join, zip(*(map(repr, column) for column in (
+            cell.mean_error_by_k, cell.p25_by_k, cell.p50_by_k, cell.p75_by_k,
+            cell.min_by_k, cell.max_by_k))))
+        gains = [""] * len(cell.k_values)
         baseline = baselines.get(cell.d_real)
-        for idx, k in enumerate(cell.k_values):
-            gain = ""
-            if cell.d_virtual > 0 and baseline is not None and k in baseline.k_values:
-                gain = repr(baseline.mean_error_at(k) / cell.mean_error_by_k[idx])
-            rows.append([repr(cell.d_real), repr(cell.d_virtual), k,
-                         report.strategy, report.model,
-                         repr(cell.mean_error_by_k[idx]), repr(cell.p25_by_k[idx]),
-                         repr(cell.p50_by_k[idx]), repr(cell.p75_by_k[idx]),
-                         repr(cell.min_by_k[idx]), repr(cell.max_by_k[idx]), gain])
-    return rows
+        if cell.d_virtual > 0 and baseline is not None:
+            # Reversed, so a repeated k keeps its first entry, as list.index finds it.
+            base_mean = dict(zip(reversed(baseline.k_values),
+                                 reversed(baseline.mean_error_by_k)))
+            gains = [repr(base_mean[k] / mean) if k in base_mean else ""
+                     for k, mean in zip(cell.k_values, cell.mean_error_by_k)]
+        lines += [f"{head}{k}{middle}{row},{gain}"
+                  for k, row, gain in zip(cell.k_values, stats, gains)]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _report_csv(report) -> str:
-    import csv as _csv
-    import io
-
-    buf = io.StringIO()
-    writer = _csv.writer(buf)
     if isinstance(report, PositioningReport):
-        writer.writerow(_POSITIONING_CSV)
-        writer.writerows(_positioning_csv_rows(report))
-    elif isinstance(report, PredictionReport):
-        writer.writerow(["rho", "strategy", "model", "n_rps_fit", "n_pairs",
-                         "mean_delta_db", "error"])
-        for c in report.cells:
-            writer.writerow([repr(c.rho), c.strategy, c.model, c.n_rps_fit, c.n_pairs,
-                             repr(c.mean_delta_db), c.error or ""])
-    elif isinstance(report, GainReport):
-        writer.writerow(["d_real", "d_virtual", "k_baseline", "k_cell", "gain"])
-        for c in report.cells:
-            writer.writerow([repr(c.d_real), repr(c.d_virtual), c.k_baseline,
-                             c.k_cell, repr(c.gain)])
-    elif isinstance(report, KestReport):
-        writer.writerow(["d_real", "d_virtual", "alpha", "k_est", "k_opt",
-                         "mean_error_kest_m", "mean_error_kopt_m", "beta_m"])
-        for c in report.cells:
-            writer.writerow([repr(c.d_real), repr(c.d_virtual), repr(c.alpha),
-                             c.k_est, c.k_opt, repr(c.mean_error_kest_m),
-                             repr(c.mean_error_kopt_m), repr(c.beta_m)])
-    else:
-        raise TypeError(f"unknown report type {type(report).__name__}")
-    return buf.getvalue()
+        return _positioning_csv(report)
+    if isinstance(report, PredictionReport):
+        return _csv_text([["rho", "strategy", "model", "n_rps_fit", "n_pairs",
+                           "mean_delta_db", "error"]]
+                         + [[repr(c.rho), c.strategy, c.model, c.n_rps_fit, c.n_pairs,
+                             repr(c.mean_delta_db), c.error or ""] for c in report.cells])
+    if isinstance(report, GainReport):
+        return _csv_text([["d_real", "d_virtual", "k_baseline", "k_cell", "gain"]]
+                         + [[repr(c.d_real), repr(c.d_virtual), c.k_baseline, c.k_cell,
+                             repr(c.gain)] for c in report.cells])
+    if isinstance(report, KestReport):
+        return _csv_text([["d_real", "d_virtual", "alpha", "k_est", "k_opt",
+                           "mean_error_kest_m", "mean_error_kopt_m", "beta_m"]]
+                         + [[repr(c.d_real), repr(c.d_virtual), repr(c.alpha), c.k_est,
+                             c.k_opt, repr(c.mean_error_kest_m), repr(c.mean_error_kopt_m),
+                             repr(c.beta_m)] for c in report.cells])
+    raise TypeError(f"unknown report type {type(report).__name__}")
 
 
 _REPORT_TYPES = {
@@ -573,10 +581,16 @@ _REPORT_TYPES = {
 }
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields in order, shallow: its lists are shared, not copied."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+
+
 def _report_json(report) -> str:
     for name, (report_cls, _) in _REPORT_TYPES.items():
         if isinstance(report, report_cls):
-            doc = asdict(report)
+            doc = _fields(report)
+            doc["cells"] = [_fields(cell) for cell in report.cells]
             doc["type"] = name
             if isinstance(report, PositioningReport):
                 for cell, cell_doc in zip(report.cells, doc["cells"]):
@@ -588,7 +602,7 @@ def _report_json(report) -> str:
                     if not cell.error:
                         cell_doc["per_ap_cdf"] = {
                             ap: cdf_points(d) for ap, d in cell.per_ap_deltas.items()}
-            return json.dumps(doc, indent=2) + "\n"
+            return format_json(doc) + "\n"
     raise TypeError(f"unknown report type {type(report).__name__}")
 
 

@@ -2,7 +2,9 @@
 
 Every input file is read through ``read_json`` or ``read_csv``: each opens the
 file, decodes it and hands the document to a parser, and maps every failure
-along the way to one ``InputError`` that names the file.
+along the way to one ``InputError`` that names the file. Every output file is
+written through ``write_text_atomic``; ``format_json`` formats the evaluation
+reports, which are mostly long lists of numbers.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -62,10 +64,14 @@ def read_csv(path: str | Path, what: str, parse: Callable[..., T]) -> T:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename into place."""
+    """Write via a temp file in the target directory, then rename into place.
+
+    The temp file is created with mode 0o666 less the umask, as ``open`` would
+    create ``path`` itself; the rename keeps that mode.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent if str(path.parent) else ".",
-                               prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -79,3 +85,46 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def write_json(path: str | Path, doc) -> None:
     """Write ``doc`` as indented JSON with a trailing newline."""
     write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
+
+
+# json's C encoder: compact separators, ensure_ascii and allow_nan, as json.dumps.
+_encode = json.JSONEncoder().encode
+# Exact types: a bool is formatted on its own (the encoder writes it alike).
+_NUMBER_TYPES = {float, int}
+
+
+def format_json(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for dicts with str keys.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent`` is
+    set. Here a list of plain floats and ints is encoded in one call to the C
+    encoder and its ``", "`` separators re-indented; every other scalar goes
+    through the C encoder on its own, so NaN, infinities, -0.0 and escaped
+    strings come out as ``json`` writes them.
+    """
+    return _format(doc, "")
+
+
+def _format(value, pad: str) -> str:
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_key(key)}: {_format(item, inner)}" for key, item in value.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # Numbers only: one encoder call; nested items need their own indentation.
+        if set(map(type, value)) <= _NUMBER_TYPES:
+            body = _encode(value)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_format(item, inner) for item in value)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return _encode(value)
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _encode(key)

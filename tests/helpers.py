@@ -7,13 +7,27 @@ estimates from a plain Python sort-and-accumulate loop. The exceptions are
 ``crossing_flags_batch`` must match bit for bit, ``reference_wknn``, the
 per-target loop that the batched WkNN kernel must match bit for bit, and
 ``reference_fit_rows``, the per-sample loop whose rows the fit's design matrix
-must equal bit for bit.
+must equal bit for bit, and ``reference_report_text``, the ``asdict`` +
+``json.dumps`` and per-row ``csv.writer`` report writer whose bytes the
+evaluation's report formatting must equal.
 """
 
+import csv
+import io
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
+from radioloc.evaluation import (
+    GainReport,
+    KestReport,
+    PositioningReport,
+    PredictionReport,
+    boxplot_stats,
+    cdf_points,
+)
 from radioloc.floorplan import (
     GRAZE_EPS_M,
     Bounds,
@@ -312,3 +326,68 @@ def survey_points(nx=6, ny=3, z=1.2):
         for i in range(nx):
             pts.append(Point3(0.7 + i * 19.0 / nx, 0.9 + j * 4.05, z))
     return pts
+
+
+def _reference_positioning_rows(report):
+    rows = []
+    baselines = {c.d_real: c for c in report.cells if c.d_virtual == 0.0 and not c.error}
+    for cell in report.cells:
+        if cell.error:
+            continue
+        baseline = baselines.get(cell.d_real)
+        for idx, k in enumerate(cell.k_values):
+            gain = ""
+            if cell.d_virtual > 0 and baseline is not None and k in baseline.k_values:
+                gain = repr(baseline.mean_error_at(k) / cell.mean_error_by_k[idx])
+            rows.append([repr(cell.d_real), repr(cell.d_virtual), k,
+                         report.strategy, report.model,
+                         repr(cell.mean_error_by_k[idx]), repr(cell.p25_by_k[idx]),
+                         repr(cell.p50_by_k[idx]), repr(cell.p75_by_k[idx]),
+                         repr(cell.min_by_k[idx]), repr(cell.max_by_k[idx]), gain])
+    return rows
+
+
+def reference_report_text(report, fmt):
+    """A report's CSV or JSON text as a ``csv.writer`` row loop and ``asdict`` +
+    ``json.dumps(indent=2)`` write it."""
+    kinds = {PredictionReport: "prediction", PositioningReport: "positioning",
+             GainReport: "gain", KestReport: "kest"}
+    if fmt == "json":
+        doc = asdict(report)
+        doc["type"] = kinds[type(report)]
+        if isinstance(report, PositioningReport):
+            for cell, cell_doc in zip(report.cells, doc["cells"]):
+                if not cell.error:
+                    cell_doc["cdf_at_k_opt"] = cdf_points(cell.errors_at_k_opt)
+                    cell_doc["boxplot_at_k_opt"] = boxplot_stats(cell.errors_at_k_opt)
+        if isinstance(report, PredictionReport):
+            for cell, cell_doc in zip(report.cells, doc["cells"]):
+                if not cell.error:
+                    cell_doc["per_ap_cdf"] = {
+                        ap: cdf_points(d) for ap, d in cell.per_ap_deltas.items()}
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if isinstance(report, PositioningReport):
+        writer.writerow(["d_real", "d_virtual", "k", "strategy", "model", "mean_error_m",
+                         "p25", "p50", "p75", "min", "max", "gain"])
+        writer.writerows(_reference_positioning_rows(report))
+    elif isinstance(report, PredictionReport):
+        writer.writerow(["rho", "strategy", "model", "n_rps_fit", "n_pairs",
+                         "mean_delta_db", "error"])
+        for c in report.cells:
+            writer.writerow([repr(c.rho), c.strategy, c.model, c.n_rps_fit, c.n_pairs,
+                             repr(c.mean_delta_db), c.error or ""])
+    elif isinstance(report, GainReport):
+        writer.writerow(["d_real", "d_virtual", "k_baseline", "k_cell", "gain"])
+        for c in report.cells:
+            writer.writerow([repr(c.d_real), repr(c.d_virtual), c.k_baseline,
+                             c.k_cell, repr(c.gain)])
+    else:
+        writer.writerow(["d_real", "d_virtual", "alpha", "k_est", "k_opt",
+                         "mean_error_kest_m", "mean_error_kopt_m", "beta_m"])
+        for c in report.cells:
+            writer.writerow([repr(c.d_real), repr(c.d_virtual), repr(c.alpha),
+                             c.k_est, c.k_opt, repr(c.mean_error_kest_m),
+                             repr(c.mean_error_kopt_m), repr(c.beta_m)])
+    return buf.getvalue()

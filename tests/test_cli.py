@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -257,6 +259,20 @@ class TestInputErrorsExit2:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_build_radiomap_with_ap_file_missing_survey_aps(self, world_dir, fit_file,
+                                                            tmp_path, capsys):
+        aps_doc = json.loads((world_dir / "aps.json").read_text())
+        (tmp_path / "aps.json").write_text(json.dumps(aps_doc[:1]))
+        code = exit_code(["build-radiomap",
+                          "--measurements", str(world_dir / "measurements.csv"),
+                          "--floorplan", str(world_dir / "floorplan.json"),
+                          "--aps", str(tmp_path / "aps.json"), "--fit", str(fit_file),
+                          "--out", str(tmp_path / "map.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "missing from the AP file" in err
+        assert not (tmp_path / "map.json").exists()
+
     def test_evaluate_rho_grid_zero(self, world_dir, tmp_path, capsys):
         code = exit_code(["evaluate", "--world-dir", str(world_dir),
                           "--out-dir", str(tmp_path / "out"), "--rho-grid", "0"])
@@ -411,6 +427,31 @@ class TestEvaluate:
                 a = (tmp_path / "r1" / f"{name}.{ext}").read_bytes()
                 b = (tmp_path / "r2" / f"{name}.{ext}").read_bytes()
                 assert a == b, f"{name}.{ext} differs between reruns"
+
+    def test_outputs_honour_the_umask(self, world_dir, tmp_path):
+        fit_args = ["fit", "--measurements", str(world_dir / "measurements.csv"),
+                    "--floorplan", str(world_dir / "floorplan.json"),
+                    "--aps", str(world_dir / "aps.json")]
+        eval_args = ["evaluate", "--world-dir", str(world_dir),
+                     "--rho-grid", "1.0", "--dv-grid", "0.5"]
+        previous = os.umask(0o022)
+        try:
+            assert main(fit_args + ["--out", str(tmp_path / "fit.json")]) == 0
+            assert main(eval_args + ["--out-dir", str(tmp_path / "reports")]) == 0
+        finally:
+            os.umask(previous)
+        outputs = [tmp_path / "fit.json", *sorted((tmp_path / "reports").iterdir())]
+        assert len(outputs) == 9
+        for path in outputs:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+        # The mode is the only difference: the bytes are those of a run under 0o077.
+        previous = os.umask(0o077)
+        try:
+            assert main(fit_args + ["--out", str(tmp_path / "private.json")]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "private.json").stat().st_mode) == 0o600
+        assert (tmp_path / "private.json").read_bytes() == (tmp_path / "fit.json").read_bytes()
 
     def test_every_cell_failed_exits_3(self, tmp_path, capsys):
         # Two survey points: every fit of the sweep is underdetermined or degenerate.

@@ -7,7 +7,14 @@ from radioloc.evaluation import (
     EvalWorld,
     GainCell,
     GainReport,
+    KestCell,
+    KestReport,
+    PositioningCell,
     PositioningReport,
+    PredictionCell,
+    PredictionReport,
+    _report_csv,
+    _report_json,
     boxplot_stats,
     build_world,
     cdf_points,
@@ -23,7 +30,7 @@ from radioloc.propagation import ModelKind
 from radioloc.radiomap import Radiomap, build_real_fingerprints, virtual_rp_positions
 from radioloc.simulator import NoiseConfig, ScenarioPreset, template_info
 
-from helpers import count_crossing_calls
+from helpers import count_crossing_calls, reference_report_text
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +332,95 @@ class TestReports:
         assert report.gain(0.1, 1.0) == 1.4
         with pytest.raises(KeyError):
             report.gain(0.2, 1.0)
+
+
+def _positioning_cell(d_real, d_virtual, k_values, scale, error=None):
+    """A hand-built cell whose per-k statistics are distinct, non-zero floats."""
+    if error:
+        return PositioningCell(d_real, d_virtual, 3, 0, [], [], [], [], [], [], [], 0, [],
+                               error=error)
+    n = len(k_values)
+    col = lambda offset: [scale * (offset + 0.1 * i + 1 / 3) for i in range(n)]  # noqa: E731
+    errors = [scale * v for v in (0.25, 1.5, 2.0, -0.0, 7.125, 1e-5, 3.0, 1e16)]
+    return PositioningCell(d_real, d_virtual, 12, 40 if d_virtual else 0, list(k_values),
+                           col(1.0), col(0.5), col(0.9), col(1.4), col(0.0), col(3.0),
+                           k_values[0], errors)
+
+
+def hand_built_reports(strategy="environment"):
+    """Reports with failed cells (NaN, empty lists), k grids with gaps, several d_real
+    and d_virtual both 0 and > 0."""
+    prediction = PredictionReport(cells=[
+        PredictionCell(0.2, strategy, "mwmf", 4, 0, float("nan"), {}, {},
+                       error='too few samples, "rho" 0.2'),
+        PredictionCell(1.0, strategy, "mwmf", 20, 6, 2.5, {"ap01": 1.5, "ap02": -0.0},
+                       {"ap01": [0.5, 2.5, 1.5], "ap02": [3.0, 1e-7, float("inf")]}),
+    ])
+    positioning = PositioningReport(strategy=strategy, model="mwmf", placement="grid", cells=[
+        _positioning_cell(0.05, 0.0, [1, 3, 5], 1.0),
+        _positioning_cell(0.05, 1.0, [1, 2, 3, 7], 0.75),
+        _positioning_cell(0.05, 2.5, [5, 3], 0.5),
+        _positioning_cell(0.1, 0.0, [], 1.0, error="degenerate fit"),
+        _positioning_cell(0.1, 1.0, [], 1.0, error="degenerate fit"),
+        _positioning_cell(0.2, 0.0, [1, 2], 1.25),
+        _positioning_cell(0.2, 1.0, [1, 2], 1e-3),
+        _positioning_cell(0.4, 1.0, [1], 2.0),  # no baseline: empty gains
+    ])
+    gain = GainReport(policy="per-cell-k-opt", cells=[
+        GainCell(0.05, 1.0, 1, 1, 1.3333333333333333),
+        GainCell(0.2, 1.0, 1, 2, float("nan")),
+    ])
+    kest = KestReport(cells=[
+        KestCell(0.05, 2.5, 0.1, 3, 5, 1.5, 1.25, 0.25),
+        KestCell(0.2, 1.0, 0.30000000000000004, 1, 1, 2.0, 2.0, 0.0),
+    ])
+    return {"prediction": prediction, "positioning": positioning, "gain": gain,
+            "kest": kest}
+
+
+class TestReportWriters:
+    """The reports are formatted from the cells' lists, byte for byte as the
+    ``asdict`` + ``json.dumps`` and ``csv.writer`` reference writes them."""
+
+    @pytest.mark.parametrize("strategy", ["environment", 'a,"b"'])
+    @pytest.mark.parametrize("name", ["prediction", "positioning", "gain", "kest"])
+    def test_hand_built_reports_match_reference(self, tmp_path, name, strategy):
+        report = hand_built_reports(strategy)[name]
+        assert _report_json(report) == reference_report_text(report, "json")
+        assert _report_csv(report) == reference_report_text(report, "csv")
+        path = tmp_path / f"{name}.json"
+        emit_report(report, path, fmt="json")
+        # repr, since NaN != NaN; it also tells 1 from 1.0 and -0.0 from 0.0.
+        assert repr(load_report(path)) == repr(report)
+
+    def test_missing_baseline_k_gives_empty_gain(self):
+        rows = _report_csv(hand_built_reports()["positioning"]).split("\r\n")
+        gains = {tuple(r.split(",")[:3]): r.split(",")[-1] for r in rows[1:-1]}
+        assert gains[("0.05", "1.0", "1")] != "" and gains[("0.05", "1.0", "2")] == ""
+        assert gains[("0.05", "1.0", "7")] == "" and gains[("0.05", "0.0", "1")] == ""
+        assert gains[("0.4", "1.0", "1")] == ""
+
+    def test_zero_mean_error_raises_like_the_reference(self):
+        report = hand_built_reports()["positioning"]
+        report.cells[1].mean_error_by_k[0] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            reference_report_text(report, "csv")
+        with pytest.raises(ZeroDivisionError):
+            _report_csv(report)
+
+    def test_sweep_reports_match_reference(self, noisy_world):
+        world, _ = noisy_world
+        info = template_info("spinv_like")
+        dr_grid = [info.dr_min, info.dr_max]
+        positioning, gain = run_positioning_sweep(world, dr_grid, [1.0, 10.0],
+                                                  k_grid=[1, 2, 4, 9])
+        kest = run_kest_sweep(world, dr_grid, 10.0, positioning=positioning)
+        prediction = run_prediction_analysis(
+            world.measurements, world.plan, world.aps, [0.5, 1.0],
+            [FitStrategy.environment()], [ModelKind.MWMF], world.sentinel_dbm)
+        for report in (prediction, positioning, gain, kest):
+            assert _report_json(report) == reference_report_text(report, "json")
+            assert _report_csv(report) == reference_report_text(report, "csv")
 
 
 class TestBuildWorld:

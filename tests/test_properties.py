@@ -2,12 +2,12 @@
 blocked obstruction counting, the batched WkNN kernel and the fit's design
 matrix; and fuzzed input files through ``cli.main``, which must exit 0, 2 or 3.
 
-The oracles are plain per-record Python loops, ``json.dumps``, for
-``crossing_flags_batch`` the per-obstacle loop it replaced, for ``locate``,
-``locate_many`` and ``error_curves``, a per-target loop with the benchmark
-oracle's semantics and, for ``fit``, ``np.linalg.lstsq`` on the per-sample
-rows of ``reference_fit_rows``; they do not share code with the array paths
-they check.
+The oracles are plain per-record Python loops, ``json.dumps`` (for the
+radiomap and for ``ioutil.format_json``), for ``crossing_flags_batch`` the
+per-obstacle loop it replaced, for ``locate``, ``locate_many`` and
+``error_curves``, a per-target loop with the benchmark oracle's semantics and,
+for ``fit``, ``np.linalg.lstsq`` on the per-sample rows of
+``reference_fit_rows``; they do not share code with the array paths they check.
 """
 
 import contextlib
@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 import radioloc.cli as cli
+import radioloc.ioutil as ioutil
 from radioloc.errors import DegenerateFitError, InsufficientDataError
 from radioloc.fitting import (
     FitStrategy,
@@ -203,6 +204,32 @@ def test_radiomap_json_round_trip(tmp_path_factory, rmap):
     assert loaded.rps == rmap.rps
     assert loaded.aps == rmap.aps and loaded.area_m2 == rmap.area_m2
     assert (loaded.n_real, loaded.n_virtual) == (rmap.n_real, rmap.n_virtual)
+
+
+# Floats at the edges of repr's formats: subnormals, the switch to exponent form
+# at 1e16 and 1e-5 (and their neighbours), signed zero and the non-finite values
+# json writes as NaN and Infinity.
+edge_floats = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16,
+    9999999999999998.0, 1.0000000000000002e16, 1e-5, 9.999999999999999e-06, 0.0001,
+    1e22, -1.7976931348623157e308, 0.1, 3.0])
+json_numbers = st.floats() | edge_floats | st.integers() | st.integers(-2**70, 2**70)
+json_text = st.text() | st.sampled_from([
+    "", ", ", "a, b", '"', "\\", "\x00\x1f\x7f", "\u2028", "é", "\U0001f600", "[1, 2]"])
+json_scalars = json_numbers | st.booleans() | st.none() | json_text
+json_docs = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=6)
+                      | st.lists(json_numbers, max_size=12)
+                      | st.tuples(json_numbers, json_numbers)
+                      | st.dictionaries(json_text, children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(json_text, json_docs) | st.lists(json_docs))
+def test_format_json_equals_json_dumps_indent_2(doc):
+    assert ioutil.format_json(doc) == json.dumps(doc, indent=2)
 
 
 @SETTINGS
