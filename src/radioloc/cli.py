@@ -35,7 +35,7 @@ from .fitting import (
     save_measurements,
 )
 from .floorplan import load_floorplan, save_floorplan
-from .ioutil import read_csv, write_text_atomic
+from .ioutil import csv_rows, read_csv, write_text_atomic
 from .positioning import WknnConfig, k_est_from_counts, locate
 from .propagation import (
     ModelKind,
@@ -211,18 +211,24 @@ def cmd_build_radiomap(args) -> int:
 
 
 def _load_target(path: str | Path, rmap: Radiomap) -> Fingerprint:
-    def parse(rows: list[list[str]]) -> Fingerprint:
-        if not rows or rows[0][:2] != ["ap_id", "rss_dbm"]:
+    """The fingerprint in ``path``: header ``ap_id,rss_dbm``, then at most one row
+    per AP; an AP without a row is not detected."""
+    def parse(text: str) -> Fingerprint:
+        rows = csv_rows(text)
+        if rows[:1] != [["ap_id", "rss_dbm"]]:
             raise ValueError("expected header ap_id,rss_dbm")
-        values = {ap.id: rmap.sentinel_dbm for ap in rmap.aps}
+        known = {ap.id for ap in rmap.aps}
+        values: dict[str, float] = {}
         for row in rows[1:]:
-            if len(row) < 2:
+            if len(row) != 2:
                 raise ValueError(f"malformed row {row!r}")
-            ap_id, rss = row[0], row[1]
-            if ap_id not in values:
+            ap_id, rss = row
+            if ap_id not in known:
                 raise ValueError(f"unknown AP {ap_id!r}")
-            values[ap_id] = (rmap.sentinel_dbm if rss == "ND" else float(rss))
-        return Fingerprint([values[ap.id] for ap in rmap.aps])
+            if ap_id in values:
+                raise ValueError(f"more than one row for AP {ap_id!r}")
+            values[ap_id] = rmap.sentinel_dbm if rss == "ND" else float(rss)
+        return Fingerprint([values.get(ap.id, rmap.sentinel_dbm) for ap in rmap.aps])
 
     return read_csv(path, "target", parse)
 

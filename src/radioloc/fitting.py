@@ -14,6 +14,7 @@ not-detected entries are dropped, never imputed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from collections.abc import Iterable, Sequence
@@ -34,7 +35,7 @@ from .floorplan import (
     crossing_counts_batch,
     floors_crossed_batch,
 )
-from .ioutil import read_csv, read_json, write_json, write_text_atomic
+from .ioutil import csv_rows, read_csv, read_json, write_json, write_text_atomic
 from .propagation import (
     AccessPoint,
     ModelKind,
@@ -493,8 +494,6 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
 # ---------------------------------------------------------------------------
 
 def save_measurements(meas: MeasurementSet, path: str | Path) -> None:
-    import io
-
     points = [[rp_id, repr(x), repr(y), repr(z)]
               for rp_id, (x, y, z) in zip(meas.rp_ids(), meas.xyz.tolist())]
     ap_ids = meas.ap_ids()
@@ -517,8 +516,96 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     row, an unparsable number, an rss_dbm outside [-120, 0] (NaN included;
     only the ``ND`` token marks a non-detection), non-finite coordinates, or
     a point id whose rows disagree on its coordinates.
+
+    Plain text (ASCII, unquoted, LF or CRLF line ends) is parsed by numpy's C
+    reader. Any other text goes through ``csv.reader``, as does any text the C
+    reader cannot read exactly as ``csv.reader`` and ``float()``/``int()`` do.
+    Both paths give the same columns and the same errors.
     """
-    return read_csv(path, "measurement", _measurements_from_rows)
+    return read_csv(path, "measurement", _measurements_from_text)
+
+
+def _measurements_from_text(text: str) -> MeasurementSet:
+    columns = _loadtxt_columns(text)
+    if columns is None:
+        return _measurements_from_rows(csv_rows(text))
+    return MeasurementSet.from_arrays(*columns)
+
+
+# The survey body as np.loadtxt reads it, with ids, RSS and scan tokens as
+# ASCII bytes: a quarter of the memory of str columns. RSS and scan tokens are
+# converted by float() and int(), as in the rows path, since loadtxt's own
+# integer parser reads "1.5" as 1 on some numpy releases. A value that fills
+# its width may have been cut short, so the fast path declines on it.
+_SURVEY_DTYPE = np.dtype([("rp_id", "S32"), ("x", "f8"), ("y", "f8"), ("z", "f8"),
+                          ("ap_id", "S32"), ("rss_dbm", "S24"), ("scan_index", "S24")])
+# Where each byte column ends in a table row: a byte there that is not NUL
+# marks a value that fills its column.
+_LAST_BYTES = [offset + column.itemsize - 1 for column, offset in
+               (_SURVEY_DTYPE.fields[name]
+                for name in ("rp_id", "ap_id", "rss_dbm", "scan_index"))]
+_SURVEY_HEADER = ",".join(MEASUREMENT_COLUMNS)
+# Where np.loadtxt would read ASCII text otherwise than csv.reader, float() and
+# int() do: CSV quoting; NUL, which a fixed-width value drops from its end;
+# and \x1c-\x1f, which loadtxt strips around a number and float() does not.
+_DECLINE_CHARS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _plain_lines(body: str) -> bool:
+    """Whether every CR in ASCII ``body`` ends a CRLF, where csv and loadtxt
+    both end a line, and no line is longer than ``csv.field_size_limit()``,
+    so that csv cannot raise on a field."""
+    codes = np.frombuffer(body.encode("ascii") + b"\n", dtype=np.uint8)
+    line_ends = np.flatnonzero(codes == ord("\n"))
+    longest = int(np.diff(line_ends, prepend=-1).max()) - 1
+    return bool((codes[np.flatnonzero(codes == ord("\r")) + 1] == ord("\n")).all()
+                and longest <= csv.field_size_limit())
+
+
+def _loadtxt_columns(text: str) -> tuple | None:
+    """``_measurements_from_rows``' columns for ``MeasurementSet.from_arrays``,
+    parsed by numpy's C reader; None for any text it cannot read exactly as
+    ``csv_rows`` and ``float()``/``int()`` would, or that the rows path rejects.
+
+    It never raises: the caller falls back to the rows path, which gives the
+    error, if any.
+    """
+    head, _, body = text.partition("\n")
+    if (head.removesuffix("\r") != _SURVEY_HEADER or not text.isascii()
+            or any(char in text for char in _DECLINE_CHARS)
+            or not body.strip("\r\n") or not _plain_lines(body)):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=_SURVEY_DTYPE, delimiter=",",
+                           comments=None, ndmin=1)
+    except ValueError:  # a short or long row, an unparsable number, a blank-only line
+        return None
+    if table.view(np.uint8).reshape(table.shape[0], -1)[:, _LAST_BYTES].any():
+        return None
+
+    # Each point's position is its first row's. Any other row of the point
+    # must hold the same bits, else the rows path may raise or keep a -0.0;
+    # a non-finite position is an error, which the rows path words.
+    coords = np.stack([table["x"], table["y"], table["z"]], axis=1)
+    rp_names, rp_index = _index_names(table["rp_id"].tolist())
+    xyz = coords[np.unique(rp_index, return_index=True)[1]]
+    if not (np.isfinite(xyz).all()
+            and np.array_equal(coords.view(np.int64), xyz.view(np.int64)[rp_index])):
+        return None
+    ap_names, ap_index = _index_names(table["ap_id"].tolist())
+    tokens = table["rss_dbm"]
+    detected = tokens != NOT_DETECTED_TOKEN.encode()
+    rss = np.full(tokens.shape[0], np.nan)
+    scan_tokens = table["scan_index"].tolist()
+    try:  # float() and int() read ASCII bytes exactly as they read the same str
+        rss[detected] = np.fromiter(map(float, tokens[detected].tolist()), dtype=float)
+        scan_of = {token: int(token) for token in dict.fromkeys(scan_tokens)}
+        scans = np.fromiter(map(scan_of.__getitem__, scan_tokens), dtype=np.int64,
+                            count=len(scan_tokens))
+    except (ValueError, OverflowError):  # OverflowError: a scan outside int64
+        return None
+    return ([name.decode() for name in rp_names], xyz, [name.decode() for name in ap_names],
+            rp_index, ap_index, rss, detected, scans)
 
 
 def _measurements_from_rows(rows: list[list[str]]) -> MeasurementSet:

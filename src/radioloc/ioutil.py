@@ -2,7 +2,8 @@
 
 Every input file is read through ``read_json`` or ``read_csv``: each opens the
 file, decodes it and hands the document to a parser, and maps every failure
-along the way to one ``InputError`` that names the file. Every output file is
+along the way to one ``InputError`` that names the file. A CSV parser gets
+the file's text and splits it into rows with ``csv_rows``. Every output file is
 written through ``write_text_atomic``; ``format_json`` formats the evaluation
 reports, which are mostly long lists of numbers.
 """
@@ -10,6 +11,7 @@ reports, which are mostly long lists of numbers.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import secrets
@@ -32,17 +34,28 @@ def _read(path: str | Path, what: str, fmt: str, decode: Callable[[Path], object
         doc = decode(path)
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
-    except (ValueError, RecursionError, csv.Error) as exc:  # e.g. UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # e.g. UnicodeDecodeError
         raise InputError(f"{what} file {path} is not valid {fmt}: {exc}") from exc
     try:
         return parse(doc)
+    except csv.Error as exc:  # from csv_rows, e.g. a field over csv.field_size_limit()
+        raise InputError(f"{what} file {path} is not valid {fmt}: {exc}") from exc
     except _MALFORMED as exc:
         raise InputError(f"malformed {what} file {path}: {exc}") from exc
 
 
-def _csv_rows(path: Path) -> list[list[str]]:
+def _read_text(path: Path) -> str:
     with open(path, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh) if row]
+        return fh.read()
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The non-empty rows of ``text``, split as ``csv.reader`` splits a file opened
+    with ``newline=""``: a CR, an LF or a CRLF ends a line.
+
+    Raises csv.Error, which ``read_csv`` reports as invalid CSV.
+    """
+    return [row for row in csv.reader(io.StringIO(text, newline="")) if row]
 
 
 def read_json(path: str | Path, what: str, parse: Callable[..., T]) -> T:
@@ -55,12 +68,14 @@ def read_json(path: str | Path, what: str, parse: Callable[..., T]) -> T:
                  parse)
 
 
-def read_csv(path: str | Path, what: str, parse: Callable[..., T]) -> T:
-    """``parse`` the non-empty rows of the UTF-8 CSV file in ``path``, header first.
+def read_csv(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
+    """``parse`` the text of the UTF-8 CSV file in ``path``; ``what`` names the file.
 
-    Failures become an InputError as in ``read_json``.
+    The file is decoded whole with ``newline=""``, so every CR stays in the
+    text. Failures become an InputError as in ``read_json``; a csv.Error from
+    ``parse`` (raised by ``csv_rows``) reports the file as not valid CSV.
     """
-    return _read(path, what, "CSV", _csv_rows, parse)
+    return _read(path, what, "CSV", _read_text, parse)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

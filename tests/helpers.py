@@ -9,7 +9,8 @@ per-target loop that the batched WkNN kernel must match bit for bit, and
 ``reference_fit_rows``, the per-sample loop whose rows the fit's design matrix
 must equal bit for bit, and ``reference_report_text``, the ``asdict`` +
 ``json.dumps`` and per-row ``csv.writer`` report writer whose bytes the
-evaluation's report formatting must equal.
+evaluation's report formatting must equal, and ``csv_path_outcome``, survey
+loading through the csv rows path alone, which the loadtxt path must equal.
 """
 
 import csv
@@ -20,6 +21,8 @@ from dataclasses import asdict
 
 import numpy as np
 
+from radioloc import fitting, ioutil
+from radioloc.errors import InputError
 from radioloc.evaluation import (
     GainReport,
     KestReport,
@@ -391,3 +394,28 @@ def reference_report_text(report, fmt):
                              c.k_est, c.k_opt, repr(c.mean_error_kest_m),
                              repr(c.mean_error_kopt_m), repr(c.beta_m)])
     return buf.getvalue()
+
+
+def survey_state(meas):
+    """Everything a MeasurementSet holds; each array as (dtype, shape, bytes)."""
+    arrays = (meas.xyz, meas.rp_index, meas.ap_index, meas.rss, meas.detected, meas.scan)
+    return (meas.rp_ids(), meas.ap_ids(), meas.q,
+            [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+def survey_outcome(load, path):
+    """``survey_state`` of ``load(path)``, or the message of the InputError it raises."""
+    try:
+        return survey_state(load(path))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def _load_by_rows(path):
+    return ioutil.read_csv(path, "measurement",
+                           lambda text: fitting._measurements_from_rows(ioutil.csv_rows(text)))
+
+
+def csv_path_outcome(path):
+    """``survey_outcome`` of the survey in ``path`` read through the csv rows path alone."""
+    return survey_outcome(_load_by_rows, path)

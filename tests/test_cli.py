@@ -230,7 +230,8 @@ class TestBuildRadiomapAndLocate:
 class TestInputErrorsExit2:
     """Malformed inputs and flags end with exit 2 and an error line, not a traceback."""
 
-    @pytest.mark.parametrize("row", ["ap01,nan", "ap01,-130.0", "ap01"])
+    @pytest.mark.parametrize("row", ["ap01,nan", "ap01,-130.0", "ap01", "ap01,-50.0,junk",
+                                     "ap01,-50.0\nap01,ND", "ap01,-50.0\nap02,-60.0\nap01,-50.0"])
     def test_locate_bad_target_row(self, map_file, tmp_path, capsys, row):
         target = tmp_path / "target.csv"
         target.write_text(f"ap_id,rss_dbm\n{row}\n")
@@ -238,6 +239,20 @@ class TestInputErrorsExit2:
                           "--target", str(target), "--k", "1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("ap_id,rss_dbm\nap01,-50.0\nap01,ND\n", "more than one row for AP 'ap01'"),
+        ("ap_id,rss_dbm\nap01,-50.0,junk\n", "malformed row ['ap01', '-50.0', 'junk']"),
+        ("ap_id,rss_dbm,note\nap01,-50.0,x\n", "expected header ap_id,rss_dbm"),
+    ], ids=["duplicate-ap", "extra-field", "extra-header-field"])
+    def test_locate_target_error_names_the_row(self, map_file, tmp_path, capsys, text,
+                                               message):
+        target = tmp_path / "target.csv"
+        target.write_text(text)
+        code = exit_code(["locate", "--radiomap", str(map_file),
+                          "--target", str(target), "--k", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: malformed target file {target}: {message}\n"
 
     def test_locate_k_above_map_size(self, map_file, tmp_path, capsys):
         target = tmp_path / "target.csv"

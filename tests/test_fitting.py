@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from radioloc.fitting import (
     MeasurementRecord,
     MeasurementSet,
     StrategyKind,
+    _loadtxt_columns,
     fit,
     fit_result_from_dict,
     fit_result_to_dict,
@@ -24,7 +27,7 @@ from radioloc.propagation import (
     predict_rss,
 )
 
-from helpers import survey_points, tiny_world
+from helpers import csv_path_outcome, survey_outcome, survey_points, tiny_world
 
 
 def synth_measurements(plan, aps, params_by_ap, points, q=3, model=ModelKind.MWMF):
@@ -306,6 +309,9 @@ class TestNoFitResidual:
         assert result.params_for("up") is self.PARAMS
 
 
+HEADER = "rp_id,x,y,z,ap_id,rss_dbm,scan_index"
+
+
 class TestMeasurementIo:
     def test_csv_round_trip_with_nd(self, tmp_path):
         records = [
@@ -341,13 +347,34 @@ class TestMeasurementIo:
         "rp0,1,2,1.2,ap01,-50.0\n",
         "rp0,1,2,1.2,ap01,-50.0,0,7\n",
         "",
+        "rp0,1,2,1.2,ap01,-50.0,0\n  \nrp1,3,2,1.2,ap01,-60.0,0\n",
+        "rp0,1,2,1.2,ap01,-50.0,12345678901234567890\n",
+        "rp0,1,2,1.2,ap01, ND,0\n",
+        "rp0,0x10,2,1.2,ap01,-50.0,0\n",
+        "rp0,1\x1c,2,1.2,ap01,-50.0,0\n",
+        "rp0,1,2,1.2,ap01,-50.0,3\x1f\n",
+        "rp0,1\r,2,1.2,ap01,-50.0,0\n",
+        "rp0,1,2,1.2,ap01,-50.0,0#\n",
+        "rp0,0,0,0,ap01,-50.0,0\nrp0,nan,0,0,ap01,-50.0,1\n",
+        "rp0,nan,0,0,ap01,-50.0,0\nrp0,NaN,0,0,ap01,-50.0,1\n",
     ], ids=["nan-rss", "inf-rss", "rss-below-range", "rss-above-range", "nan-coordinate",
             "inf-coordinate", "two-coordinates", "fractional-scan", "short-row",
-            "long-row", "no-rows"])
+            "long-row", "no-rows", "whitespace-only-line", "20-digit-scan", "spaced-nd",
+            "hex-coordinate", "fs-around-number", "us-around-scan", "lone-cr-in-field",
+            "hash-in-scan", "nan-in-later-row", "nan-in-two-spellings"])
     def test_malformed_rows_rejected(self, tmp_path, body):
         path = tmp_path / "meas.csv"
-        path.write_text("rp_id,x,y,z,ap_id,rss_dbm,scan_index\n" + body)
-        with pytest.raises(InputError):
+        path.write_bytes(("rp_id,x,y,z,ap_id,rss_dbm,scan_index\n" + body).encode())
+        with pytest.raises(InputError) as excinfo:
+            load_measurements(path)
+        # The same message as the csv rows path gives.
+        assert f"InputError: {excinfo.value}" == csv_path_outcome(path)
+
+    def test_field_over_csv_limit_is_not_valid_csv(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("rp_id,x,y,z,ap_id,rss_dbm,scan_index\n"
+                        f"rp0,{'0' * csv.field_size_limit()}1,2,1.2,ap01,-50.0,0\n")
+        with pytest.raises(InputError, match="is not valid CSV: field larger than field limit"):
             load_measurements(path)
 
     @pytest.mark.parametrize("text", ["", "rp_id,x,y,z,ap_id,rss_dbm\n"],
@@ -365,6 +392,91 @@ class TestMeasurementIo:
         meas = load_measurements(path)
         assert meas.locations() == {"rp0": Point3(1.0, 2.0, 1.2)}
         assert meas.averaged() == {("rp0", "ap01"): -50.0}
+
+    # (file text, whether numpy's reader takes it); either way the survey must
+    # equal the csv rows path's, bit for bit.
+    @pytest.mark.parametrize("text, loadtxt", [
+        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50.5,0\nrp0,1,2,1.2,ap01,ND,1\n"
+         "rp1,3,2,1.2,ap02,-70,0\n", True),
+        (f"{HEADER}\r\nrp0,1,2,1.2,ap01,-50.5,0\r\nrp0,1,2,1.2,ap01,ND,1\r\n", True),
+        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50.5,0", True),
+        (f"{HEADER}\n\nrp0,1,2,1.2,ap01,-50,0\n\n\nrp1,3,2,1.2,ap01,ND,0\n\n", True),
+        (f"{HEADER}\r\n\r\nrp0,1,2,1.2,ap01,-50,0\r\n\r\n", True),
+        (f"{HEADER}\nrp0, 1 ,2\t, 1.2,ap01, -50.5 , 0 \nrp1,3,2,1.2,ap01,ND,1\n", True),
+        (f"{HEADER}\nrp0,1e0,2E+00,.12e1,ap01,-5.05e1,0\nrp0,1.,2,1.2,ap01,-0.0,1\n", True),
+        (f"{HEADER}\n#rp0,1,2,1.2,ap#1,-50,0\n", True),
+        (f"{HEADER}\nrp0,1,2,1.2,00:1a:2b:3c:4d:5e,-50,0\n", True),
+        (f"{HEADER}\n{'p' * 31},1,2,1.2,{'a' * 31},-50.0000000000000000001,0\n", True),
+        (f"{HEADER}\nrp\x0c0,1,2,1.2\x0c,ap\x0b1,-50,0\n", True),
+        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,-3\nrp0,1,2,1.2,ap01,-51,+4\n", True),
+        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,1_1\nrp0,1,2,1.2,ap01,-51,{'0' * 22}7\n", True),
+        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,{'0' * 23}7\n", False),
+        (f"{HEADER}\n{'p' * 32},1,2,1.2,ap01,-50,0\n", False),
+        (f"{HEADER}\n{'p' * 33},1,2,1.2,ap01,-50,0\nrp1,3,2,1.2,{'a' * 33},-50,0\n", False),
+        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50.00000000000000000001,0\n", False),
+        (f'{HEADER}\n"rp,0",1,2,1.2,"say ""hi""",-50,0\n', False),
+        (f'"rp_id",x,y,z,ap_id,rss_dbm,scan_index\nrp0,1,2,1.2,ap01,-50,0\n', False),
+        (f"{HEADER}\nrp0,0.0,2,1.2,ap01,-50,0\nrp0,-0.0,2,1.2,ap01,-51,1\n", False),
+        (f"{HEADER}\nrp0,1_0,2,1.2,ap01,-50,1_1\n", False),
+        (f"{HEADER}\nrp0,\u0663,2,1.2,ap01,-50,0\n", False),
+        (f"{HEADER}\nrp\x1c0,1,2,1.2,ap01,-50,0\n", False),
+        (f"{HEADER}\nrp\u20280,1,2,1.2,ap\x851,-50,0\n", False),
+        (f"{HEADER}\rrp0,1,2,1.2,ap01,-50,0\rrp1,3,2,1.2,ap01,ND,0\r", False),
+        (f"{HEADER}\r\nrp0,1,2,1.2,ap01,-50,0\r\r\n", False),
+        (f"\n{HEADER}\nrp0,1,2,1.2,ap01,-50,0\n", False),
+    ], ids=["lf", "crlf", "one-row-no-eol", "blank-lines", "crlf-blank-lines",
+            "spaces-around-numbers", "exponent-forms", "hash-in-ids", "bssid-ap-id",
+            "31-char-ids-and-23-char-rss", "ff-and-vt-in-fields", "signed-scans",
+            "underscore-and-23-char-scans", "24-char-scan", "32-char-id", "33-char-ids",
+            "24-char-rss", "quoted-ids", "quoted-header",
+            "negative-zero-coordinate", "underscore-numbers", "arabic-digit",
+            "fs-in-id", "u2028-and-nel-in-ids", "lone-cr-lines", "cr-cr-lf",
+            "blank-line-before-header"])
+    def test_loadtxt_path_equals_csv_path(self, tmp_path, text, loadtxt):
+        path = tmp_path / "meas.csv"
+        path.write_bytes(text.encode())
+        assert (_loadtxt_columns(text) is not None) == loadtxt
+        outcome = survey_outcome(load_measurements, path)
+        assert not isinstance(outcome, str), outcome
+        assert outcome == csv_path_outcome(path)
+
+    # Scans that int() rejects or int64 cannot hold. At numpy 1.23-1.26 the
+    # integer parser of loadtxt reads "1.5" as 1, so scans must not go through it.
+    @pytest.mark.parametrize("scan", ["1.5", "1.0", "1e2", "12345678901234567890",
+                                      "9223372036854775808"])
+    def test_scan_that_int_rejects_declines(self, tmp_path, scan):
+        text = f"{HEADER}\nrp0,1,2,1.2,ap01,-50,0\nrp0,1,2,1.2,ap01,-51,{scan}\n"
+        assert _loadtxt_columns(text) is None
+        path = tmp_path / "meas.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(InputError) as excinfo:
+            load_measurements(path)
+        assert f"InputError: {excinfo.value}" == csv_path_outcome(path)
+
+    def test_simulated_survey_takes_the_loadtxt_path(self, tmp_path):
+        plan, aps, truth = tiny_world()
+        meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps}, survey_points())
+        path = tmp_path / "meas.csv"
+        save_measurements(meas, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+        assert "\r\n" in text  # csv.writer's line ends
+        assert _loadtxt_columns(text) is not None
+        assert survey_outcome(load_measurements, path) == csv_path_outcome(path)
+
+    def test_round_trip_of_ids_that_need_quoting(self, tmp_path):
+        records = [
+            MeasurementRecord('rp,"0"', Point3(1.25, 2.5, 1.2), "ap01", -51.375, 0),
+            MeasurementRecord('rp,"0"', Point3(1.25, 2.5, 1.2), 'a,"p"', None, 1),
+            MeasurementRecord("#rp1", Point3(3.0, -0.0, 1.2), 'a,"p"', -70.0, 0),
+        ]
+        path = tmp_path / "meas.csv"
+        save_measurements(MeasurementSet(records), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert _loadtxt_columns(fh.read()) is None  # quoted: the csv rows path
+        loaded = load_measurements(path)
+        assert loaded.records == records
+        assert survey_outcome(load_measurements, path) == csv_path_outcome(path)
 
     def test_rss_range_validated(self):
         with pytest.raises(ValueError):

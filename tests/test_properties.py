@@ -1,8 +1,10 @@
-"""Property-based checks of the columnar survey, the array-backed radiomap, the
-blocked obstruction counting, the batched WkNN kernel and the fit's design
-matrix; and fuzzed input files through ``cli.main``, which must exit 0, 2 or 3.
+"""Property-based checks of the columnar survey and its two CSV parsers, the
+array-backed radiomap, the blocked obstruction counting, the batched WkNN
+kernel and the fit's design matrix; and fuzzed input files through
+``cli.main``, which must exit 0, 2 or 3.
 
-The oracles are plain per-record Python loops, ``json.dumps`` (for the
+The oracles are plain per-record Python loops, the csv rows path (for the
+loadtxt survey parser), ``json.dumps`` (for the
 radiomap and for ``ioutil.format_json``), for ``crossing_flags_batch`` the
 per-obstacle loop it replaced, for ``locate``, ``locate_many`` and
 ``error_curves``, a per-target loop with the benchmark oracle's semantics and,
@@ -12,10 +14,12 @@ for ``fit``, ``np.linalg.lstsq`` on the per-sample rows of
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,10 +30,13 @@ import radioloc.cli as cli
 import radioloc.ioutil as ioutil
 from radioloc.errors import DegenerateFitError, InsufficientDataError
 from radioloc.fitting import (
+    MEASUREMENT_COLUMNS,
     FitStrategy,
     MeasurementRecord,
     MeasurementSet,
     StrategyKind,
+    _loadtxt_columns,
+    _measurements_from_rows,
     fit,
     load_measurements,
     save_measurements,
@@ -70,7 +77,13 @@ from radioloc.radiomap import (
     save_radiomap,
 )
 
-from helpers import reference_crossing_flags, reference_fit_rows, reference_wknn
+from helpers import (
+    csv_path_outcome,
+    reference_crossing_flags,
+    reference_fit_rows,
+    reference_wknn,
+    survey_outcome,
+)
 
 # Surveys of up to ~170 shuffled rows are slow to draw on a loaded machine.
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -155,6 +168,150 @@ def test_measurement_csv_round_trip(tmp_path_factory, records):
     for name in ("xyz", "rp_index", "ap_index", "detected", "scan"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(meas, name))
     np.testing.assert_array_equal(loaded.rss, meas.rss)  # NaN where not detected
+
+
+# Survey texts for the loadtxt path: each trap is a way numpy's reader and
+# csv.reader + float()/int() could read one text differently.
+ID_TRAPS = ["a,b", 'say "hi"', "#p", "p#", "q" * 31, "q" * 32, "q" * 33, "q" * 40,
+            "00:1a:2b:3c:4d:5e", "p\x0cq", "p\x1cq", "p\u2028q", "p\x85q", "", " p ",
+            "p\x00", "ND"]
+NUMBER_TRAPS = [" 1.5", "1.5 ", "\t2\t", "1e0", "1E+00", ".5", "5.", "nan", "NaN", "inf",
+                "-inf", "-0.0", "0.0", "1e400", "1_0", "\u0663", "0x10", "", " ", "1\x1c",
+                "\x1f2", "\x0c2\x0b", "1 2", "+1", "0#", "1\u2028"]
+RSS_TRAPS = ["ND", " ND", "ND ", "nd", "-5e1", " -50.5 ", "nan", "inf", "-0.0", "-130",
+             "0.5", "-50.0000000000000000001", "-50.00000000000000000001",
+             "-00000000000000000000050.5", "-50#", "-5_0", "\u0663", ""]
+SCAN_TRAPS = [" 3", "+3", "-1", "1.0", "1e2", "1_0", "12345678901234567890",
+              "9223372036854775807", "9223372036854775808", "\u0663", "3\x1c", "0#x",
+              " 0\x0c", ""]
+LINE_END_TRAPS = ["\r", "\r\r\n", "\n\n", "\r\n\r\n", "\n \n", "\n\x0c\n", "\r\n\x0b\r\n",
+                  "\n\t\n", "\n#\n", "\n\x1c\n", "\u2028", "\x0c"]
+HEADER_TRAPS = ['"rp_id",x,y,z,ap_id,rss_dbm,scan_index', "rp_id,x,y,z,ap_id,rss_dbm",
+                "rp_id,x,y,z,ap_id,rss_dbm,scan_index,",
+                "\ufeffrp_id,x,y,z,ap_id,rss_dbm,scan_index",
+                "\nrp_id,x,y,z,ap_id,rss_dbm,scan_index", "#rp_id,x,y,z,ap_id,rss_dbm,scan_index"]
+
+
+def csv_field(value, quote=False):
+    """``value`` quoted as csv.writer would, when it must be or ``quote`` is set."""
+    if quote or any(char in value for char in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def survey_texts(draw):
+    """A survey CSV's text with up to three traps: points with a position each,
+    written in equal spellings, APs, scans and one line end throughout, then
+    some ids, values, row shapes, line ends or the header replaced by traps."""
+    rows = []
+    ap_ids = [f"ap{j}" for j in range(draw(st.integers(1, 3)))]
+    for i in range(draw(st.integers(1, 3))):
+        position = [draw(st.integers(-5, 5).map(float) | coordinate) for _ in range(3)]
+        for ap_id in ap_ids:
+            for scan in range(draw(st.integers(1, 2))):
+                spellings = [draw(st.sampled_from([repr(v), f"{v:.17e}", f" {v!r} ",
+                                                   repr(-v) if v == 0 else repr(v)]))
+                             for v in position]
+                rss = draw(st.just("ND") | dbm.map(repr))
+                rows.append([f"p{i}", *spellings, ap_id, rss, str(scan)])
+    rows = draw(st.permutations(rows))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [eol] * len(rows) + [draw(st.sampled_from([eol, ""]))]  # after each line
+    header = ",".join(MEASUREMENT_COLUMNS)
+    quoted = set()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["rp_id", "ap_id", "number", "rss", "scan", "shape",
+                                     "end", "width", "comment", "blank", "moved", "header",
+                                     "quote"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        if kind in ("rp_id", "ap_id"):  # every row of that point or AP
+            col = 0 if kind == "rp_id" else 4
+            old, new = rows[r][col], draw(st.sampled_from(ID_TRAPS))
+            for row in rows:
+                row[col] = new if row[col] == old else row[col]
+        elif kind in ("number", "rss", "scan"):
+            col = min({"number": draw(st.integers(1, 3)), "rss": 5, "scan": 6}[kind],
+                      len(rows[r]) - 1)  # a shape trap may have cut the row short
+            rows[r][col] = draw(st.sampled_from(
+                {"number": NUMBER_TRAPS, "rss": RSS_TRAPS, "scan": SCAN_TRAPS}[kind]))
+        elif kind == "width":  # longer than loadtxt's column, which would cut it short
+            col, value = draw(st.sampled_from([(0, "q" * 33), (4, "a" * 40),
+                                               (5, "-00000000000000000000050.5")]))
+            rows[r][min(col, len(rows[r]) - 1)] = value
+        elif kind == "moved":  # one row of a point elsewhere, which the rows path rejects
+            rows[r][min(draw(st.integers(1, 3)), len(rows[r]) - 1)] = draw(
+                st.sampled_from(["7.25", "-0.0", "nan"]))
+        elif kind == "comment":  # loadtxt's default comments="#" would skip the row
+            rows[r][0] = "#" + rows[r][0]
+        elif kind == "blank":  # str.splitlines() ends a line at \x0b, \x0c and \x1c
+            ends[r] = eol + draw(st.sampled_from([" ", "\x0b", "\x0c", "\t\x0c", "\x1c"])) + eol
+        elif kind == "shape":
+            rows[r] = draw(st.sampled_from([rows[r][:-1], rows[r] + ["junk"], rows[r] + [""]]))
+        elif kind == "end":
+            ends[draw(st.integers(0, len(rows)))] = draw(st.sampled_from(LINE_END_TRAPS))
+        elif kind == "header":
+            header = draw(st.sampled_from(HEADER_TRAPS))
+        else:
+            quoted.add((r, draw(st.integers(0, len(rows[r]) - 1))))
+    lines = [header] + [",".join(csv_field(field, (r, c) in quoted)
+                                 for c, field in enumerate(row)) for r, row in enumerate(rows)]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class _Columns(Exception):
+    """Raised in place of MeasurementSet.from_arrays, carrying its arguments."""
+
+
+def _raise_columns(*columns):
+    raise _Columns(columns)
+
+
+def rows_path_columns(rows):
+    """The columns ``_measurements_from_rows`` hands to ``MeasurementSet.from_arrays``."""
+    with mock.patch.object(MeasurementSet, "from_arrays", _raise_columns):
+        try:
+            _measurements_from_rows(rows)
+        except _Columns as exc:
+            return exc.args[0]
+        except (ValueError, OverflowError) as exc:
+            pytest.fail(f"the csv rows path rejects a text the loadtxt path read: {exc!r}")
+
+
+def column_bits(columns):
+    return [column if isinstance(column, list) else
+            (np.asarray(column).dtype.str, np.shape(column), np.asarray(column).tobytes())
+            for column in columns]
+
+
+def file_rows(path):
+    """The rows csv.reader gives for the file itself, or None on csv.Error."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh) if row]
+    except csv.Error:
+        return None
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(survey_texts())
+def test_loadtxt_path_equals_csv_path(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("survey") / "meas.csv"
+    path.write_bytes(text.encode())
+    try:
+        rows = ioutil.csv_rows(text)
+    except csv.Error:
+        rows = None
+    assert rows == file_rows(path)
+    columns = _loadtxt_columns(text)
+    event("loadtxt path" if columns is not None else "declined")
+    if columns is not None:
+        assert rows is not None
+        assert column_bits(columns) == column_bits(rows_path_columns(rows))
+    # Equal surveys, or InputErrors with equal messages.
+    outcome = survey_outcome(load_measurements, path)
+    event("rejected" if isinstance(outcome, str) else "accepted")
+    assert outcome == csv_path_outcome(path)
 
 
 @st.composite
