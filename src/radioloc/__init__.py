@@ -75,7 +75,6 @@ from .radiomap import (
     NOT_DETECTED_DBM,
     Fingerprint,
     Radiomap,
-    ReferencePoint,
     RpArrays,
     RpKind,
     build_real_fingerprints,
@@ -84,7 +83,6 @@ from .radiomap import (
     place_virtual_rps,
     save_radiomap,
     select_rps,
-    virtual_rp_positions,
 )
 from .simulator import (
     NoiseConfig,

@@ -49,13 +49,14 @@ from .radiomap import (
     NOT_DETECTED_DBM,
     Fingerprint,
     Radiomap,
+    RpArrays,
     build_real_fingerprints,
     ceil_scaled,
     generate_virtual_fingerprints,
     load_radiomap,
+    place_virtual_rps,
     save_radiomap,
     select_rps,
-    virtual_rp_positions,
 )
 from .simulator import (
     NoiseConfig,
@@ -192,13 +193,13 @@ def cmd_build_radiomap(args) -> int:
 
     real_rps = build_real_fingerprints(measurements, aps, args.sentinel)
     real_rps = select_rps(real_rps, args.rho)
-    virtual_rps = []
+    virtual_rps = RpArrays.empty(len(aps))
     if args.dv > 0:
         missing = {ap.id for ap in aps} - set(fit_result.params_by_ap)
         if missing:
             raise InputError(f"{args.fit} has no fitted parameters for APs {sorted(missing)}")
-        positions = virtual_rp_positions(plan, args.dv, args.placement,
-                                         seed=args.seed, z_m=args.rp_height)
+        positions = place_virtual_rps(plan, args.dv, args.placement,
+                                      seed=args.seed, z_m=args.rp_height)
         virtual_rps = generate_virtual_fingerprints(
             fit_result, fit_result.model, plan, aps, positions,
             sentinel_dbm=args.sentinel, detection_floor_dbm=args.detection_floor)
@@ -262,12 +263,9 @@ def _load_world_dir(world_dir: str | Path, seed: int) -> EvalWorld:
     tp_meas = load_measurements(world_dir / "testpoints.csv")
     for meas, name in ((measurements, "measurements.csv"), (tp_meas, "testpoints.csv")):
         _check_survey_aps(meas, aps, world_dir / name)
-    tp_rps = build_real_fingerprints(tp_meas, aps, NOT_DETECTED_DBM)
-    from .simulator import TestPoint
-
-    test_points = [TestPoint(rp.position, rp.fingerprint) for rp in tp_rps]
+    tps = build_real_fingerprints(tp_meas, aps, NOT_DETECTED_DBM)
     return EvalWorld(plan=plan, aps=aps, measurements=measurements,
-                     test_points=test_points, seed=seed)
+                     tp_pos=tps.pos, tp_rss=tps.rss, seed=seed)
 
 
 def cmd_evaluate(args) -> int:

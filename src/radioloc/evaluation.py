@@ -28,22 +28,22 @@ import numpy as np
 
 from .errors import DegenerateFitError, InsufficientDataError
 from .fitting import FitResult, FitStrategy, MeasurementSet, fit
-from .floorplan import Floorplan
+from .floorplan import Floorplan, points_xyz
 from .ioutil import format_json, read_json, write_text_atomic
 from .positioning import _best_k, error_curves
 from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
     DETECTION_FLOOR_DBM,
     NOT_DETECTED_DBM,
+    RpArrays,
     build_real_fingerprints,
     ceil_scaled,
     decimation_order,
     generate_virtual_fingerprints,
-    virtual_rp_positions,
+    place_virtual_rps,
 )
 from .simulator import (
     ScenarioPreset,
-    TestPoint,
     WorldSpec,
     grid_rp_positions,
     make_world,
@@ -88,12 +88,17 @@ def boxplot_stats(values: Sequence[float]) -> dict:
 
 @dataclass
 class EvalWorld:
-    """Everything the system under evaluation gets to see."""
+    """Everything the system under evaluation gets to see.
+
+    The held-out test points are ``tp_rss`` (T, L) fingerprints, one column
+    per AP, taken at ``tp_pos`` (T, 3).
+    """
 
     plan: Floorplan
     aps: list[AccessPoint]
     measurements: MeasurementSet
-    test_points: list[TestPoint]
+    tp_pos: np.ndarray
+    tp_rss: np.ndarray
     sentinel_dbm: float = NOT_DETECTED_DBM
     detection_floor_dbm: float = DETECTION_FLOOR_DBM
     seed: int = 0
@@ -114,9 +119,12 @@ def build_world(template: str, seed: int, preset: ScenarioPreset | None = None,
     if preset is None:
         preset = ScenarioPreset.controlled()
     measurements, test_points = simulate_campaign(world, rp_positions, tp_positions, preset)
+    tp_rss = np.array([tp.fingerprint.rss for tp in test_points]).reshape(
+        len(test_points), len(world.aps))
     return (
         EvalWorld(plan=world.plan, aps=world.aps, measurements=measurements,
-                  test_points=test_points, sentinel_dbm=world.sentinel_dbm,
+                  tp_pos=points_xyz([tp.position for tp in test_points]), tp_rss=tp_rss,
+                  sentinel_dbm=world.sentinel_dbm,
                   detection_floor_dbm=world.detection_floor_dbm, seed=world.seed),
         world,
     )
@@ -256,7 +264,6 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
     """
     if any(not 0.0 < rho <= 1.0 for rho in rho_grid):
         raise ValueError("rho grid values must lie in (0, 1]")
-    rp_ids = meas.rp_ids()
     means = meas.mean_matrix()
     column = {ap_id: j for j, ap_id in enumerate(meas.ap_ids())}
     order = decimation_order(meas.xyz)
@@ -265,9 +272,8 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
 
     report = PredictionReport()
     for rho in rho_grid:
-        n_keep = ceil_scaled(rho * len(rp_ids))
-        selected = {rp_ids[i] for i in order[:n_keep]}
-        subset = meas.subset(selected)
+        n_keep = ceil_scaled(rho * len(order))
+        subset = meas.subset(order[:n_keep])
         for strategy in strategies:
             for model in models:
                 cell = PredictionCell(
@@ -313,15 +319,15 @@ def _default_k_values(n_rps: int) -> list[int]:
 
 
 def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
-                   real_rps, d_real: float, d_virtual: float,
+                   real_rps: RpArrays, d_real: float, d_virtual: float,
                    placement: str, seed: int,
                    k_grid: Sequence[int] | None,
                    links: dict[bytes, list[LinkTable]]) -> PositioningCell:
     """One sweep cell. ``links`` holds the link tables of the virtual position
     sets seen so far in the sweep, keyed by the positions' bytes."""
-    virtual_rps = []
+    virtual_rps = RpArrays.empty(len(world.aps))
     if d_virtual > 0:
-        positions = virtual_rp_positions(world.plan, d_virtual, placement, seed=seed)
+        positions = place_virtual_rps(world.plan, d_virtual, placement, seed=seed)
         key = positions.tobytes()
         if key not in links:
             links[key] = [LinkTable(world.plan, ap, positions) for ap in world.aps]
@@ -337,7 +343,7 @@ def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
         k_values = sorted({int(k) for k in k_grid if 1 <= int(k) <= len(rps)})
         if not k_values:
             raise ValueError("k grid has no feasible value for this cell")
-    curves = error_curves(rps.rss, rps.pos, world.test_points, k_values[-1])
+    curves = error_curves(rps.rss, rps.pos, world.tp_rss, world.tp_pos, k_values[-1])
     means = curves.mean(axis=0)
     quartiles = np.percentile(curves, [25, 50, 75], axis=0)
     at_k = np.asarray(k_values) - 1
@@ -382,13 +388,12 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
     computed; it anchors the gain). Gain uses each cell's own error-minimizing
     k unless ``gain_fixed_k`` pins a common k.
     """
-    if not world.test_points:
+    if not len(world.tp_rss):
         raise ValueError("positioning sweep needs test points")
     if strategy is None:
         strategy = FitStrategy.environment()
 
     rps_all = build_real_fingerprints(world.measurements, world.aps, world.sentinel_dbm)
-    rp_ids = world.measurements.rp_ids()
     order = decimation_order(rps_all.pos)
     area = world.area
 
@@ -404,10 +409,9 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
         n_real = max(1, min(n_real, len(rps_all)))
         keep = order[:n_real]
         real_rps = rps_all[keep]
-        selected_ids = {rp_ids[i] for i in keep}
         try:
             fit_result = fit(strategy, model, world.plan, world.aps,
-                             world.measurements.subset(selected_ids))
+                             world.measurements.subset(keep))
         except (DegenerateFitError, InsufficientDataError) as exc:
             for dv in dv_values:
                 report.cells.append(_failed_cell(d_real, dv, n_real, str(exc)))

@@ -83,19 +83,19 @@ def _index_names(names) -> tuple[list[str], np.ndarray]:
                                count=len(names))
 
 
-def _survey_points(rp_ids: Sequence[str], coords: Iterable, to_xyz,
+def _survey_points(rp_ids: Sequence[str], coords: Iterable,
                    ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Point ids, each row's point index, and one (x, y, z) row per point.
 
-    ``coords`` holds one hashable coordinate value per row and ``to_xyz``
-    turns it into three floats. Only distinct (id, coordinate) pairs are
-    converted; rows of one point that disagree in value raise ValueError.
+    ``coords`` holds one (x, y, z) tuple of number tokens per row. Only
+    distinct (id, coordinate) pairs are converted by ``float()``; rows of one
+    point that disagree in value raise ValueError.
     """
     names, rp_index = _index_names(rp_ids)
     lookup = {name: i for i, name in enumerate(names)}
     xyz: list = [None] * len(names)
     for rp_id, coord in dict.fromkeys(zip(rp_ids, coords)):
-        point = tuple(to_xyz(coord))
+        point = tuple(map(float, coord))
         i = lookup[rp_id]
         if xyz[i] is None:
             xyz[i] = point
@@ -118,64 +118,28 @@ class _Records(Sequence):
     def __len__(self) -> int:
         return self._meas.rp_index.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> MeasurementRecord:
         return self._meas._record(range(len(self))[i])
 
     def __iter__(self):
         return map(self._meas._record, range(len(self)))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    def __add__(self, other) -> list[MeasurementRecord]:
-        return list(self) + list(other)
-
 
 class MeasurementSet:
     """A survey stored as columns: one entry per scan row, one position per point.
 
-    Row columns: ``rp_index`` and ``ap_index`` (positions in ``rp_ids()`` and
-    ``ap_ids()``, both in first-appearance order), ``rss`` (dBm, NaN where the
-    row is not detected), ``detected`` and ``scan``. ``xyz`` holds one
-    (x, y, z) row per survey point. All arrays are read-only. ``records``
-    presents the rows as MeasurementRecord objects without storing them.
+    Built from indexed columns: ``xyz`` has one (x, y, z) row per entry of
+    ``rp_ids``, ``rp_index`` and ``ap_index`` give each row's point and AP,
+    and ``rss`` (dBm) is ignored where ``detected`` is False. Points and APs
+    no row refers to are dropped and the rest renumbered in first-appearance
+    order, so the stored ``rp_index`` and ``ap_index`` index ``rp_ids()`` and
+    ``ap_ids()``; the stored ``rss`` is NaN where a row is not detected. All
+    arrays are read-only. ``records`` presents the rows as MeasurementRecord
+    objects without storing them.
     """
 
-    def __init__(self, records: Iterable[MeasurementRecord]):
-        records = list(records)
-        if not records:
-            raise ValueError("measurement set is empty")
-        rp_ids, rp_index, xyz = _survey_points(
-            [rec.rp_id for rec in records], [rec.location for rec in records],
-            lambda p: (p.x, p.y, p.z))
-        ap_ids, ap_index = _index_names([rec.ap_id for rec in records])
-        self._init_indexed(
-            rp_ids, xyz, ap_ids, rp_index, ap_index,
-            np.array([np.nan if rec.rss_dbm is None else rec.rss_dbm for rec in records],
-                     dtype=float),
-            np.array([rec.rss_dbm is not None for rec in records], dtype=bool),
-            np.array([rec.scan_index for rec in records], dtype=np.int64))
-
-    @classmethod
-    def from_arrays(cls, rp_ids: Sequence[str], xyz: np.ndarray, ap_ids: Sequence[str],
-                    rp_index: np.ndarray, ap_index: np.ndarray, rss: np.ndarray,
-                    detected: np.ndarray, scan: np.ndarray) -> "MeasurementSet":
-        """A survey from indexed columns: ``xyz`` has one row per entry of ``rp_ids``.
-
-        ``rss`` is ignored where ``detected`` is False. Points and APs no row
-        refers to are dropped; the rest are renumbered in first-appearance
-        order.
-        """
-        meas = cls.__new__(cls)
-        meas._init_indexed(rp_ids, xyz, ap_ids, rp_index, ap_index, rss, detected, scan)
-        return meas
-
-    def _init_indexed(self, rp_ids, xyz, ap_ids, rp_index, ap_index, rss, detected,
-                      scan) -> None:
+    def __init__(self, rp_ids: Sequence[str], xyz, ap_ids: Sequence[str], rp_index,
+                 ap_index, rss, detected, scan):
         rp_index = np.asarray(rp_index, dtype=np.intp)
         m = rp_index.shape[0]
         if m == 0:
@@ -234,10 +198,6 @@ class MeasurementSet:
     def ap_ids(self) -> list[str]:
         return list(self._ap_ids)
 
-    def locations(self) -> dict[str, Point3]:
-        return {rp_id: Point3(x, y, z)
-                for rp_id, (x, y, z) in zip(self._rp_ids, self.xyz.tolist())}
-
     def mean_matrix(self) -> np.ndarray:
         """Mean detected RSS as an (n_points, n_aps) array; NaN where never detected.
 
@@ -254,24 +214,14 @@ class MeasurementSet:
             self._means = _read_only(means.reshape(n_rp, n_ap))
         return self._means
 
-    def averaged(self) -> dict[tuple[str, str], float]:
-        """Mean detected RSS per (rp_id, ap_id); pairs never detected are absent.
-
-        Pairs appear in the order of their first detected scan.
-        """
-        n_ap = len(self._ap_ids)
-        means = self.mean_matrix().ravel().tolist()
-        pair = (self.rp_index * n_ap + self.ap_index)[self.detected]
-        used, _ = _first_appearance(pair, len(means))
-        return {(self._rp_ids[code // n_ap], self._ap_ids[code % n_ap]): means[code]
-                for code in used.tolist()}
-
-    def subset(self, rp_ids: set[str]) -> "MeasurementSet":
-        keep = np.array([rp_id in rp_ids for rp_id in self._rp_ids])
+    def subset(self, points) -> "MeasurementSet":
+        """The rows of the points at positions ``points`` in ``rp_ids()``, in row order."""
+        keep = np.zeros(len(self._rp_ids), dtype=bool)
+        keep[points] = True
         rows = keep[self.rp_index]
         if not rows.any():
             raise ValueError("subset selects no measurements")
-        return MeasurementSet.from_arrays(
+        return MeasurementSet(
             self._rp_ids, self.xyz, self._ap_ids, self.rp_index[rows], self.ap_index[rows],
             self.rss[rows], self.detected[rows], self.scan[rows])
 
@@ -529,7 +479,7 @@ def _measurements_from_text(text: str) -> MeasurementSet:
     columns = _loadtxt_columns(text)
     if columns is None:
         return _measurements_from_rows(csv_rows(text))
-    return MeasurementSet.from_arrays(*columns)
+    return MeasurementSet(*columns)
 
 
 # The survey body as np.loadtxt reads it, with ids, RSS and scan tokens as
@@ -563,7 +513,7 @@ def _plain_lines(body: str) -> bool:
 
 
 def _loadtxt_columns(text: str) -> tuple | None:
-    """``_measurements_from_rows``' columns for ``MeasurementSet.from_arrays``,
+    """``_measurements_from_rows``' columns for ``MeasurementSet``,
     parsed by numpy's C reader; None for any text it cannot read exactly as
     ``csv_rows`` and ``float()``/``int()`` would, or that the rows path rejects.
 
@@ -620,14 +570,13 @@ def _measurements_from_rows(rows: list[list[str]]) -> MeasurementSet:
 
     rp_ids, ap_ids, tokens, scans = (list(map(itemgetter(j), rows)) for j in (0, 4, 5, 6))
     detected = [token != NOT_DETECTED_TOKEN for token in tokens]
-    names, rp_index, xyz = _survey_points(rp_ids, map(itemgetter(1, 2, 3), rows),
-                                          lambda coord: map(float, coord))
+    names, rp_index, xyz = _survey_points(rp_ids, map(itemgetter(1, 2, 3), rows))
     ap_names, ap_index = _index_names(ap_ids)
     rss = np.full(len(rows), np.nan)
     rss[np.array(detected)] = np.fromiter(map(float, compress(tokens, detected)),
                                           dtype=float)
     scan_of = {text: int(text) for text in dict.fromkeys(scans)}
-    return MeasurementSet.from_arrays(
+    return MeasurementSet(
         names, xyz, ap_names, rp_index, ap_index, rss, np.array(detected),
         np.fromiter(map(scan_of.__getitem__, scans), dtype=np.int64, count=len(scans)))
 

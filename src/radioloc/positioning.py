@@ -208,35 +208,38 @@ def locate_many(rmap: Radiomap, targets, cfg: WknnConfig = WknnConfig(),
     return _locate_rows(rmap, rows, cfg)
 
 
-def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray,
-                 test_points: list[tuple[Point3, Fingerprint]], k_max: int,
-                 order: float = 2.0, cap: float = SIMILARITY_CAP) -> np.ndarray:
+def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarray,
+                 tp_pos: np.ndarray, k_max: int, order: float = 2.0,
+                 cap: float = SIMILARITY_CAP) -> np.ndarray:
     """Positioning error of every test point for every k in 1..k_max.
 
-    Returns an (n_test_points, k_max) array of 3D errors in meters; the
-    array-level entry point the evaluation sweeps build on. Test points are
-    scored in row blocks.
+    The T test points are ``tp_rss`` (T, L) fingerprints, checked like
+    ``Fingerprint`` values, taken at ``tp_pos`` (T, 3). Returns a (T, k_max)
+    array of 3D errors in meters; the array-level entry point the evaluation
+    sweeps build on. Test points are scored in row blocks.
     """
     n = rp_rss.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}]")
-    # Shaped by the test point count, so a fingerprint of the wrong length
-    # raises instead of wrapping into another row.
-    targets = np.array([fp.rss for _, fp in test_points]).reshape(len(test_points),
-                                                                  rp_rss.shape[1])
-    truth = np.array([pos.as_array() for pos, _ in test_points]).reshape(len(test_points), 3)
-    errors = np.empty((len(test_points), k_max))
-    for block in _row_blocks(len(test_points), n):
-        _, _, estimates = _wknn(rp_rss, rp_positions, targets[block], k_max, order, cap)
-        delta = estimates - truth[block, None, :]
+    tp_rss = np.asarray(tp_rss, dtype=float)
+    tp_pos = np.asarray(tp_pos, dtype=float)
+    t = tp_rss.shape[0] if tp_rss.ndim == 2 else -1
+    if tp_rss.shape != (t, rp_rss.shape[1]) or tp_pos.shape != (t, 3):
+        raise ValueError("test points need tp_rss (T, L) and tp_pos (T, 3)")
+    _check_rss(tp_rss)
+    errors = np.empty((t, k_max))
+    for block in _row_blocks(t, n):
+        _, _, estimates = _wknn(rp_rss, rp_positions, tp_rss[block], k_max, order, cap)
+        delta = estimates - tp_pos[block, None, :]
         errors[block] = np.sqrt(np.sum(delta * delta, axis=2))
     return errors
 
 
-def find_k_opt(rmap: Radiomap, test_points: list[tuple[Point3, Fingerprint]],
-               k_range, cfg: WknnConfig = WknnConfig()) -> int:
-    """The k in k_range minimizing mean positioning error; ties pick the smallest k."""
-    if not test_points:
+def find_k_opt(rmap: Radiomap, tp_rss: np.ndarray, tp_pos: np.ndarray, k_range,
+               cfg: WknnConfig = WknnConfig()) -> int:
+    """The k in k_range minimizing mean positioning error over the test points
+    (``error_curves``' ``tp_rss`` and ``tp_pos``); ties pick the smallest k."""
+    if not len(tp_rss):
         raise ValueError("find_k_opt needs at least one test point")
     ks = sorted(set(int(k) for k in k_range))
     n = len(rmap)
@@ -245,5 +248,5 @@ def find_k_opt(rmap: Radiomap, test_points: list[tuple[Point3, Fingerprint]],
     if ks[0] < 1 or ks[-1] > n:
         raise ValueError(f"k range must lie within [1, {n}]")
     curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(),
-                          test_points, ks[-1], cfg.order, cfg.cap)
+                          tp_rss, tp_pos, ks[-1], cfg.order, cfg.cap)
     return _best_k(ks, curves.mean(axis=0))

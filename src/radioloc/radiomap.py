@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .fitting import FitResult, MeasurementSet
-from .floorplan import Floorplan, Point3, lattice_positions, points_xyz
+from .floorplan import Floorplan, lattice_positions, points_xyz
 from .ioutil import read_json, write_text_atomic
 from .propagation import (
     AccessPoint,
@@ -50,13 +49,6 @@ class Fingerprint:
         _check_rss(values)
         self.rss = values
 
-    @classmethod
-    def _view(cls, values: np.ndarray) -> "Fingerprint":
-        """Wrap an already validated vector without copying or checking it."""
-        fp = cls.__new__(cls)
-        fp.rss = values
-        return fp
-
     def __len__(self) -> int:
         return self.rss.shape[0]
 
@@ -74,21 +66,13 @@ def _check_rss(values: np.ndarray) -> None:
         raise ValueError("fingerprint values must lie within [-120, 0] dBm")
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
-    position: Point3
-    fingerprint: Fingerprint
-    kind: RpKind
-
-
 class RpArrays:
     """Reference points stored as arrays: ``pos`` (n, 3), ``rss`` (n, L), ``virtual`` (n,).
 
     ``virtual`` marks virtual reference points; the rest are real. The arrays
-    are validated once, on construction, and are read-only. Indexing with an
-    int gives a ReferencePoint whose fingerprint is a view of the ``rss`` row;
-    indexing with a slice or an index sequence, and ``+`` (with another
-    RpArrays or a sequence of ReferencePoint), give a new RpArrays.
+    are validated once, on construction, and are read-only. Indexing with a
+    slice or an index sequence, and ``+`` with another RpArrays, give a new
+    RpArrays.
     """
 
     __slots__ = ("pos", "rss", "virtual")
@@ -121,21 +105,6 @@ class RpArrays:
     def empty(cls, n_aps: int) -> "RpArrays":
         return cls._trusted(np.zeros((0, 3)), np.zeros((0, n_aps)), np.zeros(0, dtype=bool))
 
-    @classmethod
-    def from_points(cls, points, n_aps: int = 0) -> "RpArrays":
-        """RpArrays from RpArrays (returned as is) or ReferencePoint objects.
-
-        ``n_aps`` sets the fingerprint length of an empty result.
-        """
-        if isinstance(points, RpArrays):
-            return points
-        points = list(points)
-        if not points:
-            return cls.empty(n_aps)
-        return cls([(p.position.x, p.position.y, p.position.z) for p in points],
-                   [p.fingerprint.rss for p in points],
-                   [p.kind is RpKind.VIRTUAL for p in points])
-
     @property
     def n_aps(self) -> int:
         return self.rss.shape[1]
@@ -151,31 +120,21 @@ class RpArrays:
     def __len__(self) -> int:
         return self.pos.shape[0]
 
-    def __getitem__(self, key):
+    def __getitem__(self, key) -> "RpArrays":
         if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]
-            x, y, z = self.pos[i].tolist()
-            return ReferencePoint(Point3(x, y, z), Fingerprint._view(self.rss[i]),
-                                  RpKind.VIRTUAL if self.virtual[i] else RpKind.REAL)
+            raise TypeError("index RpArrays with a slice or an index sequence")
         return RpArrays._trusted(self.pos[key], self.rss[key], self.virtual[key])
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __add__(self, other) -> "RpArrays":
-        other = RpArrays.from_points(other, self.n_aps)
+    def __add__(self, other: "RpArrays") -> "RpArrays":
+        if other.n_aps != self.n_aps:
+            raise ValueError("fingerprint lengths differ")
         if not len(other):
             return self
         if not len(self):
             return other
-        if other.n_aps != self.n_aps:
-            raise ValueError("fingerprint lengths differ")
         return RpArrays._trusted(np.concatenate([self.pos, other.pos]),
                                  np.concatenate([self.rss, other.rss]),
                                  np.concatenate([self.virtual, other.virtual]))
-
-    def __radd__(self, other) -> "RpArrays":
-        return RpArrays.from_points(other, self.n_aps) + self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RpArrays):
@@ -191,19 +150,18 @@ class RpArrays:
 class Radiomap:
     """The fingerprint database: APs plus real and/or virtual reference points.
 
-    ``rps`` is an RpArrays, or a sequence of ReferencePoint converted to one.
+    ``rps`` is an RpArrays with one fingerprint column per AP.
     ``area_m2`` is needed to express RP counts as spatial densities; it may be
     omitted when only counts matter (e.g. a map loaded for bare positioning).
     Treated as immutable once built; positioning reads it concurrently without
     locking.
     """
 
-    def __init__(self, aps: list[AccessPoint], rps,
+    def __init__(self, aps: list[AccessPoint], rps: RpArrays,
                  area_m2: float | None = None,
                  sentinel_dbm: float = NOT_DETECTED_DBM):
         if not aps:
             raise ValueError("radiomap needs at least one AP")
-        rps = RpArrays.from_points(rps, len(aps))
         if rps.n_aps != len(aps):
             raise ValueError("fingerprint length must equal the number of APs")
         if area_m2 is not None and area_m2 <= 0:
@@ -284,23 +242,21 @@ def decimation_order(positions: np.ndarray) -> list[int]:
     return order
 
 
-def select_rps(all_rps, rho: float) -> RpArrays:
+def select_rps(rps: RpArrays, rho: float) -> RpArrays:
     """Keep ceil(rho * N) reference points by farthest-point decimation.
 
-    ``all_rps`` is an RpArrays or a sequence of ReferencePoint. Selections
-    nest: the kept set for a smaller rho is a subset of the kept set for any
-    larger rho.
+    Selections nest: the kept set for a smaller rho is a subset of the kept
+    set for any larger rho.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    rps = RpArrays.from_points(all_rps)
     n_keep = ceil_scaled(rho * len(rps))
     return rps[decimation_order(rps.pos)[:n_keep]]
 
 
-def virtual_rp_positions(plan: Floorplan, d_virtual: float, placement: str = "grid",
-                         seed: int | None = None, z_m: float = DEVICE_HEIGHT_M,
-                         ) -> np.ndarray:
+def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid",
+                      seed: int | None = None, z_m: float = DEVICE_HEIGHT_M,
+                      ) -> np.ndarray:
     """Positions for ceil(d_virtual * area) virtual reference points, as an (n, 3) array.
 
     ``placement`` is "grid" (near-uniform lattice at cell centers) or "random"
@@ -322,14 +278,6 @@ def virtual_rp_positions(plan: Floorplan, d_virtual: float, placement: str = "gr
     else:
         raise ValueError(f"unknown placement {placement!r}")
     return np.column_stack([xy, np.full(n, float(z_m))])
-
-
-def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid",
-                      seed: int | None = None, z_m: float = DEVICE_HEIGHT_M,
-                      ) -> list[Point3]:
-    """virtual_rp_positions as a list of Point3."""
-    return [Point3(x, y, z) for x, y, z in
-            virtual_rp_positions(plan, d_virtual, placement, seed, z_m).tolist()]
 
 
 def generate_virtual_fingerprints(

@@ -522,7 +522,7 @@ def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
     # Rows run over (point, AP, scan), scan fastest.
     rss = scans_rp.reshape(-1)
     per_point = n_ap * preset.q
-    measurements = MeasurementSet.from_arrays(
+    measurements = MeasurementSet(
         [f"rp{i:03d}" for i in range(n_rp)], rp_xyz, [ap.id for ap in world.aps],
         rp_index=np.repeat(np.arange(n_rp), per_point),
         ap_index=np.tile(np.repeat(np.arange(n_ap), preset.q), n_rp),

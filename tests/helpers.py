@@ -171,18 +171,19 @@ def reference_fit_rows(plan, aps, meas, model, l0_db):
     ``d`` summed and rooted in Python and the log from ``math.log10``; ``y``
     is EIRP - l0 - the scan-averaged RSS.
     """
-    means = meas.averaged()
-    locations = meas.locations()
+    means = meas.mean_matrix()
+    rp_ids, ap_ids = meas.rp_ids(), meas.ap_ids()
     ap_by_id = {ap.id: ap for ap in aps}
     keys = plan.obstacle_keys()
     rows = []
-    for ap_id in sorted(meas.ap_ids()):
+    for ap_id in sorted(ap_ids):
         ap = ap_by_id[ap_id]
         a = ap.position
-        for rp_id in sorted(meas.rp_ids()):
-            if (rp_id, ap_id) not in means:
+        for rp_id in sorted(rp_ids):
+            mean = means[rp_ids.index(rp_id), ap_ids.index(ap_id)]
+            if math.isnan(mean):
                 continue
-            p = locations[rp_id]
+            p = Point3(*meas.xyz[rp_ids.index(rp_id)].tolist())
             if any(min(p.z, a.z) < z < max(p.z, a.z) for z in plan.floors):
                 continue
             dx, dy, dz = p.x - a.x, p.y - a.y, p.z - a.z
@@ -192,7 +193,7 @@ def reference_fit_rows(plan, aps, meas, model, l0_db):
                 x += [1.0] + [float(sum(flag for flag, o in zip(flags, plan.obstacles)
                                         if (o.family, o.type_index) == key))
                               for key in keys]
-            rows.append((ap_id, x, ap.eirp_dbm - l0_db - means[(rp_id, ap_id)]))
+            rows.append((ap_id, x, ap.eirp_dbm - l0_db - mean))
     return rows
 
 
@@ -394,6 +395,29 @@ def reference_report_text(report, fmt):
                              c.k_est, c.k_opt, repr(c.mean_error_kest_m),
                              repr(c.mean_error_kopt_m), repr(c.beta_m)])
     return buf.getvalue()
+
+
+def measurement_set(records):
+    """A MeasurementSet of ``records`` (MeasurementRecord rows), in their order.
+
+    Each point takes its first record's location; a later record of the point
+    at another location raises ValueError.
+    """
+    records = list(records)
+    rp_ids = list(dict.fromkeys(rec.rp_id for rec in records))
+    ap_ids = list(dict.fromkeys(rec.ap_id for rec in records))
+    location = {}
+    for rec in records:
+        if location.setdefault(rec.rp_id, rec.location) != rec.location:
+            raise ValueError(f"point {rec.rp_id!r} has inconsistent coordinates")
+    rp_of = {rp_id: i for i, rp_id in enumerate(rp_ids)}
+    ap_of = {ap_id: i for i, ap_id in enumerate(ap_ids)}
+    return fitting.MeasurementSet(
+        rp_ids, [location[rp_id].as_array() for rp_id in rp_ids], ap_ids,
+        [rp_of[rec.rp_id] for rec in records], [ap_of[rec.ap_id] for rec in records],
+        [math.nan if rec.rss_dbm is None else rec.rss_dbm for rec in records],
+        [rec.rss_dbm is not None for rec in records],
+        [rec.scan_index for rec in records])
 
 
 def survey_state(meas):

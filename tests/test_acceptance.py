@@ -24,8 +24,7 @@ from radioloc.propagation import ModelKind, PropagationParams
 from radioloc.radiomap import (
     Fingerprint,
     Radiomap,
-    ReferencePoint,
-    RpKind,
+    RpArrays,
     ceil_scaled,
     decimation_order,
 )
@@ -109,13 +108,9 @@ def test_criterion_01_exact_recovery_oracle():
         for cell in report.cells:
             assert cell.error is None, cell.error
             worst_delta = max(worst_delta, cell.mean_delta_db)
-        ids = meas.rp_ids()
-        locations = meas.locations()
-        positions = np.array([[locations[r].x, locations[r].y, locations[r].z]
-                              for r in ids])
-        order = decimation_order(positions)
+        order = decimation_order(meas.xyz)
         for rho in info.rho_grid:
-            keep = {ids[i] for i in order[:ceil_scaled(rho * len(ids))]}
+            keep = order[:ceil_scaled(rho * len(order))]
             result = fit(strategy, ModelKind.MWMF, spec.plan, spec.aps,
                          meas.subset(keep))
             for params in result.params_by_ap.values():
@@ -283,9 +278,8 @@ def test_criterion_08_wknn_oracle_equivalence():
         if rng.random() < 0.3:
             rss[rng.integers(0, n)] = rng.uniform(-100, -35, length)
         positions = rng.uniform(0, 60, size=(n, 3))
-        rps = [ReferencePoint(Point3(*positions[i]), Fingerprint(rss[i]),
-                              RpKind.REAL) for i in range(n)]
-        rmap = Radiomap(aps, rps, area_m2=3600.0)
+        rmap = Radiomap(aps, RpArrays(positions, rss, np.zeros(n, dtype=bool)),
+                        area_m2=3600.0)
         target = Fingerprint(rss[rng.integers(0, n)] if rng.random() < 0.2
                              else rng.uniform(-100, -35, length))
         k = int(rng.integers(1, n + 1))

@@ -14,9 +14,9 @@ from radioloc.cli import (
 )
 from radioloc.fitting import load_fit_result, load_measurements
 from radioloc.floorplan import load_floorplan
-from radioloc.radiomap import load_radiomap, virtual_rp_positions
+from radioloc.radiomap import load_radiomap, place_virtual_rps
 
-from helpers import CUSTOM_WORLD
+from helpers import CUSTOM_WORLD, measurement_set
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +142,10 @@ class TestFit:
         # Restrict the survey to one AP: pooled and per-AP systems coincide.
         meas = load_measurements(world_dir / "measurements.csv")
         only = [r for r in meas.records if r.ap_id == "ap01"]
-        from radioloc.fitting import MeasurementSet, save_measurements
+        from radioloc.fitting import save_measurements
 
         single = tmp_path / "single.csv"
-        save_measurements(MeasurementSet(only), single)
+        save_measurements(measurement_set(only), single)
         aps_doc = json.loads((world_dir / "aps.json").read_text())
         (tmp_path / "aps1.json").write_text(json.dumps(
             [a for a in aps_doc if a["id"] == "ap01"]))
@@ -330,7 +330,7 @@ class TestInputErrorsExit2:
 
     def test_build_radiomap_virtual_rp_at_ap(self, world_dir, fit_file, tmp_path, capsys):
         plan = load_floorplan(world_dir / "floorplan.json")
-        x, y, z = virtual_rp_positions(plan, 1.0, "grid", z_m=1.2)[0].tolist()
+        x, y, z = place_virtual_rps(plan, 1.0, "grid", z_m=1.2)[0].tolist()
         aps_doc = json.loads((world_dir / "aps.json").read_text())
         for ap in aps_doc:
             if ap["id"] == "ap01":

@@ -27,7 +27,8 @@ from radioloc.evaluation import (
 from radioloc.fitting import FitStrategy
 from radioloc.positioning import WknnConfig, locate
 from radioloc.propagation import ModelKind
-from radioloc.radiomap import Radiomap, build_real_fingerprints, virtual_rp_positions
+from radioloc.floorplan import points_xyz
+from radioloc.radiomap import Fingerprint, Radiomap, build_real_fingerprints, place_virtual_rps
 from radioloc.simulator import NoiseConfig, ScenarioPreset, template_info
 
 from helpers import count_crossing_calls, reference_report_text
@@ -62,7 +63,9 @@ def rebuild_noiseless(seed=4):
     tp = template_test_positions("spinv_like", seed, spec.plan)
     meas, tps = simulate_campaign(spec, rp, tp, ScenarioPreset.controlled())
     return EvalWorld(plan=spec.plan, aps=spec.aps, measurements=meas,
-                     test_points=tps, sentinel_dbm=spec.sentinel_dbm,
+                     tp_pos=points_xyz([tp.position for tp in tps]),
+                     tp_rss=np.array([tp.fingerprint.rss for tp in tps]),
+                     sentinel_dbm=spec.sentinel_dbm,
                      detection_floor_dbm=spec.detection_floor_dbm,
                      seed=spec.seed), spec
 
@@ -145,11 +148,10 @@ class TestPositioningSweep:
                         sentinel_dbm=world.sentinel_dbm)
         k = cell.k_opt
         errors = []
-        for tp in world.test_points:
-            est = locate(rmap, tp.fingerprint, WknnConfig(k=k))
+        for rss, pos in zip(world.tp_rss, world.tp_pos.tolist()):
+            est = locate(rmap, Fingerprint(rss), WknnConfig(k=k))
             errors.append(math.dist(
-                (est.position.x, est.position.y, est.position.z),
-                (tp.position.x, tp.position.y, tp.position.z)))
+                (est.position.x, est.position.y, est.position.z), pos))
         assert np.mean(errors) == pytest.approx(cell.mean_error_at(k), abs=1e-9)
         np.testing.assert_allclose(sorted(errors), sorted(cell.errors_at_k_opt),
                                    atol=1e-9)
@@ -209,7 +211,7 @@ class TestGeometryReuse:
         report, _ = run_positioning_sweep(world, dr_grid, self.DV_GRID)
         assert len(dr_grid) == 4 and not any(c.error for c in report.cells)
         for dv in self.DV_GRID:
-            positions = virtual_rp_positions(world.plan, dv).tobytes()
+            positions = place_virtual_rps(world.plan, dv).tobytes()
             assert [calls[(ap.position, positions)] for ap in world.aps] == [1] * len(world.aps)
 
     def test_prediction_analysis_counts_survey_links_once(self, noisy_world, monkeypatch):
@@ -426,7 +428,8 @@ class TestReportWriters:
 class TestBuildWorld:
     def test_build_world_contract(self):
         world, spec = build_world("twist_like", 0, n_test_points=9)
-        assert len(world.test_points) == 9
+        assert world.tp_pos.shape == (9, 3)
+        assert world.tp_rss.shape == (9, len(world.aps))
         assert len(world.measurements.rp_ids()) == 41
         assert world.area == pytest.approx(450.0)
         assert spec.seed == 0

@@ -7,7 +7,6 @@ from radioloc.errors import DegenerateFitError, InputError, InsufficientDataErro
 from radioloc.fitting import (
     FitStrategy,
     MeasurementRecord,
-    MeasurementSet,
     StrategyKind,
     _loadtxt_columns,
     fit,
@@ -27,7 +26,13 @@ from radioloc.propagation import (
     predict_rss,
 )
 
-from helpers import csv_path_outcome, survey_outcome, survey_points, tiny_world
+from helpers import (
+    csv_path_outcome,
+    measurement_set,
+    survey_outcome,
+    survey_points,
+    tiny_world,
+)
 
 
 def synth_measurements(plan, aps, params_by_ap, points, q=3, model=ModelKind.MWMF):
@@ -38,7 +43,7 @@ def synth_measurements(plan, aps, params_by_ap, points, q=3, model=ModelKind.MWM
             value = predict_rss(model, params_by_ap[ap.id], plan, ap, p)
             for s in range(q):
                 records.append(MeasurementRecord(f"rp{idx:03d}", p, ap.id, value, s))
-    return MeasurementSet(records)
+    return measurement_set(records)
 
 
 def params_close(a, b, tol=1e-6):
@@ -130,7 +135,7 @@ class TestFitContracts:
         plan, aps, truth = tiny_world()
         meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps},
                                   survey_points(), q=2)
-        doubled = MeasurementSet(meas.records + [
+        doubled = measurement_set(list(meas.records) + [
             MeasurementRecord(r.rp_id, r.location, r.ap_id, r.rss_dbm,
                               r.scan_index + 100)
             for r in meas.records])
@@ -143,8 +148,8 @@ class TestFitContracts:
         plan, aps, truth = tiny_world()
         meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps},
                                   survey_points())
-        with_nd = MeasurementSet(meas.records + [
-            MeasurementRecord("rp000", meas.locations()["rp000"], "a", None, 99)])
+        with_nd = measurement_set(list(meas.records) + [
+            MeasurementRecord("rp000", Point3(*meas.xyz[0].tolist()), "a", None, 99)])
         a = fit(FitStrategy.environment(), ModelKind.MWMF, plan, aps, meas)
         b = fit(FitStrategy.environment(), ModelKind.MWMF, plan, aps, with_nd)
         assert a.params_for("a") == b.params_for("a")
@@ -159,17 +164,18 @@ class TestFitContracts:
                 records.append(MeasurementRecord(
                     f"rp{idx:03d}", p, ap.id,
                     float(np.clip(value + rng.normal(0, 2.0), -119, 0)), 0))
-        meas = MeasurementSet(records)
+        meas = measurement_set(records)
         result = fit(FitStrategy.environment(), ModelKind.MWMF, plan, aps, meas)
         fitted = result.params_for("a")
+        means = meas.mean_matrix()
 
         def objective(params):
             total = 0.0
-            for (rp_id, ap_id), measured in meas.averaged().items():
-                ap = next(a for a in aps if a.id == ap_id)
+            for i, j in zip(*np.nonzero(~np.isnan(means))):
+                ap = next(a for a in aps if a.id == meas.ap_ids()[j])
                 predicted = predict_rss(ModelKind.MWMF, params, plan, ap,
-                                        meas.locations()[rp_id])
-                total += (measured - predicted) ** 2
+                                        Point3(*meas.xyz[i].tolist()))
+                total += (means[i, j] - predicted) ** 2
             return total
 
         best = objective(fitted)
@@ -281,7 +287,7 @@ def two_story_survey():
                 records.append(MeasurementRecord(
                     f"rp{i:03d}", p, ap.id,
                     float(np.clip(value + rng.normal(0, 3.0), -120, 0)), scan))
-    return plan, aps, MeasurementSet(records)
+    return plan, aps, measurement_set(records)
 
 
 class TestNoFitResidual:
@@ -319,14 +325,14 @@ class TestMeasurementIo:
             MeasurementRecord("rp000", Point3(1.25, 2.5, 1.2), "ap01", None, 1),
             MeasurementRecord("rp001", Point3(3.0, 2.5, 1.2), "ap02", -70.0, 0),
         ]
-        meas = MeasurementSet(records)
+        meas = measurement_set(records)
         path = tmp_path / "meas.csv"
         save_measurements(meas, path)
         text = path.read_text()
         assert text.splitlines()[0] == "rp_id,x,y,z,ap_id,rss_dbm,scan_index"
         assert "ND" in text
         loaded = load_measurements(path)
-        assert loaded.records == records
+        assert list(loaded.records) == records
         assert loaded.q == 2
 
     def test_bad_header_rejected(self, tmp_path):
@@ -390,8 +396,8 @@ class TestMeasurementIo:
         path.write_text("rp_id,x,y,z,ap_id,rss_dbm,scan_index\n"
                         "rp0,1,2,1.2,ap01,-50.0,0\nrp0,1.0,2e0,1.20,ap01,ND,1\n")
         meas = load_measurements(path)
-        assert meas.locations() == {"rp0": Point3(1.0, 2.0, 1.2)}
-        assert meas.averaged() == {("rp0", "ap01"): -50.0}
+        assert meas.rp_ids() == ["rp0"] and meas.xyz.tolist() == [[1.0, 2.0, 1.2]]
+        assert meas.ap_ids() == ["ap01"] and meas.mean_matrix().tolist() == [[-50.0]]
 
     # (file text, whether numpy's reader takes it); either way the survey must
     # equal the csv rows path's, bit for bit.
@@ -471,24 +477,23 @@ class TestMeasurementIo:
             MeasurementRecord("#rp1", Point3(3.0, -0.0, 1.2), 'a,"p"', -70.0, 0),
         ]
         path = tmp_path / "meas.csv"
-        save_measurements(MeasurementSet(records), path)
+        save_measurements(measurement_set(records), path)
         with open(path, newline="", encoding="utf-8") as fh:
             assert _loadtxt_columns(fh.read()) is None  # quoted: the csv rows path
         loaded = load_measurements(path)
-        assert loaded.records == records
+        assert list(loaded.records) == records
         assert survey_outcome(load_measurements, path) == csv_path_outcome(path)
 
     def test_rss_range_validated(self):
         with pytest.raises(ValueError):
             MeasurementRecord("rp", Point3(0, 0, 0), "ap", 5.0, 0)
 
-    def test_inconsistent_location_rejected(self):
-        records = [
-            MeasurementRecord("rp000", Point3(1, 2, 1.2), "ap01", -50.0, 0),
-            MeasurementRecord("rp000", Point3(9, 2, 1.2), "ap01", -50.0, 1),
-        ]
-        with pytest.raises(ValueError):
-            MeasurementSet(records).locations()
+    def test_inconsistent_location_rejected(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text(f"{HEADER}\nrp000,1,2,1.2,ap01,-50.0,0\nrp000,9,2,1.2,ap01,-50.0,1\n")
+        with pytest.raises(InputError, match="'rp000' has inconsistent coordinates"):
+            load_measurements(path)
+        assert csv_path_outcome(path) == survey_outcome(load_measurements, path)
 
 
 class TestFitResultIo:

@@ -15,7 +15,7 @@ from radioloc.positioning import (
     similarity,
 )
 from radioloc.propagation import AccessPoint
-from radioloc.radiomap import Fingerprint, Radiomap, ReferencePoint, RpKind
+from radioloc.radiomap import Fingerprint, Radiomap, RpArrays
 
 from helpers import oracle_wknn
 
@@ -25,8 +25,8 @@ def make_map(entries, area=100.0, n_aps=None):
     if n_aps is None:
         n_aps = len(entries[0][2])
     aps = [AccessPoint(f"ap{i}", Point3(float(i), 0.0, 2.8)) for i in range(n_aps)]
-    rps = [ReferencePoint(Point3(x, y, 1.2), Fingerprint(rss), RpKind.REAL)
-           for x, y, rss in entries]
+    rps = RpArrays([(x, y, 1.2) for x, y, _ in entries], [rss for _, _, rss in entries],
+                   [False] * len(entries))
     return Radiomap(aps, rps, area_m2=area)
 
 
@@ -99,7 +99,7 @@ class TestLocate:
         rmap = make_map(entries)
         target = Fingerprint(entries[17][2])
         # The cap must exceed any finite similarity by a large factor.
-        finite = [similarity(target, rp.fingerprint) for i, rp in enumerate(rmap.rps)
+        finite = [similarity(target, Fingerprint(rss)) for i, rss in enumerate(rmap.rss_matrix())
                   if i != 17]
         assert SIMILARITY_CAP >= 1e6 * max(finite)
         for k in (1, 5, 40):
@@ -168,7 +168,7 @@ class TestLocateMany:
             locate_many(rmap, targets[:, :3], WknnConfig(k=3))
         with pytest.raises(ValueError):
             locate_many(rmap, targets, WknnConfig(k=31))
-        empty = Radiomap(rmap.aps, [], area_m2=100.0)
+        empty = Radiomap(rmap.aps, RpArrays.empty(len(rmap.aps)), area_m2=100.0)
         with pytest.raises(ValueError):
             locate_many(empty, targets, WknnConfig(k=1))
 
@@ -190,17 +190,11 @@ class TestProperties:
         rmap = make_map(entries)
         target = Fingerprint(list(rng.uniform(-66, -64, 5)))
         est = locate(rmap, target, WknnConfig(k=7))
-        scaled_rps = [
-            ReferencePoint(rp.position,
-                           Fingerprint(np.clip(target.rss + 4.0 * (rp.fingerprint.rss
-                                                                   - target.rss),
-                                               -120, 0)), rp.kind)
-            for rp in rmap.rps
-        ]
+        scaled_rss = np.clip(target.rss + 4.0 * (rmap.rss_matrix() - target.rss), -120, 0)
         # Clipping would break exactness; the instance is built to avoid it.
-        assert all(np.all(rp.fingerprint.rss > -120) and np.all(rp.fingerprint.rss < 0)
-                   for rp in scaled_rps)
-        scaled = Radiomap(rmap.aps, scaled_rps, rmap.area_m2)
+        assert np.all(scaled_rss > -120) and np.all(scaled_rss < 0)
+        scaled = Radiomap(rmap.aps, RpArrays(rmap.rps.pos, scaled_rss, rmap.rps.virtual),
+                          rmap.area_m2)
         est_scaled = locate(scaled, target, WknnConfig(k=7))
         assert [i for i, _ in est.neighbors] == [i for i, _ in est_scaled.neighbors]
         assert est.position == est_scaled.position
@@ -210,8 +204,8 @@ class TestProperties:
         for _ in range(20):
             rmap, target = self._random_instance(rng)
             est = locate(rmap, target, WknnConfig(k=5))
-            xs = [rmap.rps[i].position.x for i, _ in est.neighbors]
-            ys = [rmap.rps[i].position.y for i, _ in est.neighbors]
+            xs = [rmap.rps.pos[i, 0] for i, _ in est.neighbors]
+            ys = [rmap.rps.pos[i, 1] for i, _ in est.neighbors]
             assert min(xs) - 1e-9 <= est.position.x <= max(xs) + 1e-9
             assert min(ys) - 1e-9 <= est.position.y <= max(ys) + 1e-9
 
@@ -220,8 +214,7 @@ class TestProperties:
         rmap, target = self._random_instance(rng)
         refined = Radiomap(
             rmap.aps,
-            rmap.rps + [ReferencePoint(Point3(33.0, 44.0, 1.2),
-                                       Fingerprint(target.rss), RpKind.VIRTUAL)],
+            rmap.rps + RpArrays([(33.0, 44.0, 1.2)], [target.rss], [True]),
             rmap.area_m2)
         est = locate(refined, target, WknnConfig(k=6))
         assert abs(est.position.x - 33.0) < 1e-3
@@ -249,47 +242,51 @@ class TestProperties:
 class TestFindKOpt:
     def test_single_rp_map(self):
         rmap = make_map([(5.0, 5.0, [-50.0])])
-        tps = [(Point3(5.0, 5.0, 1.2), Fingerprint([-50.0]))]
-        assert find_k_opt(rmap, tps, range(1, 2)) == 1
+        assert find_k_opt(rmap, [[-50.0]], [[5.0, 5.0, 1.2]], range(1, 2)) == 1
 
     def test_colocated_tps_prefer_k1(self):
         entries = [(float(i * 3), float(i * 2), [-50.0 - 3 * i, -80.0 + 2 * i])
                    for i in range(10)]
         rmap = make_map(entries)
-        tps = [(Point3(x, y, 1.2), Fingerprint(rss)) for x, y, rss in entries[:4]]
-        assert find_k_opt(rmap, tps, range(1, 11)) == 1
+        tp_rss = [rss for _, _, rss in entries[:4]]
+        tp_pos = [(x, y, 1.2) for x, y, _ in entries[:4]]
+        assert find_k_opt(rmap, tp_rss, tp_pos, range(1, 11)) == 1
 
     def test_tie_prefers_smallest_k(self):
         # Exact-match target: the cap makes every k give the same zero error.
         entries = [(0.0, 0.0, [-50.0]), (8.0, 0.0, [-60.0]), (0.0, 8.0, [-70.0])]
         rmap = make_map(entries)
-        tps = [(Point3(0.0, 0.0, 1.2), Fingerprint([-50.0]))]
-        assert find_k_opt(rmap, tps, range(1, 4)) == 1
+        assert find_k_opt(rmap, [[-50.0]], [[0.0, 0.0, 1.2]], range(1, 4)) == 1
 
     def test_validation(self):
         rmap = make_map([(0.0, 0.0, [-50.0]), (1.0, 0.0, [-55.0])])
-        tps = [(Point3(0.5, 0.0, 1.2), Fingerprint([-52.0]))]
         with pytest.raises(ValueError):
-            find_k_opt(rmap, tps, range(1, 10))  # k beyond N
+            find_k_opt(rmap, [[-52.0]], [[0.5, 0.0, 1.2]], range(1, 10))  # k beyond N
         with pytest.raises(ValueError):
-            find_k_opt(rmap, [], range(1, 2))
+            find_k_opt(rmap, np.empty((0, 1)), np.empty((0, 3)), range(1, 2))
 
     def test_error_curves_rejects_wrong_fingerprint_length(self):
         # Two 3-AP test points hold as many values as three 2-AP rows, and
         # with SCORE_BLOCK RPs each row block is a single test point.
         rss = np.linspace(-90.0, -40.0, 2 * SCORE_BLOCK).reshape(SCORE_BLOCK, 2)
-        tps = [(Point3(0.5, 0.0, 1.2), Fingerprint([-52.0, -60.0, -70.0]))] * 2
+        tp_rss = np.array([[-52.0, -60.0, -70.0]] * 2)
+        tp_pos = np.array([[0.5, 0.0, 1.2]] * 2)
         with pytest.raises(ValueError):
-            error_curves(rss, np.zeros((SCORE_BLOCK, 3)), tps, 2)
+            error_curves(rss, np.zeros((SCORE_BLOCK, 3)), tp_rss, tp_pos, 2)
+        for bad_rss, bad_pos in ((tp_rss.ravel(), tp_pos), (tp_rss[:, :2], tp_pos[:1]),
+                                 (tp_rss[:, :2], tp_pos[:, :2]),
+                                 (tp_rss[:, :2] - 200.0, tp_pos)):
+            with pytest.raises(ValueError):
+                error_curves(rss, np.zeros((SCORE_BLOCK, 3)), bad_rss, bad_pos, 2)
 
     def test_matches_error_curves(self):
         rng = np.random.default_rng(12)
         entries = [(float(rng.uniform(0, 30)), float(rng.uniform(0, 30)),
                     list(rng.uniform(-90, -40, 3))) for _ in range(25)]
         rmap = make_map(entries)
-        tps = [(Point3(float(rng.uniform(0, 30)), float(rng.uniform(0, 30)), 1.2),
-                Fingerprint(list(rng.uniform(-90, -40, 3)))) for _ in range(6)]
-        curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(), tps, 25)
+        tp_pos = np.column_stack([rng.uniform(0, 30, 6), rng.uniform(0, 30, 6), np.full(6, 1.2)])
+        tp_rss = rng.uniform(-90, -40, (6, 3))
+        curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(), tp_rss, tp_pos, 25)
         means = curves.mean(axis=0)
         expected = int(np.argmin(means)) + 1
-        assert find_k_opt(rmap, tps, range(1, 26)) == expected
+        assert find_k_opt(rmap, tp_rss, tp_pos, range(1, 26)) == expected

@@ -27,13 +27,13 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 import radioloc.cli as cli
+import radioloc.fitting as fitting
 import radioloc.ioutil as ioutil
 from radioloc.errors import DegenerateFitError, InsufficientDataError
 from radioloc.fitting import (
     MEASUREMENT_COLUMNS,
     FitStrategy,
     MeasurementRecord,
-    MeasurementSet,
     StrategyKind,
     _loadtxt_columns,
     _measurements_from_rows,
@@ -69,7 +69,6 @@ from radioloc.radiomap import (
     NOT_DETECTED_DBM,
     Fingerprint,
     Radiomap,
-    ReferencePoint,
     RpArrays,
     RpKind,
     build_real_fingerprints,
@@ -79,6 +78,7 @@ from radioloc.radiomap import (
 
 from helpers import (
     csv_path_outcome,
+    measurement_set,
     reference_crossing_flags,
     reference_fit_rows,
     reference_wknn,
@@ -128,41 +128,47 @@ def loop_averages(records):
     return {key: total / count for key, (total, count) in sums.items()}
 
 
-def hexed(values: dict) -> list:
-    return [(key, float(v).hex()) for key, v in values.items()]
-
-
 @SETTINGS
 @given(surveys())
 def test_averaged_matches_sequential_loop_bit_for_bit(records):
-    meas = MeasurementSet(records)
-    # Same keys, same first-detection order, same bits.
-    assert hexed(meas.averaged()) == hexed(loop_averages(records))
+    meas = measurement_set(records)
+    expected = loop_averages(records)
+    # Points and APs in first-appearance order; every (point, AP) pair the
+    # loop averages has the same bits, and every other pair is NaN.
+    assert meas.rp_ids() == list(dict.fromkeys(rec.rp_id for rec in records))
+    assert meas.ap_ids() == list(dict.fromkeys(rec.ap_id for rec in records))
+    means = meas.mean_matrix()
+    assert means.shape == (len(meas.rp_ids()), len(meas.ap_ids()))
+    got = {(rp_id, ap_id): float(means[i, j]).hex()
+           for i, rp_id in enumerate(meas.rp_ids()) for j, ap_id in enumerate(meas.ap_ids())}
+    assert set(expected) <= set(got)
+    assert got == {key: expected.get(key, math.nan).hex() for key in got}
 
 
 @SETTINGS
 @given(surveys())
 def test_real_fingerprints_match_sequential_loop_bit_for_bit(records):
-    meas = MeasurementSet(records)
+    meas = measurement_set(records)
     aps = [AccessPoint(ap_id, Point3(0.0, 0.0, 9.0)) for ap_id in ("d", "c", "b", "a")]
     expected = loop_averages(records)
     points = list(dict.fromkeys((rec.rp_id, rec.location) for rec in records))
     rps = build_real_fingerprints(meas, aps)
     assert len(rps) == len(points)
-    for (rp_id, location), rp in zip(points, rps):
-        assert rp.kind is RpKind.REAL and rp.position == location
+    assert not rps.virtual.any()
+    assert rps.pos.tolist() == [[p.x, p.y, p.z] for _, p in points]
+    for (rp_id, _), row in zip(points, rps.rss.tolist()):
         want = [expected.get((rp_id, ap.id), NOT_DETECTED_DBM) for ap in aps]
-        assert [v.hex() for v in rp.fingerprint.rss.tolist()] == [v.hex() for v in want]
+        assert [v.hex() for v in row] == [v.hex() for v in want]
 
 
 @SETTINGS
 @given(surveys())
 def test_measurement_csv_round_trip(tmp_path_factory, records):
-    meas = MeasurementSet(records)
+    meas = measurement_set(records)
     path = tmp_path_factory.mktemp("csv") / "meas.csv"
     save_measurements(meas, path)
     loaded = load_measurements(path)
-    assert loaded.records == records
+    assert list(loaded.records) == records
     assert loaded.rp_ids() == meas.rp_ids() and loaded.ap_ids() == meas.ap_ids()
     assert loaded.q == meas.q
     for name in ("xyz", "rp_index", "ap_index", "detected", "scan"):
@@ -260,7 +266,7 @@ def survey_texts(draw):
 
 
 class _Columns(Exception):
-    """Raised in place of MeasurementSet.from_arrays, carrying its arguments."""
+    """Raised in place of the MeasurementSet constructor, carrying its arguments."""
 
 
 def _raise_columns(*columns):
@@ -268,8 +274,8 @@ def _raise_columns(*columns):
 
 
 def rows_path_columns(rows):
-    """The columns ``_measurements_from_rows`` hands to ``MeasurementSet.from_arrays``."""
-    with mock.patch.object(MeasurementSet, "from_arrays", _raise_columns):
+    """The columns ``_measurements_from_rows`` hands to ``MeasurementSet``."""
+    with mock.patch.object(fitting, "MeasurementSet", _raise_columns):
         try:
             _measurements_from_rows(rows)
         except _Columns as exc:
@@ -340,11 +346,12 @@ def plain_document(rmap):
         "aps": [{"id": ap.id, "x": ap.position.x, "y": ap.position.y, "z": ap.position.z,
                  "eirp_dbm": ap.eirp_dbm} for ap in rmap.aps],
         "sentinel_dbm": rmap.sentinel_dbm,
-        "rps": [{"x": rp.position.x, "y": rp.position.y, "z": rp.position.z,
-                 "kind": rp.kind.value,
-                 "rss": [None if v == rmap.sentinel_dbm else v
-                         for v in rp.fingerprint.rss.tolist()]}
-                for rp in rmap.rps],
+        "rps": [{"x": x, "y": y, "z": z,
+                 "kind": (RpKind.VIRTUAL if virtual else RpKind.REAL).value,
+                 "rss": [None if v == rmap.sentinel_dbm else v for v in rss]}
+                for (x, y, z), virtual, rss in zip(rmap.rps.pos.tolist(),
+                                                   rmap.rps.virtual.tolist(),
+                                                   rmap.rps.rss.tolist())],
     }
     if rmap.area_m2 is not None:
         doc["area_m2"] = rmap.area_m2
@@ -394,17 +401,13 @@ def test_format_json_equals_json_dumps_indent_2(doc):
     lambda n_aps: st.tuples(rp_arrays(n_aps, RpKind.REAL), rp_arrays(n_aps, RpKind.VIRTUAL))))
 def test_concatenation_keeps_order_and_kinds(pair):
     real, virtual = pair
-    objects = [ReferencePoint(Point3(*p.tolist()), Fingerprint(r), RpKind.VIRTUAL)
-               for p, r in zip(virtual.pos, virtual.rss)]
-    for combined in (real + virtual, real + objects, list(real) + virtual):
-        assert len(combined) == len(real) + len(virtual)
-        assert [rp.kind for rp in combined] == ([RpKind.REAL] * len(real)
-                                                + [RpKind.VIRTUAL] * len(virtual))
-        assert [rp.position for rp in combined] == ([rp.position for rp in real]
-                                                    + [rp.position for rp in virtual])
-        assert [rp.fingerprint for rp in combined] == ([rp.fingerprint for rp in real]
-                                                       + [rp.fingerprint for rp in virtual])
-        assert (combined.n_real, combined.n_virtual) == (len(real), len(virtual))
+    combined = real + virtual
+    assert len(combined) == len(real) + len(virtual)
+    assert combined.virtual.tolist() == [False] * len(real) + [True] * len(virtual)
+    assert combined.pos.tolist() == real.pos.tolist() + virtual.pos.tolist()
+    assert combined.rss.tolist() == real.rss.tolist() + virtual.rss.tolist()
+    assert (combined.n_real, combined.n_virtual) == (len(real), len(virtual))
+    assert combined.n_aps == real.n_aps
 
 
 # Obstacles, transmitters and many receivers lie on a half-meter lattice, so
@@ -553,12 +556,11 @@ def test_locate_and_locate_many_match_per_target_loop(case):
 @given(wknn_cases())
 def test_error_curves_match_per_target_loop(case):
     rss, positions, targets, truth, k, order = case
-    test_points = [(Point3(*p), Fingerprint(t)) for p, t in zip(truth.tolist(), targets)]
     want = [[math.sqrt(sum((e - p) * (e - p) for e, p in zip(est, point)))
              for est in estimates]
             for (estimates, _, _), point in zip(
                 reference_wknn(rss, positions, targets, k, order), truth.tolist())]
-    got = error_curves(rss, positions, test_points, k, order)
+    got = error_curves(rss, positions, targets, truth, k, order)
     assert got.shape == (len(targets), k)
     assert got.tolist() == want
 
@@ -629,7 +631,7 @@ def fit_survey(aps, ids, positions, seed, rss_of):
             if rng.random() < 0.2 or not all(-120.0 <= v <= 0.0 for v in scans):
                 scans = [None]
             records += [MeasurementRecord(rp_id, p, ap.id, v, s) for s, v in enumerate(scans)]
-    return MeasurementSet(records)
+    return measurement_set(records)
 
 
 def reference_blocks(plan, aps, meas, model, kind):

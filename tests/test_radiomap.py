@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from radioloc.fitting import FitStrategy, MeasurementRecord, MeasurementSet, fit
+from radioloc.fitting import FitStrategy, MeasurementRecord, fit
 from radioloc.floorplan import Bounds, Floorplan, Point3
 from radioloc.propagation import AccessPoint, ModelKind, PropagationParams, predict_rss
 from radioloc.radiomap import (
     NOT_DETECTED_DBM,
     Fingerprint,
     Radiomap,
-    ReferencePoint,
-    RpKind,
+    RpArrays,
     build_real_fingerprints,
     ceil_scaled,
     generate_virtual_fingerprints,
@@ -19,52 +18,53 @@ from radioloc.radiomap import (
     select_rps,
 )
 
-from helpers import survey_points, tiny_world
+from helpers import measurement_set, survey_points, tiny_world
 
 
-def rp_at(x, y, rss=(-50.0,), kind=RpKind.REAL):
-    return ReferencePoint(Point3(x, y, 1.2), Fingerprint(list(rss)), kind)
+def rps_at(*points, rss=(-50.0,), virtual=False):
+    """RpArrays of points (x, y) at 1.2 m, each with fingerprint ``rss``."""
+    return RpArrays([(x, y, 1.2) for x, y in points], [list(rss)] * len(points),
+                    [virtual] * len(points))
 
 
 class TestBuildRealFingerprints:
     def test_mean_of_detected_scans(self):
         p = Point3(1, 1, 1.2)
-        meas = MeasurementSet([
+        meas = measurement_set([
             MeasurementRecord("rp0", p, "ap01", -50.0, 0),
             MeasurementRecord("rp0", p, "ap01", -52.0, 1),
         ])
         aps = [AccessPoint("ap01", Point3(5, 5, 2.8))]
         rps = build_real_fingerprints(meas, aps)
-        assert rps[0].fingerprint.rss[0] == pytest.approx(-51.0)
-        assert rps[0].kind is RpKind.REAL
+        assert rps.rss[0, 0] == pytest.approx(-51.0)
+        assert rps.virtual.tolist() == [False]
 
     def test_never_detected_gets_sentinel(self):
         p = Point3(1, 1, 1.2)
-        meas = MeasurementSet([
+        meas = measurement_set([
             MeasurementRecord("rp0", p, "ap01", -50.0, 0),
             MeasurementRecord("rp0", p, "ap02", None, 0),
         ])
         aps = [AccessPoint("ap01", Point3(5, 5, 2.8)),
                AccessPoint("ap02", Point3(9, 5, 2.8))]
         rps = build_real_fingerprints(meas, aps)
-        assert rps[0].fingerprint.rss[1] == NOT_DETECTED_DBM
+        assert rps.rss[0, 1] == NOT_DETECTED_DBM
 
     def test_identical_scans_average_exactly(self):
         p = Point3(1, 1, 1.2)
-        meas = MeasurementSet([
+        meas = measurement_set([
             MeasurementRecord("rp0", p, "ap01", -63.25, s) for s in range(50)
         ])
         aps = [AccessPoint("ap01", Point3(5, 5, 2.8))]
         rps = build_real_fingerprints(meas, aps)
-        assert rps[0].fingerprint.rss[0] == -63.25
+        assert rps.rss[0, 0] == -63.25
 
 
 class TestSelectRps:
     def grid_rps(self, n):
         from radioloc.floorplan import lattice_positions
 
-        pts = lattice_positions(Bounds(0, 0, 42, 12), n)
-        return [rp_at(x, y) for x, y in pts]
+        return rps_at(*lattice_positions(Bounds(0, 0, 42, 12), n))
 
     def test_rho_one_keeps_all(self):
         rps = self.grid_rps(30)
@@ -80,7 +80,7 @@ class TestSelectRps:
         rps = self.grid_rps(72)
         previous = set()
         for rho in (0.1, 0.2, 0.5, 1.0):
-            chosen = {rp.position for rp in select_rps(rps, rho)}
+            chosen = set(map(tuple, select_rps(rps, rho).pos.tolist()))
             assert previous <= chosen
             previous = chosen
         assert len(previous) == 72
@@ -95,8 +95,8 @@ class TestSelectRps:
         # Farthest-point decimation should cover the area, not cluster.
         rps = self.grid_rps(72)
         chosen = select_rps(rps, 0.1)
-        xs = [rp.position.x for rp in chosen]
-        assert max(xs) - min(xs) > 30.0
+        xs = chosen.pos[:, 0]
+        assert xs.max() - xs.min() > 30.0
 
 
 class TestPlaceVirtualRps:
@@ -113,9 +113,10 @@ class TestPlaceVirtualRps:
     def test_random_placement_deterministic(self):
         a = place_virtual_rps(self.plan(), 0.1, placement="random", seed=42)
         b = place_virtual_rps(self.plan(), 0.1, placement="random", seed=42)
-        assert a == b
+        assert a.shape == (ceil_scaled(0.1 * 42 * 12), 3)
+        np.testing.assert_array_equal(a, b)
         c = place_virtual_rps(self.plan(), 0.1, placement="random", seed=43)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
@@ -128,7 +129,7 @@ class TestPlaceVirtualRps:
     @pytest.mark.parametrize("dv", [0.05, 0.1, 1.0, 10.0])
     def test_grid_spacing_uniformity(self, dv):
         pts = place_virtual_rps(self.plan(), dv)
-        xy = np.array([[p.x, p.y] for p in pts])
+        xy = pts[:, :2]
         if len(pts) < 2:
             return
         bound = 2.0 * np.sqrt(1.0 / dv)
@@ -140,8 +141,8 @@ class TestPlaceVirtualRps:
     def test_points_inside_bounds(self):
         plan = self.plan()
         for placement, seed in (("grid", None), ("random", 3)):
-            for p in place_virtual_rps(plan, 0.5, placement, seed=seed):
-                assert plan.bounds.contains(p.x, p.y)
+            for x, y, z in place_virtual_rps(plan, 0.5, placement, seed=seed).tolist():
+                assert plan.bounds.contains(x, y) and z == 1.2
 
 
 class TestGenerateVirtualFingerprints:
@@ -152,27 +153,26 @@ class TestGenerateVirtualFingerprints:
             for ap in aps:
                 value = predict_rss(ModelKind.MWMF, truth, plan, ap, p)
                 records.append(MeasurementRecord(f"rp{idx:03d}", p, ap.id, value, 0))
-        meas = MeasurementSet(records)
+        meas = measurement_set(records)
         result = fit(FitStrategy.environment(), ModelKind.MWMF, plan, aps, meas)
         return plan, aps, truth, meas, result
 
     def test_virtual_matches_real_at_same_position(self):
         plan, aps, truth, meas, result = self.fitted()
         real = build_real_fingerprints(meas, aps)
-        positions = [rp.position for rp in real]
         virtual = generate_virtual_fingerprints(result, ModelKind.MWMF, plan, aps,
-                                                positions)
-        for r, v in zip(real, virtual):
-            assert v.kind is RpKind.VIRTUAL
-            np.testing.assert_allclose(v.fingerprint.rss, r.fingerprint.rss,
-                                       atol=1e-6)
+                                                real.pos)
+        assert virtual.virtual.all()
+        np.testing.assert_array_equal(virtual.pos, real.pos)
+        np.testing.assert_allclose(virtual.rss, real.rss, atol=1e-6)
 
     def test_below_floor_becomes_sentinel(self):
         plan, aps, truth, meas, result = self.fitted()
         virtual = generate_virtual_fingerprints(
             result, ModelKind.MWMF, plan, aps, [Point3(18.5, 9.5, 1.2)],
             detection_floor_dbm=0.0)  # floor above every value
-        assert np.all(virtual[0].fingerprint.rss == NOT_DETECTED_DBM)
+        assert virtual.rss.shape == (1, len(aps))
+        assert np.all(virtual.rss == NOT_DETECTED_DBM)
 
     def test_los_rss_decreases_with_distance(self):
         plan = Floorplan(bounds=Bounds(0, 0, 40, 10))
@@ -183,19 +183,18 @@ class TestGenerateVirtualFingerprints:
                                                  ap, Point3(2 + 3 * i, 5, 1.2)), 0)
                    for i in range(10)]
         result = fit(FitStrategy.environment(), ModelKind.ONE_SLOPE, plan, [ap],
-                     MeasurementSet(records))
+                     measurement_set(records))
         positions = [Point3(2 + 2 * i, 5, 1.2) for i in range(15)]
         virtual = generate_virtual_fingerprints(result, ModelKind.ONE_SLOPE, plan,
                                                 [ap], positions)
-        values = [v.fingerprint.rss[0] for v in virtual]
+        values = virtual.rss[:, 0].tolist()
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
 class TestRadiomap:
     def test_density_bookkeeping(self):
         aps = [AccessPoint("a", Point3(1, 1, 2.8))]
-        rps = [rp_at(1, 1), rp_at(2, 2),
-               rp_at(3, 3, kind=RpKind.VIRTUAL)]
+        rps = rps_at((1, 1), (2, 2)) + rps_at((3, 3), virtual=True)
         rmap = Radiomap(aps, rps, area_m2=50.0)
         assert rmap.n_real == 2 and rmap.n_virtual == 1
         assert rmap.d_real == 2 / 50.0
@@ -205,10 +204,10 @@ class TestRadiomap:
         aps = [AccessPoint("a", Point3(1, 1, 2.8)),
                AccessPoint("b", Point3(2, 1, 2.8))]
         with pytest.raises(ValueError):
-            Radiomap(aps, [rp_at(1, 1, rss=(-50.0,))])
+            Radiomap(aps, rps_at((1, 1), rss=(-50.0,)))
 
     def test_density_needs_area(self):
-        rmap = Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], [rp_at(1, 1)])
+        rmap = Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], rps_at((1, 1)))
         with pytest.raises(ValueError):
             _ = rmap.d_real
 
@@ -217,8 +216,8 @@ class TestRadiomap:
 
         aps = [AccessPoint("a", Point3(1, 1, 2.8)),
                AccessPoint("b", Point3(5, 1, 2.8))]
-        rps = [rp_at(1, 1, rss=(-50.0, NOT_DETECTED_DBM)),
-               rp_at(2, 2, rss=(-60.5, -70.25), kind=RpKind.VIRTUAL)]
+        rps = (rps_at((1, 1), rss=(-50.0, NOT_DETECTED_DBM))
+               + rps_at((2, 2), rss=(-60.5, -70.25), virtual=True))
         rmap = Radiomap(aps, rps, area_m2=42.0)
         path = tmp_path / "map.json"
         save_radiomap(rmap, path)
@@ -228,13 +227,11 @@ class TestRadiomap:
         loaded = load_radiomap(path)
         assert loaded.aps == rmap.aps
         assert loaded.area_m2 == 42.0
-        for a, b in zip(loaded.rps, rmap.rps):
-            assert a.kind == b.kind and a.position == b.position
-            assert a.fingerprint == b.fingerprint
+        assert loaded.rps == rmap.rps
 
     def test_matrices_are_stored_read_only_arrays(self):
         aps = [AccessPoint("a", Point3(1, 1, 2.8))]
-        rmap = Radiomap(aps, [rp_at(1, 1), rp_at(2, 2, kind=RpKind.VIRTUAL)])
+        rmap = Radiomap(aps, rps_at((1, 1)) + rps_at((2, 2), virtual=True))
         rss = rmap.rss_matrix()
         assert rmap.rss_matrix() is rss
         assert rmap.positions_matrix() is rmap.positions_matrix()
@@ -243,7 +240,7 @@ class TestRadiomap:
             with pytest.raises(ValueError):
                 array[0, 0] = -1.0
         assert rss.tolist() == [[-50.0], [-50.0]]
-        assert rmap.rps[1].fingerprint.rss.base is not None  # a view, not a copy
+        assert rss is rmap.rps.rss  # the stored array, not a copy
 
     def test_fingerprint_validation(self):
         with pytest.raises(ValueError):
@@ -252,6 +249,24 @@ class TestRadiomap:
             Fingerprint([1.0])
         with pytest.raises(ValueError):
             Fingerprint([[1.0, 2.0]])
+
+
+class TestRpArrays:
+    def test_concatenation_checks_lengths_when_one_side_is_empty(self):
+        four = rps_at((1, 1), (2, 2), rss=(-50.0, -60.0, -70.0, -80.0))
+        for left, right in ((RpArrays.empty(3), four), (four, RpArrays.empty(3)),
+                            (rps_at((3, 3), rss=(-50.0, -60.0, -70.0)), four)):
+            with pytest.raises(ValueError, match="fingerprint lengths differ"):
+                left + right
+        assert RpArrays.empty(4) + four is four
+        assert four + RpArrays.empty(4) is four
+
+    def test_index_selects_rows(self):
+        rps = rps_at((1, 1), (2, 2)) + rps_at((3, 3), virtual=True)
+        assert rps[[2, 0]] == rps_at((3, 3), virtual=True) + rps_at((1, 1))
+        assert rps[1:] == rps_at((2, 2)) + rps_at((3, 3), virtual=True)
+        with pytest.raises(TypeError):
+            rps[0]
 
 
 class TestCeilScaled:

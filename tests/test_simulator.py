@@ -128,15 +128,16 @@ class TestCampaign:
         world = make_world("twist_like", 2, noise=NoiseConfig.none())
         rp = grid_rp_positions(world.plan, 21 / world.plan.area)
         meas, _ = simulate_campaign(world, rp, [], ScenarioPreset.controlled())
-        averaged = meas.averaged()
+        means = meas.mean_matrix()
         from radioloc.propagation import predict_rss
 
-        for (rp_id, ap_id), value in list(averaged.items())[:40]:
-            p = meas.locations()[rp_id]
-            ap = next(a for a in world.aps if a.id == ap_id)
-            expected = predict_rss(ModelKind.MWMF, world.truth_for(ap_id),
-                                   world.plan, ap, p)
-            assert value == pytest.approx(expected, abs=1e-9)
+        pairs = list(zip(*np.nonzero(~np.isnan(means))))
+        assert pairs
+        for i, j in pairs[:40]:
+            ap = next(a for a in world.aps if a.id == meas.ap_ids()[j])
+            expected = predict_rss(ModelKind.MWMF, world.truth_for(ap.id),
+                                   world.plan, ap, Point3(*meas.xyz[i].tolist()))
+            assert means[i, j] == pytest.approx(expected, abs=1e-9)
 
     def test_scan_count_and_nd_tokens(self):
         world = make_world("spinv_like", 2)
@@ -153,7 +154,8 @@ class TestCampaign:
         tp = template_test_positions("spinv_like", 9, world.plan, 5)
         m1, t1 = simulate_campaign(world, rp, tp, ScenarioPreset.controlled())
         m2, t2 = simulate_campaign(world, rp, tp, ScenarioPreset.controlled())
-        assert m1.records == m2.records
+        assert list(m1.records) == list(m2.records)
+        assert len(t1) == len(t2) == 5
         assert all(a.position == b.position and a.fingerprint == b.fingerprint
                    for a, b in zip(t1, t2))
 
@@ -168,16 +170,15 @@ class TestCampaign:
             world = make_world("twist_like", seed, noise=noise)
             rp = grid_rp_positions(world.plan, 21 / world.plan.area)
             meas, _ = simulate_campaign(world, rp, [], ScenarioPreset.controlled())
-            averaged = meas.averaged()
+            means = meas.mean_matrix()
             from radioloc.propagation import predict_rss
 
-            for (rp_id, ap_id), value in averaged.items():
-                p = meas.locations()[rp_id]
-                ap = next(a for a in world.aps if a.id == ap_id)
-                truth = predict_rss(ModelKind.MWMF, world.truth_for(ap_id),
-                                    world.plan, ap, p)
+            for i, j in zip(*np.nonzero(~np.isnan(means))):
+                ap = next(a for a in world.aps if a.id == meas.ap_ids()[j])
+                truth = predict_rss(ModelKind.MWMF, world.truth_for(ap.id),
+                                    world.plan, ap, Point3(*meas.xyz[i].tolist()))
                 if truth > world.detection_floor_dbm + 5:  # avoid censoring bias
-                    errors.append(value - truth)
+                    errors.append(means[i, j] - truth)
         std = float(np.std(errors))
         assert len(errors) > 500
         assert std == pytest.approx(3.0 / np.sqrt(50), rel=0.15)
