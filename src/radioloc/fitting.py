@@ -125,6 +125,20 @@ class _Records(Sequence):
         return map(self._meas._record, range(len(self)))
 
 
+def _whole_numbers(values, dtype, name: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array; ValueError naming the column when a
+    floating-point value is not a whole number that ``dtype`` holds."""
+    column = np.asarray(values)
+    if column.dtype.kind != "f":
+        return np.asarray(column, dtype=dtype)
+    with np.errstate(invalid="ignore"):  # NaN, infinities and overflow fail the test below
+        whole = column.astype(dtype)
+    if not np.array_equal(whole, column):
+        bad = column[whole != column][0]
+        raise ValueError(f"{name} value {float(bad)!r} is not an {np.dtype(dtype).name}")
+    return whole
+
+
 class MeasurementSet:
     """A survey stored as columns: one entry per scan row, one position per point.
 
@@ -140,12 +154,12 @@ class MeasurementSet:
 
     def __init__(self, rp_ids: Sequence[str], xyz, ap_ids: Sequence[str], rp_index,
                  ap_index, rss, detected, scan):
-        rp_index = np.asarray(rp_index, dtype=np.intp)
+        rp_index = _whole_numbers(rp_index, np.intp, "rp_index")
         m = rp_index.shape[0]
         if m == 0:
             raise ValueError("measurement set is empty")
-        columns = [np.asarray(ap_index, dtype=np.intp), np.asarray(rss, dtype=float),
-                   np.asarray(detected, dtype=bool), np.asarray(scan, dtype=np.int64)]
+        columns = [_whole_numbers(ap_index, np.intp, "ap_index"), np.asarray(rss, dtype=float),
+                   np.asarray(detected, dtype=bool), _whole_numbers(scan, np.int64, "scan")]
         if any(col.shape != (m,) for col in columns):
             raise ValueError("measurement columns must have equal lengths")
         ap_index, rss, detected, scan = columns
@@ -501,11 +515,11 @@ _SURVEY_HEADER = ",".join(MEASUREMENT_COLUMNS)
 _DECLINE_CHARS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _plain_lines(body: str) -> bool:
+def _plain_lines(body: bytes) -> bool:
     """Whether every CR in ASCII ``body`` ends a CRLF, where csv and loadtxt
     both end a line, and no line is longer than ``csv.field_size_limit()``,
     so that csv cannot raise on a field."""
-    codes = np.frombuffer(body.encode("ascii") + b"\n", dtype=np.uint8)
+    codes = np.frombuffer(body + b"\n", dtype=np.uint8)
     line_ends = np.flatnonzero(codes == ord("\n"))
     longest = int(np.diff(line_ends, prepend=-1).max()) - 1
     return bool((codes[np.flatnonzero(codes == ord("\r")) + 1] == ord("\n")).all()
@@ -522,11 +536,13 @@ def _loadtxt_columns(text: str) -> tuple | None:
     """
     head, _, body = text.partition("\n")
     if (head.removesuffix("\r") != _SURVEY_HEADER or not text.isascii()
-            or any(char in text for char in _DECLINE_CHARS)
-            or not body.strip("\r\n") or not _plain_lines(body)):
+            or any(char in text for char in _DECLINE_CHARS) or not body.strip("\r\n")):
+        return None
+    data = body.encode("ascii")  # one byte per character, where a str buffer takes four
+    if not _plain_lines(data):
         return None
     try:
-        table = np.loadtxt(io.StringIO(body), dtype=_SURVEY_DTYPE, delimiter=",",
+        table = np.loadtxt(io.BytesIO(data), dtype=_SURVEY_DTYPE, delimiter=",",
                            comments=None, ndmin=1)
     except ValueError:  # a short or long row, an unparsable number, a blank-only line
         return None

@@ -26,9 +26,24 @@ from .ioutil import read_json, write_json
 # treated as grazing and count as zero crossings.
 GRAZE_EPS_M = 1e-9
 
-# crossing_flags_batch tests n links against blocks of max(1, CROSSING_BLOCK // n)
-# obstacles at a time, so its (n, block) temporaries stay cache-sized.
+# crossing_flags_batch tests at most this many (link, obstacle) pairs at a time,
+# so its per-pair temporaries stay cache-sized.
 CROSSING_BLOCK = 8192
+
+# crossing_flags_batch widens every obstacle's azimuth wedge by this angle. The
+# rounding of the difference vectors and of arctan2 moves an azimuth by a few
+# units in the last place of pi (about 1e-15 rad), far less.
+WEDGE_SLACK_RAD = 1e-12
+
+# Within this distance of tx (receivers' plus obstacle ends'), the rounding of
+# the crossing expressions, at most 2**-51 times a distance, stays under half
+# their GRAZE_EPS_M margins, so every flagged pair is a proper crossing of the
+# link and the obstacle. Calls that reach farther test every pair.
+SWEEP_REACH_M = GRAZE_EPS_M * 2.0**50
+
+# crossing_flags_batch searches each obstacle's wedge and its copies shifted by
+# these angles among receiver azimuths in [-pi, pi].
+_WEDGE_COPIES = np.array([[-2 * np.pi], [0.0], [2 * np.pi]])
 
 
 class ObstacleFamily(str, Enum):
@@ -117,16 +132,15 @@ ObstacleKey = tuple[ObstacleFamily, int]
 
 
 class _ObstacleColumns(NamedTuple):
-    """Per-obstacle scalars of a plan as read-only arrays aligned with its obstacles."""
+    """Per-obstacle scalars of a plan as read-only arrays aligned with its obstacles,
+    and ``extent``, the largest distance of an obstacle end from the origin."""
 
-    x1: np.ndarray
-    y1: np.ndarray
-    x2: np.ndarray
-    y2: np.ndarray
+    ends: np.ndarray  # (4, n_obstacles): rows x1, y1, x2, y2
     vx: np.ndarray  # x2 - x1
     vy: np.ndarray  # y2 - y1
     tol_t: np.ndarray  # grazing tolerance of the side-of-obstacle-line test
     floor_index: np.ndarray
+    extent: float
     key_columns: dict[ObstacleKey, np.ndarray]  # obstacle indices per key, in key order
 
     @classmethod
@@ -143,8 +157,10 @@ class _ObstacleColumns(NamedTuple):
         key_of = [(o.family, o.type_index) for o in obstacles]
         key_columns = {key: column([j for j, k in enumerate(key_of) if k == key], np.intp)
                        for key in keys}
-        return cls(x1, y1, x2, y2, column(x2 - x1), column(y2 - y1), tol_t,
-                   column([o.floor_index for o in obstacles], int), key_columns)
+        extent = max((math.hypot(x, y) for o in obstacles
+                      for x, y in ((o.x1, o.y1), (o.x2, o.y2))), default=0.0)
+        return cls(column([x1, y1, x2, y2]), column(x2 - x1), column(y2 - y1), tol_t,
+                   column([o.floor_index for o in obstacles], int), extent, key_columns)
 
 
 @dataclass(frozen=True)
@@ -229,33 +245,27 @@ def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     GRAZE_EPS_M of an obstacle line or endpoint) count as no crossing, as do
     links whose 2D projection degenerates to a point.
 
-    Obstacles are tested in blocks of max(1, CROSSING_BLOCK // n), each as
-    one set of (block, n) elementwise expressions, so small calls pay no
-    per-obstacle Python overhead and large ones keep their temporaries
-    cache-sized.
+    An angular sweep around tx picks the (receiver, obstacle) pairs to test:
+    a flagged link properly crosses its obstacle, so the link's azimuth lies
+    inside the wedge that the obstacle's endpoints span from tx. The cost is
+    an O(n log n) sort of the receivers by azimuth, O(m log n) searches for
+    each obstacle's ranges of that order, then the elementwise test on the
+    candidate pairs only, at most CROSSING_BLOCK pairs at a time. Each pair
+    is tested with the same expressions on the same operands as a test of
+    all n x m pairs, so the flags equal that test's bit for bit.
     """
     pts = np.asarray(rx_xyz, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("rx_xyz must have shape (n, 3)")
     n = pts.shape[0]
-    m = len(plan.obstacles)
     obs = plan._columns
-
-    # Receiver terms are (n,) rows. Obstacle terms index to (block, 1) columns,
-    # so every elementwise pass runs along the receivers; with one obstacle
-    # per block they index to scalars, the cheapest form for large n.
-    terms = (obs.x1, obs.y1, obs.x2, obs.y2, obs.vx, obs.vy, obs.tol_t, obs.floor_index)
-    block = max(1, CROSSING_BLOCK // max(n, 1))
-    if block == 1:
-        blocks = range(m)
-    else:
-        blocks = [slice(start, start + block) for start in range(0, m, block)]
-        terms = tuple(a[:, None] for a in terms)
-    x1, y1, x2, y2, vx, vy, tol_t, floor_index = terms
+    m = obs.tol_t.shape[0]
+    px, py = pts[:, 0], pts[:, 1]
+    x1, y1 = obs.ends[0], obs.ends[1]
 
     ax, ay = tx.x, tx.y
-    ux = pts[:, 0] - ax
-    uy = pts[:, 1] - ay
+    ux = px - ax
+    uy = py - ay
     norm_u = np.hypot(ux, uy)
     planar = norm_u > GRAZE_EPS_M  # vertical links cross no 2D obstacle
     tol_s = GRAZE_EPS_M * norm_u
@@ -266,22 +276,72 @@ def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     story_lo = np.minimum(stories_rx, story_tx)
     story_hi = np.maximum(stories_rx, story_tx)
 
-    ta_all = vx * (ay - y1) - vy * (ax - x1)  # cross(v, a - c): tx vs obstacle lines
+    ta = obs.vx * (ay - y1) - obs.vy * (ax - x1)  # cross(v, a - c): tx vs obstacle lines
+    w = obs.ends - np.array([[ax], [ay], [ax], [ay]])  # obstacle ends relative to tx
+
+    # Receivers by azimuth around tx; links with no planar extent sort last.
+    azimuth = np.where(planar, np.arctan2(uy, ux), np.inf)
+    order = np.argsort(azimuth)
+    azimuth = azimuth[order]
+
+    # Each obstacle's short wedge from tx, widened to [start, stop]. Every
+    # planar receiver, [-pi, pi], when the widened wedge spans more than a
+    # half turn, so rounding may have picked its wrong side, or when the call
+    # reaches past SWEEP_REACH_M. None when tx lies within the grazing
+    # tolerance of the obstacle's line, so that no link straddles that line.
+    theta_c, theta_d = np.arctan2(w[1::2], w[0::2])
+    lo, hi = np.minimum(theta_c, theta_d), np.maximum(theta_c, theta_d)
+    wraps = hi - lo > np.pi
+    start = np.where(wraps, hi, lo) - WEDGE_SLACK_RAD
+    stop = np.where(wraps, lo + 2 * np.pi, hi) + WEDGE_SLACK_RAD
+    reach = norm_u.max(initial=0.0) + obs.extent + math.hypot(ax, ay)
+    full = (stop - start > np.pi) | (not reach <= SWEEP_REACH_M)
+    start[full], stop[full] = -np.pi, np.pi
+    on_line = np.abs(ta) <= obs.tol_t
+    start[on_line], stop[on_line] = np.inf, np.inf
+
+    # The wedge and its copies shifted by -2 pi and +2 pi, searched among the
+    # sorted azimuths: a wedge across the +-pi seam lies in two of the three.
+    # Range k, of copy k // m of obstacle k % m, is [first[k], last[k]).
+    wedges = np.array([start, stop])[:, None, :] + _WEDGE_COPIES
+    first, last = np.searchsorted(azimuth, wedges).reshape(2, -1)
+
+    # The ranges as segments of one flat list of pairs: pair p of segment k is
+    # receiver order[p + rank_shift[k]] against obstacle k % m.
+    seg_len = last - first
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    rank_shift = first - seg_start
+    seg_obstacle = np.arange(3 * m) % m
+    n_pairs = int(seg_end[-1]) if m else 0
 
     flags = np.zeros((n, m), dtype=bool)
-    for b in blocks:
-        in_story = (story_lo <= floor_index[b]) & (floor_index[b] <= story_hi)
-        if not in_story.any():
-            continue
-        sc = ux * (y1[b] - ay) - uy * (x1[b] - ax)  # cross(u, c - a): obstacle ends vs link line
-        sd = ux * (y2[b] - ay) - uy * (x2[b] - ax)
-        straddles_link_line = ((sc > tol_s) & (sd < -tol_s)) | ((sc < -tol_s) & (sd > tol_s))
+    for lo_pair in range(0, n_pairs, CROSSING_BLOCK):
+        hi_pair = min(lo_pair + CROSSING_BLOCK, n_pairs)
+        k0, k1 = np.searchsorted(seg_end, [lo_pair, hi_pair - 1], side="right")
+        segs = slice(k0, k1 + 1)
+        counts = np.minimum(seg_end[segs], hi_pair) - np.maximum(seg_start[segs], lo_pair)
+        o = np.repeat(seg_obstacle[segs], counts)
+        r = order[np.arange(lo_pair, hi_pair) + np.repeat(rank_shift[segs], counts)]
 
-        ta, tol = ta_all[b], tol_t[b]
-        tb = vx[b] * (pts[:, 1] - y1[b]) - vy[b] * (pts[:, 0] - x1[b])  # rx vs obstacle lines
-        straddles_obstacle_line = ((ta > tol) & (tb < -tol)) | ((ta < -tol) & (tb > tol))
+        uxr, uyr, tol_sr = ux[r], uy[r], tol_s[r]
+        wcx, wcy, wdx, wdy = (row[o] for row in w)
+        sc = uxr * wcy - uyr * wcx  # cross(u, c - a): obstacle ends vs link line
+        sd = uxr * wdy - uyr * wdx
+        straddles_link_line = (((sc > tol_sr) & (sd < -tol_sr))
+                               | ((sc < -tol_sr) & (sd > tol_sr)))
 
-        flags[:, b] = (planar & in_story & straddles_link_line & straddles_obstacle_line).T
+        tao, tol_to = ta[o], obs.tol_t[o]
+        tb = obs.vx[o] * (py[r] - y1[o]) - obs.vy[o] * (px[r] - x1[o])  # rx vs obstacle lines
+        straddles_obstacle_line = (((tao > tol_to) & (tb < -tol_to))
+                                   | ((tao < -tol_to) & (tb > tol_to)))
+
+        # The story test on the straddling pairs only: the same conjunction.
+        straddles = np.flatnonzero(straddles_link_line & straddles_obstacle_line)
+        r, o = r[straddles], o[straddles]
+        floor = obs.floor_index[o]
+        in_story = (story_lo[r] <= floor) & (floor <= story_hi[r])
+        flags.reshape(-1)[(r * m + o)[in_story]] = True
     return flags
 
 

@@ -7,6 +7,7 @@ from radioloc.errors import DegenerateFitError, InputError, InsufficientDataErro
 from radioloc.fitting import (
     FitStrategy,
     MeasurementRecord,
+    MeasurementSet,
     StrategyKind,
     _loadtxt_columns,
     fit,
@@ -487,6 +488,28 @@ class TestMeasurementIo:
     def test_rss_range_validated(self):
         with pytest.raises(ValueError):
             MeasurementRecord("rp", Point3(0, 0, 0), "ap", 5.0, 0)
+
+    @staticmethod
+    def two_row_survey(rp_index, ap_index, scan):
+        return MeasurementSet(["a", "b"], [[0, 0, 0], [1, 1, 1]], ["x"], rp_index, ap_index,
+                              [-50, -60], [True, False], scan)
+
+    @pytest.mark.parametrize("columns, name", [
+        (([0.7, 1.9], [0, 0], [0, 3]), "rp_index"),
+        (([0, 1], [0, 0.5], [0, 3]), "ap_index"),
+        (([0, 1], [0, 0], [0.2, 3.9]), "scan"),
+        (([0, 1], [0, 0], [np.nan, 3]), "scan"),
+        (([0, 1], [0, 0], [2.0**63, 3]), "scan"),
+    ])
+    def test_fractional_index_or_scan_rejected(self, columns, name):
+        with pytest.raises(ValueError, match=f"^{name} value"):
+            self.two_row_survey(*columns)
+
+    def test_whole_float_columns_accepted(self):
+        meas = self.two_row_survey([0.0, 1.0], [0.0, 0.0], [0.0, 1.0])
+        assert meas.rp_index.tolist() == [0, 1] and meas.ap_index.tolist() == [0, 0]
+        assert meas.scan.tolist() == [0, 1]
+        assert meas.rp_index.dtype == np.intp and meas.scan.dtype == np.int64
 
     def test_inconsistent_location_rejected(self, tmp_path):
         path = tmp_path / "meas.csv"

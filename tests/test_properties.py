@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import radioloc.cli as cli
 import radioloc.fitting as fitting
+import radioloc.floorplan as floorplan
 import radioloc.ioutil as ioutil
 from radioloc.errors import DegenerateFitError, InsufficientDataError
 from radioloc.fitting import (
@@ -43,6 +44,8 @@ from radioloc.fitting import (
 )
 from radioloc.floorplan import (
     CROSSING_BLOCK,
+    GRAZE_EPS_M,
+    SWEEP_REACH_M,
     Bounds,
     Floorplan,
     ObstacleFamily,
@@ -470,8 +473,8 @@ def assert_matches_reference(plan, tx, pts):
     np.testing.assert_array_equal(got, reference_crossing_flags(plan, tx, pts))
 
 
-# Receiver counts around CROSSING_BLOCK: one block of all obstacles (n = 0, 1)
-# and one obstacle per block (n >= CROSSING_BLOCK // 2 + 1).
+# Receiver counts around CROSSING_BLOCK: one chunk of candidate pairs (n = 0,
+# 1), and wedges of more receivers than a chunk holds, cut by chunk ends.
 @SETTINGS
 @given(st.sampled_from([0, 1, CROSSING_BLOCK - 1, CROSSING_BLOCK, CROSSING_BLOCK + 1,
                         3 * CROSSING_BLOCK + 7]),
@@ -481,17 +484,158 @@ def test_crossing_flags_match_per_obstacle_loop(n, scene):
     assert_matches_reference(plan, tx, scene_receivers(plan, tx, n, seed))
 
 
-# Obstacle counts around the block size a receiver count gives: a short last
-# block, exact blocks, one obstacle over, and several blocks plus a remainder.
+# Chunk sizes against the candidate pairs of obstacle counts around them: with
+# one pair per chunk every range end is a chunk end; with a few, chunk ends
+# fall inside ranges, at their ends and among empty ranges, and the last chunk
+# is short or full.
 @SETTINGS
-@given(st.sampled_from([1, 2, 3, 5, 8]).flatmap(lambda block: st.tuples(
-    st.just(block),
-    st.sampled_from([block - 1, block, block + 1, 3 * block + 7]).flatmap(obstacle_scenes))))
+@given(st.sampled_from([1, 2, 3, 5, 8]).flatmap(lambda chunk: st.tuples(
+    st.just(chunk), st.integers(0, 64),
+    st.sampled_from([chunk - 1, chunk, chunk + 1, 3 * chunk + 7]).flatmap(obstacle_scenes))))
 def test_crossing_flags_match_per_obstacle_loop_across_obstacle_blocks(case):
-    block, (plan, tx, seed) = case
-    n = CROSSING_BLOCK // block
-    assert CROSSING_BLOCK // n == block
-    assert_matches_reference(plan, tx, scene_receivers(plan, tx, n, seed))
+    chunk, n, (plan, tx, seed) = case
+    with mock.patch.object(floorplan, "CROSSING_BLOCK", chunk):
+        assert_matches_reference(plan, tx, scene_receivers(plan, tx, n, seed))
+
+
+@st.composite
+def sweep_edge_scenes(draw):
+    """(plan, tx, rx_xyz) at the edges of the angular sweep.
+
+    Obstacles lie behind tx across the +-pi seam of its azimuths, pass
+    through tx or end at it, or pass beside it at offsets from below the
+    grazing tolerance up, so that their wedge spans a half turn within
+    rounding or a little less. Receivers lie on the seam (on the azimuth pi,
+    on -pi via a -0.0 offset, and just off it), on the rays through
+    obstacle ends, several to a ray, and as in ``scene_receivers``.
+    """
+    plan, tx, seed = draw(st.integers(0, 6).flatmap(obstacle_scenes))
+    w, h = plan.bounds.max_x, plan.bounds.max_y
+    offsets = st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-6, 0.5])
+    extra = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["behind", "through", "beside"]))
+        if kind == "behind":  # crosses the ray from tx towards -x
+            x = tx.x - draw(st.floats(0.25, 4.0))
+            ends = (x, tx.y - draw(st.floats(0.0, 3.0)), x + draw(st.floats(-1.0, 1.0)),
+                    tx.y + draw(st.floats(0.0, 3.0)))
+        else:
+            angle = draw(st.floats(-math.pi, math.pi))
+            dx, dy = math.cos(angle), math.sin(angle)
+            back, ahead = (draw(st.floats(0.0, 5.0)) for _ in range(2))
+            side = draw(offsets) * draw(st.sampled_from([-1.0, 1.0]))
+            if kind == "through":
+                side = 0.0
+            ends = (tx.x - back * dx - side * dy, tx.y - back * dy + side * dx,
+                    tx.x + ahead * dx - side * dy, tx.y + ahead * dy + side * dx)
+        assume(ends[:2] != ends[2:])
+        extra.append(PlanarObstacle(*ends, floor_index=draw(st.integers(0, len(plan.floors)))))
+    plan = Floorplan(plan.bounds, plan.floors, plan.obstacles + tuple(extra))
+
+    rng = np.random.default_rng(seed)
+    k = 24
+    behind = tx.x - rng.uniform(0.0, w + 1.0, k)
+    seam_y = tx.y + rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-15, -1e-15, 1e-9, -1e-9], k)
+    if tx.y == 0.0:  # -0.0 - 0.0 is -0.0, whose azimuth behind tx is -pi
+        seam_y[:4] = -0.0
+    rays = []
+    for o in plan.obstacles:
+        for ex, ey in ((o.x1, o.y1), (o.x2, o.y2)):
+            for t in (0.25, 0.5, 1.0, 2.0, 3.0):
+                rays.append((tx.x + t * (ex - tx.x), tx.y + t * (ey - tx.y)))
+    xy = np.concatenate([np.column_stack([behind, seam_y]), np.array(rays).reshape(-1, 2),
+                         scene_receivers(plan, tx, k, seed)[:, :2]])
+    return plan, tx, np.column_stack([xy, rng.choice(HEIGHTS, len(xy))])
+
+
+@SETTINGS
+@given(sweep_edge_scenes())
+def test_crossing_flags_match_per_obstacle_loop_at_sweep_edges(scene):
+    assert_matches_reference(*scene)
+
+
+# Scenes 1e3 to 1e10 m across. Each obstacle runs from far away to near tx,
+# which lies within 1e-7 m of its line, and receivers crowd its near end:
+# beyond SWEEP_REACH_M, rounding makes the test flag links outside their
+# obstacle's wedge.
+@SETTINGS
+@given(st.floats(3.0, 10.0), st.integers(0, 2**32 - 1))
+def test_crossing_flags_match_per_obstacle_loop_far_from_tx(log10_size, seed):
+    rng = np.random.default_rng(seed)
+    size = 10.0**log10_size
+    angle = rng.uniform(-math.pi, math.pi, 10)
+    heading = np.column_stack([np.cos(angle), np.sin(angle)])
+    far = size * heading
+    near = (-heading * 10.0**rng.uniform(-4, 1, (10, 1))
+            + rng.normal(size=(10, 2)) * 10.0**rng.uniform(-9, -7, (10, 1)))
+    plan = Floorplan(Bounds(-2 * size, -2 * size, 2 * size, 2 * size), (),
+                     tuple(PlanarObstacle(*f, *e) for f, e in zip(far, near)))
+    tx = Point3(0.0, 0.0, 1.2)
+    crowd = (np.repeat(near, 20, axis=0)
+             + rng.normal(size=(200, 2)) * 10.0**rng.uniform(-9, -3, (200, 1)))
+    radius, azimuth = 10.0**rng.uniform(-8, log10_size, 50), rng.uniform(-math.pi, math.pi, 50)
+    xy = np.concatenate([crowd, np.column_stack([radius * np.cos(azimuth),
+                                                 radius * np.sin(azimuth)])])
+    assert_matches_reference(plan, tx, np.column_stack([xy, np.full(len(xy), 1.2)]))
+
+
+# Scenes just within SWEEP_REACH_M, where the grazing margins leave a flagged
+# link only a few units in the last place of pi inside its obstacle's wedge.
+# Edge scenes put receivers just past the margin from obstacles' far ends;
+# half turn scenes put tx just beside obstacles' lines, between their ends,
+# and receivers across the lines.
+@st.composite
+def near_reach_scenes(draw):
+    """(plan, tx, rx_xyz) whose links and obstacle ends reach less than SWEEP_REACH_M."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = SWEEP_REACH_M
+    edge = draw(st.booleans())
+    obstacles, xy = [], []
+    for _ in range(8):
+        heading = rng.uniform(-math.pi, math.pi) if rng.random() < 0.5 else math.pi
+        along = np.array([math.cos(heading), math.sin(heading)])
+        if edge:  # far end c, the wedge turning by `turn` from it
+            dist = size * rng.uniform(0.2, 0.3)
+            turn = rng.choice([-1.0, 1.0]) * 10.0**rng.uniform(-6, 0)
+            c = dist * along
+            d = dist * rng.uniform(0.5, 1.0) * np.array([math.cos(heading + turn),
+                                                         math.sin(heading + turn)])
+            past = heading + math.copysign(GRAZE_EPS_M / dist, turn) * rng.uniform(1.0, 4.0, 20)
+            reach = 2 * dist * rng.uniform(1.0, 1.1, 20)
+            xy.append(np.column_stack([reach * np.cos(past), reach * np.sin(past)]))
+        else:  # tx within a few grazing tolerances of the line
+            side = GRAZE_EPS_M * rng.uniform(1.0, 3.0) * rng.choice([-1.0, 1.0])
+            normal = np.array([-along[1], along[0]])
+            c = -size * rng.uniform(0.5, 0.99) * along + side * normal
+            d = size * rng.uniform(0.5, 0.99) * along + side * normal
+            across = np.sign(side) * 10.0**rng.uniform(-6, 1, 20)
+            xy.append(np.outer(across, normal)
+                      + np.outer(rng.normal(size=20) * 10.0**rng.uniform(-9, 0, 20), along))
+        obstacles.append(PlanarObstacle(*c, *d))
+    xy = np.concatenate(xy)
+    ends = np.array([(o.x1, o.y1, o.x2, o.y2) for o in obstacles]).reshape(-1, 2)
+    assert np.hypot(*xy.T).max() + np.hypot(*ends.T).max() < SWEEP_REACH_M
+    plan = Floorplan(Bounds(-size, -size, size, size), (), tuple(obstacles))
+    return plan, Point3(0.0, 0.0, 1.2), np.column_stack([xy, np.full(len(xy), 1.2)])
+
+
+def arctan2_off_by_ulps(seed, ulps):
+    """np.arctan2 with each result moved by up to ``ulps`` units in its last place."""
+    exact, rng = np.arctan2, np.random.default_rng(seed)
+
+    def arctan2(y, x):
+        theta = exact(y, x)
+        return theta + rng.integers(-ulps, ulps + 1, np.shape(theta)) * np.spacing(theta)
+    return arctan2
+
+
+# The wedges are widened, and a wedge within rounding of a half turn takes
+# every receiver, so the flags do not depend on arctan2's last bits.
+@SETTINGS
+@given(near_reach_scenes(), st.integers(0, 2**32 - 1))
+def test_crossing_flags_match_per_obstacle_loop_with_arctan2_off_by_ulps(scene, seed):
+    with mock.patch.object(np, "arctan2", arctan2_off_by_ulps(seed, 8)):
+        assert_matches_reference(*scene)
 
 
 # Reference point counts: maps of 40-64 RPs give row blocks of 512-819
