@@ -59,6 +59,8 @@ from .radiomap import (
     select_rps,
 )
 from .simulator import (
+    DV_GRID,
+    RHO_GRID,
     NoiseConfig,
     grid_rp_positions,
     make_world,
@@ -68,8 +70,6 @@ from .simulator import (
     template_test_positions,
 )
 
-DEFAULT_RHO_GRID = (0.1, 0.2, 0.5, 1.0)
-DEFAULT_DV_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 DEFAULT_ALPHA_RANGE = (0.01, 0.25)
 
 
@@ -279,13 +279,13 @@ def cmd_evaluate(args) -> int:
 
     prediction = run_prediction_analysis(
         world.measurements, world.plan, world.aps, args.rho_grid,
-        [strategy], [model], world.sentinel_dbm)
+        [strategy], [model])
     positioning, gain = run_positioning_sweep(
         world, dr_grid, dv_grid, strategy=strategy, model=model,
         placement=args.placement)
     dv_max = max(dv_grid)
-    kest = run_kest_sweep(world, dr_grid, dv_max, alpha_range=args.alpha_range,
-                          alpha_step=args.alpha_step, positioning=positioning)
+    kest = run_kest_sweep(positioning, dr_grid, dv_max, alpha_range=args.alpha_range,
+                          alpha_step=args.alpha_step)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -401,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--model", default="mwmf", choices=["mwmf", "os"])
     p.add_argument("--placement", default="grid", choices=["grid", "random"])
-    p.add_argument("--rho-grid", type=_RHO_GRID, default=list(DEFAULT_RHO_GRID))
-    p.add_argument("--dv-grid", type=_DV_GRID, default=list(DEFAULT_DV_GRID))
+    p.add_argument("--rho-grid", type=_RHO_GRID, default=list(RHO_GRID))
+    p.add_argument("--dv-grid", type=_DV_GRID, default=list(DV_GRID))
     p.add_argument("--alpha-range", type=_ALPHA_RANGE, default=DEFAULT_ALPHA_RANGE,
                    metavar="MIN:MAX")
     p.add_argument("--alpha-step", type=_POSITIVE, default=0.01)

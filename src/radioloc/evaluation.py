@@ -252,9 +252,7 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                             aps: list[AccessPoint],
                             rho_grid: Sequence[float],
                             strategies: Sequence[FitStrategy],
-                            models: Sequence[ModelKind],
-                            sentinel_dbm: float = NOT_DETECTED_DBM,
-                            ) -> PredictionReport:
+                            models: Sequence[ModelKind]) -> PredictionReport:
     """Score RSS prediction error over a grid of survey fractions.
 
     For each (rho, strategy, model): calibrate on ceil(rho * N) survey points
@@ -456,19 +454,14 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
 # k-rule validity sweep
 # ---------------------------------------------------------------------------
 
-def run_kest_sweep(world: EvalWorld, dr_grid: Sequence[float], dv_max: float,
-                   alpha_range: tuple[float, float] = (0.01, 0.25),
-                   alpha_step: float = 0.01,
-                   strategy: FitStrategy | None = None,
-                   model: ModelKind = ModelKind.MWMF,
-                   placement: str = "grid",
-                   positioning: PositioningReport | None = None) -> KestReport:
+def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
+                   dv_max: float, alpha_range: tuple[float, float] = (0.01, 0.25),
+                   alpha_step: float = 0.01) -> KestReport:
     """Excess error of the density-derived k over the best k, across alpha.
 
     For each d_real at the maximum virtual density, beta(alpha) is the mean
     positioning error at k = ceil(alpha * N) minus the error at the sweep's
-    best k. A precomputed PositioningReport covering (dr_grid, dv_max) may be
-    passed to avoid recomputation.
+    best k, read from ``positioning``, a report covering (dr_grid, dv_max).
     """
     a_min, a_max = alpha_range
     if not 0.0 < a_min <= a_max:
@@ -485,11 +478,6 @@ def run_kest_sweep(world: EvalWorld, dr_grid: Sequence[float], dv_max: float,
             break
         alphas.append(alpha)
         i += 1
-
-    if positioning is None:
-        positioning, _ = run_positioning_sweep(world, dr_grid, [dv_max],
-                                               strategy=strategy, model=model,
-                                               placement=placement)
 
     report = KestReport()
     for d_real in dr_grid:

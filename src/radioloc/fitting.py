@@ -2,7 +2,7 @@
 
 With the 1 m reference loss pinned, the received power is linear in the
 unknowns: gamma multiplies a 10*log10(d) regressor, the constant loss is an
-intercept, and each obstacle (family, type) pair contributes its crossing
+intercept, and each obstacle family (wall, door) contributes its crossing
 count as a regressor. Calibration is therefore ordinary linear least squares
 on one design matrix per survey, one row per detected same-floor (point, AP)
 pair: solved whole (environment fitting) or one AP's rows at a time
@@ -30,13 +30,14 @@ import numpy as np
 from .errors import DegenerateFitError, GeometryError, InsufficientDataError
 from .floorplan import (
     Floorplan,
-    ObstacleKey,
+    ObstacleFamily,
     Point3,
     crossing_counts_batch,
     floors_crossed_batch,
 )
 from .ioutil import csv_rows, read_csv, read_json, write_json, write_text_atomic
 from .propagation import (
+    FREE_SPACE_L0_DB,
     AccessPoint,
     ModelKind,
     PropagationParams,
@@ -295,14 +296,14 @@ class _Design(NamedTuple):
 
     Each row is one detected same-floor (point, AP) pair. ``columns`` holds
     10*log10(d) for the one-slope model and, for the multi-wall model, also a
-    constant 1 and one crossing count per plan key; ``y`` is EIRP - l0 - mean
-    RSS. ``rows`` maps each AP id with rows to its slice.
+    constant 1 and one crossing count per obstacle family of the plan; ``y``
+    is EIRP - l0 - mean RSS. ``rows`` maps each AP id with rows to its slice.
     """
 
     columns: np.ndarray
     y: np.ndarray
     rows: dict[str, slice]
-    keys: list[ObstacleKey]
+    keys: list[ObstacleFamily]
 
 
 def _design(plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet,
@@ -368,11 +369,11 @@ def _solve(design: _Design, rows: slice, model: ModelKind, scope: str,
     """Solve the system on ``rows``; returns (params, per-row residuals)."""
     columns, y, keys = design.columns[rows], design.y[rows], design.keys
     if model is ModelKind.MWMF:
-        # Obstacle types no row crosses are unidentifiable; they are excluded
+        # Obstacle families no row crosses are unidentifiable; they are excluded
         # from the solve and their loss reported as zero.
         observed = columns[:, 2:].any(axis=0)
         if not observed.all():
-            missing = [key for key, seen in zip(keys, observed) if not seen]
+            missing = [key.value for key, seen in zip(keys, observed) if not seen]
             warnings.warn(f"{scope}: no sample crosses {missing}; "
                           "their losses are unconstrained and set to 0",
                           stacklevel=3)
@@ -388,34 +389,34 @@ def _solve(design: _Design, rows: slice, model: ModelKind, scope: str,
     if model is ModelKind.ONE_SLOPE:
         params = PropagationParams(l0_db=l0_db, gamma=float(solution[0]), lc_db=0.0)
     else:
-        loss_2d = {key: 0.0 for key in keys}
-        loss_2d.update(zip(compress(keys, observed), solution[2:].tolist()))
-        if any(v < 0 for v in loss_2d.values()):
+        losses = dict(zip(compress(keys, observed), solution[2:].tolist()))
+        if any(v < 0 for v in losses.values()):
             warnings.warn(f"{scope}: fitted obstacle losses include negative values",
                           stacklevel=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # range warning already issued above
-            params = PropagationParams(l0_db=l0_db, gamma=float(solution[0]),
-                                       lc_db=float(solution[1]), loss_2d=loss_2d)
+            params = PropagationParams(
+                l0_db=l0_db, gamma=float(solution[0]), lc_db=float(solution[1]),
+                wall_db=losses.get(ObstacleFamily.WALL, 0.0),
+                door_db=losses.get(ObstacleFamily.DOOR, 0.0))
     return params, columns @ solution - y
 
 
-def _theta(model: ModelKind, params: PropagationParams, keys: list[ObstacleKey]) -> np.ndarray:
+def _theta(model: ModelKind, params: PropagationParams,
+           keys: list[ObstacleFamily]) -> np.ndarray:
     """Fixed parameters as a coefficient vector over the design's columns."""
     if model is ModelKind.ONE_SLOPE:
         return np.array([params.gamma])
-    return np.array([params.gamma, params.lc_db,
-                     *(params.loss_2d.get(key, 0.0) for key in keys)])
+    return np.array([params.gamma, params.lc_db, *(params.loss_db(key) for key in keys)])
 
 
 def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
-        aps: list[AccessPoint], meas: MeasurementSet,
-        l0_db: float | None = None) -> FitResult:
+        aps: list[AccessPoint], meas: MeasurementSet) -> FitResult:
     """Estimate propagation parameters from scan-averaged measurements.
 
-    The reference loss is pinned (free-space 40.22 dB unless overridden; the
-    no-fit strategy uses its own parameters' l0) and excluded from the solved
-    set; a free intercept would be collinear with the constant loss.
+    The reference loss is pinned (free-space 40.22 dB; the no-fit strategy
+    uses its own parameters' l0) and excluded from the solved set; a free
+    intercept would be collinear with the constant loss.
 
     Cost: one design matrix of the M detected same-floor (point, AP) pairs,
     built from the survey arrays with one batched obstruction count per AP.
@@ -426,8 +427,8 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
     """
     if strategy.kind is StrategyKind.NO_FIT:
         l0_db = strategy.no_fit_params.l0_db
-    elif l0_db is None:
-        l0_db = PropagationParams().l0_db
+    else:
+        l0_db = FREE_SPACE_L0_DB
     design = _design(plan, aps, meas, model, l0_db)
 
     if strategy.kind is StrategyKind.PER_AP:

@@ -96,10 +96,11 @@ class Bounds:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.min_x + self.max_x), 0.5 * (self.min_y + self.max_y))
 
-    def contains(self, x: float, y: float, slack: float = GRAZE_EPS_M) -> bool:
+    def contains(self, x: float, y: float) -> bool:
+        """Whether (x, y) lies inside the rectangle or within GRAZE_EPS_M of it."""
         return (
-            self.min_x - slack <= x <= self.max_x + slack
-            and self.min_y - slack <= y <= self.max_y + slack
+            self.min_x - GRAZE_EPS_M <= x <= self.max_x + GRAZE_EPS_M
+            and self.min_y - GRAZE_EPS_M <= y <= self.max_y + GRAZE_EPS_M
         )
 
 
@@ -117,18 +118,12 @@ class PlanarObstacle:
     y2: float
     floor_index: int = 0
     family: ObstacleFamily = ObstacleFamily.WALL
-    type_index: int = 1
 
     def __post_init__(self):
         if self.x1 == self.x2 and self.y1 == self.y2:
             raise ValueError("obstacle endpoints must be distinct")
-        if self.type_index < 1:
-            raise ValueError("type_index must be >= 1")
         if self.floor_index < 0:
             raise ValueError("floor_index must be >= 0")
-
-
-ObstacleKey = tuple[ObstacleFamily, int]
 
 
 class _ObstacleColumns(NamedTuple):
@@ -141,11 +136,11 @@ class _ObstacleColumns(NamedTuple):
     tol_t: np.ndarray  # grazing tolerance of the side-of-obstacle-line test
     floor_index: np.ndarray
     extent: float
-    key_columns: dict[ObstacleKey, np.ndarray]  # obstacle indices per key, in key order
+    key_columns: dict[ObstacleFamily, np.ndarray]  # obstacle indices per family, in key order
 
     @classmethod
     def of(cls, obstacles: tuple[PlanarObstacle, ...],
-           keys: list[ObstacleKey]) -> "_ObstacleColumns":
+           keys: list[ObstacleFamily]) -> "_ObstacleColumns":
         def column(values, dtype=float):
             array = np.array(values, dtype=dtype)
             array.setflags(write=False)
@@ -154,8 +149,8 @@ class _ObstacleColumns(NamedTuple):
         x1, y1 = column([o.x1 for o in obstacles]), column([o.y1 for o in obstacles])
         x2, y2 = column([o.x2 for o in obstacles]), column([o.y2 for o in obstacles])
         tol_t = column([GRAZE_EPS_M * math.hypot(o.x2 - o.x1, o.y2 - o.y1) for o in obstacles])
-        key_of = [(o.family, o.type_index) for o in obstacles]
-        key_columns = {key: column([j for j, k in enumerate(key_of) if k == key], np.intp)
+        key_columns = {key: column([j for j, o in enumerate(obstacles) if o.family == key],
+                                   np.intp)
                        for key in keys}
         extent = max((math.hypot(x, y) for o in obstacles
                       for x, y in ((o.x1, o.y1), (o.x2, o.y2))), default=0.0)
@@ -175,8 +170,9 @@ class Floorplan:
     bounds: Bounds
     floors: tuple[float, ...] = ()
     obstacles: tuple[PlanarObstacle, ...] = ()
-    # Derived from ``obstacles`` once, for crossing_flags_batch; not compared.
+    # Derived once, for crossing_flags_batch and floors_crossed_batch; not compared.
     _columns: _ObstacleColumns = field(init=False, repr=False, compare=False)
+    _floors: np.ndarray = field(init=False, repr=False, compare=False)  # ``floors``, read-only
 
     def __post_init__(self):
         object.__setattr__(self, "floors", tuple(float(z) for z in self.floors))
@@ -191,6 +187,8 @@ class Floorplan:
                 )
         object.__setattr__(self, "_columns",
                            _ObstacleColumns.of(self.obstacles, self.obstacle_keys()))
+        object.__setattr__(self, "_floors", np.array(self.floors, dtype=float))
+        self._floors.setflags(write=False)
 
     @property
     def area(self) -> float:
@@ -200,17 +198,16 @@ class Floorplan:
         """Story index of a point at height z (number of floor planes at or below it)."""
         return bisect_right(self.floors, z)
 
-    def obstacle_keys(self) -> list[ObstacleKey]:
-        """Sorted inventory of (family, type_index) pairs present in the plan."""
-        return sorted({(o.family, o.type_index) for o in self.obstacles},
-                      key=lambda k: (k[0].value, k[1]))
+    def obstacle_keys(self) -> list[ObstacleFamily]:
+        """The obstacle families present in the plan, sorted by name: door before wall."""
+        return sorted({o.family for o in self.obstacles}, key=lambda f: f.value)
 
 
 @dataclass
 class ObstructionCount:
-    """Per-(family, type) crossing counts and crossed floor planes for one link."""
+    """Per-family crossing counts and crossed floor planes for one link."""
 
-    counts: dict[ObstacleKey, int]
+    counts: dict[ObstacleFamily, int]
     floors_crossed: int
 
     def __post_init__(self):
@@ -272,7 +269,7 @@ def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
 
     # Stories traversed per link; an obstacle applies when its story lies in range.
     story_tx = plan.story_of(tx.z)
-    stories_rx = np.searchsorted(plan.floors, pts[:, 2], side="right")
+    stories_rx = np.searchsorted(plan._floors, pts[:, 2], side="right")
     story_lo = np.minimum(stories_rx, story_tx)
     story_hi = np.maximum(stories_rx, story_tx)
 
@@ -350,17 +347,17 @@ def floors_crossed_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     pts = np.asarray(rx_xyz, dtype=float)
     if not plan.floors:
         return np.zeros(pts.shape[0], dtype=int)
-    planes = np.asarray(plan.floors)
+    planes = plan._floors
     lo = np.minimum(pts[:, 2], tx.z)[:, None]
     hi = np.maximum(pts[:, 2], tx.z)[:, None]
     return np.sum((planes > lo) & (planes < hi), axis=1).astype(int)
 
 
-def counts_by_key(plan: Floorplan, flags: np.ndarray) -> dict[ObstacleKey, np.ndarray]:
-    """Per-key crossing counts from crossing_flags_batch's (n, n_obstacles) flags.
+def counts_by_key(plan: Floorplan, flags: np.ndarray) -> dict[ObstacleFamily, np.ndarray]:
+    """Per-family crossing counts from crossing_flags_batch's (n, n_obstacles) flags.
 
-    Maps each obstacle key of the plan, in ``plan.obstacle_keys()`` order, to
-    an (n,) int array.
+    Maps each obstacle family of the plan, in ``plan.obstacle_keys()`` order,
+    to an (n,) int array.
     """
     return {key: flags[:, columns].sum(axis=1, dtype=int)
             for key, columns in plan._columns.key_columns.items()}
@@ -368,10 +365,10 @@ def counts_by_key(plan: Floorplan, flags: np.ndarray) -> dict[ObstacleKey, np.nd
 
 def crossing_counts_batch(
     plan: Floorplan, tx: Point3, rx_xyz: np.ndarray
-) -> tuple[dict[ObstacleKey, np.ndarray], np.ndarray]:
+) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray]:
     """Obstruction counts for many receivers against one transmitter.
 
-    ``rx_xyz`` is an (n, 3) array. Returns a dict mapping each obstacle key of
+    ``rx_xyz`` is an (n, 3) array. Returns a dict mapping each obstacle family of
     the plan to an (n,) int array of crossing counts, plus an (n,) int array of
     crossed floor planes.
     """
@@ -443,7 +440,7 @@ def floorplan_to_dict(plan: Floorplan) -> dict:
         "obstacles": [
             {
                 "family": o.family.value,
-                "type_index": o.type_index,
+                "type_index": 1,
                 "floor": o.floor_index,
                 "x1": o.x1,
                 "y1": o.y1,
@@ -456,7 +453,12 @@ def floorplan_to_dict(plan: Floorplan) -> dict:
 
 
 def floorplan_from_dict(doc: dict) -> Floorplan:
+    """The plan in ``doc``; ValueError on an obstacle whose ``type_index`` is
+    present and not 1, since each family carries one loss."""
     b = doc["bounds"]
+    for o in doc.get("obstacles", []):
+        if int(o.get("type_index", 1)) != 1:
+            raise ValueError(f"obstacle type_index {o['type_index']!r}: only type 1 exists")
     bounds = Bounds(float(b["min_x"]), float(b["min_y"]), float(b["max_x"]), float(b["max_y"]))
     obstacles = tuple(
         PlanarObstacle(
@@ -466,7 +468,6 @@ def floorplan_from_dict(doc: dict) -> Floorplan:
             y2=float(o["y2"]),
             floor_index=int(o.get("floor", 0)),
             family=ObstacleFamily(o["family"]),
-            type_index=int(o.get("type_index", 1)),
         )
         for o in doc.get("obstacles", [])
     )

@@ -9,13 +9,12 @@ with the ceil(alpha * (d_real + d_virtual) * area) rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .floorplan import Point3
-from .radiomap import Fingerprint, Radiomap, _check_rss
+from .radiomap import Fingerprint, Radiomap, _check_rss, ceil_scaled
 
 # Similarity assigned to an exact fingerprint match, where the inverse
 # distance is singular.
@@ -35,7 +34,6 @@ class WknnConfig:
     k: int | None = None
     order: float = 2.0
     alpha: float = 0.05
-    cap: float = SIMILARITY_CAP
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -44,8 +42,6 @@ class WknnConfig:
             raise ValueError("Minkowski order must be >= 1")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if self.cap <= 0.0:
-            raise ValueError("similarity cap must be positive")
 
 
 @dataclass
@@ -59,8 +55,7 @@ class PositionEstimate:
 SCORE_BLOCK = 2 ** 15
 
 
-def _similarity_rows(rss_matrix: np.ndarray, targets: np.ndarray, order: float,
-                     cap: float) -> np.ndarray:
+def _similarity_rows(rss_matrix: np.ndarray, targets: np.ndarray, order: float) -> np.ndarray:
     """(B, N) similarities of B target rows to the N reference points.
 
     The powered Minkowski distance is summed one AP column at a time, from
@@ -78,19 +73,18 @@ def _similarity_rows(rss_matrix: np.ndarray, targets: np.ndarray, order: float,
         else:
             acc += diff ** order
     root = np.sqrt(acc, out=diff) if order == 2.0 else acc ** (1.0 / order)
-    sims = np.full(acc.shape, cap)
+    sims = np.full(acc.shape, SIMILARITY_CAP)
     np.divide(1.0, root, out=sims, where=acc > 0.0)
     return sims
 
 
-def similarity(a: Fingerprint, b: Fingerprint, order: float = 2.0,
-               cap: float = SIMILARITY_CAP) -> float:
+def similarity(a: Fingerprint, b: Fingerprint, order: float = 2.0) -> float:
     """Inverse Minkowski distance between two fingerprints; capped on exact match."""
     if len(a) != len(b):
         raise ValueError(f"fingerprint lengths differ: {len(a)} vs {len(b)}")
     if order < 1.0:
         raise ValueError("Minkowski order must be >= 1")
-    return float(_similarity_rows(a.rss[None, :], b.rss[None, :], order, cap)[0, 0])
+    return float(_similarity_rows(a.rss[None, :], b.rss[None, :], order)[0, 0])
 
 
 def k_est(d_real: float, d_virtual: float, area_m2: float, alpha: float = 0.05) -> int:
@@ -105,7 +99,7 @@ def k_est(d_real: float, d_virtual: float, area_m2: float, alpha: float = 0.05) 
         raise ValueError("densities must be nonnegative and not both zero")
     if area_m2 <= 0:
         raise ValueError("area must be positive")
-    return int(math.ceil(round(alpha * (d_real + d_virtual) * area_m2, 9)))
+    return ceil_scaled(alpha * (d_real + d_virtual) * area_m2)
 
 
 def k_est_from_counts(n_real: int, n_virtual: int, alpha: float = 0.05) -> int:
@@ -114,7 +108,7 @@ def k_est_from_counts(n_real: int, n_virtual: int, alpha: float = 0.05) -> int:
         raise ValueError("counts must be nonnegative and not both zero")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    return int(math.ceil(round(alpha * (n_real + n_virtual), 9)))
+    return ceil_scaled(alpha * (n_real + n_virtual))
 
 
 def _best_k(ks, means) -> int:
@@ -142,15 +136,14 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
 
 
 def _wknn(rss_matrix: np.ndarray, positions: np.ndarray, targets: np.ndarray,
-          k: int, order: float, cap: float,
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+          k: int, order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """WkNN over one row block of targets, for every neighbor count 1..k.
 
     Returns (ranked indices (B, k), their similarities (B, k), estimates
     (B, k, 3)). Running sums along the rank axis make the j-th estimate
     identical to summing the top-j terms in rank order.
     """
-    sims = _similarity_rows(rss_matrix, targets, order, cap)
+    sims = _similarity_rows(rss_matrix, targets, order)
     ranked = _top_k(sims, k)
     w = np.take_along_axis(sims, ranked, axis=1)
     weighted = np.cumsum(w[:, :, None] * positions[ranked], axis=1)
@@ -174,7 +167,7 @@ def _locate_rows(rmap: Radiomap, rows: np.ndarray, cfg: WknnConfig) -> list[Posi
     out = []
     for block in _row_blocks(rows.shape[0], n):
         ranked, w, estimates = _wknn(rmap.rss_matrix(), rmap.positions_matrix(), rows[block],
-                                     k, cfg.order, cfg.cap)
+                                     k, cfg.order)
         out += [PositionEstimate(position=Point3(*xyz), neighbors=list(zip(r, s)))
                 for r, s, xyz in zip(ranked.tolist(), w.tolist(),
                                      estimates[:, k - 1].tolist())]
@@ -209,8 +202,7 @@ def locate_many(rmap: Radiomap, targets, cfg: WknnConfig = WknnConfig(),
 
 
 def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarray,
-                 tp_pos: np.ndarray, k_max: int, order: float = 2.0,
-                 cap: float = SIMILARITY_CAP) -> np.ndarray:
+                 tp_pos: np.ndarray, k_max: int, order: float = 2.0) -> np.ndarray:
     """Positioning error of every test point for every k in 1..k_max.
 
     The T test points are ``tp_rss`` (T, L) fingerprints, checked like
@@ -229,16 +221,16 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
     _check_rss(tp_rss)
     errors = np.empty((t, k_max))
     for block in _row_blocks(t, n):
-        _, _, estimates = _wknn(rp_rss, rp_positions, tp_rss[block], k_max, order, cap)
+        _, _, estimates = _wknn(rp_rss, rp_positions, tp_rss[block], k_max, order)
         delta = estimates - tp_pos[block, None, :]
         errors[block] = np.sqrt(np.sum(delta * delta, axis=2))
     return errors
 
 
-def find_k_opt(rmap: Radiomap, tp_rss: np.ndarray, tp_pos: np.ndarray, k_range,
-               cfg: WknnConfig = WknnConfig()) -> int:
+def find_k_opt(rmap: Radiomap, tp_rss: np.ndarray, tp_pos: np.ndarray, k_range) -> int:
     """The k in k_range minimizing mean positioning error over the test points
-    (``error_curves``' ``tp_rss`` and ``tp_pos``); ties pick the smallest k."""
+    (``error_curves``' ``tp_rss`` and ``tp_pos``) at Minkowski order 2; ties
+    pick the smallest k."""
     if not len(tp_rss):
         raise ValueError("find_k_opt needs at least one test point")
     ks = sorted(set(int(k) for k in k_range))
@@ -247,6 +239,5 @@ def find_k_opt(rmap: Radiomap, tp_rss: np.ndarray, tp_pos: np.ndarray, k_range,
         raise ValueError("empty k range")
     if ks[0] < 1 or ks[-1] > n:
         raise ValueError(f"k range must lie within [1, {n}]")
-    curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(),
-                          tp_rss, tp_pos, ks[-1], cfg.order, cfg.cap)
+    curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(), tp_rss, tp_pos, ks[-1])
     return _best_k(ks, curves.mean(axis=0))

@@ -8,7 +8,7 @@ and a multi-wall multi-floor variant that adds, on top of PL_os, a constant
 loss, a per-crossing loss for every 2D obstacle the link traverses, and an
 empirical floor term
 
-    A = lc + sum_{family,type} N * loss + Nf^((Nf+2)/(Nf+1) - b) * lf   [dB].
+    A = lc + N_wall * l_wall + N_door * l_door + Nf^((Nf+2)/(Nf+1) - b) * lf   [dB].
 
 Received power is the AP's EIRP minus the path loss.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -27,7 +27,6 @@ from .errors import GeometryError, InputError
 from .floorplan import (
     Floorplan,
     ObstacleFamily,
-    ObstacleKey,
     Point3,
     counts_by_key,
     crossing_flags_batch,
@@ -41,9 +40,6 @@ FREE_SPACE_L0_DB = 40.22
 DEFAULT_FLOOR_LOSS_DB = 18.0
 DEFAULT_FLOOR_B = 0.46
 
-WALL_KEY: ObstacleKey = (ObstacleFamily.WALL, 1)
-DOOR_KEY: ObstacleKey = (ObstacleFamily.DOOR, 1)
-
 
 class ModelKind(str, Enum):
     MWMF = "mwmf"
@@ -54,46 +50,34 @@ class ModelKind(str, Enum):
 class PropagationParams:
     """Deterministic path-loss parameters.
 
-    ``loss_2d`` maps (family, type_index) to a per-crossing loss in dB. The
-    one-slope model reads only ``l0_db`` and ``gamma``. Fitted instances may
-    carry negative losses (the calibration is unconstrained); a warning is
-    emitted when that happens.
+    ``wall_db`` and ``door_db`` are the per-crossing losses of the two
+    obstacle families, in dB. The one-slope model reads only ``l0_db`` and
+    ``gamma``. Fitted instances may carry negative losses (the calibration is
+    unconstrained); a warning is emitted when that happens.
     """
 
     l0_db: float = FREE_SPACE_L0_DB
     gamma: float = 2.0
     lc_db: float = 0.0
-    loss_2d: dict[ObstacleKey, float] = field(default_factory=dict)
+    wall_db: float = 0.0
+    door_db: float = 0.0
     lf_db: float = DEFAULT_FLOOR_LOSS_DB
     b: float = DEFAULT_FLOOR_B
 
     def __post_init__(self):
-        values = [self.l0_db, self.gamma, self.lc_db, self.lf_db, self.b]
-        values += list(self.loss_2d.values())
+        values = [self.l0_db, self.gamma, self.lc_db, self.wall_db, self.door_db,
+                  self.lf_db, self.b]
         if not all(math.isfinite(v) for v in values):
             raise ValueError("propagation parameters must be finite")
         if self.l0_db <= 0:
             raise ValueError("reference loss l0_db must be positive")
-        if self.gamma <= 0 or self.lf_db < 0 or any(v < 0 for v in self.loss_2d.values()):
+        if self.gamma <= 0 or min(self.lf_db, self.wall_db, self.door_db) < 0:
             warnings.warn("propagation parameters outside their nominal range "
                           "(gamma <= 0 or negative losses)", stacklevel=2)
 
-    @classmethod
-    def simple(cls, gamma: float, lc_db: float = 0.0, wall_db: float = 0.0,
-               door_db: float = 0.0, l0_db: float = FREE_SPACE_L0_DB,
-               lf_db: float = DEFAULT_FLOOR_LOSS_DB, b: float = DEFAULT_FLOOR_B,
-               ) -> "PropagationParams":
-        """Build params with single-type wall and door losses."""
-        return cls(l0_db=l0_db, gamma=gamma, lc_db=lc_db,
-                   loss_2d={WALL_KEY: wall_db, DOOR_KEY: door_db}, lf_db=lf_db, b=b)
-
-    @property
-    def wall_loss_db(self) -> float:
-        return self.loss_2d.get(WALL_KEY, 0.0)
-
-    @property
-    def door_loss_db(self) -> float:
-        return self.loss_2d.get(DOOR_KEY, 0.0)
+    def loss_db(self, family: ObstacleFamily) -> float:
+        """Per-crossing loss of an obstacle family, in dB."""
+        return self.wall_db if family is ObstacleFamily.WALL else self.door_db
 
 
 @dataclass(frozen=True)
@@ -128,7 +112,7 @@ class LinkTable:
     """Parameter-free geometry of the links from one AP to a set of receiver positions.
 
     Holds ``log10_d``, the (n,) base-10 log distances, and on first use by
-    the multi-wall model the per-key crossing counts and the crossed floor
+    the multi-wall model the per-family crossing counts and the crossed floor
     planes (``obstructions``). The one-slope model reads only ``log10_d``,
     so it never counts crossings. One table serves any parameters of either
     model; ``predict_rss`` equals ``predict_rss_many`` bit for bit.
@@ -147,7 +131,7 @@ class LinkTable:
         self.ap = ap
         self.positions = pts
         self.log10_d = np.log10(d)
-        self._obstructions: tuple[dict[ObstacleKey, np.ndarray], np.ndarray] | None = None
+        self._obstructions: tuple[dict[ObstacleFamily, np.ndarray], np.ndarray] | None = None
 
     def crossing_flags(self) -> np.ndarray:
         """Per-obstacle crossing flags (n, n_obstacles), counted afresh and not kept.
@@ -164,8 +148,8 @@ class LinkTable:
         return flags
 
     @property
-    def obstructions(self) -> tuple[dict[ObstacleKey, np.ndarray], np.ndarray]:
-        """Per-key crossing counts (plan key order) and crossed floor planes, per link."""
+    def obstructions(self) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray]:
+        """Per-family crossing counts (plan key order) and crossed floor planes, per link."""
         if self._obstructions is None:
             self.crossing_flags()
         return self._obstructions
@@ -177,8 +161,8 @@ class LinkTable:
         if model is ModelKind.MWMF:
             counts, floors = self.obstructions
             extra = np.full(self.log10_d.shape[0], params.lc_db)
-            for key, arr in counts.items():
-                loss = params.loss_2d.get(key, 0.0)
+            for family, arr in counts.items():
+                loss = params.loss_db(family)
                 if loss:
                     extra += arr * loss
             for nf in np.unique(floors):
@@ -200,15 +184,12 @@ def predict_rss_many(model: ModelKind, params: PropagationParams, plan: Floorpla
 # ---------------------------------------------------------------------------
 
 def params_to_dict(model: ModelKind, params: PropagationParams) -> dict:
-    extra = set(params.loss_2d) - {WALL_KEY, DOOR_KEY}
-    if extra:
-        raise ValueError(f"params file format carries wall/door losses only, got {sorted(extra)}")
     return {
         "model": model.value,
         "l0_db": params.l0_db,
         "gamma": params.gamma,
         "lc_db": params.lc_db,
-        "losses": {"wall": params.wall_loss_db, "door": params.door_loss_db},
+        "losses": {"wall": params.wall_db, "door": params.door_db},
         "lf_db": params.lf_db,
         "b": params.b,
     }
@@ -216,7 +197,7 @@ def params_to_dict(model: ModelKind, params: PropagationParams) -> dict:
 
 def params_from_dict(doc: dict) -> tuple[ModelKind, PropagationParams]:
     losses = doc.get("losses", {})
-    params = PropagationParams.simple(
+    params = PropagationParams(
         gamma=float(doc["gamma"]),
         lc_db=float(doc.get("lc_db", 0.0)),
         wall_db=float(losses.get("wall", 0.0)),

@@ -9,7 +9,7 @@ family value, and a spatially correlated residual field adds what no segment
 inventory captures. Both are fixed functions of the world, so repeated
 campaigns see the same anomalies. Campaign noise on top of that: per-scan
 fast fading, a per-visit slow-fading offset that scan averaging cannot
-remove, and optional per-device biases.
+remove, and per-device biases set by the scenario preset.
 
 Two scenario presets mirror a carefully controlled survey (many scans per
 point, one device) and a crowdsourcing-like one (few scans, single-scan
@@ -46,9 +46,23 @@ from .propagation import (
     aps_from_list,
     params_from_dict,
 )
-from .radiomap import DETECTION_FLOOR_DBM, DEVICE_HEIGHT_M, NOT_DETECTED_DBM, Fingerprint
+from .radiomap import (
+    DETECTION_FLOOR_DBM,
+    DEVICE_HEIGHT_M,
+    NOT_DETECTED_DBM,
+    Fingerprint,
+    ceil_scaled,
+)
 
 AP_HEIGHT_M = 2.8
+
+# The standard experiment grids: survey fractions rho, and virtual RP
+# densities in RPs/m^2.
+RHO_GRID = (0.1, 0.2, 0.5, 1.0)
+DV_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+
+# Random Fourier features per residual field.
+_FIELD_FEATURES = 64
 
 # Fixed stream tags so every consumer of a world's seed draws from a distinct,
 # reproducible substream.
@@ -71,7 +85,7 @@ class NoiseConfig:
     with the scan count. ``slow_fading_sigma_db`` is drawn once per
     (location, AP) per visit, so all scans of a visit share it and averaging
     does not remove it; it is the dominant single-fingerprint uncertainty.
-    ``device_bias_sigma_db`` scales per-device offsets (see ScenarioPreset).
+    Per-device offsets belong to the survey discipline (ScenarioPreset).
     ``mismatch_sigma_db`` sets the standard deviation of the stationary
     residual field, with correlation length ``mismatch_corr_m``; zero disables
     the field and makes the world exactly realizable by the fitted model.
@@ -84,23 +98,20 @@ class NoiseConfig:
 
     shadowing_sigma_db: float = 3.0
     slow_fading_sigma_db: float = 5.5
-    device_bias_sigma_db: float = 0.0
     mismatch_sigma_db: float = 1.5
     mismatch_corr_m: float = 6.0
     drift_sigma_db: float = 0.0
     wall_loss_spread_db: float = 3.5
 
     def __post_init__(self):
-        if min(self.shadowing_sigma_db, self.slow_fading_sigma_db,
-               self.device_bias_sigma_db, self.mismatch_sigma_db,
+        if min(self.shadowing_sigma_db, self.slow_fading_sigma_db, self.mismatch_sigma_db,
                self.drift_sigma_db, self.wall_loss_spread_db) < 0 \
                 or self.mismatch_corr_m <= 0:
             raise ValueError("noise magnitudes must be nonnegative, correlation positive")
 
     @classmethod
     def none(cls) -> "NoiseConfig":
-        return cls(shadowing_sigma_db=0.0, slow_fading_sigma_db=0.0,
-                   device_bias_sigma_db=0.0, mismatch_sigma_db=0.0,
+        return cls(shadowing_sigma_db=0.0, slow_fading_sigma_db=0.0, mismatch_sigma_db=0.0,
                    drift_sigma_db=0.0, wall_loss_spread_db=0.0)
 
 
@@ -172,8 +183,8 @@ class TemplateInfo:
     """Canonical survey layout of a world template.
 
     ``dr_grid`` holds the exact real-RP densities ceil(rho * n_rp_total) / area
-    for the standard rho grid; published two-decimal density values are
-    roundings of these.
+    for ``RHO_GRID``; published two-decimal density values are roundings of
+    these.
     """
 
     name: str
@@ -181,8 +192,6 @@ class TemplateInfo:
     height_m: float
     n_rp_total: int
     n_test_points: int
-    rho_grid: tuple[float, ...] = (0.1, 0.2, 0.5, 1.0)
-    dv_grid: tuple[float, ...] = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 
     @property
     def area(self) -> float:
@@ -190,7 +199,7 @@ class TemplateInfo:
 
     @property
     def n_rp_grid(self) -> tuple[int, ...]:
-        return tuple(int(math.ceil(round(rho * self.n_rp_total, 9))) for rho in self.rho_grid)
+        return tuple(ceil_scaled(rho * self.n_rp_total) for rho in RHO_GRID)
 
     @property
     def dr_grid(self) -> tuple[float, ...]:
@@ -206,7 +215,7 @@ class TemplateInfo:
 
     @property
     def dv_max(self) -> float:
-        return self.dv_grid[-1]
+        return DV_GRID[-1]
 
 
 _TEMPLATES = {
@@ -308,8 +317,7 @@ def _custom_world_from_dict(doc: dict, seed: int) -> WorldSpec:
     if noise.wall_loss_spread_db > 0 and plan.obstacles:
         rng = np.random.default_rng(np.random.SeedSequence([seed, _LAYOUT_STREAM]))
         offsets = rng.normal(0.0, noise.wall_loss_spread_db, len(plan.obstacles))
-        nominal = np.array([truth.loss_2d.get((o.family, o.type_index), 0.0)
-                            for o in plan.obstacles])
+        nominal = np.array([truth.loss_db(o.family) for o in plan.obstacles])
         offsets = np.maximum(offsets, 0.3 - nominal)
     return WorldSpec(
         plan=plan, aps=aps, truth={ap.id: truth for ap in aps}, noise=noise,
@@ -369,7 +377,7 @@ def make_world(template: str, seed: int, noise: NoiseConfig | None = None,
     aps = [AccessPoint(id=f"ap{i + 1:02d}", position=Point3(x, y, AP_HEIGHT_M), eirp_dbm=20.0)
            for i, (x, y) in enumerate(positions)]
 
-    truth = PropagationParams.simple(
+    truth = PropagationParams(
         gamma=float(truth_rng.uniform(3.0, 3.8)),
         lc_db=float(truth_rng.uniform(1.0, 3.0)),
         wall_db=float(truth_rng.uniform(8.0, 13.0)),
@@ -379,7 +387,7 @@ def make_world(template: str, seed: int, noise: NoiseConfig | None = None,
     offsets = None
     if noise.wall_loss_spread_db > 0:
         offsets = truth_rng.normal(0.0, noise.wall_loss_spread_db, len(obstacles))
-        nominal = np.array([truth.loss_2d[(o.family, o.type_index)] for o in obstacles])
+        nominal = np.array([truth.loss_db(o.family) for o in obstacles])
         # Clutter attenuates far less than structural walls; the single fitted
         # per-type loss cannot represent both, which is the point.
         clutter_true = truth_rng.uniform(2.0, 6.0, len(obstacles) - n_structural)
@@ -400,11 +408,10 @@ class _ResidualField:
     always returns the same value.
     """
 
-    def __init__(self, rng: np.random.Generator, sigma_db: float, corr_m: float,
-                 n_features: int = 64):
-        self._amp = sigma_db * math.sqrt(2.0 / n_features)
-        self._freq = rng.normal(0.0, 1.0 / corr_m, size=(n_features, 2))
-        self._phase = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
+    def __init__(self, rng: np.random.Generator, sigma_db: float, corr_m: float):
+        self._amp = sigma_db * math.sqrt(2.0 / _FIELD_FEATURES)
+        self._freq = rng.normal(0.0, 1.0 / corr_m, size=(_FIELD_FEATURES, 2))
+        self._phase = rng.uniform(0.0, 2.0 * math.pi, size=_FIELD_FEATURES)
 
     def __call__(self, xy: np.ndarray) -> np.ndarray:
         return self._amp * np.cos(xy @ self._freq.T + self._phase).sum(axis=1)
@@ -438,25 +445,24 @@ def _true_rss_matrix(world: WorldSpec, positions: np.ndarray) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def grid_rp_positions(plan: Floorplan, d_real: float,
-                      z_m: float = DEVICE_HEIGHT_M) -> list[Point3]:
+def grid_rp_positions(plan: Floorplan, d_real: float) -> list[Point3]:
     """Regular survey lattice realizing round(d_real * area) reference points."""
     if d_real <= 0:
         raise ValueError("real RP density must be positive")
     n = int(math.floor(round(d_real * plan.area, 9) + 0.5))
     if n < 1:
         raise ValueError(f"density {d_real} yields no grid point on this plan")
-    return [Point3(x, y, z_m) for x, y in lattice_positions(plan.bounds, n)]
+    return [Point3(x, y, DEVICE_HEIGHT_M) for x, y in lattice_positions(plan.bounds, n)]
 
 
-def random_positions(plan: Floorplan, n: int, seed: int | np.random.SeedSequence,
-                     z_m: float = DEVICE_HEIGHT_M, margin_m: float = 0.3) -> list[Point3]:
-    """n uniformly random positions inside the bounds (margin keeps them interior)."""
+def random_positions(plan: Floorplan, n: int,
+                     seed: int | np.random.SeedSequence) -> list[Point3]:
+    """n uniformly random positions at device height, 0.3 m or more inside the bounds."""
     rng = np.random.default_rng(seed)
     b = plan.bounds
-    xs = rng.uniform(b.min_x + margin_m, b.max_x - margin_m, n)
-    ys = rng.uniform(b.min_y + margin_m, b.max_y - margin_m, n)
-    return [Point3(float(x), float(y), z_m) for x, y in zip(xs, ys)]
+    xs = rng.uniform(b.min_x + 0.3, b.max_x - 0.3, n)
+    ys = rng.uniform(b.min_y + 0.3, b.max_y - 0.3, n)
+    return [Point3(float(x), float(y), DEVICE_HEIGHT_M) for x, y in zip(xs, ys)]
 
 
 def template_test_positions(template: str, seed: int, plan: Floorplan,
@@ -511,8 +517,10 @@ def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
                else np.zeros(n_tp))
 
     slow_sigma = world.noise.slow_fading_sigma_db
-    rp_xyz = points_xyz(rp_positions)
-    base_rp = _true_rss_matrix(world, rp_xyz)
+    rp_xyz, tp_xyz = points_xyz(rp_positions), points_xyz(tp_positions)
+    # One link table per AP for the survey and the targets together.
+    base = _true_rss_matrix(world, np.concatenate([rp_xyz, tp_xyz]))
+    base_rp, base_tp = base[:n_rp], base[n_rp:]
     slow_rp = (rp_rng.normal(0.0, slow_sigma, size=(n_rp, n_ap)) if slow_sigma > 0
                else np.zeros((n_rp, n_ap)))
     shadow = (rp_rng.normal(0.0, sigma, size=(n_rp, n_ap, preset.q)) if sigma > 0
@@ -531,8 +539,6 @@ def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
 
     test_points = []
     if n_tp:
-        tp_xyz = points_xyz(tp_positions)
-        base_tp = _true_rss_matrix(world, tp_xyz)
         slow_tp = (tp_rng.normal(0.0, slow_sigma, size=(n_tp, n_ap)) if slow_sigma > 0
                    else np.zeros((n_tp, n_ap)))
         shadow_tp = (tp_rng.normal(0.0, sigma, size=(n_tp, n_ap, preset.tp_scans))

@@ -90,7 +90,7 @@ def oracle_count_2d(plan, tx, rx, samples=2000):
                 cy = ay + t_star * (by - ay)
                 u = ((cx - obs.x1) * vx + (cy - obs.y1) * vy) / (vx * vx + vy * vy)
                 if 0.0 < u < 1.0:
-                    counts[(obs.family, obs.type_index)] += 1
+                    counts[obs.family] += 1
     floors = sum(1 for z in plan.floors if min(tx.z, rx.z) < z < max(tx.z, rx.z))
     return counts, floors
 
@@ -146,10 +146,9 @@ def reference_predict_rss(model, params, plan, ap, pts):
         flags = reference_crossing_flags(plan, ap.position, pts)
         extra = np.full(pts.shape[0], params.lc_db)
         for key in plan.obstacle_keys():
-            loss = params.loss_2d.get(key, 0.0)
+            loss = params.loss_db(key)
             if loss:
-                columns = [j for j, o in enumerate(plan.obstacles)
-                           if (o.family, o.type_index) == key]
+                columns = [j for j, o in enumerate(plan.obstacles) if o.family == key]
                 extra += flags[:, columns].sum(axis=1) * loss
         floors = np.array([sum(1 for z in plan.floors
                                if min(p[2], ap.position.z) < z < max(p[2], ap.position.z))
@@ -191,7 +190,7 @@ def reference_fit_rows(plan, aps, meas, model, l0_db):
             if model is ModelKind.MWMF:
                 flags = reference_crossing_flags(plan, a, np.array([[p.x, p.y, p.z]]))[0]
                 x += [1.0] + [float(sum(flag for flag, o in zip(flags, plan.obstacles)
-                                        if (o.family, o.type_index) == key))
+                                        if o.family == key))
                               for key in keys]
             rows.append((ap_id, x, ap.eirp_dbm - l0_db - mean))
     return rows
@@ -320,7 +319,7 @@ def tiny_world():
         AccessPoint("a", Point3(1.0, 5.0, 2.5), eirp_dbm=20.0),
         AccessPoint("b", Point3(19.0, 1.0, 2.5), eirp_dbm=20.0),
     ]
-    params = PropagationParams.simple(gamma=2.8, lc_db=1.5, wall_db=5.0, door_db=1.0)
+    params = PropagationParams(gamma=2.8, lc_db=1.5, wall_db=5.0, door_db=1.0)
     return plan, aps, params
 
 

@@ -29,6 +29,7 @@ from radioloc.radiomap import (
     decimation_order,
 )
 from radioloc.simulator import (
+    RHO_GRID,
     NoiseConfig,
     ScenarioPreset,
     grid_rp_positions,
@@ -65,7 +66,7 @@ def trend_sweeps():
         for seed in SEEDS:
             world, _ = build_world(template, seed)
             positioning, gain = run_positioning_sweep(world, dr_grid, [0.0, 10.0])
-            kest = run_kest_sweep(world, dr_grid, 10.0, positioning=positioning)
+            kest = run_kest_sweep(positioning, dr_grid, 10.0)
             per_seed.append((positioning, gain, kest))
         results[template] = per_seed
     results["elapsed_s"] = time.perf_counter() - t0
@@ -102,14 +103,13 @@ def test_criterion_01_exact_recovery_oracle():
     worst_param = 0.0
     worst_delta = 0.0
     for strategy in (FitStrategy.environment(), FitStrategy.per_ap()):
-        report = run_prediction_analysis(meas, spec.plan, spec.aps,
-                                         info.rho_grid, [strategy],
-                                         [ModelKind.MWMF], spec.sentinel_dbm)
+        report = run_prediction_analysis(meas, spec.plan, spec.aps, RHO_GRID, [strategy],
+                                         [ModelKind.MWMF])
         for cell in report.cells:
             assert cell.error is None, cell.error
             worst_delta = max(worst_delta, cell.mean_delta_db)
         order = decimation_order(meas.xyz)
-        for rho in info.rho_grid:
+        for rho in RHO_GRID:
             keep = order[:ceil_scaled(rho * len(order))]
             result = fit(strategy, ModelKind.MWMF, spec.plan, spec.aps,
                          meas.subset(keep))
@@ -118,8 +118,8 @@ def test_criterion_01_exact_recovery_oracle():
                     worst_param,
                     abs(params.gamma - truth.gamma),
                     abs(params.lc_db - truth.lc_db),
-                    abs(params.wall_loss_db - truth.wall_loss_db),
-                    abs(params.door_loss_db - truth.door_loss_db))
+                    abs(params.wall_db - truth.wall_db),
+                    abs(params.door_db - truth.door_db))
     elapsed = time.perf_counter() - t0
     ok = worst_param <= 1e-6 and worst_delta <= 1e-6 and elapsed < 5.0
     report_line("criterion 01 exact-recovery", ok,
@@ -140,7 +140,7 @@ def test_criterion_02_mwmf_beats_one_slope(prediction_worlds):
             report = run_prediction_analysis(
                 world.measurements, world.plan, world.aps, [1.0],
                 [FitStrategy.environment()],
-                [ModelKind.MWMF, ModelKind.ONE_SLOPE], world.sentinel_dbm)
+                [ModelKind.MWMF, ModelKind.ONE_SLOPE])
             per_seed.append(report.mean_delta(1.0, "environment", "os")
                             - report.mean_delta(1.0, "environment", "mwmf"))
         gaps[template] = float(np.mean(per_seed))
@@ -163,15 +163,15 @@ def test_criterion_03_no_fit_degradation(prediction_worlds):
             truth = spec.truth_for(spec.aps[0].id)
             signs = np.random.default_rng(world.seed + 1000).choice(
                 [-1.0, 1.0], size=4)
-            perturbed = PropagationParams.simple(
+            perturbed = PropagationParams(
                 gamma=truth.gamma * (1 + 0.3 * signs[0]),
                 lc_db=truth.lc_db * (1 + 0.3 * signs[1]),
-                wall_db=truth.wall_loss_db * (1 + 0.3 * signs[2]),
-                door_db=truth.door_loss_db * (1 + 0.3 * signs[3]))
+                wall_db=truth.wall_db * (1 + 0.3 * signs[2]),
+                door_db=truth.door_db * (1 + 0.3 * signs[3]))
             report = run_prediction_analysis(
                 world.measurements, world.plan, world.aps, [0.1],
                 [FitStrategy.environment(), FitStrategy.no_fit(perturbed)],
-                [ModelKind.MWMF], world.sentinel_dbm)
+                [ModelKind.MWMF])
             per_seed.append(report.mean_delta(0.1, "no-fit", "mwmf")
                             - report.mean_delta(0.1, "environment", "mwmf"))
         gaps[template] = float(np.mean(per_seed))

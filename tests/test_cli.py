@@ -5,16 +5,11 @@ import stat
 import pytest
 
 import radioloc.cli as cli
-from radioloc.cli import (
-    DEFAULT_ALPHA_RANGE,
-    DEFAULT_DV_GRID,
-    DEFAULT_RHO_GRID,
-    build_parser,
-    main,
-)
+from radioloc.cli import DEFAULT_ALPHA_RANGE, build_parser, main
 from radioloc.fitting import load_fit_result, load_measurements
 from radioloc.floorplan import load_floorplan
 from radioloc.radiomap import load_radiomap, place_virtual_rps
+from radioloc.simulator import DV_GRID, RHO_GRID
 
 from helpers import CUSTOM_WORLD, measurement_set
 
@@ -288,6 +283,31 @@ class TestInputErrorsExit2:
         assert err.count("error:") == 1 and "missing from the AP file" in err
         assert not (tmp_path / "map.json").exists()
 
+    def test_fit_obstacle_of_a_second_type(self, world_dir, tmp_path, capsys):
+        # Each obstacle family carries one loss, so only type 1 is accepted.
+        plan = json.loads((world_dir / "floorplan.json").read_text())
+        plan["obstacles"][0]["type_index"] = 2
+        (tmp_path / "floorplan.json").write_text(json.dumps(plan))
+        code = exit_code(["fit", "--measurements", str(world_dir / "measurements.csv"),
+                          "--floorplan", str(tmp_path / "floorplan.json"),
+                          "--aps", str(world_dir / "aps.json"),
+                          "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "type_index 2" in err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_simulate_custom_noise_device_bias(self, tmp_path, capsys):
+        # Device bias belongs to the --preset; a world's noise does not take it.
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps({**CUSTOM_WORLD, "noise": {"device_bias_sigma_db": 2.0}}))
+        out = tmp_path / "out"
+        assert exit_code(["simulate", "--template", "custom", "--custom-file", str(world),
+                          "--dr", "0.2", "--tp-count", "5", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "device_bias_sigma_db" in err
+        assert not out.exists()
+
     def test_evaluate_rho_grid_zero(self, world_dir, tmp_path, capsys):
         code = exit_code(["evaluate", "--world-dir", str(world_dir),
                           "--out-dir", str(tmp_path / "out"), "--rho-grid", "0"])
@@ -484,9 +504,11 @@ class TestEvaluate:
 
 
 def test_default_grids_match_published_tables():
-    assert DEFAULT_RHO_GRID == (0.1, 0.2, 0.5, 1.0)
-    assert DEFAULT_DV_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+    assert RHO_GRID == (0.1, 0.2, 0.5, 1.0)
+    assert DV_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
     assert DEFAULT_ALPHA_RANGE == (0.01, 0.25)
+    args = build_parser().parse_args(["evaluate", "--world-dir", "w", "--out-dir", "o"])
+    assert (args.rho_grid, args.dv_grid) == (list(RHO_GRID), list(DV_GRID))
 
 
 def test_main_builds_its_parser_once(monkeypatch, tmp_path):

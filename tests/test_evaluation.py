@@ -94,7 +94,7 @@ class TestPredictionAnalysis:
         report = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [0.1, 0.2, 0.5, 1.0],
             [FitStrategy.environment(), FitStrategy.per_ap()],
-            [ModelKind.MWMF], world.sentinel_dbm)
+            [ModelKind.MWMF])
         for cell in report.cells:
             assert cell.error is None
             assert cell.mean_delta_db <= 1e-6
@@ -103,7 +103,7 @@ class TestPredictionAnalysis:
         world, _ = rebuild_noiseless()
         report = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [0.1, 1.0],
-            [FitStrategy.environment()], [ModelKind.MWMF], world.sentinel_dbm)
+            [FitStrategy.environment()], [ModelKind.MWMF])
         assert report.cells[0].n_rps_fit == 8
         assert report.cells[1].n_rps_fit == 72
 
@@ -111,7 +111,7 @@ class TestPredictionAnalysis:
         world, _ = noisy_world
         report = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [0.1, 1.0],
-            [FitStrategy.environment()], [ModelKind.MWMF], world.sentinel_dbm)
+            [FitStrategy.environment()], [ModelKind.MWMF])
         full = report.mean_delta(1.0, "environment", "mwmf")
         sparse = report.mean_delta(0.1, "environment", "mwmf")
         assert full <= sparse + 0.5
@@ -121,7 +121,7 @@ class TestPredictionAnalysis:
         report = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [1.0],
             [FitStrategy.environment()],
-            [ModelKind.MWMF, ModelKind.ONE_SLOPE], world.sentinel_dbm)
+            [ModelKind.MWMF, ModelKind.ONE_SLOPE])
         assert (report.mean_delta(1.0, "environment", "mwmf")
                 < report.mean_delta(1.0, "environment", "os"))
 
@@ -240,15 +240,13 @@ class TestKestSweep:
         positioning, _ = run_positioning_sweep(world, [info.dr_min], [1.0])
         cell = positioning.cell(info.dr_min, 1.0)
         n = cell.n_real + cell.n_virtual
-        report = run_kest_sweep(world, [info.dr_min], 1.0,
-                                alpha_range=(0.01, 0.25), alpha_step=0.01,
-                                positioning=positioning)
+        report = run_kest_sweep(positioning, [info.dr_min], 1.0,
+                                alpha_range=(0.01, 0.25), alpha_step=0.01)
         assert all(c.beta_m >= 0 for c in report.cells)
         # An alpha that lands exactly on k_opt must give beta == 0.
         alpha_exact = cell.k_opt / n
-        extra = run_kest_sweep(world, [info.dr_min], 1.0,
-                               alpha_range=(alpha_exact, alpha_exact),
-                               alpha_step=1.0, positioning=positioning)
+        extra = run_kest_sweep(positioning, [info.dr_min], 1.0,
+                               alpha_range=(alpha_exact, alpha_exact), alpha_step=1.0)
         assert extra.cells[0].k_est == cell.k_opt
         assert extra.cells[0].beta_m == 0.0
 
@@ -256,22 +254,21 @@ class TestKestSweep:
         world, _ = noisy_world
         info = template_info("spinv_like")
         positioning, _ = run_positioning_sweep(world, [info.dr_min], [1.0])
-        report = run_kest_sweep(world, [info.dr_min], 1.0,
-                                positioning=positioning)
+        report = run_kest_sweep(positioning, [info.dr_min], 1.0)
         alphas = sorted({c.alpha for c in report.cells})
         assert alphas[0] == 0.01 and alphas[-1] == 0.25
         assert 0.05 in alphas
         assert len(alphas) == 25
 
-    def test_validation(self, noisy_world):
-        world, _ = noisy_world
+    def test_validation(self):
+        report = PositioningReport(strategy="environment", model="mwmf", placement="grid")
         with pytest.raises(ValueError):
-            run_kest_sweep(world, [0.1], 0.0)
+            run_kest_sweep(report, [0.1], 0.0)
         with pytest.raises(ValueError):
-            run_kest_sweep(world, [0.1], 1.0, alpha_range=(0.0, 0.1))
+            run_kest_sweep(report, [0.1], 1.0, alpha_range=(0.0, 0.1))
         for step in (0.0, -0.01):  # would never reach the top of the range
             with pytest.raises(ValueError):
-                run_kest_sweep(world, [0.1], 1.0, alpha_step=step)
+                run_kest_sweep(report, [0.1], 1.0, alpha_step=step)
 
 
 class TestReports:
@@ -300,10 +297,10 @@ class TestReports:
         world, _ = noisy_world
         info = template_info("spinv_like")
         positioning, gain = run_positioning_sweep(world, [info.dr_min], [1.0])
-        kest = run_kest_sweep(world, [info.dr_min], 1.0, positioning=positioning)
+        kest = run_kest_sweep(positioning, [info.dr_min], 1.0)
         prediction = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [1.0],
-            [FitStrategy.environment()], [ModelKind.MWMF], world.sentinel_dbm)
+            [FitStrategy.environment()], [ModelKind.MWMF])
         for name, report in (("prediction", prediction), ("positioning", positioning),
                              ("gain", gain), ("kest", kest)):
             path = tmp_path / f"{name}.json"
@@ -416,10 +413,10 @@ class TestReportWriters:
         dr_grid = [info.dr_min, info.dr_max]
         positioning, gain = run_positioning_sweep(world, dr_grid, [1.0, 10.0],
                                                   k_grid=[1, 2, 4, 9])
-        kest = run_kest_sweep(world, dr_grid, 10.0, positioning=positioning)
+        kest = run_kest_sweep(positioning, dr_grid, 10.0)
         prediction = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [0.5, 1.0],
-            [FitStrategy.environment()], [ModelKind.MWMF], world.sentinel_dbm)
+            [FitStrategy.environment()], [ModelKind.MWMF])
         for report in (prediction, positioning, gain, kest):
             assert _report_json(report) == reference_report_text(report, "json")
             assert _report_csv(report) == reference_report_text(report, "csv")

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,8 +50,7 @@ def synth_measurements(plan, aps, params_by_ap, points, q=3, model=ModelKind.MWM
 
 def params_close(a, b, tol=1e-6):
     return (abs(a.gamma - b.gamma) <= tol and abs(a.lc_db - b.lc_db) <= tol
-            and abs(a.wall_loss_db - b.wall_loss_db) <= tol
-            and abs(a.door_loss_db - b.door_loss_db) <= tol)
+            and abs(a.wall_db - b.wall_db) <= tol and abs(a.door_db - b.door_db) <= tol)
 
 
 class TestExactRecovery:
@@ -79,8 +79,8 @@ class TestExactRecovery:
     def test_per_ap_separates_heterogeneous_gammas(self):
         plan, aps, _ = tiny_world()
         truths = {
-            "a": PropagationParams.simple(gamma=2.2, lc_db=1.0, wall_db=4.0, door_db=1.0),
-            "b": PropagationParams.simple(gamma=3.1, lc_db=1.0, wall_db=4.0, door_db=1.0),
+            "a": PropagationParams(gamma=2.2, lc_db=1.0, wall_db=4.0, door_db=1.0),
+            "b": PropagationParams(gamma=3.1, lc_db=1.0, wall_db=4.0, door_db=1.0),
         }
         meas = synth_measurements(plan, aps, truths, survey_points())
         per_ap = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, aps, meas)
@@ -129,7 +129,7 @@ class TestFitContracts:
         with pytest.warns(UserWarning, match="no sample crosses"):
             result = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, [aps[0]], meas)
         params = result.params_for("a")
-        assert params.wall_loss_db == 0.0 and params.door_loss_db == 0.0
+        assert params.wall_db == 0.0 and params.door_db == 0.0
         assert abs(params.gamma - truth.gamma) < 1e-6
 
     def test_averaging_contract_duplicate_scans(self):
@@ -182,16 +182,10 @@ class TestFitContracts:
         best = objective(fitted)
         for delta in (+0.1, -0.1):
             variants = [
-                PropagationParams.simple(fitted.gamma + delta, fitted.lc_db,
-                                         fitted.wall_loss_db, fitted.door_loss_db),
-                PropagationParams.simple(fitted.gamma, fitted.lc_db + delta,
-                                         fitted.wall_loss_db, fitted.door_loss_db),
-                PropagationParams.simple(fitted.gamma, fitted.lc_db,
-                                         fitted.wall_loss_db + delta,
-                                         fitted.door_loss_db),
-                PropagationParams.simple(fitted.gamma, fitted.lc_db,
-                                         fitted.wall_loss_db,
-                                         fitted.door_loss_db + delta),
+                replace(fitted, gamma=fitted.gamma + delta),
+                replace(fitted, lc_db=fitted.lc_db + delta),
+                replace(fitted, wall_db=fitted.wall_db + delta),
+                replace(fitted, door_db=fitted.door_db + delta),
             ]
             for params in variants:
                 assert objective(params) >= best - 1e-9
@@ -245,8 +239,7 @@ class TestPredictForMeasurements:
             bounds=Bounds(plan.bounds.min_x + dx, plan.bounds.min_y + dy,
                           plan.bounds.max_x + dx, plan.bounds.max_y + dy),
             obstacles=tuple(PlanarObstacle(o.x1 + dx, o.y1 + dy, o.x2 + dx,
-                                           o.y2 + dy, o.floor_index, o.family,
-                                           o.type_index)
+                                           o.y2 + dy, o.floor_index, o.family)
                             for o in plan.obstacles))
         shifted_aps = [AccessPoint(ap.id, Point3(ap.position.x + dx,
                                                  ap.position.y + dy, ap.position.z),
@@ -276,7 +269,7 @@ def two_story_survey():
                                   family=ObstacleFamily.DOOR)))
     aps = [AccessPoint("up", Point3(18.0, 2.0, 5.5), eirp_dbm=18.0),
            AccessPoint("down", Point3(1.0, 5.0, 2.5), eirp_dbm=20.0)]
-    truth = PropagationParams.simple(gamma=2.6, lc_db=1.0, wall_db=5.0, door_db=2.0)
+    truth = PropagationParams(gamma=2.6, lc_db=1.0, wall_db=5.0, door_db=2.0)
     rng = np.random.default_rng(4)
     records = []
     for i, p in enumerate(survey_points(z=1.2) + survey_points(z=4.2)):
@@ -292,8 +285,7 @@ def two_story_survey():
 
 
 class TestNoFitResidual:
-    PARAMS = PropagationParams.simple(gamma=2.3, lc_db=0.7, wall_db=4.0, door_db=1.5,
-                                      l0_db=38.0)
+    PARAMS = PropagationParams(gamma=2.3, lc_db=0.7, wall_db=4.0, door_db=1.5, l0_db=38.0)
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_rms_over_same_floor_detected_pairs(self, model):
@@ -537,8 +529,8 @@ class TestFitResultIo:
     def test_per_ap_round_trip(self):
         plan, aps, _ = tiny_world()
         truths = {
-            "a": PropagationParams.simple(gamma=2.2, wall_db=4.0, door_db=1.0),
-            "b": PropagationParams.simple(gamma=3.0, wall_db=6.0, door_db=2.0),
+            "a": PropagationParams(gamma=2.2, wall_db=4.0, door_db=1.0),
+            "b": PropagationParams(gamma=3.0, wall_db=6.0, door_db=2.0),
         }
         meas = synth_measurements(plan, aps, truths, survey_points())
         result = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, aps, meas)

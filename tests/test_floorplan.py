@@ -48,9 +48,9 @@ class TestCountObstructions:
         plan = Floorplan(bounds=Bounds(0, 0, 20, 10), obstacles=walls)
         tx, rx = Point3(1, 5, 1.5), Point3(19, 5, 1.5)
         obs = count_obstructions(plan, tx, rx)
-        assert obs.counts[(WALL, 1)] == 3
+        assert obs.counts[WALL] == 3
         oracle_counts, _ = oracle_count_2d(plan, tx, rx, samples=100_000)
-        assert oracle_counts[(WALL, 1)] == 3
+        assert oracle_counts[WALL] == 3
 
     def test_grazing_endpoint_touch_counts_zero(self):
         plan = Floorplan(bounds=Bounds(0, 0, 20, 10),
@@ -79,8 +79,8 @@ class TestCountObstructions:
                                     PlanarObstacle(10, 4, 10, 5.5, family=DOOR),
                                     PlanarObstacle(10, 5.5, 10, 10, family=WALL)))
         obs = count_obstructions(plan, Point3(5, 4.7, 1.5), Point3(15, 4.9, 1.5))
-        assert obs.counts[(DOOR, 1)] == 1
-        assert obs.counts[(WALL, 1)] == 0
+        assert obs.counts[DOOR] == 1
+        assert obs.counts[WALL] == 0
 
 
 class TestProperties:

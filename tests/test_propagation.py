@@ -88,9 +88,9 @@ class TestAdditionalLoss:
                        PlanarObstacle(5, 0, 5, 4, family=WALL),
                        PlanarObstacle(7, 0, 7, 4, family=DOOR),
                        PlanarObstacle(9, 0, 9, 4, family=WALL)))
-        params = PropagationParams.simple(gamma=2, lc_db=2.0, wall_db=5.0, door_db=1.0)
+        params = PropagationParams(gamma=2, lc_db=2.0, wall_db=5.0, door_db=1.0)
         tx, rx = Point3(1, 2, 1.5), Point3(11, 2, 1.5)
-        assert count_obstructions(plan, tx, rx).counts == {(DOOR, 1): 1, (WALL, 1): 3}
+        assert count_obstructions(plan, tx, rx).counts == {DOOR: 1, WALL: 3}
         assert extra_loss(params, plan, tx, rx) == pytest.approx(18.0)
 
     def test_single_floor_term_independent_of_b(self):
@@ -104,9 +104,9 @@ class TestAdditionalLoss:
     def test_empty_link_zero(self):
         plan = Floorplan(bounds=Bounds(0, 0, 10, 10),
                          obstacles=(PlanarObstacle(5, 6, 5, 10, family=WALL),))
-        params = PropagationParams.simple(gamma=2.0, lc_db=0.0, wall_db=5.0)
+        params = PropagationParams(gamma=2.0, lc_db=0.0, wall_db=5.0)
         tx, rx = Point3(1, 2, 1.5), Point3(9, 2, 1.5)
-        assert count_obstructions(plan, tx, rx).counts == {(WALL, 1): 0}
+        assert count_obstructions(plan, tx, rx).counts == {WALL: 0}
         assert extra_loss(params, plan, tx, rx) == 0.0
 
     def test_no_floor_crossing_no_floor_term(self):
@@ -119,9 +119,9 @@ class TestAdditionalLoss:
         plan = Floorplan(
             bounds=Bounds(0, 0, 12, 4),
             obstacles=tuple(PlanarObstacle(x, 0, x, 4, family=WALL) for x in (3, 5, 7, 9)))
-        params = PropagationParams(lc_db=0.0, loss_2d={})
+        params = PropagationParams(lc_db=0.0)
         tx, rx = Point3(1, 2, 1.5), Point3(11, 2, 1.5)
-        assert count_obstructions(plan, tx, rx).counts == {(WALL, 1): 4}
+        assert count_obstructions(plan, tx, rx).counts == {WALL: 4}
         assert extra_loss(params, plan, tx, rx) == 0.0
 
 
@@ -135,14 +135,14 @@ def walled_plan():
 class TestPathLoss:
     def test_mwmf_without_obstacles_equals_os(self):
         plan = Floorplan(bounds=Bounds(0, 0, 30, 10))
-        params = PropagationParams.simple(gamma=2.6, lc_db=0.0, wall_db=5.0)
+        params = PropagationParams(gamma=2.6, lc_db=0.0, wall_db=5.0)
         tx, rx = Point3(1, 5, 2), Point3(25, 5, 2)
         assert link_loss(ModelKind.MWMF, params, plan, tx, rx) == pytest.approx(
             link_loss(ModelKind.ONE_SLOPE, params, plan, tx, rx))
 
     def test_decomposition(self):
         plan = walled_plan()
-        params = PropagationParams.simple(gamma=2.6, lc_db=1.0, wall_db=6.0)
+        params = PropagationParams(gamma=2.6, lc_db=1.0, wall_db=6.0)
         rng = np.random.default_rng(3)
         for _ in range(25):
             tx = Point3(float(rng.uniform(0.5, 29.5)), float(rng.uniform(0.5, 9.5)), 2.0)
@@ -150,8 +150,8 @@ class TestPathLoss:
             if tx == rx:
                 continue
             obs = count_obstructions(plan, tx, rx)
-            extra = params.lc_db + sum(n * params.loss_2d.get(key, 0.0)
-                                       for key, n in obs.counts.items())
+            extra = params.lc_db + sum(n * params.loss_db(family)
+                                       for family, n in obs.counts.items())
             assert link_loss(ModelKind.MWMF, params, plan, tx, rx) == pytest.approx(
                 link_loss(ModelKind.ONE_SLOPE, params, plan, tx, rx) + extra)
 
@@ -161,7 +161,7 @@ class TestPathLoss:
             bounds=Bounds(0, 0, 12, 6),
             obstacles=(PlanarObstacle(4, 0, 4, 6, family=WALL),
                        PlanarObstacle(7, 0, 7, 6, family=WALL)))
-        params = PropagationParams.simple(gamma=2.0, lc_db=1.0, wall_db=6.0,
+        params = PropagationParams(gamma=2.0, lc_db=1.0, wall_db=6.0,
                                           l0_db=40.22)
         pl = link_loss(ModelKind.MWMF, params, plan, Point3(1, 3, 1.5),
                        Point3(11, 3, 1.5))
@@ -188,8 +188,8 @@ class TestPredictRss:
         plan = walled_plan()
         ap = AccessPoint("ap", Point3(1, 5, 2), eirp_dbm=20.0)
         rx = Point3(25, 5, 1.2)  # crosses both walls
-        base = PropagationParams.simple(gamma=2.5, lc_db=1.0, wall_db=4.0)
-        doubled = PropagationParams.simple(gamma=2.5, lc_db=1.0, wall_db=8.0)
+        base = PropagationParams(gamma=2.5, lc_db=1.0, wall_db=4.0)
+        doubled = PropagationParams(gamma=2.5, lc_db=1.0, wall_db=8.0)
         drop = (predict_rss(ModelKind.MWMF, base, plan, ap, rx)
                 - predict_rss(ModelKind.MWMF, doubled, plan, ap, rx))
         assert drop == pytest.approx(2 * 4.0)
@@ -197,7 +197,7 @@ class TestPredictRss:
     def test_batch_matches_scalar(self):
         plan = walled_plan()
         ap = AccessPoint("ap", Point3(2, 3, 2.5), eirp_dbm=20.0)
-        params = PropagationParams.simple(gamma=2.7, lc_db=1.5, wall_db=5.0)
+        params = PropagationParams(gamma=2.7, lc_db=1.5, wall_db=5.0)
         rng = np.random.default_rng(5)
         points = [Point3(float(rng.uniform(0.5, 29.5)), float(rng.uniform(0.5, 9.5)), 1.2)
                   for _ in range(40)]
@@ -215,14 +215,14 @@ class TestPredictRss:
 
 
 def two_story_scene():
-    """A two-story plan with walls and doors of two types, an AP on the upper
-    story and receivers on both."""
+    """A two-story plan with walls and a door, an AP on the upper story and
+    receivers on both."""
     plan = Floorplan(
         bounds=Bounds(0.0, 0.0, 30.0, 10.0),
         floors=(3.0,),
         obstacles=(
             PlanarObstacle(8.0, 0.0, 8.0, 10.0, floor_index=0, family=WALL),
-            PlanarObstacle(14.0, 0.0, 14.0, 7.0, floor_index=1, family=WALL, type_index=2),
+            PlanarObstacle(14.0, 0.0, 14.0, 7.0, floor_index=1, family=WALL),
             PlanarObstacle(14.0, 7.0, 14.0, 10.0, floor_index=1, family=DOOR),
             PlanarObstacle(22.0, 2.0, 22.0, 10.0, floor_index=0, family=WALL),
             PlanarObstacle(0.0, 5.0, 30.0, 5.0, floor_index=1, family=WALL),
@@ -237,11 +237,9 @@ def two_story_scene():
 
 class TestLinkTable:
     PARAMS = [
-        PropagationParams(gamma=2.4, lc_db=1.3,
-                          loss_2d={(WALL, 1): 4.7, (WALL, 2): 7.9, (DOOR, 1): 1.1},
-                          lf_db=15.5, b=0.5),
-        PropagationParams.simple(gamma=3.1, lc_db=0.0, wall_db=5.0, door_db=0.0),
-        PropagationParams(l0_db=38.0, gamma=1.9, lc_db=-0.7, loss_2d={}),
+        PropagationParams(gamma=2.4, lc_db=1.3, wall_db=4.7, door_db=1.1, lf_db=15.5, b=0.5),
+        PropagationParams(gamma=3.1, lc_db=0.0, wall_db=5.0, door_db=0.0),
+        PropagationParams(l0_db=38.0, gamma=1.9, lc_db=-0.7),
     ]
 
     def test_reused_table_matches_fresh_prediction_bit_for_bit(self):
@@ -280,13 +278,13 @@ class TestParamsValidation:
 
     def test_negative_loss_warns_not_raises(self):
         with pytest.warns(UserWarning):
-            params = PropagationParams.simple(gamma=2.0, wall_db=-1.0)
-        assert params.wall_loss_db == -1.0
+            params = PropagationParams(gamma=2.0, wall_db=-1.0)
+        assert params.wall_db == -1.0
 
 
 class TestSerialization:
     def test_params_round_trip(self, tmp_path):
-        params = PropagationParams.simple(gamma=2.9, lc_db=1.2, wall_db=5.5,
+        params = PropagationParams(gamma=2.9, lc_db=1.2, wall_db=5.5,
                                           door_db=1.1, lf_db=17.0, b=0.5)
         path = tmp_path / "params.json"
         save_params(ModelKind.MWMF, params, path)

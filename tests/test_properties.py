@@ -435,7 +435,7 @@ def obstacle_scenes(draw, n_obstacles):
                     .filter(lambda e: e[:2] != e[2:]))
         obstacles.append(PlanarObstacle(
             *ends, floor_index=draw(st.integers(0, len(floors))),
-            family=draw(st.sampled_from(ObstacleFamily)), type_index=draw(st.integers(1, 2))))
+            family=draw(st.sampled_from(ObstacleFamily))))
     plan = Floorplan(Bounds(0.0, 0.0, float(w), float(h)), floors, tuple(obstacles))
     if obstacles and draw(st.booleans()):
         # On an obstacle's line, one obstacle length before it: collinear links.
@@ -748,7 +748,7 @@ def fit_worlds(draw):
                     .filter(lambda e: e[:2] != e[2:]))
         obstacles.append(PlanarObstacle(
             *ends, floor_index=draw(st.integers(0, len(floors))),
-            family=draw(st.sampled_from(ObstacleFamily)), type_index=draw(st.integers(1, 2))))
+            family=draw(st.sampled_from(ObstacleFamily))))
     plan = Floorplan(Bounds(0.0, 0.0, float(w), float(h)), floors, tuple(obstacles))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -798,7 +798,7 @@ def coefficients(params, model, plan):
     """Parameters as the design's coefficients: [gamma] or [gamma, lc, loss per plan key]."""
     if model is ModelKind.ONE_SLOPE:
         return [params.gamma]
-    return [params.gamma, params.lc_db, *(params.loss_2d[key] for key in plan.obstacle_keys())]
+    return [params.gamma, params.lc_db, *(params.loss_db(key) for key in plan.obstacle_keys())]
 
 
 @SETTINGS
@@ -849,7 +849,7 @@ def test_fit_recovers_noiseless_parameters(world, model, kind, data):
     else:
         truth = PropagationParams(
             gamma=gamma, lc_db=data.draw(st.floats(0.0, 3.0)),
-            loss_2d={key: data.draw(st.floats(1.0, 8.0)) for key in plan.obstacle_keys()})
+            **{f"{key.value}_db": data.draw(st.floats(1.0, 8.0)) for key in plan.obstacle_keys()})
     meas = fit_survey(aps, ids, positions, seed,
                       lambda ap, p, rng: predict_rss(model, truth, plan, ap, p))
     blocks = reference_blocks(plan, aps, meas, model, kind)
@@ -886,7 +886,7 @@ FUZZ_WORLD = {
     "noise": {"shadowing_sigma_db": 2.0},
 }
 # What a drawn value in a JSON artifact is replaced with.
-REPLACEMENTS = [None, True, -1, 1.5, "x", [], {}, [1], {"a": 1}]
+REPLACEMENTS = [None, True, -1, 2, 1.5, "x", [], {}, [1], {"a": 1}]
 
 # The commands that read each input file. A file name in an argv stands for
 # that file in the fuzz directory; "out.json" and "out" are output paths.

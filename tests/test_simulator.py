@@ -14,6 +14,7 @@ from radioloc.radiomap import (
     generate_virtual_fingerprints,
 )
 from radioloc.simulator import (
+    DV_GRID,
     NoiseConfig,
     ScenarioPreset,
     WorldSpec,
@@ -25,7 +26,7 @@ from radioloc.simulator import (
     template_test_positions,
 )
 
-from helpers import CUSTOM_WORLD
+from helpers import CUSTOM_WORLD, count_crossing_calls
 
 
 class TestTemplates:
@@ -60,7 +61,8 @@ class TestTemplates:
     def test_template_info_grids(self):
         info = template_info("spinv_like")
         assert info.n_rp_grid == (8, 15, 36, 72)
-        assert info.dv_grid == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+        assert DV_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+        assert info.dv_max == 10.0
         assert template_info("twist_like").n_rp_grid == (5, 9, 21, 41)
 
     def test_unknown_template(self):
@@ -159,6 +161,27 @@ class TestCampaign:
         assert all(a.position == b.position and a.fingerprint == b.fingerprint
                    for a, b in zip(t1, t2))
 
+    def test_truth_counts_each_ap_once(self, monkeypatch):
+        world = make_world("twist_like", 3)
+        rp = grid_rp_positions(world.plan, 15 / world.plan.area)
+        tp = template_test_positions("twist_like", 3, world.plan, 7)
+        calls = count_crossing_calls(monkeypatch)
+        simulate_campaign(world, rp, tp, ScenarioPreset.crowdsourcing_like())
+        # One call per AP, over the survey and the targets together.
+        assert len(calls) == len(world.aps) and set(calls.values()) == {1}
+        assert {tx for tx, _ in calls} == {ap.position for ap in world.aps}
+
+    def test_survey_and_targets_do_not_depend_on_each_other(self):
+        world = make_world("spinv_like", 4)
+        rp = grid_rp_positions(world.plan, 15 / world.plan.area)
+        tp = template_test_positions("spinv_like", 4, world.plan, 9)
+        preset = ScenarioPreset.crowdsourcing_like()
+        meas, tps = simulate_campaign(world, rp, tp, preset)
+        alone, _ = simulate_campaign(world, rp, [], preset)
+        _, other = simulate_campaign(world, rp[:2], tp, preset)
+        assert meas.rss.tobytes() == alone.rss.tobytes()
+        assert [t.fingerprint for t in tps] == [t.fingerprint for t in other]
+
     def test_scan_averaging_reduces_noise(self):
         # With q scans of sigma fast fading and nothing else, the averaged
         # fingerprint error should shrink like sigma/sqrt(q).
@@ -224,8 +247,7 @@ class TestCampaign:
                 meas, _ = simulate_campaign(world, rp, [], preset)
                 report = run_prediction_analysis(
                     meas, world.plan, world.aps, [1.0],
-                    [FitStrategy.environment()], [ModelKind.MWMF],
-                    world.sentinel_dbm)
+                    [FitStrategy.environment()], [ModelKind.MWMF])
                 deltas[preset.name] = report.cells[0].mean_delta_db
             worse += deltas["crowdsourcing"] >= deltas["controlled"]
         assert worse >= 3
