@@ -1,7 +1,8 @@
 """Command-line front end: simulate | fit | build-radiomap | locate | evaluate.
 
-Every subcommand is a pure function of its input files, flags, and seed, so
-reruns with identical arguments produce byte-identical outputs. Exit codes:
+Every subcommand is a pure function of its input files and flags, ``--seed``
+among them for simulate, build-radiomap and evaluate, so reruns with
+identical arguments produce byte-identical outputs. Exit codes:
 0 success; 2 a bad flag, an unreadable, non-UTF-8 or malformed input file
 (invalid geometry included) or an unwritable output path; 3 a degenerate or
 underdetermined fit.
@@ -59,6 +60,8 @@ from .radiomap import (
     select_rps,
 )
 from .simulator import (
+    ALPHA_RANGE,
+    ALPHA_STEP,
     DV_GRID,
     RHO_GRID,
     NoiseConfig,
@@ -69,8 +72,6 @@ from .simulator import (
     template_info,
     template_test_positions,
 )
-
-DEFAULT_ALPHA_RANGE = (0.01, 0.25)
 
 
 def _float_list(text: str) -> list[float]:
@@ -328,15 +329,17 @@ def cmd_evaluate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
     common.add_argument("--verbose", action="store_true")
+    # Only the commands that draw random numbers take a seed.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="radioloc",
         description="RSS radiomap construction and WkNN indoor positioning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded, common],
                        help="generate a synthetic world and measurement campaign")
     p.add_argument("--template", default="spinv_like",
                    choices=["spinv_like", "twist_like", "custom"])
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("build-radiomap", parents=[common],
+    p = sub.add_parser("build-radiomap", parents=[seeded, common],
                        help="assemble real + virtual fingerprints into a radiomap")
     p.add_argument("--measurements", required=True)
     p.add_argument("--floorplan", required=True)
@@ -392,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_ORDER, default=2.0)
     p.set_defaults(func=cmd_locate)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[seeded, common],
                        help="run prediction, positioning, gain, and k-rule sweeps")
     p.add_argument("--world-dir", required=True,
                    help="directory written by the simulate command")
@@ -403,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placement", default="grid", choices=["grid", "random"])
     p.add_argument("--rho-grid", type=_RHO_GRID, default=list(RHO_GRID))
     p.add_argument("--dv-grid", type=_DV_GRID, default=list(DV_GRID))
-    p.add_argument("--alpha-range", type=_ALPHA_RANGE, default=DEFAULT_ALPHA_RANGE,
+    p.add_argument("--alpha-range", type=_ALPHA_RANGE, default=ALPHA_RANGE,
                    metavar="MIN:MAX")
-    p.add_argument("--alpha-step", type=_POSITIVE, default=0.01)
+    p.add_argument("--alpha-step", type=_POSITIVE, default=ALPHA_STEP)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -43,6 +43,8 @@ from .radiomap import (
     place_virtual_rps,
 )
 from .simulator import (
+    ALPHA_RANGE,
+    ALPHA_STEP,
     ScenarioPreset,
     WorldSpec,
     grid_rp_positions,
@@ -455,8 +457,8 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
-                   dv_max: float, alpha_range: tuple[float, float] = (0.01, 0.25),
-                   alpha_step: float = 0.01) -> KestReport:
+                   dv_max: float, alpha_range: tuple[float, float] = ALPHA_RANGE,
+                   alpha_step: float = ALPHA_STEP) -> KestReport:
     """Excess error of the density-derived k over the best k, across alpha.
 
     For each d_real at the maximum virtual density, beta(alpha) is the mean

@@ -116,23 +116,58 @@ def _best_k(ks, means) -> int:
     return int(min(ks, key=lambda k: (means[k - 1], k)))
 
 
-def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
-    """(B, k) indices of each row's k most similar reference points, in rank order.
-
-    Ranking is by descending similarity with ties going to the lower RP
-    index. A partition finds each row's k-th value; every entry at or above
-    it is kept, so ties straddling the boundary all compete, and only that
-    band is sorted: by row, then value, stably, so equal values keep index
-    order.
-    """
+def _top_k_stable(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_top_k`` by a stable sort of every row's band on (row, value), so
+    that equal values keep index order: the path for rows whose ties
+    straddle their k-th value."""
     neg = -sims
     b, n = neg.shape
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
     band = np.flatnonzero(neg <= kth)
     rows = band // n
     band = band[np.lexsort((neg.ravel()[band], rows))]
-    starts = np.searchsorted(rows, np.arange(b))
-    return band[starts[:, None] + np.arange(k)] % n
+    band = band[np.searchsorted(rows, np.arange(b))[:, None] + np.arange(k)]
+    return band % n, sims.take(band)
+
+
+def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, k) indices of each row's k most similar reference points, in rank
+    order, and their (B, k) similarities.
+
+    Ranking is by descending similarity with ties going to the lower RP
+    index. A partition finds each row's k-th value, and the band of entries
+    at or above it is taken in index order. A band of exactly k entries is
+    sorted with numpy's default, unstable (SIMD) argsort, whose order is the
+    ranking unless two sorted values are equal. Ties are repaired by row, so
+    the result does not depend on how the unstable sort orders them: in a
+    row with equal neighbours, each run of equal values is put in index
+    order by sorting (run, index) keys; a row whose band holds more than k
+    entries (ties straddling the k-th value) is ranked by ``_top_k_stable``.
+    """
+    neg = -sims
+    b, n = neg.shape
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    in_band = neg <= kth
+    band = np.flatnonzero(in_band)
+    if band.size > b * k:
+        clean = np.count_nonzero(in_band, axis=1) == k
+        ranked = np.empty((b, k), dtype=np.intp)
+        w = np.empty((b, k))
+        ranked[clean], w[clean] = _top_k(sims[clean], k)
+        ranked[~clean], w[~clean] = _top_k_stable(sims[~clean], k)
+        return ranked, w
+    order = neg.take(band).reshape(b, k).argsort(axis=1)
+    order += np.arange(0, b * k, k)[:, None]
+    band = band.take(order)
+    w = sims.take(band)
+    band -= np.arange(0, b * n, n)[:, None]
+    ties = w[:, 1:] == w[:, :-1]
+    if ties.any():
+        tied = ties.any(axis=1)
+        runs = np.zeros((np.count_nonzero(tied), k), dtype=np.intp)
+        np.cumsum(~ties[tied], axis=1, out=runs[:, 1:])
+        band[tied] = np.sort(runs * n + band[tied], axis=1) % n
+    return band, w
 
 
 def _wknn(rss_matrix: np.ndarray, positions: np.ndarray, targets: np.ndarray,
@@ -140,15 +175,17 @@ def _wknn(rss_matrix: np.ndarray, positions: np.ndarray, targets: np.ndarray,
     """WkNN over one row block of targets, for every neighbor count 1..k.
 
     Returns (ranked indices (B, k), their similarities (B, k), estimates
-    (B, k, 3)). Running sums along the rank axis make the j-th estimate
-    identical to summing the top-j terms in rank order.
+    (3, B, k), axis first). Running sums along the rank axis, on contiguous
+    per-axis lanes, make the j-th estimate identical to summing the top-j
+    terms in rank order.
     """
     sims = _similarity_rows(rss_matrix, targets, order)
-    ranked = _top_k(sims, k)
-    w = np.take_along_axis(sims, ranked, axis=1)
-    weighted = np.cumsum(w[:, :, None] * positions[ranked], axis=1)
-    total = np.cumsum(w, axis=1)
-    return ranked, w, weighted / total[:, :, None]
+    ranked, w = _top_k(sims, k)
+    estimates = positions.T.take(ranked, axis=1)
+    estimates *= w
+    np.cumsum(estimates, axis=2, out=estimates)
+    estimates /= np.cumsum(w, axis=1)
+    return ranked, w, estimates
 
 
 def _row_blocks(n_targets: int, n_rps: int):
@@ -170,7 +207,7 @@ def _locate_rows(rmap: Radiomap, rows: np.ndarray, cfg: WknnConfig) -> list[Posi
                                      k, cfg.order)
         out += [PositionEstimate(position=Point3(*xyz), neighbors=list(zip(r, s)))
                 for r, s, xyz in zip(ranked.tolist(), w.tolist(),
-                                     estimates[:, k - 1].tolist())]
+                                     estimates[:, :, k - 1].T.tolist())]
     return out
 
 
@@ -179,8 +216,11 @@ def locate(rmap: Radiomap, target: Fingerprint, cfg: WknnConfig = WknnConfig(),
     """Estimate the target position as the weighted centroid of its top-k RPs.
 
     Cost per request: O(N * L) distance arithmetic over the N reference
-    points, an O(N) selection of the k-th similarity, and an O(k log k) sort
-    of the band of RPs at or above it.
+    points, an O(N) value partition for the k-th similarity and an
+    O(k log k) unstable sort of the band of RPs at or above it. Ties add a
+    second O(k log k) sort when they lie inside the band, and a stable
+    O(m log m) sort of the band's m entries when they straddle the k-th
+    value.
     """
     if len(target) != len(rmap.aps):
         raise ValueError("target fingerprint length must match the AP count")
@@ -222,8 +262,9 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
     errors = np.empty((t, k_max))
     for block in _row_blocks(t, n):
         _, _, estimates = _wknn(rp_rss, rp_positions, tp_rss[block], k_max, order)
-        delta = estimates - tp_pos[block, None, :]
-        errors[block] = np.sqrt(np.sum(delta * delta, axis=2))
+        delta = estimates - tp_pos[block].T[:, :, None]
+        delta *= delta
+        errors[block] = np.sqrt(delta[0] + delta[1] + delta[2])
     return errors
 
 

@@ -56,10 +56,13 @@ from .radiomap import (
 
 AP_HEIGHT_M = 2.8
 
-# The standard experiment grids: survey fractions rho, and virtual RP
-# densities in RPs/m^2.
+# The standard experiment grids: survey fractions rho, virtual RP densities
+# in RPs/m^2, and the k rule's alpha values from ALPHA_RANGE in ALPHA_STEP
+# steps.
 RHO_GRID = (0.1, 0.2, 0.5, 1.0)
 DV_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+ALPHA_RANGE = (0.01, 0.25)
+ALPHA_STEP = 0.01
 
 # Random Fourier features per residual field.
 _FIELD_FEATURES = 64

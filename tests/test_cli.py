@@ -5,11 +5,11 @@ import stat
 import pytest
 
 import radioloc.cli as cli
-from radioloc.cli import DEFAULT_ALPHA_RANGE, build_parser, main
+from radioloc.cli import build_parser, main
 from radioloc.fitting import load_fit_result, load_measurements
 from radioloc.floorplan import load_floorplan
 from radioloc.radiomap import load_radiomap, place_virtual_rps
-from radioloc.simulator import DV_GRID, RHO_GRID
+from radioloc.simulator import ALPHA_RANGE, ALPHA_STEP, DV_GRID, RHO_GRID
 
 from helpers import CUSTOM_WORLD, measurement_set
 
@@ -434,6 +434,20 @@ class TestInputErrorsExit2:
         assert "error:" in err and argv[1] in err  # rejected for that flag, not a missing file
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "locate"])
+    def test_seed_on_a_command_that_draws_nothing(self, world_dir, map_file, tmp_path,
+                                                  capsys, command):
+        out = tmp_path / "fit.json"
+        argv = {"fit": ["fit", "--measurements", str(world_dir / "measurements.csv"),
+                        "--floorplan", str(world_dir / "floorplan.json"),
+                        "--aps", str(world_dir / "aps.json"), "--out", str(out)],
+                "locate": ["locate", "--radiomap", str(map_file),
+                           "--target", str(world_dir / "measurements.csv")]}[command]
+        assert exit_code(argv + ["--seed", "1"]) == 2
+        error = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(error) == 1 and "--seed" in error[0]
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_reports_written_and_headlines_printed(self, world_dir, tmp_path,
@@ -506,9 +520,10 @@ class TestEvaluate:
 def test_default_grids_match_published_tables():
     assert RHO_GRID == (0.1, 0.2, 0.5, 1.0)
     assert DV_GRID == (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
-    assert DEFAULT_ALPHA_RANGE == (0.01, 0.25)
+    assert (ALPHA_RANGE, ALPHA_STEP) == ((0.01, 0.25), 0.01)
     args = build_parser().parse_args(["evaluate", "--world-dir", "w", "--out-dir", "o"])
     assert (args.rho_grid, args.dv_grid) == (list(RHO_GRID), list(DV_GRID))
+    assert (args.alpha_range, args.alpha_step) == (ALPHA_RANGE, ALPHA_STEP)
 
 
 def test_main_builds_its_parser_once(monkeypatch, tmp_path):

@@ -55,8 +55,10 @@ from radioloc.floorplan import (
 )
 from radioloc.positioning import (
     SCORE_BLOCK,
+    SIMILARITY_CAP,
     PositionEstimate,
     WknnConfig,
+    _top_k,
     error_curves,
     locate,
     locate_many,
@@ -79,6 +81,7 @@ from radioloc.radiomap import (
     save_radiomap,
 )
 
+from conftest import EXACTNESS_PROFILE, EXACTNESS_SCALE
 from helpers import (
     csv_path_outcome,
     measurement_set,
@@ -90,6 +93,10 @@ from helpers import (
 
 # Surveys of up to ~170 shuffled rows are slow to draw on a loaded machine.
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# The WkNN exactness properties, at ten times their examples under the
+# exactness profile (tests/conftest.py).
+EXACT_SETTINGS = settings(SETTINGS, max_examples=SETTINGS.max_examples * (
+    EXACTNESS_SCALE if settings.default is settings.get_profile(EXACTNESS_PROFILE) else 1))
 
 # Plain draws favour short values whose sums are exact; the scaled integers
 # use every mantissa bit, so a different summation order shows up.
@@ -683,7 +690,7 @@ def dense_map(rss, positions):
     return Radiomap(aps, RpArrays(positions, rss, np.zeros(len(rss), dtype=bool)))
 
 
-@SETTINGS
+@EXACT_SETTINGS
 @given(wknn_cases())
 def test_locate_and_locate_many_match_per_target_loop(case):
     rss, positions, targets, _, k, order = case
@@ -696,7 +703,7 @@ def test_locate_and_locate_many_match_per_target_loop(case):
     assert [locate(rmap, Fingerprint(t), cfg) for t in targets] == want
 
 
-@SETTINGS
+@EXACT_SETTINGS
 @given(wknn_cases())
 def test_error_curves_match_per_target_loop(case):
     rss, positions, targets, truth, k, order = case
@@ -707,6 +714,66 @@ def test_error_curves_match_per_target_loop(case):
     got = error_curves(rss, positions, targets, truth, k, order)
     assert got.shape == (len(targets), k)
     assert got.tolist() == want
+
+
+# Kinds of similarity row for _top_k: which ties the unstable band sort can
+# get wrong, and so which rows the tie repair must rank again.
+RANKING_ROWS = ("tie-free", "ties in band", "ties straddle k-th", "several caps")
+
+
+def ranking_row(kind, n, k, rng):
+    """A length-n similarity row of the given kind, for neighbor count k.
+
+    Values are a few levels in steps of 0.25, so ties are frequent unless the
+    kind rules them out. "ties in band" puts an equal pair among the top k
+    (from k = 2) with the k-th value above every other entry; "ties
+    straddle k-th" makes the k-th and (k+1)-th values equal (for k < n);
+    "several caps" sets two or more entries (one if n = 1) to ``SIMILARITY_CAP``.
+    """
+    if kind == "tie-free":
+        return 0.5 + 0.25 * rng.permutation(n)
+    levels = rng.integers(1, 4 + n // 8)
+    row = 0.5 + 0.25 * rng.integers(0, levels, n)
+    if kind == "ties in band":
+        top = rng.permutation(n)[:k]
+        row[top] = 0.5 + 0.25 * (levels + rng.integers(0, max(1, k // 2), k))
+        row[top[:2]] = row[top[0]]
+    elif kind == "ties straddle k-th" and k < n:
+        order = np.lexsort((np.arange(n), -row))
+        row[order[k]] = row[order[k - 1]]
+    elif kind == "several caps":
+        row[rng.permutation(n)[:rng.integers(min(2, n), n + 1)]] = SIMILARITY_CAP
+    return row
+
+
+@st.composite
+def ranking_blocks(draw):
+    """(sims, k): B rows of n similarities mixing every ``RANKING_ROWS`` kind.
+
+    B is 1, 2, 7 or 80 and k one of 1, 2, n - 1 and n. Blocks of seven or 80
+    rows hold each kind at least once, in shuffled row order; long rows let
+    numpy's SIMD argsort, not only its small-array sort, order the band.
+    """
+    b = draw(st.sampled_from([1, 2, 7, 80]))
+    n = draw(st.integers(1, 40) | st.integers(100, 600))
+    k = draw(st.sampled_from(sorted({k for k in (1, 2, n - 1, n) if 1 <= k <= n})))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if b < len(RANKING_ROWS):
+        kinds = draw(st.lists(st.sampled_from(RANKING_ROWS), min_size=b, max_size=b))
+    else:
+        kinds = list(RANKING_ROWS) + [RANKING_ROWS[i] for i in rng.integers(0, 4, b - 4)]
+        rng.shuffle(kinds)
+    return np.array([ranking_row(kind, n, k, rng) for kind in kinds]), k
+
+
+@EXACT_SETTINGS
+@given(ranking_blocks())
+def test_top_k_matches_per_row_lexsort(case):
+    sims, k = case
+    ranked, weights = _top_k(sims, k)
+    want = [np.lexsort((np.arange(len(row)), -row))[:k] for row in sims]
+    assert ranked.tolist() == [r.tolist() for r in want]
+    assert weights.tolist() == [row[r].tolist() for row, r in zip(sims, want)]
 
 
 @SETTINGS
