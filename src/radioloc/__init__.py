@@ -22,6 +22,7 @@ from .evaluation import (
     PredictionReport,
     build_world,
     emit_report,
+    emit_report_pair,
     load_report,
     run_kest_sweep,
     run_positioning_sweep,

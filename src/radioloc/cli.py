@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import DegenerateFitError, GeometryError, InputError, InsufficientDataError
 from .evaluation import (
     EvalWorld,
-    emit_report,
+    emit_report_pair,
     run_kest_sweep,
     run_positioning_sweep,
     run_prediction_analysis,
@@ -292,8 +292,7 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, report in (("prediction", prediction), ("positioning", positioning),
                          ("gain", gain), ("kest", kest)):
-        emit_report(report, out / f"{name}.csv", fmt="csv")
-        emit_report(report, out / f"{name}.json", fmt="json")
+        emit_report_pair(report, out / f"{name}.csv", out / f"{name}.json")
 
     failures = [c for c in prediction.cells if c.error]
     failures += [c for c in positioning.cells if c.error]

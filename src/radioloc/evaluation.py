@@ -22,14 +22,14 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
 from .errors import DegenerateFitError, InsufficientDataError
 from .fitting import FitResult, FitStrategy, MeasurementSet, fit
 from .floorplan import Floorplan, points_xyz
-from .ioutil import format_json, read_json, write_text_atomic
+from .ioutil import atomic_files, format_json, json_array, json_object, read_json
 from .positioning import _best_k, error_curves
 from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
@@ -322,19 +322,23 @@ def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
                    real_rps: RpArrays, d_real: float, d_virtual: float,
                    placement: str, seed: int,
                    k_grid: Sequence[int] | None,
-                   links: dict[bytes, list[LinkTable]]) -> PositioningCell:
-    """One sweep cell. ``links`` holds the link tables of the virtual position
-    sets seen so far in the sweep, keyed by the positions' bytes."""
+                   grid: dict[float, tuple[np.ndarray, list[LinkTable]]],
+                   ) -> PositioningCell:
+    """One sweep cell. ``grid`` holds the grid-placed virtual positions of each
+    d_virtual seen so far in the sweep, with their link tables."""
     virtual_rps = RpArrays.empty(len(world.aps))
     if d_virtual > 0:
-        positions = place_virtual_rps(world.plan, d_virtual, placement, seed=seed)
-        key = positions.tobytes()
-        if key not in links:
-            links[key] = [LinkTable(world.plan, ap, positions) for ap in world.aps]
+        geometry = grid.get(d_virtual) if placement == "grid" else None
+        if geometry is None:
+            positions = place_virtual_rps(world.plan, d_virtual, placement, seed=seed)
+            geometry = positions, [LinkTable(world.plan, ap, positions) for ap in world.aps]
+            if placement == "grid":
+                grid[d_virtual] = geometry
+        positions, links = geometry
         virtual_rps = generate_virtual_fingerprints(
             fit_result, model, world.plan, world.aps, positions,
             sentinel_dbm=world.sentinel_dbm,
-            detection_floor_dbm=world.detection_floor_dbm, links=links[key])
+            detection_floor_dbm=world.detection_floor_dbm, links=links)
     rps = real_rps + virtual_rps
 
     if k_grid is None:
@@ -400,9 +404,9 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
     dv_values = sorted({float(dv) for dv in dv_grid} | {0.0})
     report = PositioningReport(strategy=strategy.kind.value, model=model.value,
                                placement=placement, cells=[])
-    # Grid placement gives every d_real the same virtual positions, so their
+    # Grid placement depends on d_virtual alone, so each lattice and its
     # geometry is computed once per sweep; random placement never repeats.
-    links: dict[bytes, list[LinkTable]] = {}
+    grid: dict[float, tuple[np.ndarray, list[LinkTable]]] = {}
 
     for i_dr, d_real in enumerate(dr_grid):
         n_real = int(math.floor(round(d_real * area, 9) + 0.5))
@@ -421,7 +425,7 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
                 [world.seed, _SWEEP_STREAM, i_dr, i_dv]).generate_state(1)[0])
             try:
                 cell = _evaluate_cell(world, fit_result, model, real_rps,
-                                      d_real, dv, placement, cell_seed, k_grid, links)
+                                      d_real, dv, placement, cell_seed, k_grid, grid)
             except ValueError as exc:
                 cell = _failed_cell(d_real, dv, n_real, str(exc))
             report.cells.append(cell)
@@ -505,8 +509,34 @@ def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
 # Report serialization
 # ---------------------------------------------------------------------------
 
-_POSITIONING_CSV = ["d_real", "d_virtual", "k", "strategy", "model",
-                    "mean_error_m", "p25", "p50", "p75", "min", "max", "gain"]
+_REPORT_TYPES = {
+    "prediction": (PredictionReport, PredictionCell),
+    "positioning": (PositioningReport, PositioningCell),
+    "gain": (GainReport, GainCell),
+    "kest": (KestReport, KestCell),
+}
+
+# CSV header of each report type. The one-row-per-cell reports write the cell
+# field of each column's name: those in _REPR_COLUMNS as ``repr``, the others
+# as ``csv.writer`` writes them.
+_CSV_COLUMNS = {
+    "prediction": ["rho", "strategy", "model", "n_rps_fit", "n_pairs", "mean_delta_db",
+                   "error"],
+    "positioning": ["d_real", "d_virtual", "k", "strategy", "model", "mean_error_m",
+                    "p25", "p50", "p75", "min", "max", "gain"],
+    "gain": ["d_real", "d_virtual", "k_baseline", "k_cell", "gain"],
+    "kest": ["d_real", "d_virtual", "alpha", "k_est", "k_opt", "mean_error_kest_m",
+             "mean_error_kopt_m", "beta_m"],
+}
+_REPR_COLUMNS = frozenset({"rho", "mean_delta_db", "d_real", "d_virtual", "gain", "alpha",
+                           "mean_error_kest_m", "mean_error_kopt_m", "beta_m"})
+_PER_K = ("mean_error_by_k", "p25_by_k", "p50_by_k", "p75_by_k", "min_by_k", "max_by_k")
+# json's spelling of the floats whose repr is not JSON.
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NUMBER_TYPES = {float, int}
+# JSON indentation of a cell (document > "cells" > cell) and of its fields.
+_CELL_PAD = " " * 4
+_FIELD_PAD = " " * 6
 
 
 def _csv_text(rows) -> str:
@@ -516,99 +546,207 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _positioning_csv(report: PositioningReport) -> str:
-    """One row per (cell, k), joined from the cells' lists.
+def _same(value):
+    return value
 
-    The bytes are those of ``csv.writer``: floats as ``repr``, ints as ``str``,
-    ``\\r\\n`` line ends. The gain is ``baseline mean / cell mean`` in Python
-    floats, empty where the baseline lacks the k.
+
+def _scalar(value, csv_form=repr) -> tuple[object, str]:
+    """A cell field's CSV value and JSON text: one ``repr`` for an exact float or
+    int; else ``csv_form(value)`` and json's own text."""
+    if type(value) in _NUMBER_TYPES:
+        text = repr(value)
+        return text, _JSON_SPECIAL.get(text, text)
+    return csv_form(value), format_json(value)
+
+
+def _spelled(build: Callable[[list[str]], str], texts: list[str]) -> str:
+    """``build(texts)``, rebuilt with NaN and infinities spelled as ``json`` spells
+    them if it holds any: of the texts of floats and ints, only theirs hold an n."""
+    text = build(texts)
+    if "n" in text:
+        text = build([_JSON_SPECIAL.get(t, t) for t in texts])
+    return text
+
+
+class _Numbers:
+    """A list of numbers, with the ``repr`` of each made once for both formats.
+
+    Where some value is not an exact float or int, json encodes the list itself.
     """
-    lines = [",".join(_POSITIONING_CSV)]
-    middle = "," + _csv_text([[report.strategy, report.model]])[:-2] + ","
-    baselines = {c.d_real: c for c in report.cells if c.d_virtual == 0.0 and not c.error}
-    for cell in report.cells:
-        if cell.error:
-            continue
-        head = f"{cell.d_real!r},{cell.d_virtual!r},"
-        stats = map(",".join, zip(*(map(repr, column) for column in (
-            cell.mean_error_by_k, cell.p25_by_k, cell.p50_by_k, cell.p75_by_k,
-            cell.min_by_k, cell.max_by_k))))
+
+    __slots__ = ("values", "csv", "exact", "all_float")
+
+    def __init__(self, values):
+        self.values = values
+        self.csv = list(map(repr, values))
+        types = set(map(type, values))
+        self.exact = types <= _NUMBER_TYPES
+        self.all_float = types <= {float}
+
+    def json_at(self, pad: str) -> str:
+        if not self.exact:
+            return format_json(self.values, pad)
+        return _spelled(lambda texts: json_array(texts, pad), self.csv)
+
+    def cdf_json_at(self, pad: str, fractions: dict[int, list[str]]) -> str:
+        """``cdf_points(values)`` as JSON. When every value is a float, their texts
+        are reused: ``sorted`` orders the values as it orders their indices keyed
+        by them. ``fractions`` holds the texts of (i + 1) / n by n."""
+        if not self.all_float:
+            return format_json(cdf_points(self.values), pad)
+        n = len(self.values)
+        if n not in fractions:
+            fractions[n] = [repr((i + 1) / n) for i in range(n)]
+        inner = pad + "  "
+        head, middle, tail = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        order = sorted(range(n), key=self.values.__getitem__)
+        return _spelled(lambda texts: json_array(
+            [head + texts[i] + middle + fraction + tail
+             for i, fraction in zip(order, fractions[n])], pad), self.csv)
+
+
+class _CellRenderer:
+    """Renders each cell of one report as its CSV rows and its JSON object.
+
+    The two share every number's text. A format that is not wanted is not
+    rendered, and its text is None.
+    """
+
+    def __init__(self, report, kind: str, csv_wanted: bool, json_wanted: bool):
+        self.kind = kind
+        self.csv_wanted = csv_wanted
+        self.json_wanted = json_wanted
+        self.fractions: dict[int, list[str]] = {}
+        if kind == "positioning":
+            self.render = self._positioning
+            self.middle = "," + _csv_text([[report.strategy, report.model]])[:-2] + ","
+            self.baselines = {c.d_real: c for c in report.cells
+                              if c.d_virtual == 0.0 and not c.error}
+        else:
+            self.render = self._one_row
+
+    @staticmethod
+    def _json(cell, texts: dict[str, str], extra: list[tuple[str, str]]) -> str:
+        """The cell's fields in order, from ``texts`` where rendered there, then ``extra``."""
+        items = [(name, texts[name] if name in texts
+                  else format_json(getattr(cell, name), _FIELD_PAD))
+                 for name in cell.__dataclass_fields__]
+        return json_object(items + extra, _CELL_PAD)
+
+    def _one_row(self, cell) -> tuple[str | None, str | None]:
+        texts: dict[str, str] = {}
+        row = []
+        for name in _CSV_COLUMNS[self.kind]:
+            csv_value, texts[name] = _scalar(getattr(cell, name),
+                                             repr if name in _REPR_COLUMNS else _same)
+            row.append(csv_value)
+        extra = []
+        if self.kind == "prediction" and self.json_wanted:
+            pad = _FIELD_PAD + "  "
+            deltas = {ap: _Numbers(d) for ap, d in cell.per_ap_deltas.items()}
+            texts["per_ap_deltas"] = json_object(
+                [(ap, d.json_at(pad)) for ap, d in deltas.items()], _FIELD_PAD)
+            if not cell.error:
+                extra.append(("per_ap_cdf", json_object(
+                    [(ap, d.cdf_json_at(pad, self.fractions)) for ap, d in deltas.items()],
+                    _FIELD_PAD)))
+        return (_csv_text([row]) if self.csv_wanted else None,
+                self._json(cell, texts, extra) if self.json_wanted else None)
+
+    def _positioning(self, cell: PositioningCell) -> tuple[str | None, str | None]:
+        d_real, d_real_json = _scalar(cell.d_real)
+        d_virtual, d_virtual_json = _scalar(cell.d_virtual)
+        ks = _Numbers(cell.k_values)
+        columns = [_Numbers(getattr(cell, name)) for name in _PER_K]
+        rows = None
+        if self.csv_wanted:
+            rows = "" if cell.error else self._rows(cell, d_real, d_virtual, ks, columns)
+        if not self.json_wanted:
+            return rows, None
+        errors = _Numbers(cell.errors_at_k_opt)
+        texts = {"d_real": d_real_json, "d_virtual": d_virtual_json,
+                 "k_values": ks.json_at(_FIELD_PAD),
+                 "errors_at_k_opt": errors.json_at(_FIELD_PAD)}
+        texts.update((name, column.json_at(_FIELD_PAD)) for name, column in zip(_PER_K, columns))
+        extra = []
+        if not cell.error:
+            extra = [("cdf_at_k_opt", errors.cdf_json_at(_FIELD_PAD, self.fractions)),
+                     ("boxplot_at_k_opt",
+                      format_json(boxplot_stats(cell.errors_at_k_opt), _FIELD_PAD))]
+        return rows, self._json(cell, texts, extra)
+
+    def _rows(self, cell, d_real: str, d_virtual: str, ks: _Numbers,
+              columns: list[_Numbers]) -> str:
+        """One row per k. The gain is ``baseline mean / cell mean`` in Python
+        floats, empty where the baseline lacks the k."""
+        head = f"{d_real},{d_virtual},"
+        k_texts = ks.csv if ks.exact else map(str, cell.k_values)
+        stats = map(",".join, zip(*(column.csv for column in columns)))
         gains = [""] * len(cell.k_values)
-        baseline = baselines.get(cell.d_real)
+        baseline = self.baselines.get(cell.d_real)
         if cell.d_virtual > 0 and baseline is not None:
             # Reversed, so a repeated k keeps its first entry, as list.index finds it.
             base_mean = dict(zip(reversed(baseline.k_values),
                                  reversed(baseline.mean_error_by_k)))
             gains = [repr(base_mean[k] / mean) if k in base_mean else ""
                      for k, mean in zip(cell.k_values, cell.mean_error_by_k)]
-        lines += [f"{head}{k}{middle}{row},{gain}"
-                  for k, row, gain in zip(cell.k_values, stats, gains)]
-    return "\r\n".join(lines) + "\r\n"
+        return "".join([f"{head}{k}{self.middle}{row},{gain}\r\n"
+                        for k, row, gain in zip(k_texts, stats, gains)])
 
 
-def _report_csv(report) -> str:
-    if isinstance(report, PositioningReport):
-        return _positioning_csv(report)
-    if isinstance(report, PredictionReport):
-        return _csv_text([["rho", "strategy", "model", "n_rps_fit", "n_pairs",
-                           "mean_delta_db", "error"]]
-                         + [[repr(c.rho), c.strategy, c.model, c.n_rps_fit, c.n_pairs,
-                             repr(c.mean_delta_db), c.error or ""] for c in report.cells])
-    if isinstance(report, GainReport):
-        return _csv_text([["d_real", "d_virtual", "k_baseline", "k_cell", "gain"]]
-                         + [[repr(c.d_real), repr(c.d_virtual), c.k_baseline, c.k_cell,
-                             repr(c.gain)] for c in report.cells])
-    if isinstance(report, KestReport):
-        return _csv_text([["d_real", "d_virtual", "alpha", "k_est", "k_opt",
-                           "mean_error_kest_m", "mean_error_kopt_m", "beta_m"]]
-                         + [[repr(c.d_real), repr(c.d_virtual), repr(c.alpha), c.k_est,
-                             c.k_opt, repr(c.mean_error_kest_m), repr(c.mean_error_kopt_m),
-                             repr(c.beta_m)] for c in report.cells])
-    raise TypeError(f"unknown report type {type(report).__name__}")
-
-
-_REPORT_TYPES = {
-    "prediction": (PredictionReport, PredictionCell),
-    "positioning": (PositioningReport, PositioningCell),
-    "gain": (GainReport, GainCell),
-    "kest": (KestReport, KestCell),
-}
-
-
-def _fields(obj) -> dict:
-    """A dataclass's fields in order, shallow: its lists are shared, not copied."""
-    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
-
-
-def _report_json(report) -> str:
+def _report_kind(report) -> str:
     for name, (report_cls, _) in _REPORT_TYPES.items():
         if isinstance(report, report_cls):
-            doc = _fields(report)
-            doc["cells"] = [_fields(cell) for cell in report.cells]
-            doc["type"] = name
-            if isinstance(report, PositioningReport):
-                for cell, cell_doc in zip(report.cells, doc["cells"]):
-                    if not cell.error:
-                        cell_doc["cdf_at_k_opt"] = cdf_points(cell.errors_at_k_opt)
-                        cell_doc["boxplot_at_k_opt"] = boxplot_stats(cell.errors_at_k_opt)
-            if isinstance(report, PredictionReport):
-                for cell, cell_doc in zip(report.cells, doc["cells"]):
-                    if not cell.error:
-                        cell_doc["per_ap_cdf"] = {
-                            ap: cdf_points(d) for ap, d in cell.per_ap_deltas.items()}
-            return format_json(doc) + "\n"
+            return name
     raise TypeError(f"unknown report type {type(report).__name__}")
+
+
+def _render(report, csv_out: TextIO | None, json_out: TextIO | None) -> None:
+    """Write ``report`` as CSV to ``csv_out`` and as JSON to ``json_out``, cell by
+    cell; an output that is None is not rendered.
+
+    The CSV is what ``csv.writer`` writes for one row per cell, or per (cell,
+    k) in a positioning report, with floats as ``repr``. The JSON is
+    ``json.dumps(doc, indent=2)`` of the report's fields and its ``type``,
+    with ``cdf_at_k_opt`` and ``boxplot_at_k_opt`` added to each positioning
+    cell and ``per_ap_cdf`` to each prediction cell that did not fail. Each
+    exact float or int is converted to text once for both files.
+    """
+    kind = _report_kind(report)
+    renderer = _CellRenderer(report, kind, csv_out is not None, json_out is not None)
+    if csv_out is not None:
+        csv_out.write(",".join(_CSV_COLUMNS[kind]) + "\r\n")
+    if json_out is not None:
+        # Every report dataclass declares its cells last.
+        json_out.write("{\n" + "".join(
+            f"  {format_json(name)}: {format_json(getattr(report, name), '  ')},\n"
+            for name in report.__dataclass_fields__ if name != "cells") + '  "cells": [')
+    separator = "\n" + _CELL_PAD
+    for cell in report.cells:
+        rows, cell_json = renderer.render(cell)
+        if csv_out is not None:
+            csv_out.write(rows)
+        if json_out is not None:
+            json_out.write(separator + cell_json)
+            separator = ",\n" + _CELL_PAD
+    if json_out is not None:
+        end = "\n  ]" if report.cells else "]"
+        json_out.write(f'{end},\n  "type": {format_json(kind)}\n}}\n')
 
 
 def emit_report(report, path: str | Path, fmt: str = "json") -> None:
     """Write a report to disk as CSV (one row per sweep cell) or JSON."""
-    if fmt == "csv":
-        text = _report_csv(report)
-    elif fmt == "json":
-        text = _report_json(report)
-    else:
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    write_text_atomic(path, text)
+    with atomic_files(path) as (out,):
+        _render(report, out if fmt == "csv" else None, out if fmt == "json" else None)
+
+
+def emit_report_pair(report, csv_path: str | Path, json_path: str | Path) -> None:
+    """Write a report's CSV and JSON files in one pass: both of them, or neither
+    when rendering fails."""
+    with atomic_files(csv_path, json_path) as (csv_out, json_out):
+        _render(report, csv_out, json_out)
 
 
 def _report_from_dict(doc: dict):

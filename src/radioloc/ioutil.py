@@ -4,19 +4,24 @@ Every input file is read through ``read_json`` or ``read_csv``: each opens the
 file, decodes it and hands the document to a parser, and maps every failure
 along the way to one ``InputError`` that names the file. A CSV parser gets
 the file's text and splits it into rows with ``csv_rows``. Every output file is
-written through ``write_text_atomic``; ``format_json`` formats the evaluation
-reports, which are mostly long lists of numbers.
+written through ``atomic_files``, which streams chunks into temp files and
+renames them into place only when all of them are written; ``write_text_atomic``
+writes one whole text through it. The evaluation reports, mostly long lists of
+numbers, are laid out as ``json.dumps(doc, indent=2)`` lays them out by
+``format_json`` and, for item texts rendered by the caller, ``json_array`` and
+``json_object``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
 import secrets
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import InputError
 
@@ -78,23 +83,43 @@ def read_csv(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
     return _read(path, what, "CSV", _read_text, parse)
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename into place.
+@contextlib.contextmanager
+def atomic_files(*paths: str | Path) -> Iterator[list[TextIO]]:
+    """Open one temp file per path in the path's directory, and yield them in order.
 
-    The temp file is created with mode 0o666 less the umask, as ``open`` would
-    create ``path`` itself; the rename keeps that mode.
+    When the block ends normally, every file is closed, and only then is each
+    renamed onto its path. When it raises, every temp file is removed and no
+    path is replaced. The temp files are created with mode 0o666 less the
+    umask, as ``open`` would create the paths themselves; the rename keeps that
+    mode.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmps: list[Path] = []
+    files: list[TextIO] = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path in map(Path, paths):
+            tmp = path.with_name(f"{path.name}{secrets.token_hex(8)}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            tmps.append(tmp)
+            files.append(os.fdopen(fd, "w"))
+        yield files
+        for fh in files:
+            fh.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for fh in files:
+            with contextlib.suppress(OSError):
+                fh.close()
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through ``atomic_files``."""
+    with atomic_files(path) as (fh,):
+        fh.write(text)
 
 
 def write_json(path: str | Path, doc) -> None:
@@ -108,35 +133,46 @@ _encode = json.JSONEncoder().encode
 _NUMBER_TYPES = {float, int}
 
 
-def format_json(doc) -> str:
+def format_json(doc, pad: str = "") -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, for dicts with str keys.
 
-    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent`` is
-    set. Here a list of plain floats and ints is encoded in one call to the C
-    encoder and its ``", "`` separators re-indented; every other scalar goes
-    through the C encoder on its own, so NaN, infinities, -0.0 and escaped
-    strings come out as ``json`` writes them.
+    Every line after the first is indented by ``pad`` more, as the text of a
+    value nested at that indentation. ``json.dumps`` falls back to its
+    pure-Python encoder whenever ``indent`` is set. Here a list of plain floats
+    and ints is encoded in one call to the C encoder and its ``", "``
+    separators re-indented; every other scalar goes through the C encoder on
+    its own, so NaN, infinities, -0.0 and escaped strings come out as ``json``
+    writes them.
     """
-    return _format(doc, "")
-
-
-def _format(value, pad: str) -> str:
     inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{_key(key)}: {_format(item, inner)}" for key, item in value.items())
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(doc, dict):
+        return json_object([(key, format_json(item, inner)) for key, item in doc.items()],
+                           pad)
+    if isinstance(doc, (list, tuple)):
         # Numbers only: one encoder call; nested items need their own indentation.
-        if set(map(type, value)) <= _NUMBER_TYPES:
-            body = _encode(value)[1:-1].replace(", ", ",\n" + inner)
-        else:
-            body = (",\n" + inner).join(_format(item, inner) for item in value)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return _encode(value)
+        if doc and set(map(type, doc)) <= _NUMBER_TYPES:
+            body = _encode(doc)[1:-1].replace(", ", ",\n" + inner)
+            return "[\n" + inner + body + "\n" + pad + "]"
+        return json_array([format_json(item, inner) for item in doc], pad)
+    return _encode(doc)
+
+
+def json_array(texts: Sequence[str], pad: str) -> str:
+    """A JSON array of items already in JSON text, laid out as ``format_json`` lays
+    it out at ``pad``: each item's own lines must be indented for ``pad + "  "``."""
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+
+
+def json_object(items: Sequence[tuple[str, str]], pad: str) -> str:
+    """A JSON object of (str key, value text) items, laid out as ``json_array``."""
+    if not items:
+        return "{}"
+    inner = pad + "  "
+    return ("{\n" + inner + (",\n" + inner).join(f"{_key(key)}: {text}" for key, text in items)
+            + "\n" + pad + "}")
 
 
 def _key(key) -> str:

@@ -61,17 +61,17 @@ def _similarity_rows(rss_matrix: np.ndarray, targets: np.ndarray, order: float) 
     The powered Minkowski distance is summed one AP column at a time, from
     column 0 up, so each entry gets the same sequential adds as a plain
     per-entry loop; squaring by multiplication keeps the default order free
-    of libm pow rounding.
+    of libm pow rounding, and needs no absolute value: ``d * d`` equals
+    ``|d| * |d|`` bit for bit.
     """
     acc = np.zeros((targets.shape[0], rss_matrix.shape[0]))
     diff = np.empty_like(acc)
     for col in range(rss_matrix.shape[1]):
         np.subtract(rss_matrix[:, col], targets[:, col, None], out=diff)
-        np.abs(diff, out=diff)
         if order == 2.0:
             acc += np.multiply(diff, diff, out=diff)
         else:
-            acc += diff ** order
+            acc += np.abs(diff, out=diff) ** order
     root = np.sqrt(acc, out=diff) if order == 2.0 else acc ** (1.0 / order)
     sims = np.full(acc.shape, SIMILARITY_CAP)
     np.divide(1.0, root, out=sims, where=acc > 0.0)

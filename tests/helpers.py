@@ -30,6 +30,7 @@ from radioloc.evaluation import (
     PredictionReport,
     boxplot_stats,
     cdf_points,
+    emit_report_pair,
 )
 from radioloc.floorplan import (
     GRAZE_EPS_M,
@@ -394,6 +395,13 @@ def reference_report_text(report, fmt):
                              c.k_est, c.k_opt, repr(c.mean_error_kest_m),
                              repr(c.mean_error_kopt_m), repr(c.beta_m)])
     return buf.getvalue()
+
+
+def written_report_pair(report, directory):
+    """The (CSV, JSON) texts ``emit_report_pair`` writes for ``report`` in ``directory``."""
+    csv_path, json_path = directory / "report.csv", directory / "report.json"
+    emit_report_pair(report, csv_path, json_path)
+    return csv_path.read_bytes().decode(), json_path.read_bytes().decode()
 
 
 def measurement_set(records):

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from radioloc import evaluation
 from radioloc.evaluation import (
     EvalWorld,
     GainCell,
@@ -13,12 +15,11 @@ from radioloc.evaluation import (
     PositioningReport,
     PredictionCell,
     PredictionReport,
-    _report_csv,
-    _report_json,
     boxplot_stats,
     build_world,
     cdf_points,
     emit_report,
+    emit_report_pair,
     load_report,
     run_kest_sweep,
     run_positioning_sweep,
@@ -31,7 +32,7 @@ from radioloc.floorplan import points_xyz
 from radioloc.radiomap import Fingerprint, Radiomap, build_real_fingerprints, place_virtual_rps
 from radioloc.simulator import NoiseConfig, ScenarioPreset, template_info
 
-from helpers import count_crossing_calls, reference_report_text
+from helpers import count_crossing_calls, reference_report_text, written_report_pair
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +215,23 @@ class TestGeometryReuse:
             positions = place_virtual_rps(world.plan, dv).tobytes()
             assert [calls[(ap.position, positions)] for ap in world.aps] == [1] * len(world.aps)
 
+    @pytest.mark.parametrize("placement", ["grid", "random"])
+    def test_grid_placed_once_per_d_virtual(self, noisy_world, monkeypatch, placement):
+        world, _ = noisy_world
+        dr_grid = template_info("spinv_like").dr_grid
+        calls = Counter()
+        original = evaluation.place_virtual_rps
+
+        def counting(plan, d_virtual, *args, **kwargs):
+            calls[d_virtual] += 1
+            return original(plan, d_virtual, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "place_virtual_rps", counting)
+        report, _ = run_positioning_sweep(world, dr_grid, self.DV_GRID, placement=placement)
+        assert not any(c.error for c in report.cells)
+        per_dv = 1 if placement == "grid" else len(dr_grid)  # random draws a set per cell
+        assert calls == {dv: per_dv for dv in self.DV_GRID}
+
     def test_prediction_analysis_counts_survey_links_once(self, noisy_world, monkeypatch):
         world, _ = noisy_world
         calls = count_crossing_calls(monkeypatch)
@@ -378,36 +396,57 @@ def hand_built_reports(strategy="environment"):
 
 
 class TestReportWriters:
-    """The reports are formatted from the cells' lists, byte for byte as the
-    ``asdict`` + ``json.dumps`` and ``csv.writer`` reference writes them."""
+    """Each report's CSV and JSON files are written in one pass, byte for byte as
+    the ``asdict`` + ``json.dumps`` and ``csv.writer`` reference writes them."""
 
     @pytest.mark.parametrize("strategy", ["environment", 'a,"b"'])
     @pytest.mark.parametrize("name", ["prediction", "positioning", "gain", "kest"])
     def test_hand_built_reports_match_reference(self, tmp_path, name, strategy):
         report = hand_built_reports(strategy)[name]
-        assert _report_json(report) == reference_report_text(report, "json")
-        assert _report_csv(report) == reference_report_text(report, "csv")
-        path = tmp_path / f"{name}.json"
-        emit_report(report, path, fmt="json")
+        csv_text, json_text = written_report_pair(report, tmp_path)
+        assert json_text == reference_report_text(report, "json")
+        assert csv_text == reference_report_text(report, "csv")
+        for fmt in ("csv", "json"):  # the one-file form writes the same bytes
+            path = tmp_path / f"{name}.{fmt}"
+            emit_report(report, path, fmt=fmt)
+            assert path.read_bytes().decode() == reference_report_text(report, fmt)
         # repr, since NaN != NaN; it also tells 1 from 1.0 and -0.0 from 0.0.
-        assert repr(load_report(path)) == repr(report)
+        assert repr(load_report(tmp_path / f"{name}.json")) == repr(report)
 
-    def test_missing_baseline_k_gives_empty_gain(self):
-        rows = _report_csv(hand_built_reports()["positioning"]).split("\r\n")
+    def test_missing_baseline_k_gives_empty_gain(self, tmp_path):
+        csv_text, _ = written_report_pair(hand_built_reports()["positioning"], tmp_path)
+        rows = csv_text.split("\r\n")
         gains = {tuple(r.split(",")[:3]): r.split(",")[-1] for r in rows[1:-1]}
         assert gains[("0.05", "1.0", "1")] != "" and gains[("0.05", "1.0", "2")] == ""
         assert gains[("0.05", "1.0", "7")] == "" and gains[("0.05", "0.0", "1")] == ""
         assert gains[("0.4", "1.0", "1")] == ""
 
-    def test_zero_mean_error_raises_like_the_reference(self):
+    def test_zero_mean_error_raises_like_the_reference(self, tmp_path):
         report = hand_built_reports()["positioning"]
         report.cells[1].mean_error_by_k[0] = 0.0
         with pytest.raises(ZeroDivisionError):
             reference_report_text(report, "csv")
         with pytest.raises(ZeroDivisionError):
-            _report_csv(report)
+            emit_report_pair(report, tmp_path / "positioning.csv", tmp_path / "positioning.json")
+        # Both files or neither: no target was written and no temp file is left.
+        assert list(tmp_path.iterdir()) == []
+        # The JSON alone holds no gain, and is written as the reference writes it.
+        emit_report(report, tmp_path / "positioning.json", fmt="json")
+        json_text = (tmp_path / "positioning.json").read_bytes().decode()
+        assert json_text == reference_report_text(report, "json")
 
-    def test_sweep_reports_match_reference(self, noisy_world):
+    def test_failed_render_keeps_the_old_files(self, tmp_path):
+        csv_path, json_path = tmp_path / "gain.csv", tmp_path / "gain.json"
+        csv_path.write_text("old csv")
+        json_path.write_text("old json")
+        report = GainReport(policy="per-cell-k-opt",
+                            cells=[GainCell(0.1, 1.0, 3, 5, 1.4), GainCell(0.2, 1.0, 3, 5, {1})])
+        with pytest.raises(TypeError):
+            emit_report_pair(report, csv_path, json_path)
+        assert (csv_path.read_text(), json_path.read_text()) == ("old csv", "old json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gain.csv", "gain.json"]
+
+    def test_sweep_reports_match_reference(self, noisy_world, tmp_path):
         world, _ = noisy_world
         info = template_info("spinv_like")
         dr_grid = [info.dr_min, info.dr_max]
@@ -418,8 +457,9 @@ class TestReportWriters:
             world.measurements, world.plan, world.aps, [0.5, 1.0],
             [FitStrategy.environment()], [ModelKind.MWMF])
         for report in (prediction, positioning, gain, kest):
-            assert _report_json(report) == reference_report_text(report, "json")
-            assert _report_csv(report) == reference_report_text(report, "csv")
+            csv_text, json_text = written_report_pair(report, tmp_path)
+            assert json_text == reference_report_text(report, "json")
+            assert csv_text == reference_report_text(report, "csv")
 
 
 class TestBuildWorld:

@@ -1,7 +1,7 @@
 """Property-based checks of the columnar survey and its two CSV parsers, the
 array-backed radiomap, the blocked obstruction counting, the batched WkNN
-kernel and the fit's design matrix; and fuzzed input files through
-``cli.main``, which must exit 0, 2 or 3.
+kernel, the fit's design matrix and the report writer; and fuzzed input files
+through ``cli.main``, which must exit 0, 2 or 3.
 
 The oracles are plain per-record Python loops, the csv rows path (for the
 loadtxt survey parser), ``json.dumps`` (for the
@@ -9,7 +9,9 @@ radiomap and for ``ioutil.format_json``), for ``crossing_flags_batch`` the
 per-obstacle loop it replaced, for ``locate``, ``locate_many`` and
 ``error_curves``, a per-target loop with the benchmark oracle's semantics and,
 for ``fit``, ``np.linalg.lstsq`` on the per-sample rows of
-``reference_fit_rows``; they do not share code with the array paths they check.
+``reference_fit_rows`` and, for the report files, the ``asdict`` +
+``json.dumps`` and ``csv.writer`` loop of ``reference_report_text``; they do
+not share code with the array paths they check.
 """
 
 import contextlib
@@ -18,7 +20,9 @@ import csv
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,6 +35,17 @@ import radioloc.fitting as fitting
 import radioloc.floorplan as floorplan
 import radioloc.ioutil as ioutil
 from radioloc.errors import DegenerateFitError, InsufficientDataError
+from radioloc.evaluation import (
+    GainCell,
+    GainReport,
+    KestCell,
+    KestReport,
+    PositioningCell,
+    PositioningReport,
+    PredictionCell,
+    PredictionReport,
+    emit_report,
+)
 from radioloc.fitting import (
     MEASUREMENT_COLUMNS,
     FitStrategy,
@@ -87,14 +102,16 @@ from helpers import (
     measurement_set,
     reference_crossing_flags,
     reference_fit_rows,
+    reference_report_text,
     reference_wknn,
     survey_outcome,
+    written_report_pair,
 )
 
 # Surveys of up to ~170 shuffled rows are slow to draw on a loaded machine.
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-# The WkNN exactness properties, at ten times their examples under the
-# exactness profile (tests/conftest.py).
+# The WkNN and report exactness properties, at ten times their examples under
+# the exactness profile (tests/conftest.py).
 EXACT_SETTINGS = settings(SETTINGS, max_examples=SETTINGS.max_examples * (
     EXACTNESS_SCALE if settings.default is settings.get_profile(EXACTNESS_PROFILE) else 1))
 
@@ -404,6 +421,106 @@ json_docs = st.recursive(
 @given(st.dictionaries(json_text, json_docs) | st.lists(json_docs))
 def test_format_json_equals_json_dumps_indent_2(doc):
     assert ioutil.format_json(doc) == json.dumps(doc, indent=2)
+
+
+# Report numbers: the edge floats, ints beside equal floats (1 and 1.0), and
+# zeros, which make a gain divide by zero.
+report_numbers = edge_floats | st.floats() | st.integers(-3, 3) | st.sampled_from([1, 1.0])
+
+
+def cdf_samples(min_size=0):
+    """Samples a CDF is drawn from: floats only, whose texts the CDF reuses, long
+    enough for an unstable sort to show (ties, -0.0 beside 0.0, NaN), or mixed."""
+    return (st.lists(edge_floats | st.floats(), min_size=min_size, max_size=40)
+            | st.lists(report_numbers, min_size=min_size, max_size=8))
+
+
+report_text = json_text | st.sampled_from(['a,"b"', "x\ny", "r\r", "environment"])
+cell_error = st.none() | report_text
+d_values = st.sampled_from([0.0, 1.0, 2.5, None]).flatmap(
+    lambda d: report_numbers if d is None else st.just(d))
+k_values = st.lists(st.integers(1, 5) | st.sampled_from([1.0, 3.0]), max_size=6)
+
+
+@st.composite
+def positioning_cell(draw, d_real, d_virtual):
+    error = draw(st.sampled_from([None] * 5 + ["failed", 'a,"b"\r\n']))
+    ks = [] if error else draw(k_values)
+    column = st.lists(report_numbers, min_size=len(ks), max_size=len(ks))
+    # One cell in twenty has no errors to box, which fails the JSON.
+    n_errors = draw(st.sampled_from([0] + [1] * 19))
+    return PositioningCell(
+        d_real, d_virtual, draw(st.integers(0, 50)), draw(st.integers(0, 50)),
+        ks, *(draw(column) for _ in range(6)), draw(st.integers(0, 5)),
+        draw(cdf_samples(n_errors)), error=error)
+
+
+@st.composite
+def positioning_cells(draw):
+    """Cells in groups that share a d_real, most groups with a d_virtual = 0
+    baseline, in any order."""
+    cells = []
+    for dr in draw(st.lists(d_values, max_size=3)):
+        baseline = [0.0] * draw(st.sampled_from([0, 1, 1, 1]))
+        virtual = draw(st.lists(d_values, min_size=1, max_size=3))
+        cells += [draw(positioning_cell(dr, dv)) for dv in baseline + virtual]
+    return draw(st.permutations(cells))
+
+
+def prediction_cells():
+    deltas = st.dictionaries(report_text, cdf_samples(), max_size=3)
+    return st.builds(PredictionCell, report_numbers, report_text, report_text,
+                     st.integers(0, 99), st.integers(0, 99), report_numbers,
+                     st.dictionaries(report_text, report_numbers, max_size=3), deltas,
+                     error=cell_error)
+
+
+reports = (
+    st.builds(PositioningReport, report_text, report_text, report_text,
+              positioning_cells())
+    | st.builds(PredictionReport, st.lists(prediction_cells(), max_size=4))
+    | st.builds(GainReport, report_text, st.lists(st.builds(
+        GainCell, d_values, d_values, st.integers(0, 9), st.integers(0, 9), report_numbers),
+        max_size=4))
+    | st.builds(KestReport, st.lists(st.builds(
+        KestCell, d_values, d_values, report_numbers, st.integers(0, 9), st.integers(0, 9),
+        report_numbers, report_numbers, report_numbers), max_size=4)))
+
+
+def _reference_outcome(report, fmt):
+    """The reference text in ``fmt``, or the type of the exception it raises."""
+    try:
+        return reference_report_text(report, fmt)
+    except Exception as exc:  # e.g. a zero mean error under a gain, or no errors to box
+        return type(exc)
+
+
+@EXACT_SETTINGS
+@given(reports)
+def test_report_pair_equals_reference_writer(report):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # quartiles of infinities
+        expected = {fmt: _reference_outcome(report, fmt) for fmt in ("csv", "json")}
+        failures = {v for v in expected.values() if isinstance(v, type)}
+        event(f"{type(report).__name__}: "
+              + (", ".join(sorted(f.__name__ for f in failures)) or "written"))
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            if failures:
+                with pytest.raises(tuple(failures)):
+                    written_report_pair(report, directory)
+                assert list(directory.iterdir()) == []  # neither file nor a temp file
+            else:
+                assert written_report_pair(report, directory) == (expected["csv"],
+                                                                   expected["json"])
+            for fmt, want in expected.items():  # the one-file form
+                path = directory / f"one.{fmt}"
+                if isinstance(want, type):
+                    with pytest.raises(want):
+                        emit_report(report, path, fmt=fmt)
+                else:
+                    emit_report(report, path, fmt=fmt)
+                    assert path.read_bytes().decode() == want
 
 
 @SETTINGS
