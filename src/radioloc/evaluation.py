@@ -376,6 +376,16 @@ def _failed_cell(d_real: float, d_virtual: float, n_real: int, message: str,
     )
 
 
+def _gain(baseline_mean: float, cell_mean: float) -> float:
+    """``baseline_mean / cell_mean`` as Python divides, except that a zero
+    ``cell_mean`` gives what IEEE 754 gives: infinity, or NaN for 0 / 0."""
+    try:
+        return baseline_mean / cell_mean
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(baseline_mean) / cell_mean)
+
+
 def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
                           dv_grid: Sequence[float],
                           k_grid: Sequence[int] | None = None,
@@ -390,7 +400,8 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
     farthest-point order, refits the model on them, and evaluates WkNN error
     at every requested virtual density (a d_virtual = 0 baseline is always
     computed; it anchors the gain). Gain uses each cell's own error-minimizing
-    k unless ``gain_fixed_k`` pins a common k.
+    k unless ``gain_fixed_k`` pins a common k; it is infinite where the cell's
+    mean error is 0, and NaN where the baseline's is 0 too.
     """
     if not len(world.tp_rss):
         raise ValueError("positioning sweep needs test points")
@@ -447,7 +458,7 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
             try:
                 k_b = gain_fixed_k if gain_fixed_k is not None else baseline.k_opt
                 k_c = gain_fixed_k if gain_fixed_k is not None else cell.k_opt
-                value = baseline.mean_error_at(k_b) / cell.mean_error_at(k_c)
+                value = _gain(baseline.mean_error_at(k_b), cell.mean_error_at(k_c))
             except KeyError:
                 continue
             gain.cells.append(GainCell(d_real=float(d_real), d_virtual=dv,
@@ -677,8 +688,8 @@ class _CellRenderer:
 
     def _rows(self, cell, d_real: str, d_virtual: str, ks: _Numbers,
               columns: list[_Numbers]) -> str:
-        """One row per k. The gain is ``baseline mean / cell mean`` in Python
-        floats, empty where the baseline lacks the k."""
+        """One row per k. The gain is ``_gain(baseline mean, cell mean)``,
+        empty where the baseline lacks the k."""
         head = f"{d_real},{d_virtual},"
         k_texts = ks.csv if ks.exact else map(str, cell.k_values)
         stats = map(",".join, zip(*(column.csv for column in columns)))
@@ -688,7 +699,7 @@ class _CellRenderer:
             # Reversed, so a repeated k keeps its first entry, as list.index finds it.
             base_mean = dict(zip(reversed(baseline.k_values),
                                  reversed(baseline.mean_error_by_k)))
-            gains = [repr(base_mean[k] / mean) if k in base_mean else ""
+            gains = [repr(_gain(base_mean[k], mean)) if k in base_mean else ""
                      for k, mean in zip(cell.k_values, cell.mean_error_by_k)]
         return "".join([f"{head}{k}{self.middle}{row},{gain}\r\n"
                         for k, row, gain in zip(k_texts, stats, gains)])

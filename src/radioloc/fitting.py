@@ -482,10 +482,10 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     only the ``ND`` token marks a non-detection), non-finite coordinates, or
     a point id whose rows disagree on its coordinates.
 
-    Plain text (ASCII, unquoted, LF or CRLF line ends) is parsed by numpy's C
-    reader. Any other text goes through ``csv.reader``, as does any text the C
-    reader cannot read exactly as ``csv.reader`` and ``float()``/``int()`` do.
-    Both paths give the same columns and the same errors.
+    Plain text (ASCII, unquoted, LF or CRLF line ends) is split into fields by
+    numpy's C reader; any other text, and any text it may split otherwise, by
+    ``csv.reader``. Either way every number is read by ``float()`` or
+    ``int()``, so both paths give the same columns and the same errors.
     """
     return read_csv(path, "measurement", _measurements_from_text)
 
@@ -497,18 +497,19 @@ def _measurements_from_text(text: str) -> MeasurementSet:
     return MeasurementSet(*columns)
 
 
-# The survey body as np.loadtxt reads it, with ids, RSS and scan tokens as
-# ASCII bytes: a quarter of the memory of str columns. RSS and scan tokens are
-# converted by float() and int(), as in the rows path, since loadtxt's own
-# integer parser reads "1.5" as 1 on some numpy releases. A value that fills
-# its width may have been cut short, so the fast path declines on it.
-_SURVEY_DTYPE = np.dtype([("rp_id", "S32"), ("x", "f8"), ("y", "f8"), ("z", "f8"),
+# The survey body as np.loadtxt reads it: every field as ASCII bytes, a
+# quarter of the memory of str columns. loadtxt only splits the fields; every
+# number is read by float() or int(), as in the rows path, so both paths read
+# each token alike. A value that fills its width may have been cut short, so
+# the fast path declines on it.
+_SURVEY_DTYPE = np.dtype([("rp_id", "S32"), ("x", "S24"), ("y", "S24"), ("z", "S24"),
                           ("ap_id", "S32"), ("rss_dbm", "S24"), ("scan_index", "S24")])
-# Where each byte column ends in a table row: a byte there that is not NUL
-# marks a value that fills its column.
-_LAST_BYTES = [offset + column.itemsize - 1 for column, offset in
-               (_SURVEY_DTYPE.fields[name]
-                for name in ("rp_id", "ap_id", "rss_dbm", "scan_index"))]
+# Lines per np.loadtxt call. Each call's table is copied into one array per
+# field and freed, so no allocation holds every field of the survey. glibc's
+# malloc raises its mmap threshold to the largest mmapped block freed so far
+# and then keeps up to twice that much free heap: a freed whole-survey table
+# (4.6 MB for a 25,200-row survey) raised offline-build's peak RSS by ~6 MB.
+_BLOCK_LINES = 4096
 _SURVEY_HEADER = ",".join(MEASUREMENT_COLUMNS)
 # Where np.loadtxt would read ASCII text otherwise than csv.reader, float() and
 # int() do: CSV quoting; NUL, which a fixed-width value drops from its end;
@@ -516,15 +517,46 @@ _SURVEY_HEADER = ",".join(MEASUREMENT_COLUMNS)
 _DECLINE_CHARS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _plain_lines(body: bytes) -> bool:
-    """Whether every CR in ASCII ``body`` ends a CRLF, where csv and loadtxt
-    both end a line, and no line is longer than ``csv.field_size_limit()``,
-    so that csv cannot raise on a field."""
+def _plain_line_ends(body: bytes) -> np.ndarray | None:
+    """The offset of each LF in ASCII ``body``, plus ``len(body)``; None unless
+    every CR in it ends a CRLF, where csv and loadtxt both end a line, and no
+    line is longer than ``csv.field_size_limit()``, so that csv cannot raise on
+    a field."""
     codes = np.frombuffer(body + b"\n", dtype=np.uint8)
     line_ends = np.flatnonzero(codes == ord("\n"))
     longest = int(np.diff(line_ends, prepend=-1).max()) - 1
-    return bool((codes[np.flatnonzero(codes == ord("\r")) + 1] == ord("\n")).all()
-                and longest <= csv.field_size_limit())
+    if ((codes[np.flatnonzero(codes == ord("\r")) + 1] == ord("\n")).all()
+            and longest <= csv.field_size_limit()):
+        return line_ends
+    return None
+
+
+def _survey_fields(body: bytes, line_ends: np.ndarray) -> dict[str, np.ndarray] | None:
+    """Each ``_SURVEY_DTYPE`` field of the rows of ``body`` as one contiguous
+    array, read ``_BLOCK_LINES`` lines at a time; None where np.loadtxt
+    rejects a line, or a value fills its field."""
+    fields = {name: np.empty(line_ends.shape[0], _SURVEY_DTYPE[name])
+              for name in _SURVEY_DTYPE.names}
+    n = 0
+    starts = [0, *(line_ends[_BLOCK_LINES - 1::_BLOCK_LINES] + 1).tolist()]
+    for start, stop in zip(starts, [*starts[1:], None]):
+        block = body[start:stop]
+        if not block.strip(b"\r\n"):  # blank lines only, which loadtxt warns of
+            continue
+        try:
+            table = np.loadtxt(io.BytesIO(block), dtype=_SURVEY_DTYPE, delimiter=",",
+                               comments=None, ndmin=1)
+        except ValueError:  # a short or long row, an unparsable number, a blank-only line
+            return None
+        for name, field in fields.items():
+            field[n:n + table.shape[0]] = table[name]
+        n += table.shape[0]
+    fields = {name: field[:n] for name, field in fields.items()}
+    # A byte other than NUL at the end of a field marks a value that fills it.
+    if any(field.view(np.uint8)[field.itemsize - 1::field.itemsize].any()
+           for field in fields.values()):
+        return None
+    return fields
 
 
 def _loadtxt_columns(text: str) -> tuple | None:
@@ -535,44 +567,67 @@ def _loadtxt_columns(text: str) -> tuple | None:
     It never raises: the caller falls back to the rows path, which gives the
     error, if any.
     """
-    head, _, body = text.partition("\n")
+    head = text.partition("\n")[0]
     if (head.removesuffix("\r") != _SURVEY_HEADER or not text.isascii()
-            or any(char in text for char in _DECLINE_CHARS) or not body.strip("\r\n")):
+            or any(char in text for char in _DECLINE_CHARS)):
         return None
-    data = body.encode("ascii")  # one byte per character, where a str buffer takes four
-    if not _plain_lines(data):
+    # The body as bytes, the one copy of it kept: one byte per character.
+    data = text[len(head) + 1:].encode("ascii")
+    if not data.strip(b"\r\n"):
         return None
-    try:
-        table = np.loadtxt(io.BytesIO(data), dtype=_SURVEY_DTYPE, delimiter=",",
-                           comments=None, ndmin=1)
-    except ValueError:  # a short or long row, an unparsable number, a blank-only line
-        return None
-    if table.view(np.uint8).reshape(table.shape[0], -1)[:, _LAST_BYTES].any():
+    line_ends = _plain_line_ends(data)
+    fields = None if line_ends is None else _survey_fields(data, line_ends)
+    if fields is None:
         return None
 
-    # Each point's position is its first row's. Any other row of the point
-    # must hold the same bits, else the rows path may raise or keep a -0.0;
-    # a non-finite position is an error, which the rows path words.
-    coords = np.stack([table["x"], table["y"], table["z"]], axis=1)
-    rp_names, rp_index = _index_names(table["rp_id"].tolist())
-    xyz = coords[np.unique(rp_index, return_index=True)[1]]
-    if not (np.isfinite(xyz).all()
-            and np.array_equal(coords.view(np.int64), xyz.view(np.int64)[rp_index])):
-        return None
-    ap_names, ap_index = _index_names(table["ap_id"].tolist())
-    tokens = table["rss_dbm"]
+    rp_names, rp_first, rp_index = _codes(fields["rp_id"])
+    ap_names, _, ap_index = _codes(fields["ap_id"])
+    scan_tokens, _, scan_code = _codes(fields["scan_index"])
+    tokens = fields["rss_dbm"]
     detected = tokens != NOT_DETECTED_TOKEN.encode()
     rss = np.full(tokens.shape[0], np.nan)
-    scan_tokens = table["scan_index"].tolist()
+    coords = [fields[name] for name in ("x", "y", "z")]
+    # Each point's position is read from its first row. Rows whose coordinate
+    # text differs from their point's first row are read again and must give
+    # the same bits, else the rows path may raise or keep a -0.0; a
+    # non-finite position is an error, which the rows path words.
+    first_row = rp_first[rp_index]
+    again = np.flatnonzero(np.logical_or.reduce(
+        [column != column[first_row] for column in coords]))
     try:  # float() and int() read ASCII bytes exactly as they read the same str
-        rss[detected] = np.fromiter(map(float, tokens[detected].tolist()), dtype=float)
-        scan_of = {token: int(token) for token in dict.fromkeys(scan_tokens)}
-        scans = np.fromiter(map(scan_of.__getitem__, scan_tokens), dtype=np.int64,
-                            count=len(scan_tokens))
+        xyz = np.stack([_floats(column[rp_first]) for column in coords], axis=1)
+        reread = np.stack([_floats(column[again]) for column in coords], axis=1)
+        rss[detected] = _floats(tokens[detected])
+        scans = np.fromiter(map(int, scan_tokens.tolist()), dtype=np.int64,
+                            count=scan_tokens.shape[0])[scan_code]
     except (ValueError, OverflowError):  # OverflowError: a scan outside int64
         return None
-    return ([name.decode() for name in rp_names], xyz, [name.decode() for name in ap_names],
-            rp_index, ap_index, rss, detected, scans)
+    if not (np.isfinite(xyz).all()
+            and np.array_equal(reread.view(np.int64), xyz[rp_index[again]].view(np.int64))):
+        return None
+    return ([name.decode() for name in rp_names.tolist()], xyz,
+            [name.decode() for name in ap_names.tolist()], rp_index, ap_index, rss, detected,
+            scans)
+
+
+def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of ``column`` in first-appearance order, the row
+    where each first appears, and each entry's position among them."""
+    # Values that all end within their first 8 bytes (the widths are whole
+    # words, NUL-padded) are equal exactly when those bytes are: one uint64
+    # each sorts several times faster than the byte strings.
+    words = column.view(np.uint64).reshape(column.shape[0], -1)
+    key = column if words[:, 1:].any() else words[:, 0]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return column[first[order]], first[order], rank[inverse]
+
+
+def _floats(tokens: np.ndarray) -> np.ndarray:
+    """``float()`` of each ASCII bytes token."""
+    return np.fromiter(map(float, tokens.tolist()), dtype=float, count=tokens.shape[0])
 
 
 def _measurements_from_rows(rows: list[list[str]]) -> MeasurementSet:

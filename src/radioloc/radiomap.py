@@ -327,17 +327,26 @@ def _indent(text: str) -> str:
 def radiomap_to_json(rmap: Radiomap) -> str:
     """The radiomap document, byte-identical to ``json.dumps(doc, indent=2)``.
 
-    The reference points are formatted straight from the arrays; the small
-    remaining fields go through ``json``. Not-detected entries become null.
+    The reference points are formatted straight from the arrays, one column at
+    a time: each AP's values, and each distinct coordinate bit pattern, get one
+    ``repr``. The small remaining fields go through ``json``. Not-detected
+    entries become null.
     """
     sentinel = rmap.sentinel_dbm
     rps = rmap.rps
-    item = ('    {\n      "x": %r,\n      "y": %r,\n      "z": %r,\n      "kind": "%s",\n'
-            '      "rss": [\n        ' + ",\n        ".join(["%s"] * rps.n_aps)
-            + "\n      ]\n    }")
-    kinds = [RpKind.VIRTUAL.value if v else RpKind.REAL.value for v in rps.virtual.tolist()]
-    items = [item % (x, y, z, kind, *["null" if v == sentinel else repr(v) for v in row])
-             for (x, y, z), kind, row in zip(rps.pos.tolist(), kinds, rps.rss.tolist())]
+    # Keyed on bits: a float key would merge 0.0 with -0.0.
+    bits, where = np.unique(rps.pos.reshape(-1).view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(float).tolist()))
+    coords = list(map(texts.__getitem__, where.tolist()))
+    columns = [["null" if v == sentinel else repr(v) for v in column]
+               for column in rps.rss.T.tolist()]
+    rss = map(",\n        ".join, zip(*columns))  # a Radiomap has at least one AP
+    virtual, real = RpKind.VIRTUAL.value, RpKind.REAL.value
+    items = [f'    {{\n      "x": {x},\n      "y": {y},\n      "z": {z},\n'
+             f'      "kind": "{virtual if v else real}",\n'
+             f'      "rss": [\n        {values}\n      ]\n    }}'
+             for x, y, z, v, values in zip(coords[0::3], coords[1::3], coords[2::3],
+                                           rps.virtual.tolist(), rss)]
     fields = [
         ("aps", _indent(json.dumps(aps_to_list(rmap.aps), indent=2))),
         ("sentinel_dbm", json.dumps(sentinel)),
@@ -352,7 +361,8 @@ def radiomap_from_dict(doc: dict) -> Radiomap:
     aps = aps_from_list(doc["aps"])
     sentinel = float(doc.get("sentinel_dbm", NOT_DETECTED_DBM))
     items = doc.get("rps", [])
-    kinds = [item.get("kind", RpKind.REAL.value) for item in items]
+    real, virtual = RpKind.REAL.value, RpKind.VIRTUAL.value
+    kinds = [item.get("kind", real) for item in items]
     for kind in set(kinds):
         RpKind(kind)  # rejects unknown kinds
     rps = RpArrays.empty(len(aps))
@@ -360,7 +370,7 @@ def radiomap_from_dict(doc: dict) -> Radiomap:
         rps = RpArrays(
             [(item["x"], item["y"], item["z"]) for item in items],
             [[sentinel if v is None else v for v in item["rss"]] for item in items],
-            [kind == RpKind.VIRTUAL.value for kind in kinds])
+            [kind == virtual for kind in kinds])
     area = doc.get("area_m2")
     return Radiomap(aps, rps, area_m2=None if area is None else float(area),
                     sentinel_dbm=sentinel)

@@ -332,6 +332,16 @@ def survey_points(nx=6, ny=3, z=1.2):
     return pts
 
 
+def reference_gain(baseline_mean, cell_mean):
+    """``baseline_mean / cell_mean``; by a zero mean, what IEEE 754 division gives:
+    NaN for 0 / 0 and NaN / 0, else an infinity signed by both operands."""
+    if cell_mean != 0:
+        return baseline_mean / cell_mean
+    if baseline_mean == 0 or math.isnan(baseline_mean):
+        return math.nan
+    return math.copysign(math.inf, baseline_mean) * math.copysign(1.0, cell_mean)
+
+
 def _reference_positioning_rows(report):
     rows = []
     baselines = {c.d_real: c for c in report.cells if c.d_virtual == 0.0 and not c.error}
@@ -342,7 +352,8 @@ def _reference_positioning_rows(report):
         for idx, k in enumerate(cell.k_values):
             gain = ""
             if cell.d_virtual > 0 and baseline is not None and k in baseline.k_values:
-                gain = repr(baseline.mean_error_at(k) / cell.mean_error_by_k[idx])
+                gain = repr(reference_gain(baseline.mean_error_at(k),
+                                           cell.mean_error_by_k[idx]))
             rows.append([repr(cell.d_real), repr(cell.d_virtual), k,
                          report.strategy, report.model,
                          repr(cell.mean_error_by_k[idx]), repr(cell.p25_by_k[idx]),

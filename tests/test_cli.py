@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 
@@ -511,6 +512,26 @@ class TestEvaluate:
                      "--dv-grid", "0.1", "--out-dir", str(tmp_path / "out")])
         assert code == 3
         assert "cell failed" in capsys.readouterr().err
+
+    def test_targets_on_survey_points_exit_0(self, world_dir, tmp_path, capsys):
+        # Each target is a survey point, with the point's own fingerprint: no
+        # noise between survey and request, so every target is located
+        # exactly at k = 1, and the gain there divides 0 by 0.
+        world = tmp_path / "world"
+        world.mkdir()
+        for name in ("floorplan.json", "aps.json", "measurements.csv"):
+            (world / name).write_bytes((world_dir / name).read_bytes())
+        (world / "testpoints.csv").write_bytes((world_dir / "measurements.csv").read_bytes())
+        out = tmp_path / "out"
+        assert main(["evaluate", "--world-dir", str(world), "--rho-grid", "1",
+                     "--dv-grid", "1", "--out-dir", str(out)]) == 0
+        assert "gain: nan at" in capsys.readouterr().out
+        rows = (out / "positioning.csv").read_text().splitlines()[1:]
+        gains = {tuple(row.split(",")[1:3]): row.split(",")[-1] for row in rows}
+        assert gains[("0.0", "1")] == "" and gains[("1.0", "1")] == "nan"
+        text = (out / "gain.json").read_text()
+        assert '"gain": NaN' in text
+        assert [math.isnan(cell["gain"]) for cell in json.loads(text)["cells"]] == [True]
 
     def test_missing_world_dir_exits_2(self, tmp_path):
         assert main(["evaluate", "--world-dir", str(tmp_path / "nope"),

@@ -421,19 +421,20 @@ class TestReportWriters:
         assert gains[("0.05", "1.0", "7")] == "" and gains[("0.05", "0.0", "1")] == ""
         assert gains[("0.4", "1.0", "1")] == ""
 
-    def test_zero_mean_error_raises_like_the_reference(self, tmp_path):
+    def test_zero_mean_error_gives_an_ieee_gain_like_the_reference(self, tmp_path):
         report = hand_built_reports()["positioning"]
-        report.cells[1].mean_error_by_k[0] = 0.0
-        with pytest.raises(ZeroDivisionError):
-            reference_report_text(report, "csv")
-        with pytest.raises(ZeroDivisionError):
-            emit_report_pair(report, tmp_path / "positioning.csv", tmp_path / "positioning.json")
-        # Both files or neither: no target was written and no temp file is left.
-        assert list(tmp_path.iterdir()) == []
-        # The JSON alone holds no gain, and is written as the reference writes it.
-        emit_report(report, tmp_path / "positioning.json", fmt="json")
-        json_text = (tmp_path / "positioning.json").read_bytes().decode()
-        assert json_text == reference_report_text(report, "json")
+        baseline, cell = report.cells[:2]  # d_real 0.05; k = 1 is first in both
+        written = []
+        for zeroed in (cell, baseline):
+            zeroed.mean_error_by_k[0] = 0.0
+            csv_text, json_text = written_report_pair(report, tmp_path)
+            assert csv_text == reference_report_text(report, "csv")
+            assert json_text == reference_report_text(report, "json")
+            rows = csv_text.split("\r\n")
+            gains = {tuple(r.split(",")[:3]): r.split(",")[-1] for r in rows[1:-1]}
+            written.append(gains[("0.05", "1.0", "1")])
+        # inf while only the cell's mean is 0, NaN once the baseline's is 0 too.
+        assert written == ["inf", "nan"]
 
     def test_failed_render_keeps_the_old_files(self, tmp_path):
         csv_path, json_path = tmp_path / "gain.csv", tmp_path / "gain.json"

@@ -416,13 +416,21 @@ class TestMeasurementIo:
         (f'{HEADER}\n"rp,0",1,2,1.2,"say ""hi""",-50,0\n', False),
         (f'"rp_id",x,y,z,ap_id,rss_dbm,scan_index\nrp0,1,2,1.2,ap01,-50,0\n', False),
         (f"{HEADER}\nrp0,0.0,2,1.2,ap01,-50,0\nrp0,-0.0,2,1.2,ap01,-51,1\n", False),
-        (f"{HEADER}\nrp0,1_0,2,1.2,ap01,-50,1_1\n", False),
+        (f"{HEADER}\nrp0,1_0,2,1.2,ap01,-50,1_1\n", True),
         (f"{HEADER}\nrp0,\u0663,2,1.2,ap01,-50,0\n", False),
         (f"{HEADER}\nrp\x1c0,1,2,1.2,ap01,-50,0\n", False),
         (f"{HEADER}\nrp\u20280,1,2,1.2,ap\x851,-50,0\n", False),
         (f"{HEADER}\rrp0,1,2,1.2,ap01,-50,0\rrp1,3,2,1.2,ap01,ND,0\r", False),
         (f"{HEADER}\r\nrp0,1,2,1.2,ap01,-50,0\r\r\n", False),
         (f"\n{HEADER}\nrp0,1,2,1.2,ap01,-50,0\n", False),
+        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,0\nrp1,3,2,1.2,ap01,-60,0\n"
+         "rp0,1.0,2,1.2,ap01,-51,1\nrp0,1e0,2.0,1.2,ap02,ND,0\n", True),
+        (f"{HEADER}\nrp0,1,0.0,1.2,ap01,-50,0\nrp1,3,2,1.2,ap01,-60,0\n"
+         "rp0,1,0.0,1.2,ap01,-51,1\nrp0,1,-0.0,1.2,ap02,-52,0\n", False),
+        (f"{HEADER}\nrp0,1,2,1.{'0' * 21},ap01,-50,0\n", True),
+        (f"{HEADER}\nrp0,1,2,1.{'0' * 22},ap01,-50,0\n", False),
+        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,01\nrp0,1,2,1.2,ap01,-51,1\n"
+         "rp0,1,2,1.2,ap01,-52,001\n", True),
     ], ids=["lf", "crlf", "one-row-no-eol", "blank-lines", "crlf-blank-lines",
             "spaces-around-numbers", "exponent-forms", "hash-in-ids", "bssid-ap-id",
             "31-char-ids-and-23-char-rss", "ff-and-vt-in-fields", "signed-scans",
@@ -430,7 +438,9 @@ class TestMeasurementIo:
             "24-char-rss", "quoted-ids", "quoted-header",
             "negative-zero-coordinate", "underscore-numbers", "arabic-digit",
             "fs-in-id", "u2028-and-nel-in-ids", "lone-cr-lines", "cr-cr-lf",
-            "blank-line-before-header"])
+            "blank-line-before-header", "one-coordinate-in-three-spellings",
+            "negative-zero-in-a-later-row", "23-char-coordinate", "24-char-coordinate",
+            "scans-01-and-1"])
     def test_loadtxt_path_equals_csv_path(self, tmp_path, text, loadtxt):
         path = tmp_path / "meas.csv"
         path.write_bytes(text.encode())
@@ -445,6 +455,17 @@ class TestMeasurementIo:
                                       "9223372036854775808"])
     def test_scan_that_int_rejects_declines(self, tmp_path, scan):
         text = f"{HEADER}\nrp0,1,2,1.2,ap01,-50,0\nrp0,1,2,1.2,ap01,-51,{scan}\n"
+        assert _loadtxt_columns(text) is None
+        path = tmp_path / "meas.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(InputError) as excinfo:
+            load_measurements(path)
+        assert f"InputError: {excinfo.value}" == csv_path_outcome(path)
+
+    def test_scan_over_int64_in_a_later_row_declines(self, tmp_path):
+        # Scan tokens are read once each, and the first rows' all fit int64.
+        text = (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,0\nrp1,3,2,1.2,ap01,-60,1\n"
+                "rp1,3,2,1.2,ap01,-61,0\nrp0,1,2,1.2,ap01,-51,9223372036854775808\n")
         assert _loadtxt_columns(text) is None
         path = tmp_path / "meas.csv"
         path.write_bytes(text.encode())
