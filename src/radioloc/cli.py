@@ -129,17 +129,21 @@ def _strategy_from_args(args) -> FitStrategy:
 
 
 def cmd_simulate(args) -> int:
+    given = {field: getattr(args, field) for _, field, _, _ in _NOISE_FLAGS
+             if getattr(args, field) is not None}
     if args.template == "custom":
         for flag, value in (("--custom-file", args.custom_file), ("--dr", args.dr),
                             ("--tp-count", args.tp_count)):
             if value is None:
                 raise InputError(f"--template custom requires {flag}")
-    noise = NoiseConfig(
-        shadowing_sigma_db=args.shadowing_sigma,
-        mismatch_sigma_db=args.mismatch_sigma,
-        mismatch_corr_m=args.mismatch_corr,
-        drift_sigma_db=args.drift_sigma,
-    )
+        if given:
+            flags = ", ".join(flag for flag, field, _, _ in _NOISE_FLAGS if field in given)
+            raise InputError(f"{flags}: a custom world takes its noise from the "
+                             f"\"noise\" block of {args.custom_file}")
+        noise = None
+    else:
+        noise = NoiseConfig(**({field: default for _, field, _, default in _NOISE_FLAGS}
+                               | given))
     world = make_world(args.template, args.seed, noise=noise,
                        custom_file=args.custom_file)
     preset = preset_by_name(args.preset)
@@ -326,6 +330,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# simulate's noise flags: (flag, NoiseConfig field, type, value for a
+# built-in template). A custom world takes its noise from its file only.
+_NOISE_FLAGS = (
+    ("--shadowing-sigma", "shadowing_sigma_db", _NONNEGATIVE, 3.0),
+    ("--mismatch-sigma", "mismatch_sigma_db", _NONNEGATIVE, 2.75),
+    ("--mismatch-corr", "mismatch_corr_m", _POSITIVE, 6.0),
+    ("--drift-sigma", "drift_sigma_db", _NONNEGATIVE, 1.5),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--verbose", action="store_true")
@@ -348,10 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dr", type=_POSITIVE, default=None,
                    help="survey RP density (RPs/m^2); default: template full grid")
     p.add_argument("--tp-count", type=_COUNT, default=None)
-    p.add_argument("--shadowing-sigma", type=_NONNEGATIVE, default=3.0)
-    p.add_argument("--mismatch-sigma", type=_NONNEGATIVE, default=2.75)
-    p.add_argument("--mismatch-corr", type=_POSITIVE, default=6.0)
-    p.add_argument("--drift-sigma", type=_NONNEGATIVE, default=1.5)
+    for flag, field, kind, default in _NOISE_FLAGS:
+        p.add_argument(flag, dest=field, type=kind, default=None,
+                       help=f"built-in templates only (default: {default})")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 

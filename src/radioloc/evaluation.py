@@ -84,6 +84,36 @@ def boxplot_stats(values: Sequence[float]) -> dict:
     }
 
 
+_QUARTILES = np.array([25.0, 50.0, 75.0]) / 100
+
+
+def _column_stats(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(quartiles (3, K), minima (K,), maxima (K,)) of the columns of a finite
+    (T, K) array, T >= 1, from one sort of each column.
+
+    The results equal ``np.percentile(curves, [25, 50, 75], axis=0)``,
+    ``curves.min(axis=0)`` and ``curves.max(axis=0)`` bit for bit: the
+    quartiles take numpy's linear-method indices, (T - 1) * q, and its
+    ``_lerp`` arithmetic. (A column holding zeros of both signs is the one
+    exception: which of them numpy puts at an index is unspecified.)
+    """
+    t = curves.shape[0]
+    lanes = curves.T.copy()
+    lanes.sort(axis=1)
+    virtual = (t - 1) * _QUARTILES
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    last = virtual >= t - 1  # T = 1: both neighbours are the only value
+    prev[last] = nxt[last] = -1
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    gamma = virtual - prev
+    a, b = lanes[:, prev], lanes[:, nxt]
+    diff = b - a
+    quartiles = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=quartiles, where=gamma >= 0.5)
+    return quartiles.T, lanes[:, 0], lanes[:, -1]
+
+
 # ---------------------------------------------------------------------------
 # The realized world an evaluation runs against
 # ---------------------------------------------------------------------------
@@ -349,7 +379,7 @@ def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
             raise ValueError("k grid has no feasible value for this cell")
     curves = error_curves(rps.rss, rps.pos, world.tp_rss, world.tp_pos, k_values[-1])
     means = curves.mean(axis=0)
-    quartiles = np.percentile(curves, [25, 50, 75], axis=0)
+    quartiles, lows, highs = _column_stats(curves)
     at_k = np.asarray(k_values) - 1
     k_opt = _best_k(k_values, means)
     return PositioningCell(
@@ -360,8 +390,8 @@ def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
         p25_by_k=quartiles[0, at_k].tolist(),
         p50_by_k=quartiles[1, at_k].tolist(),
         p75_by_k=quartiles[2, at_k].tolist(),
-        min_by_k=curves.min(axis=0)[at_k].tolist(),
-        max_by_k=curves.max(axis=0)[at_k].tolist(),
+        min_by_k=lows[at_k].tolist(),
+        max_by_k=highs[at_k].tolist(),
         k_opt=k_opt,
         errors_at_k_opt=curves[:, k_opt - 1].tolist(),
     )

@@ -50,31 +50,49 @@ class PositionEstimate:
     neighbors: list[tuple[int, float]]  # (rp index, similarity), non-increasing
 
 
-# Targets are scored in row blocks so that every (targets x reference points)
-# temporary holds at most this many elements.
-SCORE_BLOCK = 2 ** 15
+# Targets are scored in row blocks so that the (targets x APs x reference
+# points) temporary of the distance pass holds at most this many elements.
+SCORE_BLOCK = 2 ** 16
 
 
-def _similarity_rows(rss_matrix: np.ndarray, targets: np.ndarray, order: float) -> np.ndarray:
-    """(B, N) similarities of B target rows to the N reference points.
+def _lanes(rss_matrix: np.ndarray) -> np.ndarray:
+    """The (L, N) AP-major lanes of an (N, L) fingerprint array: a view of a
+    Radiomap's stored array, a copy of a C-ordered or strided one."""
+    return np.ascontiguousarray(rss_matrix.T)
 
-    The powered Minkowski distance is summed one AP column at a time, from
-    column 0 up, so each entry gets the same sequential adds as a plain
-    per-entry loop; squaring by multiplication keeps the default order free
-    of libm pow rounding, and needs no absolute value: ``d * d`` equals
-    ``|d| * |d|`` bit for bit.
+
+def _similarity_rows(lanes: np.ndarray, targets: np.ndarray, order: float) -> np.ndarray:
+    """(B, N) similarities of B target rows to the N reference points, whose
+    fingerprints are the (L, N) contiguous per-AP ``lanes``.
+
+    One broadcast subtract fills a (B, L, N) temporary, which is powered in
+    place and summed over the AP axis. numpy sums an axis that is not the
+    innermost one by sequential adds in axis order, so each entry gets the
+    same adds, from AP 0 up, as a plain per-entry loop. (It sums an innermost
+    axis pairwise; with a single reference point the AP axis is innermost, so
+    that case takes a running sum instead.) Squaring by multiplication keeps
+    the default order free of libm pow rounding, and needs no absolute value:
+    ``d * d`` equals ``|d| * |d|`` bit for bit. An exact match, where the
+    inverse distance is singular, gets ``SIMILARITY_CAP``.
     """
-    acc = np.zeros((targets.shape[0], rss_matrix.shape[0]))
-    diff = np.empty_like(acc)
-    for col in range(rss_matrix.shape[1]):
-        np.subtract(rss_matrix[:, col], targets[:, col, None], out=diff)
-        if order == 2.0:
-            acc += np.multiply(diff, diff, out=diff)
-        else:
-            acc += np.abs(diff, out=diff) ** order
-    root = np.sqrt(acc, out=diff) if order == 2.0 else acc ** (1.0 / order)
-    sims = np.full(acc.shape, SIMILARITY_CAP)
-    np.divide(1.0, root, out=sims, where=acc > 0.0)
+    diff = np.subtract(lanes, targets[:, :, None])
+    if order == 2.0:
+        np.multiply(diff, diff, out=diff)
+    else:
+        np.abs(diff, out=diff)
+        diff **= order
+    if lanes.shape[1] > 1:
+        acc = np.add.reduce(diff, axis=1)
+    else:
+        acc = np.cumsum(diff, axis=1)[:, -1]
+    exact = acc == 0.0
+    if order == 2.0:
+        np.sqrt(acc, out=acc)
+    else:
+        acc **= 1.0 / order
+    with np.errstate(divide="ignore"):
+        sims = np.divide(1.0, acc, out=acc)
+    sims[exact] = SIMILARITY_CAP
     return sims
 
 
@@ -84,7 +102,7 @@ def similarity(a: Fingerprint, b: Fingerprint, order: float = 2.0) -> float:
         raise ValueError(f"fingerprint lengths differ: {len(a)} vs {len(b)}")
     if order < 1.0:
         raise ValueError("Minkowski order must be >= 1")
-    return float(_similarity_rows(a.rss[None, :], b.rss[None, :], order)[0, 0])
+    return float(_similarity_rows(a.rss[:, None], b.rss[None, :], order)[0, 0])
 
 
 def k_est(d_real: float, d_virtual: float, area_m2: float, alpha: float = 0.05) -> int:
@@ -170,16 +188,17 @@ def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return band, w
 
 
-def _wknn(rss_matrix: np.ndarray, positions: np.ndarray, targets: np.ndarray,
+def _wknn(lanes: np.ndarray, positions: np.ndarray, targets: np.ndarray,
           k: int, order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """WkNN over one row block of targets, for every neighbor count 1..k.
 
-    Returns (ranked indices (B, k), their similarities (B, k), estimates
-    (3, B, k), axis first). Running sums along the rank axis, on contiguous
-    per-axis lanes, make the j-th estimate identical to summing the top-j
-    terms in rank order.
+    ``lanes`` holds the reference fingerprints AP-major (``_lanes``). Returns
+    (ranked indices (B, k), their similarities (B, k), estimates (3, B, k),
+    axis first). Running sums along the rank axis, on contiguous per-axis
+    lanes, make the j-th estimate identical to summing the top-j terms in
+    rank order.
     """
-    sims = _similarity_rows(rss_matrix, targets, order)
+    sims = _similarity_rows(lanes, targets, order)
     ranked, w = _top_k(sims, k)
     estimates = positions.T.take(ranked, axis=1)
     estimates *= w
@@ -188,9 +207,9 @@ def _wknn(rss_matrix: np.ndarray, positions: np.ndarray, targets: np.ndarray,
     return ranked, w, estimates
 
 
-def _row_blocks(n_targets: int, n_rps: int):
-    """Slices of at most SCORE_BLOCK // n_rps target rows (at least one)."""
-    step = max(1, SCORE_BLOCK // n_rps)
+def _row_blocks(n_targets: int, n_rps: int, n_aps: int):
+    """Slices of at most SCORE_BLOCK // (n_rps * n_aps) target rows (at least one)."""
+    step = max(1, SCORE_BLOCK // (n_rps * n_aps))
     return (slice(start, start + step) for start in range(0, n_targets, step))
 
 
@@ -201,10 +220,10 @@ def _locate_rows(rmap: Radiomap, rows: np.ndarray, cfg: WknnConfig) -> list[Posi
     k = cfg.k if cfg.k is not None else k_est_from_counts(rmap.n_real, rmap.n_virtual, cfg.alpha)
     if k > n:
         raise ValueError(f"k={k} exceeds the number of reference points ({n})")
+    lanes, positions = _lanes(rmap.rss_matrix()), rmap.positions_matrix()
     out = []
-    for block in _row_blocks(rows.shape[0], n):
-        ranked, w, estimates = _wknn(rmap.rss_matrix(), rmap.positions_matrix(), rows[block],
-                                     k, cfg.order)
+    for block in _row_blocks(rows.shape[0], n, lanes.shape[0]):
+        ranked, w, estimates = _wknn(lanes, positions, rows[block], k, cfg.order)
         out += [PositionEstimate(position=Point3(*xyz), neighbors=list(zip(r, s)))
                 for r, s, xyz in zip(ranked.tolist(), w.tolist(),
                                      estimates[:, :, k - 1].T.tolist())]
@@ -216,7 +235,9 @@ def locate(rmap: Radiomap, target: Fingerprint, cfg: WknnConfig = WknnConfig(),
     """Estimate the target position as the weighted centroid of its top-k RPs.
 
     Cost per request: O(N * L) distance arithmetic over the N reference
-    points, an O(N) value partition for the k-th similarity and an
+    points, in one broadcast pass over the radiomap's contiguous per-AP
+    lanes (no copy: ``RpArrays`` stores fingerprints AP-major) into an
+    (L, N) temporary, an O(N) value partition for the k-th similarity and an
     O(k log k) unstable sort of the band of RPs at or above it. Ties add a
     second O(k log k) sort when they lie inside the band, and a stable
     O(m log m) sort of the band's m entries when they straddle the k-th
@@ -248,7 +269,9 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
     The T test points are ``tp_rss`` (T, L) fingerprints, checked like
     ``Fingerprint`` values, taken at ``tp_pos`` (T, 3). Returns a (T, k_max)
     array of 3D errors in meters; the array-level entry point the evaluation
-    sweeps build on. Test points are scored in row blocks.
+    sweeps build on. Test points are scored in row blocks. ``rp_rss`` may be
+    any (N, L) array: an ``RpArrays.rss`` is scored in place, and a C-ordered
+    or strided one is copied into per-AP lanes once per call.
     """
     n = rp_rss.shape[0]
     if not 1 <= k_max <= n:
@@ -259,9 +282,10 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
     if tp_rss.shape != (t, rp_rss.shape[1]) or tp_pos.shape != (t, 3):
         raise ValueError("test points need tp_rss (T, L) and tp_pos (T, 3)")
     _check_rss(tp_rss)
+    lanes = _lanes(rp_rss)
     errors = np.empty((t, k_max))
-    for block in _row_blocks(t, n):
-        _, _, estimates = _wknn(rp_rss, rp_positions, tp_rss[block], k_max, order)
+    for block in _row_blocks(t, n, lanes.shape[0]):
+        _, _, estimates = _wknn(lanes, rp_positions, tp_rss[block], k_max, order)
         delta = estimates - tp_pos[block].T[:, :, None]
         delta *= delta
         errors[block] = np.sqrt(delta[0] + delta[1] + delta[2])

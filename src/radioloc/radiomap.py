@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -70,9 +72,10 @@ class RpArrays:
     """Reference points stored as arrays: ``pos`` (n, 3), ``rss`` (n, L), ``virtual`` (n,).
 
     ``virtual`` marks virtual reference points; the rest are real. The arrays
-    are validated once, on construction, and are read-only. Indexing with a
-    slice or an index sequence, and ``+`` with another RpArrays, give a new
-    RpArrays.
+    are validated once, on construction, and are read-only. ``rss`` is stored
+    AP-major (Fortran order), so ``rss.T`` is one contiguous (L, n) lane per
+    AP, the layout positioning scores against. Indexing with a slice or an
+    index sequence, and ``+`` with another RpArrays, give a new RpArrays.
     """
 
     __slots__ = ("pos", "rss", "virtual")
@@ -80,7 +83,7 @@ class RpArrays:
 
     def __init__(self, pos, rss, virtual):
         pos = np.array(pos, dtype=float)
-        rss = np.array(rss, dtype=float)
+        rss = np.array(rss, dtype=float, order="F")
         virtual = np.array(virtual, dtype=bool)
         n = pos.shape[0] if pos.ndim == 2 else -1
         if pos.shape != (n, 3) or rss.ndim != 2 or rss.shape[0] != n or virtual.shape != (n,):
@@ -91,6 +94,7 @@ class RpArrays:
         self._set(pos, rss, virtual)
 
     def _set(self, pos: np.ndarray, rss: np.ndarray, virtual: np.ndarray) -> None:
+        rss = np.asfortranarray(rss)  # a copy only for a slice or a C-ordered array
         for array in (pos, rss, virtual):
             array.setflags(write=False)
         self.pos, self.rss, self.virtual = pos, rss, virtual
@@ -133,7 +137,7 @@ class RpArrays:
         if not len(self):
             return other
         return RpArrays._trusted(np.concatenate([self.pos, other.pos]),
-                                 np.concatenate([self.rss, other.rss]),
+                                 np.concatenate([self.rss.T, other.rss.T], axis=1).T,
                                  np.concatenate([self.virtual, other.virtual]))
 
     def __eq__(self, other) -> bool:
@@ -190,7 +194,7 @@ class Radiomap:
         return self.n_virtual / self._require_area()
 
     def rss_matrix(self) -> np.ndarray:
-        """The stored, read-only (N, L) fingerprint array."""
+        """The stored, read-only (N, L) fingerprint array, AP-major in memory."""
         return self.rps.rss
 
     def positions_matrix(self) -> np.ndarray:
@@ -367,10 +371,17 @@ def radiomap_from_dict(doc: dict) -> Radiomap:
         RpKind(kind)  # rejects unknown kinds
     rps = RpArrays.empty(len(aps))
     if items:
-        rps = RpArrays(
-            [(item["x"], item["y"], item["z"]) for item in items],
-            [[sentinel if v is None else v for v in item["rss"]] for item in items],
-            [kind == virtual for kind in kinds])
+        # One flat pass per field, in file order; RpArrays lays the values
+        # out AP-major.
+        rows = [item["rss"] for item in items]
+        if set(map(len, rows)) != {len(aps)}:
+            raise ValueError("fingerprint length must equal the number of APs")
+        rss = np.fromiter([sentinel if v is None else v for v in chain.from_iterable(rows)],
+                          float, len(rows) * len(aps))
+        pos = np.fromiter(chain.from_iterable(map(itemgetter("x", "y", "z"), items)),
+                          float, 3 * len(items))
+        rps = RpArrays(pos.reshape(-1, 3), rss.reshape(len(rows), -1),
+                       [kind == virtual for kind in kinds])
     area = doc.get("area_m2")
     return Radiomap(aps, rps, area_m2=None if area is None else float(area),
                     sentinel_dbm=sentinel)

@@ -309,6 +309,27 @@ class TestInputErrorsExit2:
         assert err.count("error:") == 1 and "device_bias_sigma_db" in err
         assert not out.exists()
 
+    def test_simulate_custom_takes_noise_from_its_file(self, tmp_path, capsys):
+        # With every noise magnitude zero, the controlled survey is the
+        # noiseless truth, so the seed cannot change it.
+        silent = {"shadowing_sigma_db": 0, "slow_fading_sigma_db": 0, "mismatch_sigma_db": 0,
+                  "drift_sigma_db": 0, "wall_loss_spread_db": 0}
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps({**CUSTOM_WORLD, "noise": silent}))
+        args = ["simulate", "--template", "custom", "--custom-file", str(world),
+                "--preset", "controlled", "--dr", "0.2", "--tp-count", "5"]
+        for seed in ("4", "5"):
+            assert main(args + ["--seed", seed, "--out-dir", str(tmp_path / seed)]) == 0
+        assert ((tmp_path / "4" / "measurements.csv").read_bytes()
+                == (tmp_path / "5" / "measurements.csv").read_bytes())
+        for flag, value in (("--shadowing-sigma", "0"), ("--mismatch-sigma", "1"),
+                            ("--mismatch-corr", "6"), ("--drift-sigma", "0")):
+            out = tmp_path / f"out{flag}"
+            assert exit_code(args + [flag, value, "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and flag in err and '"noise" block' in err
+            assert not out.exists()
+
     def test_evaluate_rho_grid_zero(self, world_dir, tmp_path, capsys):
         code = exit_code(["evaluate", "--world-dir", str(world_dir),
                           "--out-dir", str(tmp_path / "out"), "--rho-grid", "0"])

@@ -267,17 +267,18 @@ class TestFindKOpt:
 
     def test_error_curves_rejects_wrong_fingerprint_length(self):
         # Two 3-AP test points hold as many values as three 2-AP rows, and
-        # with SCORE_BLOCK RPs each row block is a single test point.
-        rss = np.linspace(-90.0, -40.0, 2 * SCORE_BLOCK).reshape(SCORE_BLOCK, 2)
+        # with SCORE_BLOCK // 2 two-AP RPs each row block is a single test point.
+        n = SCORE_BLOCK // 2
+        rss = np.linspace(-90.0, -40.0, 2 * n).reshape(n, 2)
         tp_rss = np.array([[-52.0, -60.0, -70.0]] * 2)
         tp_pos = np.array([[0.5, 0.0, 1.2]] * 2)
         with pytest.raises(ValueError):
-            error_curves(rss, np.zeros((SCORE_BLOCK, 3)), tp_rss, tp_pos, 2)
+            error_curves(rss, np.zeros((n, 3)), tp_rss, tp_pos, 2)
         for bad_rss, bad_pos in ((tp_rss.ravel(), tp_pos), (tp_rss[:, :2], tp_pos[:1]),
                                  (tp_rss[:, :2], tp_pos[:, :2]),
                                  (tp_rss[:, :2] - 200.0, tp_pos)):
             with pytest.raises(ValueError):
-                error_curves(rss, np.zeros((SCORE_BLOCK, 3)), bad_rss, bad_pos, 2)
+                error_curves(rss, np.zeros((n, 3)), bad_rss, bad_pos, 2)
 
     def test_matches_error_curves(self):
         rng = np.random.default_rng(12)

@@ -1,7 +1,8 @@
 """Property-based checks of the columnar survey and its two CSV parsers, the
-array-backed radiomap, the blocked obstruction counting, the batched WkNN
-kernel, the fit's design matrix and the report writer; and fuzzed input files
-through ``cli.main``, which must exit 0, 2 or 3.
+array-backed radiomap and its AP-major layout, the blocked obstruction
+counting, the batched WkNN kernel, the fit's design matrix, the sweep
+statistics and the report writer; and fuzzed input files through
+``cli.main``, which must exit 0, 2 or 3.
 
 The oracles are plain per-record Python loops, the csv rows path (for the
 loadtxt survey parser), ``json.dumps`` (for the
@@ -10,8 +11,9 @@ per-obstacle loop it replaced, for ``locate``, ``locate_many`` and
 ``error_curves``, a per-target loop with the benchmark oracle's semantics and,
 for ``fit``, ``np.linalg.lstsq`` on the per-sample rows of
 ``reference_fit_rows`` and, for the report files, the ``asdict`` +
-``json.dumps`` and ``csv.writer`` loop of ``reference_report_text``; they do
-not share code with the array paths they check.
+``json.dumps`` and ``csv.writer`` loop of ``reference_report_text`` and, for
+the sweep statistics, ``np.percentile``, ``min`` and ``max``; they do not
+share code with the array paths they check.
 """
 
 import contextlib
@@ -44,6 +46,7 @@ from radioloc.evaluation import (
     PositioningReport,
     PredictionCell,
     PredictionReport,
+    _column_stats,
     emit_report,
 )
 from radioloc.fitting import (
@@ -526,6 +529,51 @@ def test_report_pair_equals_reference_writer(report):
                     assert path.read_bytes().decode() == want
 
 
+@st.composite
+def column_samples(draw):
+    """(T, K) finite arrays for the sweep statistics, T in {1, 2, 3, 80}.
+
+    Columns take a few levels, so ties are heavy, or continuous values. The
+    levels hold one zero, 0.0 or -0.0: numpy leaves unspecified which of two
+    equal zeros of different sign its partition puts at an index."""
+    t = draw(st.sampled_from([1, 2, 3, 80]))
+    k = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.uniform(0.0, draw(st.sampled_from([1e-300, 1.0, 1e300])), (t, k))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    levels = draw(st.lists(st.floats(0.0, 1e3, exclude_min=True), min_size=1, max_size=3))
+    return rng.choice(np.array([zero, *levels]), (t, k))
+
+
+@EXACT_SETTINGS
+@given(column_samples())
+def test_column_stats_equal_numpy_bit_for_bit(curves):
+    quartiles, lows, highs = _column_stats(curves)
+    want = np.percentile(curves, [25, 50, 75], axis=0)
+    assert quartiles.shape == want.shape
+    assert quartiles.tobytes() == want.tobytes()
+    assert lows.tobytes() == curves.min(axis=0).tobytes()
+    assert highs.tobytes() == curves.max(axis=0).tobytes()
+
+
+@EXACT_SETTINGS
+@given(st.integers(1, 12).flatmap(lambda n_aps: rp_arrays(n_aps, RpKind.REAL)), st.data())
+def test_rp_arrays_keep_ap_lanes(rps, data):
+    """Every RpArrays made from another stores its fingerprints AP-major,
+    read-only, with the rows numpy indexing gives."""
+    n = len(rps)
+    index = data.draw(st.lists(st.integers(0, max(0, n - 1)), max_size=6) if n else st.just([]))
+    step = data.draw(st.sampled_from([1, 2, 3, -1]))
+    parts = [(rps[index], index), (rps[::step], slice(None, None, step)),
+             (rps[1:], slice(1, None)), (rps + rps[::step], None)]
+    for part, key in parts:
+        assert not part.rss.flags.writeable and part.rss.T.flags.c_contiguous
+        want = (np.concatenate([rps.rss, rps.rss[::step]]) if key is None
+                else np.ascontiguousarray(rps.rss)[key])
+        assert part.rss.tolist() == want.tolist()
+
+
 @SETTINGS
 @given(st.integers(1, 3).flatmap(
     lambda n_aps: st.tuples(rp_arrays(n_aps, RpKind.REAL), rp_arrays(n_aps, RpKind.VIRTUAL))))
@@ -765,23 +813,31 @@ def test_crossing_flags_match_per_obstacle_loop_with_arctan2_off_by_ulps(scene, 
         assert_matches_reference(*scene)
 
 
-# Reference point counts: maps of 40-64 RPs give row blocks of 512-819
-# targets, large ones blocks of 1-8 targets.
+# Map sizes: 1-3 RPs with 9-12 APs (a lone RP makes the AP axis the innermost
+# axis of the distance temporary, which numpy would sum pairwise past 8
+# entries); and maps sized to give row blocks of 1-8 or 160-820 targets.
 @st.composite
 def wknn_cases(draw):
     """(rss, positions, targets, truth, k, order) for one WkNN batch.
 
     Fingerprints take a few levels in a narrow dBm range, integer or in
     0.1 dB steps, so similarities tie often, also at the k-th place; or
-    continuous values, where the order of the column sums shows. Some RP
-    rows are duplicated and some targets copy an RP row, so the cap applies,
-    possibly to several RPs at once. The batch size sits around the row
-    block the map size gives.
+    continuous values, where the order of the AP sums shows. Up to 12 APs
+    take the sum past numpy's 8-way unrolled pairwise summation, which would
+    reorder it. Some RP rows are duplicated and some targets copy an RP row,
+    so the cap applies, possibly to several RPs at once. The batch size sits
+    around the row block the map size gives.
     """
-    n = draw(st.integers(40, 64) | st.sampled_from([SCORE_BLOCK // b for b in (1, 2, 3, 5, 8)]))
-    block = max(1, SCORE_BLOCK // n)
-    n_targets = draw(st.sampled_from([0, 1, block - 1, block, block + 1]))
-    n_aps = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        n_aps = draw(st.integers(9, 12))
+        n = draw(st.integers(1, 3))
+        n_targets = draw(st.integers(1, 3))
+    else:
+        n_aps = draw(st.integers(1, 12))
+        per_block = draw(st.sampled_from([1, 2, 3, 5, 8]) | st.integers(160, 820))
+        n = SCORE_BLOCK // (per_block * n_aps)
+        block = SCORE_BLOCK // (n * n_aps)
+        n_targets = draw(st.sampled_from([0, 1, block - 1, block, block + 1]))
     k = draw(st.sampled_from(sorted({k for k in (1, 2, n - 1, n) if 1 <= k <= n})))
     order = draw(st.sampled_from([1.0, 2.0, 3.0]))
     step = draw(st.sampled_from([1.0, 0.1, None]))
@@ -823,15 +879,27 @@ def test_locate_and_locate_many_match_per_target_loop(case):
     assert [locate(rmap, Fingerprint(t), cfg) for t in targets] == want
 
 
+def in_layout(rss, layout):
+    """``rss`` with the same values, RP-major ("C"), AP-major ("F") or as a
+    view with strides in both axes ("strided")."""
+    if layout == "C":
+        return np.ascontiguousarray(rss)
+    if layout == "F":
+        return np.asfortranarray(rss)
+    wide = np.zeros((2 * rss.shape[0], 3 * rss.shape[1]))
+    wide[::2, ::3] = rss
+    return wide[::2, ::3]
+
+
 @EXACT_SETTINGS
-@given(wknn_cases())
-def test_error_curves_match_per_target_loop(case):
+@given(wknn_cases(), st.sampled_from(["C", "F", "strided"]))
+def test_error_curves_match_per_target_loop(case, layout):
     rss, positions, targets, truth, k, order = case
     want = [[math.sqrt(sum((e - p) * (e - p) for e, p in zip(est, point)))
              for est in estimates]
             for (estimates, _, _), point in zip(
                 reference_wknn(rss, positions, targets, k, order), truth.tolist())]
-    got = error_curves(rss, positions, targets, truth, k, order)
+    got = error_curves(in_layout(rss, layout), positions, targets, truth, k, order)
     assert got.shape == (len(targets), k)
     assert got.tolist() == want
 

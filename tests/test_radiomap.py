@@ -13,6 +13,7 @@ from radioloc.radiomap import (
     ceil_scaled,
     generate_virtual_fingerprints,
     load_radiomap,
+    radiomap_from_dict,
     place_virtual_rps,
     save_radiomap,
     select_rps,
@@ -267,6 +268,52 @@ class TestRpArrays:
         assert rps[1:] == rps_at((2, 2)) + rps_at((3, 3), virtual=True)
         with pytest.raises(TypeError):
             rps[0]
+
+
+def assert_ap_lanes(rps):
+    """``rps.rss`` is read-only and stored AP-major: its transpose is one
+    contiguous lane per AP."""
+    assert not rps.rss.flags.writeable
+    assert rps.rss.T.flags.c_contiguous
+
+
+class TestApLanes:
+    def test_every_construction_path_stores_lanes(self):
+        values = np.arange(-90.0, -66.0).reshape(8, 3)
+        pos = np.arange(24.0).reshape(8, 3)
+        wide = np.zeros((16, 6))
+        wide[::2, ::2] = values
+        for rss in (values.tolist(), values, np.asfortranarray(values), wide[::2, ::2]):
+            rps = RpArrays(pos, rss, [False] * 8)
+            assert_ap_lanes(rps)
+            assert rps.rss.tolist() == values.tolist()
+        for part in (rps[[5, 0, 5]], rps[2:7], rps[::3], rps[:0], rps + rps[1:3],
+                     rps[:4] + rps[4:], RpArrays.empty(3)):
+            assert_ap_lanes(part)
+        assert (rps[[5, 0, 5]] + rps[::3]).rss.tolist() == (
+            values[[5, 0, 5]].tolist() + values[::3].tolist())
+
+    def test_builders_and_loader_store_lanes(self, tmp_path):
+        plan, aps, truth, meas, result = TestGenerateVirtualFingerprints().fitted()
+        real = build_real_fingerprints(meas, aps)
+        virtual = generate_virtual_fingerprints(result, ModelKind.MWMF, plan, aps, real.pos)
+        path = tmp_path / "map.json"
+        save_radiomap(Radiomap(aps, real + virtual), path)
+        loaded = load_radiomap(path)
+        for rps in (real, virtual, loaded.rps):
+            assert_ap_lanes(rps)
+
+    def test_loader_rejects_rows_of_the_wrong_length(self):
+        doc = {"aps": [{"id": "a", "x": 1, "y": 1, "z": 2.8},
+                       {"id": "b", "x": 5, "y": 1, "z": 2.8}],
+               "rps": [{"x": 0, "y": 0, "z": 1.2, "rss": [-50.0, None]},
+                       {"x": 1, "y": 0, "z": 1.2, "rss": [-50.0, None]}]}
+        assert radiomap_from_dict(doc).rss_matrix().tolist() == [[-50.0, NOT_DETECTED_DBM]] * 2
+        for rows in ([[-50.0]] * 2, [[-50.0], [-50.0, -60.0, -70.0]],
+                     [[-50.0, -60.0, -70.0]] * 2):
+            bad = {**doc, "rps": [{**item, "rss": row} for item, row in zip(doc["rps"], rows)]}
+            with pytest.raises(ValueError, match="must equal the number of APs"):
+                radiomap_from_dict(bad)
 
 
 class TestCeilScaled:
