@@ -99,16 +99,17 @@ _COUNT = _checked(int, lambda k: k >= 1, "must be >= 1")
 _POSITIVE = _checked(float, lambda v: v > 0 and math.isfinite(v), "must be positive")
 _NONNEGATIVE = _checked(float, lambda v: v >= 0 and math.isfinite(v), "must be finite and >= 0")
 _FINITE = _checked(float, math.isfinite, "must be finite")
-_RHO = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
-_ORDER = _checked(float, lambda v: 1.0 <= v < math.inf, "Minkowski order must be >= 1")
+_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_ORDER = _checked(float, lambda v: 1.0 <= v < math.inf,
+                  "Minkowski order must be finite and >= 1")
 _SENTINEL = _checked(float, lambda v: -120.0 <= v <= 0.0, "must lie within [-120, 0] dBm")
 _RHO_GRID = _checked(_float_list, lambda vs: vs and all(0.0 < v <= 1.0 for v in vs),
                      "needs values in (0, 1]")
 _DV_GRID = _checked(
     _float_list, lambda vs: vs and all(0 <= v < math.inf for v in vs) and max(vs) > 0,
     "needs finite values >= 0, at least one of them positive")
-_ALPHA_RANGE = _checked(_alpha_range, lambda r: 0.0 < r[0] <= r[1] < math.inf,
-                        "expected MIN:MAX with 0 < MIN <= MAX")
+_ALPHA_RANGE = _checked(_alpha_range, lambda r: 0.0 < r[0] <= r[1] <= 1.0,
+                        "expected MIN:MAX with 0 < MIN <= MAX <= 1")
 
 
 def _check_survey_aps(meas: MeasurementSet, aps, source) -> None:
@@ -250,7 +251,10 @@ def cmd_locate(args) -> int:
     if k > n:
         source = "--k" if args.k is not None else f"--alpha {args.alpha}"
         raise InputError(f"k={k} from {source} exceeds the radiomap's {n} reference points")
-    estimate = locate(rmap, target, WknnConfig(k=k, order=args.order))
+    try:
+        estimate = locate(rmap, target, WknnConfig(k=k, order=args.order))
+    except ValueError as exc:  # every weight 0: the --order overflows the distances
+        raise InputError(str(exc)) from exc
     print(json.dumps({
         "x": estimate.position.x,
         "y": estimate.position.y,
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floorplan", required=True)
     p.add_argument("--aps", required=True)
     p.add_argument("--fit", required=True, help="fit result JSON from the fit command")
-    p.add_argument("--rho", type=_RHO, default=1.0,
+    p.add_argument("--rho", type=_FRACTION, default=1.0,
                    help="fraction of survey points kept as real RPs")
     p.add_argument("--dv", type=_NONNEGATIVE, default=0.0, help="virtual RP density (RPs/m^2)")
     p.add_argument("--placement", default="grid", choices=["grid", "random"])
@@ -403,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="CSV with header ap_id,rss_dbm")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--k", type=_COUNT, default=None)
-    group.add_argument("--alpha", type=_POSITIVE, default=0.05)
+    group.add_argument("--alpha", type=_FRACTION, default=0.05)
     p.add_argument("--order", type=_ORDER, default=2.0)
     p.set_defaults(func=cmd_locate)
 

@@ -30,7 +30,7 @@ from .errors import DegenerateFitError, InsufficientDataError
 from .fitting import FitResult, FitStrategy, MeasurementSet, fit
 from .floorplan import Floorplan, points_xyz
 from .ioutil import atomic_files, format_json, json_array, json_object, read_json
-from .positioning import _best_k, error_curves
+from .positioning import _best_k, error_curves, k_est_from_counts
 from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
     DETECTION_FLOOR_DBM,
@@ -507,12 +507,15 @@ def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
     """Excess error of the density-derived k over the best k, across alpha.
 
     For each d_real at the maximum virtual density, beta(alpha) is the mean
-    positioning error at k = ceil(alpha * N) minus the error at the sweep's
-    best k, read from ``positioning``, a report covering (dr_grid, dv_max).
+    positioning error at the density rule's k (``k_est_from_counts``, capped
+    at the sweep's largest k) minus the error at the sweep's best k, read
+    from ``positioning``, a report covering (dr_grid, dv_max). The alphas
+    run from ``alpha_range``'s min to its max, both in (0, 1], in
+    ``alpha_step`` steps.
     """
     a_min, a_max = alpha_range
-    if not 0.0 < a_min <= a_max:
-        raise ValueError("alpha range must satisfy 0 < min <= max")
+    if not 0.0 < a_min <= a_max <= 1.0:
+        raise ValueError("alpha range must satisfy 0 < min <= max <= 1")
     if dv_max <= 0:
         raise ValueError("k-rule sweep needs a positive virtual density")
     if not alpha_step > 0:
@@ -520,7 +523,9 @@ def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
     alphas = []
     i = 0
     while True:
-        alpha = round(a_min + i * alpha_step, 10)
+        # Ten significant digits strip the float fuzz of i * step, and keep
+        # every alpha of a positive range positive.
+        alpha = float(f"{a_min + i * alpha_step:.10g}")
         if alpha > a_max + 1e-12:
             break
         alphas.append(alpha)
@@ -531,10 +536,9 @@ def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
         cell = positioning.cell(float(d_real), float(dv_max))
         if cell.error:
             continue
-        n_total = cell.n_real + cell.n_virtual
         for alpha in alphas:
-            k_rule = ceil_scaled(alpha * n_total)
-            k_rule = min(k_rule, cell.k_values[-1])
+            k_rule = min(k_est_from_counts(cell.n_real, cell.n_virtual, alpha),
+                         cell.k_values[-1])
             err_rule = cell.mean_error_at(k_rule)
             err_opt = cell.mean_error_at_k_opt
             report.cells.append(KestCell(

@@ -4,11 +4,12 @@ Similarity between fingerprints is the inverse Minkowski distance of order o
 (o = 2, inverse Euclidean, by default). The estimate is the similarity-weighted
 centroid of the k most similar reference points. k may be given directly,
 found by sweeping against test points, or derived from the map's RP densities
-with the ceil(alpha * (d_real + d_virtual) * area) rule.
+with the ceil(alpha * (d_real + d_virtual) * area) rule, alpha in (0, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,20 @@ class WknnConfig:
     def __post_init__(self):
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.order < 1.0:
-            raise ValueError("Minkowski order must be >= 1")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        _check_order(self.order)
+        _check_alpha(self.alpha)
+
+
+def _check_order(order: float) -> None:
+    if not 1.0 <= order < math.inf:
+        raise ValueError(f"Minkowski order must be finite and >= 1, got {order!r}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """The density rule's alpha lies in (0, 1]: above 1 it asks for more
+    neighbours than the map holds."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
 
 
 @dataclass
@@ -73,23 +84,28 @@ def _similarity_rows(lanes: np.ndarray, targets: np.ndarray, order: float) -> np
     that case takes a running sum instead.) Squaring by multiplication keeps
     the default order free of libm pow rounding, and needs no absolute value:
     ``d * d`` equals ``|d| * |d|`` bit for bit. An exact match, where the
-    inverse distance is singular, gets ``SIMILARITY_CAP``.
+    inverse distance is singular, gets ``SIMILARITY_CAP``; a block without
+    one skips that masked store.
     """
     diff = np.subtract(lanes, targets[:, :, None])
     if order == 2.0:
         np.multiply(diff, diff, out=diff)
     else:
         np.abs(diff, out=diff)
-        diff **= order
+        with np.errstate(over="ignore"):  # an overflowed distance has similarity 0
+            diff **= order
     if lanes.shape[1] > 1:
         acc = np.add.reduce(diff, axis=1)
     else:
         acc = np.cumsum(diff, axis=1)[:, -1]
-    exact = acc == 0.0
     if order == 2.0:
         np.sqrt(acc, out=acc)
     else:
         acc **= 1.0 / order
+    if acc.all():
+        return np.divide(1.0, acc, out=acc)
+    # The root of a positive sum is positive, so the zeros are the exact matches.
+    exact = acc == 0.0
     with np.errstate(divide="ignore"):
         sims = np.divide(1.0, acc, out=acc)
     sims[exact] = SIMILARITY_CAP
@@ -100,8 +116,7 @@ def similarity(a: Fingerprint, b: Fingerprint, order: float = 2.0) -> float:
     """Inverse Minkowski distance between two fingerprints; capped on exact match."""
     if len(a) != len(b):
         raise ValueError(f"fingerprint lengths differ: {len(a)} vs {len(b)}")
-    if order < 1.0:
-        raise ValueError("Minkowski order must be >= 1")
+    _check_order(order)
     return float(_similarity_rows(a.rss[:, None], b.rss[None, :], order)[0, 0])
 
 
@@ -109,24 +124,31 @@ def k_est(d_real: float, d_virtual: float, area_m2: float, alpha: float = 0.05) 
     """Neighbor count from RP densities: ceil(alpha * (d_real + d_virtual) * area).
 
     Equivalent to ceil(alpha * (n_real + n_virtual)). Float fuzz is rounded
-    away before the ceiling so integer products do not spill upward.
+    away before the ceiling so integer products do not spill upward, and the
+    result is at least 1, the ceiling of any positive product. alpha lies in
+    (0, 1].
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if d_real < 0 or d_virtual < 0 or (d_real == 0 and d_virtual == 0):
         raise ValueError("densities must be nonnegative and not both zero")
     if area_m2 <= 0:
         raise ValueError("area must be positive")
-    return ceil_scaled(alpha * (d_real + d_virtual) * area_m2)
+    return _ceil_k(alpha * (d_real + d_virtual) * area_m2)
 
 
 def k_est_from_counts(n_real: int, n_virtual: int, alpha: float = 0.05) -> int:
     """k_est expressed directly on RP counts."""
     if n_real < 0 or n_virtual < 0 or n_real + n_virtual == 0:
         raise ValueError("counts must be nonnegative and not both zero")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    return ceil_scaled(alpha * (n_real + n_virtual))
+    _check_alpha(alpha)
+    return _ceil_k(alpha * (n_real + n_virtual))
+
+
+def _ceil_k(expected: float) -> int:
+    """The density rule's ceiling of a positive expected neighbour count."""
+    if not math.isfinite(expected):
+        raise ValueError(f"expected neighbour count {expected!r} is not finite")
+    return max(1, ceil_scaled(expected))
 
 
 def _best_k(ks, means) -> int:
@@ -153,19 +175,22 @@ def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     order, and their (B, k) similarities.
 
     Ranking is by descending similarity with ties going to the lower RP
-    index. A partition finds each row's k-th value, and the band of entries
-    at or above it is taken in index order. A band of exactly k entries is
-    sorted with numpy's default, unstable (SIMD) argsort, whose order is the
-    ranking unless two sorted values are equal. Ties are repaired by row, so
-    the result does not depend on how the unstable sort orders them: in a
-    row with equal neighbours, each run of equal values is put in index
-    order by sorting (run, index) keys; a row whose band holds more than k
-    entries (ties straddling the k-th value) is ranked by ``_top_k_stable``.
+    index. A partition of ``sims`` itself at n - k finds each row's k-th
+    largest value, and the band of entries at or above it is taken in index
+    order. A band of exactly k entries is negated and sorted with numpy's
+    default, unstable (SIMD) argsort, whose order is the ranking unless two
+    sorted values are equal. Ties are repaired by row, so the result does
+    not depend on how the unstable sort orders them: in a row with equal
+    neighbours, each run of equal values is put in index order by sorting
+    (run, index) keys; a row whose band holds more than k entries (ties
+    straddling the k-th value) is ranked by ``_top_k_stable``.
+
+    Cost per row: an O(n) partition of a copy of the row and one O(n) pass
+    for the band mask, then O(k log k) on the band alone.
     """
-    neg = -sims
-    b, n = neg.shape
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
-    in_band = neg <= kth
+    b, n = sims.shape
+    kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
+    in_band = sims >= kth
     band = np.flatnonzero(in_band)
     if band.size > b * k:
         clean = np.count_nonzero(in_band, axis=1) == k
@@ -174,11 +199,13 @@ def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         ranked[clean], w[clean] = _top_k(sims[clean], k)
         ranked[~clean], w[~clean] = _top_k_stable(sims[~clean], k)
         return ranked, w
-    order = neg.take(band).reshape(b, k).argsort(axis=1)
-    order += np.arange(0, b * k, k)[:, None]
+    order = (-sims.take(band)).reshape(b, k).argsort(axis=1)
+    if b > 1:  # flat offsets of each row's band; a lone row's are 0
+        order += np.arange(0, b * k, k)[:, None]
     band = band.take(order)
     w = sims.take(band)
-    band -= np.arange(0, b * n, n)[:, None]
+    if b > 1:
+        band -= np.arange(0, b * n, n)[:, None]
     ties = w[:, 1:] == w[:, :-1]
     if ties.any():
         tied = ties.any(axis=1)
@@ -186,25 +213,6 @@ def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(~ties[tied], axis=1, out=runs[:, 1:])
         band[tied] = np.sort(runs * n + band[tied], axis=1) % n
     return band, w
-
-
-def _wknn(lanes: np.ndarray, positions: np.ndarray, targets: np.ndarray,
-          k: int, order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """WkNN over one row block of targets, for every neighbor count 1..k.
-
-    ``lanes`` holds the reference fingerprints AP-major (``_lanes``). Returns
-    (ranked indices (B, k), their similarities (B, k), estimates (3, B, k),
-    axis first). Running sums along the rank axis, on contiguous per-axis
-    lanes, make the j-th estimate identical to summing the top-j terms in
-    rank order.
-    """
-    sims = _similarity_rows(lanes, targets, order)
-    ranked, w = _top_k(sims, k)
-    estimates = positions.T.take(ranked, axis=1)
-    estimates *= w
-    np.cumsum(estimates, axis=2, out=estimates)
-    estimates /= np.cumsum(w, axis=1)
-    return ranked, w, estimates
 
 
 def _row_blocks(n_targets: int, n_rps: int, n_aps: int):
@@ -223,10 +231,20 @@ def _locate_rows(rmap: Radiomap, rows: np.ndarray, cfg: WknnConfig) -> list[Posi
     lanes, positions = _lanes(rmap.rss_matrix()), rmap.positions_matrix()
     out = []
     for block in _row_blocks(rows.shape[0], n, lanes.shape[0]):
-        ranked, w, estimates = _wknn(lanes, positions, rows[block], k, cfg.order)
-        out += [PositionEstimate(position=Point3(*xyz), neighbors=list(zip(r, s)))
-                for r, s, xyz in zip(ranked.tolist(), w.tolist(),
-                                     estimates[:, :, k - 1].T.tolist())]
+        ranked, w = _top_k(_similarity_rows(lanes, rows[block], cfg.order), k)
+        # [w*x, w*y, w*z, w] per rank, rank axis outermost: numpy adds a
+        # non-innermost axis in order, so starting from +0.0 each sum is the
+        # per-target loop's, signed zeros included.
+        terms = np.empty((k, w.shape[0], 4))
+        np.multiply(positions.take(ranked.T, axis=0), w.T[:, :, None], out=terms[:, :, :3])
+        terms[:, :, 3] = w.T
+        sums = np.add.reduce(terms, axis=0, initial=0.0)
+        if not sums[:, 3].all():
+            raise ValueError(f"the {k} most similar reference points all have similarity 0 "
+                             f"at Minkowski order {cfg.order!r}: their distances overflow")
+        xyz = sums[:, :3] / sums[:, 3:]
+        out += [PositionEstimate(position=Point3(*p), neighbors=list(zip(r, s)))
+                for r, s, p in zip(ranked.tolist(), w.tolist(), xyz.tolist())]
     return out
 
 
@@ -237,11 +255,14 @@ def locate(rmap: Radiomap, target: Fingerprint, cfg: WknnConfig = WknnConfig(),
     Cost per request: O(N * L) distance arithmetic over the N reference
     points, in one broadcast pass over the radiomap's contiguous per-AP
     lanes (no copy: ``RpArrays`` stores fingerprints AP-major) into an
-    (L, N) temporary, an O(N) value partition for the k-th similarity and an
-    O(k log k) unstable sort of the band of RPs at or above it. Ties add a
-    second O(k log k) sort when they lie inside the band, and a stable
-    O(m log m) sort of the band's m entries when they straddle the k-th
-    value.
+    (L, N) temporary; an O(N) value partition of the similarities for the
+    k-th one and one O(N) band mask; an O(k log k) unstable sort of the band
+    of RPs at or above it; and one O(k) in-order sum of the k weighted
+    positions, for the k-th estimate only. Ties add a second O(k log k) sort
+    when they lie inside the band, and a stable O(m log m) sort of the
+    band's m entries when they straddle the k-th value. Raises ValueError
+    when the k weights sum to 0, which an order high enough to overflow
+    every distance gives.
     """
     if len(target) != len(rmap.aps):
         raise ValueError("target fingerprint length must match the AP count")
@@ -276,6 +297,7 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
     n = rp_rss.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}]")
+    _check_order(order)
     tp_rss = np.asarray(tp_rss, dtype=float)
     tp_pos = np.asarray(tp_pos, dtype=float)
     t = tp_rss.shape[0] if tp_rss.ndim == 2 else -1
@@ -285,7 +307,13 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
     lanes = _lanes(rp_rss)
     errors = np.empty((t, k_max))
     for block in _row_blocks(t, n, lanes.shape[0]):
-        _, _, estimates = _wknn(lanes, rp_positions, tp_rss[block], k_max, order)
+        # Running sums along the rank axis, on contiguous per-axis lanes,
+        # make the j-th estimate the sum of the top-j terms in rank order.
+        ranked, w = _top_k(_similarity_rows(lanes, tp_rss[block], order), k_max)
+        estimates = rp_positions.T.take(ranked, axis=1)
+        estimates *= w
+        np.cumsum(estimates, axis=2, out=estimates)
+        estimates /= np.cumsum(w, axis=1)
         delta = estimates - tp_pos[block].T[:, :, None]
         delta *= delta
         errors[block] = np.sqrt(delta[0] + delta[1] + delta[2])

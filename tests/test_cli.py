@@ -208,6 +208,14 @@ class TestBuildRadiomapAndLocate:
         # N = 41 real + 450 virtual; ceil(0.05 * 491) = 25
         assert len(doc["neighbors"]) == 25
 
+    def test_locate_tiny_alpha_takes_one_neighbor(self, map_file, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-55.0\n")
+        code = main(["locate", "--radiomap", str(map_file), "--target", str(target),
+                     "--alpha", "1e-300"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["neighbors"]) == 1
+
     def test_unknown_ap_in_target_exits_2(self, world_dir, fit_file, tmp_path,
                                           capsys):
         map_path = tmp_path / "map.json"
@@ -258,6 +266,16 @@ class TestInputErrorsExit2:
                           "--target", str(target), "--k", str(n + 1)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_locate_order_overflowing_every_distance(self, map_file, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-55.0\n")
+        code = exit_code(["locate", "--radiomap", str(map_file), "--target", str(target),
+                          "--k", "3", "--order", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Minkowski order 1e+308" in err
+        assert len(err.splitlines()) == 1
 
     def test_fit_with_ap_file_missing_survey_aps(self, world_dir, tmp_path, capsys):
         aps_doc = json.loads((world_dir / "aps.json").read_text())
@@ -443,9 +461,15 @@ class TestInputErrorsExit2:
         ["locate", "--k", "0", "--radiomap", "m", "--target", "t"],
         ["locate", "--alpha", "nan", "--radiomap", "m", "--target", "t"],
         ["locate", "--order", "0.5", "--radiomap", "m", "--target", "t"],
+        ["locate", "--order", "inf", "--radiomap", "m", "--target", "t"],
+        ["locate", "--alpha", "1.5", "--radiomap", "m", "--target", "t"],
+        ["locate", "--alpha", "1e308", "--radiomap", "m", "--target", "t"],
         ["evaluate", "--alpha-step", "0", "--world-dir", "w"],
         ["evaluate", "--dv-grid", "0", "--world-dir", "w"],
         ["evaluate", "--alpha-range", "0.3:0.1", "--world-dir", "w"],
+        ["evaluate", "--alpha-range", "0.1:1.5", "--world-dir", "w"],
+        # 1e308 + step == 1e308, so this grid would never pass its top.
+        ["evaluate", "--alpha-range", "1e308:1e308", "--world-dir", "w"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_out_of_range_flags(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -553,6 +577,14 @@ class TestEvaluate:
         text = (out / "gain.json").read_text()
         assert '"gain": NaN' in text
         assert [math.isnan(cell["gain"]) for cell in json.loads(text)["cells"]] == [True]
+
+    def test_tiny_alpha_range_takes_one_neighbor(self, world_dir, tmp_path):
+        out = tmp_path / "reports"
+        assert main(["evaluate", "--world-dir", str(world_dir), "--rho-grid", "1",
+                     "--dv-grid", "0.5", "--alpha-range", "1e-300:1e-300",
+                     "--out-dir", str(out)]) == 0
+        cells = json.loads((out / "kest.json").read_text())["cells"]
+        assert [(c["alpha"], c["k_est"]) for c in cells] == [(1e-300, 1)]
 
     def test_missing_world_dir_exits_2(self, tmp_path):
         assert main(["evaluate", "--world-dir", str(tmp_path / "nope"),

@@ -268,6 +268,16 @@ class TestKestSweep:
         assert extra.cells[0].k_est == cell.k_opt
         assert extra.cells[0].beta_m == 0.0
 
+    def test_tiny_alpha_takes_one_neighbor(self, noisy_world):
+        world, _ = noisy_world
+        info = template_info("spinv_like")
+        positioning, _ = run_positioning_sweep(world, [info.dr_min], [1.0])
+        cell = positioning.cell(info.dr_min, 1.0)
+        report = run_kest_sweep(positioning, [info.dr_min], 1.0,
+                                alpha_range=(1e-300, 1e-300))
+        assert [(c.alpha, c.k_est) for c in report.cells] == [(1e-300, 1)]
+        assert report.cells[0].mean_error_kest_m == cell.mean_error_at(1)
+
     def test_alpha_grid_contains_bounds(self, noisy_world):
         world, _ = noisy_world
         info = template_info("spinv_like")
@@ -284,6 +294,9 @@ class TestKestSweep:
             run_kest_sweep(report, [0.1], 0.0)
         with pytest.raises(ValueError):
             run_kest_sweep(report, [0.1], 1.0, alpha_range=(0.0, 0.1))
+        for high in (1.5, 1e308):  # more neighbours than the map holds
+            with pytest.raises(ValueError, match="<= 1"):
+                run_kest_sweep(report, [0.1], 1.0, alpha_range=(0.1, high))
         for step in (0.0, -0.01):  # would never reach the top of the range
             with pytest.raises(ValueError):
                 run_kest_sweep(report, [0.1], 1.0, alpha_step=step)

@@ -77,6 +77,27 @@ class TestKEst:
         with pytest.raises(ValueError):
             k_est_from_counts(-1, 5)
 
+    def test_tiny_alpha_gives_one_neighbor(self):
+        # The ceiling of any positive product is at least 1, though
+        # ceil_scaled rounds 1e-298 down to 0 first.
+        assert k_est_from_counts(72, 5040, alpha=1e-300) == 1
+        assert k_est(0.2, 10.0, 504.0, alpha=1e-300) == 1
+        assert k_est_from_counts(72, 5040, alpha=1.0) == 5112
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.05, 1.0000001, 1e308, float("inf"),
+                                       float("nan")])
+    def test_alpha_outside_unit_interval_raises(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            k_est_from_counts(72, 5040, alpha)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            k_est(0.2, 10.0, 504.0, alpha)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            WknnConfig(alpha=alpha)
+
+    def test_overflowing_density_product_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            k_est(1e308, 1e308, 1e308, alpha=1.0)
+
 
 class TestLocate:
     def test_k1_returns_most_similar_rp(self):
@@ -137,6 +158,25 @@ class TestLocate:
             WknnConfig(order=0.9)
         with pytest.raises(ValueError):
             WknnConfig(alpha=0.0)
+        for order in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                WknnConfig(order=order)
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                similarity(Fingerprint([-50.0]), Fingerprint([-60.0]), order)
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                error_curves(np.array([[-50.0]]), np.zeros((1, 3)), np.array([[-60.0]]),
+                             np.zeros((1, 3)), 1, order)
+
+    def test_order_that_overflows_every_distance_raises(self):
+        # |d| ** 1e308 overflows for every |d| > 1, so every similarity is 0
+        # and the weighted centroid would be 0 / 0.
+        rmap = make_map([(0.0, 0.0, [-50.0, -60.0]), (10.0, 10.0, [-80.0, -90.0])])
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="Minkowski order 1e[+]308"):
+                locate(rmap, Fingerprint([-65.0, -75.0]), WknnConfig(k=k, order=1e308))
+        # One exact match keeps its capped weight.
+        est = locate(rmap, Fingerprint([-50.0, -60.0]), WknnConfig(k=2, order=1e308))
+        assert est.position == Point3(0.0, 0.0, 1.2)
 
 
 class TestLocateMany:

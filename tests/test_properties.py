@@ -825,8 +825,10 @@ def wknn_cases(draw):
     continuous values, where the order of the AP sums shows. Up to 12 APs
     take the sum past numpy's 8-way unrolled pairwise summation, which would
     reorder it. Some RP rows are duplicated and some targets copy an RP row,
-    so the cap applies, possibly to several RPs at once. The batch size sits
-    around the row block the map size gives.
+    so the cap applies, possibly to several RPs at once. Some RP coordinates
+    are +0.0 or -0.0, some axes all of them, so an estimate can be a zero
+    whose sign only the order of its sum fixes. The batch size sits around
+    the row block the map size gives.
     """
     if draw(st.booleans()):
         n_aps = draw(st.integers(9, 12))
@@ -857,6 +859,8 @@ def wknn_cases(draw):
     exact = rng.random(n_targets) < 0.3
     targets[exact] = rss[rng.integers(0, n, exact.sum())]
     positions = rng.uniform(0.0, 60.0, (n, 3))
+    zeros = (rng.random((n, 3)) < 0.2) | (rng.random(3) < 0.3)
+    positions[zeros] = rng.choice([0.0, -0.0], np.count_nonzero(zeros))
     truth = rng.uniform(0.0, 60.0, (n_targets, 3))
     return rss, positions, targets, truth, k, order
 
@@ -864,6 +868,13 @@ def wknn_cases(draw):
 def dense_map(rss, positions):
     aps = [AccessPoint(f"ap{i}", Point3(float(i), 0.0, 2.8)) for i in range(rss.shape[1])]
     return Radiomap(aps, RpArrays(positions, rss, np.zeros(len(rss), dtype=bool)))
+
+
+def position_bits(estimates):
+    """The (x, y, z) of each estimate as int64 bit patterns, so that -0.0
+    and +0.0 differ."""
+    xyz = [(e.position.x, e.position.y, e.position.z) for e in estimates]
+    return np.array(xyz, dtype=float).reshape(-1, 3).view(np.int64).tolist()
 
 
 @EXACT_SETTINGS
@@ -875,8 +886,10 @@ def test_locate_and_locate_many_match_per_target_loop(case):
     want = [PositionEstimate(Point3(*estimates[k - 1]),
                              [(i, float(sims[i])) for i in ranked])
             for estimates, ranked, sims in reference_wknn(rss, positions, targets, k, order)]
-    assert locate_many(rmap, targets, cfg) == want
-    assert [locate(rmap, Fingerprint(t), cfg) for t in targets] == want
+    for got in (locate_many(rmap, targets, cfg),
+                [locate(rmap, Fingerprint(t), cfg) for t in targets]):
+        assert got == want
+        assert position_bits(got) == position_bits(want)
 
 
 def in_layout(rss, layout):
