@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import DegenerateFitError, GeometryError, InputError, InsufficientDataError
 from .evaluation import (
     EvalWorld,
+    alpha_grid,
     emit_report_pair,
     run_kest_sweep,
     run_positioning_sweep,
@@ -278,6 +279,10 @@ def _load_world_dir(world_dir: str | Path, seed: int) -> EvalWorld:
 
 
 def cmd_evaluate(args) -> int:
+    try:  # the k-rule grid is checked before the sweeps it would end
+        alpha_grid(args.alpha_range, args.alpha_step)
+    except ValueError as exc:
+        raise InputError(f"--alpha-step: {exc}") from None
     world = _load_world_dir(args.world_dir, args.seed)
     strategy = _strategy_from_args(args)
     model = ModelKind(args.model)

@@ -501,6 +501,45 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
 # k-rule validity sweep
 # ---------------------------------------------------------------------------
 
+# The most alphas one k-rule sweep takes; a step that gives more is refused
+# before any alpha is built. The default grid has 25.
+MAX_ALPHAS = 10_000
+
+
+def alpha_grid(alpha_range: tuple[float, float] = ALPHA_RANGE,
+               alpha_step: float = ALPHA_STEP) -> list[float]:
+    """The alphas from ``alpha_range``'s min to its max, both in (0, 1], in
+    ``alpha_step`` steps, each rounded to ten significant digits.
+
+    ValueError when the range or step is invalid, when the range holds more
+    than MAX_ALPHAS steps, or when two consecutive alphas round equal (a step
+    below the grid's ten-digit resolution).
+    """
+    a_min, a_max = alpha_range
+    if not 0.0 < a_min <= a_max <= 1.0:
+        raise ValueError("alpha range must satisfy 0 < min <= max <= 1")
+    if not alpha_step > 0:
+        raise ValueError("alpha step must be positive")
+    # The grid's size first: i * step passes the range's end after about
+    # span / step steps. A quotient that overflows is inf, and refused too.
+    if (a_max + 1e-12 - a_min) / alpha_step >= MAX_ALPHAS:
+        raise ValueError(f"alpha step {alpha_step!r} gives more than {MAX_ALPHAS} alphas "
+                         f"over {a_min!r}:{a_max!r}")
+    alphas: list[float] = []
+    i = 0
+    while True:
+        # Ten significant digits strip the float fuzz of i * step, and keep
+        # every alpha of a positive range positive.
+        alpha = float(f"{a_min + i * alpha_step:.10g}")
+        if alpha > a_max + 1e-12:
+            return alphas
+        if alphas and alpha <= alphas[-1]:
+            raise ValueError(f"alpha step {alpha_step!r} is below the alphas' ten-digit "
+                             f"resolution: {alpha!r} repeats")
+        alphas.append(alpha)
+        i += 1
+
+
 def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
                    dv_max: float, alpha_range: tuple[float, float] = ALPHA_RANGE,
                    alpha_step: float = ALPHA_STEP) -> KestReport:
@@ -510,26 +549,11 @@ def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
     positioning error at the density rule's k (``k_est_from_counts``, capped
     at the sweep's largest k) minus the error at the sweep's best k, read
     from ``positioning``, a report covering (dr_grid, dv_max). The alphas
-    run from ``alpha_range``'s min to its max, both in (0, 1], in
-    ``alpha_step`` steps.
+    are ``alpha_grid(alpha_range, alpha_step)``.
     """
-    a_min, a_max = alpha_range
-    if not 0.0 < a_min <= a_max <= 1.0:
-        raise ValueError("alpha range must satisfy 0 < min <= max <= 1")
     if dv_max <= 0:
         raise ValueError("k-rule sweep needs a positive virtual density")
-    if not alpha_step > 0:
-        raise ValueError("alpha step must be positive")
-    alphas = []
-    i = 0
-    while True:
-        # Ten significant digits strip the float fuzz of i * step, and keep
-        # every alpha of a positive range positive.
-        alpha = float(f"{a_min + i * alpha_step:.10g}")
-        if alpha > a_max + 1e-12:
-            break
-        alphas.append(alpha)
-        i += 1
+    alphas = alpha_grid(alpha_range, alpha_step)
 
     report = KestReport()
     for d_real in dr_grid:

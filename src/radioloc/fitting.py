@@ -419,7 +419,8 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
     intercept would be collinear with the constant loss.
 
     Cost: one design matrix of the M detected same-floor (point, AP) pairs,
-    built from the survey arrays with one batched obstruction count per AP.
+    built from the survey arrays with one batched obstruction count per AP
+    (``crossing_counts_batch``: candidate pairs only, no per-obstacle matrix).
     Environment fitting solves it whole with one SVD-based least-squares
     solve (``np.linalg.lstsq``), O(M * p^2) flops for p parameters; per-AP
     fitting solves each AP's rows on their own; no-fit scores its fixed

@@ -26,13 +26,13 @@ from .ioutil import read_json, write_json
 # treated as grazing and count as zero crossings.
 GRAZE_EPS_M = 1e-9
 
-# crossing_flags_batch tests at most this many (link, obstacle) pairs at a time,
-# so its per-pair temporaries stay cache-sized.
+# The candidate-pair search (_crossings) tests at most this many (link,
+# obstacle) pairs at a time, so its per-pair temporaries stay cache-sized.
 CROSSING_BLOCK = 8192
 
-# crossing_flags_batch widens every obstacle's azimuth wedge by this angle. The
-# rounding of the difference vectors and of arctan2 moves an azimuth by a few
-# units in the last place of pi (about 1e-15 rad), far less.
+# The candidate-pair search widens every obstacle's azimuth wedge by this
+# angle. The rounding of the difference vectors and of arctan2 moves an
+# azimuth by a few units in the last place of pi (about 1e-15 rad), far less.
 WEDGE_SLACK_RAD = 1e-12
 
 # Within this distance of tx (receivers' plus obstacle ends'), the rounding of
@@ -41,8 +41,8 @@ WEDGE_SLACK_RAD = 1e-12
 # link and the obstacle. Calls that reach farther test every pair.
 SWEEP_REACH_M = GRAZE_EPS_M * 2.0**50
 
-# crossing_flags_batch searches each obstacle's wedge and its copies shifted by
-# these angles among receiver azimuths in [-pi, pi].
+# The candidate-pair search looks up each obstacle's wedge and its copies
+# shifted by these angles among receiver azimuths in [-pi, pi].
 _WEDGE_COPIES = np.array([[-2 * np.pi], [0.0], [2 * np.pi]])
 
 
@@ -136,7 +136,8 @@ class _ObstacleColumns(NamedTuple):
     tol_t: np.ndarray  # grazing tolerance of the side-of-obstacle-line test
     floor_index: np.ndarray
     extent: float
-    key_columns: dict[ObstacleFamily, np.ndarray]  # obstacle indices per family, in key order
+    keys: tuple[ObstacleFamily, ...]  # the plan's obstacle_keys()
+    family: np.ndarray  # each obstacle's family, as its index in ``keys``
 
     @classmethod
     def of(cls, obstacles: tuple[PlanarObstacle, ...],
@@ -149,13 +150,12 @@ class _ObstacleColumns(NamedTuple):
         x1, y1 = column([o.x1 for o in obstacles]), column([o.y1 for o in obstacles])
         x2, y2 = column([o.x2 for o in obstacles]), column([o.y2 for o in obstacles])
         tol_t = column([GRAZE_EPS_M * math.hypot(o.x2 - o.x1, o.y2 - o.y1) for o in obstacles])
-        key_columns = {key: column([j for j, o in enumerate(obstacles) if o.family == key],
-                                   np.intp)
-                       for key in keys}
+        family = column([keys.index(o.family) for o in obstacles], np.intp)
         extent = max((math.hypot(x, y) for o in obstacles
                       for x, y in ((o.x1, o.y1), (o.x2, o.y2))), default=0.0)
         return cls(column([x1, y1, x2, y2]), column(x2 - x1), column(y2 - y1), tol_t,
-                   column([o.floor_index for o in obstacles], int), extent, key_columns)
+                   column([o.floor_index for o in obstacles], int), extent, tuple(keys),
+                   family)
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class Floorplan:
     bounds: Bounds
     floors: tuple[float, ...] = ()
     obstacles: tuple[PlanarObstacle, ...] = ()
-    # Derived once, for crossing_flags_batch and floors_crossed_batch; not compared.
+    # Derived once, for the crossing counts and floors_crossed_batch; not compared.
     _columns: _ObstacleColumns = field(init=False, repr=False, compare=False)
     _floors: np.ndarray = field(init=False, repr=False, compare=False)  # ``floors``, read-only
 
@@ -234,58 +234,66 @@ def _check_in_bounds(plan: Floorplan, p: Point3, name: str) -> None:
         raise GeometryError(f"{name} ({p.x}, {p.y}) lies outside the floorplan bounds")
 
 
-def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.ndarray:
-    """Per-obstacle crossing indicators for many receivers against one transmitter.
-
-    ``rx_xyz`` is an (n, 3) array; the result is an (n, n_obstacles) boolean
-    array aligned with ``plan.obstacles``. Grazing contacts (within
-    GRAZE_EPS_M of an obstacle line or endpoint) count as no crossing, as do
-    links whose 2D projection degenerates to a point.
-
-    An angular sweep around tx picks the (receiver, obstacle) pairs to test:
-    a flagged link properly crosses its obstacle, so the link's azimuth lies
-    inside the wedge that the obstacle's endpoints span from tx. The cost is
-    an O(n log n) sort of the receivers by azimuth, O(m log n) searches for
-    each obstacle's ranges of that order, then the elementwise test on the
-    candidate pairs only, at most CROSSING_BLOCK pairs at a time. Each pair
-    is tested with the same expressions on the same operands as a test of
-    all n x m pairs, so the flags equal that test's bit for bit.
-    """
+def _receivers(rx_xyz) -> np.ndarray:
     pts = np.asarray(rx_xyz, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("rx_xyz must have shape (n, 3)")
+    return pts
+
+
+def _crossings(plan: Floorplan, tx: Point3, pts: np.ndarray, with_flags: bool,
+               ) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray | None]:
+    """The candidate-pair search: per-family crossing counts of the links from
+    tx to the (n, 3) ``pts`` (crossing_counts_batch's dict), and with
+    ``with_flags`` the (n, n_obstacles) flags of crossing_flags_batch too.
+
+    An angular sweep around tx picks the (receiver, obstacle) pairs to test:
+    a crossing link properly crosses its obstacle, so the link's azimuth
+    lies inside the wedge that the obstacle's endpoints span from tx. The
+    cost is an O(n log n) sort of the receivers by azimuth, O(m log n)
+    searches for each obstacle's ranges of that order, then the elementwise
+    test on the candidate pairs only, at most CROSSING_BLOCK pairs at a time.
+    Pairs well inside their wedge skip the link-line half of the test, which
+    they are shown to pass. The crossing pairs are binned by family with one
+    np.bincount into n x n_families integers and, with ``with_flags``,
+    scattered into the flags. Both equal, bit for bit, what testing every
+    one of the n x m pairs with the same comparisons gives.
+    """
     n = pts.shape[0]
     obs = plan._columns
     m = obs.tol_t.shape[0]
-    px, py = pts[:, 0], pts[:, 1]
     x1, y1 = obs.ends[0], obs.ends[1]
 
     ax, ay = tx.x, tx.y
-    ux = px - ax
-    uy = py - ay
+    ux = pts[:, 0] - ax
+    uy = pts[:, 1] - ay
     norm_u = np.hypot(ux, uy)
     planar = norm_u > GRAZE_EPS_M  # vertical links cross no 2D obstacle
-    tol_s = GRAZE_EPS_M * norm_u
-
-    # Stories traversed per link; an obstacle applies when its story lies in range.
-    story_tx = plan.story_of(tx.z)
-    stories_rx = np.searchsorted(plan._floors, pts[:, 2], side="right")
-    story_lo = np.minimum(stories_rx, story_tx)
-    story_hi = np.maximum(stories_rx, story_tx)
 
     ta = obs.vx * (ay - y1) - obs.vy * (ax - x1)  # cross(v, a - c): tx vs obstacle lines
     w = obs.ends - np.array([[ax], [ay], [ax], [ay]])  # obstacle ends relative to tx
 
     # Receivers by azimuth around tx; links with no planar extent sort last.
+    # Their coordinates are kept in that order, so a range's gathers run in
+    # order.
     azimuth = np.where(planar, np.arctan2(uy, ux), np.inf)
     order = np.argsort(azimuth)
     azimuth = azimuth[order]
+    px, py = pts[order, 0], pts[order, 1]
+    # Stories traversed per link; an obstacle applies when its story lies in
+    # range. On a plan without floors every story is 0, so every one does.
+    if plan.floors:
+        story_tx = plan.story_of(tx.z)
+        stories_rx = np.searchsorted(plan._floors, pts[order, 2], side="right")
+        story_lo = np.minimum(stories_rx, story_tx)
+        story_hi = np.maximum(stories_rx, story_tx)
 
     # Each obstacle's short wedge from tx, widened to [start, stop]. Every
     # planar receiver, [-pi, pi], when the widened wedge spans more than a
     # half turn, so rounding may have picked its wrong side, or when the call
     # reaches past SWEEP_REACH_M. None when tx lies within the grazing
-    # tolerance of the obstacle's line, so that no link straddles that line.
+    # tolerance of the obstacle's line, so that no link straddles that line
+    # and every candidate pair has |ta| > tol_t.
     theta_c, theta_d = np.arctan2(w[1::2], w[0::2])
     lo, hi = np.minimum(theta_c, theta_d), np.maximum(theta_c, theta_d)
     wraps = hi - lo > np.pi
@@ -296,50 +304,96 @@ def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     start[full], stop[full] = -np.pi, np.pi
     on_line = np.abs(ta) <= obs.tol_t
     start[on_line], stop[on_line] = np.inf, np.inf
+    # rx lies across an obstacle's line from tx when side * tb < -tol_t, with
+    # tb = cross(v, b - c). It is computed as (side * vx) * (py - y1) -
+    # (side * vy) * (px - x1): negation is exact and commutes with rounded
+    # products and differences, so only the sign of a zero can differ, and no
+    # zero lies below -tol_t.
+    side = np.where(ta > 0.0, 1.0, -1.0)
+    side_vx, side_vy, neg_tol_t = side * obs.vx, side * obs.vy, -obs.tol_t
 
-    # The wedge and its copies shifted by -2 pi and +2 pi, searched among the
-    # sorted azimuths: a wedge across the +-pi seam lies in two of the three.
-    # Range k, of copy k // m of obstacle k % m, is [first[k], last[k]).
-    wedges = np.array([start, stop])[:, None, :] + _WEDGE_COPIES
-    first, last = np.searchsorted(azimuth, wedges).reshape(2, -1)
+    # Each wedge's inner wedge: azimuths at least margin = 2e-9 / |w| rad inside
+    # both ends' (|w| the nearer end's distance from tx); none in a full
+    # wedge. As a wedge spans at most a half turn, each end then lies at least
+    # |w| sin(margin) >= 1.27e-9 m off the link's line, so |sc| and |sd| are at
+    # least 1.27e-9 |u|: more than tol_s = 1e-9 |u| plus their rounding, below
+    # 2**-52 |u| |w| <= 0.25e-9 |u| within SWEEP_REACH_M. The inner wedge's
+    # pairs would pass the link-line test, so they skip it. The extra slack
+    # covers the rounding of the azimuths.
+    with np.errstate(divide="ignore", invalid="ignore"):  # an end at tx: no inner wedge
+        gap = 2 * GRAZE_EPS_M / np.hypot(w[0::2], w[1::2]).min(axis=0) + 2 * WEDGE_SLACK_RAD
+        inner_start, inner_stop = start + gap, stop - gap
+    no_inner = full | on_line | ~(inner_start < inner_stop)
+    inner_start[no_inner] = inner_stop[no_inner] = stop[no_inner]
+
+    # The wedge, its inner wedge and their copies shifted by -2 pi and +2 pi,
+    # searched among the sorted azimuths: a wedge across the +-pi seam lies
+    # in two of the three. Range k, of copy k // m of obstacle k % m, is
+    # [first[k], last[k]), and its inner range [in_first[k], in_last[k]).
+    wedges = np.array([start, inner_start, inner_stop, stop])[:, None, :] + _WEDGE_COPIES
+    first, in_first, in_last, last = np.searchsorted(azimuth, wedges).reshape(4, -1)
 
     # The ranges as segments of one flat list of pairs: pair p of segment k is
-    # receiver order[p + rank_shift[k]] against obstacle k % m.
-    seg_len = last - first
+    # the receiver of rank p + rank_shift[k] against obstacle k % m. Each
+    # range is cut into its inner part (segments k < 3m) and the two edges
+    # around it, whose pairs run the link-line test.
+    seg_first = np.concatenate([in_first, first, in_last])
+    seg_len = np.concatenate([in_last, in_first, last]) - seg_first
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
-    rank_shift = first - seg_start
-    seg_obstacle = np.arange(3 * m) % m
+    rank_shift = seg_first - seg_start
     n_pairs = int(seg_end[-1]) if m else 0
 
-    flags = np.zeros((n, m), dtype=bool)
+    flags = np.zeros((n, m), dtype=bool) if with_flags else None
+    codes = [np.empty(0, dtype=np.intp)]  # family * n + receiver, per crossing pair
     for lo_pair in range(0, n_pairs, CROSSING_BLOCK):
         hi_pair = min(lo_pair + CROSSING_BLOCK, n_pairs)
         k0, k1 = np.searchsorted(seg_end, [lo_pair, hi_pair - 1], side="right")
-        segs = slice(k0, k1 + 1)
+        segs, ks = slice(k0, k1 + 1), np.arange(k0, k1 + 1)
         counts = np.minimum(seg_end[segs], hi_pair) - np.maximum(seg_start[segs], lo_pair)
-        o = np.repeat(seg_obstacle[segs], counts)
-        r = order[np.arange(lo_pair, hi_pair) + np.repeat(rank_shift[segs], counts)]
+        o = np.repeat(ks % m, counts)
+        rank = np.arange(lo_pair, hi_pair) + np.repeat(rank_shift[segs], counts)
 
-        uxr, uyr, tol_sr = ux[r], uy[r], tol_s[r]
-        wcx, wcy, wdx, wdy = (row[o] for row in w)
-        sc = uxr * wcy - uyr * wcx  # cross(u, c - a): obstacle ends vs link line
-        sd = uxr * wdy - uyr * wdx
-        straddles_link_line = (((sc > tol_sr) & (sd < -tol_sr))
-                               | ((sc < -tol_sr) & (sd > tol_sr)))
+        side_tb = side_vx[o] * (py[rank] - y1[o]) - side_vy[o] * (px[rank] - x1[o])
+        crosses = side_tb < neg_tol_t[o]  # rx across the obstacle's line
+        # Outside the inner wedges, the obstacle's ends across the link's line too.
+        edge = np.flatnonzero(crosses & np.repeat(ks >= 3 * m, counts))
+        if edge.size:
+            re = order[rank[edge]]
+            uxr, uyr, tol_sr = ux[re], uy[re], GRAZE_EPS_M * norm_u[re]
+            wcx, wcy, wdx, wdy = w[:, o[edge]]
+            sc = uxr * wcy - uyr * wcx  # cross(u, c - a): obstacle ends vs link line
+            sd = uxr * wdy - uyr * wdx
+            crosses[edge] = (np.minimum(sc, sd) < -tol_sr) & (np.maximum(sc, sd) > tol_sr)
 
-        tao, tol_to = ta[o], obs.tol_t[o]
-        tb = obs.vx[o] * (py[r] - y1[o]) - obs.vy[o] * (px[r] - x1[o])  # rx vs obstacle lines
-        straddles_obstacle_line = (((tao > tol_to) & (tb < -tol_to))
-                                   | ((tao < -tol_to) & (tb > tol_to)))
+        # The story test on the crossing pairs only: the same conjunction.
+        keep = np.flatnonzero(crosses)
+        rank, o = rank[keep], o[keep]
+        if plan.floors:
+            floor = obs.floor_index[o]
+            in_story = (story_lo[rank] <= floor) & (floor <= story_hi[rank])
+            rank, o = rank[in_story], o[in_story]
+        r = order[rank]
+        codes.append(obs.family[o] * n + r)
+        if flags is not None:
+            flags[r, o] = True
+    by_family = np.bincount(np.concatenate(codes), minlength=len(obs.keys) * n)
+    return dict(zip(obs.keys, by_family.reshape(len(obs.keys), n))), flags
 
-        # The story test on the straddling pairs only: the same conjunction.
-        straddles = np.flatnonzero(straddles_link_line & straddles_obstacle_line)
-        r, o = r[straddles], o[straddles]
-        floor = obs.floor_index[o]
-        in_story = (story_lo[r] <= floor) & (floor <= story_hi[r])
-        flags.reshape(-1)[(r * m + o)[in_story]] = True
-    return flags
+
+def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.ndarray:
+    """Per-obstacle crossing indicators for many receivers against one transmitter.
+
+    ``rx_xyz`` is an (n, 3) array; the result is an (n, n_obstacles) boolean
+    array aligned with ``plan.obstacles``. A flagged link properly crosses the
+    obstacle's segment in plan view, and the obstacle's story lies between
+    the link ends' stories. Grazing contacts (within GRAZE_EPS_M of an
+    obstacle line or endpoint) count as no crossing, as do links whose 2D
+    projection degenerates to a point. The flags are the crossing pairs of
+    the candidate-pair search that crossing_counts_batch bins, scattered into
+    a matrix that the counts path never builds.
+    """
+    return _crossings(plan, tx, _receivers(rx_xyz), with_flags=True)[1]
 
 
 def floors_crossed_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.ndarray:
@@ -353,27 +407,21 @@ def floors_crossed_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     return np.sum((planes > lo) & (planes < hi), axis=1).astype(int)
 
 
-def counts_by_key(plan: Floorplan, flags: np.ndarray) -> dict[ObstacleFamily, np.ndarray]:
-    """Per-family crossing counts from crossing_flags_batch's (n, n_obstacles) flags.
-
-    Maps each obstacle family of the plan, in ``plan.obstacle_keys()`` order,
-    to an (n,) int array.
-    """
-    return {key: flags[:, columns].sum(axis=1, dtype=int)
-            for key, columns in plan._columns.key_columns.items()}
-
-
 def crossing_counts_batch(
     plan: Floorplan, tx: Point3, rx_xyz: np.ndarray
 ) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray]:
     """Obstruction counts for many receivers against one transmitter.
 
     ``rx_xyz`` is an (n, 3) array. Returns a dict mapping each obstacle family of
-    the plan to an (n,) int array of crossing counts, plus an (n,) int array of
-    crossed floor planes.
+    the plan, in ``plan.obstacle_keys()`` order, to an (n,) int array of
+    crossing counts, plus an (n,) int array of crossed floor planes. A count
+    is the number of the link's flags in crossing_flags_batch that belong to
+    the family. It is binned straight from the crossing (receiver, obstacle)
+    pairs of an angular sweep around tx, so the cost is an O(n log n) sort
+    plus the candidate pairs, and the result takes n x n_families integers.
     """
-    flags = crossing_flags_batch(plan, tx, rx_xyz)
-    return counts_by_key(plan, flags), floors_crossed_batch(plan, tx, rx_xyz)
+    pts = _receivers(rx_xyz)
+    return _crossings(plan, tx, pts, with_flags=False)[0], floors_crossed_batch(plan, tx, pts)
 
 
 def count_obstructions(plan: Floorplan, tx: Point3, rx: Point3) -> ObstructionCount:
@@ -389,39 +437,38 @@ def count_obstructions(plan: Floorplan, tx: Point3, rx: Point3) -> ObstructionCo
     )
 
 
-def lattice_positions(bounds: Bounds, n: int) -> list[tuple[float, float]]:
-    """Exactly n near-uniform lattice points inside bounds, at cell centers.
+def lattice_positions(bounds: Bounds, n: int) -> np.ndarray:
+    """Exactly n near-uniform lattice points inside bounds, at cell centers, as an
+    (n, 2) array of (x, y) rows.
 
     Uses the divisor pair of n whose cell spacing is closest to square when one
-    exists within an aspect tolerance; otherwise builds the aspect-matched
-    lattice of at least n cells and keeps the first n in row-major order.
+    exists within an aspect tolerance (the first such pair by row count on a
+    tie); otherwise builds the aspect-matched lattice of at least n cells and
+    keeps the first n in row-major order.
     """
     if n < 1:
         raise ValueError("lattice size must be >= 1")
     w, h = bounds.width, bounds.height
 
-    best: tuple[float, int, int] | None = None
-    for ny in range(1, n + 1):
-        if n % ny:
-            continue
-        nx = n // ny
-        sx, sy = w / nx, h / ny
-        ratio = max(sx, sy) / min(sx, sy)
-        if best is None or ratio < best[0]:
-            best = (ratio, nx, ny)
-    if best is not None and best[0] <= 2.2:
-        _, nx, ny = best
+    # Row counts that divide n, ascending: the divisors up to sqrt(n), then
+    # their cofactors.
+    small = np.arange(1, math.isqrt(n) + 1)
+    small = small[n % small == 0]
+    large = n // small[::-1]
+    rows = np.concatenate([small, large[1:] if large[0] == small[-1] else large])
+    cols = n // rows
+    sx, sy = w / cols, h / rows
+    ratio = np.maximum(sx, sy) / np.minimum(sx, sy)
+    best = int(np.argmin(ratio))
+    if ratio[best] <= 2.2:
+        nx, ny = int(cols[best]), int(rows[best])
     else:
         ny = max(1, int(math.floor(math.sqrt(n * h / w) + 0.5)))
         nx = math.ceil(n / ny)
 
-    points = []
-    for j in range(ny):
-        y = bounds.min_y + (j + 0.5) * h / ny
-        for i in range(nx):
-            x = bounds.min_x + (i + 0.5) * w / nx
-            points.append((x, y))
-    return points[:n]
+    x = bounds.min_x + (np.arange(nx) + 0.5) * w / nx
+    y = bounds.min_y + (np.arange(ny) + 0.5) * h / ny
+    return np.column_stack([np.tile(x, ny), np.repeat(y, nx)])[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .floorplan import (
     Floorplan,
     ObstacleFamily,
     Point3,
-    counts_by_key,
-    crossing_flags_batch,
+    _crossings,
+    crossing_counts_batch,
     floors_crossed_batch,
     points_xyz,
 )
@@ -136,22 +136,21 @@ class LinkTable:
     def crossing_flags(self) -> np.ndarray:
         """Per-obstacle crossing flags (n, n_obstacles), counted afresh and not kept.
 
-        The first call also fills ``obstructions`` from them, so a caller that
-        needs both counts the links once.
+        The first call also fills ``obstructions`` from the same pass, so a
+        caller that needs both counts the links once.
         """
-        flags = crossing_flags_batch(self.plan, self.ap.position, self.positions)
+        counts, flags = _crossings(self.plan, self.ap.position, self.positions, with_flags=True)
         if self._obstructions is None:
             self._obstructions = (
-                counts_by_key(self.plan, flags),
-                floors_crossed_batch(self.plan, self.ap.position, self.positions),
-            )
+                counts, floors_crossed_batch(self.plan, self.ap.position, self.positions))
         return flags
 
     @property
     def obstructions(self) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray]:
         """Per-family crossing counts (plan key order) and crossed floor planes, per link."""
         if self._obstructions is None:
-            self.crossing_flags()
+            self._obstructions = crossing_counts_batch(self.plan, self.ap.position,
+                                                       self.positions)
         return self._obstructions
 
     def predict_rss(self, model: ModelKind, params: PropagationParams) -> np.ndarray:

@@ -271,7 +271,7 @@ def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid"
     n = ceil_scaled(d_virtual * plan.area)
     bounds = plan.bounds
     if placement == "grid":
-        xy = np.array(lattice_positions(bounds, n), dtype=float)
+        xy = lattice_positions(bounds, n)
     elif placement == "random":
         if seed is None:
             raise ValueError("random placement requires a seed")
@@ -300,8 +300,10 @@ def generate_virtual_fingerprints(
     positions under several fits computes their geometry once.
 
     Cost: O(n_positions * n_keys) per AP from ready tables. Building a table
-    for the multi-wall model counts obstructions, O(n_obstacles * n_positions)
-    per AP; the one-slope model needs only distances.
+    for the multi-wall model counts obstructions per AP: an O(n_positions log
+    n_positions) azimuth sort, then a test of the (position, obstacle) pairs
+    inside each obstacle's wedge, binned into n_positions x n_keys integers;
+    the one-slope model needs only distances.
     """
     pts = points_xyz(positions)
     if pts.shape[0] == 0:

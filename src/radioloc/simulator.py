@@ -455,7 +455,7 @@ def grid_rp_positions(plan: Floorplan, d_real: float) -> list[Point3]:
     n = int(math.floor(round(d_real * plan.area, 9) + 0.5))
     if n < 1:
         raise ValueError(f"density {d_real} yields no grid point on this plan")
-    return [Point3(x, y, DEVICE_HEIGHT_M) for x, y in lattice_positions(plan.bounds, n)]
+    return [Point3(x, y, DEVICE_HEIGHT_M) for x, y in lattice_positions(plan.bounds, n).tolist()]
 
 
 def random_positions(plan: Floorplan, n: int,

@@ -4,7 +4,9 @@ The oracles here are deliberately independent of the library's computation
 paths: obstruction counts come from dense sampling along the link, and WkNN
 estimates from a plain Python sort-and-accumulate loop. The exceptions are
 ``reference_crossing_flags``, the per-obstacle loop that the blocked
-``crossing_flags_batch`` must match bit for bit, ``reference_wknn``, the
+``crossing_flags_batch`` must match bit for bit (and whose per-family sums
+``crossing_counts_batch`` must equal), ``reference_lattice_positions``, the
+loop that ``lattice_positions`` must match bit for bit, ``reference_wknn``, the
 per-target loop that the batched WkNN kernel must match bit for bit, and
 ``reference_fit_rows``, the per-sample loop whose rows the fit's design matrix
 must equal bit for bit, and ``reference_report_text``, the ``asdict`` +
@@ -134,6 +136,32 @@ def reference_crossing_flags(plan, tx, rx_xyz):
     return flags
 
 
+def reference_lattice_positions(bounds, n):
+    """lattice_positions as a per-divisor and per-cell Python loop: a list of (x, y)."""
+    w, h = bounds.width, bounds.height
+    best = None
+    for ny in range(1, n + 1):
+        if n % ny:
+            continue
+        nx = n // ny
+        sx, sy = w / nx, h / ny
+        ratio = max(sx, sy) / min(sx, sy)
+        if best is None or ratio < best[0]:
+            best = (ratio, nx, ny)
+    if best is not None and best[0] <= 2.2:
+        _, nx, ny = best
+    else:
+        ny = max(1, int(math.floor(math.sqrt(n * h / w) + 0.5)))
+        nx = math.ceil(n / ny)
+    points = []
+    for j in range(ny):
+        y = bounds.min_y + (j + 0.5) * h / ny
+        for i in range(nx):
+            x = bounds.min_x + (i + 0.5) * w / nx
+            points.append((x, y))
+    return points[:n]
+
+
 def reference_predict_rss(model, params, plan, ap, pts):
     """predict_rss_many's expression, on counts summed from reference_crossing_flags.
 
@@ -198,25 +226,25 @@ def reference_fit_rows(plan, aps, meas, model, l0_db):
 
 
 def count_crossing_calls(monkeypatch):
-    """Count crossing_flags_batch calls per (tx, receiver bytes) from here on.
+    """Count runs of the candidate-pair search per (tx, receiver bytes) from here on.
 
-    Wraps the function where the library binds it: in floorplan (behind
-    crossing_counts_batch and count_obstructions) and in propagation (behind
-    LinkTable).
+    Wraps ``floorplan._crossings``, the one search behind
+    crossing_counts_batch, crossing_flags_batch and count_obstructions, where
+    the library binds it: in floorplan and in propagation (behind LinkTable).
     """
     from collections import Counter
 
     from radioloc import floorplan, propagation
 
     calls = Counter()
-    original = floorplan.crossing_flags_batch
+    original = floorplan._crossings
 
-    def counting(plan, tx, rx_xyz):
-        calls[(tx, np.asarray(rx_xyz, dtype=float).tobytes())] += 1
-        return original(plan, tx, rx_xyz)
+    def counting(plan, tx, pts, with_flags):
+        calls[(tx, np.asarray(pts, dtype=float).tobytes())] += 1
+        return original(plan, tx, pts, with_flags)
 
     for module in (floorplan, propagation):
-        monkeypatch.setattr(module, "crossing_flags_batch", counting)
+        monkeypatch.setattr(module, "_crossings", counting)
     return calls
 
 

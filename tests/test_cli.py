@@ -465,6 +465,10 @@ class TestInputErrorsExit2:
         ["locate", "--alpha", "1.5", "--radiomap", "m", "--target", "t"],
         ["locate", "--alpha", "1e308", "--radiomap", "m", "--target", "t"],
         ["evaluate", "--alpha-step", "0", "--world-dir", "w"],
+        # Grids that would never end or repeat alphas, refused before any sweep.
+        ["evaluate", "--alpha-step", "1e-300", "--world-dir", "w"],
+        ["evaluate", "--alpha-step", "1e-11", "--alpha-range", "0.5:0.50000001",
+         "--world-dir", "w"],
         ["evaluate", "--dv-grid", "0", "--world-dir", "w"],
         ["evaluate", "--alpha-range", "0.3:0.1", "--world-dir", "w"],
         ["evaluate", "--alpha-range", "0.1:1.5", "--world-dir", "w"],

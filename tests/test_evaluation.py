@@ -6,6 +6,7 @@ import pytest
 
 from radioloc import evaluation
 from radioloc.evaluation import (
+    MAX_ALPHAS,
     EvalWorld,
     GainCell,
     GainReport,
@@ -15,6 +16,7 @@ from radioloc.evaluation import (
     PositioningReport,
     PredictionCell,
     PredictionReport,
+    alpha_grid,
     boxplot_stats,
     build_world,
     cdf_points,
@@ -287,6 +289,28 @@ class TestKestSweep:
         assert alphas[0] == 0.01 and alphas[-1] == 0.25
         assert 0.05 in alphas
         assert len(alphas) == 25
+
+    def test_alpha_grid_default_and_size_cap(self):
+        assert alpha_grid() == [i / 100 for i in range(1, 26)]
+        assert len(alpha_grid((1e-4, 1.0), 1e-4)) == MAX_ALPHAS
+        with pytest.raises(ValueError, match=f"more than {MAX_ALPHAS}"):
+            alpha_grid((1e-4, 1.0), 9.9e-5)
+
+    # Steps whose grid would never end or would repeat alphas: 0.01 + i * 1e-300
+    # formats to 0.01 for every i, and 0.24 / 5e-324 overflows to inf.
+    @pytest.mark.parametrize("alpha_range, step, message", [
+        ((0.01, 0.25), 1e-300, "more than"),
+        ((0.01, 0.25), 5e-324, "more than"),
+        ((0.01, 0.25), 1e-9, "more than"),
+        ((0.5, 0.50000001), 1e-11, "resolution"),
+        ((0.9, 0.9000001), 3e-11, "resolution"),
+    ])
+    def test_alpha_grid_rejects_unending_steps(self, alpha_range, step, message):
+        with pytest.raises(ValueError, match=message):
+            alpha_grid(alpha_range, step)
+        report = PositioningReport(strategy="environment", model="mwmf", placement="grid")
+        with pytest.raises(ValueError, match=message):
+            run_kest_sweep(report, [0.1], 1.0, alpha_range=alpha_range, alpha_step=step)
 
     def test_validation(self):
         report = PositioningReport(strategy="environment", model="mwmf", placement="grid")

@@ -11,6 +11,8 @@ from radioloc.floorplan import (
     PlanarObstacle,
     Point3,
     count_obstructions,
+    crossing_counts_batch,
+    crossing_flags_batch,
     floorplan_from_dict,
     floorplan_to_dict,
     lattice_positions,
@@ -58,6 +60,19 @@ class TestCountObstructions:
         # Link passes exactly through the obstacle's lower endpoint.
         obs = count_obstructions(plan, Point3(5, 5, 1.5), Point3(15, 5, 1.5))
         assert obs.total_2d() == 0
+
+    # A wall along y = 0 from x = 0 to 1 has a grazing tolerance of exactly
+    # 1e-9 m. A receiver that far past the line, on either side, grazes it; one
+    # twice as far crosses it.
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_receiver_at_the_grazing_tolerance_counts_zero(self, side):
+        plan = Floorplan(bounds=Bounds(0, -5, 2, 5),
+                         obstacles=(PlanarObstacle(0, 0, 1, 0, family=WALL),))
+        tx = Point3(0.5, side, 1.5)
+        rx = np.array([[0.5, -side * 1e-9, 1.5], [0.5, -side * 2e-9, 1.5]])
+        counts, _ = crossing_counts_batch(plan, tx, rx)
+        assert counts[WALL].tolist() == [0, 1]
+        assert crossing_flags_batch(plan, tx, rx)[:, 0].tolist() == [False, True]
 
     def test_collinear_counts_zero(self):
         plan = Floorplan(bounds=Bounds(0, 0, 20, 10),
@@ -129,14 +144,14 @@ class TestLattice:
     @pytest.mark.parametrize("n", [1, 5, 6, 41, 72, 504])
     def test_exact_count_and_containment(self, n):
         bounds = Bounds(0, 0, 42, 12)
-        pts = lattice_positions(bounds, n)
+        pts = lattice_positions(bounds, n).tolist()
         assert len(pts) == n
-        assert len(set(pts)) == n
+        assert len(set(map(tuple, pts))) == n
         for x, y in pts:
             assert bounds.contains(x, y)
 
     def test_single_point_is_center(self):
-        assert lattice_positions(Bounds(0, 0, 10, 4), 1) == [(5.0, 2.0)]
+        assert lattice_positions(Bounds(0, 0, 10, 4), 1).tolist() == [[5.0, 2.0]]
 
 
 class TestValidation:

@@ -1,13 +1,15 @@
 """Property-based checks of the columnar survey and its two CSV parsers, the
 array-backed radiomap and its AP-major layout, the blocked obstruction
-counting, the batched WkNN kernel, the fit's design matrix, the sweep
-statistics and the report writer; and fuzzed input files through
-``cli.main``, which must exit 0, 2 or 3.
+counting, the virtual RP lattice, the batched WkNN kernel, the fit's design
+matrix, the sweep statistics and the report writer; and fuzzed input files
+through ``cli.main``, which must exit 0, 2 or 3.
 
 The oracles are plain per-record Python loops, the csv rows path (for the
 loadtxt survey parser), ``json.dumps`` (for the
 radiomap and for ``ioutil.format_json``), for ``crossing_flags_batch`` the
-per-obstacle loop it replaced, for ``locate``, ``locate_many`` and
+per-obstacle loop it replaced (and its per-family sums for
+``crossing_counts_batch``), for ``lattice_positions`` the per-cell loop it
+replaced, for ``locate``, ``locate_many`` and
 ``error_curves``, a per-target loop with the benchmark oracle's semantics and,
 for ``fit``, ``np.linalg.lstsq`` on the per-sample rows of
 ``reference_fit_rows`` and, for the report files, the ``asdict`` +
@@ -69,7 +71,9 @@ from radioloc.floorplan import (
     ObstacleFamily,
     PlanarObstacle,
     Point3,
+    crossing_counts_batch,
     crossing_flags_batch,
+    lattice_positions,
 )
 from radioloc.positioning import (
     SCORE_BLOCK,
@@ -105,6 +109,7 @@ from helpers import (
     measurement_set,
     reference_crossing_flags,
     reference_fit_rows,
+    reference_lattice_positions,
     reference_report_text,
     reference_wknn,
     survey_outcome,
@@ -659,6 +664,26 @@ def test_crossing_flags_match_per_obstacle_loop(n, scene):
     assert_matches_reference(plan, tx, scene_receivers(plan, tx, n, seed))
 
 
+# Counts summed over chunks of one candidate pair, of a few, and of the
+# default size, on plans of one to three stories.
+@EXACT_SETTINGS
+@given(st.integers(0, 200), st.sampled_from([1, 3, CROSSING_BLOCK]),
+       st.integers(0, 12).flatmap(obstacle_scenes))
+def test_crossing_counts_match_per_obstacle_loop(n, chunk, scene):
+    plan, tx, seed = scene
+    pts = scene_receivers(plan, tx, n, seed)
+    with mock.patch.object(floorplan, "CROSSING_BLOCK", chunk):
+        counts, floors = crossing_counts_batch(plan, tx, pts)
+    flags = reference_crossing_flags(plan, tx, pts)
+    assert list(counts) == plan.obstacle_keys()
+    for key, got in counts.items():
+        columns = [j for j, o in enumerate(plan.obstacles) if o.family == key]
+        assert got.shape == (n,)
+        assert got.tolist() == flags[:, columns].sum(axis=1).tolist()
+    assert floors.tolist() == [sum(min(z, tx.z) < f < max(z, tx.z) for f in plan.floors)
+                               for z in pts[:, 2].tolist()]
+
+
 # Chunk sizes against the candidate pairs of obstacle counts around them: with
 # one pair per chunk every range end is a chunk end; with a few, chunk ends
 # fall inside ranges, at their ends and among empty ranges, and the last chunk
@@ -671,6 +696,19 @@ def test_crossing_flags_match_per_obstacle_loop_across_obstacle_blocks(case):
     chunk, n, (plan, tx, seed) = case
     with mock.patch.object(floorplan, "CROSSING_BLOCK", chunk):
         assert_matches_reference(plan, tx, scene_receivers(plan, tx, n, seed))
+
+
+# Lattices of any size on plans from square to a million times wider than
+# deep, so that both the divisor pairs and the aspect-matched fallback occur.
+@SETTINGS
+@given(st.integers(1, 3000) | st.sampled_from([4500, 5040, 5112, 65536, 720720]),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_lattice_positions_match_loop(n, min_x, min_y, width, height):
+    bounds = Bounds(min_x, min_y, min_x + width, min_y + height)
+    got = lattice_positions(bounds, n)
+    want = np.array(reference_lattice_positions(bounds, n), dtype=float)
+    assert got.dtype == want.dtype and got.shape == (n, 2)
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -811,6 +849,34 @@ def arctan2_off_by_ulps(seed, ulps):
 def test_crossing_flags_match_per_obstacle_loop_with_arctan2_off_by_ulps(scene, seed):
     with mock.patch.object(np, "arctan2", arctan2_off_by_ulps(seed, 8)):
         assert_matches_reference(*scene)
+
+
+# Links that pass an obstacle end at 0.01 to 10 grazing tolerances, on the
+# obstacle's side of the end and beyond its line: those within a tolerance
+# graze the end and cross nothing, the others cross. Their azimuths lie just
+# inside the obstacle's wedge, where the sweep must still run the link-line
+# test; half the examples move arctan2's results by up to 8 units in the last
+# place.
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_crossing_flags_match_per_obstacle_loop_beside_obstacle_ends(seed, off_by_ulps):
+    rng = np.random.default_rng(seed)
+    obstacles, xy = [], []
+    for _ in range(6):
+        c, d = rng.uniform(-20.0, 20.0, (2, 2)) * 10.0**rng.uniform(-2, 0, (2, 1))
+        obstacles.append(PlanarObstacle(*c, *d))
+        for end, other in ((c, d), (d, c)):
+            dist, heading = math.hypot(*end), math.atan2(end[1], end[0])
+            toward = math.copysign(1.0, end[0] * other[1] - end[1] * other[0])
+            turn = heading + toward * GRAZE_EPS_M / dist * 10.0**rng.uniform(-2, 1, 8)
+            reach = dist * rng.uniform(1.5, 4.0, 8)
+            xy.append(np.column_stack([reach * np.cos(turn), reach * np.sin(turn)]))
+    xy = np.concatenate(xy)
+    plan = Floorplan(Bounds(-100.0, -100.0, 100.0, 100.0), (), tuple(obstacles))
+    pts = np.column_stack([xy, np.full(len(xy), 1.2)])
+    with (mock.patch.object(np, "arctan2", arctan2_off_by_ulps(seed, 8)) if off_by_ulps
+          else contextlib.nullcontext()):
+        assert_matches_reference(plan, Point3(0.0, 0.0, 1.2), pts)
 
 
 # Map sizes: 1-3 RPs with 9-12 APs (a lone RP makes the AP axis the innermost
