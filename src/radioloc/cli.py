@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import DegenerateFitError, GeometryError, InputError, InsufficientDataError
 from .evaluation import (
     EvalWorld,
+    _SurveyFits,
     alpha_grid,
     emit_report_pair,
     run_kest_sweep,
@@ -291,12 +292,14 @@ def cmd_evaluate(args) -> int:
     dr_grid = [ceil_scaled(rho * n_total) / area for rho in args.rho_grid]
     dv_grid = [dv for dv in args.dv_grid]
 
+    # Both sweeps fit the same survey prefixes: each is solved once.
+    fits = _SurveyFits(world.plan, world.aps, world.measurements)
     prediction = run_prediction_analysis(
         world.measurements, world.plan, world.aps, args.rho_grid,
-        [strategy], [model])
+        [strategy], [model], _fits=fits)
     positioning, gain = run_positioning_sweep(
         world, dr_grid, dv_grid, strategy=strategy, model=model,
-        placement=args.placement)
+        placement=args.placement, _fits=fits)
     dv_max = max(dv_grid)
     kest = run_kest_sweep(positioning, dr_grid, dv_max, alpha_range=args.alpha_range,
                           alpha_step=args.alpha_step)
@@ -312,19 +315,19 @@ def cmd_evaluate(args) -> int:
     for cell in failures:
         print(f"cell failed: {cell!r}", file=sys.stderr)
 
+    # A headline whose cell is missing or failed is not printed.
     ok_pred = [c for c in prediction.cells if not c.error]
-    ok_pos = [c for c in positioning.cells if not c.error]
     if ok_pred:
         best = min(ok_pred, key=lambda c: c.mean_delta_db)
         print(f"prediction: mean delta {best.mean_delta_db:.2f} dB "
               f"(rho={best.rho}, {best.strategy}, {best.model})")
-    if ok_pos:
-        baseline = positioning.cell(dr_grid[-1], 0.0)
+    baseline = positioning.cell(dr_grid[-1], 0.0)
+    if not baseline.error:
         print(f"positioning: mean error {baseline.mean_error_at_k_opt:.2f} m "
               f"at d_real={baseline.d_real:.4f}, d_virtual=0, k_opt={baseline.k_opt}")
-    if gain.cells:
-        headline = gain.gain(dr_grid[0], dv_max)
-        print(f"gain: {headline:.2f} at d_real={dr_grid[0]:.4f}, d_virtual={dv_max}")
+    headline = [c.gain for c in gain.cells if (c.d_real, c.d_virtual) == (dr_grid[0], dv_max)]
+    if headline:
+        print(f"gain: {headline[0]:.2f} at d_real={dr_grid[0]:.4f}, d_virtual={dv_max}")
     kest_05 = [c for c in kest.cells if abs(c.alpha - 0.05) < 1e-9]
     if kest_05:
         worst = max(kest_05, key=lambda c: c.beta_m)

@@ -69,17 +69,22 @@ def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
 
 
 def boxplot_stats(values: Sequence[float]) -> dict:
-    """Min, quartiles, max, and 1.5*IQR outliers of a sample."""
+    """Min, quartiles, max, and 1.5*IQR outliers of a non-empty sample.
+
+    One sort gives them all (``_column_stats``), equal to ``np.percentile``,
+    ``min`` and ``max`` bit for bit except where zeros of both signs tie.
+    """
     arr = np.asarray(values, dtype=float)
-    p25, p50, p75 = (float(v) for v in np.percentile(arr, [25, 50, 75]))
+    quartiles, low, high = _column_stats(arr[:, None])
+    p25, p50, p75 = quartiles[:, 0].tolist()
     iqr = p75 - p25
     lo, hi = p25 - 1.5 * iqr, p75 + 1.5 * iqr
     return {
-        "min": float(arr.min()),
+        "min": float(low[0]),
         "p25": p25,
         "p50": p50,
         "p75": p75,
-        "max": float(arr.max()),
+        "max": float(high[0]),
         "outliers": [float(v) for v in arr[(arr < lo) | (arr > hi)]],
     }
 
@@ -88,14 +93,15 @@ _QUARTILES = np.array([25.0, 50.0, 75.0]) / 100
 
 
 def _column_stats(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(quartiles (3, K), minima (K,), maxima (K,)) of the columns of a finite
+    """(quartiles (3, K), minima (K,), maxima (K,)) of the columns of a
     (T, K) array, T >= 1, from one sort of each column.
 
     The results equal ``np.percentile(curves, [25, 50, 75], axis=0)``,
     ``curves.min(axis=0)`` and ``curves.max(axis=0)`` bit for bit: the
     quartiles take numpy's linear-method indices, (T - 1) * q, and its
-    ``_lerp`` arithmetic. (A column holding zeros of both signs is the one
-    exception: which of them numpy puts at an index is unspecified.)
+    ``_lerp`` arithmetic, and a column holding NaN gives NaN throughout. (A
+    column holding zeros of both signs is the one exception: which of them
+    numpy puts at an index is unspecified.)
     """
     t = curves.shape[0]
     lanes = curves.T.copy()
@@ -111,6 +117,9 @@ def _column_stats(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     diff = b - a
     quartiles = a + diff * gamma
     np.subtract(b, diff * (1 - gamma), out=quartiles, where=gamma >= 0.5)
+    nan = np.isnan(lanes[:, -1])  # the sort puts a column's NaN last
+    if nan.any():
+        quartiles[nan] = lanes[nan, 0] = np.nan
     return quartiles.T, lanes[:, 0], lanes[:, -1]
 
 
@@ -277,6 +286,42 @@ class KestReport:
 
 
 # ---------------------------------------------------------------------------
+# Survey prefixes and their fits
+# ---------------------------------------------------------------------------
+
+class _SurveyFits:
+    """The fits of one survey's farthest-point prefixes, shared by the sweeps.
+
+    ``order`` is the survey points' decimation order; a prefix is its first
+    n points. The survey's design matrix is built once per (model, l0), and
+    each (strategy, model, n) is solved once: a later request returns the
+    same FitResult, or raises the same fit error again. Geometry and input
+    errors are not kept; they end the evaluation.
+    """
+
+    def __init__(self, plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet):
+        self.plan, self.aps, self.meas = plan, aps, meas
+        self.order = decimation_order(meas.xyz)
+        self._designs: dict = {}
+        self._fits: dict = {}
+
+    def fit(self, strategy: FitStrategy, model: ModelKind, n_keep: int) -> FitResult:
+        key = (strategy, model, n_keep)
+        if key not in self._fits:
+            keep = np.zeros(len(self.order), dtype=bool)
+            keep[self.order[:n_keep]] = True
+            try:
+                self._fits[key] = fit(strategy, model, self.plan, self.aps, self.meas,
+                                      _designs=self._designs, _keep=keep)
+            except (DegenerateFitError, InsufficientDataError) as exc:
+                self._fits[key] = exc
+        result = self._fits[key]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+
+# ---------------------------------------------------------------------------
 # Prediction analysis
 # ---------------------------------------------------------------------------
 
@@ -284,26 +329,27 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                             aps: list[AccessPoint],
                             rho_grid: Sequence[float],
                             strategies: Sequence[FitStrategy],
-                            models: Sequence[ModelKind]) -> PredictionReport:
+                            models: Sequence[ModelKind], *,
+                            _fits: _SurveyFits | None = None) -> PredictionReport:
     """Score RSS prediction error over a grid of survey fractions.
 
     For each (rho, strategy, model): calibrate on ceil(rho * N) survey points
     chosen by farthest-point decimation, predict at every survey point, and
     collect |measured - predicted| over all pairs where the AP was detected.
     Fit failures are recorded in their cell instead of aborting the sweep.
+    ``_fits`` shares the survey's fits with the positioning sweep.
     """
     if any(not 0.0 < rho <= 1.0 for rho in rho_grid):
         raise ValueError("rho grid values must lie in (0, 1]")
+    fits = _SurveyFits(plan, aps, meas) if _fits is None else _fits
     means = meas.mean_matrix()
     column = {ap_id: j for j, ap_id in enumerate(meas.ap_ids())}
-    order = decimation_order(meas.xyz)
     # Every cell predicts at all survey points: one link table per AP serves them all.
     links: dict[str, LinkTable] = {}
 
     report = PredictionReport()
     for rho in rho_grid:
-        n_keep = ceil_scaled(rho * len(order))
-        subset = meas.subset(order[:n_keep])
+        n_keep = ceil_scaled(rho * len(fits.order))
         for strategy in strategies:
             for model in models:
                 cell = PredictionCell(
@@ -313,7 +359,7 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                 )
                 report.cells.append(cell)
                 try:
-                    result = fit(strategy, model, plan, aps, subset)
+                    result = fits.fit(strategy, model, n_keep)
                 except (DegenerateFitError, InsufficientDataError) as exc:
                     cell.error = str(exc)
                     continue
@@ -422,7 +468,8 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
                           strategy: FitStrategy | None = None,
                           model: ModelKind = ModelKind.MWMF,
                           placement: str = "grid",
-                          gain_fixed_k: int | None = None,
+                          gain_fixed_k: int | None = None, *,
+                          _fits: _SurveyFits | None = None,
                           ) -> tuple[PositioningReport, GainReport]:
     """Full factorial sweep of positioning error over (d_real, d_virtual, k).
 
@@ -431,15 +478,16 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
     at every requested virtual density (a d_virtual = 0 baseline is always
     computed; it anchors the gain). Gain uses each cell's own error-minimizing
     k unless ``gain_fixed_k`` pins a common k; it is infinite where the cell's
-    mean error is 0, and NaN where the baseline's is 0 too.
+    mean error is 0, and NaN where the baseline's is 0 too. ``_fits`` shares
+    the survey's fits with the prediction analysis.
     """
     if not len(world.tp_rss):
         raise ValueError("positioning sweep needs test points")
     if strategy is None:
         strategy = FitStrategy.environment()
 
+    fits = _SurveyFits(world.plan, world.aps, world.measurements) if _fits is None else _fits
     rps_all = build_real_fingerprints(world.measurements, world.aps, world.sentinel_dbm)
-    order = decimation_order(rps_all.pos)
     area = world.area
 
     dv_values = sorted({float(dv) for dv in dv_grid} | {0.0})
@@ -452,11 +500,9 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
     for i_dr, d_real in enumerate(dr_grid):
         n_real = int(math.floor(round(d_real * area, 9) + 0.5))
         n_real = max(1, min(n_real, len(rps_all)))
-        keep = order[:n_real]
-        real_rps = rps_all[keep]
+        real_rps = rps_all[fits.order[:n_real]]
         try:
-            fit_result = fit(strategy, model, world.plan, world.aps,
-                             world.measurements.subset(keep))
+            fit_result = fits.fit(strategy, model, n_real)
         except (DegenerateFitError, InsufficientDataError) as exc:
             for dv in dv_values:
                 report.cells.append(_failed_cell(d_real, dv, n_real, str(exc)))

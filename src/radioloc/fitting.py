@@ -23,7 +23,6 @@ from enum import Enum
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -291,83 +290,143 @@ class FitResult:
             raise KeyError(f"no fitted parameters for AP {ap_id!r}") from None
 
 
-class _Design(NamedTuple):
+class _Design:
     """The least-squares system of one survey, rows in (AP id, point id) order.
 
     Each row is one detected same-floor (point, AP) pair. ``columns`` holds
     10*log10(d) for the one-slope model and, for the multi-wall model, also a
     constant 1 and one crossing count per obstacle family of the plan; ``y``
-    is EIRP - l0 - mean RSS. ``rows`` maps each AP id with rows to its slice.
+    is EIRP - l0 - mean RSS; ``point`` is the row's point, a position in
+    ``meas.rp_ids()``. ``rows`` maps each AP id with rows to its slice.
+
+    The pairs a fit of some of the points must still see are kept aside:
+    ``cross_floor`` holds the point of each detected pair that crosses a floor
+    plane, ``coincident`` the (point, rp id, AP id) of each point that lies on
+    its AP, in (AP id, point id) order, and ``unknown`` the point and AP id of
+    each survey row whose AP is not in ``aps``. So ``solve`` on the points of a
+    ``keep`` mask equals ``fit`` on ``meas.subset(np.flatnonzero(keep))``.
     """
 
-    columns: np.ndarray
-    y: np.ndarray
-    rows: dict[str, slice]
-    keys: list[ObstacleFamily]
+    def __init__(self, plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet,
+                 model: ModelKind, l0_db: float):
+        ap_by_id = {ap.id: ap for ap in aps}
+        ap_ids = meas.ap_ids()
+        unknown_rows = np.isin(meas.ap_index, [j for j, ap_id in enumerate(ap_ids)
+                                               if ap_id not in ap_by_id])
+        self.unknown = (meas.rp_index[unknown_rows],
+                        [ap_ids[j] for j in meas.ap_index[unknown_rows].tolist()])
 
+        self.model, self.l0_db, self.keys = model, l0_db, plan.obstacle_keys()
+        self.ap_ids = [ap.id for ap in aps]
+        means = meas.mean_matrix()
+        rp_ids = meas.rp_ids()
+        # Rows go in (AP id, point id) order; the solve's rounding depends on it.
+        by_id = np.array(sorted(range(len(rp_ids)), key=rp_ids.__getitem__), dtype=np.intp)
 
-def _design(plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet,
-            model: ModelKind, l0_db: float) -> _Design:
-    ap_by_id = {ap.id: ap for ap in aps}
-    unknown = set(meas.ap_ids()) - set(ap_by_id)
-    if unknown:
-        raise ValueError(f"measurements reference unknown APs: {sorted(unknown)}")
+        n_columns = 1 if model is ModelKind.ONE_SLOPE else 2 + len(self.keys)
+        columns, ys = [np.empty((0, n_columns))], [np.empty(0)]
+        points_used, cross_floor = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        self.coincident: list[tuple[int, str, str]] = []
+        self.rows: dict[str, slice] = {}
+        start = 0
+        for j in sorted(range(len(ap_ids)), key=ap_ids.__getitem__):
+            ap = ap_by_id.get(ap_ids[j])
+            if ap is None:
+                continue
+            points = by_id[~np.isnan(means[by_id, j])]
+            delta = meas.xyz[points] - ap.position.as_array()
+            dists = np.sqrt(np.sum(delta * delta, axis=1))
+            at_ap = dists <= 0
+            if at_ap.any():
+                self.coincident += [(p, rp_ids[p], ap.id) for p in points[at_ap].tolist()]
+                points, dists = points[~at_ap], dists[~at_ap]
+            if points.shape[0] == 0:
+                continue
+            pts = meas.xyz[points]
+            if model is ModelKind.MWMF:
+                counts, floors = crossing_counts_batch(plan, ap.position, pts)
+            else:  # the one-slope model reads no obstruction counts
+                counts, floors = {}, floors_crossed_batch(plan, ap.position, pts)
+            # The floor term is not part of the fitted set; cross-floor samples
+            # cannot be attributed and are excluded.
+            same = floors == 0
+            cross_floor.append(points[~same])
+            n = int(np.count_nonzero(same))
+            if n == 0:
+                continue
+            # math.log10 per distance, not np.log10: numpy's SIMD log10 (numpy
+            # 2.4.6 on an AVX-512 Xeon) differs from it in the last bit for about
+            # 7% of uniform random distances, which would move the fitted params.
+            log_term = 10.0 * np.fromiter(map(math.log10, dists[same].tolist()), float, count=n)
+            if model is ModelKind.MWMF:
+                columns.append(np.column_stack(
+                    [log_term, np.ones(n), *(arr[same] for arr in counts.values())]))
+            else:
+                columns.append(log_term[:, None])
+            ys.append(ap.eirp_dbm - l0_db - means[points[same], j])
+            points_used.append(points[same])
+            self.rows[ap.id] = slice(start, start + n)
+            start += n
+        self.columns, self.y = np.concatenate(columns), np.concatenate(ys)
+        self.point, self.cross_floor = np.concatenate(points_used), np.concatenate(cross_floor)
 
-    keys = plan.obstacle_keys()
-    means = meas.mean_matrix()
-    rp_ids = meas.rp_ids()
-    ap_ids = meas.ap_ids()
-    # Rows go in (AP id, point id) order; the solve's rounding depends on it.
-    by_id = np.array(sorted(range(len(rp_ids)), key=rp_ids.__getitem__), dtype=np.intp)
+    def solve(self, strategy: FitStrategy, keep: np.ndarray | None = None) -> FitResult:
+        """The fit of the points where ``keep`` (a mask over the survey's
+        points) is True, or of every point when it is None."""
+        unknown_points, unknown = self.unknown
+        if keep is not None:
+            unknown = compress(unknown, keep[unknown_points].tolist())
+        unknown = set(unknown)
+        if unknown:
+            raise ValueError(f"measurements reference unknown APs: {sorted(unknown)}")
+        for point, rp_id, ap_id in self.coincident:
+            if keep is None or keep[point]:
+                raise GeometryError(f"point {rp_id!r} coincides with AP {ap_id!r}")
+        skipped_floor = (self.cross_floor.shape[0] if keep is None
+                         else int(np.count_nonzero(keep[self.cross_floor])))
+        if skipped_floor:
+            warnings.warn(f"excluded {skipped_floor} cross-floor samples from the fit",
+                          stacklevel=3)
 
-    n_columns = 1 if model is ModelKind.ONE_SLOPE else 2 + len(keys)
-    columns, ys = [np.empty((0, n_columns))], [np.empty(0)]
-    rows: dict[str, slice] = {}
-    start = skipped_floor = 0
-    for j in sorted(range(len(ap_ids)), key=ap_ids.__getitem__):
-        points = by_id[~np.isnan(means[by_id, j])]
-        if points.shape[0] == 0:
-            continue
-        ap = ap_by_id[ap_ids[j]]
-        pts = meas.xyz[points]
-        delta = pts - ap.position.as_array()
-        dists = np.sqrt(np.sum(delta * delta, axis=1))
-        if np.any(dists <= 0):
-            rp_id = rp_ids[points[np.argmax(dists <= 0)]]
-            raise GeometryError(f"point {rp_id!r} coincides with AP {ap.id!r}")
-        if model is ModelKind.MWMF:
-            counts, floors = crossing_counts_batch(plan, ap.position, pts)
-        else:  # the one-slope model reads no obstruction counts
-            counts, floors = {}, floors_crossed_batch(plan, ap.position, pts)
-        # The floor term is not part of the fitted set; cross-floor samples
-        # cannot be attributed and are excluded.
-        same = floors == 0
-        skipped_floor += int(np.count_nonzero(~same))
-        n = int(np.count_nonzero(same))
-        if n == 0:
-            continue
-        # math.log10 per distance, not np.log10: numpy's SIMD log10 (numpy
-        # 2.4.6 on an AVX-512 Xeon) differs from it in the last bit for about
-        # 7% of uniform random distances, which would move the fitted params.
-        log_term = 10.0 * np.fromiter(map(math.log10, dists[same].tolist()), float, count=n)
-        if model is ModelKind.MWMF:
-            columns.append(np.column_stack(
-                [log_term, np.ones(n), *(arr[same] for arr in counts.values())]))
+        model, l0_db = self.model, self.l0_db
+        columns, y, rows = self.columns, self.y, self.rows
+        if keep is not None:
+            used = keep[self.point]
+            columns, y = columns[used], y[used]
+            # The APs' blocks of rows stay in order: each keeps its used rows.
+            ends = np.cumsum([0, *(np.count_nonzero(used[s]) for s in rows.values())]).tolist()
+            rows = {ap_id: slice(start, stop)
+                    for ap_id, start, stop in zip(rows, ends, ends[1:]) if stop > start}
+
+        if strategy.kind is StrategyKind.PER_AP:
+            params_by_ap: dict[str, PropagationParams] = {}
+            per_ap_residuals = []
+            for ap_id in self.ap_ids:
+                if ap_id in rows:
+                    params_by_ap[ap_id], residuals = _solve(
+                        columns[rows[ap_id]], y[rows[ap_id]], self.keys, model, ap_id, l0_db)
+                    per_ap_residuals.append(residuals)
+            if not params_by_ap:
+                raise InsufficientDataError("no AP has any detected sample")
+            residuals = np.concatenate(per_ap_residuals)
         else:
-            columns.append(log_term[:, None])
-        ys.append(ap.eirp_dbm - l0_db - means[points[same], j])
-        rows[ap.id] = slice(start, start + n)
-        start += n
-    if skipped_floor:
-        warnings.warn(f"excluded {skipped_floor} cross-floor samples from the fit",
-                      stacklevel=3)
-    return _Design(np.concatenate(columns), np.concatenate(ys), rows, keys)
+            if strategy.kind is StrategyKind.NO_FIT:
+                params = strategy.no_fit_params
+                residuals = columns @ _theta(model, params, self.keys) - y
+            else:
+                params, residuals = _solve(columns, y, self.keys, model, "environment", l0_db)
+            params_by_ap = {ap_id: params for ap_id in self.ap_ids}
+        rms = float(np.sqrt(np.mean(residuals ** 2))) if residuals.size else 0.0
+        return FitResult(params_by_ap=params_by_ap, residual_rms_db=rms,
+                         m_used=y.shape[0], model=model, strategy=strategy.kind)
 
 
-def _solve(design: _Design, rows: slice, model: ModelKind, scope: str,
-           l0_db: float) -> tuple[PropagationParams, np.ndarray]:
-    """Solve the system on ``rows``; returns (params, per-row residuals)."""
-    columns, y, keys = design.columns[rows], design.y[rows], design.keys
+def _solve(columns: np.ndarray, y: np.ndarray, keys: list[ObstacleFamily], model: ModelKind,
+           scope: str, l0_db: float) -> tuple[PropagationParams, np.ndarray]:
+    """Solve one system of design rows; returns (params, per-row residuals).
+
+    Its warnings point at the code that called ``fit``.
+    """
     if model is ModelKind.MWMF:
         # Obstacle families no row crosses are unidentifiable; they are excluded
         # from the solve and their loss reported as zero.
@@ -376,7 +435,7 @@ def _solve(design: _Design, rows: slice, model: ModelKind, scope: str,
             missing = [key.value for key, seen in zip(keys, observed) if not seen]
             warnings.warn(f"{scope}: no sample crosses {missing}; "
                           "their losses are unconstrained and set to 0",
-                          stacklevel=3)
+                          stacklevel=4)
         columns = columns[:, np.concatenate([[True, True], observed])]
 
     m, n_params = columns.shape
@@ -392,7 +451,7 @@ def _solve(design: _Design, rows: slice, model: ModelKind, scope: str,
         losses = dict(zip(compress(keys, observed), solution[2:].tolist()))
         if any(v < 0 for v in losses.values()):
             warnings.warn(f"{scope}: fitted obstacle losses include negative values",
-                          stacklevel=3)
+                          stacklevel=4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # range warning already issued above
             params = PropagationParams(
@@ -411,7 +470,8 @@ def _theta(model: ModelKind, params: PropagationParams,
 
 
 def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
-        aps: list[AccessPoint], meas: MeasurementSet) -> FitResult:
+        aps: list[AccessPoint], meas: MeasurementSet, *,
+        _designs: dict | None = None, _keep: np.ndarray | None = None) -> FitResult:
     """Estimate propagation parameters from scan-averaged measurements.
 
     The reference loss is pinned (free-space 40.22 dB; the no-fit strategy
@@ -425,34 +485,22 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
     solve (``np.linalg.lstsq``), O(M * p^2) flops for p parameters; per-AP
     fitting solves each AP's rows on their own; no-fit scores its fixed
     parameters with one matrix-vector product over the same rows.
+
+    The evaluation sweeps fit many point subsets of one survey. They pass
+    ``_designs``, a dict that keeps each design of ``meas`` by (model, l0)
+    across calls, and ``_keep``, a mask over ``meas.rp_ids()``; the result
+    equals ``fit`` on ``meas.subset(np.flatnonzero(_keep))``, errors and
+    warnings included.
     """
     if strategy.kind is StrategyKind.NO_FIT:
         l0_db = strategy.no_fit_params.l0_db
     else:
         l0_db = FREE_SPACE_L0_DB
-    design = _design(plan, aps, meas, model, l0_db)
-
-    if strategy.kind is StrategyKind.PER_AP:
-        params_by_ap: dict[str, PropagationParams] = {}
-        per_ap_residuals = []
-        for ap in aps:
-            if ap.id in design.rows:
-                params_by_ap[ap.id], residuals = _solve(design, design.rows[ap.id], model,
-                                                        ap.id, l0_db)
-                per_ap_residuals.append(residuals)
-        if not params_by_ap:
-            raise InsufficientDataError("no AP has any detected sample")
-        residuals = np.concatenate(per_ap_residuals)
-    else:
-        if strategy.kind is StrategyKind.NO_FIT:
-            params = strategy.no_fit_params
-            residuals = design.columns @ _theta(model, params, design.keys) - design.y
-        else:
-            params, residuals = _solve(design, slice(None), model, "environment", l0_db)
-        params_by_ap = {ap.id: params for ap in aps}
-    rms = float(np.sqrt(np.mean(residuals ** 2))) if residuals.size else 0.0
-    return FitResult(params_by_ap=params_by_ap, residual_rms_db=rms,
-                     m_used=design.y.shape[0], model=model, strategy=strategy.kind)
+    designs = {} if _designs is None else _designs
+    design = designs.get((model, l0_db))
+    if design is None:
+        design = designs[model, l0_db] = _Design(plan, aps, meas, model, l0_db)
+    return design.solve(strategy, _keep)
 
 
 # ---------------------------------------------------------------------------

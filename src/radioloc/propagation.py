@@ -113,7 +113,8 @@ class LinkTable:
 
     Holds ``log10_d``, the (n,) base-10 log distances, and on first use by
     the multi-wall model the per-family crossing counts and the crossed floor
-    planes (``obstructions``). The one-slope model reads only ``log10_d``,
+    planes (``obstructions``), with the positive numbers of crossed planes
+    that occur, ascending. The one-slope model reads only ``log10_d``,
     so it never counts crossings. One table serves any parameters of either
     model; ``predict_rss`` equals ``predict_rss_many`` bit for bit.
     """
@@ -132,6 +133,12 @@ class LinkTable:
         self.positions = pts
         self.log10_d = np.log10(d)
         self._obstructions: tuple[dict[ObstacleFamily, np.ndarray], np.ndarray] | None = None
+        self._floor_counts: list[int] = []
+
+    def _keep_obstructions(self, counts: dict[ObstacleFamily, np.ndarray],
+                           floors: np.ndarray) -> None:
+        self._obstructions = counts, floors
+        self._floor_counts = [nf for nf in np.unique(floors).tolist() if nf > 0]
 
     def crossing_flags(self) -> np.ndarray:
         """Per-obstacle crossing flags (n, n_obstacles), counted afresh and not kept.
@@ -141,7 +148,7 @@ class LinkTable:
         """
         counts, flags = _crossings(self.plan, self.ap.position, self.positions, with_flags=True)
         if self._obstructions is None:
-            self._obstructions = (
+            self._keep_obstructions(
                 counts, floors_crossed_batch(self.plan, self.ap.position, self.positions))
         return flags
 
@@ -149,8 +156,8 @@ class LinkTable:
     def obstructions(self) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray]:
         """Per-family crossing counts (plan key order) and crossed floor planes, per link."""
         if self._obstructions is None:
-            self._obstructions = crossing_counts_batch(self.plan, self.ap.position,
-                                                       self.positions)
+            self._keep_obstructions(*crossing_counts_batch(self.plan, self.ap.position,
+                                                           self.positions))
         return self._obstructions
 
     def predict_rss(self, model: ModelKind, params: PropagationParams) -> np.ndarray:
@@ -164,9 +171,8 @@ class LinkTable:
                 loss = params.loss_db(family)
                 if loss:
                     extra += arr * loss
-            for nf in np.unique(floors):
-                if nf > 0:
-                    extra[floors == nf] += floor_term_db(params, int(nf))
+            for nf in self._floor_counts:
+                extra[floors == nf] += floor_term_db(params, nf)
             pl = pl + extra
 
         return self.ap.eirp_dbm - pl

@@ -9,10 +9,12 @@ estimates from a plain Python sort-and-accumulate loop. The exceptions are
 loop that ``lattice_positions`` must match bit for bit, ``reference_wknn``, the
 per-target loop that the batched WkNN kernel must match bit for bit, and
 ``reference_fit_rows``, the per-sample loop whose rows the fit's design matrix
-must equal bit for bit, and ``reference_report_text``, the ``asdict`` +
-``json.dumps`` and per-row ``csv.writer`` report writer whose bytes the
-evaluation's report formatting must equal, and ``csv_path_outcome``, survey
-loading through the csv rows path alone, which the loadtxt path must equal.
+must equal bit for bit, ``reference_boxplot_stats``, the ``np.percentile``
+form that ``boxplot_stats`` must equal, and ``reference_report_text``, the
+``asdict`` + ``json.dumps`` and per-row ``csv.writer`` report writer whose
+bytes the evaluation's report formatting must equal, and ``csv_path_outcome``,
+survey loading through the csv rows path alone, which the loadtxt path must
+equal.
 """
 
 import csv
@@ -388,6 +390,18 @@ def _reference_positioning_rows(report):
                          repr(cell.p50_by_k[idx]), repr(cell.p75_by_k[idx]),
                          repr(cell.min_by_k[idx]), repr(cell.max_by_k[idx]), gain])
     return rows
+
+
+def reference_boxplot_stats(values):
+    """Min, quartiles, max and 1.5*IQR outliers of a sample, from ``np.percentile``,
+    ``min`` and ``max``."""
+    arr = np.asarray(values, dtype=float)
+    p25, p50, p75 = (float(v) for v in np.percentile(arr, [25, 50, 75]))
+    iqr = p75 - p25
+    lo, hi = p25 - 1.5 * iqr, p75 + 1.5 * iqr
+    return {"min": float(arr.min()), "p25": p25, "p50": p50, "p75": p75,
+            "max": float(arr.max()),
+            "outliers": [float(v) for v in arr[(arr < lo) | (arr > hi)]]}
 
 
 def reference_report_text(report, fmt):

@@ -2,13 +2,16 @@ import json
 import math
 import os
 import stat
+from collections import Counter
 
 import pytest
 
 import radioloc.cli as cli
+from radioloc import evaluation, fitting
 from radioloc.cli import build_parser, main
-from radioloc.fitting import load_fit_result, load_measurements
+from radioloc.fitting import StrategyKind, load_fit_result, load_measurements
 from radioloc.floorplan import load_floorplan
+from radioloc.propagation import FREE_SPACE_L0_DB, ModelKind
 from radioloc.radiomap import load_radiomap, place_virtual_rps
 from radioloc.simulator import ALPHA_RANGE, ALPHA_STEP, DV_GRID, RHO_GRID
 
@@ -551,6 +554,50 @@ class TestEvaluate:
             os.umask(previous)
         assert stat.S_IMODE((tmp_path / "private.json").stat().st_mode) == 0o600
         assert (tmp_path / "private.json").read_bytes() == (tmp_path / "fit.json").read_bytes()
+
+    @pytest.mark.parametrize("rho_grid, printed, skipped", [
+        ("0.02,1", "positioning:", "gain:"),  # the smallest fraction has no gain cell
+        ("1,0.02", "gain:", "positioning:"),  # the last fraction's baseline failed
+    ])
+    def test_headline_of_a_failed_cell_is_skipped(self, world_dir, tmp_path, capsys,
+                                                  rho_grid, printed, skipped):
+        # A per-AP fit of one survey point fails; the other fraction's fits do not.
+        code = main(["evaluate", "--world-dir", str(world_dir), "--strategy", "per-ap",
+                     "--rho-grid", rho_grid, "--dv-grid", "0.1",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("cell failed:") == 3  # one prediction, two positioning
+        assert "rho=0.02" in captured.err and "Traceback" not in captured.err
+        assert printed in captured.out and skipped not in captured.out
+        assert "prediction:" in captured.out and "k rule:" in captured.out
+        assert len(list((tmp_path / "out").iterdir())) == 8
+
+    def test_sweeps_share_one_design_and_each_prefix_fit(self, world_dir, tmp_path,
+                                                         monkeypatch):
+        designs, solved, orders = [], Counter(), []
+        design_init, solve = fitting._Design.__init__, fitting._Design.solve
+        order = evaluation.decimation_order
+
+        def counting_init(self, plan, aps, meas, model, l0_db):
+            designs.append((model, l0_db))
+            design_init(self, plan, aps, meas, model, l0_db)
+
+        def counting_solve(self, strategy, keep=None):
+            solved[strategy.kind, int(keep.sum())] += 1
+            return solve(self, strategy, keep)
+
+        monkeypatch.setattr(fitting._Design, "__init__", counting_init)
+        monkeypatch.setattr(fitting._Design, "solve", counting_solve)
+        monkeypatch.setattr(evaluation, "decimation_order",
+                            lambda positions: orders.append(1) or order(positions))
+        assert main(["evaluate", "--world-dir", str(world_dir), "--rho-grid", "0.2,0.5,1",
+                     "--dv-grid", "0.1,1", "--out-dir", str(tmp_path / "out")]) == 0
+        n = 41  # survey points
+        assert designs == [(ModelKind.MWMF, FREE_SPACE_L0_DB)]
+        assert solved == {(StrategyKind.ENVIRONMENT, math.ceil(rho * n)): 1
+                          for rho in (0.2, 0.5, 1)}
+        assert orders == [1]
 
     def test_every_cell_failed_exits_3(self, tmp_path, capsys):
         # Two survey points: every fit of the sweep is underdetermined or degenerate.

@@ -12,10 +12,12 @@ per-obstacle loop it replaced (and its per-family sums for
 replaced, for ``locate``, ``locate_many`` and
 ``error_curves``, a per-target loop with the benchmark oracle's semantics and,
 for ``fit``, ``np.linalg.lstsq`` on the per-sample rows of
-``reference_fit_rows`` and, for the report files, the ``asdict`` +
-``json.dumps`` and ``csv.writer`` loop of ``reference_report_text`` and, for
-the sweep statistics, ``np.percentile``, ``min`` and ``max``; they do not
-share code with the array paths they check.
+``reference_fit_rows`` (and, for a fit of some survey points from the
+survey's shared design, ``fit`` on the subset of those points) and, for the
+report files, the ``asdict`` + ``json.dumps`` and ``csv.writer`` loop of
+``reference_report_text`` and, for the sweep and box-plot statistics,
+``np.percentile``, ``min`` and ``max``; they do not share code with the array
+paths they check.
 """
 
 import contextlib
@@ -49,12 +51,14 @@ from radioloc.evaluation import (
     PredictionCell,
     PredictionReport,
     _column_stats,
+    boxplot_stats,
     emit_report,
 )
 from radioloc.fitting import (
     MEASUREMENT_COLUMNS,
     FitStrategy,
     MeasurementRecord,
+    MeasurementSet,
     StrategyKind,
     _loadtxt_columns,
     _measurements_from_rows,
@@ -107,6 +111,7 @@ from conftest import EXACTNESS_PROFILE, EXACTNESS_SCALE
 from helpers import (
     csv_path_outcome,
     measurement_set,
+    reference_boxplot_stats,
     reference_crossing_flags,
     reference_fit_rows,
     reference_lattice_positions,
@@ -560,6 +565,35 @@ def test_column_stats_equal_numpy_bit_for_bit(curves):
     assert quartiles.tobytes() == want.tobytes()
     assert lows.tobytes() == curves.min(axis=0).tobytes()
     assert highs.tobytes() == curves.max(axis=0).tobytes()
+
+
+@st.composite
+def box_samples(draw):
+    """Samples of 1-80 values from a few levels, ties heavy, or continuous; the
+    levels may hold an infinity or NaN, and one zero, 0.0 or -0.0 (which of
+    two equal zeros of different sign a statistic takes is unspecified)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 80]))
+    if draw(st.booleans()):
+        return rng.uniform(0.0, draw(st.sampled_from([1e-300, 1.0, 1e300])), n)
+    nonzero = st.floats(-1e3, 1e3).map(lambda v: v or 0.5)
+    levels = draw(st.lists(nonzero | st.sampled_from([math.inf, -math.inf, math.nan]),
+                           min_size=1, max_size=4))
+    levels.append(draw(st.sampled_from([0.0, -0.0])))
+    return rng.choice(np.array(levels), n).tolist()
+
+
+@EXACT_SETTINGS
+@given(box_samples())
+def test_boxplot_stats_equal_percentile_form(values):
+    """boxplot_stats, from one sort, equals the np.percentile, min and max form
+    bit for bit, outliers included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # quartiles of infinities
+        got, want = boxplot_stats(values), reference_boxplot_stats(values)
+    assert list(got) == list(want)
+    assert {k: np.array(v).tobytes() for k, v in got.items()} == {
+        k: np.array(v).tobytes() for k, v in want.items()}
 
 
 @EXACT_SETTINGS
@@ -1061,10 +1095,10 @@ def test_permuting_rps_permutes_neighbors(n, n_aps, seed, data):
     assert permuted.position == est.position
 
 
-# Fit worlds: up to five lattice obstacles on one or two stories, APs just
+# Fit worlds: up to five lattice obstacles on one to three stories, APs just
 # below the ceilings and survey points at device height on every story.
-AP_HEIGHTS = (2.5, 5.5)
-RP_HEIGHTS = (1.2, 4.2)
+AP_HEIGHTS = (2.5, 5.5, 8.5)
+RP_HEIGHTS = (1.2, 4.2, 7.2)
 
 
 @st.composite
@@ -1072,10 +1106,10 @@ def fit_worlds(draw):
     """(plan, aps, ids, positions, seed) for a survey to fit.
 
     AP ids and point ids are shuffled numberings, so neither id order is the
-    order of appearance; on two stories some links cross the floor plane.
+    order of appearance; on two or three stories some links cross floor planes.
     """
     w, h = draw(st.integers(6, 14)), draw(st.integers(4, 10))
-    floors = draw(st.sampled_from([(), (3.0,)]))
+    floors = draw(st.sampled_from([(), (3.0,), (3.0, 6.0)]))
     obstacles = []
     for _ in range(draw(st.integers(0, 5))):
         ends = draw(st.tuples(half_meters(w), half_meters(h), half_meters(w), half_meters(h))
@@ -1198,6 +1232,64 @@ def test_fit_recovers_noiseless_parameters(world, model, kind, data):
         np.testing.assert_allclose([v for v, u in zip(values, used) if u],
                                    [v for v, u in zip(want, used) if u], rtol=0, atol=1e-6)
     assert result.residual_rms_db < 1e-6
+
+
+def fit_outcome(run):
+    """``run()``'s FitResult as bits (params per AP, residual RMS, m_used), or
+    its error's type and message (GeometryError among the ValueErrors); with
+    the warnings it issued, in order."""
+    with warnings.catch_warnings(record=True) as issued:
+        warnings.simplefilter("always")
+        try:
+            result = run()
+        except (ValueError, DegenerateFitError, InsufficientDataError) as exc:
+            outcome = (type(exc), str(exc))
+        else:
+            outcome = ([(ap_id, [getattr(p, f).hex() for f in p.__dataclass_fields__])
+                        for ap_id, p in result.params_by_ap.items()],
+                       result.residual_rms_db.hex(), result.m_used, result.model,
+                       result.strategy)
+    return outcome, [str(w.message) for w in issued]
+
+
+@EXACT_SETTINGS
+@given(fit_worlds(), st.sampled_from(ModelKind), st.sampled_from(StrategyKind), st.data())
+def test_prefix_fit_of_shared_design_matches_fit_of_subset(world, model, kind, data):
+    """fit with a survey's shared design and a point mask equals fit on the
+    subset of those points bit for bit, with the same errors and warnings,
+    prefix after prefix of any point order; the design is built once."""
+    plan, aps, ids, positions, seed = world
+    rarely = st.sampled_from([False, False, False, True])
+    if data.draw(rarely):  # a survey point on an AP: GeometryError in its prefixes
+        positions[data.draw(st.integers(0, len(positions) - 1))] = aps[0].position
+    meas = fit_survey(aps, ids, positions, seed, lambda ap, p, rng: rng.uniform(-100.0, -30.0))
+    if kind is StrategyKind.NO_FIT:
+        strategy = FitStrategy.no_fit(PropagationParams(
+            l0_db=data.draw(st.sampled_from([FREE_SPACE_L0_DB, 35.0])),
+            gamma=data.draw(st.floats(1.5, 4.0)), lc_db=data.draw(st.floats(0.0, 5.0)),
+            wall_db=data.draw(st.floats(0.0, 8.0)), door_db=data.draw(st.floats(0.0, 8.0))))
+    else:
+        strategy = FitStrategy(kind)
+    fit_aps = aps
+    if len(aps) > 1 and data.draw(rarely):
+        # An AP left out of the list, with rows at every third point only:
+        # ValueError in each prefix that holds one of them.
+        fit_aps = aps[1:]
+        rows = ~((meas.ap_index == meas.ap_ids().index(aps[0].id)) & (meas.rp_index % 3 != 0))
+        meas = MeasurementSet(meas.rp_ids(), meas.xyz, meas.ap_ids(), *(
+            column[rows] for column in (meas.rp_index, meas.ap_index, meas.rss, meas.detected,
+                                        meas.scan)))
+    order = data.draw(st.permutations(range(len(ids))))
+    designs: dict = {}
+    for n_keep in sorted(data.draw(st.sets(st.integers(1, len(ids)), min_size=1, max_size=4))):
+        keep = np.zeros(len(ids), dtype=bool)
+        keep[order[:n_keep]] = True
+        want = fit_outcome(lambda: fit(strategy, model, plan, fit_aps,
+                                       meas.subset(order[:n_keep])))
+        event(f"prefix: {want[0][0].__name__ if isinstance(want[0][0], type) else 'fitted'}")
+        assert fit_outcome(lambda: fit(strategy, model, plan, fit_aps, meas,
+                                       _designs=designs, _keep=keep)) == want
+    assert len(designs) == 1
 
 
 # ---------------------------------------------------------------------------
