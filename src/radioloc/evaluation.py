@@ -150,13 +150,12 @@ class EvalWorld:
 
 
 def build_world(template: str, seed: int, preset: ScenarioPreset | None = None,
-                noise=None, n_test_points: int | None = None,
-                ) -> tuple[EvalWorld, WorldSpec]:
+                noise=None) -> tuple[EvalWorld, WorldSpec]:
     """Realize a template world and its full-density survey campaign."""
     world = make_world(template, seed, noise=noise)
     info = template_info(template)
     rp_positions = grid_rp_positions(world.plan, info.dr_max)
-    tp_positions = template_test_positions(template, seed, world.plan, n_test_points)
+    tp_positions = template_test_positions(template, seed, world.plan)
     if preset is None:
         preset = ScenarioPreset.controlled()
     measurements, test_points = simulate_campaign(world, rp_positions, tp_positions, preset)
@@ -389,15 +388,9 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
 # Positioning sweep and virtualization gain
 # ---------------------------------------------------------------------------
 
-def _default_k_values(n_rps: int) -> list[int]:
-    k_max = min(n_rps, max(15, ceil_scaled(0.25 * n_rps)))
-    return list(range(1, k_max + 1))
-
-
 def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
                    real_rps: RpArrays, d_real: float, d_virtual: float,
                    placement: str, seed: int,
-                   k_grid: Sequence[int] | None,
                    grid: dict[float, tuple[np.ndarray, list[LinkTable]]],
                    ) -> PositioningCell:
     """One sweep cell. ``grid`` holds the grid-placed virtual positions of each
@@ -417,27 +410,23 @@ def _evaluate_cell(world: EvalWorld, fit_result: FitResult, model: ModelKind,
             detection_floor_dbm=world.detection_floor_dbm, links=links)
     rps = real_rps + virtual_rps
 
-    if k_grid is None:
-        k_values = _default_k_values(len(rps))
-    else:
-        k_values = sorted({int(k) for k in k_grid if 1 <= int(k) <= len(rps)})
-        if not k_values:
-            raise ValueError("k grid has no feasible value for this cell")
-    curves = error_curves(rps.rss, rps.pos, world.tp_rss, world.tp_pos, k_values[-1])
+    # k runs over 1..k_max, one error-curve column each.
+    k_max = min(len(rps), max(15, ceil_scaled(0.25 * len(rps))))
+    curves = error_curves(rps.rss, rps.pos, world.tp_rss, world.tp_pos, k_max)
     means = curves.mean(axis=0)
     quartiles, lows, highs = _column_stats(curves)
-    at_k = np.asarray(k_values) - 1
+    k_values = list(range(1, k_max + 1))
     k_opt = _best_k(k_values, means)
     return PositioningCell(
         d_real=float(d_real), d_virtual=float(d_virtual),
         n_real=len(real_rps), n_virtual=len(virtual_rps),
         k_values=k_values,
-        mean_error_by_k=means[at_k].tolist(),
-        p25_by_k=quartiles[0, at_k].tolist(),
-        p50_by_k=quartiles[1, at_k].tolist(),
-        p75_by_k=quartiles[2, at_k].tolist(),
-        min_by_k=lows[at_k].tolist(),
-        max_by_k=highs[at_k].tolist(),
+        mean_error_by_k=means.tolist(),
+        p25_by_k=quartiles[0].tolist(),
+        p50_by_k=quartiles[1].tolist(),
+        p75_by_k=quartiles[2].tolist(),
+        min_by_k=lows.tolist(),
+        max_by_k=highs.tolist(),
         k_opt=k_opt,
         errors_at_k_opt=curves[:, k_opt - 1].tolist(),
     )
@@ -464,11 +453,9 @@ def _gain(baseline_mean: float, cell_mean: float) -> float:
 
 def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
                           dv_grid: Sequence[float],
-                          k_grid: Sequence[int] | None = None,
                           strategy: FitStrategy | None = None,
                           model: ModelKind = ModelKind.MWMF,
-                          placement: str = "grid",
-                          gain_fixed_k: int | None = None, *,
+                          placement: str = "grid", *,
                           _fits: _SurveyFits | None = None,
                           ) -> tuple[PositioningReport, GainReport]:
     """Full factorial sweep of positioning error over (d_real, d_virtual, k).
@@ -476,10 +463,10 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
     Each d_real keeps the first ceil(d_real * area) survey points in
     farthest-point order, refits the model on them, and evaluates WkNN error
     at every requested virtual density (a d_virtual = 0 baseline is always
-    computed; it anchors the gain). Gain uses each cell's own error-minimizing
-    k unless ``gain_fixed_k`` pins a common k; it is infinite where the cell's
-    mean error is 0, and NaN where the baseline's is 0 too. ``_fits`` shares
-    the survey's fits with the prediction analysis.
+    computed; it anchors the gain). Gain compares the baseline's and each
+    cell's mean error, each at its own error-minimizing k; it is infinite
+    where the cell's mean error is 0, and NaN where the baseline's is 0 too.
+    ``_fits`` shares the survey's fits with the prediction analysis.
     """
     if not len(world.tp_rss):
         raise ValueError("positioning sweep needs test points")
@@ -512,33 +499,24 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
                 [world.seed, _SWEEP_STREAM, i_dr, i_dv]).generate_state(1)[0])
             try:
                 cell = _evaluate_cell(world, fit_result, model, real_rps,
-                                      d_real, dv, placement, cell_seed, k_grid, grid)
+                                      d_real, dv, placement, cell_seed, grid)
             except ValueError as exc:
                 cell = _failed_cell(d_real, dv, n_real, str(exc))
             report.cells.append(cell)
 
-    gain = GainReport(policy="per-cell-k-opt" if gain_fixed_k is None
-                      else f"fixed-k:{gain_fixed_k}", cells=[])
+    gain = GainReport(policy="per-cell-k-opt", cells=[])
     requested_dvs = sorted({float(dv) for dv in dv_grid if dv > 0})
     for d_real in dr_grid:
-        try:
-            baseline = report.cell(float(d_real), 0.0)
-        except KeyError:
-            continue
+        baseline = report.cell(float(d_real), 0.0)
         if baseline.error:
             continue
         for dv in requested_dvs:
             cell = report.cell(float(d_real), dv)
             if cell.error:
                 continue
-            try:
-                k_b = gain_fixed_k if gain_fixed_k is not None else baseline.k_opt
-                k_c = gain_fixed_k if gain_fixed_k is not None else cell.k_opt
-                value = _gain(baseline.mean_error_at(k_b), cell.mean_error_at(k_c))
-            except KeyError:
-                continue
+            value = _gain(baseline.mean_error_at_k_opt, cell.mean_error_at_k_opt)
             gain.cells.append(GainCell(d_real=float(d_real), d_virtual=dv,
-                                       k_baseline=int(k_b), k_cell=int(k_c),
+                                       k_baseline=baseline.k_opt, k_cell=cell.k_opt,
                                        gain=float(value)))
     return report, gain
 

@@ -187,8 +187,6 @@ class MeasurementSet:
         self.rss = _read_only(np.where(detected, rss, np.nan))
         self.detected = _read_only(np.array(detected))
         self.scan = _read_only(np.array(scan))
-        n_ap = len(self._ap_ids)
-        self.q = int(np.bincount(rp_index * n_ap + ap_index).max())
         self._means: np.ndarray | None = None
 
     @property

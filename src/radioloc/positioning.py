@@ -156,20 +156,6 @@ def _best_k(ks, means) -> int:
     return int(min(ks, key=lambda k: (means[k - 1], k)))
 
 
-def _top_k_stable(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_top_k`` by a stable sort of every row's band on (row, value), so
-    that equal values keep index order: the path for rows whose ties
-    straddle their k-th value."""
-    neg = -sims
-    b, n = neg.shape
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
-    band = np.flatnonzero(neg <= kth)
-    rows = band // n
-    band = band[np.lexsort((neg.ravel()[band], rows))]
-    band = band[np.searchsorted(rows, np.arange(b))[:, None] + np.arange(k)]
-    return band % n, sims.take(band)
-
-
 def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(B, k) indices of each row's k most similar reference points, in rank
     order, and their (B, k) similarities.
@@ -177,28 +163,30 @@ def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Ranking is by descending similarity with ties going to the lower RP
     index. A partition of ``sims`` itself at n - k finds each row's k-th
     largest value, and the band of entries at or above it is taken in index
-    order. A band of exactly k entries is negated and sorted with numpy's
-    default, unstable (SIMD) argsort, whose order is the ranking unless two
-    sorted values are equal. Ties are repaired by row, so the result does
-    not depend on how the unstable sort orders them: in a row with equal
-    neighbours, each run of equal values is put in index order by sorting
-    (run, index) keys; a row whose band holds more than k entries (ties
-    straddling the k-th value) is ranked by ``_top_k_stable``.
+    order. Where ties straddle the k-th value the band holds more than k
+    entries; such a row keeps every entry above the k-th value and then the
+    lowest-index entries equal to it, so every band holds exactly k. The
+    bands are negated and sorted with numpy's default, unstable (SIMD)
+    argsort, whose order is the ranking unless two sorted values are equal.
+    Ties are repaired by row, so the result does not depend on how the
+    unstable sort orders them: in a row with equal neighbours, each run of
+    equal values is put in index order by sorting (run, index) keys.
 
     Cost per row: an O(n) partition of a copy of the row and one O(n) pass
-    for the band mask, then O(k log k) on the band alone.
+    for the band mask (a few more in a block where ties straddle a k-th
+    value), then O(k log k) on the band alone.
     """
     b, n = sims.shape
     kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
     in_band = sims >= kth
     band = np.flatnonzero(in_band)
     if band.size > b * k:
-        clean = np.count_nonzero(in_band, axis=1) == k
-        ranked = np.empty((b, k), dtype=np.intp)
-        w = np.empty((b, k))
-        ranked[clean], w[clean] = _top_k(sims[clean], k)
-        ranked[~clean], w[~clean] = _top_k_stable(sims[~clean], k)
-        return ranked, w
+        # Drop each row's surplus: its highest-index entries equal to the
+        # k-th value, counted from the row's end.
+        surplus = np.count_nonzero(in_band, axis=1, keepdims=True) - k
+        at_kth = sims == kth
+        in_band &= ~at_kth | (np.cumsum(at_kth[:, ::-1], axis=1)[:, ::-1] > surplus)
+        band = np.flatnonzero(in_band)
     order = (-sims.take(band)).reshape(b, k).argsort(axis=1)
     if b > 1:  # flat offsets of each row's band; a lone row's are 0
         order += np.arange(0, b * k, k)[:, None]
@@ -258,11 +246,10 @@ def locate(rmap: Radiomap, target: Fingerprint, cfg: WknnConfig = WknnConfig(),
     (L, N) temporary; an O(N) value partition of the similarities for the
     k-th one and one O(N) band mask; an O(k log k) unstable sort of the band
     of RPs at or above it; and one O(k) in-order sum of the k weighted
-    positions, for the k-th estimate only. Ties add a second O(k log k) sort
-    when they lie inside the band, and a stable O(m log m) sort of the
-    band's m entries when they straddle the k-th value. Raises ValueError
-    when the k weights sum to 0, which an order high enough to overflow
-    every distance gives.
+    positions, for the k-th estimate only. Ties that straddle the k-th value
+    add a few O(N) passes to trim the band to k entries, and ties inside the
+    band add a second O(k log k) sort. Raises ValueError when the k weights
+    sum to 0, which an order high enough to overflow every distance gives.
     """
     if len(target) != len(rmap.aps):
         raise ValueError("target fingerprint length must match the AP count")

@@ -480,10 +480,16 @@ def measurement_set(records):
         [rec.scan_index for rec in records])
 
 
+def most_scans_per_pair(meas):
+    """The most rows any one (point, AP) pair of a MeasurementSet has."""
+    pair = meas.rp_index * len(meas.ap_ids()) + meas.ap_index
+    return int(np.bincount(pair).max())
+
+
 def survey_state(meas):
     """Everything a MeasurementSet holds; each array as (dtype, shape, bytes)."""
     arrays = (meas.xyz, meas.rp_index, meas.ap_index, meas.rss, meas.detected, meas.scan)
-    return (meas.rp_ids(), meas.ap_ids(), meas.q,
+    return (meas.rp_ids(), meas.ap_ids(), most_scans_per_pair(meas),
             [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
 
 

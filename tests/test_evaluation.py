@@ -178,15 +178,6 @@ class TestPositioningSweep:
             assert cell.gain * with_virtual == pytest.approx(base, rel=1e-12)
             assert cell.gain > 0
 
-    def test_fixed_k_gain_policy(self, noisy_world):
-        world, _ = noisy_world
-        info = template_info("spinv_like")
-        report, gain = run_positioning_sweep(world, [info.dr_min], [1.0],
-                                             gain_fixed_k=5)
-        assert gain.policy == "fixed-k:5"
-        cell = gain.cells[0]
-        assert cell.k_baseline == 5 and cell.k_cell == 5
-
     def test_quartiles_ordered(self, noisy_world):
         world, _ = noisy_world
         info = template_info("spinv_like")
@@ -195,13 +186,6 @@ class TestPositioningSweep:
             for i in range(len(cell.k_values)):
                 assert (cell.min_by_k[i] <= cell.p25_by_k[i] <= cell.p50_by_k[i]
                         <= cell.p75_by_k[i] <= cell.max_by_k[i])
-
-    def test_explicit_k_grid(self, noisy_world):
-        world, _ = noisy_world
-        info = template_info("spinv_like")
-        report, _ = run_positioning_sweep(world, [info.dr_max], [],
-                                          k_grid=[1, 3, 5])
-        assert report.cell(info.dr_max, 0.0).k_values == [1, 3, 5]
 
 
 class TestGeometryReuse:
@@ -488,8 +472,7 @@ class TestReportWriters:
         world, _ = noisy_world
         info = template_info("spinv_like")
         dr_grid = [info.dr_min, info.dr_max]
-        positioning, gain = run_positioning_sweep(world, dr_grid, [1.0, 10.0],
-                                                  k_grid=[1, 2, 4, 9])
+        positioning, gain = run_positioning_sweep(world, dr_grid, [1.0, 10.0])
         kest = run_kest_sweep(positioning, dr_grid, 10.0)
         prediction = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [0.5, 1.0],
@@ -502,9 +485,10 @@ class TestReportWriters:
 
 class TestBuildWorld:
     def test_build_world_contract(self):
-        world, spec = build_world("twist_like", 0, n_test_points=9)
-        assert world.tp_pos.shape == (9, 3)
-        assert world.tp_rss.shape == (9, len(world.aps))
+        world, spec = build_world("twist_like", 0)
+        n = template_info("twist_like").n_test_points
+        assert world.tp_pos.shape == (n, 3)
+        assert world.tp_rss.shape == (n, len(world.aps))
         assert len(world.measurements.rp_ids()) == 41
         assert world.area == pytest.approx(450.0)
         assert spec.seed == 0

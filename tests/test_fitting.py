@@ -31,6 +31,7 @@ from radioloc.propagation import (
 from helpers import (
     csv_path_outcome,
     measurement_set,
+    most_scans_per_pair,
     survey_outcome,
     survey_points,
     tiny_world,
@@ -326,7 +327,7 @@ class TestMeasurementIo:
         assert "ND" in text
         loaded = load_measurements(path)
         assert list(loaded.records) == records
-        assert loaded.q == 2
+        assert most_scans_per_pair(loaded) == 2
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "meas.csv"

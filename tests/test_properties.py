@@ -111,6 +111,7 @@ from conftest import EXACTNESS_PROFILE, EXACTNESS_SCALE
 from helpers import (
     csv_path_outcome,
     measurement_set,
+    most_scans_per_pair,
     reference_boxplot_stats,
     reference_crossing_flags,
     reference_fit_rows,
@@ -210,7 +211,7 @@ def test_measurement_csv_round_trip(tmp_path_factory, records):
     loaded = load_measurements(path)
     assert list(loaded.records) == records
     assert loaded.rp_ids() == meas.rp_ids() and loaded.ap_ids() == meas.ap_ids()
-    assert loaded.q == meas.q
+    assert most_scans_per_pair(loaded) == most_scans_per_pair(meas)
     for name in ("xyz", "rp_index", "ap_index", "detected", "scan"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(meas, name))
     np.testing.assert_array_equal(loaded.rss, meas.rss)  # NaN where not detected
@@ -1019,7 +1020,8 @@ def test_error_curves_match_per_target_loop(case, layout):
 
 # Kinds of similarity row for _top_k: which ties the unstable band sort can
 # get wrong, and so which rows the tie repair must rank again.
-RANKING_ROWS = ("tie-free", "ties in band", "ties straddle k-th", "several caps")
+RANKING_ROWS = ("tie-free", "ties in band", "ties straddle k-th", "wide straddle",
+                "several caps")
 
 
 def ranking_row(kind, n, k, rng):
@@ -1029,7 +1031,10 @@ def ranking_row(kind, n, k, rng):
     kind rules them out. "ties in band" puts an equal pair among the top k
     (from k = 2) with the k-th value above every other entry; "ties
     straddle k-th" makes the k-th and (k+1)-th values equal (for k < n);
-    "several caps" sets two or more entries (one if n = 1) to ``SIMILARITY_CAP``.
+    "wide straddle" makes the (k-1)-th to (k+2)-th values equal, so at least
+    two entries equal to the k-th value lie on each side of rank k (as many
+    as fit when k < 2 or k > n - 2); "several caps" sets two or more entries
+    (one if n = 1) to ``SIMILARITY_CAP``.
     """
     if kind == "tie-free":
         return 0.5 + 0.25 * rng.permutation(n)
@@ -1042,6 +1047,9 @@ def ranking_row(kind, n, k, rng):
     elif kind == "ties straddle k-th" and k < n:
         order = np.lexsort((np.arange(n), -row))
         row[order[k]] = row[order[k - 1]]
+    elif kind == "wide straddle" and k < n:
+        order = np.lexsort((np.arange(n), -row))
+        row[order[max(0, k - 2):k + 2]] = row[order[k - 1]]
     elif kind == "several caps":
         row[rng.permutation(n)[:rng.integers(min(2, n), n + 1)]] = SIMILARITY_CAP
     return row
@@ -1062,7 +1070,8 @@ def ranking_blocks(draw):
     if b < len(RANKING_ROWS):
         kinds = draw(st.lists(st.sampled_from(RANKING_ROWS), min_size=b, max_size=b))
     else:
-        kinds = list(RANKING_ROWS) + [RANKING_ROWS[i] for i in rng.integers(0, 4, b - 4)]
+        extra = rng.integers(0, len(RANKING_ROWS), b - len(RANKING_ROWS))
+        kinds = list(RANKING_ROWS) + [RANKING_ROWS[i] for i in extra]
         rng.shuffle(kinds)
     return np.array([ranking_row(kind, n, k, rng) for kind in kinds]), k
 
