@@ -166,11 +166,10 @@ def cmd_simulate(args) -> int:
     save_measurements(measurements, out / "measurements.csv")
     # Target fingerprints use the measurement schema; the id column names the TP.
     rows = ["rp_id,x,y,z,ap_id,rss_dbm,scan_index"]
-    for i, tp in enumerate(test_points):
-        for ap, value in zip(world.aps, tp.fingerprint.rss):
-            rss = "ND" if value == world.sentinel_dbm else repr(float(value))
-            rows.append(f"tp{i:03d},{tp.position.x!r},{tp.position.y!r},"
-                        f"{tp.position.z!r},{ap.id},{rss},0")
+    for i, (position, fingerprint) in enumerate(test_points):
+        head = f"tp{i:03d},{position.x!r},{position.y!r},{position.z!r},"
+        rows += [f"{head}{ap.id},{'ND' if value == world.sentinel_dbm else repr(value)},0"
+                 for ap, value in zip(world.aps, fingerprint.rss.tolist())]
     write_text_atomic(out / "testpoints.csv", "\n".join(rows) + "\n")
     if args.verbose:
         print(f"wrote world artifacts to {out} "

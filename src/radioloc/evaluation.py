@@ -234,10 +234,16 @@ class PositioningReport:
     cells: list[PositioningCell] = field(default_factory=list)
 
     def cell(self, d_real: float, d_virtual: float) -> PositioningCell:
-        for c in self.cells:
-            if c.d_real == d_real and c.d_virtual == d_virtual:
-                return c
-        raise KeyError(f"no cell for d_real={d_real}, d_virtual={d_virtual}")
+        return _find_cell(self.cells, d_real, d_virtual)
+
+
+def _find_cell(cells: list[PositioningCell], d_real: float,
+               d_virtual: float) -> PositioningCell:
+    """The first of ``cells`` at (d_real, d_virtual); KeyError if none is."""
+    for c in cells:
+        if c.d_real == d_real and c.d_virtual == d_virtual:
+            return c
+    raise KeyError(f"no cell for d_real={d_real}, d_virtual={d_virtual}")
 
 
 @dataclass
@@ -506,12 +512,16 @@ def run_positioning_sweep(world: EvalWorld, dr_grid: Sequence[float],
 
     gain = GainReport(policy="per-cell-k-opt", cells=[])
     requested_dvs = sorted({float(dv) for dv in dv_grid if dv > 0})
-    for d_real in dr_grid:
-        baseline = report.cell(float(d_real), 0.0)
+    n_dv = len(dv_values)
+    for i_dr, d_real in enumerate(dr_grid):
+        # The row of d_real's cells, one per d_virtual: a repeated d_real
+        # reads its own row.
+        row = dict(zip(dv_values, report.cells[i_dr * n_dv:(i_dr + 1) * n_dv]))
+        baseline = row[0.0]
         if baseline.error:
             continue
         for dv in requested_dvs:
-            cell = report.cell(float(d_real), dv)
+            cell = row[dv]
             if cell.error:
                 continue
             value = _gain(baseline.mean_error_at_k_opt, cell.mean_error_at_k_opt)
@@ -572,16 +582,21 @@ def run_kest_sweep(positioning: PositioningReport, dr_grid: Sequence[float],
     For each d_real at the maximum virtual density, beta(alpha) is the mean
     positioning error at the density rule's k (``k_est_from_counts``, capped
     at the sweep's largest k) minus the error at the sweep's best k, read
-    from ``positioning``, a report covering (dr_grid, dv_max). The alphas
-    are ``alpha_grid(alpha_range, alpha_step)``.
+    from ``positioning``, the report ``run_positioning_sweep`` writes for
+    dr_grid and a d_virtual grid holding dv_max. The alphas are
+    ``alpha_grid(alpha_range, alpha_step)``.
     """
     if dv_max <= 0:
         raise ValueError("k-rule sweep needs a positive virtual density")
     alphas = alpha_grid(alpha_range, alpha_step)
 
     report = KestReport()
-    for d_real in dr_grid:
-        cell = positioning.cell(float(d_real), float(dv_max))
+    # The sweep writes one row of cells per d_real, all rows of one length, so
+    # a repeated d_real reads its own row's cell.
+    row_length = len(positioning.cells) // max(len(dr_grid), 1)
+    for i, d_real in enumerate(dr_grid):
+        row = positioning.cells[i * row_length:(i + 1) * row_length]
+        cell = _find_cell(row, float(d_real), float(dv_max))
         if cell.error:
             continue
         for alpha in alphas:

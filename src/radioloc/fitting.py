@@ -20,7 +20,7 @@ import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import accumulate, compress
 from operator import itemgetter
 from pathlib import Path
 
@@ -505,20 +505,44 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def save_measurements(meas: MeasurementSet, path: str | Path) -> None:
-    points = [[rp_id, repr(x), repr(y), repr(z)]
-              for rp_id, (x, y, z) in zip(meas.rp_ids(), meas.xyz.tolist())]
-    ap_ids = meas.ap_ids()
-    rss = [repr(v) if hit else NOT_DETECTED_TOKEN
-           for v, hit in zip(meas.rss.tolist(), meas.detected.tolist())]
+def _csv_prefixes(rows: Iterable[list[str]]) -> np.ndarray:
+    """Each row's text as ``csv.writer`` writes it before a further field.
+
+    Each row is written with a trailing empty field, so its quoting stays the
+    writer's own (a row of one empty field alone would be quoted), and the
+    line end is cut off. Returns an object array of str.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(MEASUREMENT_COLUMNS)
-    writer.writerows(
-        [*points[i], ap_ids[a], value, scan]
-        for i, a, value, scan in zip(meas.rp_index.tolist(), meas.ap_index.tolist(), rss,
-                                     meas.scan.tolist()))
-    write_text_atomic(path, buf.getvalue())
+    # writerow returns the characters written, "\r\n" line end included.
+    lengths = [writer.writerow([*row, ""]) for row in rows]
+    text = buf.getvalue()
+    return np.array([text[end - n:end - 2] for n, end in zip(lengths, accumulate(lengths))],
+                    dtype=object)
+
+
+def save_measurements(meas: MeasurementSet, path: str | Path) -> None:
+    """Write ``meas`` as a survey CSV, byte for byte as ``csv.writer`` writes its rows.
+
+    Each point's ``rp_id,x,y,z,`` and each AP's ``ap_id,`` prefix is rendered
+    once, each detected RSS is one ``repr`` and each distinct scan index one
+    text. The text is joined from these pieces in one pass, so no per-row
+    string is built.
+    """
+    points = _csv_prefixes([rp_id, repr(x), repr(y), repr(z)]
+                           for rp_id, (x, y, z) in zip(meas.rp_ids(), meas.xyz.tolist()))
+    aps = _csv_prefixes([ap_id] for ap_id in meas.ap_ids())
+    scans, scan_of_row = np.unique(meas.scan, return_inverse=True)
+    pieces = np.empty((len(meas.rss), 4), dtype=object)
+    pieces[:, 0] = points[meas.rp_index]
+    pieces[:, 1] = aps[meas.ap_index]
+    pieces[:, 2] = NOT_DETECTED_TOKEN
+    pieces[meas.detected, 2] = list(map(repr, meas.rss[meas.detected].tolist()))
+    pieces[:, 3] = np.array([f",{scan}\r\n" for scan in scans.tolist()],
+                            dtype=object)[scan_of_row]
+    texts = pieces.ravel().tolist()
+    texts.insert(0, _SURVEY_HEADER + "\r\n")
+    write_text_atomic(path, "".join(texts))
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:

@@ -51,6 +51,7 @@ from .radiomap import (
     DEVICE_HEIGHT_M,
     NOT_DETECTED_DBM,
     Fingerprint,
+    _check_rss,
     ceil_scaled,
 )
 
@@ -480,12 +481,22 @@ def template_test_positions(template: str, seed: int, plan: Floorplan,
     return random_positions(plan, n, ss)
 
 
-def _average_detected(scans: np.ndarray, detection_floor: float,
-                      sentinel: float) -> float:
-    detected = scans[scans >= detection_floor]
-    if detected.size == 0:
-        return sentinel
-    return float(np.mean(detected))
+def _detected_means(scans: np.ndarray, floor: float, sentinel: float) -> np.ndarray:
+    """Mean detected scan of each (target, AP) entry of ``scans`` (n_tp, L, S),
+    as an (n_tp, L) matrix; ``sentinel`` where no scan is detected.
+
+    The entries with m detected scans are averaged together: their detected
+    scans, in row order, form one contiguous (G, m) block whose row means add
+    the same terms in the same order as ``np.mean`` of each entry's detected
+    scans, so every mean equals that per-entry mean bit for bit.
+    """
+    detected = scans >= floor
+    counts = np.count_nonzero(detected, axis=2)
+    means = np.full(counts.shape, sentinel, dtype=float)
+    for m in np.unique(counts[counts > 0]).tolist():
+        entries = counts == m
+        means[entries] = scans[entries][detected[entries]].reshape(-1, m).mean(axis=1)
+    return means
 
 
 def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
@@ -548,10 +559,9 @@ def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
                      if sigma > 0 else np.zeros((n_tp, n_ap, preset.tp_scans)))
         scans_tp = np.minimum(base_tp[:, :, None] + slow_tp[:, :, None] + shadow_tp
                               + drift[None, :, None] + tp_bias[:, None, None], 0.0)
-        for i in range(n_tp):
-            values = [_average_detected(scans_tp[i, l], world.detection_floor_dbm,
-                                        world.sentinel_dbm)
-                      for l in range(n_ap)]
-            test_points.append(TestPoint(tp_positions[i], Fingerprint(values)))
+        means = _detected_means(scans_tp, world.detection_floor_dbm, world.sentinel_dbm)
+        _check_rss(means)
+        test_points = [TestPoint(position, Fingerprint._trusted(row))
+                       for position, row in zip(tp_positions, means)]
 
     return measurements, test_points

@@ -14,7 +14,10 @@ form that ``boxplot_stats`` must equal, and ``reference_report_text``, the
 ``asdict`` + ``json.dumps`` and per-row ``csv.writer`` report writer whose
 bytes the evaluation's report formatting must equal, and ``csv_path_outcome``,
 survey loading through the csv rows path alone, which the loadtxt path must
-equal.
+equal, ``reference_detected_means``, the per-(target, AP) loop whose means the
+simulator's target fingerprints must equal bit for bit, and
+``reference_survey_csv``, the per-row ``csv.writer`` survey writer whose text
+``save_measurements`` must equal.
 """
 
 import csv
@@ -509,3 +512,32 @@ def _load_by_rows(path):
 def csv_path_outcome(path):
     """``survey_outcome`` of the survey in ``path`` read through the csv rows path alone."""
     return survey_outcome(_load_by_rows, path)
+
+
+def reference_detected_means(scans, floor, sentinel):
+    """Mean detected scan of each (target, AP) entry of ``scans`` (n_tp, L, S), as
+    nested lists: ``np.mean`` of the entry's scans at or above ``floor``, or
+    ``sentinel`` where there are none, one entry at a time."""
+    means = []
+    for target in scans:
+        row = []
+        for entry in target:
+            detected = entry[entry >= floor]
+            row.append(sentinel if detected.size == 0 else float(np.mean(detected)))
+        means.append(row)
+    return means
+
+
+def reference_survey_csv(meas):
+    """The survey CSV text of a MeasurementSet, written by ``csv.writer`` row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fitting.MEASUREMENT_COLUMNS)
+    rp_ids, ap_ids = meas.rp_ids(), meas.ap_ids()
+    for i, a, value, hit, scan in zip(meas.rp_index.tolist(), meas.ap_index.tolist(),
+                                      meas.rss.tolist(), meas.detected.tolist(),
+                                      meas.scan.tolist()):
+        x, y, z = meas.xyz[i].tolist()
+        rss = repr(value) if hit else fitting.NOT_DETECTED_TOKEN
+        writer.writerow([rp_ids[i], repr(x), repr(y), repr(z), ap_ids[a], rss, scan])
+    return buf.getvalue()

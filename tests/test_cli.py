@@ -599,6 +599,38 @@ class TestEvaluate:
                           for rho in (0.2, 0.5, 1)}
         assert orders == [1]
 
+    def test_repeated_fraction_reads_its_own_row(self, tmp_path):
+        # Random placement draws each row's virtual RPs from the row's own
+        # seed, so the two rows of one fraction have different d_virtual = 1
+        # cells; each gain and k-rule row must read its own.
+        world, out = tmp_path / "world", tmp_path / "out"
+        assert main(["simulate", "--template", "spinv_like", "--preset", "controlled",
+                     "--seed", "2", "--out-dir", str(world)]) == 0
+        assert main(["evaluate", "--world-dir", str(world), "--rho-grid", "0.5,0.5",
+                     "--dv-grid", "1", "--placement", "random", "--out-dir", str(out)]) == 0
+
+        def cells(name):
+            return json.loads((out / f"{name}.json").read_text())["cells"]
+
+        positioning = cells("positioning")
+        assert [c["d_virtual"] for c in positioning] == [0.0, 1.0, 0.0, 1.0]
+        assert len({c["d_real"] for c in positioning}) == 1
+        rows = [positioning[:2], positioning[2:]]
+        assert rows[0][1]["k_opt"] != rows[1][1]["k_opt"]
+        gains = cells("gain")
+        assert len(gains) == 2
+        for gain, (baseline, cell) in zip(gains, rows):
+            assert (gain["k_baseline"], gain["k_cell"]) == (baseline["k_opt"], cell["k_opt"])
+            assert gain["gain"] == (baseline["mean_error_by_k"][baseline["k_opt"] - 1]
+                                    / cell["mean_error_by_k"][cell["k_opt"] - 1])
+        kest = cells("kest")
+        assert len(kest) % 2 == 0
+        half = len(kest) // 2
+        for kest_row, (_, cell) in zip((kest[:half], kest[half:]), rows):
+            assert {c["k_opt"] for c in kest_row} == {cell["k_opt"]}
+            assert {c["mean_error_kopt_m"] for c in kest_row} == {
+                cell["mean_error_by_k"][cell["k_opt"] - 1]}
+
     def test_every_cell_failed_exits_3(self, tmp_path, capsys):
         # Two survey points: every fit of the sweep is underdetermined or degenerate.
         world = tmp_path / "world"

@@ -40,6 +40,7 @@ import radioloc.cli as cli
 import radioloc.fitting as fitting
 import radioloc.floorplan as floorplan
 import radioloc.ioutil as ioutil
+import radioloc.simulator as simulator
 from radioloc.errors import DegenerateFitError, InsufficientDataError
 from radioloc.evaluation import (
     GainCell,
@@ -114,9 +115,11 @@ from helpers import (
     most_scans_per_pair,
     reference_boxplot_stats,
     reference_crossing_flags,
+    reference_detected_means,
     reference_fit_rows,
     reference_lattice_positions,
     reference_report_text,
+    reference_survey_csv,
     reference_wknn,
     survey_outcome,
     written_report_pair,
@@ -215,6 +218,93 @@ def test_measurement_csv_round_trip(tmp_path_factory, records):
     for name in ("xyz", "rp_index", "ap_index", "detected", "scan"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(meas, name))
     np.testing.assert_array_equal(loaded.rss, meas.rss)  # NaN where not detected
+
+
+# Ids that csv.writer quotes, or leaves alone although they look like it might.
+CSV_ID_TRAPS = ["a,b", 'say "hi"', '"', "p\rq", "p\nq", "p\r\nq", "\r", " p", "p ", " ",
+                "\u00e9t\u00e9", "\u65e5\u672c", "", "ND", "ap01"]
+
+
+@st.composite
+def survey_sets(draw):
+    """A MeasurementSet with trap ids, rows in any order and scan indices up to int64's bounds."""
+    ids = st.sampled_from(CSV_ID_TRAPS) | st.text(max_size=4)
+    rp_ids = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    ap_ids = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 30))
+    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    values = column(st.none() | dbm)
+    return MeasurementSet(
+        rp_ids, draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                              min_size=len(rp_ids), max_size=len(rp_ids))),
+        ap_ids, column(st.integers(0, len(rp_ids) - 1)), column(st.integers(0, len(ap_ids) - 1)),
+        [math.nan if v is None else v for v in values], [v is not None for v in values],
+        column(st.integers(0, 3) | st.integers(-2**63, 2**63 - 1)
+               | st.sampled_from([-2**63, 2**63 - 1])))
+
+
+@EXACT_SETTINGS
+@given(survey_sets())
+def test_survey_csv_matches_csv_writer(tmp_path_factory, meas):
+    path = tmp_path_factory.mktemp("csv") / "meas.csv"
+    save_measurements(meas, path)
+    with open(path, newline="") as fh:
+        assert fh.read() == reference_survey_csv(meas)
+
+
+# Scans per target around numpy's pairwise-sum block of 8.
+TARGET_SCAN_COUNTS = (1, 2, 7, 8, 9, 16, 50)
+
+
+@st.composite
+def target_scans(draw):
+    """Target scans (n_tp, L, S) and a detection floor.
+
+    Every entry draws its detected count from 0 to S, some detected scans lie
+    exactly at the floor, and the values use every mantissa bit at a
+    magnitude drawn across seven decades.
+    """
+    n_scans = draw(st.sampled_from(TARGET_SCAN_COUNTS))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 4)), n_scans)
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fraction = lambda size=None: rng.integers(1, 2**53, size) / 2**53
+    floor = -scale * fraction()
+    above = floor - floor * fraction(shape)  # in [floor, 0]
+    above[rng.random(shape) < 0.2] = floor
+    below = floor - scale * (0.5 + fraction(shape))
+    counts = rng.integers(0, n_scans + 1, shape[:2])
+    # Each entry's detected scans at random places among its scans.
+    detected = rng.random(shape).argsort(axis=2) < counts[:, :, None]
+    return np.where(detected, above, below), floor
+
+
+@EXACT_SETTINGS
+@given(target_scans())
+def test_target_fingerprints_match_per_target_loop(case):
+    scans, floor = case
+    means = simulator._detected_means(scans, floor, NOT_DETECTED_DBM)
+    expected = reference_detected_means(scans, floor, NOT_DETECTED_DBM)
+    assert means.shape == scans.shape[:2]
+    assert [[v.hex() for v in row] for row in means.tolist()] == \
+        [[v.hex() for v in row] for row in expected]
+
+
+@pytest.mark.parametrize("preset", ["controlled", "crowdsourcing"])
+def test_simulated_targets_match_per_target_loop(monkeypatch, preset):
+    world = simulator.make_world("spinv_like", 5)
+    rp_positions = simulator.grid_rp_positions(world.plan, 0.1)
+    tp_positions = simulator.template_test_positions("spinv_like", 5, world.plan)
+    campaign = lambda: simulator.simulate_campaign(world, rp_positions, tp_positions,
+                                                   simulator.preset_by_name(preset))[1]
+    test_points = campaign()
+    monkeypatch.setattr(simulator, "_detected_means",
+                        lambda *args: np.array(reference_detected_means(*args)))
+    expected = campaign()
+    assert [tp.position for tp in test_points] == [tp.position for tp in expected]
+    assert [tp.fingerprint.rss.tobytes() for tp in test_points] == \
+        [tp.fingerprint.rss.tobytes() for tp in expected]
+    assert all(isinstance(tp.fingerprint, Fingerprint) for tp in test_points)
 
 
 # Survey texts for the loadtxt path: each trap is a way numpy's reader and
