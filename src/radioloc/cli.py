@@ -31,6 +31,7 @@ from .fitting import (
     FitStrategy,
     MeasurementSet,
     StrategyKind,
+    _csv_prefixes,
     fit,
     load_fit_result,
     load_measurements,
@@ -165,11 +166,13 @@ def cmd_simulate(args) -> int:
     save_access_points(world.aps, out / "aps.json")
     save_measurements(measurements, out / "measurements.csv")
     # Target fingerprints use the measurement schema; the id column names the TP.
+    # Each AP's "ap_id," is quoted as the survey's is.
+    ap_prefixes = _csv_prefixes([ap.id] for ap in world.aps).tolist()
     rows = ["rp_id,x,y,z,ap_id,rss_dbm,scan_index"]
     for i, (position, fingerprint) in enumerate(test_points):
         head = f"tp{i:03d},{position.x!r},{position.y!r},{position.z!r},"
-        rows += [f"{head}{ap.id},{'ND' if value == world.sentinel_dbm else repr(value)},0"
-                 for ap, value in zip(world.aps, fingerprint.rss.tolist())]
+        rows += [f"{head}{ap}{'ND' if value == world.sentinel_dbm else repr(value)},0"
+                 for ap, value in zip(ap_prefixes, fingerprint.rss.tolist())]
     write_text_atomic(out / "testpoints.csv", "\n".join(rows) + "\n")
     if args.verbose:
         print(f"wrote world artifacts to {out} "
@@ -260,7 +263,7 @@ def cmd_locate(args) -> int:
         "x": estimate.position.x,
         "y": estimate.position.y,
         "z": estimate.position.z,
-        "neighbors": [[i, s] for i, s in estimate.neighbors],
+        "neighbors": estimate.neighbors,  # each (index, similarity) pair as a JSON list
     }))
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -55,10 +56,28 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class PositionEstimate:
+    """A WkNN estimate: the weighted centroid ``position`` of the k reference
+    points ``indices`` (RP indices in rank order) with their ``similarities``
+    (non-increasing). ``locate`` and ``locate_many`` return both as
+    read-only (k,) arrays."""
+
     position: Point3
-    neighbors: list[tuple[int, float]]  # (rp index, similarity), non-increasing
+    indices: np.ndarray
+    similarities: np.ndarray
+
+    @property
+    def neighbors(self) -> list[tuple[int, float]]:
+        """(rp index, similarity) pairs in rank order, built on each read."""
+        return list(zip(self.indices.tolist(), self.similarities.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, PositionEstimate):
+            return NotImplemented
+        return (self.position == other.position
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.similarities, other.similarities))
 
 
 # Targets are scored in row blocks so that the (targets x APs x reference
@@ -220,19 +239,23 @@ def _locate_rows(rmap: Radiomap, rows: np.ndarray, cfg: WknnConfig) -> list[Posi
     out = []
     for block in _row_blocks(rows.shape[0], n, lanes.shape[0]):
         ranked, w = _top_k(_similarity_rows(lanes, rows[block], cfg.order), k)
-        # [w*x, w*y, w*z, w] per rank, rank axis outermost: numpy adds a
-        # non-innermost axis in order, so starting from +0.0 each sum is the
-        # per-target loop's, signed zeros included.
-        terms = np.empty((k, w.shape[0], 4))
-        np.multiply(positions.take(ranked.T, axis=0), w.T[:, :, None], out=terms[:, :, :3])
-        terms[:, :, 3] = w.T
-        sums = np.add.reduce(terms, axis=0, initial=0.0)
-        if not sums[:, 3].all():
+        # [w*x, w*y, w*z, w] with the rank axis innermost: a running sum adds
+        # in rank order, so its last entry is the per-target loop's sum, but
+        # started from the first term, not from +0.0. The two differ only in
+        # a -0.0 sum (all terms -0.0), which + 0.0 turns into the loop's
+        # +0.0; no weight is -0.0.
+        terms = np.empty((4,) + w.shape)
+        terms[:3] = positions.take(ranked, axis=0).transpose(2, 0, 1)
+        terms[:3] *= w
+        terms[3] = w
+        sums = np.add.accumulate(terms, axis=2, out=terms)[:, :, -1]
+        if not sums[3].all():
             raise ValueError(f"the {k} most similar reference points all have similarity 0 "
                              f"at Minkowski order {cfg.order!r}: their distances overflow")
-        xyz = sums[:, :3] / sums[:, 3:]
-        out += [PositionEstimate(position=Point3(*p), neighbors=list(zip(r, s)))
-                for r, s, p in zip(ranked.tolist(), w.tolist(), xyz.tolist())]
+        xyz = (sums[:3] + 0.0) / sums[3]
+        # Each estimate holds row views of the block's arrays.
+        ranked.flags.writeable = w.flags.writeable = False
+        out += map(PositionEstimate, starmap(Point3, xyz.T.tolist()), ranked, w)
     return out
 
 

@@ -312,6 +312,14 @@ def reference_wknn(rp_rss, rp_positions, targets, k, order=2.0, cap=1e9):
     return results
 
 
+def estimate_bits(estimates):
+    """Per WkNN estimate: its (x, y, z) and its similarities as int64 bit
+    patterns, so that -0.0 and +0.0 differ, and its ranked RP indices."""
+    return [(np.array([e.position.x, e.position.y, e.position.z]).view(np.int64).tolist(),
+             e.indices.tolist(), e.similarities.view(np.int64).tolist())
+            for e in estimates]
+
+
 def random_plan(rng, n_obstacles=10):
     """A random rectangular plan with random obstacle segments, one story."""
     w = float(rng.uniform(15.0, 50.0))

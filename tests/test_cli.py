@@ -100,6 +100,18 @@ class TestSimulate:
                      "--aps", str(tmp_path / "a" / "aps.json"),
                      "--out", str(tmp_path / "fit.json")]) == 0
 
+    def test_ap_id_with_a_comma_is_quoted_in_both_surveys(self, tmp_path):
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps(
+            {**CUSTOM_WORLD, "aps": [{**CUSTOM_WORLD["aps"][0], "id": "ap,1"}]}))
+        out = tmp_path / "world"
+        assert main(["simulate", "--template", "custom", "--custom-file", str(world),
+                     "--dr", "0.2", "--tp-count", "3", "--out-dir", str(out)]) == 0
+        for name in ("measurements.csv", "testpoints.csv"):
+            assert load_measurements(out / name).ap_ids() == ["ap,1"]
+        assert main(["evaluate", "--world-dir", str(out), "--out-dir", str(tmp_path / "r"),
+                     "--rho-grid", "1", "--dv-grid", "1"]) == 0
+
 
 class TestFit:
     def test_output_loadable(self, fit_file):

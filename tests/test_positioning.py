@@ -17,7 +17,7 @@ from radioloc.positioning import (
 from radioloc.propagation import AccessPoint
 from radioloc.radiomap import Fingerprint, Radiomap, RpArrays
 
-from helpers import oracle_wknn
+from helpers import estimate_bits, oracle_wknn
 
 
 def make_map(entries, area=100.0, n_aps=None):
@@ -195,6 +195,8 @@ class TestLocateMany:
             got = locate_many(rmap, targets, cfg)
             want = [locate(rmap, Fingerprint(t), cfg) for t in targets]
             assert got == want
+            assert estimate_bits(got) == estimate_bits(want)
+            assert [e.neighbors for e in got] == [e.neighbors for e in want]
             assert all(type(i) is int and type(s) is float
                        for e in got for i, s in e.neighbors)
 

@@ -85,6 +85,7 @@ from radioloc.positioning import (
     SIMILARITY_CAP,
     PositionEstimate,
     WknnConfig,
+    _row_blocks,
     _top_k,
     error_curves,
     locate,
@@ -111,6 +112,7 @@ from radioloc.radiomap import (
 from conftest import EXACTNESS_PROFILE, EXACTNESS_SCALE
 from helpers import (
     csv_path_outcome,
+    estimate_bits,
     measurement_set,
     most_scans_per_pair,
     reference_boxplot_stats,
@@ -1061,26 +1063,88 @@ def dense_map(rss, positions):
     return Radiomap(aps, RpArrays(positions, rss, np.zeros(len(rss), dtype=bool)))
 
 
-def position_bits(estimates):
-    """The (x, y, z) of each estimate as int64 bit patterns, so that -0.0
-    and +0.0 differ."""
-    xyz = [(e.position.x, e.position.y, e.position.z) for e in estimates]
-    return np.array(xyz, dtype=float).reshape(-1, 3).view(np.int64).tolist()
-
-
 @EXACT_SETTINGS
 @given(wknn_cases())
 def test_locate_and_locate_many_match_per_target_loop(case):
     rss, positions, targets, _, k, order = case
     rmap = dense_map(rss, positions)
     cfg = WknnConfig(k=k, order=order)
-    want = [PositionEstimate(Point3(*estimates[k - 1]),
-                             [(i, float(sims[i])) for i in ranked])
-            for estimates, ranked, sims in reference_wknn(rss, positions, targets, k, order)]
+    reference = reference_wknn(rss, positions, targets, k, order)
+    want = [PositionEstimate(Point3(*estimates[k - 1]), np.array(ranked), sims[ranked])
+            for estimates, ranked, sims in reference]
+    want_neighbors = [[(i, float(sims[i])) for i in ranked] for _, ranked, sims in reference]
     for got in (locate_many(rmap, targets, cfg),
                 [locate(rmap, Fingerprint(t), cfg) for t in targets]):
         assert got == want
-        assert position_bits(got) == position_bits(want)
+        assert estimate_bits(got) == estimate_bits(want)
+        assert [e.neighbors for e in got] == want_neighbors
+
+
+def batch_and_loop(rmap, targets, cfg):
+    """``locate_many``'s estimates of ``targets``, then per-row ``locate``'s."""
+    return [*locate_many(rmap, targets, cfg),
+            *(locate(rmap, Fingerprint(t), cfg) for t in targets)]
+
+
+@EXACT_SETTINGS
+@given(wknn_cases())
+def test_estimate_arrays_are_read_only_and_neighbors_match_them(case):
+    rss, positions, targets, _, k, order = case
+    for est in batch_and_loop(dense_map(rss, positions), targets, WknnConfig(k=k, order=order)):
+        assert est.indices.shape == est.similarities.shape == (k,)
+        assert est.indices.dtype.kind == "i" and est.similarities.dtype == np.float64
+        for values in (est.indices, est.similarities):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = values[-1]
+            with pytest.raises(ValueError):
+                values.flags.writeable = True
+        pairs = est.neighbors
+        assert all(type(i) is int and type(s) is float for i, s in pairs)
+        assert [i for i, _ in pairs] == est.indices.tolist()
+        assert (np.array([s for _, s in pairs]).view(np.int64).tolist()
+                == est.similarities.view(np.int64).tolist())
+        pairs.clear()  # a caller's list: the next read builds a new one
+        assert len(est.neighbors) == k
+
+
+estimate_fields = st.tuples(
+    st.sampled_from([Point3(1.0, 2.0, 3.0), Point3(1.0, 2.0, 4.0)]),
+    st.integers(1, 3).flatmap(lambda k: st.tuples(
+        st.lists(st.integers(0, 2), min_size=k, max_size=k),
+        st.lists(st.sampled_from([1.0, 2.0, math.nextafter(2.0, 3.0)]),
+                 min_size=k, max_size=k))))
+
+
+@EXACT_SETTINGS
+@given(estimate_fields, estimate_fields)
+def test_estimates_equal_exactly_when_their_fields_do(a, b):
+    (pa, (ia, sa)), (pb, (ib, sb)) = a, b
+    ea = PositionEstimate(pa, np.array(ia), np.array(sa))
+    eb = PositionEstimate(pb, np.array(ib), np.array(sb))
+    same = pa == pb and ia == ib and sa == sb
+    assert (ea == eb) is same and (ea != eb) is not same
+    assert ea == PositionEstimate(pa, np.array(ia), np.array(sa))
+    assert ea != (pa, ia, sa)
+
+
+@EXACT_SETTINGS
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_locate_many_across_row_blocks_matches_locate(n_aps, per_block, seed, data):
+    n = SCORE_BLOCK // (per_block * n_aps)
+    block = SCORE_BLOCK // (n * n_aps)
+    n_targets = data.draw(st.integers(block + 1, 3 * block + 1))
+    assert len(list(_row_blocks(n_targets, n, n_aps))) >= 2
+    k = data.draw(st.sampled_from(sorted({k for k in (1, 2, n - 1, n) if k >= 1})))
+    rng = np.random.default_rng(seed)
+    rss = np.round(rng.uniform(-90.0, -40.0, (n, n_aps)))
+    targets = np.round(rng.uniform(-90.0, -40.0, (n_targets, n_aps)))
+    targets[::2] = rss[rng.integers(0, n, len(targets[::2]))]  # exact matches
+    positions = rng.uniform(0.0, 60.0, (n, 3))
+    estimates = batch_and_loop(dense_map(rss, positions), targets, WknnConfig(k=k))
+    got, want = estimates[:n_targets], estimates[n_targets:]
+    assert got == want
+    assert estimate_bits(got) == estimate_bits(want)
 
 
 def in_layout(rss, layout):
