@@ -69,7 +69,6 @@ from .propagation import (
     predict_rss,
     predict_rss_many,
     save_access_points,
-    save_params,
 )
 from .radiomap import (
     DETECTION_FLOOR_DBM,

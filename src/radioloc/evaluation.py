@@ -191,12 +191,6 @@ class PredictionCell:
 class PredictionReport:
     cells: list[PredictionCell] = field(default_factory=list)
 
-    def mean_delta(self, rho: float, strategy: str, model: str) -> float:
-        for cell in self.cells:
-            if (cell.rho, cell.strategy, cell.model) == (rho, strategy, model):
-                return cell.mean_delta_db
-        raise KeyError(f"no prediction cell for rho={rho}, {strategy}, {model}")
-
 
 @dataclass
 class PositioningCell:
@@ -298,7 +292,8 @@ class _SurveyFits:
     """The fits of one survey's farthest-point prefixes, shared by the sweeps.
 
     ``order`` is the survey points' decimation order; a prefix is its first
-    n points. The survey's design matrix is built once per (model, l0), and
+    n points. The survey's design matrix is built once per (model, l0), from
+    one LinkTable per AP over the survey that predictions read too, and
     each (strategy, model, n) is solved once: a later request returns the
     same FitResult, or raises the same fit error again. Geometry and input
     errors are not kept; they end the evaluation.
@@ -325,6 +320,10 @@ class _SurveyFits:
             raise result
         return result
 
+    def links(self) -> dict[str, LinkTable]:
+        """The survey's link tables by AP id, which every design reads; after a fit."""
+        return next(iter(self._designs.values())).links
+
 
 # ---------------------------------------------------------------------------
 # Prediction analysis
@@ -349,8 +348,6 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
     fits = _SurveyFits(plan, aps, meas) if _fits is None else _fits
     means = meas.mean_matrix()
     column = {ap_id: j for j, ap_id in enumerate(meas.ap_ids())}
-    # Every cell predicts at all survey points: one link table per AP serves them all.
-    links: dict[str, LinkTable] = {}
 
     report = PredictionReport()
     for rho in rho_grid:
@@ -368,6 +365,7 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                 except (DegenerateFitError, InsufficientDataError) as exc:
                     cell.error = str(exc)
                     continue
+                links = fits.links()  # the fit's tables, over every survey point
                 per_ap_deltas: dict[str, list[float]] = {}
                 for ap in aps:
                     j = column.get(ap.id)
@@ -377,8 +375,6 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                     detected = ~np.isnan(measured)
                     if not detected.any():
                         continue
-                    if ap.id not in links:
-                        links[ap.id] = LinkTable(plan, ap, meas.xyz)
                     predicted = links[ap.id].predict_rss(model, result.params_for(ap.id))
                     per_ap_deltas[ap.id] = np.abs(measured - predicted)[detected].tolist()
                 pooled = [d for deltas in per_ap_deltas.values() for d in deltas]

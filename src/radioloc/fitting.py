@@ -7,7 +7,10 @@ count as a regressor. Calibration is therefore ordinary linear least squares
 on one design matrix per survey, one row per detected same-floor (point, AP)
 pair: solved whole (environment fitting) or one AP's rows at a time
 (specific-AP fitting), while the no-fit strategy scores its fixed parameters
-through the same columns. Scans are averaged per (point, AP) pair first and
+through the same columns. The columns are read from the same
+``propagation.LinkTable``s that predict RSS, one per AP over the survey, so
+the fit and its predictions share one log (``np.log10``) and one set of
+obstruction counts. Scans are averaged per (point, AP) pair first and
 not-detected entries are dropped, never imputed.
 """
 
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -27,17 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateFitError, GeometryError, InsufficientDataError
-from .floorplan import (
-    Floorplan,
-    ObstacleFamily,
-    Point3,
-    crossing_counts_batch,
-    floors_crossed_batch,
-)
+from .floorplan import Floorplan, ObstacleFamily, Point3
 from .ioutil import csv_rows, read_csv, read_json, write_json, write_text_atomic
 from .propagation import (
     FREE_SPACE_L0_DB,
     AccessPoint,
+    LinkTable,
     ModelKind,
     PropagationParams,
     params_from_dict,
@@ -260,10 +257,6 @@ class FitStrategy:
         return cls(StrategyKind.ENVIRONMENT)
 
     @classmethod
-    def per_ap(cls) -> "FitStrategy":
-        return cls(StrategyKind.PER_AP)
-
-    @classmethod
     def no_fit(cls, params: PropagationParams) -> "FitStrategy":
         return cls(StrategyKind.NO_FIT, no_fit_params=params)
 
@@ -295,27 +288,31 @@ class _Design:
     10*log10(d) for the one-slope model and, for the multi-wall model, also a
     constant 1 and one crossing count per obstacle family of the plan; ``y``
     is EIRP - l0 - mean RSS; ``point`` is the row's point, a position in
-    ``meas.rp_ids()``. ``rows`` maps each AP id with rows to its slice.
+    ``meas.rp_ids()``. ``rows`` maps each AP id with rows to its slice. The
+    columns are read from ``links``, one LinkTable per AP over every survey
+    point, the tables that predict RSS with the fitted parameters: the log
+    term is ``10.0 * log10_d``, and the counts and floors are the tables'.
+    The one-slope model reads only the tables' floors, so it counts no
+    crossings.
 
     The pairs a fit of some of the points must still see are kept aside:
     ``cross_floor`` holds the point of each detected pair that crosses a floor
     plane, ``coincident`` the (point, rp id, AP id) of each point that lies on
     its AP, in (AP id, point id) order, and ``unknown`` the point and AP id of
-    each survey row whose AP is not in ``aps``. So ``solve`` on the points of a
-    ``keep`` mask equals ``fit`` on ``meas.subset(np.flatnonzero(keep))``.
+    each survey row whose AP is not in ``links``. So ``solve`` on the points of
+    a ``keep`` mask equals ``fit`` on ``meas.subset(np.flatnonzero(keep))``.
     """
 
-    def __init__(self, plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet,
+    def __init__(self, plan: Floorplan, links: dict[str, LinkTable], meas: MeasurementSet,
                  model: ModelKind, l0_db: float):
-        ap_by_id = {ap.id: ap for ap in aps}
         ap_ids = meas.ap_ids()
         unknown_rows = np.isin(meas.ap_index, [j for j, ap_id in enumerate(ap_ids)
-                                               if ap_id not in ap_by_id])
+                                               if ap_id not in links])
         self.unknown = (meas.rp_index[unknown_rows],
                         [ap_ids[j] for j in meas.ap_index[unknown_rows].tolist()])
 
         self.model, self.l0_db, self.keys = model, l0_db, plan.obstacle_keys()
-        self.ap_ids = [ap.id for ap in aps]
+        self.links = links
         means = meas.mean_matrix()
         rp_ids = meas.rp_ids()
         # Rows go in (AP id, point id) order; the solve's rounding depends on it.
@@ -328,42 +325,35 @@ class _Design:
         self.rows: dict[str, slice] = {}
         start = 0
         for j in sorted(range(len(ap_ids)), key=ap_ids.__getitem__):
-            ap = ap_by_id.get(ap_ids[j])
-            if ap is None:
+            ap_id = ap_ids[j]
+            table = links.get(ap_id)
+            if table is None:
                 continue
             points = by_id[~np.isnan(means[by_id, j])]
-            delta = meas.xyz[points] - ap.position.as_array()
-            dists = np.sqrt(np.sum(delta * delta, axis=1))
-            at_ap = dists <= 0
+            at_ap = table.at_ap[points]
             if at_ap.any():
-                self.coincident += [(p, rp_ids[p], ap.id) for p in points[at_ap].tolist()]
-                points, dists = points[~at_ap], dists[~at_ap]
+                self.coincident += [(p, rp_ids[p], ap_id) for p in points[at_ap].tolist()]
+                points = points[~at_ap]
             if points.shape[0] == 0:
                 continue
-            pts = meas.xyz[points]
-            if model is ModelKind.MWMF:
-                counts, floors = crossing_counts_batch(plan, ap.position, pts)
-            else:  # the one-slope model reads no obstruction counts
-                counts, floors = {}, floors_crossed_batch(plan, ap.position, pts)
             # The floor term is not part of the fitted set; cross-floor samples
             # cannot be attributed and are excluded.
-            same = floors == 0
+            same = table.floors[points] == 0
             cross_floor.append(points[~same])
-            n = int(np.count_nonzero(same))
+            points = points[same]
+            n = points.shape[0]
             if n == 0:
                 continue
-            # math.log10 per distance, not np.log10: numpy's SIMD log10 (numpy
-            # 2.4.6 on an AVX-512 Xeon) differs from it in the last bit for about
-            # 7% of uniform random distances, which would move the fitted params.
-            log_term = 10.0 * np.fromiter(map(math.log10, dists[same].tolist()), float, count=n)
+            log_term = 10.0 * table.log10_d[points]
             if model is ModelKind.MWMF:
+                counts, _ = table.obstructions
                 columns.append(np.column_stack(
-                    [log_term, np.ones(n), *(arr[same] for arr in counts.values())]))
+                    [log_term, np.ones(n), *(arr[points] for arr in counts.values())]))
             else:
                 columns.append(log_term[:, None])
-            ys.append(ap.eirp_dbm - l0_db - means[points[same], j])
-            points_used.append(points[same])
-            self.rows[ap.id] = slice(start, start + n)
+            ys.append(table.ap.eirp_dbm - l0_db - means[points, j])
+            points_used.append(points)
+            self.rows[ap_id] = slice(start, start + n)
             start += n
         self.columns, self.y = np.concatenate(columns), np.concatenate(ys)
         self.point, self.cross_floor = np.concatenate(points_used), np.concatenate(cross_floor)
@@ -399,7 +389,7 @@ class _Design:
         if strategy.kind is StrategyKind.PER_AP:
             params_by_ap: dict[str, PropagationParams] = {}
             per_ap_residuals = []
-            for ap_id in self.ap_ids:
+            for ap_id in self.links:
                 if ap_id in rows:
                     params_by_ap[ap_id], residuals = _solve(
                         columns[rows[ap_id]], y[rows[ap_id]], self.keys, model, ap_id, l0_db)
@@ -413,7 +403,7 @@ class _Design:
                 residuals = columns @ _theta(model, params, self.keys) - y
             else:
                 params, residuals = _solve(columns, y, self.keys, model, "environment", l0_db)
-            params_by_ap = {ap_id: params for ap_id in self.ap_ids}
+            params_by_ap = {ap_id: params for ap_id in self.links}
         rms = float(np.sqrt(np.mean(residuals ** 2))) if residuals.size else 0.0
         return FitResult(params_by_ap=params_by_ap, residual_rms_db=rms,
                          m_used=y.shape[0], model=model, strategy=strategy.kind)
@@ -477,18 +467,20 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
     intercept would be collinear with the constant loss.
 
     Cost: one design matrix of the M detected same-floor (point, AP) pairs,
-    built from the survey arrays with one batched obstruction count per AP
-    (``crossing_counts_batch``: candidate pairs only, no per-obstacle matrix).
-    Environment fitting solves it whole with one SVD-based least-squares
-    solve (``np.linalg.lstsq``), O(M * p^2) flops for p parameters; per-AP
-    fitting solves each AP's rows on their own; no-fit scores its fixed
-    parameters with one matrix-vector product over the same rows.
+    read from one ``LinkTable`` per AP over every survey point, the tables
+    that predict RSS: one ``np.log10`` per link and, for the multi-wall
+    model, one batched obstruction count per AP (candidate pairs only, no
+    per-obstacle matrix). Environment fitting solves it whole with one
+    SVD-based least-squares solve (``np.linalg.lstsq``), O(M * p^2) flops for
+    p parameters; per-AP fitting solves each AP's rows on their own; no-fit
+    scores its fixed parameters with one matrix-vector product over the same
+    rows.
 
     The evaluation sweeps fit many point subsets of one survey. They pass
     ``_designs``, a dict that keeps each design of ``meas`` by (model, l0)
     across calls, and ``_keep``, a mask over ``meas.rp_ids()``; the result
     equals ``fit`` on ``meas.subset(np.flatnonzero(_keep))``, errors and
-    warnings included.
+    warnings included. The designs in one dict share their link tables.
     """
     if strategy.kind is StrategyKind.NO_FIT:
         l0_db = strategy.no_fit_params.l0_db
@@ -497,7 +489,9 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
     designs = {} if _designs is None else _designs
     design = designs.get((model, l0_db))
     if design is None:
-        design = designs[model, l0_db] = _Design(plan, aps, meas, model, l0_db)
+        links = (next(iter(designs.values())).links if designs
+                 else {ap.id: LinkTable(plan, ap, meas.xyz) for ap in aps})
+        design = designs[model, l0_db] = _Design(plan, links, meas, model, l0_db)
     return design.solve(strategy, _keep)
 
 

@@ -214,9 +214,6 @@ class ObstructionCount:
         if self.floors_crossed < 0 or any(n < 0 for n in self.counts.values()):
             raise ValueError("obstruction counts must be nonnegative")
 
-    def total_2d(self) -> int:
-        return sum(self.counts.values())
-
 
 def points_xyz(points) -> np.ndarray:
     """Positions as an (n, 3) float array, from such an array or a sequence of Point3."""

@@ -320,7 +320,8 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
         # Running sums along the rank axis, on contiguous per-axis lanes,
         # make the j-th estimate the sum of the top-j terms in rank order.
         ranked, w = _top_k(_similarity_rows(lanes, tp_rss[block], order), k_max)
-        estimates = rp_positions.T.take(ranked, axis=1)
+        # Taken from the (N, 3) rows: a take from the (3, N) transpose copies it whole.
+        estimates = np.ascontiguousarray(rp_positions.take(ranked, axis=0).transpose(2, 0, 1))
         estimates *= w
         np.cumsum(estimates, axis=2, out=estimates)
         estimates /= np.cumsum(w, axis=1)

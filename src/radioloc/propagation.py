@@ -29,7 +29,6 @@ from .floorplan import (
     ObstacleFamily,
     Point3,
     _crossings,
-    crossing_counts_batch,
     floors_crossed_batch,
     points_xyz,
 )
@@ -111,12 +110,16 @@ def predict_rss(model: ModelKind, params: PropagationParams, plan: Floorplan,
 class LinkTable:
     """Parameter-free geometry of the links from one AP to a set of receiver positions.
 
-    Holds ``log10_d``, the (n,) base-10 log distances, and on first use by
-    the multi-wall model the per-family crossing counts and the crossed floor
-    planes (``obstructions``), with the positive numbers of crossed planes
-    that occur, ascending. The one-slope model reads only ``log10_d``,
-    so it never counts crossings. One table serves any parameters of either
-    model; ``predict_rss`` equals ``predict_rss_many`` bit for bit.
+    The one place where a link becomes the model's inputs: ``log10_d``, the
+    (n,) base-10 log distances (``np.log10``), ``floors``, the crossed floor
+    planes, found without a crossing search, and on first use by the
+    multi-wall model the per-family crossing counts (``obstructions``). The
+    one-slope model reads only ``log10_d``, so it never counts crossings. The
+    fit's design matrix reads the same tables, so its residuals are those of
+    these predictions. One table serves any parameters of either model;
+    ``predict_rss`` equals ``predict_rss_many`` bit for bit. A receiver on
+    the AP is marked in ``at_ap`` (its ``log10_d`` is -inf), and
+    ``predict_rss`` raises GeometryError for it.
     """
 
     def __init__(self, plan: Floorplan, ap: AccessPoint,
@@ -124,21 +127,23 @@ class LinkTable:
         pts = points_xyz(positions)
         delta = pts - ap.position.as_array()
         d = np.sqrt(np.sum(delta * delta, axis=1))
-        if np.any(d <= 0):
-            x, y, z = pts[np.argmax(d <= 0)].tolist()
-            raise GeometryError(f"receiver position ({x}, {y}, {z}) coincides with AP "
-                                f"{ap.id!r}")
         self.plan = plan
         self.ap = ap
         self.positions = pts
-        self.log10_d = np.log10(d)
-        self._obstructions: tuple[dict[ObstacleFamily, np.ndarray], np.ndarray] | None = None
+        self.at_ap = d <= 0
+        with np.errstate(divide="ignore"):  # log10(0) = -inf, marked in at_ap
+            self.log10_d = np.log10(d)
+        self._floors: np.ndarray | None = None
         self._floor_counts: list[int] = []
+        self._counts: dict[ObstacleFamily, np.ndarray] | None = None
 
-    def _keep_obstructions(self, counts: dict[ObstacleFamily, np.ndarray],
-                           floors: np.ndarray) -> None:
-        self._obstructions = counts, floors
-        self._floor_counts = [nf for nf in np.unique(floors).tolist() if nf > 0]
+    @property
+    def floors(self) -> np.ndarray:
+        """Floor planes strictly between the AP and each receiver height."""
+        if self._floors is None:
+            self._floors = floors_crossed_batch(self.plan, self.ap.position, self.positions)
+            self._floor_counts = [nf for nf in np.unique(self._floors).tolist() if nf > 0]
+        return self._floors
 
     def crossing_flags(self) -> np.ndarray:
         """Per-obstacle crossing flags (n, n_obstacles), counted afresh and not kept.
@@ -147,21 +152,24 @@ class LinkTable:
         caller that needs both counts the links once.
         """
         counts, flags = _crossings(self.plan, self.ap.position, self.positions, with_flags=True)
-        if self._obstructions is None:
-            self._keep_obstructions(
-                counts, floors_crossed_batch(self.plan, self.ap.position, self.positions))
+        if self._counts is None:
+            self._counts = counts
         return flags
 
     @property
     def obstructions(self) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray]:
         """Per-family crossing counts (plan key order) and crossed floor planes, per link."""
-        if self._obstructions is None:
-            self._keep_obstructions(*crossing_counts_batch(self.plan, self.ap.position,
-                                                           self.positions))
-        return self._obstructions
+        if self._counts is None:
+            self._counts = _crossings(self.plan, self.ap.position, self.positions,
+                                      with_flags=False)[0]
+        return self._counts, self.floors
 
     def predict_rss(self, model: ModelKind, params: PropagationParams) -> np.ndarray:
         """Predicted received power at every position, in dBm."""
+        if self.at_ap.any():
+            x, y, z = self.positions[np.argmax(self.at_ap)].tolist()
+            raise GeometryError(f"receiver position ({x}, {y}, {z}) coincides with AP "
+                                f"{self.ap.id!r}")
         pl = params.l0_db + 10.0 * params.gamma * self.log10_d
 
         if model is ModelKind.MWMF:
@@ -212,10 +220,6 @@ def params_from_dict(doc: dict) -> tuple[ModelKind, PropagationParams]:
         b=float(doc.get("b", DEFAULT_FLOOR_B)),
     )
     return ModelKind(doc.get("model", ModelKind.MWMF.value)), params
-
-
-def save_params(model: ModelKind, params: PropagationParams, path: str | Path) -> None:
-    write_json(path, params_to_dict(model, params))
 
 
 def load_params(path: str | Path) -> tuple[ModelKind, PropagationParams]:

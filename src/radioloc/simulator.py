@@ -210,10 +210,6 @@ class TemplateInfo:
         return tuple(n / self.area for n in self.n_rp_grid)
 
     @property
-    def dr_min(self) -> float:
-        return self.dr_grid[0]
-
-    @property
     def dr_max(self) -> float:
         return self.dr_grid[-1]
 

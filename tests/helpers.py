@@ -9,8 +9,10 @@ estimates from a plain Python sort-and-accumulate loop. The exceptions are
 loop that ``lattice_positions`` must match bit for bit, ``reference_wknn``, the
 per-target loop that the batched WkNN kernel must match bit for bit, and
 ``reference_fit_rows``, the per-sample loop whose rows the fit's design matrix
-must equal bit for bit, ``reference_boxplot_stats``, the ``np.percentile``
-form that ``boxplot_stats`` must equal, and ``reference_report_text``, the
+must equal bit for bit (its log is ``np.log10`` of one distance at a time,
+the one log that ``LinkTable`` takes of all of them),
+``reference_boxplot_stats``, the ``np.percentile`` form that ``boxplot_stats``
+must equal, and ``reference_report_text``, the
 ``asdict`` + ``json.dumps`` and per-row ``csv.writer`` report writer whose
 bytes the evaluation's report formatting must equal, and ``csv_path_outcome``,
 survey loading through the csv rows path alone, which the loadtxt path must
@@ -194,6 +196,12 @@ def reference_predict_rss(model, params, plan, ap, pts):
     return ap.eirp_dbm - pl
 
 
+def mean_delta(report, rho, strategy, model):
+    """The mean prediction error of a PredictionReport's (rho, strategy, model) cell."""
+    (cell,) = [c for c in report.cells if (c.rho, c.strategy, c.model) == (rho, strategy, model)]
+    return cell.mean_delta_db
+
+
 def reference_fit_rows(plan, aps, meas, model, l0_db):
     """The fit's least-squares rows, built one (AP, point) sample at a time.
 
@@ -201,8 +209,8 @@ def reference_fit_rows(plan, aps, meas, model, l0_db):
     detected (point, AP) pair whose link crosses no floor plane. Its row is
     ``(ap_id, x, y)``: ``x`` is ``[10*log10(d)]`` for the one-slope model and
     ``[10*log10(d), 1, count per plan key...]`` for the multi-wall model, with
-    ``d`` summed and rooted in Python and the log from ``math.log10``; ``y``
-    is EIRP - l0 - the scan-averaged RSS.
+    ``d`` summed and rooted in Python and the log from ``np.log10``, as
+    ``LinkTable`` takes it; ``y`` is EIRP - l0 - the scan-averaged RSS.
     """
     means = meas.mean_matrix()
     rp_ids, ap_ids = meas.rp_ids(), meas.ap_ids()
@@ -220,7 +228,7 @@ def reference_fit_rows(plan, aps, meas, model, l0_db):
             if any(min(p.z, a.z) < z < max(p.z, a.z) for z in plan.floors):
                 continue
             dx, dy, dz = p.x - a.x, p.y - a.y, p.z - a.z
-            x = [10.0 * math.log10(math.sqrt(dx * dx + dy * dy + dz * dz))]
+            x = [10.0 * float(np.log10(math.sqrt(dx * dx + dy * dy + dz * dz)))]
             if model is ModelKind.MWMF:
                 flags = reference_crossing_flags(plan, a, np.array([[p.x, p.y, p.z]]))[0]
                 x += [1.0] + [float(sum(flag for flag, o in zip(flags, plan.obstacles)

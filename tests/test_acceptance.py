@@ -17,7 +17,7 @@ from radioloc.evaluation import (
     run_positioning_sweep,
     run_prediction_analysis,
 )
-from radioloc.fitting import FitStrategy, fit
+from radioloc.fitting import FitStrategy, StrategyKind, fit
 from radioloc.floorplan import Point3, count_obstructions
 from radioloc.positioning import WknnConfig, locate
 from radioloc.propagation import ModelKind, PropagationParams
@@ -38,7 +38,7 @@ from radioloc.simulator import (
     template_info,
 )
 
-from helpers import oracle_count_2d, oracle_wknn, random_plan, random_point
+from helpers import mean_delta, oracle_count_2d, oracle_wknn, random_plan, random_point
 
 SEEDS = list(range(10))
 TEMPLATES = ("spinv_like", "twist_like")
@@ -102,7 +102,7 @@ def test_criterion_01_exact_recovery_oracle():
 
     worst_param = 0.0
     worst_delta = 0.0
-    for strategy in (FitStrategy.environment(), FitStrategy.per_ap()):
+    for strategy in (FitStrategy.environment(), FitStrategy(StrategyKind.PER_AP)):
         report = run_prediction_analysis(meas, spec.plan, spec.aps, RHO_GRID, [strategy],
                                          [ModelKind.MWMF])
         for cell in report.cells:
@@ -141,8 +141,8 @@ def test_criterion_02_mwmf_beats_one_slope(prediction_worlds):
                 world.measurements, world.plan, world.aps, [1.0],
                 [FitStrategy.environment()],
                 [ModelKind.MWMF, ModelKind.ONE_SLOPE])
-            per_seed.append(report.mean_delta(1.0, "environment", "os")
-                            - report.mean_delta(1.0, "environment", "mwmf"))
+            per_seed.append(mean_delta(report, 1.0, "environment", "os")
+                            - mean_delta(report, 1.0, "environment", "mwmf"))
         gaps[template] = float(np.mean(per_seed))
     elapsed = time.perf_counter() - t0
     ok = all(gap >= 1.0 for gap in gaps.values()) and elapsed < 60.0
@@ -172,8 +172,8 @@ def test_criterion_03_no_fit_degradation(prediction_worlds):
                 world.measurements, world.plan, world.aps, [0.1],
                 [FitStrategy.environment(), FitStrategy.no_fit(perturbed)],
                 [ModelKind.MWMF])
-            per_seed.append(report.mean_delta(0.1, "no-fit", "mwmf")
-                            - report.mean_delta(0.1, "environment", "mwmf"))
+            per_seed.append(mean_delta(report, 0.1, "no-fit", "mwmf")
+                            - mean_delta(report, 0.1, "environment", "mwmf"))
         gaps[template] = float(np.mean(per_seed))
     ok = all(gap >= 2.0 for gap in gaps.values())
     report_line("criterion 03 no-fit-degradation", ok,
@@ -187,7 +187,7 @@ def test_criterion_04_virtualization_gain_trend(trend_sweeps):
     stats = {}
     for template in TEMPLATES:
         info = template_info(template)
-        g_min = [gain.gain(info.dr_min, 10.0)
+        g_min = [gain.gain(info.dr_grid[0], 10.0)
                  for _, gain, _ in trend_sweeps[template]]
         g_max = [gain.gain(info.dr_max, 10.0)
                  for _, gain, _ in trend_sweeps[template]]
@@ -212,7 +212,7 @@ def test_criterion_05_measurement_reduction(trend_sweeps):
         info = template_info(template)
         per_seed = []
         for positioning, _, _ in trend_sweeps[template]:
-            sparse = positioning.cell(info.dr_min, 10.0).mean_error_at_k_opt
+            sparse = positioning.cell(info.dr_grid[0], 10.0).mean_error_at_k_opt
             dense = positioning.cell(info.dr_max, 0.0).mean_error_at_k_opt
             per_seed.append(sparse / dense)
         ratios[template] = float(np.mean(per_seed))
@@ -327,11 +327,11 @@ def test_criterion_10_crowdsourcing_degradation():
         crowd, _ = build_world("spinv_like", seed,
                                preset=ScenarioPreset.crowdsourcing_like())
         base_c, _ = run_positioning_sweep(controlled, [info.dr_max], [])
-        sweep_x, _ = run_positioning_sweep(crowd, [info.dr_min, info.dr_max],
+        sweep_x, _ = run_positioning_sweep(crowd, [info.dr_grid[0], info.dr_max],
                                            [10.0])
         e_controlled = base_c.cell(info.dr_max, 0.0).mean_error_at_k_opt
         e_crowd = sweep_x.cell(info.dr_max, 0.0).mean_error_at_k_opt
-        e_crowd_virtual = sweep_x.cell(info.dr_min, 10.0).mean_error_at_k_opt
+        e_crowd_virtual = sweep_x.cell(info.dr_grid[0], 10.0).mean_error_at_k_opt
         strictly_worse += e_crowd > e_controlled
         ratios.append(e_crowd_virtual / e_crowd)
     mean_ratio = float(np.mean(ratios))

@@ -591,9 +591,9 @@ class TestEvaluate:
         design_init, solve = fitting._Design.__init__, fitting._Design.solve
         order = evaluation.decimation_order
 
-        def counting_init(self, plan, aps, meas, model, l0_db):
+        def counting_init(self, plan, links, meas, model, l0_db):
             designs.append((model, l0_db))
-            design_init(self, plan, aps, meas, model, l0_db)
+            design_init(self, plan, links, meas, model, l0_db)
 
         def counting_solve(self, strategy, keep=None):
             solved[strategy.kind, int(keep.sum())] += 1

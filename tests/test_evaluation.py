@@ -27,14 +27,14 @@ from radioloc.evaluation import (
     run_positioning_sweep,
     run_prediction_analysis,
 )
-from radioloc.fitting import FitStrategy
+from radioloc.fitting import FitStrategy, StrategyKind
 from radioloc.positioning import WknnConfig, locate
 from radioloc.propagation import ModelKind
 from radioloc.floorplan import points_xyz
 from radioloc.radiomap import Fingerprint, Radiomap, build_real_fingerprints, place_virtual_rps
 from radioloc.simulator import NoiseConfig, ScenarioPreset, template_info
 
-from helpers import count_crossing_calls, reference_report_text, written_report_pair
+from helpers import count_crossing_calls, mean_delta, reference_report_text, written_report_pair
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestPredictionAnalysis:
         world, _ = rebuild_noiseless()
         report = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [0.1, 0.2, 0.5, 1.0],
-            [FitStrategy.environment(), FitStrategy.per_ap()],
+            [FitStrategy.environment(), FitStrategy(StrategyKind.PER_AP)],
             [ModelKind.MWMF])
         for cell in report.cells:
             assert cell.error is None
@@ -115,8 +115,8 @@ class TestPredictionAnalysis:
         report = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [0.1, 1.0],
             [FitStrategy.environment()], [ModelKind.MWMF])
-        full = report.mean_delta(1.0, "environment", "mwmf")
-        sparse = report.mean_delta(0.1, "environment", "mwmf")
+        full = mean_delta(report, 1.0, "environment", "mwmf")
+        sparse = mean_delta(report, 0.1, "environment", "mwmf")
         assert full <= sparse + 0.5
 
     def test_mwmf_beats_os_on_walled_world(self, noisy_world):
@@ -125,8 +125,8 @@ class TestPredictionAnalysis:
             world.measurements, world.plan, world.aps, [1.0],
             [FitStrategy.environment()],
             [ModelKind.MWMF, ModelKind.ONE_SLOPE])
-        assert (report.mean_delta(1.0, "environment", "mwmf")
-                < report.mean_delta(1.0, "environment", "os"))
+        assert (mean_delta(report, 1.0, "environment", "mwmf")
+                < mean_delta(report, 1.0, "environment", "os"))
 
     def test_bad_rho_rejected(self, noisy_world):
         world, _ = noisy_world
@@ -162,15 +162,15 @@ class TestPositioningSweep:
     def test_mean_error_is_arithmetic_mean(self, noisy_world):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        report, _ = run_positioning_sweep(world, [info.dr_min], [1.0])
-        cell = report.cell(info.dr_min, 1.0)
+        report, _ = run_positioning_sweep(world, [info.dr_grid[0]], [1.0])
+        cell = report.cell(info.dr_grid[0], 1.0)
         assert cell.mean_error_at_k_opt == pytest.approx(
             float(np.mean(cell.errors_at_k_opt)), rel=1e-12)
 
     def test_gain_identity(self, noisy_world):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        report, gain = run_positioning_sweep(world, [info.dr_min], [1.0, 10.0])
+        report, gain = run_positioning_sweep(world, [info.dr_grid[0]], [1.0, 10.0])
         for cell in gain.cells:
             base = report.cell(cell.d_real, 0.0).mean_error_at(cell.k_baseline)
             with_virtual = report.cell(cell.d_real, cell.d_virtual).mean_error_at(
@@ -181,7 +181,7 @@ class TestPositioningSweep:
     def test_quartiles_ordered(self, noisy_world):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        report, _ = run_positioning_sweep(world, [info.dr_min], [1.0])
+        report, _ = run_positioning_sweep(world, [info.dr_grid[0]], [1.0])
         for cell in report.cells:
             for i in range(len(cell.k_values)):
                 assert (cell.min_by_k[i] <= cell.p25_by_k[i] <= cell.p50_by_k[i]
@@ -225,6 +225,13 @@ class TestGeometryReuse:
                                 [FitStrategy.environment()], [ModelKind.MWMF])
         survey = world.measurements.xyz.tobytes()
         assert [calls[(ap.position, survey)] for ap in world.aps] == [1] * len(world.aps)
+        # No other search runs on survey points, the fit's included.
+        points = set(map(tuple, world.measurements.xyz.tolist()))
+        on_survey = Counter()
+        for (tx, pts), n in calls.items():
+            if set(map(tuple, np.frombuffer(pts).reshape(-1, 3).tolist())) <= points:
+                on_survey[tx] += n
+        assert [on_survey[ap.position] for ap in world.aps] == [1] * len(world.aps)
 
     def test_one_slope_makes_no_crossing_calls(self, noisy_world, monkeypatch):
         world, _ = noisy_world
@@ -241,15 +248,15 @@ class TestKestSweep:
     def test_beta_nonnegative_and_zero_at_kopt(self, noisy_world):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        positioning, _ = run_positioning_sweep(world, [info.dr_min], [1.0])
-        cell = positioning.cell(info.dr_min, 1.0)
+        positioning, _ = run_positioning_sweep(world, [info.dr_grid[0]], [1.0])
+        cell = positioning.cell(info.dr_grid[0], 1.0)
         n = cell.n_real + cell.n_virtual
-        report = run_kest_sweep(positioning, [info.dr_min], 1.0,
+        report = run_kest_sweep(positioning, [info.dr_grid[0]], 1.0,
                                 alpha_range=(0.01, 0.25), alpha_step=0.01)
         assert all(c.beta_m >= 0 for c in report.cells)
         # An alpha that lands exactly on k_opt must give beta == 0.
         alpha_exact = cell.k_opt / n
-        extra = run_kest_sweep(positioning, [info.dr_min], 1.0,
+        extra = run_kest_sweep(positioning, [info.dr_grid[0]], 1.0,
                                alpha_range=(alpha_exact, alpha_exact), alpha_step=1.0)
         assert extra.cells[0].k_est == cell.k_opt
         assert extra.cells[0].beta_m == 0.0
@@ -257,9 +264,9 @@ class TestKestSweep:
     def test_tiny_alpha_takes_one_neighbor(self, noisy_world):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        positioning, _ = run_positioning_sweep(world, [info.dr_min], [1.0])
-        cell = positioning.cell(info.dr_min, 1.0)
-        report = run_kest_sweep(positioning, [info.dr_min], 1.0,
+        positioning, _ = run_positioning_sweep(world, [info.dr_grid[0]], [1.0])
+        cell = positioning.cell(info.dr_grid[0], 1.0)
+        report = run_kest_sweep(positioning, [info.dr_grid[0]], 1.0,
                                 alpha_range=(1e-300, 1e-300))
         assert [(c.alpha, c.k_est) for c in report.cells] == [(1e-300, 1)]
         assert report.cells[0].mean_error_kest_m == cell.mean_error_at(1)
@@ -267,8 +274,8 @@ class TestKestSweep:
     def test_alpha_grid_contains_bounds(self, noisy_world):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        positioning, _ = run_positioning_sweep(world, [info.dr_min], [1.0])
-        report = run_kest_sweep(positioning, [info.dr_min], 1.0)
+        positioning, _ = run_positioning_sweep(world, [info.dr_grid[0]], [1.0])
+        report = run_kest_sweep(positioning, [info.dr_grid[0]], 1.0)
         alphas = sorted({c.alpha for c in report.cells})
         assert alphas[0] == 0.01 and alphas[-1] == 0.25
         assert 0.05 in alphas
@@ -323,7 +330,7 @@ class TestReports:
     def test_positioning_csv_columns(self, noisy_world, tmp_path):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        report, gain = run_positioning_sweep(world, [info.dr_min], [1.0])
+        report, gain = run_positioning_sweep(world, [info.dr_grid[0]], [1.0])
         path = tmp_path / "pos.csv"
         emit_report(report, path, fmt="csv")
         lines = path.read_text().splitlines()
@@ -335,8 +342,8 @@ class TestReports:
     def test_json_round_trip_all_report_types(self, noisy_world, tmp_path):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        positioning, gain = run_positioning_sweep(world, [info.dr_min], [1.0])
-        kest = run_kest_sweep(positioning, [info.dr_min], 1.0)
+        positioning, gain = run_positioning_sweep(world, [info.dr_grid[0]], [1.0])
+        kest = run_kest_sweep(positioning, [info.dr_grid[0]], 1.0)
         prediction = run_prediction_analysis(
             world.measurements, world.plan, world.aps, [1.0],
             [FitStrategy.environment()], [ModelKind.MWMF])
@@ -351,7 +358,7 @@ class TestReports:
 
         world, _ = noisy_world
         info = template_info("spinv_like")
-        report, _ = run_positioning_sweep(world, [info.dr_min], [])
+        report, _ = run_positioning_sweep(world, [info.dr_grid[0]], [])
         path = tmp_path / "pos.json"
         emit_report(report, path, fmt="json")
         doc = json.loads(path.read_text())
@@ -471,7 +478,7 @@ class TestReportWriters:
     def test_sweep_reports_match_reference(self, noisy_world, tmp_path):
         world, _ = noisy_world
         info = template_info("spinv_like")
-        dr_grid = [info.dr_min, info.dr_max]
+        dr_grid = [info.dr_grid[0], info.dr_max]
         positioning, gain = run_positioning_sweep(world, dr_grid, [1.0, 10.0])
         kest = run_kest_sweep(positioning, dr_grid, 10.0)
         prediction = run_prediction_analysis(

@@ -59,7 +59,7 @@ class TestExactRecovery:
         plan, aps, truth = tiny_world()
         meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps},
                                   survey_points())
-        for strategy in (FitStrategy.environment(), FitStrategy.per_ap()):
+        for strategy in (FitStrategy.environment(), FitStrategy(StrategyKind.PER_AP)):
             result = fit(strategy, ModelKind.MWMF, plan, aps, meas)
             for ap in aps:
                 assert params_close(result.params_for(ap.id), truth)
@@ -72,7 +72,7 @@ class TestExactRecovery:
         truth = PropagationParams(gamma=2.35)
         meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps},
                                   survey_points(), model=ModelKind.ONE_SLOPE)
-        for strategy in (FitStrategy.environment(), FitStrategy.per_ap()):
+        for strategy in (FitStrategy.environment(), FitStrategy(StrategyKind.PER_AP)):
             result = fit(strategy, ModelKind.ONE_SLOPE, plan, aps, meas)
             for ap in aps:
                 assert abs(result.params_for(ap.id).gamma - truth.gamma) < 1e-9
@@ -84,7 +84,7 @@ class TestExactRecovery:
             "b": PropagationParams(gamma=3.1, lc_db=1.0, wall_db=4.0, door_db=1.0),
         }
         meas = synth_measurements(plan, aps, truths, survey_points())
-        per_ap = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, aps, meas)
+        per_ap = fit(FitStrategy(StrategyKind.PER_AP), ModelKind.MWMF, plan, aps, meas)
         for ap in aps:
             assert params_close(per_ap.params_for(ap.id), truths[ap.id])
         pooled = fit(FitStrategy.environment(), ModelKind.MWMF, plan, aps, meas)
@@ -95,7 +95,7 @@ class TestExactRecovery:
         meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps},
                                   survey_points())
         env = fit(FitStrategy.environment(), ModelKind.MWMF, plan, aps, meas)
-        per_ap = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, aps, meas)
+        per_ap = fit(FitStrategy(StrategyKind.PER_AP), ModelKind.MWMF, plan, aps, meas)
         for ap in aps:
             assert params_close(env.params_for(ap.id), per_ap.params_for(ap.id))
 
@@ -111,7 +111,7 @@ class TestFitContracts:
                   for t in np.linspace(0, 2 * np.pi, 9)[:-1]]
         meas = synth_measurements(plan, [ap], {"a": truth}, points)
         with pytest.raises(DegenerateFitError) as info:
-            fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, [ap], meas)
+            fit(FitStrategy(StrategyKind.PER_AP), ModelKind.MWMF, plan, [ap], meas)
         assert info.value.scope == "a"
 
     def test_insufficient_data(self):
@@ -128,7 +128,7 @@ class TestFitContracts:
                   for i in range(4) for j in range(3)]
         meas = synth_measurements(plan, [aps[0]], {"a": truth}, points)
         with pytest.warns(UserWarning, match="no sample crosses"):
-            result = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, [aps[0]], meas)
+            result = fit(FitStrategy(StrategyKind.PER_AP), ModelKind.MWMF, plan, [aps[0]], meas)
         params = result.params_for("a")
         assert params.wall_db == 0.0 and params.door_db == 0.0
         assert abs(params.gamma - truth.gamma) < 1e-6
@@ -254,7 +254,7 @@ class TestPredictForMeasurements:
     def test_unknown_ap_rejected(self):
         plan, aps, truth = tiny_world()
         meas = synth_measurements(plan, [aps[0]], {"a": truth}, survey_points())
-        result = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, [aps[0]], meas)
+        result = fit(FitStrategy(StrategyKind.PER_AP), ModelKind.MWMF, plan, [aps[0]], meas)
         with pytest.raises(KeyError):
             fitted_predictions(result, ModelKind.MWMF, plan, aps, [Point3(3, 3, 1.2)])
 
@@ -555,7 +555,7 @@ class TestFitResultIo:
             "b": PropagationParams(gamma=3.0, wall_db=6.0, door_db=2.0),
         }
         meas = synth_measurements(plan, aps, truths, survey_points())
-        result = fit(FitStrategy.per_ap(), ModelKind.MWMF, plan, aps, meas)
+        result = fit(FitStrategy(StrategyKind.PER_AP), ModelKind.MWMF, plan, aps, meas)
         doc = fit_result_to_dict(result)
         assert "params_by_ap" in doc
         loaded = fit_result_from_dict(doc)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radioloc.errors import GeometryError, InputError
+from radioloc.ioutil import write_json
 from radioloc.floorplan import (
     Bounds,
     Floorplan,
@@ -20,10 +21,10 @@ from radioloc.propagation import (
     aps_from_list,
     load_access_points,
     load_params,
+    params_to_dict,
     predict_rss,
     predict_rss_many,
     save_access_points,
-    save_params,
 )
 
 from helpers import count_crossing_calls, reference_predict_rss
@@ -287,7 +288,7 @@ class TestSerialization:
         params = PropagationParams(gamma=2.9, lc_db=1.2, wall_db=5.5,
                                           door_db=1.1, lf_db=17.0, b=0.5)
         path = tmp_path / "params.json"
-        save_params(ModelKind.MWMF, params, path)
+        write_json(path, params_to_dict(ModelKind.MWMF, params))
         model, loaded = load_params(path)
         assert model is ModelKind.MWMF
         assert loaded == params
@@ -296,7 +297,7 @@ class TestSerialization:
         import json
 
         path = tmp_path / "params.json"
-        save_params(ModelKind.ONE_SLOPE, PropagationParams(), path)
+        write_json(path, params_to_dict(ModelKind.ONE_SLOPE, PropagationParams()))
         doc = json.loads(path.read_text())
         assert set(doc) == {"model", "l0_db", "gamma", "lc_db", "losses", "lf_db", "b"}
         assert set(doc["losses"]) == {"wall", "door"}

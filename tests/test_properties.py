@@ -94,6 +94,7 @@ from radioloc.positioning import (
 from radioloc.propagation import (
     FREE_SPACE_L0_DB,
     AccessPoint,
+    LinkTable,
     ModelKind,
     PropagationParams,
     predict_rss,
@@ -1453,6 +1454,64 @@ def test_prefix_fit_of_shared_design_matches_fit_of_subset(world, model, kind, d
         assert fit_outcome(lambda: fit(strategy, model, plan, fit_aps, meas,
                                        _designs=designs, _keep=keep)) == want
     assert len(designs) == 1
+
+
+@EXACT_SETTINGS
+@given(fit_worlds(), st.sampled_from(ModelKind), st.sampled_from(StrategyKind), st.data())
+def test_design_reads_link_tables(world, model, kind, data):
+    """The fit's design rows are read from the survey's link tables: each log
+    column is ``10.0 * log10_d`` of the point's link bit for bit, the count
+    columns are the table's counts, and the residual RMS is that of the
+    measured means minus the tables' predictions with the fitted parameters,
+    over the fitted rows."""
+    plan, aps, ids, positions, seed = world
+    if data.draw(st.sampled_from([False, False, False, True])):
+        positions[data.draw(st.integers(0, len(positions) - 1))] = aps[0].position
+    meas = fit_survey(aps, ids, positions, seed, lambda ap, p, rng: rng.uniform(-100.0, -30.0))
+    if kind is StrategyKind.NO_FIT:
+        strategy = FitStrategy.no_fit(PropagationParams(
+            l0_db=data.draw(st.sampled_from([FREE_SPACE_L0_DB, 35.0])),
+            gamma=data.draw(st.floats(1.5, 4.0)), lc_db=data.draw(st.floats(0.0, 5.0)),
+            wall_db=data.draw(st.floats(0.0, 8.0)), door_db=data.draw(st.floats(0.0, 8.0))))
+    else:
+        strategy = FitStrategy(kind)
+    tables = {ap.id: LinkTable(plan, ap, meas.xyz) for ap in aps}
+    # A point on an AP fails every fit that keeps it; fit the others.
+    keep = ~np.logical_or.reduce([table.at_ap for table in tables.values()])
+    designs: dict = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            result = fit(strategy, model, plan, aps, meas, _designs=designs, _keep=keep)
+        except (DegenerateFitError, InsufficientDataError):
+            result = None
+    (design,) = designs.values()
+    event(f"fit: {'raises' if result is None else 'fitted'}")
+
+    means = meas.mean_matrix()
+    column = {ap_id: j for j, ap_id in enumerate(meas.ap_ids())}
+    residuals = []
+    for ap_id, rows in design.rows.items():
+        table, points = tables[ap_id], design.point[rows]
+        assert np.array_equal(design.columns[rows, 0].view(np.int64),
+                              (10.0 * table.log10_d[points]).view(np.int64))
+        if model is ModelKind.MWMF:
+            counts, _ = table.obstructions
+            assert design.columns.shape[1] == 2 + len(counts)
+            assert np.array_equal(design.columns[rows, 1], np.ones(points.shape[0]))
+            for c, arr in enumerate(counts.values(), start=2):
+                assert np.array_equal(design.columns[rows, c], arr[points])
+        if result is None:
+            continue
+        fitted = points[keep[points]]
+        predicted = LinkTable(plan, table.ap, meas.xyz[fitted]).predict_rss(
+            model, result.params_for(ap_id))
+        residuals.append(means[fitted, column[ap_id]] - predicted)
+    if result is not None:
+        pooled = np.concatenate([np.empty(0), *residuals])
+        assert result.m_used == pooled.shape[0]
+        assert result.residual_rms_db == pytest.approx(
+            float(np.sqrt(np.mean(pooled ** 2))) if pooled.size else 0.0, rel=0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
