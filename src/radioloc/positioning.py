@@ -10,6 +10,8 @@ with the ceil(alpha * (d_real + d_virtual) * area) rule, alpha in (0, 1].
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -38,10 +40,19 @@ class WknnConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
+        if self.k is not None:
+            _check_count("k", self.k)
+            if self.k < 1:
+                raise ValueError("k must be >= 1")
         _check_order(self.order)
         _check_alpha(self.alpha)
+
+
+def _check_count(name: str, value) -> None:
+    """A neighbour count is an integer: not a float, even an integral one, and
+    not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_order(order: float) -> None:
@@ -91,9 +102,10 @@ def _lanes(rss_matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rss_matrix.T)
 
 
-def _similarity_rows(lanes: np.ndarray, targets: np.ndarray, order: float) -> np.ndarray:
-    """(B, N) similarities of B target rows to the N reference points, whose
-    fingerprints are the (L, N) contiguous per-AP ``lanes``.
+def _distance_sums(lanes: np.ndarray, targets: np.ndarray, order: float) -> np.ndarray:
+    """(B, N) powered Minkowski distance sums, sum |d| ** order over the APs,
+    of B target rows to the N reference points, whose fingerprints are the
+    (L, N) contiguous per-AP ``lanes``.
 
     One broadcast subtract fills a (B, L, N) temporary, which is powered in
     place and summed over the AP axis. numpy sums an axis that is not the
@@ -102,9 +114,7 @@ def _similarity_rows(lanes: np.ndarray, targets: np.ndarray, order: float) -> np
     axis pairwise; with a single reference point the AP axis is innermost, so
     that case takes a running sum instead.) Squaring by multiplication keeps
     the default order free of libm pow rounding, and needs no absolute value:
-    ``d * d`` equals ``|d| * |d|`` bit for bit. An exact match, where the
-    inverse distance is singular, gets ``SIMILARITY_CAP``; a block without
-    one skips that masked store.
+    ``d * d`` equals ``|d| * |d|`` bit for bit.
     """
     diff = np.subtract(lanes, targets[:, :, None])
     if order == 2.0:
@@ -114,21 +124,27 @@ def _similarity_rows(lanes: np.ndarray, targets: np.ndarray, order: float) -> np
         with np.errstate(over="ignore"):  # an overflowed distance has similarity 0
             diff **= order
     if lanes.shape[1] > 1:
-        acc = np.add.reduce(diff, axis=1)
-    else:
-        acc = np.cumsum(diff, axis=1)[:, -1]
+        return np.add.reduce(diff, axis=1)
+    return np.cumsum(diff, axis=1)[:, -1]
+
+
+def _similarities(sums: np.ndarray, order: float) -> np.ndarray:
+    """The similarities of powered distance sums, computed in place: the
+    inverse root, or ``SIMILARITY_CAP`` for a zero sum, an exact match, where
+    the inverse distance is singular. An array without a zero skips that
+    masked store."""
     if order == 2.0:
-        np.sqrt(acc, out=acc)
+        np.sqrt(sums, out=sums)
     else:
-        acc **= 1.0 / order
-    if acc.all():
-        return np.divide(1.0, acc, out=acc)
+        sums **= 1.0 / order
+    if sums.all():
+        return np.divide(1.0, sums, out=sums)
     # The root of a positive sum is positive, so the zeros are the exact matches.
-    exact = acc == 0.0
+    exact = sums == 0.0
     with np.errstate(divide="ignore"):
-        sims = np.divide(1.0, acc, out=acc)
-    sims[exact] = SIMILARITY_CAP
-    return sims
+        np.divide(1.0, sums, out=sums)
+    sums[exact] = SIMILARITY_CAP
+    return sums
 
 
 def similarity(a: Fingerprint, b: Fingerprint, order: float = 2.0) -> float:
@@ -136,7 +152,8 @@ def similarity(a: Fingerprint, b: Fingerprint, order: float = 2.0) -> float:
     if len(a) != len(b):
         raise ValueError(f"fingerprint lengths differ: {len(a)} vs {len(b)}")
     _check_order(order)
-    return float(_similarity_rows(a.rss[:, None], b.rss[None, :], order)[0, 0])
+    sums = _distance_sums(a.rss[:, None], b.rss[None, :], order)[0]
+    return float(_similarities(sums, order)[0])
 
 
 def k_est(d_real: float, d_virtual: float, area_m2: float, alpha: float = 0.05) -> int:
@@ -175,42 +192,57 @@ def _best_k(ks, means) -> int:
     return int(min(ks, key=lambda k: (means[k - 1], k)))
 
 
-def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _top_k(sums: np.ndarray, k: int, order: float) -> tuple[np.ndarray, np.ndarray]:
     """(B, k) indices of each row's k most similar reference points, in rank
-    order, and their (B, k) similarities.
+    order, and their (B, k) similarities, from the (B, N) powered distance
+    sums of ``_distance_sums`` at Minkowski ``order``.
 
     Ranking is by descending similarity with ties going to the lower RP
-    index. A partition of ``sims`` itself at n - k finds each row's k-th
-    largest value, and the band of entries at or above it is taken in index
-    order. Where ties straddle the k-th value the band holds more than k
-    entries; such a row keeps every entry above the k-th value and then the
-    lowest-index entries equal to it, so every band holds exactly k. The
-    bands are negated and sorted with numpy's default, unstable (SIMD)
-    argsort, whose order is the ranking unless two sorted values are equal.
-    Ties are repaired by row, so the result does not depend on how the
-    unstable sort orders them: in a row with equal neighbours, each run of
-    equal values is put in index order by sorting (run, index) keys.
+    index. A partition of ``sums`` at k - 1 finds each row's k-th smallest
+    sum, and the window of entries at most a small margin above it is taken
+    in index order; only the window's similarities are computed. A window of
+    exactly k entries is negated and sorted with numpy's default, unstable
+    (SIMD) argsort, whose order is the ranking unless two sorted values are
+    equal. In a block where some window holds more than k entries, the
+    windows are ranked by one stable sort on (row, -similarity) and each row
+    keeps its first k. Ties are repaired by row, so the result does not
+    depend on how the unstable sort orders them: in a row with equal
+    neighbours, each run of equal values is put in index order by sorting
+    (run, index) keys.
 
     Cost per row: an O(n) partition of a copy of the row and one O(n) pass
-    for the band mask (a few more in a block where ties straddle a k-th
-    value), then O(k log k) on the band alone.
+    for the window mask, then O(k log k) on the window alone: its roots and
+    reciprocals, and its sort.
     """
-    b, n = sims.shape
-    kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
-    in_band = sims >= kth
+    b, n = sums.shape
+    kth = np.partition(sums, k - 1, axis=1)[:, k - 1, None]
+    # The window holds every entry whose similarity is at least the k-th
+    # largest one. sqrt and 1/x are correctly rounded and pow is within 1
+    # ulp, so a sum more than (1 + 1e-14) ** order times the k-th sum has a
+    # root more than 1e-14, dozens of ulps, above each root of the k smallest
+    # sums, and so a strictly lower similarity. Zero sums score the cap,
+    # which positive sums up to about SIMILARITY_CAP ** -order outrank; the
+    # floor takes those in. It is at least the smallest normal double: for
+    # orders from about 34 to 36, SIMILARITY_CAP ** -order is a subnormal,
+    # whose 1-ulp pow error is no longer within the margin. An order whose
+    # margin overflows puts every entry in the window.
+    margin = (1.0 + 1e-14) ** order if order < 1e16 else math.inf
+    floor = max(SIMILARITY_CAP ** -order, sys.float_info.min)
+    in_band = sums <= np.maximum(kth, floor) * margin
     band = np.flatnonzero(in_band)
-    if band.size > b * k:
-        # Drop each row's surplus: its highest-index entries equal to the
-        # k-th value, counted from the row's end.
-        surplus = np.count_nonzero(in_band, axis=1, keepdims=True) - k
-        at_kth = sims == kth
-        in_band &= ~at_kth | (np.cumsum(at_kth[:, ::-1], axis=1)[:, ::-1] > surplus)
-        band = np.flatnonzero(in_band)
-    order = (-sims.take(band)).reshape(b, k).argsort(axis=1)
-    if b > 1:  # flat offsets of each row's band; a lone row's are 0
-        order += np.arange(0, b * k, k)[:, None]
-    band = band.take(order)
-    w = sims.take(band)
+    w = _similarities(sums.take(band), order)
+    if band.size == b * k:
+        rank = np.negative(w).reshape(b, k).argsort(axis=1)
+        if b > 1:  # flat offsets of each row's band; a lone row's are 0
+            rank += np.arange(0, b * k, k)[:, None]
+    else:
+        # band is in index order and lexsort is stable, so each row's
+        # window is ranked by (-similarity, index); keep its first k.
+        counts = np.count_nonzero(in_band, axis=1)
+        starts = np.cumsum(counts) - counts
+        rank = np.lexsort((-w, band // n)).take(starts[:, None] + np.arange(k))
+    band = band.take(rank)
+    w = w.take(rank)
     if b > 1:
         band -= np.arange(0, b * n, n)[:, None]
     ties = w[:, 1:] == w[:, :-1]
@@ -238,7 +270,7 @@ def _locate_rows(rmap: Radiomap, rows: np.ndarray, cfg: WknnConfig) -> list[Posi
     lanes, positions = _lanes(rmap.rss_matrix()), rmap.positions_matrix()
     out = []
     for block in _row_blocks(rows.shape[0], n, lanes.shape[0]):
-        ranked, w = _top_k(_similarity_rows(lanes, rows[block], cfg.order), k)
+        ranked, w = _top_k(_distance_sums(lanes, rows[block], cfg.order), k, cfg.order)
         # [w*x, w*y, w*z, w] with the rank axis innermost: a running sum adds
         # in rank order, so its last entry is the per-target loop's sum, but
         # started from the first term, not from +0.0. The two differ only in
@@ -266,13 +298,15 @@ def locate(rmap: Radiomap, target: Fingerprint, cfg: WknnConfig = WknnConfig(),
     Cost per request: O(N * L) distance arithmetic over the N reference
     points, in one broadcast pass over the radiomap's contiguous per-AP
     lanes (no copy: ``RpArrays`` stores fingerprints AP-major) into an
-    (L, N) temporary; an O(N) value partition of the similarities for the
-    k-th one and one O(N) band mask; an O(k log k) unstable sort of the band
-    of RPs at or above it; and one O(k) in-order sum of the k weighted
-    positions, for the k-th estimate only. Ties that straddle the k-th value
-    add a few O(N) passes to trim the band to k entries, and ties inside the
-    band add a second O(k log k) sort. Raises ValueError when the k weights
-    sum to 0, which an order high enough to overflow every distance gives.
+    (L, N) temporary, summed into N powered distance sums; an O(N) value
+    partition of the sums for the k-th smallest one and one O(N) window
+    mask; the roots and reciprocals of the window's k entries only, and an
+    O(k log k) unstable sort of them; and one O(k) in-order sum of the k
+    weighted positions, for the k-th estimate only. Equal sums that straddle
+    the k-th one widen the window, which a stable sort of its entries then
+    ranks and trims to k, and ties inside the band add a second O(k log k)
+    sort. Raises ValueError when the k weights sum to 0, which an order high
+    enough to overflow every distance gives.
     """
     if len(target) != len(rmap.aps):
         raise ValueError("target fingerprint length must match the AP count")
@@ -305,6 +339,7 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
     or strided one is copied into per-AP lanes once per call.
     """
     n = rp_rss.shape[0]
+    _check_count("k_max", k_max)
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}]")
     _check_order(order)
@@ -319,7 +354,7 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
     for block in _row_blocks(t, n, lanes.shape[0]):
         # Running sums along the rank axis, on contiguous per-axis lanes,
         # make the j-th estimate the sum of the top-j terms in rank order.
-        ranked, w = _top_k(_similarity_rows(lanes, tp_rss[block], order), k_max)
+        ranked, w = _top_k(_distance_sums(lanes, tp_rss[block], order), k_max, order)
         # Taken from the (N, 3) rows: a take from the (3, N) transpose copies it whole.
         estimates = np.ascontiguousarray(rp_positions.take(ranked, axis=0).transpose(2, 0, 1))
         estimates *= w
@@ -337,7 +372,10 @@ def find_k_opt(rmap: Radiomap, tp_rss: np.ndarray, tp_pos: np.ndarray, k_range) 
     pick the smallest k."""
     if not len(tp_rss):
         raise ValueError("find_k_opt needs at least one test point")
-    ks = sorted(set(int(k) for k in k_range))
+    ks = list(k_range)
+    for k in ks:
+        _check_count("each k_range entry", k)
+    ks = sorted(set(map(int, ks)))
     n = len(rmap)
     if not ks:
         raise ValueError("empty k range")

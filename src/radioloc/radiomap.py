@@ -175,8 +175,8 @@ class Radiomap:
             raise ValueError("radiomap needs at least one AP")
         if rps.n_aps != len(aps):
             raise ValueError("fingerprint length must equal the number of APs")
-        if area_m2 is not None and area_m2 <= 0:
-            raise ValueError("area must be positive")
+        if area_m2 is not None and not 0 < area_m2 < math.inf:
+            raise ValueError(f"area must be positive and finite, got {area_m2!r}")
         self.aps = list(aps)
         self.rps = rps
         self.n_virtual = rps.n_virtual

@@ -292,6 +292,20 @@ class TestInputErrorsExit2:
         assert err.startswith("error: ") and "Minkowski order 1e+308" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("area", [math.nan, math.inf])
+    def test_locate_non_finite_area(self, map_file, tmp_path, capsys, area):
+        doc = json.loads(map_file.read_text())
+        doc["area_m2"] = area  # json writes NaN or Infinity
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-55.0\n")
+        code = exit_code(["locate", "--radiomap", str(bad), "--target", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "area must be positive and finite" in err
+        assert len(err.splitlines()) == 1
+
     def test_fit_with_ap_file_missing_survey_aps(self, world_dir, tmp_path, capsys):
         aps_doc = json.loads((world_dir / "aps.json").read_text())
         (tmp_path / "aps.json").write_text(json.dumps(aps_doc[:1]))

@@ -167,6 +167,17 @@ class TestLocate:
                 error_curves(np.array([[-50.0]]), np.zeros((1, 3)), np.array([[-60.0]]),
                              np.zeros((1, 3)), 1, order)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            WknnConfig(k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        rmap = make_map([(0.0, 0.0, [-50.0]), (2.0, 0.0, [-60.0]), (9.0, 0.0, [-90.0])])
+        target = Fingerprint([-52.0])
+        assert (locate(rmap, target, WknnConfig(k=np.int64(2)))
+                == locate(rmap, target, WknnConfig(k=2)))
+
     def test_order_that_overflows_every_distance_raises(self):
         # |d| ** 1e308 overflows for every |d| > 1, so every similarity is 0
         # and the weighted centroid would be 0 / 0.
@@ -306,6 +317,20 @@ class TestFindKOpt:
             find_k_opt(rmap, [[-52.0]], [[0.5, 0.0, 1.2]], range(1, 10))  # k beyond N
         with pytest.raises(ValueError):
             find_k_opt(rmap, np.empty((0, 1)), np.empty((0, 3)), range(1, 2))
+
+    def test_error_curves_rejects_non_integer_k_max(self):
+        for k_max in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="k_max must be an integer"):
+                error_curves(np.array([[-50.0], [-55.0]]), np.zeros((2, 3)),
+                             np.array([[-52.0]]), np.zeros((1, 3)), k_max)
+
+    def test_non_integer_k_range_rejected(self):
+        rmap = make_map([(0.0, 0.0, [-50.0]), (1.0, 0.0, [-55.0]), (2.0, 0.0, [-60.0])])
+        for k_range in ([1.9, 2.2], [1, 2.0], [True, 2]):
+            with pytest.raises(ValueError, match="k_range entry must be an integer"):
+                find_k_opt(rmap, [[-52.0]], [[0.5, 0.0, 1.2]], k_range)
+        assert find_k_opt(rmap, [[-52.0]], [[0.5, 0.0, 1.2]], np.arange(1, 4)) == find_k_opt(
+            rmap, [[-52.0]], [[0.5, 0.0, 1.2]], range(1, 4))
 
     def test_error_curves_rejects_wrong_fingerprint_length(self):
         # Two 3-AP test points hold as many values as three 2-AP rows, and

@@ -1173,23 +1173,59 @@ def test_error_curves_match_per_target_loop(case, layout):
     assert got.tolist() == want
 
 
-# Kinds of similarity row for _top_k: which ties the unstable band sort can
+# Minkowski orders for the ranking properties: the default square root, pow
+# roots, and orders at which SIMILARITY_CAP ** -order underflows to 0.
+RANKING_ORDERS = (1.0, 1.5, 2.0, 3.0, 36.0, 50.0, 1e3)
+
+
+def reference_similarities(sums, order):
+    """The similarity of every entry of a row of powered distance sums: the
+    inverse root, or SIMILARITY_CAP for a zero sum."""
+    with np.errstate(divide="ignore", over="ignore"):
+        sims = 1.0 / (np.sqrt(sums) if order == 2.0 else sums ** (1.0 / order))
+    return np.where(sums == 0.0, SIMILARITY_CAP, sims)
+
+
+def check_top_k(sums, k, order):
+    """``_top_k`` of a block of sums against a per-row lexsort of the
+    similarities of every entry."""
+    with np.errstate(over="ignore"):  # 1 / a subnormal root is inf
+        ranked, weights = _top_k(sums, k, order)
+    sims = [reference_similarities(row, order) for row in sums]
+    want = [np.lexsort((np.arange(len(row)), -row))[:k] for row in sims]
+    assert ranked.tolist() == [r.tolist() for r in want]
+    assert weights.tolist() == [row[r].tolist() for row, r in zip(sims, want)]
+
+
+def mixed_kinds(kinds, b, rng, draw):
+    """b row kinds: drawn for small blocks, every kind at least once in
+    shuffled order for blocks of at least len(kinds) rows."""
+    if b < len(kinds):
+        return draw(st.lists(st.sampled_from(kinds), min_size=b, max_size=b))
+    extra = rng.integers(0, len(kinds), b - len(kinds))
+    out = list(kinds) + [kinds[i] for i in extra]
+    rng.shuffle(out)
+    return out
+
+
+# Kinds of distance row for _top_k: which ties the unstable band sort can
 # get wrong, and so which rows the tie repair must rank again.
 RANKING_ROWS = ("tie-free", "ties in band", "ties straddle k-th", "wide straddle",
                 "several caps")
 
 
 def ranking_row(kind, n, k, rng):
-    """A length-n similarity row of the given kind, for neighbor count k.
+    """A length-n row of Minkowski distances of the given kind, for neighbor
+    count k; the nearest rank first.
 
     Values are a few levels in steps of 0.25, so ties are frequent unless the
-    kind rules them out. "ties in band" puts an equal pair among the top k
-    (from k = 2) with the k-th value above every other entry; "ties
+    kind rules them out. "ties in band" puts an equal pair among the k
+    nearest (from k = 2) with the k-th value below every other entry; "ties
     straddle k-th" makes the k-th and (k+1)-th values equal (for k < n);
     "wide straddle" makes the (k-1)-th to (k+2)-th values equal, so at least
     two entries equal to the k-th value lie on each side of rank k (as many
     as fit when k < 2 or k > n - 2); "several caps" sets two or more entries
-    (one if n = 1) to ``SIMILARITY_CAP``.
+    (one if n = 1) to 0, an exact match.
     """
     if kind == "tie-free":
         return 0.5 + 0.25 * rng.permutation(n)
@@ -1197,48 +1233,132 @@ def ranking_row(kind, n, k, rng):
     row = 0.5 + 0.25 * rng.integers(0, levels, n)
     if kind == "ties in band":
         top = rng.permutation(n)[:k]
-        row[top] = 0.5 + 0.25 * (levels + rng.integers(0, max(1, k // 2), k))
+        row[top] = 0.5 / (2 + rng.integers(0, max(1, k // 2), k))
         row[top[:2]] = row[top[0]]
     elif kind == "ties straddle k-th" and k < n:
-        order = np.lexsort((np.arange(n), -row))
+        order = np.lexsort((np.arange(n), row))
         row[order[k]] = row[order[k - 1]]
     elif kind == "wide straddle" and k < n:
-        order = np.lexsort((np.arange(n), -row))
+        order = np.lexsort((np.arange(n), row))
         row[order[max(0, k - 2):k + 2]] = row[order[k - 1]]
     elif kind == "several caps":
-        row[rng.permutation(n)[:rng.integers(min(2, n), n + 1)]] = SIMILARITY_CAP
+        row[rng.permutation(n)[:rng.integers(min(2, n), n + 1)]] = 0.0
     return row
 
 
 @st.composite
 def ranking_blocks(draw):
-    """(sims, k): B rows of n similarities mixing every ``RANKING_ROWS`` kind.
+    """(sums, k, order): B rows of n powered distance sums mixing every
+    ``RANKING_ROWS`` kind.
 
     B is 1, 2, 7 or 80 and k one of 1, 2, n - 1 and n. Blocks of seven or 80
     rows hold each kind at least once, in shuffled row order; long rows let
     numpy's SIMD argsort, not only its small-array sort, order the band.
+    Equal distances power to equal sums; at order 1e3 most of them overflow.
     """
     b = draw(st.sampled_from([1, 2, 7, 80]))
     n = draw(st.integers(1, 40) | st.integers(100, 600))
     k = draw(st.sampled_from(sorted({k for k in (1, 2, n - 1, n) if 1 <= k <= n})))
+    order = draw(st.sampled_from(RANKING_ORDERS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if b < len(RANKING_ROWS):
-        kinds = draw(st.lists(st.sampled_from(RANKING_ROWS), min_size=b, max_size=b))
-    else:
-        extra = rng.integers(0, len(RANKING_ROWS), b - len(RANKING_ROWS))
-        kinds = list(RANKING_ROWS) + [RANKING_ROWS[i] for i in extra]
-        rng.shuffle(kinds)
-    return np.array([ranking_row(kind, n, k, rng) for kind in kinds]), k
+    kinds = mixed_kinds(RANKING_ROWS, b, rng, draw)
+    with np.errstate(over="ignore"):
+        return np.array([ranking_row(kind, n, k, rng) for kind in kinds]) ** order, k, order
 
 
 @EXACT_SETTINGS
 @given(ranking_blocks())
 def test_top_k_matches_per_row_lexsort(case):
-    sims, k = case
-    ranked, weights = _top_k(sims, k)
-    want = [np.lexsort((np.arange(len(row)), -row))[:k] for row in sims]
-    assert ranked.tolist() == [r.tolist() for r in want]
-    assert weights.tolist() == [row[r].tolist() for row, r in zip(sims, want)]
+    check_top_k(*case)
+
+
+# Kinds of powered-sum row for the window of _top_k: entries whose
+# similarity ties or beats an entry at or below the k-th sum although their
+# sum is above it.
+WINDOW_ROWS = ("adjacent at k-th", "few zeros", "many zeros", "below the cap's sum",
+               "subnormal", "inf")
+
+
+def equal_similarity_pair(order, subnormal, rng):
+    """(v, u): sums u > v, a few ulps apart, whose similarities are equal;
+    normal, or subnormal sums near the smallest normal double."""
+    for _ in range(1000):
+        if subnormal:
+            v = float(rng.integers(2**52 - 4096, 2**52 - 8)) * 2.0 ** -1074
+        else:  # mantissas near 2 take the reciprocal's coarsest rounding
+            v = math.ldexp(rng.uniform(1.5, 2.0), int(rng.integers(-60, 60)))
+        u = v
+        for _ in range(rng.integers(1, 8)):
+            u = np.nextafter(u, math.inf)
+        pair = np.array([v, u])
+        sims = reference_similarities(pair, order)
+        if sims[0] == sims[1]:
+            return pair.tolist()
+    raise AssertionError(f"no equal-similarity pair at order {order}")
+
+
+def window_row(kind, n, k, order, rng):
+    """A length-n row of powered sums of the given kind, for neighbor count k.
+
+    "adjacent at k-th" makes the k-th smallest sum v and puts a sum a few
+    ulps above it, with the same similarity, at a lower index (for k < n);
+    the pair is subnormal in one row of four above order 1 (at order 1, no
+    two subnormal sums have equal similarities). "few zeros" and "many zeros"
+    hold fewer than k and more than k zero sums (as many as fit). "below the
+    cap's sum" mixes zeros with positive sums below SIMILARITY_CAP ** -order
+    (the smallest subnormals where that underflows), whose similarity
+    outranks the cap. "subnormal" rows hold only subnormal sums, many of them
+    adjacent, and some zeros; "inf" rows hold overflowed sums, similarity 0,
+    in one row of two more than n - k of them.
+    """
+    row = rng.uniform(0.5, 50.0, n) ** order if order <= 50 else rng.uniform(0.1, 2.0, n)
+    if kind == "adjacent at k-th" and k < n:
+        v, u = equal_similarity_pair(order, order > 1.0 and rng.random() < 0.25, rng)
+        low, high = np.sort(rng.choice(n, 2, replace=False))
+        rest = np.setdiff1d(np.arange(n), [low, high])
+        rng.shuffle(rest)
+        row[rest[:k - 1]] = v * rng.uniform(0.01, 0.99, k - 1)
+        row[rest[k - 1:]] = u * rng.uniform(1.01, 100.0, n - k - 1)
+        row[low], row[high] = u, v
+    elif kind == "few zeros":
+        row[rng.permutation(n)[:rng.integers(0, k)]] = 0.0
+    elif kind == "many zeros":
+        row[rng.permutation(n)[:rng.integers(min(k + 1, n), n + 1)]] = 0.0
+    elif kind == "below the cap's sum":
+        cap_sum = SIMILARITY_CAP ** -order
+        picks = rng.permutation(n)[:rng.integers(1, n + 1)]
+        row[picks] = (cap_sum * rng.uniform(0.0, 1.0, len(picks)) if cap_sum
+                      else rng.integers(0, 4, len(picks)) * 2.0 ** -1074)
+        row[picks[rng.random(len(picks)) < 0.5]] = 0.0
+    elif kind == "subnormal":
+        row = rng.integers(2**52 - 64, 2**52, n) * 2.0 ** -1074
+        low = rng.random(n) < 0.3
+        row[low] = rng.integers(0, 2**52, np.count_nonzero(low)) * 2.0 ** -1074
+        row[rng.random(n) < 0.1] = 0.0
+    elif kind == "inf":
+        many = rng.integers(n - k + 1, n + 1) if rng.random() < 0.5 else rng.integers(0, n + 1)
+        row[rng.permutation(n)[:many]] = math.inf
+    return row
+
+
+@st.composite
+def window_blocks(draw):
+    """(sums, k, order): B rows of n powered sums mixing every ``WINDOW_ROWS``
+    kind, B in 1, 2, 7 and 80, at an order of ``RANKING_ORDERS``."""
+    b = draw(st.sampled_from([1, 2, 7, 80]))
+    n = draw(st.integers(1, 40) | st.integers(100, 600))
+    k = draw(st.sampled_from(sorted({k for k in (1, 2, n - 1, n) if 1 <= k <= n}))
+             | st.integers(1, n))
+    order = draw(st.sampled_from(RANKING_ORDERS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = mixed_kinds(WINDOW_ROWS, b, rng, draw)
+    return np.array([window_row(kind, n, k, order, rng) for kind in kinds]), k, order
+
+
+@EXACT_SETTINGS
+@given(window_blocks())
+def test_top_k_window_holds_every_ranked_entry(case):
+    check_top_k(*case)
 
 
 @SETTINGS

@@ -207,6 +207,11 @@ class TestRadiomap:
         with pytest.raises(ValueError):
             Radiomap(aps, rps_at((1, 1), rss=(-50.0,)))
 
+    @pytest.mark.parametrize("area", [0.0, -1.0, float("nan"), float("inf")])
+    def test_area_must_be_positive_and_finite(self, area):
+        with pytest.raises(ValueError, match="area must be positive and finite"):
+            Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], rps_at((1, 1)), area_m2=area)
+
     def test_density_needs_area(self):
         rmap = Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], rps_at((1, 1)))
         with pytest.raises(ValueError):
