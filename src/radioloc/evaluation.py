@@ -292,37 +292,35 @@ class _SurveyFits:
     """The fits of one survey's farthest-point prefixes, shared by the sweeps.
 
     ``order`` is the survey points' decimation order; a prefix is its first
-    n points. The survey's design matrix is built once per (model, l0), from
-    one LinkTable per AP over the survey that predictions read too, and
-    each (strategy, model, n) is solved once: a later request returns the
-    same FitResult, or raises the same fit error again. Geometry and input
-    errors are not kept; they end the evaluation.
+    n points. ``links`` holds one LinkTable per AP over the survey, which the
+    predictions read too; a prefix is fitted as the survey's subset of its
+    points, on tables taken from these, so each AP's survey links are counted
+    once. Each (strategy, model, n) is fitted once: a later request returns
+    the same FitResult, or raises the same fit error again. Geometry and
+    input errors are not kept; they end the evaluation.
     """
 
     def __init__(self, plan: Floorplan, aps: list[AccessPoint], meas: MeasurementSet):
         self.plan, self.aps, self.meas = plan, aps, meas
         self.order = decimation_order(meas.xyz)
-        self._designs: dict = {}
+        self.links = {ap.id: LinkTable(plan, ap, meas.xyz) for ap in aps}
         self._fits: dict = {}
 
     def fit(self, strategy: FitStrategy, model: ModelKind, n_keep: int) -> FitResult:
         key = (strategy, model, n_keep)
         if key not in self._fits:
-            keep = np.zeros(len(self.order), dtype=bool)
-            keep[self.order[:n_keep]] = True
+            # Sorted, the prefix's points are in the subset's own point order.
+            points = np.sort(np.array(self.order[:n_keep], dtype=np.intp))
+            links = {ap_id: table.take(points) for ap_id, table in self.links.items()}
             try:
-                self._fits[key] = fit(strategy, model, self.plan, self.aps, self.meas,
-                                      _designs=self._designs, _keep=keep)
+                self._fits[key] = fit(strategy, model, self.plan, self.aps,
+                                      self.meas.subset(points), _links=links)
             except (DegenerateFitError, InsufficientDataError) as exc:
                 self._fits[key] = exc
         result = self._fits[key]
         if isinstance(result, Exception):
             raise result
         return result
-
-    def links(self) -> dict[str, LinkTable]:
-        """The survey's link tables by AP id, which every design reads; after a fit."""
-        return next(iter(self._designs.values())).links
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +363,6 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                 except (DegenerateFitError, InsufficientDataError) as exc:
                     cell.error = str(exc)
                     continue
-                links = fits.links()  # the fit's tables, over every survey point
                 per_ap_deltas: dict[str, list[float]] = {}
                 for ap in aps:
                     j = column.get(ap.id)
@@ -375,7 +372,7 @@ def run_prediction_analysis(meas: MeasurementSet, plan: Floorplan,
                     detected = ~np.isnan(measured)
                     if not detected.any():
                         continue
-                    predicted = links[ap.id].predict_rss(model, result.params_for(ap.id))
+                    predicted = fits.links[ap.id].predict_rss(model, result.params_for(ap.id))
                     per_ap_deltas[ap.id] = np.abs(measured - predicted)[detected].tolist()
                 pooled = [d for deltas in per_ap_deltas.values() for d in deltas]
                 cell.n_pairs = len(pooled)

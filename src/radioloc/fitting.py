@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import DegenerateFitError, GeometryError, InsufficientDataError
 from .floorplan import Floorplan, ObstacleFamily, Point3
-from .ioutil import csv_rows, read_csv, read_json, write_json, write_text_atomic
+from .ioutil import (csv_rows, json_integer, json_number, read_csv, read_json, write_json,
+                     write_text_atomic)
 from .propagation import (
     FREE_SPACE_L0_DB,
     AccessPoint,
@@ -287,29 +288,24 @@ class _Design:
     Each row is one detected same-floor (point, AP) pair. ``columns`` holds
     10*log10(d) for the one-slope model and, for the multi-wall model, also a
     constant 1 and one crossing count per obstacle family of the plan; ``y``
-    is EIRP - l0 - mean RSS; ``point`` is the row's point, a position in
-    ``meas.rp_ids()``. ``rows`` maps each AP id with rows to its slice. The
-    columns are read from ``links``, one LinkTable per AP over every survey
-    point, the tables that predict RSS with the fitted parameters: the log
-    term is ``10.0 * log10_d``, and the counts and floors are the tables'.
-    The one-slope model reads only the tables' floors, so it counts no
-    crossings.
+    is EIRP - l0 - mean RSS. ``rows`` maps each AP id with rows to its slice.
+    The columns are read from ``links``, one LinkTable per AP over the
+    survey's points in ``meas.rp_ids()`` order, the tables that predict RSS
+    with the fitted parameters: the log term is ``10.0 * log10_d``, and the
+    counts and floors are the tables'. The one-slope model reads only the
+    tables' floors, so it counts no crossings.
 
-    The pairs a fit of some of the points must still see are kept aside:
-    ``cross_floor`` holds the point of each detected pair that crosses a floor
-    plane, ``coincident`` the (point, rp id, AP id) of each point that lies on
-    its AP, in (AP id, point id) order, and ``unknown`` the point and AP id of
-    each survey row whose AP is not in ``links``. So ``solve`` on the points of
-    a ``keep`` mask equals ``fit`` on ``meas.subset(np.flatnonzero(keep))``.
+    Building it raises ValueError on a survey AP missing from ``links``, then
+    GeometryError on the first detected point that lies on its AP, in (AP id,
+    point id) order, then warns of the cross-floor pairs it leaves out.
     """
 
     def __init__(self, plan: Floorplan, links: dict[str, LinkTable], meas: MeasurementSet,
                  model: ModelKind, l0_db: float):
         ap_ids = meas.ap_ids()
-        unknown_rows = np.isin(meas.ap_index, [j for j, ap_id in enumerate(ap_ids)
-                                               if ap_id not in links])
-        self.unknown = (meas.rp_index[unknown_rows],
-                        [ap_ids[j] for j in meas.ap_index[unknown_rows].tolist()])
+        unknown = [ap_id for ap_id in ap_ids if ap_id not in links]
+        if unknown:
+            raise ValueError(f"measurements reference unknown APs: {sorted(unknown)}")
 
         self.model, self.l0_db, self.keys = model, l0_db, plan.obstacle_keys()
         self.links = links
@@ -320,26 +316,19 @@ class _Design:
 
         n_columns = 1 if model is ModelKind.ONE_SLOPE else 2 + len(self.keys)
         columns, ys = [np.empty((0, n_columns))], [np.empty(0)]
-        points_used, cross_floor = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-        self.coincident: list[tuple[int, str, str]] = []
         self.rows: dict[str, slice] = {}
-        start = 0
+        start = skipped_floor = 0
         for j in sorted(range(len(ap_ids)), key=ap_ids.__getitem__):
-            ap_id = ap_ids[j]
-            table = links.get(ap_id)
-            if table is None:
-                continue
+            ap_id, table = ap_ids[j], links[ap_ids[j]]
             points = by_id[~np.isnan(means[by_id, j])]
             at_ap = table.at_ap[points]
             if at_ap.any():
-                self.coincident += [(p, rp_ids[p], ap_id) for p in points[at_ap].tolist()]
-                points = points[~at_ap]
-            if points.shape[0] == 0:
-                continue
+                raise GeometryError(f"point {rp_ids[points[np.argmax(at_ap)]]!r} "
+                                    f"coincides with AP {ap_id!r}")
             # The floor term is not part of the fitted set; cross-floor samples
             # cannot be attributed and are excluded.
             same = table.floors[points] == 0
-            cross_floor.append(points[~same])
+            skipped_floor += points.shape[0] - int(np.count_nonzero(same))
             points = points[same]
             n = points.shape[0]
             if n == 0:
@@ -352,40 +341,16 @@ class _Design:
             else:
                 columns.append(log_term[:, None])
             ys.append(table.ap.eirp_dbm - l0_db - means[points, j])
-            points_used.append(points)
             self.rows[ap_id] = slice(start, start + n)
             start += n
         self.columns, self.y = np.concatenate(columns), np.concatenate(ys)
-        self.point, self.cross_floor = np.concatenate(points_used), np.concatenate(cross_floor)
-
-    def solve(self, strategy: FitStrategy, keep: np.ndarray | None = None) -> FitResult:
-        """The fit of the points where ``keep`` (a mask over the survey's
-        points) is True, or of every point when it is None."""
-        unknown_points, unknown = self.unknown
-        if keep is not None:
-            unknown = compress(unknown, keep[unknown_points].tolist())
-        unknown = set(unknown)
-        if unknown:
-            raise ValueError(f"measurements reference unknown APs: {sorted(unknown)}")
-        for point, rp_id, ap_id in self.coincident:
-            if keep is None or keep[point]:
-                raise GeometryError(f"point {rp_id!r} coincides with AP {ap_id!r}")
-        skipped_floor = (self.cross_floor.shape[0] if keep is None
-                         else int(np.count_nonzero(keep[self.cross_floor])))
         if skipped_floor:
             warnings.warn(f"excluded {skipped_floor} cross-floor samples from the fit",
                           stacklevel=3)
 
-        model, l0_db = self.model, self.l0_db
-        columns, y, rows = self.columns, self.y, self.rows
-        if keep is not None:
-            used = keep[self.point]
-            columns, y = columns[used], y[used]
-            # The APs' blocks of rows stay in order: each keeps its used rows.
-            ends = np.cumsum([0, *(np.count_nonzero(used[s]) for s in rows.values())]).tolist()
-            rows = {ap_id: slice(start, stop)
-                    for ap_id, start, stop in zip(rows, ends, ends[1:]) if stop > start}
-
+    def solve(self, strategy: FitStrategy) -> FitResult:
+        """The fit of every row of the design with ``strategy``."""
+        model, l0_db, columns, y, rows = self.model, self.l0_db, self.columns, self.y, self.rows
         if strategy.kind is StrategyKind.PER_AP:
             params_by_ap: dict[str, PropagationParams] = {}
             per_ap_residuals = []
@@ -459,7 +424,7 @@ def _theta(model: ModelKind, params: PropagationParams,
 
 def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
         aps: list[AccessPoint], meas: MeasurementSet, *,
-        _designs: dict | None = None, _keep: np.ndarray | None = None) -> FitResult:
+        _links: dict[str, LinkTable] | None = None) -> FitResult:
     """Estimate propagation parameters from scan-averaged measurements.
 
     The reference loss is pinned (free-space 40.22 dB; the no-fit strategy
@@ -476,23 +441,16 @@ def fit(strategy: FitStrategy, model: ModelKind, plan: Floorplan,
     scores its fixed parameters with one matrix-vector product over the same
     rows.
 
-    The evaluation sweeps fit many point subsets of one survey. They pass
-    ``_designs``, a dict that keeps each design of ``meas`` by (model, l0)
-    across calls, and ``_keep``, a mask over ``meas.rp_ids()``; the result
-    equals ``fit`` on ``meas.subset(np.flatnonzero(_keep))``, errors and
-    warnings included. The designs in one dict share their link tables.
+    ``_links`` may pass those tables, one per AP of ``aps`` by id over the
+    points of ``meas.rp_ids()``, in order. The evaluation sweeps fit many
+    point subsets of one survey: each passes tables taken from the survey's
+    (``LinkTable.take``), so the survey is counted once per AP.
     """
-    if strategy.kind is StrategyKind.NO_FIT:
-        l0_db = strategy.no_fit_params.l0_db
-    else:
-        l0_db = FREE_SPACE_L0_DB
-    designs = {} if _designs is None else _designs
-    design = designs.get((model, l0_db))
-    if design is None:
-        links = (next(iter(designs.values())).links if designs
-                 else {ap.id: LinkTable(plan, ap, meas.xyz) for ap in aps})
-        design = designs[model, l0_db] = _Design(plan, links, meas, model, l0_db)
-    return design.solve(strategy, _keep)
+    l0_db = (strategy.no_fit_params.l0_db if strategy.kind is StrategyKind.NO_FIT
+             else FREE_SPACE_L0_DB)
+    if _links is None:
+        _links = {ap.id: LinkTable(plan, ap, meas.xyz) for ap in aps}
+    return _Design(plan, _links, meas, model, l0_db).solve(strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +704,8 @@ def fit_result_from_dict(doc: dict) -> FitResult:
         for ap_id, item in doc["params_by_ap"].items():
             _, params_by_ap[ap_id] = params_from_dict(item)
     return FitResult(params_by_ap=params_by_ap,
-                     residual_rms_db=float(doc["residual_rms_db"]),
-                     m_used=int(doc["m_used"]), model=model, strategy=strategy)
+                     residual_rms_db=json_number(doc["residual_rms_db"]),
+                     m_used=json_integer(doc["m_used"]), model=model, strategy=strategy)
 
 
 def save_fit_result(result: FitResult, path: str | Path) -> None:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GeometryError
-from .ioutil import read_json, write_json
+from .ioutil import json_integer, json_number, read_json, write_json
 
 # Contacts closer than this to an obstacle endpoint or line (in meters) are
 # treated as grazing and count as zero crossings.
@@ -501,21 +501,19 @@ def floorplan_from_dict(doc: dict) -> Floorplan:
     present and not 1, since each family carries one loss."""
     b = doc["bounds"]
     for o in doc.get("obstacles", []):
-        if int(o.get("type_index", 1)) != 1:
+        if json_integer(o.get("type_index", 1)) != 1:
             raise ValueError(f"obstacle type_index {o['type_index']!r}: only type 1 exists")
-    bounds = Bounds(float(b["min_x"]), float(b["min_y"]), float(b["max_x"]), float(b["max_y"]))
+    bounds = Bounds(*(json_number(b[key]) for key in ("min_x", "min_y", "max_x", "max_y")))
     obstacles = tuple(
         PlanarObstacle(
-            x1=float(o["x1"]),
-            y1=float(o["y1"]),
-            x2=float(o["x2"]),
-            y2=float(o["y2"]),
-            floor_index=int(o.get("floor", 0)),
+            *(json_number(o[key]) for key in ("x1", "y1", "x2", "y2")),
+            floor_index=json_integer(o.get("floor", 0)),
             family=ObstacleFamily(o["family"]),
         )
         for o in doc.get("obstacles", [])
     )
-    return Floorplan(bounds=bounds, floors=tuple(doc.get("floors", [])), obstacles=obstacles)
+    return Floorplan(bounds=bounds, floors=tuple(map(json_number, doc.get("floors", []))),
+                     obstacles=obstacles)
 
 
 def save_floorplan(plan: Floorplan, path: str | Path) -> None:

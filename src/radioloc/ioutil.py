@@ -3,7 +3,9 @@
 Every input file is read through ``read_json`` or ``read_csv``: each opens the
 file, decodes it and hands the document to a parser, and maps every failure
 along the way to one ``InputError`` that names the file. A CSV parser gets
-the file's text and splits it into rows with ``csv_rows``. Every output file is
+the file's text and splits it into rows with ``csv_rows``. The parsers of the
+JSON inputs read numbers through ``json_number``, ``json_numbers`` or
+``json_integer``, which reject ``true`` and ``false``. Every output file is
 written through ``atomic_files``, which streams chunks into temp files and
 renames them into place only when all of them are written; ``write_text_atomic``
 writes one whole text through it. The evaluation reports, mostly long lists of
@@ -21,7 +23,9 @@ import json
 import os
 import secrets
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+
+import numpy as np
 
 from .errors import InputError
 
@@ -81,6 +85,33 @@ def read_csv(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
     ``parse`` (raised by ``csv_rows``) reports the file as not valid CSV.
     """
     return _read(path, what, "CSV", _read_text, parse)
+
+
+def json_number(value) -> float:
+    """``float(value)`` of a number read from JSON; TypeError for ``true`` and
+    ``false``, which ``json`` reads as bools and ``float()`` as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {_encode(value)}")
+    return float(value)
+
+
+def json_numbers(values: Iterable, count: int, entry: Callable[[int], object]) -> np.ndarray:
+    """``json_number`` of each of the ``count`` ``values``, as one float array;
+    ``entry(i)`` gives the i-th value again. Only a value read as 0 or 1 can
+    have been a bool, so only those are looked up and checked."""
+    array = np.fromiter(values, float, count)
+    for i in np.flatnonzero((array == 0.0) | (array == 1.0)).tolist():
+        json_number(entry(i))
+    return array
+
+
+def json_integer(value) -> int:
+    """``value`` as an int when it is a JSON number with no fractional part;
+    ValueError otherwise, and TypeError for ``true`` and ``false``."""
+    number = json_number(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value if type(value) is int else int(number)
 
 
 @contextlib.contextmanager

@@ -184,7 +184,7 @@ def _ceil_k(expected: float) -> int:
     """The density rule's ceiling of a positive expected neighbour count."""
     if not math.isfinite(expected):
         raise ValueError(f"expected neighbour count {expected!r} is not finite")
-    return max(1, ceil_scaled(expected))
+    return ceil_scaled(expected)
 
 
 def _best_k(ks, means) -> int:

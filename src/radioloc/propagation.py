@@ -15,6 +15,7 @@ Received power is the AP's EIRP minus the path loss.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .floorplan import (
     floors_crossed_batch,
     points_xyz,
 )
-from .ioutil import read_json, write_json
+from .ioutil import json_number, read_json, write_json
 
 # Free-space reference loss at d = 1 m for the 2.45 GHz band.
 FREE_SPACE_L0_DB = 40.22
@@ -136,12 +137,24 @@ class LinkTable:
         self._floors: np.ndarray | None = None
         self._floor_counts: list[int] = []
         self._counts: dict[ObstacleFamily, np.ndarray] | None = None
+        self._source: tuple[LinkTable, np.ndarray] | None = None
+
+    def take(self, points: np.ndarray) -> "LinkTable":
+        """``LinkTable(plan, ap, positions[points])`` for an integer array
+        ``points``, bit for bit; its floors and crossing counts are read from
+        this table's on first use, so the positions are counted once."""
+        table = copy.copy(self)
+        table.positions, table.at_ap, table.log10_d = (
+            self.positions[points], self.at_ap[points], self.log10_d[points])
+        table._floors, table._counts, table._source = None, None, (self, points)
+        return table
 
     @property
     def floors(self) -> np.ndarray:
         """Floor planes strictly between the AP and each receiver height."""
         if self._floors is None:
-            self._floors = floors_crossed_batch(self.plan, self.ap.position, self.positions)
+            self._floors = (floors_crossed_batch(self.plan, self.ap.position, self.positions)
+                            if self._source is None else self._source[0].floors[self._source[1]])
             self._floor_counts = [nf for nf in np.unique(self._floors).tolist() if nf > 0]
         return self._floors
 
@@ -160,8 +173,12 @@ class LinkTable:
     def obstructions(self) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray]:
         """Per-family crossing counts (plan key order) and crossed floor planes, per link."""
         if self._counts is None:
-            self._counts = _crossings(self.plan, self.ap.position, self.positions,
-                                      with_flags=False)[0]
+            if self._source is None:
+                self._counts = _crossings(self.plan, self.ap.position, self.positions,
+                                          with_flags=False)[0]
+            else:
+                source, points = self._source
+                self._counts = {key: arr[points] for key, arr in source.obstructions[0].items()}
         return self._counts, self.floors
 
     def predict_rss(self, model: ModelKind, params: PropagationParams) -> np.ndarray:
@@ -211,13 +228,13 @@ def params_to_dict(model: ModelKind, params: PropagationParams) -> dict:
 def params_from_dict(doc: dict) -> tuple[ModelKind, PropagationParams]:
     losses = doc.get("losses", {})
     params = PropagationParams(
-        gamma=float(doc["gamma"]),
-        lc_db=float(doc.get("lc_db", 0.0)),
-        wall_db=float(losses.get("wall", 0.0)),
-        door_db=float(losses.get("door", 0.0)),
-        l0_db=float(doc.get("l0_db", FREE_SPACE_L0_DB)),
-        lf_db=float(doc.get("lf_db", DEFAULT_FLOOR_LOSS_DB)),
-        b=float(doc.get("b", DEFAULT_FLOOR_B)),
+        gamma=json_number(doc["gamma"]),
+        lc_db=json_number(doc.get("lc_db", 0.0)),
+        wall_db=json_number(losses.get("wall", 0.0)),
+        door_db=json_number(losses.get("door", 0.0)),
+        l0_db=json_number(doc.get("l0_db", FREE_SPACE_L0_DB)),
+        lf_db=json_number(doc.get("lf_db", DEFAULT_FLOOR_LOSS_DB)),
+        b=json_number(doc.get("b", DEFAULT_FLOOR_B)),
     )
     return ModelKind(doc.get("model", ModelKind.MWMF.value)), params
 
@@ -242,8 +259,8 @@ def aps_from_list(items: list[dict]) -> list[AccessPoint]:
     aps = [
         AccessPoint(
             id=str(item["id"]),
-            position=Point3(float(item["x"]), float(item["y"]), float(item["z"])),
-            eirp_dbm=float(item.get("eirp_dbm", 20.0)),
+            position=Point3(*(json_number(item[axis]) for axis in "xyz")),
+            eirp_dbm=json_number(item.get("eirp_dbm", 20.0)),
         )
         for item in items
     ]

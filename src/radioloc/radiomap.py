@@ -20,7 +20,7 @@ import numpy as np
 
 from .fitting import FitResult, MeasurementSet
 from .floorplan import Floorplan, lattice_positions, points_xyz
-from .ioutil import read_json, write_text_atomic
+from .ioutil import json_number, json_numbers, read_json, write_text_atomic
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -229,8 +229,9 @@ def build_real_fingerprints(meas: MeasurementSet, aps: list[AccessPoint],
 
 
 def ceil_scaled(value: float) -> int:
-    """Ceiling after rounding away float fuzz, so exact integers stay put."""
-    return int(math.ceil(round(value, 9)))
+    """Ceiling after rounding away float fuzz, so exact integers stay put; at
+    least 1, so a positive fraction or density of points keeps one point."""
+    return max(1, int(math.ceil(round(value, 9))))
 
 
 def decimation_order(positions: np.ndarray) -> list[int]:
@@ -372,7 +373,7 @@ def radiomap_to_json(rmap: Radiomap) -> str:
 
 def radiomap_from_dict(doc: dict) -> Radiomap:
     aps = aps_from_list(doc["aps"])
-    sentinel = float(doc.get("sentinel_dbm", NOT_DETECTED_DBM))
+    sentinel = json_number(doc.get("sentinel_dbm", NOT_DETECTED_DBM))
     items = doc.get("rps", [])
     real, virtual = RpKind.REAL.value, RpKind.VIRTUAL.value
     kinds = [item.get("kind", real) for item in items]
@@ -385,14 +386,14 @@ def radiomap_from_dict(doc: dict) -> Radiomap:
         rows = [item["rss"] for item in items]
         if set(map(len, rows)) != {len(aps)}:
             raise ValueError("fingerprint length must equal the number of APs")
-        rss = np.fromiter([sentinel if v is None else v for v in chain.from_iterable(rows)],
-                          float, len(rows) * len(aps))
-        pos = np.fromiter(chain.from_iterable(map(itemgetter("x", "y", "z"), items)),
-                          float, 3 * len(items))
+        flat = [sentinel if v is None else v for v in chain.from_iterable(rows)]
+        rss = json_numbers(flat, len(flat), flat.__getitem__)
+        pos = json_numbers(chain.from_iterable(map(itemgetter("x", "y", "z"), items)),
+                           3 * len(items), lambda i: items[i // 3]["xyz"[i % 3]])
         rps = RpArrays(pos.reshape(-1, 3), rss.reshape(len(rows), -1),
                        [kind == virtual for kind in kinds])
     area = doc.get("area_m2")
-    return Radiomap(aps, rps, area_m2=None if area is None else float(area),
+    return Radiomap(aps, rps, area_m2=None if area is None else json_number(area),
                     sentinel_dbm=sentinel)
 
 

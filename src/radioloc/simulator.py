@@ -37,7 +37,7 @@ from .floorplan import (
     lattice_positions,
     points_xyz,
 )
-from .ioutil import read_json
+from .ioutil import json_number, read_json
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -312,7 +312,8 @@ def _custom_world_from_dict(doc: dict, seed: int) -> WorldSpec:
     plan = floorplan_from_dict(doc["floorplan"])
     aps = aps_from_list(doc["aps"])
     _, truth = params_from_dict(doc["truth_params"])
-    noise = NoiseConfig(**{key: float(value) for key, value in doc.get("noise", {}).items()})
+    noise = NoiseConfig(**{key: json_number(value)
+                           for key, value in doc.get("noise", {}).items()})
     offsets = None
     if noise.wall_loss_spread_db > 0 and plan.obstacles:
         rng = np.random.default_rng(np.random.SeedSequence([seed, _LAYOUT_STREAM]))
@@ -321,8 +322,8 @@ def _custom_world_from_dict(doc: dict, seed: int) -> WorldSpec:
         offsets = np.maximum(offsets, 0.3 - nominal)
     return WorldSpec(
         plan=plan, aps=aps, truth={ap.id: truth for ap in aps}, noise=noise,
-        detection_floor_dbm=float(doc.get("detection_floor_dbm", DETECTION_FLOOR_DBM)),
-        sentinel_dbm=float(doc.get("sentinel_dbm", NOT_DETECTED_DBM)),
+        detection_floor_dbm=json_number(doc.get("detection_floor_dbm", DETECTION_FLOOR_DBM)),
+        sentinel_dbm=json_number(doc.get("sentinel_dbm", NOT_DETECTED_DBM)),
         seed=seed, obstacle_loss_offsets_db=offsets,
     )
 

@@ -7,15 +7,15 @@ from collections import Counter
 import pytest
 
 import radioloc.cli as cli
-from radioloc import evaluation, fitting
+from radioloc import evaluation
 from radioloc.cli import build_parser, main
 from radioloc.fitting import StrategyKind, load_fit_result, load_measurements
-from radioloc.floorplan import load_floorplan
-from radioloc.propagation import FREE_SPACE_L0_DB, ModelKind
+from radioloc.floorplan import Point3, load_floorplan
+from radioloc.propagation import LinkTable
 from radioloc.radiomap import load_radiomap, place_virtual_rps
 from radioloc.simulator import ALPHA_RANGE, ALPHA_STEP, DV_GRID, RHO_GRID
 
-from helpers import CUSTOM_WORLD, measurement_set
+from helpers import CUSTOM_WORLD, count_crossing_calls, measurement_set
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +246,30 @@ class TestBuildRadiomapAndLocate:
                      "--target", str(target), "--k", "1"]) == 2
 
 
+    @pytest.mark.parametrize("flags, n_real, n_virtual", [
+        (["--rho", "1e-12", "--dv", "0"], 1, 0),
+        (["--rho", "1", "--dv", "1e-13"], 41, 1),
+    ], ids=["tiny-rho", "tiny-dv"])
+    def test_tiny_fraction_or_density_keeps_one_point(self, world_dir, fit_file, tmp_path,
+                                                      capsys, flags, n_real, n_virtual):
+        # The ceiling of any positive product is at least one point, though
+        # rounding to 9 decimals takes such a product to 0.
+        map_path = tmp_path / "map.json"
+        assert main(["build-radiomap",
+                     "--measurements", str(world_dir / "measurements.csv"),
+                     "--floorplan", str(world_dir / "floorplan.json"),
+                     "--aps", str(world_dir / "aps.json"),
+                     "--fit", str(fit_file), *flags, "--out", str(map_path)]) == 0
+        rmap = load_radiomap(map_path)
+        assert (rmap.n_real, rmap.n_virtual) == (n_real, n_virtual)
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-55.0\n")
+        capsys.readouterr()
+        assert main(["locate", "--radiomap", str(map_path), "--target", str(target),
+                     "--k", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["neighbors"]) == 1
+
+
 class TestInputErrorsExit2:
     """Malformed inputs and flags end with exit 2 and an error line, not a traceback."""
 
@@ -457,6 +481,62 @@ class TestInputErrorsExit2:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, edit", [
+        ("aps.json", lambda doc: doc[0].update(x=True)),
+        ("floorplan.json", lambda doc: doc["bounds"].update(min_x=False)),
+    ], ids=["ap-x-true", "bounds-false"])
+    def test_fit_boolean_number(self, world_dir, tmp_path, capsys, name, edit):
+        world = tmp_path / "world"
+        world.mkdir()
+        for other in ("aps.json", "floorplan.json"):
+            doc = json.loads((world_dir / other).read_text())
+            if other == name:
+                edit(doc)
+            (world / other).write_text(json.dumps(doc))
+        out = tmp_path / "fit.json"
+        code = exit_code(["fit", "--measurements", str(world_dir / "measurements.csv"),
+                          "--floorplan", str(world / "floorplan.json"),
+                          "--aps", str(world / "aps.json"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and str(world / name) in err
+        assert "expected a number, got " in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["params"].update(gamma=True), "expected a number, got true"),
+        (lambda doc: doc.update(m_used=True), "expected a number, got true"),
+        (lambda doc: doc.update(m_used=2.7), "expected an integer, got 2.7"),
+    ], ids=["gamma-true", "m-used-true", "m-used-2.7"])
+    def test_build_radiomap_fit_not_a_number(self, world_dir, fit_file, tmp_path, capsys,
+                                             edit, message):
+        doc = json.loads(fit_file.read_text())
+        edit(doc)
+        bad = tmp_path / "fit.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "map.json"
+        code = exit_code(["build-radiomap",
+                          "--measurements", str(world_dir / "measurements.csv"),
+                          "--floorplan", str(world_dir / "floorplan.json"),
+                          "--aps", str(world_dir / "aps.json"),
+                          "--fit", str(bad), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: malformed fit result file {bad}: {message}\n"
+        assert not out.exists()
+
+    def test_locate_radiomap_of_false_rss(self, map_file, tmp_path, capsys):
+        doc = json.loads(map_file.read_text())
+        doc["rps"][0]["rss"] = [False] * len(doc["aps"])
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-1.0\n")
+        code = exit_code(["locate", "--radiomap", str(bad), "--target", str(target),
+                          "--k", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed radiomap file {bad}: expected a number, got false\n")
+
     @pytest.mark.parametrize("missing", ["--dr", "--tp-count"])
     def test_custom_template_needs_dr_and_tp_count(self, tmp_path, capsys, missing):
         world = tmp_path / "world.json"
@@ -599,30 +679,33 @@ class TestEvaluate:
         assert "prediction:" in captured.out and "k rule:" in captured.out
         assert len(list((tmp_path / "out").iterdir())) == 8
 
-    def test_sweeps_share_one_design_and_each_prefix_fit(self, world_dir, tmp_path,
-                                                         monkeypatch):
-        designs, solved, orders = [], Counter(), []
-        design_init, solve = fitting._Design.__init__, fitting._Design.solve
-        order = evaluation.decimation_order
+    def test_sweeps_share_link_tables_and_each_prefix_fit(self, world_dir, tmp_path,
+                                                          monkeypatch):
+        tables, fits, orders = Counter(), Counter(), []
+        table_init, fit, order = LinkTable.__init__, evaluation.fit, evaluation.decimation_order
 
-        def counting_init(self, plan, links, meas, model, l0_db):
-            designs.append((model, l0_db))
-            design_init(self, plan, links, meas, model, l0_db)
+        def counting_init(self, plan, ap, positions):
+            table_init(self, plan, ap, positions)
+            tables[ap.id, self.positions.tobytes()] += 1
 
-        def counting_solve(self, strategy, keep=None):
-            solved[strategy.kind, int(keep.sum())] += 1
-            return solve(self, strategy, keep)
+        def counting_fit(strategy, model, plan, aps, meas, **kwargs):
+            fits[strategy.kind, len(meas.rp_ids())] += 1
+            return fit(strategy, model, plan, aps, meas, **kwargs)
 
-        monkeypatch.setattr(fitting._Design, "__init__", counting_init)
-        monkeypatch.setattr(fitting._Design, "solve", counting_solve)
+        monkeypatch.setattr(LinkTable, "__init__", counting_init)
+        monkeypatch.setattr(evaluation, "fit", counting_fit)
         monkeypatch.setattr(evaluation, "decimation_order",
                             lambda positions: orders.append(1) or order(positions))
+        calls = count_crossing_calls(monkeypatch)
         assert main(["evaluate", "--world-dir", str(world_dir), "--rho-grid", "0.2,0.5,1",
                      "--dv-grid", "0.1,1", "--out-dir", str(tmp_path / "out")]) == 0
         n = 41  # survey points
-        assert designs == [(ModelKind.MWMF, FREE_SPACE_L0_DB)]
-        assert solved == {(StrategyKind.ENVIRONMENT, math.ceil(rho * n)): 1
-                          for rho in (0.2, 0.5, 1)}
+        survey = load_measurements(world_dir / "measurements.csv").xyz.tobytes()
+        aps = json.loads((world_dir / "aps.json").read_text())
+        assert [tables[ap["id"], survey] for ap in aps] == [1] * 4
+        assert [calls[Point3(ap["x"], ap["y"], ap["z"]), survey] for ap in aps] == [1] * 4
+        assert fits == {(StrategyKind.ENVIRONMENT, math.ceil(rho * n)): 1
+                        for rho in (0.2, 0.5, 1)}
         assert orders == [1]
 
     def test_repeated_fraction_reads_its_own_row(self, tmp_path):
@@ -694,6 +777,19 @@ class TestEvaluate:
                      "--out-dir", str(out)]) == 0
         cells = json.loads((out / "kest.json").read_text())["cells"]
         assert [(c["alpha"], c["k_est"]) for c in cells] == [(1e-300, 1)]
+
+    def test_tiny_fraction_fits_one_point(self, world_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["evaluate", "--world-dir", str(world_dir), "--rho-grid", "1e-12,1",
+                     "--dv-grid", "0.1", "--out-dir", str(out)]) == 0
+
+        def cells(name):
+            return json.loads((out / f"{name}.json").read_text())["cells"]
+
+        assert [c["n_rps_fit"] for c in cells("prediction")] == [1, 41]
+        area = load_floorplan(world_dir / "floorplan.json").area
+        assert [(c["d_real"], c["n_real"]) for c in cells("positioning")] == [
+            (1 / area, 1), (1 / area, 1), (41 / area, 41), (41 / area, 41)]
 
     def test_missing_world_dir_exits_2(self, tmp_path):
         assert main(["evaluate", "--world-dir", str(tmp_path / "nope"),

@@ -6,6 +6,7 @@ import pytest
 
 from radioloc.errors import DegenerateFitError, InputError, InsufficientDataError
 from radioloc.fitting import (
+    FitResult,
     FitStrategy,
     MeasurementRecord,
     MeasurementSet,
@@ -534,6 +535,23 @@ class TestMeasurementIo:
 
 
 class TestFitResultIo:
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda doc: doc["params"].update(gamma=True), TypeError, "number, got true"),
+        (lambda doc: doc.update(m_used=True), TypeError, "number, got true"),
+        (lambda doc: doc.update(residual_rms_db=False), TypeError, "number, got false"),
+        (lambda doc: doc.update(m_used=2.7), ValueError, "integer, got 2.7"),
+        (lambda doc: doc.update(m_used=float("inf")), ValueError, "integer, got inf"),
+    ], ids=["gamma-true", "m-used-true", "rms-false", "m-used-2.7", "m-used-inf"])
+    def test_rejects_booleans_and_fractional_m_used(self, edit, error, message):
+        result = FitResult({"a": PropagationParams()}, 1.5, 12, ModelKind.MWMF,
+                           StrategyKind.ENVIRONMENT)
+        doc = fit_result_to_dict(result)
+        doc["m_used"] = 12.0  # a whole float is the integer it spells
+        assert fit_result_from_dict(doc) == result
+        edit(doc)
+        with pytest.raises(error, match=message):
+            fit_result_from_dict(doc)
+
     def test_shared_params_round_trip(self, tmp_path):
         plan, aps, truth = tiny_world()
         meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps},

@@ -212,6 +212,22 @@ class TestSerialization:
         with pytest.raises(InputError):
             load_floorplan(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda doc: doc["bounds"].update(min_x=False), TypeError, "got false"),
+        (lambda doc: doc["obstacles"][0].update(x1=True), TypeError, "got true"),
+        (lambda doc: doc["obstacles"][0].update(floor=True), TypeError, "got true"),
+        (lambda doc: doc["obstacles"][0].update(floor=0.5), ValueError, "integer, got 0.5"),
+        (lambda doc: doc["obstacles"][0].update(type_index=True), TypeError, "got true"),
+        (lambda doc: doc.update(floors=[False]), TypeError, "got false"),
+    ], ids=["bounds", "end", "floor", "fractional-floor", "type-index", "floor-plane"])
+    def test_from_dict_rejects_booleans_and_fractional_indices(self, edit, error, message):
+        doc = {"bounds": {"min_x": 0, "min_y": 0, "max_x": 5, "max_y": 5},
+               "obstacles": [{"x1": 1, "y1": 0, "x2": 1, "y2": 5, "family": "wall"}]}
+        assert floorplan_from_dict(doc).obstacles[0].x1 == 1.0
+        edit(doc)
+        with pytest.raises(error, match=message):
+            floorplan_from_dict(doc)
+
     def test_from_dict_defaults(self):
         plan = floorplan_from_dict(
             {"bounds": {"min_x": 0, "min_y": 0, "max_x": 5, "max_y": 5}})

@@ -78,8 +78,8 @@ class TestKEst:
             k_est_from_counts(-1, 5)
 
     def test_tiny_alpha_gives_one_neighbor(self):
-        # The ceiling of any positive product is at least 1, though
-        # ceil_scaled rounds 1e-298 down to 0 first.
+        # The ceiling of any positive product is at least 1, though rounding
+        # to 9 decimals takes 1e-298 to 0.
         assert k_est_from_counts(72, 5040, alpha=1e-300) == 1
         assert k_est(0.2, 10.0, 504.0, alpha=1e-300) == 1
         assert k_est_from_counts(72, 5040, alpha=1.0) == 5112

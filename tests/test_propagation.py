@@ -21,6 +21,7 @@ from radioloc.propagation import (
     aps_from_list,
     load_access_points,
     load_params,
+    params_from_dict,
     params_to_dict,
     predict_rss,
     predict_rss_many,
@@ -308,6 +309,23 @@ class TestSerialization:
         path = tmp_path / "aps.json"
         save_access_points(aps, path)
         assert load_access_points(path) == aps
+
+    @pytest.mark.parametrize("key", ["x", "z", "eirp_dbm"])
+    def test_ap_boolean_number_rejected(self, key):
+        item = {"id": "a", "x": 0, "y": 0, "z": 1}
+        assert aps_from_list([item])[0].position == Point3(0.0, 0.0, 1.0)
+        with pytest.raises(TypeError, match="expected a number, got true"):
+            aps_from_list([{**item, key: True}])
+
+    @pytest.mark.parametrize("edit", [lambda doc: doc.update(gamma=True),
+                                      lambda doc: doc.update(b=False),
+                                      lambda doc: doc["losses"].update(wall=True)],
+                             ids=["gamma", "b", "wall"])
+    def test_params_boolean_number_rejected(self, edit):
+        doc = params_to_dict(ModelKind.MWMF, PropagationParams())
+        edit(doc)
+        with pytest.raises(TypeError, match="expected a number, got (true|false)"):
+            params_from_dict(doc)
 
     def test_duplicate_ap_ids_rejected(self):
         with pytest.raises(InputError):

@@ -12,8 +12,9 @@ per-obstacle loop it replaced (and its per-family sums for
 replaced, for ``locate``, ``locate_many`` and
 ``error_curves``, a per-target loop with the benchmark oracle's semantics and,
 for ``fit``, ``np.linalg.lstsq`` on the per-sample rows of
-``reference_fit_rows`` (and, for a fit of some survey points from the
-survey's shared design, ``fit`` on the subset of those points) and, for the
+``reference_fit_rows`` (and, for the evaluation's fit of some survey points
+on link tables taken from the survey's, ``fit`` on the subset of those
+points; for ``LinkTable.take``, a table built on the taken positions) and, for the
 report files, the ``asdict`` + ``json.dumps`` and ``csv.writer`` loop of
 ``reference_report_text`` and, for the sweep and box-plot statistics,
 ``np.percentile``, ``min`` and ``max``; they do not share code with the array
@@ -40,8 +41,9 @@ import radioloc.cli as cli
 import radioloc.fitting as fitting
 import radioloc.floorplan as floorplan
 import radioloc.ioutil as ioutil
+import radioloc.propagation as propagation
 import radioloc.simulator as simulator
-from radioloc.errors import DegenerateFitError, InsufficientDataError
+from radioloc.errors import DegenerateFitError, GeometryError, InsufficientDataError
 from radioloc.evaluation import (
     GainCell,
     GainReport,
@@ -52,6 +54,7 @@ from radioloc.evaluation import (
     PredictionCell,
     PredictionReport,
     _column_stats,
+    _SurveyFits,
     boxplot_stats,
     emit_report,
 )
@@ -1536,12 +1539,64 @@ def fit_outcome(run):
     return outcome, [str(w.message) for w in issued]
 
 
+def table_bits(table, model, params):
+    """A LinkTable's fields as bits, with its predictions under ``params`` or
+    the GeometryError they raise; the crossing counts for the multi-wall
+    model only."""
+    counts = table.obstructions[0] if model is ModelKind.MWMF else {}
+    try:
+        predicted = table.predict_rss(model, params).view(np.int64).tolist()
+    except GeometryError as exc:
+        predicted = str(exc)
+    return (table.log10_d.view(np.int64).tolist(), table.at_ap.tolist(), table.floors.tolist(),
+            [(key, arr.tolist()) for key, arr in counts.items()], predicted)
+
+
+@EXACT_SETTINGS
+@given(fit_worlds(), st.sampled_from(ModelKind), st.booleans(), st.data())
+def test_take_equals_table_of_the_points(world, model, counted_first, data):
+    """``LinkTable.take(points)`` equals a table built on ``positions[points]``
+    bit for bit, whether the source counted its links before or after the
+    take; the two together count the source's links once, and a one-slope
+    take counts none."""
+    plan, aps, _, positions, _ = world
+    if data.draw(st.sampled_from([False, False, False, True])):  # a receiver on the AP
+        positions[data.draw(st.integers(0, len(positions) - 1))] = aps[0].position
+    xyz = np.array([p.as_array() for p in positions])
+    points = np.array(data.draw(st.lists(st.integers(0, len(positions) - 1), min_size=1,
+                                         max_size=2 * len(positions))), dtype=np.intp)
+    params = PropagationParams(gamma=data.draw(st.floats(1.5, 4.0)),
+                               lc_db=data.draw(st.floats(0.0, 5.0)),
+                               wall_db=data.draw(st.floats(0.0, 8.0)),
+                               door_db=data.draw(st.floats(0.0, 8.0)))
+    original = floorplan._crossings
+    calls = []
+
+    def counting(plan, tx, pts, with_flags):
+        calls.append(np.asarray(pts).shape[0])
+        return original(plan, tx, pts, with_flags)
+
+    mwmf = model is ModelKind.MWMF
+    for ap in aps:
+        want = table_bits(LinkTable(plan, ap, xyz[points]), model, params)
+        calls.clear()
+        with mock.patch.object(propagation, "_crossings", counting):
+            source = LinkTable(plan, ap, xyz)
+            if counted_first and mwmf:
+                source.obstructions
+            assert table_bits(source.take(points), model, params) == want
+            if mwmf:
+                source.obstructions
+        assert calls == ([len(positions)] if mwmf else [])
+
+
 @EXACT_SETTINGS
 @given(fit_worlds(), st.sampled_from(ModelKind), st.sampled_from(StrategyKind), st.data())
-def test_prefix_fit_of_shared_design_matches_fit_of_subset(world, model, kind, data):
-    """fit with a survey's shared design and a point mask equals fit on the
-    subset of those points bit for bit, with the same errors and warnings,
-    prefix after prefix of any point order; the design is built once."""
+def test_prefix_fit_on_taken_links_matches_fit_of_subset(world, model, kind, data):
+    """The evaluation's fit of a survey prefix, the subset of its points fitted
+    on link tables taken from the survey's, equals fit on the subset bit for
+    bit, with the same errors and warnings, prefix after prefix of any point
+    order; the survey's links are counted at most once per AP."""
     plan, aps, ids, positions, seed = world
     rarely = st.sampled_from([False, False, False, True])
     if data.draw(rarely):  # a survey point on an AP: GeometryError in its prefixes
@@ -1564,16 +1619,23 @@ def test_prefix_fit_of_shared_design_matches_fit_of_subset(world, model, kind, d
             column[rows] for column in (meas.rp_index, meas.ap_index, meas.rss, meas.detected,
                                         meas.scan)))
     order = data.draw(st.permutations(range(len(ids))))
-    designs: dict = {}
+    fits = _SurveyFits(plan, fit_aps, meas)
+    fits.order = order
+    original, calls = floorplan._crossings, []
+
+    def counting(plan, tx, pts, with_flags):
+        calls.append((tx, np.asarray(pts).tobytes()))
+        return original(plan, tx, pts, with_flags)
+
     for n_keep in sorted(data.draw(st.sets(st.integers(1, len(ids)), min_size=1, max_size=4))):
-        keep = np.zeros(len(ids), dtype=bool)
-        keep[order[:n_keep]] = True
         want = fit_outcome(lambda: fit(strategy, model, plan, fit_aps,
                                        meas.subset(order[:n_keep])))
         event(f"prefix: {want[0][0].__name__ if isinstance(want[0][0], type) else 'fitted'}")
-        assert fit_outcome(lambda: fit(strategy, model, plan, fit_aps, meas,
-                                       _designs=designs, _keep=keep)) == want
-    assert len(designs) == 1
+        with mock.patch.object(propagation, "_crossings", counting):
+            assert fit_outcome(lambda: fits.fit(strategy, model, n_keep)) == want
+    survey = meas.xyz.tobytes()
+    assert all(pts == survey for _, pts in calls)
+    assert len(set(calls)) == len(calls) <= len(fit_aps)
 
 
 @EXACT_SETTINGS
@@ -1583,7 +1645,9 @@ def test_design_reads_link_tables(world, model, kind, data):
     column is ``10.0 * log10_d`` of the point's link bit for bit, the count
     columns are the table's counts, and the residual RMS is that of the
     measured means minus the tables' predictions with the fitted parameters,
-    over the fitted rows."""
+    over the fitted rows. Here the fit is of the points off every AP, on
+    tables taken from the survey's, and the rows go in (AP id, point id)
+    order."""
     plan, aps, ids, positions, seed = world
     if data.draw(st.sampled_from([False, False, False, True])):
         positions[data.draw(st.integers(0, len(positions) - 1))] = aps[0].position
@@ -1593,26 +1657,37 @@ def test_design_reads_link_tables(world, model, kind, data):
             l0_db=data.draw(st.sampled_from([FREE_SPACE_L0_DB, 35.0])),
             gamma=data.draw(st.floats(1.5, 4.0)), lc_db=data.draw(st.floats(0.0, 5.0)),
             wall_db=data.draw(st.floats(0.0, 8.0)), door_db=data.draw(st.floats(0.0, 8.0))))
+        l0_db = strategy.no_fit_params.l0_db
     else:
-        strategy = FitStrategy(kind)
+        strategy, l0_db = FitStrategy(kind), FREE_SPACE_L0_DB
     tables = {ap.id: LinkTable(plan, ap, meas.xyz) for ap in aps}
     # A point on an AP fails every fit that keeps it; fit the others.
-    keep = ~np.logical_or.reduce([table.at_ap for table in tables.values()])
-    designs: dict = {}
+    keep = np.flatnonzero(~np.logical_or.reduce([table.at_ap for table in tables.values()]))
+    sub = meas.subset(keep)
+    links = {ap_id: table.take(keep) for ap_id, table in tables.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        design = fitting._Design(plan, links, sub, model, l0_db)
         try:
-            result = fit(strategy, model, plan, aps, meas, _designs=designs, _keep=keep)
+            result = fit(strategy, model, plan, aps, sub, _links=links)
         except (DegenerateFitError, InsufficientDataError):
             result = None
-    (design,) = designs.values()
     event(f"fit: {'raises' if result is None else 'fitted'}")
 
-    means = meas.mean_matrix()
-    column = {ap_id: j for j, ap_id in enumerate(meas.ap_ids())}
+    means = sub.mean_matrix()
+    column = {ap_id: j for j, ap_id in enumerate(sub.ap_ids())}
+    by_id = sorted(range(len(keep)), key=sub.rp_ids().__getitem__)
+    want_rows = {}
+    for ap_id in sorted(column):
+        points = np.array([p for p in by_id if not np.isnan(means[p, column[ap_id]])
+                           and tables[ap_id].floors[keep[p]] == 0], dtype=np.intp)
+        if points.size:
+            want_rows[ap_id] = points
+    assert list(design.rows) == list(want_rows)
     residuals = []
     for ap_id, rows in design.rows.items():
-        table, points = tables[ap_id], design.point[rows]
+        table, points = tables[ap_id], keep[want_rows[ap_id]]
+        assert rows.stop - rows.start == points.shape[0]
         assert np.array_equal(design.columns[rows, 0].view(np.int64),
                               (10.0 * table.log10_d[points]).view(np.int64))
         if model is ModelKind.MWMF:
@@ -1623,10 +1698,9 @@ def test_design_reads_link_tables(world, model, kind, data):
                 assert np.array_equal(design.columns[rows, c], arr[points])
         if result is None:
             continue
-        fitted = points[keep[points]]
-        predicted = LinkTable(plan, table.ap, meas.xyz[fitted]).predict_rss(
+        predicted = LinkTable(plan, table.ap, meas.xyz[points]).predict_rss(
             model, result.params_for(ap_id))
-        residuals.append(means[fitted, column[ap_id]] - predicted)
+        residuals.append(means[want_rows[ap_id], column[ap_id]] - predicted)
     if result is not None:
         pooled = np.concatenate([np.empty(0), *residuals])
         assert result.m_used == pooled.shape[0]

@@ -321,9 +321,36 @@ class TestApLanes:
                 radiomap_from_dict(bad)
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["rps"][0].update(rss=[False, False]), "got false"),
+        (lambda doc: doc["rps"][1].update(x=True), "got true"),
+        (lambda doc: doc.update(area_m2=True), "got true"),
+        (lambda doc: doc.update(sentinel_dbm=False), "got false"),
+    ], ids=["rss", "position", "area", "sentinel"])
+    def test_loader_rejects_booleans(self, edit, message):
+        doc = {"aps": [{"id": "a", "x": 1, "y": 1, "z": 2.8},
+                       {"id": "b", "x": 5, "y": 1, "z": 2.8}],
+               "rps": [{"x": 0, "y": 0, "z": 1.2, "rss": [0, -1.0]},
+                       {"x": 1, "y": 0, "z": 1, "rss": [-50.0, None]}],
+               "area_m2": 1}
+        rmap = radiomap_from_dict(doc)  # zeros and ones as numbers are numbers
+        assert rmap.rss_matrix().tolist() == [[0.0, -1.0], [-50.0, NOT_DETECTED_DBM]]
+        assert rmap.positions_matrix().tolist() == [[0.0, 0.0, 1.2], [1.0, 0.0, 1.0]]
+        edit(doc)
+        with pytest.raises(TypeError, match=f"expected a number, {message}"):
+            radiomap_from_dict(doc)
+
+
 class TestCeilScaled:
     def test_float_fuzz_does_not_spill(self):
         assert ceil_scaled(0.2 * 15) == 3
         assert ceil_scaled(0.05 * 520) == 26
         assert ceil_scaled(0.1 * 72) == 8
         assert ceil_scaled(25.95) == 26
+
+    def test_positive_product_keeps_one_point(self):
+        # Rounding to 9 decimals takes a product below 5e-10 to 0.
+        assert ceil_scaled(4e-10) == 1
+        assert ceil_scaled(1e-12 * 72) == 1
+        assert len(select_rps(RpArrays(np.zeros((3, 3)), np.full((3, 1), -50.0),
+                                       np.zeros(3, dtype=bool)), 1e-12)) == 1
