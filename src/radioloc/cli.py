@@ -61,6 +61,7 @@ from .radiomap import (
     place_virtual_rps,
     save_radiomap,
     select_rps,
+    virtual_rp_count,
 )
 from .simulator import (
     ALPHA_RANGE,
@@ -208,8 +209,11 @@ def cmd_build_radiomap(args) -> int:
         missing = {ap.id for ap in aps} - set(fit_result.params_by_ap)
         if missing:
             raise InputError(f"{args.fit} has no fitted parameters for APs {sorted(missing)}")
-        positions = place_virtual_rps(plan, args.dv, args.placement,
-                                      seed=args.seed, z_m=args.rp_height)
+        try:
+            positions = place_virtual_rps(plan, args.dv, args.placement,
+                                          seed=args.seed, z_m=args.rp_height)
+        except ValueError as exc:  # more virtual RPs than MAX_VIRTUAL_RPS
+            raise InputError(f"--dv: {exc}") from None
         virtual_rps = generate_virtual_fingerprints(
             fit_result, fit_result.model, plan, aps, positions,
             sentinel_dbm=args.sentinel, detection_floor_dbm=args.detection_floor)
@@ -293,6 +297,12 @@ def cmd_evaluate(args) -> int:
     area = world.area
     dr_grid = [ceil_scaled(rho * n_total) / area for rho in args.rho_grid]
     dv_grid = [dv for dv in args.dv_grid]
+    try:  # each density's placement is counted before any sweep allocates it
+        for dv in dv_grid:
+            if dv > 0:
+                virtual_rp_count(dv, area)
+    except ValueError as exc:
+        raise InputError(f"--dv-grid: {exc}") from None
 
     # Both sweeps fit the same survey prefixes: each is solved once.
     fits = _SurveyFits(world.plan, world.aps, world.measurements)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -29,7 +29,8 @@ import numpy as np
 from .errors import DegenerateFitError, InsufficientDataError
 from .fitting import FitResult, FitStrategy, MeasurementSet, fit
 from .floorplan import Floorplan, points_xyz
-from .ioutil import atomic_files, format_json, json_array, json_object, read_json
+from .ioutil import (atomic_files, format_json, json_array, json_integer, json_number,
+                     json_object, read_json)
 from .positioning import _best_k, error_curves, k_est_from_counts
 from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
@@ -850,13 +851,38 @@ def emit_report_pair(report, csv_path: str | Path, json_path: str | Path) -> Non
         _render(report, csv_out, json_out)
 
 
+def _json_list(read: Callable) -> Callable:
+    def read_list(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return [read(item) for item in value]
+    return read_list
+
+
+def _json_dict(read: Callable) -> Callable:
+    return lambda value: {key: read(item) for key, item in value.items()}
+
+
+# How a report file's cell field is read, by the field's annotation; a field
+# not listed (a str) is taken as it is.
+_FIELD_READERS: dict[str, Callable] = {
+    "float": json_number,
+    "int": json_integer,
+    "list[float]": _json_list(json_number),
+    "list[int]": _json_list(json_integer),
+    "dict[str, float]": _json_dict(json_number),
+    "dict[str, list[float]]": _json_dict(_json_list(json_number)),
+}
+
+
 def _report_from_dict(doc: dict):
     kind = doc.pop("type", None)
     if kind not in _REPORT_TYPES:
         raise ValueError(f"unknown report type {kind!r}")
     report_cls, cell_cls = _REPORT_TYPES[kind]
-    cell_fields = set(cell_cls.__dataclass_fields__)
-    cells = [cell_cls(**{k: v for k, v in item.items() if k in cell_fields})
+    readers = {f.name: _FIELD_READERS.get(f.type, lambda value: value)
+               for f in fields(cell_cls)}
+    cells = [cell_cls(**{k: readers[k](v) for k, v in item.items() if k in readers})
              for item in doc.pop("cells", [])]
     top_fields = {k: v for k, v in doc.items()
                   if k in report_cls.__dataclass_fields__ and k != "cells"}

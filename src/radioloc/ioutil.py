@@ -2,16 +2,18 @@
 
 Every input file is read through ``read_json`` or ``read_csv``: each opens the
 file, decodes it and hands the document to a parser, and maps every failure
-along the way to one ``InputError`` that names the file. A CSV parser gets
+along the way to one ``InputError`` that names the file; ``read_bytes`` and
+``parse_json`` split ``read_json`` in two, for a caller that needs the file's
+bytes as well. A CSV parser gets
 the file's text and splits it into rows with ``csv_rows``. The parsers of the
 JSON inputs read numbers through ``json_number``, ``json_numbers`` or
 ``json_integer``, which reject ``true`` and ``false``. Every output file is
-written through ``atomic_files``, which streams chunks into temp files and
-renames them into place only when all of them are written; ``write_text_atomic``
-writes one whole text through it. The evaluation reports, mostly long lists of
-numbers, are laid out as ``json.dumps(doc, indent=2)`` lays them out by
-``format_json`` and, for item texts rendered by the caller, ``json_array`` and
-``json_object``.
+written through ``atomic_files``, which streams chunks (text, or bytes) into
+temp files and renames them into place only when all of them are written;
+``write_text_atomic`` writes one whole text through it. The evaluation
+reports, mostly long lists of numbers, are laid out as ``json.dumps(doc,
+indent=2)`` lays them out by ``format_json`` and, for item texts rendered by
+the caller, ``json_array`` and ``json_object``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import os
 import secrets
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -77,6 +79,21 @@ def read_json(path: str | Path, what: str, parse: Callable[..., T]) -> T:
                  parse)
 
 
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of ``path``; an OSError becomes the InputError ``read_json`` raises."""
+    return _read(path, what, "bytes", Path.read_bytes, lambda data: data)
+
+
+def parse_json(path: str | Path, what: str, data: bytes, parse: Callable[..., T]) -> T:
+    """``read_json`` of the file ``path`` whose bytes, already read, are ``data``.
+
+    The bytes are decoded as ``read_json`` reads the file, in text mode: a
+    CRLF or a lone CR reads as LF, so an error names the same position.
+    """
+    return _read(path, what, "JSON", lambda _: json.loads(
+        data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")), parse)
+
+
 def read_csv(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
     """``parse`` the text of the UTF-8 CSV file in ``path``; ``what`` names the file.
 
@@ -115,8 +132,9 @@ def json_integer(value) -> int:
 
 
 @contextlib.contextmanager
-def atomic_files(*paths: str | Path) -> Iterator[list[TextIO]]:
-    """Open one temp file per path in the path's directory, and yield them in order.
+def atomic_files(*paths: str | Path, binary: bool = False) -> Iterator[list[IO]]:
+    """Open one temp file per path in the path's directory, and yield them in order,
+    for text, or for bytes when ``binary``.
 
     When the block ends normally, every file is closed, and only then is each
     renamed onto its path. When it raises, every temp file is removed and no
@@ -125,13 +143,13 @@ def atomic_files(*paths: str | Path) -> Iterator[list[TextIO]]:
     mode.
     """
     tmps: list[Path] = []
-    files: list[TextIO] = []
+    files: list[IO] = []
     try:
         for path in map(Path, paths):
             tmp = path.with_name(f"{path.name}{secrets.token_hex(8)}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append(tmp)
-            files.append(os.fdopen(fd, "w"))
+            files.append(os.fdopen(fd, "wb" if binary else "w"))
         yield files
         for fh in files:
             fh.close()

@@ -8,10 +8,11 @@ numeric sentinel so that fingerprint distances stay finite.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +21,8 @@ import numpy as np
 
 from .fitting import FitResult, MeasurementSet
 from .floorplan import Floorplan, lattice_positions, points_xyz
-from .ioutil import json_number, json_numbers, read_json, write_text_atomic
+from .ioutil import (atomic_files, json_integer, json_number, json_numbers, parse_json,
+                     read_bytes)
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -32,6 +34,9 @@ from .propagation import (
 NOT_DETECTED_DBM = -100.0
 DETECTION_FLOOR_DBM = -95.0
 DEVICE_HEIGHT_M = 1.2
+# The most virtual RPs one placement makes: far above the largest benchmark
+# map (5,112 RPs), and checked before any position is allocated.
+MAX_VIRTUAL_RPS = 1_000_000
 
 
 class RpKind(str, Enum):
@@ -177,6 +182,8 @@ class Radiomap:
             raise ValueError("fingerprint length must equal the number of APs")
         if area_m2 is not None and not 0 < area_m2 < math.inf:
             raise ValueError(f"area must be positive and finite, got {area_m2!r}")
+        if not -120.0 <= sentinel_dbm <= 0.0:
+            raise ValueError(f"sentinel must lie within [-120, 0] dBm, got {sentinel_dbm!r}")
         self.aps = list(aps)
         self.rps = rps
         self.n_virtual = rps.n_virtual
@@ -266,17 +273,28 @@ def select_rps(rps: RpArrays, rho: float) -> RpArrays:
     return rps[decimation_order(rps.pos)[:n_keep]]
 
 
+def virtual_rp_count(d_virtual: float, area_m2: float) -> int:
+    """ceil(d_virtual * area_m2), the virtual RPs of a placement; ValueError
+    unless the density is positive and the count at most MAX_VIRTUAL_RPS."""
+    if d_virtual <= 0:
+        raise ValueError("virtual RP density must be positive")
+    count = d_virtual * area_m2
+    if not round(count, 9) <= MAX_VIRTUAL_RPS:  # ceil_scaled(count) <= MAX_VIRTUAL_RPS
+        raise ValueError(f"{d_virtual!r} RPs/m^2 over {area_m2!r} m^2 is more than "
+                         f"{MAX_VIRTUAL_RPS:,} virtual RPs")
+    return ceil_scaled(count)
+
+
 def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid",
                       seed: int | None = None, z_m: float = DEVICE_HEIGHT_M,
                       ) -> np.ndarray:
     """Positions for ceil(d_virtual * area) virtual reference points, as an (n, 3) array.
 
     ``placement`` is "grid" (near-uniform lattice at cell centers) or "random"
-    (uniform i.i.d. inside the bounds, seeded).
+    (uniform i.i.d. inside the bounds, seeded). The count is checked by
+    ``virtual_rp_count`` first.
     """
-    if d_virtual <= 0:
-        raise ValueError("virtual RP density must be positive")
-    n = ceil_scaled(d_virtual * plan.area)
+    n = virtual_rp_count(d_virtual, plan.area)
     bounds = plan.bounds
     if placement == "grid":
         xy = lattice_positions(bounds, n)
@@ -397,9 +415,87 @@ def radiomap_from_dict(doc: dict) -> Radiomap:
                     sentinel_dbm=sentinel)
 
 
+# ---------------------------------------------------------------------------
+# The lanes file: the arrays beside radiomap.json
+# ---------------------------------------------------------------------------
+
+LANES_FORMAT = "radioloc-lanes/1"
+_LANES_KEYS = ["format", "sha256", "n", "aps", "sentinel_dbm", "area_m2"]
+
+
+def lanes_path(path: str | Path) -> Path:
+    """The lanes file that ``save_radiomap`` writes beside the radiomap file ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".lanes")
+
+
+def _lanes_chunks(rmap: Radiomap, digest: str) -> list[bytes]:
+    """The lanes file of ``rmap``, whose radiomap file's SHA-256 is ``digest``: one
+    JSON header line, then little-endian float64 positions (n, 3), float64 RSS
+    lanes (L, n) and uint8 virtual flags (n,).
+
+    Each entry equal to the sentinel is stored as the sentinel, the value the
+    radiomap file's ``null`` reads back as (a -0.0 under a 0.0 sentinel too).
+    """
+    rps, sentinel = rmap.rps, float(rmap.sentinel_dbm)
+    header = dict(zip(_LANES_KEYS, [LANES_FORMAT, digest, len(rps), aps_to_list(rmap.aps),
+                                    rmap.sentinel_dbm, rmap.area_m2]))
+    lanes = rps.rss.T
+    return [json.dumps(header).encode() + b"\n",
+            rps.pos.astype("<f8").tobytes(),
+            np.where(lanes == sentinel, sentinel, lanes).astype("<f8").tobytes(),
+            rps.virtual.astype(np.uint8).tobytes()]
+
+
+def _radiomap_from_lanes(path: Path, data: bytes) -> Radiomap | None:
+    """The radiomap in the lanes file beside ``path``, whose bytes are ``data``, or
+    None unless that file is readable, was written with exactly these bytes and
+    passes the checks the radiomap file's parse applies."""
+    try:
+        blob = lanes_path(path).read_bytes()
+        end = blob.index(b"\n")
+        header = json.loads(blob[:end])
+        if (list(header) != _LANES_KEYS or header["format"] != LANES_FORMAT
+                or header["sha256"] != hashlib.sha256(data).hexdigest()):
+            return None
+        n = json_integer(header["n"])
+        aps = aps_from_list(header["aps"])
+        offsets = list(accumulate([end + 1, 8 * 3 * n, 8 * len(aps) * n, n]))
+        if n < 0 or len(blob) != offsets[-1]:
+            return None
+        pos = np.frombuffer(blob, "<f8", 3 * n, offsets[0]).reshape(n, 3)
+        lanes = np.frombuffer(blob, "<f8", len(aps) * n, offsets[1]).reshape(len(aps), n)
+        flags = np.frombuffer(blob, np.uint8, n, offsets[2])
+        if np.any(flags > 1):
+            return None
+        area = header["area_m2"]
+        return Radiomap(aps, RpArrays(pos, lanes.T, flags), sentinel_dbm=json_number(
+            header["sentinel_dbm"]), area_m2=None if area is None else json_number(area))
+    except (OSError, RecursionError, AttributeError, KeyError, TypeError, ValueError,
+            OverflowError):
+        return None
+
+
 def save_radiomap(rmap: Radiomap, path: str | Path) -> None:
-    write_text_atomic(path, radiomap_to_json(rmap) + "\n")
+    """Write the radiomap file ``path`` and, beside it, its lanes file, through one
+    ``atomic_files`` call: a failed write replaces neither.
+
+    The lanes file is renamed into place first, so a failed rename of the
+    radiomap file leaves the old one beside a lanes file whose digest it does
+    not match, which ``load_radiomap`` ignores.
+    """
+    data = (radiomap_to_json(rmap) + "\n").encode()
+    chunks = _lanes_chunks(rmap, hashlib.sha256(data).hexdigest())
+    with atomic_files(lanes_path(path), path, binary=True) as (lanes, out):
+        for chunk in chunks:
+            lanes.write(chunk)
+        out.write(data)
 
 
 def load_radiomap(path: str | Path) -> Radiomap:
-    return read_json(path, "radiomap", radiomap_from_dict)
+    """The radiomap in ``path``, read from its lanes file when that file matches
+    the radiomap file's bytes, and parsed from the JSON otherwise."""
+    path = Path(path)
+    data = read_bytes(path, "radiomap")
+    rmap = _radiomap_from_lanes(path, data)
+    return rmap if rmap is not None else parse_json(path, "radiomap", data, radiomap_from_dict)

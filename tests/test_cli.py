@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -7,12 +8,13 @@ from collections import Counter
 import pytest
 
 import radioloc.cli as cli
+import radioloc.radiomap as radiomap
 from radioloc import evaluation
 from radioloc.cli import build_parser, main
 from radioloc.fitting import StrategyKind, load_fit_result, load_measurements
 from radioloc.floorplan import Point3, load_floorplan
 from radioloc.propagation import LinkTable
-from radioloc.radiomap import load_radiomap, place_virtual_rps
+from radioloc.radiomap import lanes_path, load_radiomap, place_virtual_rps, radiomap_from_dict
 from radioloc.simulator import ALPHA_RANGE, ALPHA_STEP, DV_GRID, RHO_GRID
 
 from helpers import CUSTOM_WORLD, count_crossing_calls, measurement_set
@@ -223,6 +225,69 @@ class TestBuildRadiomapAndLocate:
         # N = 41 real + 450 virtual; ceil(0.05 * 491) = 25
         assert len(doc["neighbors"]) == 25
 
+    def test_locate_prints_the_same_bytes_without_the_lanes_file(
+            self, world_dir, fit_file, tmp_path, capsys, monkeypatch):
+        map_path = tmp_path / "map.json"
+        assert main(["build-radiomap",
+                     "--measurements", str(world_dir / "measurements.csv"),
+                     "--floorplan", str(world_dir / "floorplan.json"),
+                     "--aps", str(world_dir / "aps.json"),
+                     "--fit", str(fit_file), "--rho", "1", "--dv", "1",
+                     "--out", str(map_path)]) == 0
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-55.0\nap02,-70.0\nap03,ND\n")
+        parses = []
+        monkeypatch.setattr(radiomap, "radiomap_from_dict",
+                            lambda doc: parses.append(None) or radiomap_from_dict(doc))
+        printed = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(["locate", "--radiomap", str(map_path), "--target", str(target),
+                         "--alpha", "0.05"]) == 0
+            printed.append(capsys.readouterr().out)
+            lanes_path(map_path).unlink(missing_ok=True)
+        assert parses == [None]  # the second call parsed the JSON
+        assert printed[0] == printed[1] and len(json.loads(printed[0])["neighbors"]) == 25
+
+    def test_failed_write_replaces_neither_file(self, world_dir, fit_file, tmp_path, capsys,
+                                                monkeypatch):
+        out_dir = tmp_path / "maps"
+        out_dir.mkdir()
+        argv = ["build-radiomap", "--measurements", str(world_dir / "measurements.csv"),
+                "--floorplan", str(world_dir / "floorplan.json"),
+                "--aps", str(world_dir / "aps.json"), "--fit", str(fit_file)]
+        assert main(argv + ["--dv", "0.1", "--out", str(out_dir / "map.json")]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(before) == ["map.json", "map.json.lanes"]
+
+        def chunks_then_a_full_disk(rmap, digest):
+            yield b"{}\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(radiomap, "_lanes_chunks", chunks_then_a_full_disk)
+        capsys.readouterr()
+        assert main(argv + ["--dv", "1", "--out", str(out_dir / "map.json")]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        assert main(argv + ["--dv", "1", "--out", str(out_dir / "new.json")]) == 2
+        assert sorted(p.name for p in out_dir.iterdir()) == ["map.json", "map.json.lanes"]
+
+    def test_unwritable_lanes_path_replaces_neither_file(self, world_dir, fit_file, tmp_path,
+                                                         capsys):
+        argv = ["build-radiomap", "--measurements", str(world_dir / "measurements.csv"),
+                "--floorplan", str(world_dir / "floorplan.json"),
+                "--aps", str(world_dir / "aps.json"), "--fit", str(fit_file),
+                "--out", str(tmp_path / "map.json")]
+        assert main(argv + ["--dv", "0.1"]) == 0
+        before = (tmp_path / "map.json").read_bytes()
+        lanes_path(tmp_path / "map.json").unlink()
+        lanes_path(tmp_path / "map.json").mkdir()  # the rename onto it fails
+        capsys.readouterr()
+        assert main(argv + ["--dv", "1"]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert (tmp_path / "map.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "map.json.lanes"]
+
     def test_locate_tiny_alpha_takes_one_neighbor(self, map_file, tmp_path, capsys):
         target = tmp_path / "target.csv"
         target.write_text("ap_id,rss_dbm\nap01,-55.0\n")
@@ -329,6 +394,46 @@ class TestInputErrorsExit2:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "area must be positive and finite" in err
         assert len(err.splitlines()) == 1
+
+    def test_locate_radiomap_sentinel_out_of_range_names_the_map(self, tmp_path, capsys):
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps({"aps": [{"id": "ap01", "x": 1, "y": 1, "z": 2.8}],
+                                   "sentinel_dbm": 50.0, "rps": []}))
+        target = tmp_path / "t.csv"
+        target.write_text("ap_id,rss_dbm\n")
+        code = exit_code(["locate", "--radiomap", str(bad), "--target", str(target),
+                          "--k", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed radiomap file {bad}: "
+            "sentinel must lie within [-120, 0] dBm, got 50.0\n")
+
+    # The densities ask for far more than MAX_VIRTUAL_RPS positions; they are
+    # refused by counting, before anything is placed.
+    def test_build_radiomap_dv_over_the_cap(self, world_dir, fit_file, tmp_path, capsys):
+        out = tmp_path / "map.json"
+        code = exit_code(["build-radiomap",
+                          "--measurements", str(world_dir / "measurements.csv"),
+                          "--floorplan", str(world_dir / "floorplan.json"),
+                          "--aps", str(world_dir / "aps.json"), "--fit", str(fit_file),
+                          "--dv", "1e300", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dv: 1e+300 RPs/m^2 over ")
+        assert err.endswith(" is more than 1,000,000 virtual RPs\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_evaluate_dv_grid_over_the_cap(self, world_dir, tmp_path, capsys, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(cli, "run_prediction_analysis",
+                            lambda *args, **kwargs: sweeps.append(None))
+        code = exit_code(["evaluate", "--world-dir", str(world_dir), "--rho-grid", "1",
+                          "--dv-grid", "0,1,1e300", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dv-grid: 1e+300 RPs/m^2 over ")
+        assert "more than 1,000,000 virtual RPs" in err
+        assert sweeps == [] and not (tmp_path / "out").exists()
 
     def test_fit_with_ap_file_missing_survey_aps(self, world_dir, tmp_path, capsys):
         aps_doc = json.loads((world_dir / "aps.json").read_text())

@@ -1,10 +1,13 @@
+import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from radioloc import evaluation
+from radioloc.errors import InputError
 from radioloc.evaluation import (
     MAX_ALPHAS,
     EvalWorld,
@@ -354,8 +357,6 @@ class TestReports:
             assert load_report(path) == report
 
     def test_cdf_emitted_in_json(self, noisy_world, tmp_path):
-        import json
-
         world, _ = noisy_world
         info = template_info("spinv_like")
         report, _ = run_positioning_sweep(world, [info.dr_grid[0]], [])
@@ -440,6 +441,31 @@ class TestReportWriters:
             assert path.read_bytes().decode() == reference_report_text(report, fmt)
         # repr, since NaN != NaN; it also tells 1 from 1.0 and -0.0 from 0.0.
         assert repr(load_report(tmp_path / f"{name}.json")) == repr(report)
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("gain", lambda cell: cell.update(gain=True, k_cell=2.7),
+         "expected an integer, got 2.7"),
+        ("gain", lambda cell: cell.update(gain=True), "expected a number, got true"),
+        ("kest", lambda cell: cell.update(alpha=None), "must be a string or a real number"),
+        ("positioning", lambda cell: cell.update(k_values="123"), "expected a list, got str"),
+        ("positioning", lambda cell: cell.update(p50_by_k=[1.5, False]),
+         "expected a number, got false"),
+        ("prediction", lambda cell: cell.update(per_ap_mean_db={"ap01": True}),
+         "expected a number, got true"),
+        ("prediction", lambda cell: cell.update(per_ap_deltas={"ap01": [0.5, "x"]}),
+         "could not convert string to float"),
+    ], ids=["gain-and-k_cell", "gain", "alpha", "k_values", "p50_by_k", "per_ap_mean_db",
+            "per_ap_deltas"])
+    def test_load_rejects_a_numeric_field_of_the_wrong_type(self, tmp_path, name, edit,
+                                                            message):
+        path = tmp_path / f"{name}.json"
+        emit_report(hand_built_reports()[name], path, fmt="json")
+        doc = json.loads(path.read_text())
+        edit(doc["cells"][-1])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=re.escape(f"malformed report file {path}: ")
+                           + ".*" + message):
+            load_report(path)
 
     def test_missing_baseline_k_gives_empty_gain(self, tmp_path):
         csv_text, _ = written_report_pair(hand_built_reports()["positioning"], tmp_path)

@@ -6,9 +6,10 @@ through ``cli.main``, which must exit 0, 2 or 3.
 
 The oracles are plain per-record Python loops, the csv rows path (for the
 loadtxt survey parser), ``json.dumps`` (for the
-radiomap and for ``ioutil.format_json``), for ``crossing_flags_batch`` the
-per-obstacle loop it replaced (and its per-family sums for
-``crossing_counts_batch``), for ``lattice_positions`` the per-cell loop it
+radiomap and for ``ioutil.format_json``), the radiomap parsed from its JSON
+(for the map read from the lanes file beside it), for
+``crossing_flags_batch`` the per-obstacle loop it replaced (and its
+per-family sums for ``crossing_counts_batch``), for ``lattice_positions`` the per-cell loop it
 replaced, for ``locate``, ``locate_many`` and
 ``error_curves``, a per-target loop with the benchmark oracle's semantics and,
 for ``fit``, ``np.linalg.lstsq`` on the per-sample rows of
@@ -42,6 +43,7 @@ import radioloc.fitting as fitting
 import radioloc.floorplan as floorplan
 import radioloc.ioutil as ioutil
 import radioloc.propagation as propagation
+import radioloc.radiomap as radiomap
 import radioloc.simulator as simulator
 from radioloc.errors import DegenerateFitError, GeometryError, InsufficientDataError
 from radioloc.evaluation import (
@@ -109,7 +111,9 @@ from radioloc.radiomap import (
     RpArrays,
     RpKind,
     build_real_fingerprints,
+    lanes_path,
     load_radiomap,
+    radiomap_from_dict,
     save_radiomap,
 )
 
@@ -458,26 +462,28 @@ def test_loadtxt_path_equals_csv_path(tmp_path_factory, text):
 
 
 @st.composite
-def rp_arrays(draw, n_aps, kind, shared=(0.0, -0.0)):
+def rp_arrays(draw, n_aps, kind, shared=(0.0, -0.0), sentinel=NOT_DETECTED_DBM):
     """Up to five points, whose coordinates are often drawn from ``shared``."""
     n = draw(st.integers(0, 5))
     pos = [[draw(coordinate | st.sampled_from(shared)) for _ in range(3)] for _ in range(n)]
-    rss = [[draw(st.just(NOT_DETECTED_DBM) | dbm) for _ in range(n_aps)] for _ in range(n)]
+    rss = [[draw(st.sampled_from([sentinel, 0.0, -0.0]) | dbm) for _ in range(n_aps)]
+           for _ in range(n)]
     if n == 0:
         return RpArrays.empty(n_aps)
     return RpArrays(pos, rss, [kind is RpKind.VIRTUAL] * n)
 
 
 @st.composite
-def radiomaps(draw):
+def radiomaps(draw, sentinels=st.just(NOT_DETECTED_DBM)):
     n_aps = draw(st.integers(1, 3))
     aps = [AccessPoint(f"ap{i}", Point3(draw(coordinate), 0.0, 2.8)) for i in range(n_aps)]
     # Repeated coordinates, with 0.0 and -0.0 among them: their texts differ.
     shared = [0.0, -0.0, *draw(st.lists(coordinate, min_size=1, max_size=2))]
-    real = draw(rp_arrays(n_aps, RpKind.REAL, shared))
-    virtual = draw(rp_arrays(n_aps, RpKind.VIRTUAL, shared))
+    sentinel = draw(sentinels)
+    real = draw(rp_arrays(n_aps, RpKind.REAL, shared, sentinel))
+    virtual = draw(rp_arrays(n_aps, RpKind.VIRTUAL, shared, sentinel))
     area = draw(st.none() | st.floats(min_value=1.0, max_value=1e4))
-    return Radiomap(aps, real + virtual, area_m2=area)
+    return Radiomap(aps, real + virtual, area_m2=area, sentinel_dbm=sentinel)
 
 
 def plain_document(rmap):
@@ -508,6 +514,32 @@ def test_radiomap_json_round_trip(tmp_path_factory, rmap):
     assert loaded.rps == rmap.rps
     assert loaded.aps == rmap.aps and loaded.area_m2 == rmap.area_m2
     assert (loaded.n_real, loaded.n_virtual) == (rmap.n_real, rmap.n_virtual)
+
+
+def map_bits(rmap):
+    """Every field of ``rmap`` with each float as its bits, so -0.0 differs from 0.0."""
+    rps = rmap.rps
+    area = None if rmap.area_m2 is None else np.float64(rmap.area_m2).tobytes()
+    return (rps.pos.tobytes(), rps.rss.tobytes(), rps.rss.flags.f_contiguous,
+            rps.virtual.tobytes(), rmap.aps, np.float64(rmap.sentinel_dbm).tobytes(), area,
+            (rmap.n_real, rmap.n_virtual))
+
+
+# Signed zeros, at and beside a 0.0 or -0.0 sentinel: the radiomap file writes
+# null for each entry equal to the sentinel, and reads the sentinel back.
+lanes_sentinels = st.sampled_from([NOT_DETECTED_DBM, 0.0, -0.0, -120.0]) | dbm
+
+
+@EXACT_SETTINGS
+@given(radiomaps(lanes_sentinels))
+def test_lanes_file_loads_the_parsed_map(tmp_path_factory, rmap):
+    path = tmp_path_factory.mktemp("map") / "map.json"
+    save_radiomap(rmap, path)
+    want = map_bits(radiomap_from_dict(json.loads(path.read_text())))
+    with mock.patch.object(radiomap, "parse_json", side_effect=AssertionError("parsed")):
+        assert map_bits(load_radiomap(path)) == want  # from the lanes file
+    lanes_path(path).unlink()
+    assert map_bits(load_radiomap(path)) == want  # from the JSON
 
 
 # Floats at the edges of repr's formats: subnormals, the switch to exponent form

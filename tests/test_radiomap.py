@@ -1,10 +1,17 @@
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 
+import radioloc.radiomap as radiomap
+from radioloc.errors import InputError
 from radioloc.fitting import FitStrategy, MeasurementRecord, fit
 from radioloc.floorplan import Bounds, Floorplan, Point3
 from radioloc.propagation import AccessPoint, ModelKind, PropagationParams, predict_rss
 from radioloc.radiomap import (
+    MAX_VIRTUAL_RPS,
     NOT_DETECTED_DBM,
     Fingerprint,
     Radiomap,
@@ -12,11 +19,13 @@ from radioloc.radiomap import (
     build_real_fingerprints,
     ceil_scaled,
     generate_virtual_fingerprints,
+    lanes_path,
     load_radiomap,
     radiomap_from_dict,
     place_virtual_rps,
     save_radiomap,
     select_rps,
+    virtual_rp_count,
 )
 
 from helpers import measurement_set, survey_points, tiny_world
@@ -127,6 +136,17 @@ class TestPlaceVirtualRps:
         with pytest.raises(ValueError):
             place_virtual_rps(self.plan(), 0.0)
 
+    def test_count_is_capped_before_placement(self):
+        # Counted only: a placement of the rejected sizes is never allocated.
+        assert virtual_rp_count(MAX_VIRTUAL_RPS / 100.0, 100.0) == MAX_VIRTUAL_RPS
+        assert virtual_rp_count((MAX_VIRTUAL_RPS + 1e-10) / 100.0, 100.0) == MAX_VIRTUAL_RPS
+        for dv, area in ((MAX_VIRTUAL_RPS / 100.0 + 0.01, 100.0), (1e300, 504.0),
+                         (1e308, 504.0), (1e7, 504.0)):  # 1e308 * 504 overflows to inf
+            with pytest.raises(ValueError, match="more than 1,000,000 virtual RPs"):
+                virtual_rp_count(dv, area)
+        with pytest.raises(ValueError, match="more than 1,000,000 virtual RPs"):
+            place_virtual_rps(self.plan(), 1e300)
+
     @pytest.mark.parametrize("dv", [0.05, 0.1, 1.0, 10.0])
     def test_grid_spacing_uniformity(self, dv):
         pts = place_virtual_rps(self.plan(), dv)
@@ -211,6 +231,12 @@ class TestRadiomap:
     def test_area_must_be_positive_and_finite(self, area):
         with pytest.raises(ValueError, match="area must be positive and finite"):
             Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], rps_at((1, 1)), area_m2=area)
+
+    @pytest.mark.parametrize("sentinel", [0.5, -120.5, 50.0, float("nan"), float("inf")])
+    def test_sentinel_must_lie_in_the_fingerprint_range(self, sentinel):
+        with pytest.raises(ValueError, match="sentinel must lie within"):
+            Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], rps_at((1, 1)),
+                     sentinel_dbm=sentinel)
 
     def test_density_needs_area(self):
         rmap = Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], rps_at((1, 1)))
@@ -354,3 +380,125 @@ class TestCeilScaled:
         assert ceil_scaled(1e-12 * 72) == 1
         assert len(select_rps(RpArrays(np.zeros((3, 3)), np.full((3, 1), -50.0),
                                        np.zeros(3, dtype=bool)), 1e-12)) == 1
+
+
+def two_maps():
+    """Two radiomaps of one AP list whose files differ."""
+    aps = [AccessPoint("a", Point3(1, 1, 2.8)), AccessPoint("b", Point3(5, 1, 2.8))]
+    first = Radiomap(aps, rps_at((1, 1), (2, 2), rss=(-50.0, NOT_DETECTED_DBM))
+                     + rps_at((3, 3), rss=(-0.0, -70.25), virtual=True), area_m2=42.0)
+    second = Radiomap(aps, rps_at((4, 1), rss=(-61.0, -62.5), virtual=True))
+    return first, second
+
+
+def parsed(path):
+    return radiomap_from_dict(json.loads(path.read_text()))
+
+
+def same_map(a, b):
+    return (a.rps == b.rps and a.aps == b.aps and a.area_m2 == b.area_m2
+            and a.sentinel_dbm == b.sentinel_dbm)
+
+
+class TestLanesFile:
+    """``load_radiomap`` reads the lanes file beside the radiomap file only when it
+    was written with the radiomap file's bytes; otherwise it parses the JSON."""
+
+    @pytest.fixture
+    def counted_parses(self, monkeypatch):
+        calls = []
+
+        def counting(doc):
+            calls.append(None)
+            return radiomap_from_dict(doc)
+
+        monkeypatch.setattr(radiomap, "radiomap_from_dict", counting)
+        return calls
+
+    def test_save_writes_the_lanes_file_beside_the_map(self, tmp_path, counted_parses):
+        rmap, _ = two_maps()
+        path = tmp_path / "map.json"
+        save_radiomap(rmap, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "map.json.lanes"]
+        header = lanes_path(path).read_bytes().split(b"\n", 1)[0]
+        assert list(json.loads(header)) == [
+            "format", "sha256", "n", "aps", "sentinel_dbm", "area_m2"]
+        assert json.loads(header)["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert same_map(load_radiomap(path), parsed(path))
+        assert counted_parses == []
+
+    def test_stale_lanes_file_reads_the_json(self, tmp_path, counted_parses):
+        first, second = two_maps()
+        path = tmp_path / "map.json"
+        save_radiomap(first, path)
+        stale = lanes_path(path).read_bytes()
+        save_radiomap(second, path)
+        lanes_path(path).write_bytes(stale)
+        loaded = load_radiomap(path)
+        assert same_map(loaded, parsed(path)) and same_map(loaded, second)
+        assert len(counted_parses) == 1
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:-1],
+        lambda data: data + b"\0",
+        lambda data: b"garbage\n" + data.split(b"\n", 1)[1],
+        lambda data: data.replace(b'"n": 3', b'"n": 2', 1),
+        lambda data: data.replace(b'"format": "radioloc-lanes/1"', b'"format": "x"', 1),
+        lambda data: data.split(b"\n", 1)[1],
+        lambda data: b"",
+    ], ids=["truncated", "longer", "garbage-header", "wrong-count", "wrong-format",
+            "no-header", "empty"])
+    def test_malformed_lanes_file_reads_the_json(self, tmp_path, counted_parses, damage):
+        rmap, _ = two_maps()
+        path = tmp_path / "map.json"
+        save_radiomap(rmap, path)
+        lanes_path(path).write_bytes(damage(lanes_path(path).read_bytes()))
+        assert same_map(load_radiomap(path), parsed(path))
+        assert len(counted_parses) == 1
+
+    def test_missing_lanes_file_reads_the_json(self, tmp_path, counted_parses):
+        rmap, _ = two_maps()
+        path = tmp_path / "map.json"
+        save_radiomap(rmap, path)
+        lanes_path(path).unlink()
+        assert same_map(load_radiomap(path), parsed(path))
+        assert len(counted_parses) == 1
+
+    @pytest.mark.parametrize("value, offset", [
+        (5.0, 24 * 3),  # the first RSS entry, above 0 dBm
+        (float("nan"), 0),  # the first coordinate
+    ])
+    def test_lanes_values_are_checked_like_the_json(self, tmp_path, counted_parses,
+                                                     value, offset):
+        rmap, _ = two_maps()
+        path = tmp_path / "map.json"
+        save_radiomap(rmap, path)
+        data = bytearray(lanes_path(path).read_bytes())
+        start = data.index(b"\n") + 1 + offset
+        data[start:start + 8] = np.float64(value).tobytes()
+        lanes_path(path).write_bytes(bytes(data))
+        assert same_map(load_radiomap(path), rmap)
+        assert len(counted_parses) == 1
+
+    def test_flags_other_than_0_and_1_read_the_json(self, tmp_path, counted_parses):
+        rmap, _ = two_maps()
+        path = tmp_path / "map.json"
+        save_radiomap(rmap, path)
+        data = lanes_path(path).read_bytes()
+        lanes_path(path).write_bytes(data[:-1] + b"\x02")
+        assert same_map(load_radiomap(path), rmap)
+        assert len(counted_parses) == 1
+
+    def test_out_of_range_sentinel_names_the_map_on_both_paths(self, tmp_path):
+        path = tmp_path / "map.json"
+        aps = [{"id": "a", "x": 1.0, "y": 1.0, "z": 2.8, "eirp_dbm": 20.0}]
+        data = json.dumps({"aps": aps, "sentinel_dbm": 50.0, "rps": []}).encode()
+        path.write_bytes(data)
+        message = re.escape(f"malformed radiomap file {path}: sentinel must lie within")
+        with pytest.raises(InputError, match=message):
+            load_radiomap(path)
+        header = {"format": radiomap.LANES_FORMAT, "sha256": hashlib.sha256(data).hexdigest(),
+                  "n": 0, "aps": aps, "sentinel_dbm": 50.0, "area_m2": None}
+        lanes_path(path).write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(InputError, match=message):
+            load_radiomap(path)
