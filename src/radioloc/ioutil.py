@@ -2,9 +2,7 @@
 
 Every input file is read through ``read_json`` or ``read_csv``: each opens the
 file, decodes it and hands the document to a parser, and maps every failure
-along the way to one ``InputError`` that names the file; ``read_bytes`` and
-``parse_json`` split ``read_json`` in two, for a caller that needs the file's
-bytes as well. A CSV parser gets
+along the way to one ``InputError`` that names the file. A CSV parser gets
 the file's text and splits it into rows with ``csv_rows``. The parsers of the
 JSON inputs read numbers through ``json_number``, ``json_numbers`` or
 ``json_integer``, which reject ``true`` and ``false``. Every output file is
@@ -77,21 +75,6 @@ def read_json(path: str | Path, what: str, parse: Callable[..., T]) -> T:
     """
     return _read(path, what, "JSON", lambda p: json.loads(p.read_text(encoding="utf-8")),
                  parse)
-
-
-def read_bytes(path: str | Path, what: str) -> bytes:
-    """The bytes of ``path``; an OSError becomes the InputError ``read_json`` raises."""
-    return _read(path, what, "bytes", Path.read_bytes, lambda data: data)
-
-
-def parse_json(path: str | Path, what: str, data: bytes, parse: Callable[..., T]) -> T:
-    """``read_json`` of the file ``path`` whose bytes, already read, are ``data``.
-
-    The bytes are decoded as ``read_json`` reads the file, in text mode: a
-    CRLF or a lone CR reads as LF, so an error names the same position.
-    """
-    return _read(path, what, "JSON", lambda _: json.loads(
-        data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")), parse)
 
 
 def read_csv(path: str | Path, what: str, parse: Callable[[str], T]) -> T:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .fitting import FitResult, MeasurementSet
 from .floorplan import Floorplan, lattice_positions, points_xyz
-from .ioutil import (atomic_files, json_integer, json_number, json_numbers, parse_json,
-                     read_bytes)
+from .ioutil import atomic_files, json_integer, json_number, json_numbers, read_json
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -420,7 +419,7 @@ def radiomap_from_dict(doc: dict) -> Radiomap:
 # ---------------------------------------------------------------------------
 
 LANES_FORMAT = "radioloc-lanes/1"
-_LANES_KEYS = ["format", "sha256", "n", "aps", "sentinel_dbm", "area_m2"]
+_LANES_KEYS = ["format", "sha256", "arrays_sha256", "n", "aps", "sentinel_dbm", "area_m2"]
 
 
 def lanes_path(path: str | Path) -> Path:
@@ -432,36 +431,39 @@ def lanes_path(path: str | Path) -> Path:
 def _lanes_chunks(rmap: Radiomap, digest: str) -> list[bytes]:
     """The lanes file of ``rmap``, whose radiomap file's SHA-256 is ``digest``: one
     JSON header line, then little-endian float64 positions (n, 3), float64 RSS
-    lanes (L, n) and uint8 virtual flags (n,).
+    lanes (L, n) and uint8 virtual flags (n,), whose SHA-256 the header holds too.
 
     Each entry equal to the sentinel is stored as the sentinel, the value the
     radiomap file's ``null`` reads back as (a -0.0 under a 0.0 sentinel too).
     """
     rps, sentinel = rmap.rps, float(rmap.sentinel_dbm)
-    header = dict(zip(_LANES_KEYS, [LANES_FORMAT, digest, len(rps), aps_to_list(rmap.aps),
-                                    rmap.sentinel_dbm, rmap.area_m2]))
     lanes = rps.rss.T
-    return [json.dumps(header).encode() + b"\n",
-            rps.pos.astype("<f8").tobytes(),
-            np.where(lanes == sentinel, sentinel, lanes).astype("<f8").tobytes(),
-            rps.virtual.astype(np.uint8).tobytes()]
+    arrays = [rps.pos.astype("<f8").tobytes(),
+              np.where(lanes == sentinel, sentinel, lanes).astype("<f8").tobytes(),
+              rps.virtual.astype(np.uint8).tobytes()]
+    arrays_digest = hashlib.sha256(b"".join(arrays)).hexdigest()
+    header = dict(zip(_LANES_KEYS, [LANES_FORMAT, digest, arrays_digest, len(rps),
+                                    aps_to_list(rmap.aps), rmap.sentinel_dbm, rmap.area_m2]))
+    return [json.dumps(header).encode() + b"\n", *arrays]
 
 
-def _radiomap_from_lanes(path: Path, data: bytes) -> Radiomap | None:
-    """The radiomap in the lanes file beside ``path``, whose bytes are ``data``, or
-    None unless that file is readable, was written with exactly these bytes and
-    passes the checks the radiomap file's parse applies."""
+def _radiomap_from_lanes(path: Path) -> Radiomap | None:
+    """The radiomap in the lanes file beside the radiomap file ``path``, or None
+    unless both files are readable, the lanes file was written with exactly the
+    radiomap file's bytes, its arrays are the ones it was written with, and
+    they pass the checks the radiomap file's parse applies."""
     try:
         blob = lanes_path(path).read_bytes()
         end = blob.index(b"\n")
         header = json.loads(blob[:end])
         if (list(header) != _LANES_KEYS or header["format"] != LANES_FORMAT
-                or header["sha256"] != hashlib.sha256(data).hexdigest()):
+                or header["sha256"] != hashlib.sha256(path.read_bytes()).hexdigest()):
             return None
         n = json_integer(header["n"])
         aps = aps_from_list(header["aps"])
         offsets = list(accumulate([end + 1, 8 * 3 * n, 8 * len(aps) * n, n]))
-        if n < 0 or len(blob) != offsets[-1]:
+        if (n < 0 or len(blob) != offsets[-1] or header["arrays_sha256"]
+                != hashlib.sha256(memoryview(blob)[offsets[0]:]).hexdigest()):
             return None
         pos = np.frombuffer(blob, "<f8", 3 * n, offsets[0]).reshape(n, 3)
         lanes = np.frombuffer(blob, "<f8", len(aps) * n, offsets[1]).reshape(len(aps), n)
@@ -495,7 +497,5 @@ def save_radiomap(rmap: Radiomap, path: str | Path) -> None:
 def load_radiomap(path: str | Path) -> Radiomap:
     """The radiomap in ``path``, read from its lanes file when that file matches
     the radiomap file's bytes, and parsed from the JSON otherwise."""
-    path = Path(path)
-    data = read_bytes(path, "radiomap")
-    rmap = _radiomap_from_lanes(path, data)
-    return rmap if rmap is not None else parse_json(path, "radiomap", data, radiomap_from_dict)
+    rmap = _radiomap_from_lanes(Path(path))
+    return rmap if rmap is not None else read_json(path, "radiomap", radiomap_from_dict)

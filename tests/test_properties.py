@@ -536,7 +536,7 @@ def test_lanes_file_loads_the_parsed_map(tmp_path_factory, rmap):
     path = tmp_path_factory.mktemp("map") / "map.json"
     save_radiomap(rmap, path)
     want = map_bits(radiomap_from_dict(json.loads(path.read_text())))
-    with mock.patch.object(radiomap, "parse_json", side_effect=AssertionError("parsed")):
+    with mock.patch.object(radiomap, "read_json", side_effect=AssertionError("parsed")):
         assert map_bits(load_radiomap(path)) == want  # from the lanes file
     lanes_path(path).unlink()
     assert map_bits(load_radiomap(path)) == want  # from the JSON

@@ -402,7 +402,8 @@ def same_map(a, b):
 
 class TestLanesFile:
     """``load_radiomap`` reads the lanes file beside the radiomap file only when it
-    was written with the radiomap file's bytes; otherwise it parses the JSON."""
+    was written with the radiomap file's bytes and its arrays are the ones it was
+    written with; otherwise it parses the JSON."""
 
     @pytest.fixture
     def counted_parses(self, monkeypatch):
@@ -422,8 +423,10 @@ class TestLanesFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "map.json.lanes"]
         header = lanes_path(path).read_bytes().split(b"\n", 1)[0]
         assert list(json.loads(header)) == [
-            "format", "sha256", "n", "aps", "sentinel_dbm", "area_m2"]
+            "format", "sha256", "arrays_sha256", "n", "aps", "sentinel_dbm", "area_m2"]
         assert json.loads(header)["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        arrays = lanes_path(path).read_bytes()[len(header) + 1:]
+        assert json.loads(header)["arrays_sha256"] == hashlib.sha256(arrays).hexdigest()
         assert same_map(load_radiomap(path), parsed(path))
         assert counted_parses == []
 
@@ -480,6 +483,22 @@ class TestLanesFile:
         assert same_map(load_radiomap(path), rmap)
         assert len(counted_parses) == 1
 
+    @pytest.mark.parametrize("offset", [
+        24 * 3,  # the first RSS entry
+        0,  # the first coordinate
+    ])
+    def test_edited_in_range_value_reads_the_json(self, tmp_path, counted_parses, offset):
+        rmap, _ = two_maps()
+        path = tmp_path / "map.json"
+        save_radiomap(rmap, path)
+        data = bytearray(lanes_path(path).read_bytes())
+        start = data.index(b"\n") + 1 + offset
+        value = np.frombuffer(data, "<f8", 1, start)[0]
+        data[start:start + 8] = np.float64(value - 1.0).tobytes()
+        lanes_path(path).write_bytes(bytes(data))
+        assert same_map(load_radiomap(path), rmap)
+        assert len(counted_parses) == 1
+
     def test_flags_other_than_0_and_1_read_the_json(self, tmp_path, counted_parses):
         rmap, _ = two_maps()
         path = tmp_path / "map.json"
@@ -498,6 +517,7 @@ class TestLanesFile:
         with pytest.raises(InputError, match=message):
             load_radiomap(path)
         header = {"format": radiomap.LANES_FORMAT, "sha256": hashlib.sha256(data).hexdigest(),
+                  "arrays_sha256": hashlib.sha256(b"").hexdigest(),
                   "n": 0, "aps": aps, "sentinel_dbm": 50.0, "area_m2": None}
         lanes_path(path).write_bytes(json.dumps(header).encode() + b"\n")
         with pytest.raises(InputError, match=message):
