@@ -28,10 +28,10 @@ from .evaluation import (
     run_prediction_analysis,
 )
 from .fitting import (
+    NOT_DETECTED_TOKEN,
     FitStrategy,
     MeasurementSet,
     StrategyKind,
-    _csv_prefixes,
     fit,
     load_fit_result,
     load_measurements,
@@ -39,8 +39,8 @@ from .fitting import (
     save_measurements,
 )
 from .floorplan import load_floorplan, save_floorplan
-from .ioutil import csv_rows, read_csv, write_text_atomic
-from .positioning import WknnConfig, k_est_from_counts, locate
+from .ioutil import csv_rows, read_csv
+from .positioning import WknnConfig, locate
 from .propagation import (
     ModelKind,
     load_access_points,
@@ -69,10 +69,12 @@ from .simulator import (
     DV_GRID,
     RHO_GRID,
     NoiseConfig,
+    check_campaign_size,
     grid_rp_positions,
     make_world,
     preset_by_name,
     simulate_campaign,
+    target_measurements,
     template_info,
     template_test_positions,
 )
@@ -153,12 +155,13 @@ def cmd_simulate(args) -> int:
                        custom_file=args.custom_file)
     preset = preset_by_name(args.preset)
     d_real = args.dr if args.dr is not None else template_info(args.template).dr_max
-    try:
+    n_tp = args.tp_count or template_info(args.template).n_test_points
+    try:  # the campaign is counted before any position or scan is allocated
+        check_campaign_size(d_real * world.plan.area, n_tp, len(world.aps), preset)
         rp_positions = grid_rp_positions(world.plan, d_real)
     except ValueError as exc:
-        raise InputError(f"--dr {d_real}: {exc}") from exc
-    tp_positions = template_test_positions(args.template, args.seed, world.plan,
-                                        args.tp_count)
+        raise InputError(f"--dr {d_real} with --tp-count {n_tp}: {exc}") from exc
+    tp_positions = template_test_positions(args.template, args.seed, world.plan, n_tp)
     measurements, test_points = simulate_campaign(world, rp_positions, tp_positions, preset)
 
     out = Path(args.out_dir)
@@ -166,15 +169,8 @@ def cmd_simulate(args) -> int:
     save_floorplan(world.plan, out / "floorplan.json")
     save_access_points(world.aps, out / "aps.json")
     save_measurements(measurements, out / "measurements.csv")
-    # Target fingerprints use the measurement schema; the id column names the TP.
-    # Each AP's "ap_id," is quoted as the survey's is.
-    ap_prefixes = _csv_prefixes([ap.id] for ap in world.aps).tolist()
-    rows = ["rp_id,x,y,z,ap_id,rss_dbm,scan_index"]
-    for i, (position, fingerprint) in enumerate(test_points):
-        head = f"tp{i:03d},{position.x!r},{position.y!r},{position.z!r},"
-        rows += [f"{head}{ap}{'ND' if value == world.sentinel_dbm else repr(value)},0"
-                 for ap, value in zip(ap_prefixes, fingerprint.rss.tolist())]
-    write_text_atomic(out / "testpoints.csv", "\n".join(rows) + "\n")
+    # Target fingerprints use the survey's schema; the id column names the TP.
+    save_measurements(target_measurements(world, test_points), out / "testpoints.csv")
     if args.verbose:
         print(f"wrote world artifacts to {out} "
               f"({len(rp_positions)} RPs, {len(tp_positions)} TPs)")
@@ -242,7 +238,7 @@ def _load_target(path: str | Path, rmap: Radiomap) -> Fingerprint:
                 raise ValueError(f"unknown AP {ap_id!r}")
             if ap_id in values:
                 raise ValueError(f"more than one row for AP {ap_id!r}")
-            values[ap_id] = rmap.sentinel_dbm if rss == "ND" else float(rss)
+            values[ap_id] = rmap.sentinel_dbm if rss == NOT_DETECTED_TOKEN else float(rss)
         return Fingerprint([values.get(ap.id, rmap.sentinel_dbm) for ap in rmap.aps])
 
     return read_csv(path, "target", parse)
@@ -251,18 +247,11 @@ def _load_target(path: str | Path, rmap: Radiomap) -> Fingerprint:
 def cmd_locate(args) -> int:
     rmap = load_radiomap(args.radiomap)
     target = _load_target(args.target, rmap)
-    n = len(rmap)
-    if n == 0:
-        raise InputError(f"{args.radiomap}: radiomap has no reference points")
-    k = args.k if args.k is not None else k_est_from_counts(rmap.n_real, rmap.n_virtual,
-                                                            args.alpha)
-    if k > n:
-        source = "--k" if args.k is not None else f"--alpha {args.alpha}"
-        raise InputError(f"k={k} from {source} exceeds the radiomap's {n} reference points")
-    try:
-        estimate = locate(rmap, target, WknnConfig(k=k, order=args.order))
-    except ValueError as exc:  # every weight 0: the --order overflows the distances
-        raise InputError(str(exc)) from exc
+    cfg = WknnConfig(k=args.k, order=args.order, alpha=args.alpha)
+    try:  # no reference points, k above their count, or every weight 0
+        estimate = locate(rmap, target, cfg)
+    except ValueError as exc:
+        raise InputError(f"{args.radiomap}: {exc}") from exc
     print(json.dumps({
         "x": estimate.position.x,
         "y": estimate.position.y,

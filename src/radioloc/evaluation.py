@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import DegenerateFitError, InsufficientDataError
 from .fitting import FitResult, FitStrategy, MeasurementSet, fit
-from .floorplan import Floorplan, points_xyz
-from .ioutil import (atomic_files, format_json, json_array, json_integer, json_number,
-                     json_object, read_json)
+from .floorplan import Floorplan
+from .ioutil import (_NUMBER_TYPES, atomic_files, format_json, json_array, json_integer,
+                     json_number, json_object, read_json, write_text_atomic)
 from .positioning import _best_k, error_curves, k_est_from_counts
 from .propagation import AccessPoint, LinkTable, ModelKind
 from .radiomap import (
@@ -51,6 +51,7 @@ from .simulator import (
     grid_rp_positions,
     make_world,
     simulate_campaign,
+    target_measurements,
     template_info,
     template_test_positions,
 )
@@ -160,11 +161,11 @@ def build_world(template: str, seed: int, preset: ScenarioPreset | None = None,
     if preset is None:
         preset = ScenarioPreset.controlled()
     measurements, test_points = simulate_campaign(world, rp_positions, tp_positions, preset)
-    tp_rss = np.array([tp.fingerprint.rss for tp in test_points]).reshape(
-        len(test_points), len(world.aps))
+    targets = build_real_fingerprints(target_measurements(world, test_points), world.aps,
+                                      world.sentinel_dbm)
     return (
         EvalWorld(plan=world.plan, aps=world.aps, measurements=measurements,
-                  tp_pos=points_xyz([tp.position for tp in test_points]), tp_rss=tp_rss,
+                  tp_pos=targets.pos, tp_rss=targets.rss,
                   sentinel_dbm=world.sentinel_dbm,
                   detection_floor_dbm=world.detection_floor_dbm, seed=world.seed),
         world,
@@ -232,8 +233,7 @@ class PositioningReport:
         return _find_cell(self.cells, d_real, d_virtual)
 
 
-def _find_cell(cells: list[PositioningCell], d_real: float,
-               d_virtual: float) -> PositioningCell:
+def _find_cell(cells: list, d_real: float, d_virtual: float):
     """The first of ``cells`` at (d_real, d_virtual); KeyError if none is."""
     for c in cells:
         if c.d_real == d_real and c.d_virtual == d_virtual:
@@ -256,10 +256,7 @@ class GainReport:
     cells: list[GainCell] = field(default_factory=list)
 
     def gain(self, d_real: float, d_virtual: float) -> float:
-        for c in self.cells:
-            if c.d_real == d_real and c.d_virtual == d_virtual:
-                return c.gain
-        raise KeyError(f"no gain cell for d_real={d_real}, d_virtual={d_virtual}")
+        return _find_cell(self.cells, d_real, d_virtual).gain
 
 
 @dataclass
@@ -635,7 +632,6 @@ _REPR_COLUMNS = frozenset({"rho", "mean_delta_db", "d_real", "d_virtual", "gain"
 _PER_K = ("mean_error_by_k", "p25_by_k", "p50_by_k", "p75_by_k", "min_by_k", "max_by_k")
 # json's spelling of the floats whose repr is not JSON.
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_NUMBER_TYPES = {float, int}
 # JSON indentation of a cell (document > "cells" > cell) and of its fields.
 _CELL_PAD = " " * 4
 _FIELD_PAD = " " * 6
@@ -710,14 +706,11 @@ class _Numbers:
 class _CellRenderer:
     """Renders each cell of one report as its CSV rows and its JSON object.
 
-    The two share every number's text. A format that is not wanted is not
-    rendered, and its text is None.
+    The two share every number's text.
     """
 
-    def __init__(self, report, kind: str, csv_wanted: bool, json_wanted: bool):
+    def __init__(self, report, kind: str):
         self.kind = kind
-        self.csv_wanted = csv_wanted
-        self.json_wanted = json_wanted
         self.fractions: dict[int, list[str]] = {}
         if kind == "positioning":
             self.render = self._positioning
@@ -735,7 +728,7 @@ class _CellRenderer:
                  for name in cell.__dataclass_fields__]
         return json_object(items + extra, _CELL_PAD)
 
-    def _one_row(self, cell) -> tuple[str | None, str | None]:
+    def _one_row(self, cell) -> tuple[str, str]:
         texts: dict[str, str] = {}
         row = []
         for name in _CSV_COLUMNS[self.kind]:
@@ -743,7 +736,7 @@ class _CellRenderer:
                                              repr if name in _REPR_COLUMNS else _same)
             row.append(csv_value)
         extra = []
-        if self.kind == "prediction" and self.json_wanted:
+        if self.kind == "prediction":
             pad = _FIELD_PAD + "  "
             deltas = {ap: _Numbers(d) for ap, d in cell.per_ap_deltas.items()}
             texts["per_ap_deltas"] = json_object(
@@ -752,19 +745,14 @@ class _CellRenderer:
                 extra.append(("per_ap_cdf", json_object(
                     [(ap, d.cdf_json_at(pad, self.fractions)) for ap, d in deltas.items()],
                     _FIELD_PAD)))
-        return (_csv_text([row]) if self.csv_wanted else None,
-                self._json(cell, texts, extra) if self.json_wanted else None)
+        return _csv_text([row]), self._json(cell, texts, extra)
 
-    def _positioning(self, cell: PositioningCell) -> tuple[str | None, str | None]:
+    def _positioning(self, cell: PositioningCell) -> tuple[str, str]:
         d_real, d_real_json = _scalar(cell.d_real)
         d_virtual, d_virtual_json = _scalar(cell.d_virtual)
         ks = _Numbers(cell.k_values)
         columns = [_Numbers(getattr(cell, name)) for name in _PER_K]
-        rows = None
-        if self.csv_wanted:
-            rows = "" if cell.error else self._rows(cell, d_real, d_virtual, ks, columns)
-        if not self.json_wanted:
-            return rows, None
+        rows = "" if cell.error else self._rows(cell, d_real, d_virtual, ks, columns)
         errors = _Numbers(cell.errors_at_k_opt)
         texts = {"d_real": d_real_json, "d_virtual": d_virtual_json,
                  "k_values": ks.json_at(_FIELD_PAD),
@@ -803,9 +791,8 @@ def _report_kind(report) -> str:
     raise TypeError(f"unknown report type {type(report).__name__}")
 
 
-def _render(report, csv_out: TextIO | None, json_out: TextIO | None) -> None:
-    """Write ``report`` as CSV to ``csv_out`` and as JSON to ``json_out``, cell by
-    cell; an output that is None is not rendered.
+def _render(report, csv_out: TextIO, json_out: TextIO) -> None:
+    """Write ``report`` as CSV to ``csv_out`` and as JSON to ``json_out``, cell by cell.
 
     The CSV is what ``csv.writer`` writes for one row per cell, or per (cell,
     k) in a positioning report, with floats as ``repr``. The JSON is
@@ -815,33 +802,31 @@ def _render(report, csv_out: TextIO | None, json_out: TextIO | None) -> None:
     exact float or int is converted to text once for both files.
     """
     kind = _report_kind(report)
-    renderer = _CellRenderer(report, kind, csv_out is not None, json_out is not None)
-    if csv_out is not None:
-        csv_out.write(",".join(_CSV_COLUMNS[kind]) + "\r\n")
-    if json_out is not None:
-        # Every report dataclass declares its cells last.
-        json_out.write("{\n" + "".join(
-            f"  {format_json(name)}: {format_json(getattr(report, name), '  ')},\n"
-            for name in report.__dataclass_fields__ if name != "cells") + '  "cells": [')
+    renderer = _CellRenderer(report, kind)
+    csv_out.write(",".join(_CSV_COLUMNS[kind]) + "\r\n")
+    # Every report dataclass declares its cells last.
+    json_out.write("{\n" + "".join(
+        f"  {format_json(name)}: {format_json(getattr(report, name), '  ')},\n"
+        for name in report.__dataclass_fields__ if name != "cells") + '  "cells": [')
     separator = "\n" + _CELL_PAD
     for cell in report.cells:
         rows, cell_json = renderer.render(cell)
-        if csv_out is not None:
-            csv_out.write(rows)
-        if json_out is not None:
-            json_out.write(separator + cell_json)
-            separator = ",\n" + _CELL_PAD
-    if json_out is not None:
-        end = "\n  ]" if report.cells else "]"
-        json_out.write(f'{end},\n  "type": {format_json(kind)}\n}}\n')
+        csv_out.write(rows)
+        json_out.write(separator + cell_json)
+        separator = ",\n" + _CELL_PAD
+    end = "\n  ]" if report.cells else "]"
+    json_out.write(f'{end},\n  "type": {format_json(kind)}\n}}\n')
 
 
 def emit_report(report, path: str | Path, fmt: str = "json") -> None:
-    """Write a report to disk as CSV (one row per sweep cell) or JSON."""
+    """Write a report to disk as CSV (one row per sweep cell) or JSON. Both texts
+    are rendered, as in ``emit_report_pair``, so a report that one format cannot
+    hold is refused in either."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    with atomic_files(path) as (out,):
-        _render(report, out if fmt == "csv" else None, out if fmt == "json" else None)
+    texts = {"csv": io.StringIO(), "json": io.StringIO()}
+    _render(report, texts["csv"], texts["json"])
+    write_text_atomic(path, texts[fmt].getvalue())
 
 
 def emit_report_pair(report, csv_path: str | Path, json_path: str | Path) -> None:

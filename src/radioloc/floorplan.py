@@ -231,13 +231,6 @@ def _check_in_bounds(plan: Floorplan, p: Point3, name: str) -> None:
         raise GeometryError(f"{name} ({p.x}, {p.y}) lies outside the floorplan bounds")
 
 
-def _receivers(rx_xyz) -> np.ndarray:
-    pts = np.asarray(rx_xyz, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("rx_xyz must have shape (n, 3)")
-    return pts
-
-
 def _crossings(plan: Floorplan, tx: Point3, pts: np.ndarray, with_flags: bool,
                ) -> tuple[dict[ObstacleFamily, np.ndarray], np.ndarray | None]:
     """The candidate-pair search: per-family crossing counts of the links from
@@ -390,7 +383,7 @@ def crossing_flags_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.
     the candidate-pair search that crossing_counts_batch bins, scattered into
     a matrix that the counts path never builds.
     """
-    return _crossings(plan, tx, _receivers(rx_xyz), with_flags=True)[1]
+    return _crossings(plan, tx, points_xyz(rx_xyz), with_flags=True)[1]
 
 
 def floors_crossed_batch(plan: Floorplan, tx: Point3, rx_xyz: np.ndarray) -> np.ndarray:
@@ -417,7 +410,7 @@ def crossing_counts_batch(
     pairs of an angular sweep around tx, so the cost is an O(n log n) sort
     plus the candidate pairs, and the result takes n x n_families integers.
     """
-    pts = _receivers(rx_xyz)
+    pts = points_xyz(rx_xyz)
     return _crossings(plan, tx, pts, with_flags=False)[0], floors_crossed_batch(plan, tx, pts)
 
 

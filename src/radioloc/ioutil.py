@@ -5,10 +5,10 @@ file, decodes it and hands the document to a parser, and maps every failure
 along the way to one ``InputError`` that names the file. A CSV parser gets
 the file's text and splits it into rows with ``csv_rows``. The parsers of the
 JSON inputs read numbers through ``json_number``, ``json_numbers`` or
-``json_integer``, which reject ``true`` and ``false``. Every output file is
-written through ``atomic_files``, which streams chunks (text, or bytes) into
-temp files and renames them into place only when all of them are written;
-``write_text_atomic`` writes one whole text through it. The evaluation
+``json_integer``, which reject ``true``, ``false`` and strings. Every output
+file is written through ``atomic_files``, which streams chunks (text, or
+bytes) into temp files and renames them into place only when all of them are
+written; ``write_text_atomic`` writes one whole text through it. The evaluation
 reports, mostly long lists of numbers, are laid out as ``json.dumps(doc,
 indent=2)`` lays them out by ``format_json`` and, for item texts rendered by
 the caller, ``json_array`` and ``json_object``.
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import secrets
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -89,19 +90,26 @@ def read_csv(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
 
 def json_number(value) -> float:
     """``float(value)`` of a number read from JSON; TypeError for ``true`` and
-    ``false``, which ``json`` reads as bools and ``float()`` as 1.0 and 0.0."""
-    if isinstance(value, bool):
+    ``false``, which ``json`` reads as bools and ``float()`` as 1.0 and 0.0, and
+    for a string, which ``float()`` would parse."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {_encode(value)}")
     return float(value)
 
 
-def json_numbers(values: Iterable, count: int, entry: Callable[[int], object]) -> np.ndarray:
-    """``json_number`` of each of the ``count`` ``values``, as one float array;
-    ``entry(i)`` gives the i-th value again. Only a value read as 0 or 1 can
-    have been a bool, so only those are looked up and checked."""
-    array = np.fromiter(values, float, count)
+def json_numbers(values: Sequence) -> np.ndarray:
+    """``json_number`` of each of ``values``, as one float array. ``sum`` raises
+    TypeError at a value that is neither a number nor a bool, a string say, and
+    only then is each value checked; of the numbers, only a value read as 0 or
+    1 can have been a bool, so only those are checked."""
+    try:
+        sum(values)
+    except TypeError:
+        for value in values:
+            json_number(value)
+    array = np.fromiter(values, float, len(values))
     for i in np.flatnonzero((array == 0.0) | (array == 1.0)).tolist():
-        json_number(entry(i))
+        json_number(values[i])
     return array
 
 
@@ -120,10 +128,13 @@ def atomic_files(*paths: str | Path, binary: bool = False) -> Iterator[list[IO]]
     for text, or for bytes when ``binary``.
 
     When the block ends normally, every file is closed, and only then is each
-    renamed onto its path. When it raises, every temp file is removed and no
-    path is replaced. The temp files are created with mode 0o666 less the
-    umask, as ``open`` would create the paths themselves; the rename keeps that
-    mode.
+    renamed onto its path, in order. When the block raises, or a path is a
+    directory (IsADirectoryError, checked before the first rename; a symlink
+    is replaced, not followed), every temp file is removed and no path is
+    replaced. The renames are one at a time, so when one fails for another
+    reason, the paths before it are already replaced. The temp files are
+    created with mode 0o666 less the umask, as ``open`` would create the
+    paths themselves; the rename keeps that mode.
     """
     tmps: list[Path] = []
     files: list[IO] = []
@@ -136,6 +147,9 @@ def atomic_files(*paths: str | Path, binary: bool = False) -> Iterator[list[IO]]
         yield files
         for fh in files:
             fh.close()
+        for path in paths:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     except BaseException:
@@ -194,17 +208,21 @@ def json_array(texts: Sequence[str], pad: str) -> str:
     it out at ``pad``: each item's own lines must be indented for ``pad + "  "``."""
     if not texts:
         return "[]"
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+    inner = "\n" + pad + "  "
+    return "".join(["[", inner, ("," + inner).join(texts), "\n", pad, "]"])
 
 
 def json_object(items: Sequence[tuple[str, str]], pad: str) -> str:
-    """A JSON object of (str key, value text) items, laid out as ``json_array``."""
+    """A JSON object of (str key, value text) items, laid out as ``json_array``, in
+    one join of keys, texts and separators: a long text, say a radiomap's points,
+    is copied once."""
     if not items:
         return "{}"
-    inner = pad + "  "
-    return ("{\n" + inner + (",\n" + inner).join(f"{_key(key)}: {text}" for key, text in items)
-            + "\n" + pad + "}")
+    inner = "\n" + pad + "  "
+    parts = ["," + inner] * (3 * len(items) - 1)
+    parts[0::3] = [_key(key) + ": " for key, _ in items]
+    parts[1::3] = [text for _, text in items]
+    return "".join(["{", inner, *parts, "\n", pad, "}"])
 
 
 def _key(key) -> str:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .fitting import FitResult, MeasurementSet
 from .floorplan import Floorplan, lattice_positions, points_xyz
-from .ioutil import atomic_files, json_integer, json_number, json_numbers, read_json
+from .ioutil import (_MALFORMED, atomic_files, format_json, json_array, json_integer,
+                     json_number, json_numbers, json_object, read_json)
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -350,17 +351,13 @@ def generate_virtual_fingerprints(
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _indent(text: str) -> str:
-    """A nested value's ``json.dumps(..., indent=2)`` text one level deeper."""
-    return text.replace("\n", "\n  ")
-
-
 def radiomap_to_json(rmap: Radiomap) -> str:
     """The radiomap document, byte-identical to ``json.dumps(doc, indent=2)``.
 
     The reference points are formatted straight from the arrays, one column at
     a time: each AP's values, and each distinct coordinate bit pattern, get one
-    ``repr``. The small remaining fields go through ``json``. Not-detected
+    ``repr``. The small remaining fields, and the layout, go through
+    ``ioutil.format_json``, ``json_array`` and ``json_object``. Not-detected
     entries become null.
     """
     sentinel = rmap.sentinel_dbm
@@ -373,19 +370,16 @@ def radiomap_to_json(rmap: Radiomap) -> str:
                for column in rps.rss.T.tolist()]
     rss = map(",\n        ".join, zip(*columns))  # a Radiomap has at least one AP
     virtual, real = RpKind.VIRTUAL.value, RpKind.REAL.value
-    items = [f'    {{\n      "x": {x},\n      "y": {y},\n      "z": {z},\n'
+    items = [f'{{\n      "x": {x},\n      "y": {y},\n      "z": {z},\n'
              f'      "kind": "{virtual if v else real}",\n'
              f'      "rss": [\n        {values}\n      ]\n    }}'
              for x, y, z, v, values in zip(coords[0::3], coords[1::3], coords[2::3],
                                            rps.virtual.tolist(), rss)]
-    fields = [
-        ("aps", _indent(json.dumps(aps_to_list(rmap.aps), indent=2))),
-        ("sentinel_dbm", json.dumps(sentinel)),
-        ("rps", "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"),
-    ]
+    fields = [("aps", format_json(aps_to_list(rmap.aps), "  ")),
+              ("sentinel_dbm", format_json(sentinel)), ("rps", json_array(items, "  "))]
     if rmap.area_m2 is not None:
-        fields.append(("area_m2", json.dumps(rmap.area_m2)))
-    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}"
+        fields.append(("area_m2", format_json(rmap.area_m2)))
+    return json_object(fields, "")
 
 
 def radiomap_from_dict(doc: dict) -> Radiomap:
@@ -403,10 +397,8 @@ def radiomap_from_dict(doc: dict) -> Radiomap:
         rows = [item["rss"] for item in items]
         if set(map(len, rows)) != {len(aps)}:
             raise ValueError("fingerprint length must equal the number of APs")
-        flat = [sentinel if v is None else v for v in chain.from_iterable(rows)]
-        rss = json_numbers(flat, len(flat), flat.__getitem__)
-        pos = json_numbers(chain.from_iterable(map(itemgetter("x", "y", "z"), items)),
-                           3 * len(items), lambda i: items[i // 3]["xyz"[i % 3]])
+        rss = json_numbers([sentinel if v is None else v for v in chain.from_iterable(rows)])
+        pos = json_numbers(list(chain.from_iterable(map(itemgetter("x", "y", "z"), items))))
         rps = RpArrays(pos.reshape(-1, 3), rss.reshape(len(rows), -1),
                        [kind == virtual for kind in kinds])
     area = doc.get("area_m2")
@@ -473,8 +465,7 @@ def _radiomap_from_lanes(path: Path) -> Radiomap | None:
         area = header["area_m2"]
         return Radiomap(aps, RpArrays(pos, lanes.T, flags), sentinel_dbm=json_number(
             header["sentinel_dbm"]), area_m2=None if area is None else json_number(area))
-    except (OSError, RecursionError, AttributeError, KeyError, TypeError, ValueError,
-            OverflowError):
+    except (OSError, RecursionError, *_MALFORMED):
         return None
 
 

@@ -65,6 +65,11 @@ DV_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 ALPHA_RANGE = (0.01, 0.25)
 ALPHA_STEP = 0.01
 
+# The most scans one campaign draws, survey and targets together. simulate
+# takes about 320 bytes of memory and 70 bytes of survey file a scan, so about
+# 3 GB at the cap; a built-in template's default campaign draws under 50,000.
+MAX_CAMPAIGN_SCANS = 10_000_000
+
 # Random Fourier features per residual field.
 _FIELD_FEATURES = 64
 
@@ -446,6 +451,15 @@ def _true_rss_matrix(world: WorldSpec, positions: np.ndarray) -> np.ndarray:
     return np.column_stack(columns)
 
 
+def check_campaign_size(n_rp: float, n_tp: int, n_aps: int, preset: ScenarioPreset) -> None:
+    """ValueError unless a campaign of ``n_rp`` survey points (or the density times
+    the area) and ``n_tp`` targets draws at most MAX_CAMPAIGN_SCANS scans."""
+    scans = (n_rp * preset.q + n_tp * preset.tp_scans) * n_aps
+    if not scans <= MAX_CAMPAIGN_SCANS:
+        raise ValueError(f"the campaign would draw {scans:,.0f} scans, more than "
+                         f"{MAX_CAMPAIGN_SCANS:,}")
+
+
 def grid_rp_positions(plan: Floorplan, d_real: float) -> list[Point3]:
     """Regular survey lattice realizing round(d_real * area) reference points."""
     if d_real <= 0:
@@ -537,16 +551,8 @@ def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
     shadow = (rp_rng.normal(0.0, sigma, size=(n_rp, n_ap, preset.q)) if sigma > 0
               else np.zeros((n_rp, n_ap, preset.q)))
     scans_rp = np.minimum(base_rp[:, :, None] + slow_rp[:, :, None] + shadow + rp_bias, 0.0)
-
-    # Rows run over (point, AP, scan), scan fastest.
-    rss = scans_rp.reshape(-1)
-    per_point = n_ap * preset.q
-    measurements = MeasurementSet(
-        [f"rp{i:03d}" for i in range(n_rp)], rp_xyz, [ap.id for ap in world.aps],
-        rp_index=np.repeat(np.arange(n_rp), per_point),
-        ap_index=np.tile(np.repeat(np.arange(n_ap), preset.q), n_rp),
-        rss=rss, detected=rss >= world.detection_floor_dbm,
-        scan=np.tile(np.arange(preset.q), n_rp * n_ap))
+    measurements = _survey("rp", rp_xyz, world.aps, scans_rp,
+                           scans_rp >= world.detection_floor_dbm)
 
     test_points = []
     if n_tp:
@@ -562,3 +568,25 @@ def simulate_campaign(world: WorldSpec, rp_positions: list[Point3],
                        for position, row in zip(tp_positions, means)]
 
     return measurements, test_points
+
+
+def _survey(prefix: str, xyz: np.ndarray, aps: list[AccessPoint], scans: np.ndarray,
+            detected: np.ndarray) -> MeasurementSet:
+    """The (point, AP, scan) array ``scans``, taken at ``xyz``, as a survey whose
+    rows run over (point, AP, scan), scan fastest; points are named ``prefix``
+    plus 000, 001, ..."""
+    n, n_ap, q = scans.shape
+    return MeasurementSet(
+        [f"{prefix}{i:03d}" for i in range(n)], xyz, [ap.id for ap in aps],
+        rp_index=np.repeat(np.arange(n), n_ap * q),
+        ap_index=np.tile(np.repeat(np.arange(n_ap), q), n), rss=scans.reshape(-1),
+        detected=detected.reshape(-1), scan=np.tile(np.arange(q), n * n_ap))
+
+
+def target_measurements(world: WorldSpec, test_points: list[TestPoint]) -> MeasurementSet:
+    """The targets as a survey of one scan (index 0) per target ``tp000``, ``tp001``,
+    ... and AP, not detected at the world's sentinel; ``build_real_fingerprints``
+    of it at that sentinel gives the targets back."""
+    rss = np.array([tp.fingerprint.rss for tp in test_points])[:, :, None]
+    return _survey("tp", points_xyz([tp.position for tp in test_points]), world.aps, rss,
+                   rss != world.sentinel_dbm)

@@ -5,16 +5,19 @@ import os
 import stat
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import radioloc.cli as cli
 import radioloc.radiomap as radiomap
+import radioloc.simulator as simulator
 from radioloc import evaluation
 from radioloc.cli import build_parser, main
 from radioloc.fitting import StrategyKind, load_fit_result, load_measurements
 from radioloc.floorplan import Point3, load_floorplan
 from radioloc.propagation import LinkTable
-from radioloc.radiomap import lanes_path, load_radiomap, place_virtual_rps, radiomap_from_dict
+from radioloc.radiomap import (build_real_fingerprints, lanes_path, load_radiomap,
+                               place_virtual_rps, radiomap_from_dict)
 from radioloc.simulator import ALPHA_RANGE, ALPHA_STEP, DV_GRID, RHO_GRID
 
 from helpers import CUSTOM_WORLD, count_crossing_calls, measurement_set
@@ -113,6 +116,30 @@ class TestSimulate:
             assert load_measurements(out / name).ap_ids() == ["ap,1"]
         assert main(["evaluate", "--world-dir", str(out), "--out-dir", str(tmp_path / "r"),
                      "--rho-grid", "1", "--dv-grid", "1"]) == 0
+
+    @pytest.mark.parametrize("template", ["spinv_like", "twist_like"])
+    def test_testpoints_file_holds_the_campaign_targets(self, tmp_path, monkeypatch, template):
+        campaigns = []
+
+        def recorded(world, *args):
+            result = simulator.simulate_campaign(world, *args)
+            campaigns.append((world, result[1]))
+            return result
+
+        monkeypatch.setattr(cli, "simulate_campaign", recorded)
+        out = tmp_path / "world"
+        assert main(["simulate", "--template", template, "--seed", "5",
+                     "--out-dir", str(out)]) == 0
+        (world, targets), = campaigns
+        tps = build_real_fingerprints(load_measurements(out / "testpoints.csv"), world.aps,
+                                      world.sentinel_dbm)
+        assert tps.rss.tobytes() == np.array([tp.fingerprint.rss for tp in targets]).tobytes()
+        assert tps.pos.tobytes() == np.array(
+            [[tp.position.x, tp.position.y, tp.position.z] for tp in targets]).tobytes()
+        # save_measurements writes it: the survey's header and CRLF line ends.
+        text = (out / "testpoints.csv").read_bytes()
+        assert text.startswith(b"rp_id,x,y,z,ap_id,rss_dbm,scan_index\r\n")
+        assert text.count(b"\n") == text.count(b"\r\n") == len(targets) * len(world.aps) + 1
 
 
 class TestFit:
@@ -369,7 +396,17 @@ class TestInputErrorsExit2:
         code = exit_code(["locate", "--radiomap", str(map_file),
                           "--target", str(target), "--k", str(n + 1)])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {map_file}: k={n + 1} exceeds the number of reference points ({n})\n")
+
+    def test_locate_empty_map_names_the_map(self, map_file, tmp_path, capsys):
+        empty = tmp_path / "map.json"
+        empty.write_text(json.dumps({**json.loads(map_file.read_text()), "rps": []}))
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-55.0\n")
+        code = exit_code(["locate", "--radiomap", str(empty), "--target", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {empty}: radiomap has no reference points\n"
 
     def test_locate_order_overflowing_every_distance(self, map_file, tmp_path, capsys):
         target = tmp_path / "target.csv"
@@ -589,7 +626,9 @@ class TestInputErrorsExit2:
     @pytest.mark.parametrize("name, edit", [
         ("aps.json", lambda doc: doc[0].update(x=True)),
         ("floorplan.json", lambda doc: doc["bounds"].update(min_x=False)),
-    ], ids=["ap-x-true", "bounds-false"])
+        # float() would parse it; a number in quotes is still a string.
+        ("floorplan.json", lambda doc: doc["bounds"].update(max_x="10.5")),
+    ], ids=["ap-x-true", "bounds-false", "bounds-string"])
     def test_fit_boolean_number(self, world_dir, tmp_path, capsys, name, edit):
         world = tmp_path / "world"
         world.mkdir()
@@ -629,6 +668,20 @@ class TestInputErrorsExit2:
         assert capsys.readouterr().err == f"error: malformed fit result file {bad}: {message}\n"
         assert not out.exists()
 
+    def test_locate_radiomap_of_string_rss(self, map_file, tmp_path, capsys):
+        doc = json.loads(map_file.read_text())
+        doc["rps"][0]["rss"][0] = "-50.5"  # float() would parse it
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))
+        assert not lanes_path(bad).exists()  # the JSON is parsed
+        target = tmp_path / "target.csv"
+        target.write_text("ap_id,rss_dbm\nap01,-1.0\n")
+        code = exit_code(["locate", "--radiomap", str(bad), "--target", str(target),
+                          "--k", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f'error: malformed radiomap file {bad}: expected a number, got "-50.5"\n')
+
     def test_locate_radiomap_of_false_rss(self, map_file, tmp_path, capsys):
         doc = json.loads(map_file.read_text())
         doc["rps"][0]["rss"] = [False] * len(doc["aps"])
@@ -641,6 +694,19 @@ class TestInputErrorsExit2:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: malformed radiomap file {bad}: expected a number, got false\n")
+
+    def test_simulate_over_the_scan_cap(self, tmp_path, capsys, monkeypatch):
+        # A campaign of the default twist_like grid draws 41 * 4 * 50 + 80 * 4 * 50
+        # scans; under a lower cap it is refused before anything is drawn.
+        monkeypatch.setattr(simulator, "MAX_CAMPAIGN_SCANS", 24_199)
+        monkeypatch.setattr(cli, "simulate_campaign", None)
+        out = tmp_path / "out"
+        assert exit_code(["simulate", "--template", "twist_like", "--dr", "0.09111111111111111",
+                          "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --dr 0.09111111111111111 with --tp-count 80: the campaign would draw "
+            "24,200 scans, more than 24,199\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["--dr", "--tp-count"])
     def test_custom_template_needs_dr_and_tp_count(self, tmp_path, capsys, missing):

@@ -453,9 +453,11 @@ class TestReportWriters:
         ("prediction", lambda cell: cell.update(per_ap_mean_db={"ap01": True}),
          "expected a number, got true"),
         ("prediction", lambda cell: cell.update(per_ap_deltas={"ap01": [0.5, "x"]}),
-         "could not convert string to float"),
+         'expected a number, got "x"'),
+        # float() would parse it; a number in quotes is still a string.
+        ("gain", lambda cell: cell.update(gain="1.5"), 'expected a number, got "1.5"'),
     ], ids=["gain-and-k_cell", "gain", "alpha", "k_values", "p50_by_k", "per_ap_mean_db",
-            "per_ap_deltas"])
+            "per_ap_deltas", "gain-string"])
     def test_load_rejects_a_numeric_field_of_the_wrong_type(self, tmp_path, name, edit,
                                                             message):
         path = tmp_path / f"{name}.json"
@@ -500,6 +502,27 @@ class TestReportWriters:
             emit_report_pair(report, csv_path, json_path)
         assert (csv_path.read_text(), json_path.read_text()) == ("old csv", "old json")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gain.csv", "gain.json"]
+
+    def test_directory_target_replaces_neither_file(self, tmp_path):
+        # The renames are one at a time: a directory in the pair is refused
+        # before the first one, so the CSV beside it keeps its old bytes.
+        csv_path, json_path = tmp_path / "gain.csv", tmp_path / "gain.json"
+        csv_path.write_text("old csv")
+        json_path.mkdir()
+        with pytest.raises(IsADirectoryError, match=re.escape(str(json_path))):
+            emit_report_pair(hand_built_reports()["gain"], csv_path, json_path)
+        assert csv_path.read_text() == "old csv" and json_path.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gain.csv", "gain.json"]
+
+    def test_symlink_to_a_directory_is_replaced(self, tmp_path):
+        # A rename replaces the link itself, so the check does not follow it.
+        csv_path, json_path = tmp_path / "gain.csv", tmp_path / "gain.json"
+        (tmp_path / "d").mkdir()
+        json_path.symlink_to("d")
+        emit_report_pair(hand_built_reports()["gain"], csv_path, json_path)
+        assert json_path.is_file() and not json_path.is_symlink()
+        assert repr(load_report(json_path)) == repr(hand_built_reports()["gain"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "gain.csv", "gain.json"]
 
     def test_sweep_reports_match_reference(self, noisy_world, tmp_path):
         world, _ = noisy_world

@@ -253,6 +253,7 @@ def survey_sets(draw):
                | st.sampled_from([-2**63, 2**63 - 1])))
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(survey_sets())
 def test_survey_csv_matches_csv_writer(tmp_path_factory, meas):
@@ -289,6 +290,7 @@ def target_scans(draw):
     return np.where(detected, above, below), floor
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(target_scans())
 def test_target_fingerprints_match_per_target_loop(case):
@@ -300,6 +302,7 @@ def test_target_fingerprints_match_per_target_loop(case):
         [[v.hex() for v in row] for row in expected]
 
 
+@pytest.mark.exactness
 @pytest.mark.parametrize("preset", ["controlled", "crowdsourcing"])
 def test_simulated_targets_match_per_target_loop(monkeypatch, preset):
     world = simulator.make_world("spinv_like", 5)
@@ -504,6 +507,7 @@ def plain_document(rmap):
     return doc
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(radiomaps())
 def test_radiomap_json_round_trip(tmp_path_factory, rmap):
@@ -530,6 +534,7 @@ def map_bits(rmap):
 lanes_sentinels = st.sampled_from([NOT_DETECTED_DBM, 0.0, -0.0, -120.0]) | dbm
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(radiomaps(lanes_sentinels))
 def test_lanes_file_loads_the_parsed_map(tmp_path_factory, rmap):
@@ -640,6 +645,7 @@ def _reference_outcome(report, fmt):
         return type(exc)
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(reports)
 def test_report_pair_equals_reference_writer(report):
@@ -658,11 +664,12 @@ def test_report_pair_equals_reference_writer(report):
             else:
                 assert written_report_pair(report, directory) == (expected["csv"],
                                                                    expected["json"])
-            for fmt, want in expected.items():  # the one-file form
+            for fmt, want in expected.items():  # the one-file form renders both too
                 path = directory / f"one.{fmt}"
-                if isinstance(want, type):
-                    with pytest.raises(want):
+                if failures:
+                    with pytest.raises(tuple(failures)):
                         emit_report(report, path, fmt=fmt)
+                    assert not path.exists()
                 else:
                     emit_report(report, path, fmt=fmt)
                     assert path.read_bytes().decode() == want
@@ -685,6 +692,7 @@ def column_samples(draw):
     return rng.choice(np.array([zero, *levels]), (t, k))
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(column_samples())
 def test_column_stats_equal_numpy_bit_for_bit(curves):
@@ -712,6 +720,7 @@ def box_samples(draw):
     return rng.choice(np.array(levels), n).tolist()
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(box_samples())
 def test_boxplot_stats_equal_percentile_form(values):
@@ -725,6 +734,7 @@ def test_boxplot_stats_equal_percentile_form(values):
         k: np.array(v).tobytes() for k, v in want.items()}
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(st.integers(1, 12).flatmap(lambda n_aps: rp_arrays(n_aps, RpKind.REAL)), st.data())
 def test_rp_arrays_keep_ap_lanes(rps, data):
@@ -829,6 +839,7 @@ def test_crossing_flags_match_per_obstacle_loop(n, scene):
 
 # Counts summed over chunks of one candidate pair, of a few, and of the
 # default size, on plans of one to three stories.
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(st.integers(0, 200), st.sampled_from([1, 3, CROSSING_BLOCK]),
        st.integers(0, 12).flatmap(obstacle_scenes))
@@ -1099,6 +1110,7 @@ def dense_map(rss, positions):
     return Radiomap(aps, RpArrays(positions, rss, np.zeros(len(rss), dtype=bool)))
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(wknn_cases())
 def test_locate_and_locate_many_match_per_target_loop(case):
@@ -1122,6 +1134,7 @@ def batch_and_loop(rmap, targets, cfg):
             *(locate(rmap, Fingerprint(t), cfg) for t in targets)]
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(wknn_cases())
 def test_estimate_arrays_are_read_only_and_neighbors_match_them(case):
@@ -1152,6 +1165,7 @@ estimate_fields = st.tuples(
                  min_size=k, max_size=k))))
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(estimate_fields, estimate_fields)
 def test_estimates_equal_exactly_when_their_fields_do(a, b):
@@ -1164,6 +1178,7 @@ def test_estimates_equal_exactly_when_their_fields_do(a, b):
     assert ea != (pa, ia, sa)
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
 def test_locate_many_across_row_blocks_matches_locate(n_aps, per_block, seed, data):
@@ -1195,6 +1210,7 @@ def in_layout(rss, layout):
     return wide[::2, ::3]
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(wknn_cases(), st.sampled_from(["C", "F", "strided"]))
 def test_error_curves_match_per_target_loop(case, layout):
@@ -1301,6 +1317,7 @@ def ranking_blocks(draw):
         return np.array([ranking_row(kind, n, k, rng) for kind in kinds]) ** order, k, order
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(ranking_blocks())
 def test_top_k_matches_per_row_lexsort(case):
@@ -1390,6 +1407,7 @@ def window_blocks(draw):
     return np.array([window_row(kind, n, k, order, rng) for kind in kinds]), k, order
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(window_blocks())
 def test_top_k_window_holds_every_ranked_entry(case):
@@ -1584,6 +1602,7 @@ def table_bits(table, model, params):
             [(key, arr.tolist()) for key, arr in counts.items()], predicted)
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(fit_worlds(), st.sampled_from(ModelKind), st.booleans(), st.data())
 def test_take_equals_table_of_the_points(world, model, counted_first, data):
@@ -1622,6 +1641,7 @@ def test_take_equals_table_of_the_points(world, model, counted_first, data):
         assert calls == ([len(positions)] if mwmf else [])
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(fit_worlds(), st.sampled_from(ModelKind), st.sampled_from(StrategyKind), st.data())
 def test_prefix_fit_on_taken_links_matches_fit_of_subset(world, model, kind, data):
@@ -1670,6 +1690,7 @@ def test_prefix_fit_on_taken_links_matches_fit_of_subset(world, model, kind, dat
     assert len(set(calls)) == len(calls) <= len(fit_aps)
 
 
+@pytest.mark.exactness
 @EXACT_SETTINGS
 @given(fit_worlds(), st.sampled_from(ModelKind), st.sampled_from(StrategyKind), st.data())
 def test_design_reads_link_tables(world, model, kind, data):

@@ -352,7 +352,14 @@ class TestApLanes:
         (lambda doc: doc["rps"][1].update(x=True), "got true"),
         (lambda doc: doc.update(area_m2=True), "got true"),
         (lambda doc: doc.update(sentinel_dbm=False), "got false"),
-    ], ids=["rss", "position", "area", "sentinel"])
+        # Strings that float() would parse are not numbers either.
+        (lambda doc: doc["rps"][0].update(rss=["-50.5", -1.0]), 'got "-50.5"'),
+        (lambda doc: doc["rps"][1].update(rss=[-50.0, "1"]), 'got "1"'),
+        (lambda doc: doc["rps"][1].update(z="1.2"), 'got "1.2"'),
+        (lambda doc: doc.update(area_m2="1"), 'got "1"'),
+        (lambda doc: doc.update(sentinel_dbm="-100"), 'got "-100"'),
+    ], ids=["rss", "position", "area", "sentinel", "rss-string", "rss-string-one",
+            "position-string", "area-string", "sentinel-string"])
     def test_loader_rejects_booleans(self, edit, message):
         doc = {"aps": [{"id": "a", "x": 1, "y": 1, "z": 2.8},
                        {"id": "b", "x": 5, "y": 1, "z": 2.8}],

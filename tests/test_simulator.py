@@ -15,9 +15,11 @@ from radioloc.radiomap import (
 )
 from radioloc.simulator import (
     DV_GRID,
+    MAX_CAMPAIGN_SCANS,
     NoiseConfig,
     ScenarioPreset,
     WorldSpec,
+    check_campaign_size,
     grid_rp_positions,
     make_world,
     preset_by_name,
@@ -251,3 +253,30 @@ class TestCampaign:
                 deltas[preset.name] = report.cells[0].mean_delta_db
             worse += deltas["crowdsourcing"] >= deltas["controlled"]
         assert worse >= 3
+
+
+class TestCampaignSize:
+    """Oversized campaigns are refused by the count alone: nothing here draws a scan."""
+
+    def test_default_campaigns_pass(self):
+        for name in ("spinv_like", "twist_like"):
+            info = template_info(name)
+            n_aps = len(make_world(name, 1).aps)
+            for preset in ("controlled", "crowdsourcing"):
+                check_campaign_size(info.n_rp_total, info.n_test_points, n_aps,
+                                    preset_by_name(preset))
+
+    def test_the_cap_itself_passes(self):
+        preset = ScenarioPreset("one-scan", q=1, tp_scans=1, device_bias_sigma_db=0.0)
+        check_campaign_size(MAX_CAMPAIGN_SCANS - 3, 3, 1, preset)
+        with pytest.raises(ValueError, match=f"would draw {MAX_CAMPAIGN_SCANS + 1:,} scans"):
+            check_campaign_size(MAX_CAMPAIGN_SCANS - 3, 4, 1, preset)
+
+    @pytest.mark.parametrize("n_rp, n_tp, scans", [
+        (1e9 * 504.0, 31, "176,400,000,010,850"),  # simulate --dr 1e9 on spinv_like
+        (72, 10**12, "350,000,000,025,200"),  # simulate --tp-count 1000000000000
+        (1e308 * 504.0, 31, "inf"),  # a density whose count overflows
+    ], ids=["dr-1e9", "tp-count-1e12", "overflow"])
+    def test_oversized_flags_are_refused(self, n_rp, n_tp, scans):
+        with pytest.raises(ValueError, match=f"would draw {scans} scans, more than 10,000,000"):
+            check_campaign_size(n_rp, n_tp, 7, ScenarioPreset.controlled())
