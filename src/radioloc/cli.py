@@ -40,7 +40,7 @@ from .fitting import (
 )
 from .floorplan import load_floorplan, save_floorplan
 from .ioutil import csv_rows, read_csv
-from .positioning import WknnConfig, locate
+from .positioning import MAX_ORDER, WknnConfig, locate
 from .propagation import (
     ModelKind,
     load_access_points,
@@ -106,8 +106,8 @@ _POSITIVE = _checked(float, lambda v: v > 0 and math.isfinite(v), "must be posit
 _NONNEGATIVE = _checked(float, lambda v: v >= 0 and math.isfinite(v), "must be finite and >= 0")
 _FINITE = _checked(float, math.isfinite, "must be finite")
 _FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
-_ORDER = _checked(float, lambda v: 1.0 <= v < math.inf,
-                  "Minkowski order must be finite and >= 1")
+_ORDER = _checked(float, lambda v: 1.0 <= v <= MAX_ORDER,
+                  f"Minkowski order must lie in [1, {MAX_ORDER:g}]")
 _SENTINEL = _checked(float, lambda v: -120.0 <= v <= 0.0, "must lie within [-120, 0] dBm")
 _RHO_GRID = _checked(_float_list, lambda vs: vs and all(0.0 < v <= 1.0 for v in vs),
                      "needs values in (0, 1]")

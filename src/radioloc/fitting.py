@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import DegenerateFitError, GeometryError, InsufficientDataError
 from .floorplan import Floorplan, ObstacleFamily, Point3
-from .ioutil import (csv_rows, json_integer, json_number, read_csv, read_json, write_json,
-                     write_text_atomic)
+from .ioutil import (atomic_files, csv_rows, json_integer, json_number, read_csv, read_json,
+                     read_sidecar, write_json, write_sidecar)
 from .propagation import (
     FREE_SPACE_L0_DB,
     AccessPoint,
@@ -473,13 +473,51 @@ def _csv_prefixes(rows: Iterable[list[str]]) -> np.ndarray:
                     dtype=object)
 
 
+SURVEY_LANES_FORMAT = "radioloc-survey-lanes/1"
+_SURVEY_LANES_KEYS = ["rows", "rp_ids", "ap_ids"]
+# The longest number save_measurements writes: a float's repr, say
+# -2.2250738585072014e-308.
+_LONGEST_NUMBER = 24
+
+
+def _survey_layout(header: dict) -> list[tuple]:
+    """``xyz`` (points, 3), then ``rp_index``, ``ap_index``, ``rss``,
+    ``detected`` and ``scan`` (rows,)."""
+    n = json_integer(header["rows"])
+    return [("<f8", (len(header["rp_ids"]), 3)), ("<i8", (n,)), ("<i8", (n,)), ("<f8", (n,)),
+            (bool, (n,)), ("<i8", (n,))]
+
+
+def _survey_from_lanes(header: dict, xyz, rp_index, ap_index, rss, detected,
+                       scan) -> MeasurementSet:
+    """The survey of a lanes file, through the checks of ``MeasurementSet``.
+
+    ValueError where the CSV's parse would fail on a field longer than
+    ``csv.field_size_limit()``: an id, or a number under a limit below
+    ``_LONGEST_NUMBER``.
+    """
+    rp_ids, ap_ids = header["rp_ids"], header["ap_ids"]
+    if max(_LONGEST_NUMBER, *map(len, rp_ids), *map(len, ap_ids)) > csv.field_size_limit():
+        raise ValueError("a field is longer than the CSV reader takes")
+    return MeasurementSet(rp_ids, xyz, ap_ids, rp_index, ap_index, rss, detected, scan)
+
+
 def save_measurements(meas: MeasurementSet, path: str | Path) -> None:
-    """Write ``meas`` as a survey CSV, byte for byte as ``csv.writer`` writes its rows.
+    """Write ``meas`` as a survey CSV, byte for byte as ``csv.writer`` writes its
+    rows, and, beside it, its lanes file (``ioutil.write_sidecar``).
 
     Each point's ``rp_id,x,y,z,`` and each AP's ``ap_id,`` prefix is rendered
     once, each detected RSS is one ``repr`` and each distinct scan index one
     text. The text is joined from these pieces in one pass, so no per-row
-    string is built.
+    string is built, and encoded and hashed once.
+
+    The lanes file holds the ids in its header, then the columns: float64
+    ``xyz`` (points, 3), int64 ``rp_index`` and ``ap_index``, float64 ``rss``,
+    the ``detected`` flags and int64 ``scan`` (rows,). It is written only when
+    the point ids and the AP ids are each unique: parsing the CSV merges
+    repeated ids, or rejects a point's two coordinates, so no lanes file
+    could hold what the parse gives. The CSV is then written alone, and a
+    lanes file left beside it from an earlier survey does not match it.
     """
     points = _csv_prefixes([rp_id, repr(x), repr(y), repr(z)]
                            for rp_id, (x, y, z) in zip(meas.rp_ids(), meas.xyz.tolist()))
@@ -494,11 +532,22 @@ def save_measurements(meas: MeasurementSet, path: str | Path) -> None:
                             dtype=object)[scan_of_row]
     texts = pieces.ravel().tolist()
     texts.insert(0, _SURVEY_HEADER + "\r\n")
-    write_text_atomic(path, "".join(texts))
+    data = "".join(texts).encode()
+    rp_ids, ap_ids = meas.rp_ids(), meas.ap_ids()
+    if len(set(rp_ids)) < len(rp_ids) or len(set(ap_ids)) < len(ap_ids):
+        with atomic_files(path, binary=True) as (out,):
+            out.write(data)
+        return
+    write_sidecar(path, data, SURVEY_LANES_FORMAT,
+                  dict(zip(_SURVEY_LANES_KEYS, [len(meas.rss), rp_ids, ap_ids])),
+                  [meas.xyz, meas.rp_index.astype(np.int64, copy=False),
+                   meas.ap_index.astype(np.int64, copy=False),
+                   meas.rss, meas.detected, meas.scan])
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:
-    """Parse a survey CSV straight into columns.
+    """The survey in the CSV file ``path``, read from its lanes file when that
+    file matches the CSV's bytes, and parsed from the CSV otherwise.
 
     Raises InputError on an unreadable file, a wrong header, a short or long
     row, an unparsable number, an rss_dbm outside [-120, 0] (NaN included;
@@ -508,9 +557,12 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     Plain text (ASCII, unquoted, LF or CRLF line ends) is split into fields by
     numpy's C reader; any other text, and any text it may split otherwise, by
     ``csv.reader``. Either way every number is read by ``float()`` or
-    ``int()``, so both paths give the same columns and the same errors.
+    ``int()``, so both paths give the same columns and the same errors. A
+    lanes file holds what that parse gives, so all three give one survey.
     """
-    return read_csv(path, "measurement", _measurements_from_text)
+    meas = read_sidecar(path, SURVEY_LANES_FORMAT, _SURVEY_LANES_KEYS, _survey_layout,
+                        _survey_from_lanes)
+    return meas if meas is not None else read_csv(path, "measurement", _measurements_from_text)
 
 
 def _measurements_from_text(text: str) -> MeasurementSet:

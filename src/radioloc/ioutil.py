@@ -12,6 +12,12 @@ written; ``write_text_atomic`` writes one whole text through it. The evaluation
 reports, mostly long lists of numbers, are laid out as ``json.dumps(doc,
 indent=2)`` lays them out by ``format_json`` and, for item texts rendered by
 the caller, ``json_array`` and ``json_object``.
+
+A file that is slow to parse can have a sidecar, a binary copy of its arrays
+at ``sidecar_path`` beside it: ``write_sidecar`` writes the file and its
+sidecar in one ``atomic_files`` call, and ``read_sidecar`` builds the
+caller's object from the sidecar only when it was written with exactly the
+file's bytes, and returns None otherwise, so that the caller parses the file.
 """
 
 from __future__ import annotations
@@ -19,10 +25,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import json
+import math
 import os
 import secrets
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence, TypeVar
 
@@ -143,7 +152,8 @@ def atomic_files(*paths: str | Path, binary: bool = False) -> Iterator[list[IO]]
             tmp = path.with_name(f"{path.name}{secrets.token_hex(8)}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append(tmp)
-            files.append(os.fdopen(fd, "wb" if binary else "w"))
+            files.append(os.fdopen(fd, "wb") if binary
+                         else os.fdopen(fd, "w", encoding="utf-8"))
         yield files
         for fh in files:
             fh.close()
@@ -171,6 +181,81 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def write_json(path: str | Path, doc) -> None:
     """Write ``doc`` as indented JSON with a trailing newline."""
     write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
+
+
+# The keys every sidecar header starts with, in order; the caller's follow.
+_SIDECAR_KEYS = ["format", "sha256", "arrays_sha256"]
+
+
+def sidecar_path(path: str | Path) -> Path:
+    """The sidecar that ``write_sidecar`` writes beside the file ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".lanes")
+
+
+def write_sidecar(path: str | Path, data: bytes, fmt: str, header: dict,
+                  arrays: Sequence[np.ndarray]) -> None:
+    """Write ``data`` to ``path`` and, beside it, its sidecar, through one
+    ``atomic_files`` call: a failed write replaces neither.
+
+    The sidecar is one JSON header line, ``format`` ``fmt``, ``sha256`` the
+    hex digest of ``data``, ``arrays_sha256`` that of the bytes after the
+    line, then the keys of ``header``; then each of ``arrays``, raw,
+    little-endian and row-major. It is renamed into place first, so a failed
+    rename of ``path`` leaves the old file beside a sidecar whose digest it
+    does not match, which ``read_sidecar`` ignores.
+    """
+    # Hashed and written from the arrays' own buffers: no bytes copy.
+    arrays = [np.ascontiguousarray(array, array.dtype.newbyteorder("<")) for array in arrays]
+    arrays_digest = hashlib.sha256()
+    for array in arrays:
+        arrays_digest.update(array)
+    head = dict(zip(_SIDECAR_KEYS, [fmt, hashlib.sha256(data).hexdigest(),
+                                    arrays_digest.hexdigest()]))
+    with atomic_files(sidecar_path(path), path, binary=True) as (sidecar, out):
+        sidecar.write(json.dumps(head | header).encode() + b"\n")
+        for array in arrays:
+            sidecar.write(array)
+        out.write(data)
+
+
+def read_sidecar(path: str | Path, fmt: str, keys: Sequence[str],
+                 layout: Callable[[dict], Sequence[tuple]],
+                 build: Callable[..., T]) -> T | None:
+    """``build(header, *arrays)`` from the sidecar beside ``path``, or None.
+
+    None unless both files are readable, the sidecar's format is ``fmt``, its
+    header holds ``keys`` after the framing's own, in order, it was written
+    with exactly ``path``'s bytes, and its arrays are the bytes it was written
+    with, of the (dtype, shape) pairs ``layout(header)`` gives. A bool array
+    is stored as one byte each and must hold only 0 and 1. An OSError,
+    RecursionError, or error of a malformed document (an AttributeError,
+    KeyError, TypeError, ValueError or OverflowError) from ``layout`` or
+    ``build`` gives None too, so that the caller parses ``path``.
+    """
+    path = Path(path)
+    try:
+        blob = sidecar_path(path).read_bytes()
+        end = blob.index(b"\n")
+        header = json.loads(blob[:end])
+        if (list(header) != [*_SIDECAR_KEYS, *keys] or header["format"] != fmt
+                or header["sha256"] != hashlib.sha256(path.read_bytes()).hexdigest()):
+            return None
+        specs = [(np.dtype(dtype).newbyteorder("<"), math.prod(shape), shape)
+                 for dtype, shape in layout(header)]
+        offsets = list(accumulate((dtype.itemsize * size for dtype, size, _ in specs),
+                                  initial=end + 1))
+        if (any(min(shape, default=0) < 0 for _, _, shape in specs)
+                or len(blob) != offsets[-1] or header["arrays_sha256"]
+                != hashlib.sha256(memoryview(blob)[end + 1:]).hexdigest()):
+            return None
+        arrays = [np.frombuffer(blob, dtype, size, offset).reshape(shape)
+                  for (dtype, size, shape), offset in zip(specs, offsets)]
+        if any(array.dtype == bool and np.any(array.view(np.uint8) > 1) for array in arrays):
+            return None
+        return build(header, *arrays)
+    except (OSError, RecursionError, *_MALFORMED):
+        return None
 
 
 # json's C encoder: compact separators, ensure_ascii and allow_nan, as json.dumps.

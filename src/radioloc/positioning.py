@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -23,6 +22,11 @@ from .radiomap import Fingerprint, Radiomap, _check_rss, ceil_scaled
 # Similarity assigned to an exact fingerprint match, where the inverse
 # distance is singular.
 SIMILARITY_CAP = 1e9
+# The highest Minkowski order: the largest integer order at which
+# SIMILARITY_CAP ** -order is a normal double, so no distance of at least
+# 1 / SIMILARITY_CAP powers to 0 and takes the cap. The largest distance of
+# two fingerprints, 120 dB, powers to about 5e70, far from overflow.
+MAX_ORDER = 34.0
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,8 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_order(order: float) -> None:
-    if not 1.0 <= order < math.inf:
-        raise ValueError(f"Minkowski order must be finite and >= 1, got {order!r}")
+    if not 1.0 <= order <= MAX_ORDER:
+        raise ValueError(f"Minkowski order must lie in [1, {MAX_ORDER:g}], got {order!r}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -121,8 +125,7 @@ def _distance_sums(lanes: np.ndarray, targets: np.ndarray, order: float) -> np.n
         np.multiply(diff, diff, out=diff)
     else:
         np.abs(diff, out=diff)
-        with np.errstate(over="ignore"):  # an overflowed distance has similarity 0
-            diff **= order
+        diff **= order
     if lanes.shape[1] > 1:
         return np.add.reduce(diff, axis=1)
     return np.cumsum(diff, axis=1)[:, -1]
@@ -222,13 +225,10 @@ def _top_k(sums: np.ndarray, k: int, order: float) -> tuple[np.ndarray, np.ndarr
     # root more than 1e-14, dozens of ulps, above each root of the k smallest
     # sums, and so a strictly lower similarity. Zero sums score the cap,
     # which positive sums up to about SIMILARITY_CAP ** -order outrank; the
-    # floor takes those in. It is at least the smallest normal double: for
-    # orders from about 34 to 36, SIMILARITY_CAP ** -order is a subnormal,
-    # whose 1-ulp pow error is no longer within the margin. An order whose
-    # margin overflows puts every entry in the window.
-    margin = (1.0 + 1e-14) ** order if order < 1e16 else math.inf
-    floor = max(SIMILARITY_CAP ** -order, sys.float_info.min)
-    in_band = sums <= np.maximum(kth, floor) * margin
+    # floor takes those in. Up to MAX_ORDER the floor is a normal double, so
+    # its 1-ulp pow error is within the margin.
+    margin = (1.0 + 1e-14) ** order
+    in_band = sums <= np.maximum(kth, SIMILARITY_CAP ** -order) * margin
     band = np.flatnonzero(in_band)
     w = _similarities(sums.take(band), order)
     if band.size == b * k:
@@ -281,9 +281,6 @@ def _locate_rows(rmap: Radiomap, rows: np.ndarray, cfg: WknnConfig) -> list[Posi
         terms[:3] *= w
         terms[3] = w
         sums = np.add.accumulate(terms, axis=2, out=terms)[:, :, -1]
-        if not sums[3].all():
-            raise ValueError(f"the {k} most similar reference points all have similarity 0 "
-                             f"at Minkowski order {cfg.order!r}: their distances overflow")
         xyz = (sums[:3] + 0.0) / sums[3]
         # Each estimate holds row views of the block's arrays.
         ranked.flags.writeable = w.flags.writeable = False
@@ -305,8 +302,7 @@ def locate(rmap: Radiomap, target: Fingerprint, cfg: WknnConfig = WknnConfig(),
     weighted positions, for the k-th estimate only. Equal sums that straddle
     the k-th one widen the window, which a stable sort of its entries then
     ranks and trims to k, and ties inside the band add a second O(k log k)
-    sort. Raises ValueError when the k weights sum to 0, which an order high
-    enough to overflow every distance gives.
+    sort.
     """
     if len(target) != len(rmap.aps):
         raise ValueError("target fingerprint length must match the AP count")

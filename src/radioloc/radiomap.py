@@ -8,11 +8,9 @@ numeric sentinel so that fingerprint distances stay finite.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -21,8 +19,8 @@ import numpy as np
 
 from .fitting import FitResult, MeasurementSet
 from .floorplan import Floorplan, lattice_positions, points_xyz
-from .ioutil import (_MALFORMED, atomic_files, format_json, json_array, json_integer,
-                     json_number, json_numbers, json_object, read_json)
+from .ioutil import (format_json, json_array, json_integer, json_number, json_numbers,
+                     json_object, read_json, read_sidecar, write_sidecar)
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -411,82 +409,44 @@ def radiomap_from_dict(doc: dict) -> Radiomap:
 # ---------------------------------------------------------------------------
 
 LANES_FORMAT = "radioloc-lanes/1"
-_LANES_KEYS = ["format", "sha256", "arrays_sha256", "n", "aps", "sentinel_dbm", "area_m2"]
+_LANES_KEYS = ["n", "aps", "sentinel_dbm", "area_m2"]
 
 
-def lanes_path(path: str | Path) -> Path:
-    """The lanes file that ``save_radiomap`` writes beside the radiomap file ``path``."""
-    path = Path(path)
-    return path.with_name(path.name + ".lanes")
+def _lanes_layout(header: dict) -> list[tuple]:
+    """Positions (n, 3), RSS lanes (L, n) and virtual flags (n,)."""
+    n = json_integer(header["n"])
+    return [("<f8", (n, 3)), ("<f8", (len(header["aps"]), n)), (bool, (n,))]
 
 
-def _lanes_chunks(rmap: Radiomap, digest: str) -> list[bytes]:
-    """The lanes file of ``rmap``, whose radiomap file's SHA-256 is ``digest``: one
-    JSON header line, then little-endian float64 positions (n, 3), float64 RSS
-    lanes (L, n) and uint8 virtual flags (n,), whose SHA-256 the header holds too.
+def _radiomap_from_lanes(header: dict, pos: np.ndarray, lanes: np.ndarray,
+                         virtual: np.ndarray) -> Radiomap:
+    """The radiomap of a lanes file, through the checks of the JSON's parse."""
+    area = header["area_m2"]
+    return Radiomap(aps_from_list(header["aps"]), RpArrays(pos, lanes.T, virtual),
+                    sentinel_dbm=json_number(header["sentinel_dbm"]),
+                    area_m2=None if area is None else json_number(area))
+
+
+def save_radiomap(rmap: Radiomap, path: str | Path) -> None:
+    """Write the radiomap file ``path`` and, beside it, its lanes file through
+    ``ioutil.write_sidecar``: one JSON header line (``n``, the APs, the
+    sentinel and the area after the framing's keys), then float64 positions
+    (n, 3), float64 RSS lanes (L, n) and the virtual flags (n,).
 
     Each entry equal to the sentinel is stored as the sentinel, the value the
     radiomap file's ``null`` reads back as (a -0.0 under a 0.0 sentinel too).
     """
     rps, sentinel = rmap.rps, float(rmap.sentinel_dbm)
     lanes = rps.rss.T
-    arrays = [rps.pos.astype("<f8").tobytes(),
-              np.where(lanes == sentinel, sentinel, lanes).astype("<f8").tobytes(),
-              rps.virtual.astype(np.uint8).tobytes()]
-    arrays_digest = hashlib.sha256(b"".join(arrays)).hexdigest()
-    header = dict(zip(_LANES_KEYS, [LANES_FORMAT, digest, arrays_digest, len(rps),
-                                    aps_to_list(rmap.aps), rmap.sentinel_dbm, rmap.area_m2]))
-    return [json.dumps(header).encode() + b"\n", *arrays]
-
-
-def _radiomap_from_lanes(path: Path) -> Radiomap | None:
-    """The radiomap in the lanes file beside the radiomap file ``path``, or None
-    unless both files are readable, the lanes file was written with exactly the
-    radiomap file's bytes, its arrays are the ones it was written with, and
-    they pass the checks the radiomap file's parse applies."""
-    try:
-        blob = lanes_path(path).read_bytes()
-        end = blob.index(b"\n")
-        header = json.loads(blob[:end])
-        if (list(header) != _LANES_KEYS or header["format"] != LANES_FORMAT
-                or header["sha256"] != hashlib.sha256(path.read_bytes()).hexdigest()):
-            return None
-        n = json_integer(header["n"])
-        aps = aps_from_list(header["aps"])
-        offsets = list(accumulate([end + 1, 8 * 3 * n, 8 * len(aps) * n, n]))
-        if (n < 0 or len(blob) != offsets[-1] or header["arrays_sha256"]
-                != hashlib.sha256(memoryview(blob)[offsets[0]:]).hexdigest()):
-            return None
-        pos = np.frombuffer(blob, "<f8", 3 * n, offsets[0]).reshape(n, 3)
-        lanes = np.frombuffer(blob, "<f8", len(aps) * n, offsets[1]).reshape(len(aps), n)
-        flags = np.frombuffer(blob, np.uint8, n, offsets[2])
-        if np.any(flags > 1):
-            return None
-        area = header["area_m2"]
-        return Radiomap(aps, RpArrays(pos, lanes.T, flags), sentinel_dbm=json_number(
-            header["sentinel_dbm"]), area_m2=None if area is None else json_number(area))
-    except (OSError, RecursionError, *_MALFORMED):
-        return None
-
-
-def save_radiomap(rmap: Radiomap, path: str | Path) -> None:
-    """Write the radiomap file ``path`` and, beside it, its lanes file, through one
-    ``atomic_files`` call: a failed write replaces neither.
-
-    The lanes file is renamed into place first, so a failed rename of the
-    radiomap file leaves the old one beside a lanes file whose digest it does
-    not match, which ``load_radiomap`` ignores.
-    """
-    data = (radiomap_to_json(rmap) + "\n").encode()
-    chunks = _lanes_chunks(rmap, hashlib.sha256(data).hexdigest())
-    with atomic_files(lanes_path(path), path, binary=True) as (lanes, out):
-        for chunk in chunks:
-            lanes.write(chunk)
-        out.write(data)
+    header = dict(zip(_LANES_KEYS, [len(rps), aps_to_list(rmap.aps), rmap.sentinel_dbm,
+                                    rmap.area_m2]))
+    write_sidecar(path, (radiomap_to_json(rmap) + "\n").encode(), LANES_FORMAT, header,
+                  [rps.pos, np.where(lanes == sentinel, sentinel, lanes), rps.virtual])
 
 
 def load_radiomap(path: str | Path) -> Radiomap:
     """The radiomap in ``path``, read from its lanes file when that file matches
-    the radiomap file's bytes, and parsed from the JSON otherwise."""
-    rmap = _radiomap_from_lanes(Path(path))
+    the radiomap file's bytes and its values pass the checks of the JSON's
+    parse, and parsed from the JSON otherwise."""
+    rmap = read_sidecar(path, LANES_FORMAT, _LANES_KEYS, _lanes_layout, _radiomap_from_lanes)
     return rmap if rmap is not None else read_json(path, "radiomap", radiomap_from_dict)

@@ -23,6 +23,7 @@ simulator's target fingerprints must equal bit for bit, and
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -503,6 +504,15 @@ def most_scans_per_pair(meas):
     """The most rows any one (point, AP) pair of a MeasurementSet has."""
     pair = meas.rp_index * len(meas.ap_ids()) + meas.ap_index
     return int(np.bincount(pair).max())
+
+
+def with_arrays_digest(data):
+    """A lanes file's bytes with the header's ``arrays_sha256`` made to match its
+    (edited) arrays, so that only the checks of the values can reject them."""
+    header, arrays = bytes(data).split(b"\n", 1)
+    doc = json.loads(header)
+    doc["arrays_sha256"] = hashlib.sha256(arrays).hexdigest()
+    return json.dumps(doc).encode() + b"\n" + arrays
 
 
 def survey_state(meas):

@@ -1,14 +1,19 @@
+import contextlib
 import errno
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import radioloc.cli as cli
+import radioloc.ioutil as ioutil
 import radioloc.radiomap as radiomap
 import radioloc.simulator as simulator
 from radioloc import evaluation
@@ -16,8 +21,9 @@ from radioloc.cli import build_parser, main
 from radioloc.fitting import StrategyKind, load_fit_result, load_measurements
 from radioloc.floorplan import Point3, load_floorplan
 from radioloc.propagation import LinkTable
-from radioloc.radiomap import (build_real_fingerprints, lanes_path, load_radiomap,
-                               place_virtual_rps, radiomap_from_dict)
+from radioloc.ioutil import sidecar_path
+from radioloc.radiomap import (build_real_fingerprints, load_radiomap, place_virtual_rps,
+                               radiomap_from_dict)
 from radioloc.simulator import ALPHA_RANGE, ALPHA_STEP, DV_GRID, RHO_GRID
 
 from helpers import CUSTOM_WORLD, count_crossing_calls, measurement_set
@@ -83,7 +89,7 @@ class TestSimulate:
         main(args + ["--out-dir", str(tmp_path / "a")])
         main(args + ["--out-dir", str(tmp_path / "b")])
         for name in ("floorplan.json", "aps.json", "measurements.csv",
-                     "testpoints.csv"):
+                     "testpoints.csv", "measurements.csv.lanes", "testpoints.csv.lanes"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
@@ -116,6 +122,37 @@ class TestSimulate:
             assert load_measurements(out / name).ap_ids() == ["ap,1"]
         assert main(["evaluate", "--world-dir", str(out), "--out-dir", str(tmp_path / "r"),
                      "--rho-grid", "1", "--dv-grid", "1"]) == 0
+
+    def test_non_ascii_ids_are_written_as_utf8_under_any_locale(self, tmp_path):
+        # Under the C locale, with locale coercion and UTF-8 mode off, Python's
+        # default text encoding is ASCII; every file is written as UTF-8 anyway.
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps({**CUSTOM_WORLD,
+                                     "aps": [{**CUSTOM_WORLD["aps"][0], "id": "caf\u00e9"}]}))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(
+                   [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / "world"
+
+        def run(*argv):
+            done = subprocess.run([sys.executable, *map(str, argv)], env=env,
+                                  capture_output=True)
+            assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+
+        run("-m", "radioloc.cli", "simulate", "--template", "custom", "--custom-file", world,
+            "--dr", "0.2", "--tp-count", "3", "--seed", "4", "--out-dir", out)
+        fit_argv = ["-m", "radioloc.cli", "fit", "--measurements", out / "measurements.csv",
+                    "--floorplan", out / "floorplan.json", "--aps", out / "aps.json",
+                    "--out", tmp_path / "f"]
+        run(*fit_argv)  # from the lanes file
+        sidecar_path(out / "measurements.csv").unlink()
+        run(*fit_argv)  # from the CSV
+        for name in ("measurements.csv", "testpoints.csv"):
+            assert load_measurements(out / name).ap_ids() == ["caf\u00e9"]
+        # A text written through atomic_files is UTF-8 too.
+        run("-c", "import sys; from radioloc.ioutil import write_text_atomic; "
+                  "write_text_atomic(sys.argv[1], 'caf\\u00e9')", tmp_path / "t")
+        assert (tmp_path / "t").read_bytes() == "caf\u00e9".encode()
 
     @pytest.mark.parametrize("template", ["spinv_like", "twist_like"])
     def test_testpoints_file_holds_the_campaign_targets(self, tmp_path, monkeypatch, template):
@@ -272,7 +309,7 @@ class TestBuildRadiomapAndLocate:
             assert main(["locate", "--radiomap", str(map_path), "--target", str(target),
                          "--alpha", "0.05"]) == 0
             printed.append(capsys.readouterr().out)
-            lanes_path(map_path).unlink(missing_ok=True)
+            sidecar_path(map_path).unlink(missing_ok=True)
         assert parses == [None]  # the second call parsed the JSON
         assert printed[0] == printed[1] and len(json.loads(printed[0])["neighbors"]) == 25
 
@@ -287,11 +324,26 @@ class TestBuildRadiomapAndLocate:
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         assert sorted(before) == ["map.json", "map.json.lanes"]
 
-        def chunks_then_a_full_disk(rmap, digest):
-            yield b"{}\n"
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class FullDisk:
+            """A temp file whose first write lands and whose next one finds the disk full."""
 
-        monkeypatch.setattr(radiomap, "_lanes_chunks", chunks_then_a_full_disk)
+            def __init__(self, fh):
+                self.fh, self.written = fh, False
+
+            def write(self, chunk):
+                if self.written:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.written = True
+                return self.fh.write(chunk)
+
+        atomic_files = ioutil.atomic_files
+
+        @contextlib.contextmanager
+        def lanes_file_fills_the_disk(*paths, binary=False):
+            with atomic_files(*paths, binary=binary) as (lanes, *rest):
+                yield [FullDisk(lanes), *rest]
+
+        monkeypatch.setattr(ioutil, "atomic_files", lanes_file_fills_the_disk)
         capsys.readouterr()
         assert main(argv + ["--dv", "1", "--out", str(out_dir / "map.json")]) == 2
         assert "No space left on device" in capsys.readouterr().err
@@ -307,8 +359,8 @@ class TestBuildRadiomapAndLocate:
                 "--out", str(tmp_path / "map.json")]
         assert main(argv + ["--dv", "0.1"]) == 0
         before = (tmp_path / "map.json").read_bytes()
-        lanes_path(tmp_path / "map.json").unlink()
-        lanes_path(tmp_path / "map.json").mkdir()  # the rename onto it fails
+        sidecar_path(tmp_path / "map.json").unlink()
+        sidecar_path(tmp_path / "map.json").mkdir()  # the rename onto it fails
         capsys.readouterr()
         assert main(argv + ["--dv", "1"]) == 2
         assert "Is a directory" in capsys.readouterr().err
@@ -414,9 +466,9 @@ class TestInputErrorsExit2:
         code = exit_code(["locate", "--radiomap", str(map_file), "--target", str(target),
                           "--k", "3", "--order", "1e308"])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Minkowski order 1e+308" in err
-        assert len(err.splitlines()) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["radioloc locate: error: argument --order: Minkowski order must "
+                          "lie in [1, 34], got '1e308'"]
 
     @pytest.mark.parametrize("area", [math.nan, math.inf])
     def test_locate_non_finite_area(self, map_file, tmp_path, capsys, area):
@@ -673,7 +725,7 @@ class TestInputErrorsExit2:
         doc["rps"][0]["rss"][0] = "-50.5"  # float() would parse it
         bad = tmp_path / "map.json"
         bad.write_text(json.dumps(doc))
-        assert not lanes_path(bad).exists()  # the JSON is parsed
+        assert not sidecar_path(bad).exists()  # the JSON is parsed
         target = tmp_path / "target.csv"
         target.write_text("ap_id,rss_dbm\nap01,-1.0\n")
         code = exit_code(["locate", "--radiomap", str(bad), "--target", str(target),
@@ -742,6 +794,7 @@ class TestInputErrorsExit2:
         ["locate", "--alpha", "nan", "--radiomap", "m", "--target", "t"],
         ["locate", "--order", "0.5", "--radiomap", "m", "--target", "t"],
         ["locate", "--order", "inf", "--radiomap", "m", "--target", "t"],
+        ["locate", "--order", "34.000001", "--radiomap", "m", "--target", "t"],
         ["locate", "--alpha", "1.5", "--radiomap", "m", "--target", "t"],
         ["locate", "--alpha", "1e308", "--radiomap", "m", "--target", "t"],
         ["evaluate", "--alpha-step", "0", "--world-dir", "w"],

@@ -1,9 +1,12 @@
 import csv
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import radioloc.fitting as fitting
 from radioloc.errors import DegenerateFitError, InputError, InsufficientDataError
 from radioloc.fitting import (
     FitResult,
@@ -21,6 +24,7 @@ from radioloc.fitting import (
     save_measurements,
 )
 from radioloc.floorplan import Bounds, Floorplan, ObstacleFamily, PlanarObstacle, Point3
+from radioloc.ioutil import read_csv, sidecar_path
 from radioloc.propagation import (
     AccessPoint,
     LinkTable,
@@ -36,6 +40,7 @@ from helpers import (
     survey_outcome,
     survey_points,
     tiny_world,
+    with_arrays_digest,
 )
 
 
@@ -313,6 +318,21 @@ class TestNoFitResidual:
 HEADER = "rp_id,x,y,z,ap_id,rss_dbm,scan_index"
 
 
+def two_point_survey():
+    return MeasurementSet(["a", "b"], [[0.0, 0.0, 1.2], [1.0, 1.0, 1.2]], ["x"], [0, 1, 1],
+                          [0, 0, 0], [-50.0, -60.0, 0.0], [True, True, False], [0, 0, 1])
+
+
+def outcome_beside_a_stale_lanes_file(path):
+    """``survey_outcome`` of the survey file ``path`` with the lanes file of
+    another survey, saved at ``path`` before, beside it."""
+    data = path.read_bytes()
+    save_measurements(two_point_survey(), path)
+    assert sidecar_path(path).exists()
+    path.write_bytes(data)
+    return survey_outcome(load_measurements, path)
+
+
 class TestMeasurementIo:
     def test_csv_round_trip_with_nd(self, tmp_path):
         records = [
@@ -333,8 +353,9 @@ class TestMeasurementIo:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "meas.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as excinfo:
             load_measurements(path)
+        assert outcome_beside_a_stale_lanes_file(path) == f"InputError: {excinfo.value}"
 
     @pytest.mark.parametrize("body", [
         "rp0,1,2,1.2,ap01,nan,0\n",            # NaN is not the ND marker
@@ -370,6 +391,7 @@ class TestMeasurementIo:
             load_measurements(path)
         # The same message as the csv rows path gives.
         assert f"InputError: {excinfo.value}" == csv_path_outcome(path)
+        assert outcome_beside_a_stale_lanes_file(path) == f"InputError: {excinfo.value}"
 
     def test_field_over_csv_limit_is_not_valid_csv(self, tmp_path):
         path = tmp_path / "meas.csv"
@@ -377,14 +399,16 @@ class TestMeasurementIo:
                         f"rp0,{'0' * csv.field_size_limit()}1,2,1.2,ap01,-50.0,0\n")
         with pytest.raises(InputError, match="is not valid CSV: field larger than field limit"):
             load_measurements(path)
+        assert outcome_beside_a_stale_lanes_file(path) == csv_path_outcome(path)
 
     @pytest.mark.parametrize("text", ["", "rp_id,x,y,z,ap_id,rss_dbm\n"],
                              ids=["empty-file", "short-header"])
     def test_missing_or_wrong_header_rejected(self, tmp_path, text):
         path = tmp_path / "meas.csv"
         path.write_text(text)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as excinfo:
             load_measurements(path)
+        assert outcome_beside_a_stale_lanes_file(path) == f"InputError: {excinfo.value}"
 
     def test_equal_coordinates_in_other_spelling_accepted(self, tmp_path):
         path = tmp_path / "meas.csv"
@@ -463,6 +487,7 @@ class TestMeasurementIo:
         with pytest.raises(InputError) as excinfo:
             load_measurements(path)
         assert f"InputError: {excinfo.value}" == csv_path_outcome(path)
+        assert outcome_beside_a_stale_lanes_file(path) == csv_path_outcome(path)
 
     def test_scan_over_int64_in_a_later_row_declines(self, tmp_path):
         # Scan tokens are read once each, and the first rows' all fit int64.
@@ -474,6 +499,7 @@ class TestMeasurementIo:
         with pytest.raises(InputError) as excinfo:
             load_measurements(path)
         assert f"InputError: {excinfo.value}" == csv_path_outcome(path)
+        assert outcome_beside_a_stale_lanes_file(path) == csv_path_outcome(path)
 
     def test_simulated_survey_takes_the_loadtxt_path(self, tmp_path):
         plan, aps, truth = tiny_world()
@@ -532,6 +558,122 @@ class TestMeasurementIo:
         with pytest.raises(InputError, match="'rp000' has inconsistent coordinates"):
             load_measurements(path)
         assert csv_path_outcome(path) == survey_outcome(load_measurements, path)
+        assert outcome_beside_a_stale_lanes_file(path) == csv_path_outcome(path)
+
+
+class TestSurveyLanesFile:
+    """``load_measurements`` reads the lanes file beside the survey file only when
+    it was written with the survey file's bytes and its arrays are the ones it
+    was written with; otherwise it parses the CSV."""
+
+    @pytest.fixture
+    def counted_parses(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return read_csv(*args)
+
+        monkeypatch.setattr(fitting, "read_csv", counting)
+        return calls
+
+    def test_save_writes_the_lanes_file_beside_the_survey(self, tmp_path, counted_parses):
+        meas = two_point_survey()
+        path = tmp_path / "meas.csv"
+        save_measurements(meas, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meas.csv", "meas.csv.lanes"]
+        data = sidecar_path(path).read_bytes()
+        header, arrays = data.split(b"\n", 1)
+        assert json.loads(header) == {
+            "format": "radioloc-survey-lanes/1",
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "arrays_sha256": hashlib.sha256(arrays).hexdigest(),
+            "rows": 3, "rp_ids": ["a", "b"], "ap_ids": ["x"]}
+        assert arrays == b"".join([
+            meas.xyz.astype("<f8").tobytes(), np.array([0, 1, 1], "<i8").tobytes(),
+            np.zeros(3, "<i8").tobytes(), np.array([-50.0, -60.0, np.nan], "<f8").tobytes(),
+            bytes([1, 1, 0]), np.array([0, 0, 1], "<i8").tobytes()])
+        assert survey_outcome(load_measurements, path) == csv_path_outcome(path)
+        assert counted_parses == []
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:-1],
+        lambda data: data + b"\0",
+        lambda data: data[:-8] + np.int64(0).tobytes(),  # the last scan, header copied
+        lambda data: data.replace(b'"rows": 3', b'"rows": 2', 1),
+        lambda data: data.replace(b"radioloc-survey-lanes/1", b"radioloc-lanes/1", 1),
+        lambda data: b"",
+    ], ids=["truncated", "longer", "edited-array", "wrong-count", "wrong-format", "empty"])
+    def test_malformed_lanes_file_reads_the_csv(self, tmp_path, counted_parses, damage):
+        path = tmp_path / "meas.csv"
+        save_measurements(two_point_survey(), path)
+        want = csv_path_outcome(path)
+        sidecar_path(path).write_bytes(damage(sidecar_path(path).read_bytes()))
+        assert survey_outcome(load_measurements, path) == want
+        assert len(counted_parses) == 1
+
+    @pytest.mark.parametrize("offset, value", [
+        (24 * 2 + 8 * 3 * 2, np.float64(5.0).tobytes()),  # the first RSS, above 0 dBm
+        (0, np.float64(np.inf).tobytes()),  # the first coordinate
+        (24 * 2 + 8 * 3 * 3, b"\x02"),  # the first detected flag
+        (24 * 2, np.int64(2).tobytes()),  # the first row's point index
+    ], ids=["rss-above-range", "inf-coordinate", "flag-2", "index-out-of-range"])
+    def test_lanes_values_are_checked_like_the_csv(self, tmp_path, counted_parses, offset,
+                                                   value):
+        path = tmp_path / "meas.csv"
+        save_measurements(two_point_survey(), path)
+        want = csv_path_outcome(path)
+        data = bytearray(sidecar_path(path).read_bytes())
+        start = data.index(b"\n") + 1 + offset
+        data[start:start + len(value)] = value
+        sidecar_path(path).write_bytes(with_arrays_digest(data))
+        assert survey_outcome(load_measurements, path) == want
+        assert len(counted_parses) == 1
+
+    def test_survey_with_repeated_ids_is_written_alone(self, tmp_path, counted_parses):
+        path = tmp_path / "meas.csv"
+        save_measurements(two_point_survey(), path)
+        stale = sidecar_path(path).read_bytes()
+        # Two points named "a" at one position read back as one point, and
+        # at two positions as an error; two APs named "x" as one AP.
+        for rp_ids, xyz, ap_ids in ((["a", "a"], [[0.0, 0.0, 1.2]] * 2, ["x", "y"]),
+                                    (["a", "a"], [[0.0, 0.0, 1.2], [1, 1, 1.2]], ["x", "y"]),
+                                    (["a", "b"], [[0.0, 0.0, 1.2], [1, 1, 1.2]], ["x", "x"])):
+            meas = MeasurementSet(rp_ids, xyz, ap_ids, [0, 1], [0, 1], [-50.0, -60.0],
+                                  [True, True], [0, 0])
+            save_measurements(meas, path)
+            assert sidecar_path(path).read_bytes() == stale
+            assert survey_outcome(load_measurements, path) == csv_path_outcome(path)
+        assert len(counted_parses) == 3
+        assert csv_path_outcome(path)[1] == ["x"]
+
+    def test_directory_at_the_lanes_path_replaces_neither_file(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("old")
+        sidecar_path(path).mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_measurements(two_point_survey(), path)
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meas.csv", "meas.csv.lanes"]
+
+    # A 40-character id: over a limit of 39, the CSV's parse fails, so the
+    # lanes file is not read; under a limit below the longest number a survey
+    # file may hold, the CSV is parsed too, whatever its numbers.
+    @pytest.mark.parametrize("limit, parses", [(39, 1), (40, 0), (23, 1)])
+    def test_field_size_limit_decides_the_reader(self, tmp_path, counted_parses, limit,
+                                                 parses):
+        meas = MeasurementSet(["p" * 40], [[0.0, 0.0, 1.2]], ["x"], [0], [0], [-50.0],
+                              [True], [0])
+        path = tmp_path / "meas.csv"
+        save_measurements(meas, path)
+        old = csv.field_size_limit(limit)
+        try:
+            outcome = survey_outcome(load_measurements, path)
+            assert outcome == csv_path_outcome(path)
+        finally:
+            csv.field_size_limit(old)
+        assert len(counted_parses) == parses
+        assert ("field larger than field limit (39)" in outcome) == (limit == 39)
 
 
 class TestFitResultIo:

@@ -3,6 +3,7 @@ import pytest
 
 from radioloc.floorplan import Point3
 from radioloc.positioning import (
+    MAX_ORDER,
     SCORE_BLOCK,
     SIMILARITY_CAP,
     WknnConfig,
@@ -158,12 +159,12 @@ class TestLocate:
             WknnConfig(order=0.9)
         with pytest.raises(ValueError):
             WknnConfig(alpha=0.0)
-        for order in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="finite and >= 1"):
+        for order in (float("inf"), float("nan"), 34.000000000000004, 35.0, 1e308):
+            with pytest.raises(ValueError, match=r"must lie in \[1, 34\]"):
                 WknnConfig(order=order)
-            with pytest.raises(ValueError, match="finite and >= 1"):
+            with pytest.raises(ValueError, match=r"must lie in \[1, 34\]"):
                 similarity(Fingerprint([-50.0]), Fingerprint([-60.0]), order)
-            with pytest.raises(ValueError, match="finite and >= 1"):
+            with pytest.raises(ValueError, match=r"must lie in \[1, 34\]"):
                 error_curves(np.array([[-50.0]]), np.zeros((1, 3)), np.array([[-60.0]]),
                              np.zeros((1, 3)), 1, order)
 
@@ -179,15 +180,23 @@ class TestLocate:
                 == locate(rmap, target, WknnConfig(k=2)))
 
     def test_order_that_overflows_every_distance_raises(self):
-        # |d| ** 1e308 overflows for every |d| > 1, so every similarity is 0
-        # and the weighted centroid would be 0 / 0.
+        # |d| ** 1e308 would overflow for every |d| > 1, and underflow to an
+        # exact match's 0 for every |d| < 1: the order is refused.
         rmap = make_map([(0.0, 0.0, [-50.0, -60.0]), (10.0, 10.0, [-80.0, -90.0])])
-        for k in (1, 2):
-            with pytest.raises(ValueError, match="Minkowski order 1e[+]308"):
-                locate(rmap, Fingerprint([-65.0, -75.0]), WknnConfig(k=k, order=1e308))
-        # One exact match keeps its capped weight.
-        est = locate(rmap, Fingerprint([-50.0, -60.0]), WknnConfig(k=2, order=1e308))
-        assert est.position == Point3(0.0, 0.0, 1.2)
+        for target in ([-65.0, -75.0], [-50.0, -60.0]):
+            with pytest.raises(ValueError, match=r"must lie in \[1, 34\], got 1e\+308"):
+                locate(rmap, Fingerprint(target), WknnConfig(k=2, order=1e308))
+
+    def test_highest_order_ranks_sub_decibel_distances(self):
+        # 0.4 ** 34 and 0.2 ** 34 are normal doubles, so neither RP takes the
+        # exact match's cap: the nearer one ranks first, with twice the weight.
+        assert similarity(Fingerprint([-50.0]), Fingerprint([-50.4]), MAX_ORDER) == \
+            pytest.approx(2.5, rel=1e-12)
+        rmap = make_map([(0.0, 0.0, [-50.4]), (10.0, 0.0, [-50.2]), (20.0, 0.0, [-50.0])])
+        est = locate(rmap, Fingerprint([-50.0]), WknnConfig(k=3, order=MAX_ORDER))
+        assert est.indices.tolist() == [2, 1, 0]
+        assert est.similarities.tolist()[0] == SIMILARITY_CAP
+        assert est.similarities.tolist()[1:] == pytest.approx([5.0, 2.5], rel=1e-12)
 
 
 class TestLocateMany:

@@ -9,6 +9,7 @@ import radioloc.radiomap as radiomap
 from radioloc.errors import InputError
 from radioloc.fitting import FitStrategy, MeasurementRecord, fit
 from radioloc.floorplan import Bounds, Floorplan, Point3
+from radioloc.ioutil import sidecar_path
 from radioloc.propagation import AccessPoint, ModelKind, PropagationParams, predict_rss
 from radioloc.radiomap import (
     MAX_VIRTUAL_RPS,
@@ -19,7 +20,6 @@ from radioloc.radiomap import (
     build_real_fingerprints,
     ceil_scaled,
     generate_virtual_fingerprints,
-    lanes_path,
     load_radiomap,
     radiomap_from_dict,
     place_virtual_rps,
@@ -28,7 +28,7 @@ from radioloc.radiomap import (
     virtual_rp_count,
 )
 
-from helpers import measurement_set, survey_points, tiny_world
+from helpers import measurement_set, survey_points, tiny_world, with_arrays_digest
 
 
 def rps_at(*points, rss=(-50.0,), virtual=False):
@@ -428,11 +428,11 @@ class TestLanesFile:
         path = tmp_path / "map.json"
         save_radiomap(rmap, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "map.json.lanes"]
-        header = lanes_path(path).read_bytes().split(b"\n", 1)[0]
+        header = sidecar_path(path).read_bytes().split(b"\n", 1)[0]
         assert list(json.loads(header)) == [
             "format", "sha256", "arrays_sha256", "n", "aps", "sentinel_dbm", "area_m2"]
         assert json.loads(header)["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-        arrays = lanes_path(path).read_bytes()[len(header) + 1:]
+        arrays = sidecar_path(path).read_bytes()[len(header) + 1:]
         assert json.loads(header)["arrays_sha256"] == hashlib.sha256(arrays).hexdigest()
         assert same_map(load_radiomap(path), parsed(path))
         assert counted_parses == []
@@ -441,9 +441,9 @@ class TestLanesFile:
         first, second = two_maps()
         path = tmp_path / "map.json"
         save_radiomap(first, path)
-        stale = lanes_path(path).read_bytes()
+        stale = sidecar_path(path).read_bytes()
         save_radiomap(second, path)
-        lanes_path(path).write_bytes(stale)
+        sidecar_path(path).write_bytes(stale)
         loaded = load_radiomap(path)
         assert same_map(loaded, parsed(path)) and same_map(loaded, second)
         assert len(counted_parses) == 1
@@ -462,7 +462,7 @@ class TestLanesFile:
         rmap, _ = two_maps()
         path = tmp_path / "map.json"
         save_radiomap(rmap, path)
-        lanes_path(path).write_bytes(damage(lanes_path(path).read_bytes()))
+        sidecar_path(path).write_bytes(damage(sidecar_path(path).read_bytes()))
         assert same_map(load_radiomap(path), parsed(path))
         assert len(counted_parses) == 1
 
@@ -470,7 +470,7 @@ class TestLanesFile:
         rmap, _ = two_maps()
         path = tmp_path / "map.json"
         save_radiomap(rmap, path)
-        lanes_path(path).unlink()
+        sidecar_path(path).unlink()
         assert same_map(load_radiomap(path), parsed(path))
         assert len(counted_parses) == 1
 
@@ -483,10 +483,10 @@ class TestLanesFile:
         rmap, _ = two_maps()
         path = tmp_path / "map.json"
         save_radiomap(rmap, path)
-        data = bytearray(lanes_path(path).read_bytes())
+        data = bytearray(sidecar_path(path).read_bytes())
         start = data.index(b"\n") + 1 + offset
         data[start:start + 8] = np.float64(value).tobytes()
-        lanes_path(path).write_bytes(bytes(data))
+        sidecar_path(path).write_bytes(with_arrays_digest(data))
         assert same_map(load_radiomap(path), rmap)
         assert len(counted_parses) == 1
 
@@ -498,11 +498,11 @@ class TestLanesFile:
         rmap, _ = two_maps()
         path = tmp_path / "map.json"
         save_radiomap(rmap, path)
-        data = bytearray(lanes_path(path).read_bytes())
+        data = bytearray(sidecar_path(path).read_bytes())
         start = data.index(b"\n") + 1 + offset
         value = np.frombuffer(data, "<f8", 1, start)[0]
         data[start:start + 8] = np.float64(value - 1.0).tobytes()
-        lanes_path(path).write_bytes(bytes(data))
+        sidecar_path(path).write_bytes(bytes(data))
         assert same_map(load_radiomap(path), rmap)
         assert len(counted_parses) == 1
 
@@ -510,8 +510,8 @@ class TestLanesFile:
         rmap, _ = two_maps()
         path = tmp_path / "map.json"
         save_radiomap(rmap, path)
-        data = lanes_path(path).read_bytes()
-        lanes_path(path).write_bytes(data[:-1] + b"\x02")
+        data = sidecar_path(path).read_bytes()
+        sidecar_path(path).write_bytes(with_arrays_digest(data[:-1] + b"\x02"))
         assert same_map(load_radiomap(path), rmap)
         assert len(counted_parses) == 1
 
@@ -526,6 +526,6 @@ class TestLanesFile:
         header = {"format": radiomap.LANES_FORMAT, "sha256": hashlib.sha256(data).hexdigest(),
                   "arrays_sha256": hashlib.sha256(b"").hexdigest(),
                   "n": 0, "aps": aps, "sentinel_dbm": 50.0, "area_m2": None}
-        lanes_path(path).write_bytes(json.dumps(header).encode() + b"\n")
+        sidecar_path(path).write_bytes(json.dumps(header).encode() + b"\n")
         with pytest.raises(InputError, match=message):
             load_radiomap(path)
