@@ -339,7 +339,7 @@ def cmd_evaluate(args) -> int:
     # everywhere had no solvable fit.
     all_cells = len(prediction.cells) + len(positioning.cells)
     if all_cells and len(failures) == all_cells:
-        return 3
+        raise InsufficientDataError("every sweep cell failed")
     return 0
 
 
@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--verbose", action="store_true")
     # Only the commands that draw random numbers take a seed.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    seeded.add_argument("--seed", type=_checked(int, lambda s: s >= 0, "must be >= 0"),
+                        default=0, help="master RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="radioloc",

@@ -473,6 +473,7 @@ def _csv_prefixes(rows: Iterable[list[str]]) -> np.ndarray:
                     dtype=object)
 
 
+_SURVEY_HEADER = ",".join(MEASUREMENT_COLUMNS)
 SURVEY_LANES_FORMAT = "radioloc-survey-lanes/1"
 _SURVEY_LANES_KEYS = ["rows", "rp_ids", "ap_ids"]
 # The longest number save_measurements writes: a float's repr, say
@@ -554,155 +555,15 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     only the ``ND`` token marks a non-detection), non-finite coordinates, or
     a point id whose rows disagree on its coordinates.
 
-    Plain text (ASCII, unquoted, LF or CRLF line ends) is split into fields by
-    numpy's C reader; any other text, and any text it may split otherwise, by
-    ``csv.reader``. Either way every number is read by ``float()`` or
-    ``int()``, so both paths give the same columns and the same errors. A
-    lanes file holds what that parse gives, so all three give one survey.
+    The CSV is split into fields by ``csv.reader`` and every number read by
+    ``float()`` or ``int()``. A lanes file holds what that parse gives, so
+    both give one survey.
     """
     meas = read_sidecar(path, SURVEY_LANES_FORMAT, _SURVEY_LANES_KEYS, _survey_layout,
                         _survey_from_lanes)
-    return meas if meas is not None else read_csv(path, "measurement", _measurements_from_text)
-
-
-def _measurements_from_text(text: str) -> MeasurementSet:
-    columns = _loadtxt_columns(text)
-    if columns is None:
-        return _measurements_from_rows(csv_rows(text))
-    return MeasurementSet(*columns)
-
-
-# The survey body as np.loadtxt reads it: every field as ASCII bytes, a
-# quarter of the memory of str columns. loadtxt only splits the fields; every
-# number is read by float() or int(), as in the rows path, so both paths read
-# each token alike. A value that fills its width may have been cut short, so
-# the fast path declines on it.
-_SURVEY_DTYPE = np.dtype([("rp_id", "S32"), ("x", "S24"), ("y", "S24"), ("z", "S24"),
-                          ("ap_id", "S32"), ("rss_dbm", "S24"), ("scan_index", "S24")])
-# Lines per np.loadtxt call. Each call's table is copied into one array per
-# field and freed, so no allocation holds every field of the survey. glibc's
-# malloc raises its mmap threshold to the largest mmapped block freed so far
-# and then keeps up to twice that much free heap: a freed whole-survey table
-# (4.6 MB for a 25,200-row survey) raised offline-build's peak RSS by ~6 MB.
-_BLOCK_LINES = 4096
-_SURVEY_HEADER = ",".join(MEASUREMENT_COLUMNS)
-# Where np.loadtxt would read ASCII text otherwise than csv.reader, float() and
-# int() do: CSV quoting; NUL, which a fixed-width value drops from its end;
-# and \x1c-\x1f, which loadtxt strips around a number and float() does not.
-_DECLINE_CHARS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _plain_line_ends(body: bytes) -> np.ndarray | None:
-    """The offset of each LF in ASCII ``body``, plus ``len(body)``; None unless
-    every CR in it ends a CRLF, where csv and loadtxt both end a line, and no
-    line is longer than ``csv.field_size_limit()``, so that csv cannot raise on
-    a field."""
-    codes = np.frombuffer(body + b"\n", dtype=np.uint8)
-    line_ends = np.flatnonzero(codes == ord("\n"))
-    longest = int(np.diff(line_ends, prepend=-1).max()) - 1
-    if ((codes[np.flatnonzero(codes == ord("\r")) + 1] == ord("\n")).all()
-            and longest <= csv.field_size_limit()):
-        return line_ends
-    return None
-
-
-def _survey_fields(body: bytes, line_ends: np.ndarray) -> dict[str, np.ndarray] | None:
-    """Each ``_SURVEY_DTYPE`` field of the rows of ``body`` as one contiguous
-    array, read ``_BLOCK_LINES`` lines at a time; None where np.loadtxt
-    rejects a line, or a value fills its field."""
-    fields = {name: np.empty(line_ends.shape[0], _SURVEY_DTYPE[name])
-              for name in _SURVEY_DTYPE.names}
-    n = 0
-    starts = [0, *(line_ends[_BLOCK_LINES - 1::_BLOCK_LINES] + 1).tolist()]
-    for start, stop in zip(starts, [*starts[1:], None]):
-        block = body[start:stop]
-        if not block.strip(b"\r\n"):  # blank lines only, which loadtxt warns of
-            continue
-        try:
-            table = np.loadtxt(io.BytesIO(block), dtype=_SURVEY_DTYPE, delimiter=",",
-                               comments=None, ndmin=1)
-        except ValueError:  # a short or long row, an unparsable number, a blank-only line
-            return None
-        for name, field in fields.items():
-            field[n:n + table.shape[0]] = table[name]
-        n += table.shape[0]
-    fields = {name: field[:n] for name, field in fields.items()}
-    # A byte other than NUL at the end of a field marks a value that fills it.
-    if any(field.view(np.uint8)[field.itemsize - 1::field.itemsize].any()
-           for field in fields.values()):
-        return None
-    return fields
-
-
-def _loadtxt_columns(text: str) -> tuple | None:
-    """``_measurements_from_rows``' columns for ``MeasurementSet``,
-    parsed by numpy's C reader; None for any text it cannot read exactly as
-    ``csv_rows`` and ``float()``/``int()`` would, or that the rows path rejects.
-
-    It never raises: the caller falls back to the rows path, which gives the
-    error, if any.
-    """
-    head = text.partition("\n")[0]
-    if (head.removesuffix("\r") != _SURVEY_HEADER or not text.isascii()
-            or any(char in text for char in _DECLINE_CHARS)):
-        return None
-    # The body as bytes, the one copy of it kept: one byte per character.
-    data = text[len(head) + 1:].encode("ascii")
-    if not data.strip(b"\r\n"):
-        return None
-    line_ends = _plain_line_ends(data)
-    fields = None if line_ends is None else _survey_fields(data, line_ends)
-    if fields is None:
-        return None
-
-    rp_names, rp_first, rp_index = _codes(fields["rp_id"])
-    ap_names, _, ap_index = _codes(fields["ap_id"])
-    scan_tokens, _, scan_code = _codes(fields["scan_index"])
-    tokens = fields["rss_dbm"]
-    detected = tokens != NOT_DETECTED_TOKEN.encode()
-    rss = np.full(tokens.shape[0], np.nan)
-    coords = [fields[name] for name in ("x", "y", "z")]
-    # Each point's position is read from its first row. Rows whose coordinate
-    # text differs from their point's first row are read again and must give
-    # the same bits, else the rows path may raise or keep a -0.0; a
-    # non-finite position is an error, which the rows path words.
-    first_row = rp_first[rp_index]
-    again = np.flatnonzero(np.logical_or.reduce(
-        [column != column[first_row] for column in coords]))
-    try:  # float() and int() read ASCII bytes exactly as they read the same str
-        xyz = np.stack([_floats(column[rp_first]) for column in coords], axis=1)
-        reread = np.stack([_floats(column[again]) for column in coords], axis=1)
-        rss[detected] = _floats(tokens[detected])
-        scans = np.fromiter(map(int, scan_tokens.tolist()), dtype=np.int64,
-                            count=scan_tokens.shape[0])[scan_code]
-    except (ValueError, OverflowError):  # OverflowError: a scan outside int64
-        return None
-    if not (np.isfinite(xyz).all()
-            and np.array_equal(reread.view(np.int64), xyz[rp_index[again]].view(np.int64))):
-        return None
-    return ([name.decode() for name in rp_names.tolist()], xyz,
-            [name.decode() for name in ap_names.tolist()], rp_index, ap_index, rss, detected,
-            scans)
-
-
-def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of ``column`` in first-appearance order, the row
-    where each first appears, and each entry's position among them."""
-    # Values that all end within their first 8 bytes (the widths are whole
-    # words, NUL-padded) are equal exactly when those bytes are: one uint64
-    # each sorts several times faster than the byte strings.
-    words = column.view(np.uint64).reshape(column.shape[0], -1)
-    key = column if words[:, 1:].any() else words[:, 0]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    return column[first[order]], first[order], rank[inverse]
-
-
-def _floats(tokens: np.ndarray) -> np.ndarray:
-    """``float()`` of each ASCII bytes token."""
-    return np.fromiter(map(float, tokens.tolist()), dtype=float, count=tokens.shape[0])
+    if meas is not None:
+        return meas
+    return read_csv(path, "measurement", lambda text: _measurements_from_rows(csv_rows(text)))
 
 
 def _measurements_from_rows(rows: list[list[str]]) -> MeasurementSet:

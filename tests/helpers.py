@@ -15,8 +15,9 @@ the one log that ``LinkTable`` takes of all of them),
 must equal, and ``reference_report_text``, the
 ``asdict`` + ``json.dumps`` and per-row ``csv.writer`` report writer whose
 bytes the evaluation's report formatting must equal, and ``csv_path_outcome``,
-survey loading through the csv rows path alone, which the loadtxt path must
-equal, ``reference_detected_means``, the per-(target, AP) loop whose means the
+survey loading through the csv rows path alone: the parse of a survey with no
+lanes file, which the survey read from its lanes file must equal,
+``reference_detected_means``, the per-(target, AP) loop whose means the
 simulator's target fingerprints must equal bit for bit, and
 ``reference_survey_csv``, the per-row ``csv.writer`` survey writer whose text
 ``save_measurements`` must equal.

@@ -778,6 +778,9 @@ class TestInputErrorsExit2:
         ["simulate", "--tp-count", "0"],
         ["simulate", "--shadowing-sigma", "-1"],
         ["simulate", "--template", "custom"],
+        ["simulate", "--seed", "-1"],
+        ["build-radiomap", "--seed", "-1", "--measurements", "m", "--floorplan", "f",
+         "--aps", "a", "--fit", "x"],
         ["build-radiomap", "--rho", "0", "--measurements", "m", "--floorplan", "f",
          "--aps", "a", "--fit", "x"],
         ["build-radiomap", "--sentinel", "-130", "--measurements", "m", "--floorplan", "f",
@@ -797,6 +800,7 @@ class TestInputErrorsExit2:
         ["locate", "--order", "34.000001", "--radiomap", "m", "--target", "t"],
         ["locate", "--alpha", "1.5", "--radiomap", "m", "--target", "t"],
         ["locate", "--alpha", "1e308", "--radiomap", "m", "--target", "t"],
+        ["evaluate", "--seed", "-1", "--world-dir", "w"],
         ["evaluate", "--alpha-step", "0", "--world-dir", "w"],
         # Grids that would never end or repeat alphas, refused before any sweep.
         ["evaluate", "--alpha-step", "1e-300", "--world-dir", "w"],
@@ -972,7 +976,8 @@ class TestEvaluate:
         code = main(["evaluate", "--world-dir", str(world), "--rho-grid", "0.5,1",
                      "--dv-grid", "0.1", "--out-dir", str(tmp_path / "out")])
         assert code == 3
-        assert "cell failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cell failed" in err and err.count("error:") == 1
 
     def test_targets_on_survey_points_exit_0(self, world_dir, tmp_path, capsys):
         # Each target is a survey point, with the point's own fingerprint: no

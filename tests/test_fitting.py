@@ -14,7 +14,6 @@ from radioloc.fitting import (
     MeasurementRecord,
     MeasurementSet,
     StrategyKind,
-    _loadtxt_columns,
     fit,
     fit_result_from_dict,
     fit_result_to_dict,
@@ -418,45 +417,45 @@ class TestMeasurementIo:
         assert meas.rp_ids() == ["rp0"] and meas.xyz.tolist() == [[1.0, 2.0, 1.2]]
         assert meas.ap_ids() == ["ap01"] and meas.mean_matrix().tolist() == [[-50.0]]
 
-    # (file text, whether numpy's reader takes it); either way the survey must
-    # equal the csv rows path's, bit for bit.
-    @pytest.mark.parametrize("text, loadtxt", [
-        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50.5,0\nrp0,1,2,1.2,ap01,ND,1\n"
-         "rp1,3,2,1.2,ap02,-70,0\n", True),
-        (f"{HEADER}\r\nrp0,1,2,1.2,ap01,-50.5,0\r\nrp0,1,2,1.2,ap01,ND,1\r\n", True),
-        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50.5,0", True),
-        (f"{HEADER}\n\nrp0,1,2,1.2,ap01,-50,0\n\n\nrp1,3,2,1.2,ap01,ND,0\n\n", True),
-        (f"{HEADER}\r\n\r\nrp0,1,2,1.2,ap01,-50,0\r\n\r\n", True),
-        (f"{HEADER}\nrp0, 1 ,2\t, 1.2,ap01, -50.5 , 0 \nrp1,3,2,1.2,ap01,ND,1\n", True),
-        (f"{HEADER}\nrp0,1e0,2E+00,.12e1,ap01,-5.05e1,0\nrp0,1.,2,1.2,ap01,-0.0,1\n", True),
-        (f"{HEADER}\n#rp0,1,2,1.2,ap#1,-50,0\n", True),
-        (f"{HEADER}\nrp0,1,2,1.2,00:1a:2b:3c:4d:5e,-50,0\n", True),
-        (f"{HEADER}\n{'p' * 31},1,2,1.2,{'a' * 31},-50.0000000000000000001,0\n", True),
-        (f"{HEADER}\nrp\x0c0,1,2,1.2\x0c,ap\x0b1,-50,0\n", True),
-        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,-3\nrp0,1,2,1.2,ap01,-51,+4\n", True),
-        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,1_1\nrp0,1,2,1.2,ap01,-51,{'0' * 22}7\n", True),
-        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,{'0' * 23}7\n", False),
-        (f"{HEADER}\n{'p' * 32},1,2,1.2,ap01,-50,0\n", False),
-        (f"{HEADER}\n{'p' * 33},1,2,1.2,ap01,-50,0\nrp1,3,2,1.2,{'a' * 33},-50,0\n", False),
-        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50.00000000000000000001,0\n", False),
-        (f'{HEADER}\n"rp,0",1,2,1.2,"say ""hi""",-50,0\n', False),
-        (f'"rp_id",x,y,z,ap_id,rss_dbm,scan_index\nrp0,1,2,1.2,ap01,-50,0\n', False),
-        (f"{HEADER}\nrp0,0.0,2,1.2,ap01,-50,0\nrp0,-0.0,2,1.2,ap01,-51,1\n", False),
-        (f"{HEADER}\nrp0,1_0,2,1.2,ap01,-50,1_1\n", True),
-        (f"{HEADER}\nrp0,\u0663,2,1.2,ap01,-50,0\n", False),
-        (f"{HEADER}\nrp\x1c0,1,2,1.2,ap01,-50,0\n", False),
-        (f"{HEADER}\nrp\u20280,1,2,1.2,ap\x851,-50,0\n", False),
-        (f"{HEADER}\rrp0,1,2,1.2,ap01,-50,0\rrp1,3,2,1.2,ap01,ND,0\r", False),
-        (f"{HEADER}\r\nrp0,1,2,1.2,ap01,-50,0\r\r\n", False),
-        (f"\n{HEADER}\nrp0,1,2,1.2,ap01,-50,0\n", False),
-        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,0\nrp1,3,2,1.2,ap01,-60,0\n"
-         "rp0,1.0,2,1.2,ap01,-51,1\nrp0,1e0,2.0,1.2,ap02,ND,0\n", True),
-        (f"{HEADER}\nrp0,1,0.0,1.2,ap01,-50,0\nrp1,3,2,1.2,ap01,-60,0\n"
-         "rp0,1,0.0,1.2,ap01,-51,1\nrp0,1,-0.0,1.2,ap02,-52,0\n", False),
-        (f"{HEADER}\nrp0,1,2,1.{'0' * 21},ap01,-50,0\n", True),
-        (f"{HEADER}\nrp0,1,2,1.{'0' * 22},ap01,-50,0\n", False),
-        (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,01\nrp0,1,2,1.2,ap01,-51,1\n"
-         "rp0,1,2,1.2,ap01,-52,001\n", True),
+    # Texts the parser must accept, each one survey, bit for bit the csv rows
+    # path's.
+    @pytest.mark.parametrize("text", [
+        f"{HEADER}\nrp0,1,2,1.2,ap01,-50.5,0\nrp0,1,2,1.2,ap01,ND,1\n"
+        "rp1,3,2,1.2,ap02,-70,0\n",
+        f"{HEADER}\r\nrp0,1,2,1.2,ap01,-50.5,0\r\nrp0,1,2,1.2,ap01,ND,1\r\n",
+        f"{HEADER}\nrp0,1,2,1.2,ap01,-50.5,0",
+        f"{HEADER}\n\nrp0,1,2,1.2,ap01,-50,0\n\n\nrp1,3,2,1.2,ap01,ND,0\n\n",
+        f"{HEADER}\r\n\r\nrp0,1,2,1.2,ap01,-50,0\r\n\r\n",
+        f"{HEADER}\nrp0, 1 ,2\t, 1.2,ap01, -50.5 , 0 \nrp1,3,2,1.2,ap01,ND,1\n",
+        f"{HEADER}\nrp0,1e0,2E+00,.12e1,ap01,-5.05e1,0\nrp0,1.,2,1.2,ap01,-0.0,1\n",
+        f"{HEADER}\n#rp0,1,2,1.2,ap#1,-50,0\n",
+        f"{HEADER}\nrp0,1,2,1.2,00:1a:2b:3c:4d:5e,-50,0\n",
+        f"{HEADER}\n{'p' * 31},1,2,1.2,{'a' * 31},-50.0000000000000000001,0\n",
+        f"{HEADER}\nrp\x0c0,1,2,1.2\x0c,ap\x0b1,-50,0\n",
+        f"{HEADER}\nrp0,1,2,1.2,ap01,-50,-3\nrp0,1,2,1.2,ap01,-51,+4\n",
+        f"{HEADER}\nrp0,1,2,1.2,ap01,-50,1_1\nrp0,1,2,1.2,ap01,-51,{'0' * 22}7\n",
+        f"{HEADER}\nrp0,1,2,1.2,ap01,-50,{'0' * 23}7\n",
+        f"{HEADER}\n{'p' * 32},1,2,1.2,ap01,-50,0\n",
+        f"{HEADER}\n{'p' * 33},1,2,1.2,ap01,-50,0\nrp1,3,2,1.2,{'a' * 33},-50,0\n",
+        f"{HEADER}\nrp0,1,2,1.2,ap01,-50.00000000000000000001,0\n",
+        f'{HEADER}\n"rp,0",1,2,1.2,"say ""hi""",-50,0\n',
+        f'"rp_id",x,y,z,ap_id,rss_dbm,scan_index\nrp0,1,2,1.2,ap01,-50,0\n',
+        f"{HEADER}\nrp0,0.0,2,1.2,ap01,-50,0\nrp0,-0.0,2,1.2,ap01,-51,1\n",
+        f"{HEADER}\nrp0,1_0,2,1.2,ap01,-50,1_1\n",
+        f"{HEADER}\nrp0,\u0663,2,1.2,ap01,-50,0\n",
+        f"{HEADER}\nrp\x1c0,1,2,1.2,ap01,-50,0\n",
+        f"{HEADER}\nrp\u20280,1,2,1.2,ap\x851,-50,0\n",
+        f"{HEADER}\rrp0,1,2,1.2,ap01,-50,0\rrp1,3,2,1.2,ap01,ND,0\r",
+        f"{HEADER}\r\nrp0,1,2,1.2,ap01,-50,0\r\r\n",
+        f"\n{HEADER}\nrp0,1,2,1.2,ap01,-50,0\n",
+        f"{HEADER}\nrp0,1,2,1.2,ap01,-50,0\nrp1,3,2,1.2,ap01,-60,0\n"
+        "rp0,1.0,2,1.2,ap01,-51,1\nrp0,1e0,2.0,1.2,ap02,ND,0\n",
+        f"{HEADER}\nrp0,1,0.0,1.2,ap01,-50,0\nrp1,3,2,1.2,ap01,-60,0\n"
+        "rp0,1,0.0,1.2,ap01,-51,1\nrp0,1,-0.0,1.2,ap02,-52,0\n",
+        f"{HEADER}\nrp0,1,2,1.{'0' * 21},ap01,-50,0\n",
+        f"{HEADER}\nrp0,1,2,1.{'0' * 22},ap01,-50,0\n",
+        f"{HEADER}\nrp0,1,2,1.2,ap01,-50,01\nrp0,1,2,1.2,ap01,-51,1\n"
+        "rp0,1,2,1.2,ap01,-52,001\n",
     ], ids=["lf", "crlf", "one-row-no-eol", "blank-lines", "crlf-blank-lines",
             "spaces-around-numbers", "exponent-forms", "hash-in-ids", "bssid-ap-id",
             "31-char-ids-and-23-char-rss", "ff-and-vt-in-fields", "signed-scans",
@@ -467,21 +466,18 @@ class TestMeasurementIo:
             "blank-line-before-header", "one-coordinate-in-three-spellings",
             "negative-zero-in-a-later-row", "23-char-coordinate", "24-char-coordinate",
             "scans-01-and-1"])
-    def test_loadtxt_path_equals_csv_path(self, tmp_path, text, loadtxt):
+    def test_loadtxt_path_equals_csv_path(self, tmp_path, text):
         path = tmp_path / "meas.csv"
         path.write_bytes(text.encode())
-        assert (_loadtxt_columns(text) is not None) == loadtxt
         outcome = survey_outcome(load_measurements, path)
         assert not isinstance(outcome, str), outcome
         assert outcome == csv_path_outcome(path)
 
-    # Scans that int() rejects or int64 cannot hold. At numpy 1.23-1.26 the
-    # integer parser of loadtxt reads "1.5" as 1, so scans must not go through it.
+    # Scans that int() rejects or int64 cannot hold.
     @pytest.mark.parametrize("scan", ["1.5", "1.0", "1e2", "12345678901234567890",
                                       "9223372036854775808"])
     def test_scan_that_int_rejects_declines(self, tmp_path, scan):
         text = f"{HEADER}\nrp0,1,2,1.2,ap01,-50,0\nrp0,1,2,1.2,ap01,-51,{scan}\n"
-        assert _loadtxt_columns(text) is None
         path = tmp_path / "meas.csv"
         path.write_bytes(text.encode())
         with pytest.raises(InputError) as excinfo:
@@ -493,24 +489,12 @@ class TestMeasurementIo:
         # Scan tokens are read once each, and the first rows' all fit int64.
         text = (f"{HEADER}\nrp0,1,2,1.2,ap01,-50,0\nrp1,3,2,1.2,ap01,-60,1\n"
                 "rp1,3,2,1.2,ap01,-61,0\nrp0,1,2,1.2,ap01,-51,9223372036854775808\n")
-        assert _loadtxt_columns(text) is None
         path = tmp_path / "meas.csv"
         path.write_bytes(text.encode())
         with pytest.raises(InputError) as excinfo:
             load_measurements(path)
         assert f"InputError: {excinfo.value}" == csv_path_outcome(path)
         assert outcome_beside_a_stale_lanes_file(path) == csv_path_outcome(path)
-
-    def test_simulated_survey_takes_the_loadtxt_path(self, tmp_path):
-        plan, aps, truth = tiny_world()
-        meas = synth_measurements(plan, aps, {ap.id: truth for ap in aps}, survey_points())
-        path = tmp_path / "meas.csv"
-        save_measurements(meas, path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-        assert "\r\n" in text  # csv.writer's line ends
-        assert _loadtxt_columns(text) is not None
-        assert survey_outcome(load_measurements, path) == csv_path_outcome(path)
 
     def test_round_trip_of_ids_that_need_quoting(self, tmp_path):
         records = [
@@ -520,8 +504,6 @@ class TestMeasurementIo:
         ]
         path = tmp_path / "meas.csv"
         save_measurements(measurement_set(records), path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            assert _loadtxt_columns(fh.read()) is None  # quoted: the csv rows path
         loaded = load_measurements(path)
         assert list(loaded.records) == records
         assert survey_outcome(load_measurements, path) == csv_path_outcome(path)

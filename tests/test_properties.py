@@ -1,11 +1,11 @@
-"""Property-based checks of the columnar survey and its two CSV parsers, the
+"""Property-based checks of the columnar survey and its CSV parser, the
 array-backed radiomap and its AP-major layout, the blocked obstruction
 counting, the virtual RP lattice, the batched WkNN kernel, the fit's design
 matrix, the sweep statistics and the report writer; and fuzzed input files
 through ``cli.main``, which must exit 0, 2 or 3.
 
-The oracles are plain per-record Python loops, the csv rows path (for the
-loadtxt survey parser), ``json.dumps`` (for the
+The oracles are plain per-record Python loops, ``csv.reader`` over the file
+(for the survey parser's ``csv_rows``), ``json.dumps`` (for the
 radiomap and for ``ioutil.format_json``), the radiomap parsed from its JSON
 (for the map read from the lanes file beside it), the survey parsed from its
 CSV (for the survey read from the lanes file beside it), for
@@ -68,8 +68,6 @@ from radioloc.fitting import (
     MeasurementRecord,
     MeasurementSet,
     StrategyKind,
-    _loadtxt_columns,
-    _measurements_from_rows,
     fit,
     load_measurements,
     save_measurements,
@@ -357,8 +355,8 @@ def test_simulated_targets_match_per_target_loop(monkeypatch, preset):
     assert all(isinstance(tp.fingerprint, Fingerprint) for tp in test_points)
 
 
-# Survey texts for the loadtxt path: each trap is a way numpy's reader and
-# csv.reader + float()/int() could read one text differently.
+# Survey texts for the CSV parser: each trap is a way a field splitter or a
+# number reader could misread one text.
 ID_TRAPS = ["a,b", 'say "hi"', "#p", "p#", "q" * 31, "q" * 32, "q" * 33, "q" * 40,
             "00:1a:2b:3c:4d:5e", "p\x0cq", "p\x1cq", "p\u2028q", "p\x85q", "", " p ",
             "p\x00", "ND"]
@@ -422,14 +420,14 @@ def survey_texts(draw):
                       len(rows[r]) - 1)  # a shape trap may have cut the row short
             rows[r][col] = draw(st.sampled_from(
                 {"number": NUMBER_TRAPS, "rss": RSS_TRAPS, "scan": SCAN_TRAPS}[kind]))
-        elif kind == "width":  # longer than loadtxt's column, which would cut it short
+        elif kind == "width":  # longer than a fixed-width field, which would cut it short
             col, value = draw(st.sampled_from([(0, "q" * 33), (4, "a" * 40),
                                                (5, "-00000000000000000000050.5")]))
             rows[r][min(col, len(rows[r]) - 1)] = value
-        elif kind == "moved":  # one row of a point elsewhere, which the rows path rejects
+        elif kind == "moved":  # one row of a point elsewhere, which the parser rejects
             rows[r][min(draw(st.integers(1, 3)), len(rows[r]) - 1)] = draw(
                 st.sampled_from(["7.25", "-0.0", "nan"]))
-        elif kind == "comment":  # loadtxt's default comments="#" would skip the row
+        elif kind == "comment":  # a reader that skips "#" comments would drop the row
             rows[r][0] = "#" + rows[r][0]
         elif kind == "blank":  # str.splitlines() ends a line at \x0b, \x0c and \x1c
             ends[r] = eol + draw(st.sampled_from([" ", "\x0b", "\x0c", "\t\x0c", "\x1c"])) + eol
@@ -446,31 +444,6 @@ def survey_texts(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
-class _Columns(Exception):
-    """Raised in place of the MeasurementSet constructor, carrying its arguments."""
-
-
-def _raise_columns(*columns):
-    raise _Columns(columns)
-
-
-def rows_path_columns(rows):
-    """The columns ``_measurements_from_rows`` hands to ``MeasurementSet``."""
-    with mock.patch.object(fitting, "MeasurementSet", _raise_columns):
-        try:
-            _measurements_from_rows(rows)
-        except _Columns as exc:
-            return exc.args[0]
-        except (ValueError, OverflowError) as exc:
-            pytest.fail(f"the csv rows path rejects a text the loadtxt path read: {exc!r}")
-
-
-def column_bits(columns):
-    return [column if isinstance(column, list) else
-            (np.asarray(column).dtype.str, np.shape(column), np.asarray(column).tobytes())
-            for column in columns]
-
-
 def file_rows(path):
     """The rows csv.reader gives for the file itself, or None on csv.Error."""
     try:
@@ -482,7 +455,7 @@ def file_rows(path):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(survey_texts())
-def test_loadtxt_path_equals_csv_path(tmp_path_factory, text):
+def test_survey_text_loads_or_raises_input_error(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("survey") / "meas.csv"
     path.write_bytes(text.encode())
     try:
@@ -490,12 +463,8 @@ def test_loadtxt_path_equals_csv_path(tmp_path_factory, text):
     except csv.Error:
         rows = None
     assert rows == file_rows(path)
-    columns = _loadtxt_columns(text)
-    event("loadtxt path" if columns is not None else "declined")
-    if columns is not None:
-        assert rows is not None
-        assert column_bits(columns) == column_bits(rows_path_columns(rows))
-    # Equal surveys, or InputErrors with equal messages.
+    # A survey or an InputError, never another exception; equal to the rows
+    # path's.
     outcome = survey_outcome(load_measurements, path)
     event("rejected" if isinstance(outcome, str) else "accepted")
     assert outcome == csv_path_outcome(path)
@@ -1819,7 +1788,8 @@ FUZZ_WORLD = {
 REPLACEMENTS = [None, True, -1, 2, 1.5, "x", [], {}, [1], {"a": 1}]
 
 # The commands that read each input file. A file name in an argv stands for
-# that file in the fuzz directory; "out.json" and "out" are output paths.
+# that file in the fuzz directory, and "." for the directory itself; "out.json"
+# and "out" are output paths.
 FIT_ARGV = ["fit", "--measurements", "measurements.csv", "--floorplan", "floorplan.json",
             "--aps", "aps.json", "--out", "out.json"]
 BUILD_ARGV = ["build-radiomap", "--measurements", "measurements.csv", "--floorplan",
@@ -1829,6 +1799,8 @@ SIMULATE_ARGV = ["simulate", "--template", "custom", "--custom-file", "world.jso
                  "--dr", "0.2", "--tp-count", "2", "--preset", "crowdsourcing",
                  "--out-dir", "out"]
 LOCATE_ARGV = ["locate", "--radiomap", "radiomap.json", "--target", "target.csv", "--k", "3"]
+EVALUATE_ARGV = ["evaluate", "--world-dir", ".", "--rho-grid", "1", "--dv-grid", "0.1",
+                 "--out-dir", "out"]
 FUZZ_CONSUMERS = {
     "floorplan.json": [FIT_ARGV, BUILD_ARGV],
     "aps.json": [FIT_ARGV, BUILD_ARGV],
@@ -1840,7 +1812,7 @@ FUZZ_CONSUMERS = {
     "target.csv": [LOCATE_ARGV],
     "world.json": [SIMULATE_ARGV],
 }
-FUZZ_NAMES = set(FUZZ_CONSUMERS) | {"out.json", "out"}
+FUZZ_NAMES = set(FUZZ_CONSUMERS) | {".", "out.json", "out"}
 
 
 def in_dir(directory, argv, paths=None):
@@ -1850,12 +1822,16 @@ def in_dir(directory, argv, paths=None):
 
 
 def run_cli(argv) -> tuple[int, str]:
-    """cli.main's exit code and stderr; any exception escapes to the caller."""
+    """cli.main's exit code, or that of the SystemExit argparse raises, and
+    stderr; any other exception escapes to the caller."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -1934,9 +1910,41 @@ def test_output_path_of_the_wrong_kind_exits_2(fuzz_dir, tmp_path, command):
         argv = FIT_ARGV if command == "fit" else BUILD_ARGV
     else:
         existing.write_text("x")  # for --out-dir
-        argv = SIMULATE_ARGV if command == "simulate" else [
-            "evaluate", "--world-dir", fuzz_dir, "--rho-grid", "1", "--dv-grid", "0.1",
-            "--out-dir", "out"]
+        argv = SIMULATE_ARGV if command == "simulate" else EVALUATE_ARGV
     code, err = run_cli(in_dir(fuzz_dir, argv, {"out.json": existing, "out": existing}))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Each numeric flag of each command, with fit's --seed, which fit rejects, and
+# simulate's noise flags, which the custom world rejects once they parse.
+# Every value is small, or refused before any work: the campaign and
+# virtual-RP caps refuse the large densities and counts, and the alpha-grid
+# cap the tiny steps.
+FLAG_CASES = ([(SIMULATE_ARGV, flag) for flag in ("--seed", "--dr", "--tp-count",
+                                                  *(noise[0] for noise in cli._NOISE_FLAGS))]
+              + [(FIT_ARGV, "--seed")]
+              + [(BUILD_ARGV, flag) for flag in ("--seed", "--rho", "--dv", "--rp-height",
+                                                 "--sentinel", "--detection-floor")]
+              # LOCATE_ARGV without its "--k 3", which --alpha excludes
+              + [(LOCATE_ARGV[:-2], flag) for flag in ("--k", "--alpha", "--order")]
+              + [(EVALUATE_ARGV, flag) for flag in ("--seed", "--rho-grid", "--dv-grid",
+                                                    "--alpha-step", "--alpha-range")])
+BOUNDARY_VALUES = ["0", "0.0", "-0.0", "1e-320", "1e-300", "1", "1e308", "nan", "inf", "-inf",
+                   "-1", str(10**30)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FLAG_CASES), st.sampled_from(BOUNDARY_VALUES))
+def test_boundary_flag_values_exit_0_2_or_3(fuzz_dir, case, value):
+    argv, flag = case
+    if flag in argv:
+        at = argv.index(flag)
+        argv = argv[:at] + argv[at + 2:]
+    work = fuzz_dir / "flags"  # outputs of earlier examples here are never read
+    code, err = run_cli(in_dir(fuzz_dir, [*argv, f"{flag}={value}"],
+                               {"out.json": work / "out.json", "out": work / "out"}))
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    if code:
+        assert err.count("error:") == 1, err
