@@ -52,12 +52,9 @@ from .floorplan import (
 from .positioning import (
     PositionEstimate,
     WknnConfig,
-    find_k_opt,
-    k_est,
     k_est_from_counts,
     locate,
     locate_many,
-    similarity,
 )
 from .propagation import (
     AccessPoint,

@@ -49,7 +49,6 @@ from .propagation import (
 )
 from .radiomap import (
     DETECTION_FLOOR_DBM,
-    DEVICE_HEIGHT_M,
     NOT_DETECTED_DBM,
     Fingerprint,
     Radiomap,
@@ -206,8 +205,7 @@ def cmd_build_radiomap(args) -> int:
         if missing:
             raise InputError(f"{args.fit} has no fitted parameters for APs {sorted(missing)}")
         try:
-            positions = place_virtual_rps(plan, args.dv, args.placement,
-                                          seed=args.seed, z_m=args.rp_height)
+            positions = place_virtual_rps(plan, args.dv, args.placement, seed=args.seed)
         except ValueError as exc:  # more virtual RPs than MAX_VIRTUAL_RPS
             raise InputError(f"--dv: {exc}") from None
         virtual_rps = generate_virtual_fingerprints(
@@ -405,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of survey points kept as real RPs")
     p.add_argument("--dv", type=_NONNEGATIVE, default=0.0, help="virtual RP density (RPs/m^2)")
     p.add_argument("--placement", default="grid", choices=["grid", "random"])
-    p.add_argument("--rp-height", type=_FINITE, default=DEVICE_HEIGHT_M)
     p.add_argument("--sentinel", type=_SENTINEL, default=NOT_DETECTED_DBM)
     p.add_argument("--detection-floor", type=_FINITE, default=DETECTION_FLOOR_DBM)
     p.add_argument("--out", required=True)

@@ -275,12 +275,6 @@ class KestCell:
 class KestReport:
     cells: list[KestCell] = field(default_factory=list)
 
-    def beta(self, d_real: float, alpha: float) -> float:
-        for c in self.cells:
-            if c.d_real == d_real and math.isclose(c.alpha, alpha):
-                return c.beta_m
-        raise KeyError(f"no k-rule cell for d_real={d_real}, alpha={alpha}")
-
 
 # ---------------------------------------------------------------------------
 # Survey prefixes and their fits

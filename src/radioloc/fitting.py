@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import DegenerateFitError, GeometryError, InsufficientDataError
 from .floorplan import Floorplan, ObstacleFamily, Point3
-from .ioutil import (atomic_files, csv_rows, json_integer, json_number, read_csv, read_json,
-                     read_sidecar, write_json, write_sidecar)
+from .ioutil import (atomic_files, csv_rows, json_integer, json_number, read_bytes, read_csv,
+                     read_json, read_sidecar, write_json, write_sidecar)
 from .propagation import (
     FREE_SPACE_L0_DB,
     AccessPoint,
@@ -559,11 +559,13 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     ``float()`` or ``int()``. A lanes file holds what that parse gives, so
     both give one survey.
     """
-    meas = read_sidecar(path, SURVEY_LANES_FORMAT, _SURVEY_LANES_KEYS, _survey_layout,
+    data = read_bytes(path, "measurement")
+    meas = read_sidecar(path, data, SURVEY_LANES_FORMAT, _SURVEY_LANES_KEYS, _survey_layout,
                         _survey_from_lanes)
     if meas is not None:
         return meas
-    return read_csv(path, "measurement", lambda text: _measurements_from_rows(csv_rows(text)))
+    return read_csv(path, "measurement", lambda text: _measurements_from_rows(csv_rows(text)),
+                    data)
 
 
 def _measurements_from_rows(rows: list[list[str]]) -> MeasurementSet:

@@ -92,10 +92,6 @@ class Bounds:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.min_x + self.max_x), 0.5 * (self.min_y + self.max_y))
-
     def contains(self, x: float, y: float) -> bool:
         """Whether (x, y) lies inside the rectangle or within GRAZE_EPS_M of it."""
         return (

@@ -1,14 +1,15 @@
 """File reading and writing shared by the serializers and the CLI.
 
-Every input file is read through ``read_json`` or ``read_csv``: each opens the
-file, decodes it and hands the document to a parser, and maps every failure
-along the way to one ``InputError`` that names the file. A CSV parser gets
-the file's text and splits it into rows with ``csv_rows``. The parsers of the
-JSON inputs read numbers through ``json_number``, ``json_numbers`` or
-``json_integer``, which reject ``true``, ``false`` and strings. Every output
-file is written through ``atomic_files``, which streams chunks (text, or
-bytes) into temp files and renames them into place only when all of them are
-written; ``write_text_atomic`` writes one whole text through it. The evaluation
+Every input file is read once, through ``read_json`` or ``read_csv``: each
+reads the file, or takes the bytes ``read_bytes`` read, decodes them and
+hands the document to a parser, and maps every failure along the way to one
+``InputError`` that names the file. A CSV parser gets the file's text and
+splits it into rows with ``csv_rows``. The parsers of the JSON inputs read
+numbers through ``json_number``, ``json_numbers`` or ``json_integer``, which
+reject ``true``, ``false`` and strings. Every output file is written through
+``atomic_files``, which streams chunks (text, or bytes) into temp files and
+renames them into place only when all of them are written;
+``write_text_atomic`` writes one whole text through it. The evaluation
 reports, mostly long lists of numbers, are laid out as ``json.dumps(doc,
 indent=2)`` lays them out by ``format_json`` and, for item texts rendered by
 the caller, ``json_array`` and ``json_object``.
@@ -17,7 +18,8 @@ A file that is slow to parse can have a sidecar, a binary copy of its arrays
 at ``sidecar_path`` beside it: ``write_sidecar`` writes the file and its
 sidecar in one ``atomic_files`` call, and ``read_sidecar`` builds the
 caller's object from the sidecar only when it was written with exactly the
-file's bytes, and returns None otherwise, so that the caller parses the file.
+file's bytes, which the caller has read, and returns None otherwise, so that
+the caller parses those bytes.
 """
 
 from __future__ import annotations
@@ -46,13 +48,20 @@ T = TypeVar("T")
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
 
-def _read(path: str | Path, what: str, fmt: str, decode: Callable[[Path], object],
-          parse: Callable[..., T]) -> T:
-    path = Path(path)
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the file ``path``; an OSError becomes an InputError that
+    names the file as ``what``."""
     try:
-        doc = decode(path)
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read(path: str | Path, what: str, fmt: str, decode: Callable[[bytes], object],
+          parse: Callable[..., T], data: bytes | None) -> T:
+    path = Path(path)
+    try:
+        doc = decode(read_bytes(path, what) if data is None else data)
     except (ValueError, RecursionError) as exc:  # e.g. UnicodeDecodeError
         raise InputError(f"{what} file {path} is not valid {fmt}: {exc}") from exc
     try:
@@ -61,11 +70,6 @@ def _read(path: str | Path, what: str, fmt: str, decode: Callable[[Path], object
         raise InputError(f"{what} file {path} is not valid {fmt}: {exc}") from exc
     except _MALFORMED as exc:
         raise InputError(f"malformed {what} file {path}: {exc}") from exc
-
-
-def _read_text(path: Path) -> str:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -77,24 +81,33 @@ def csv_rows(text: str) -> list[list[str]]:
     return [row for row in csv.reader(io.StringIO(text, newline="")) if row]
 
 
-def read_json(path: str | Path, what: str, parse: Callable[..., T]) -> T:
-    """``parse`` the UTF-8 JSON document in ``path``; ``what`` names the file in errors.
+def _json_doc(data: bytes):
+    # Decoded as ``Path.read_text`` decodes a file: a CRLF or a lone CR reads
+    # as LF, so the positions in a JSONDecodeError are those of that text.
+    return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+
+
+def read_json(path: str | Path, what: str, parse: Callable[..., T],
+              data: bytes | None = None) -> T:
+    """``parse`` the UTF-8 JSON document in ``path``, or in ``data``, the file's
+    bytes when the caller has read them; ``what`` names the file in errors.
 
     An unreadable or undecodable file, and an AttributeError, KeyError,
     TypeError, ValueError or OverflowError from ``parse``, become an InputError.
     """
-    return _read(path, what, "JSON", lambda p: json.loads(p.read_text(encoding="utf-8")),
-                 parse)
+    return _read(path, what, "JSON", _json_doc, parse, data)
 
 
-def read_csv(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
-    """``parse`` the text of the UTF-8 CSV file in ``path``; ``what`` names the file.
+def read_csv(path: str | Path, what: str, parse: Callable[[str], T],
+             data: bytes | None = None) -> T:
+    """``parse`` the text of the UTF-8 CSV file in ``path``, or of ``data`` as in
+    ``read_json``; ``what`` names the file.
 
-    The file is decoded whole with ``newline=""``, so every CR stays in the
-    text. Failures become an InputError as in ``read_json``; a csv.Error from
-    ``parse`` (raised by ``csv_rows``) reports the file as not valid CSV.
+    The file is decoded whole, so every CR stays in the text. Failures become
+    an InputError as in ``read_json``; a csv.Error from ``parse`` (raised by
+    ``csv_rows``) reports the file as not valid CSV.
     """
-    return _read(path, what, "CSV", _read_text, parse)
+    return _read(path, what, "CSV", lambda data: data.decode("utf-8"), parse, data)
 
 
 def json_number(value) -> float:
@@ -219,19 +232,20 @@ def write_sidecar(path: str | Path, data: bytes, fmt: str, header: dict,
         out.write(data)
 
 
-def read_sidecar(path: str | Path, fmt: str, keys: Sequence[str],
+def read_sidecar(path: str | Path, data: bytes, fmt: str, keys: Sequence[str],
                  layout: Callable[[dict], Sequence[tuple]],
                  build: Callable[..., T]) -> T | None:
-    """``build(header, *arrays)`` from the sidecar beside ``path``, or None.
+    """``build(header, *arrays)`` from the sidecar beside ``path``, whose bytes
+    the caller has read as ``data``, or None.
 
-    None unless both files are readable, the sidecar's format is ``fmt``, its
-    header holds ``keys`` after the framing's own, in order, it was written
-    with exactly ``path``'s bytes, and its arrays are the bytes it was written
-    with, of the (dtype, shape) pairs ``layout(header)`` gives. A bool array
-    is stored as one byte each and must hold only 0 and 1. An OSError,
-    RecursionError, or error of a malformed document (an AttributeError,
-    KeyError, TypeError, ValueError or OverflowError) from ``layout`` or
-    ``build`` gives None too, so that the caller parses ``path``.
+    None unless the sidecar is readable, its format is ``fmt``, its header
+    holds ``keys`` after the framing's own, in order, it was written with
+    exactly ``data``, and its arrays are the bytes it was written with, of
+    the (dtype, shape) pairs ``layout(header)`` gives. A bool array is stored
+    as one byte each and must hold only 0 and 1. An OSError, RecursionError,
+    or error of a malformed document (an AttributeError, KeyError, TypeError,
+    ValueError or OverflowError) from ``layout`` or ``build`` gives None too,
+    so that the caller parses ``data``.
     """
     path = Path(path)
     try:
@@ -239,7 +253,7 @@ def read_sidecar(path: str | Path, fmt: str, keys: Sequence[str],
         end = blob.index(b"\n")
         header = json.loads(blob[:end])
         if (list(header) != [*_SIDECAR_KEYS, *keys] or header["format"] != fmt
-                or header["sha256"] != hashlib.sha256(path.read_bytes()).hexdigest()):
+                or header["sha256"] != hashlib.sha256(data).hexdigest()):
             return None
         specs = [(np.dtype(dtype).newbyteorder("<"), math.prod(shape), shape)
                  for dtype, shape in layout(header)]

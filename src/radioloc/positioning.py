@@ -2,14 +2,14 @@
 
 Similarity between fingerprints is the inverse Minkowski distance of order o
 (o = 2, inverse Euclidean, by default). The estimate is the similarity-weighted
-centroid of the k most similar reference points. k may be given directly,
-found by sweeping against test points, or derived from the map's RP densities
-with the ceil(alpha * (d_real + d_virtual) * area) rule, alpha in (0, 1].
+centroid of the k most similar reference points. k may be given directly or
+derived from the map's RP counts by the density rule ``k_est_from_counts``,
+ceil(alpha * (n_real + n_virtual)), alpha in (0, 1]; ``error_curves`` scores
+every k up to a bound at once, for the sweeps that look for the best k.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from itertools import starmap
@@ -150,44 +150,18 @@ def _similarities(sums: np.ndarray, order: float) -> np.ndarray:
     return sums
 
 
-def similarity(a: Fingerprint, b: Fingerprint, order: float = 2.0) -> float:
-    """Inverse Minkowski distance between two fingerprints; capped on exact match."""
-    if len(a) != len(b):
-        raise ValueError(f"fingerprint lengths differ: {len(a)} vs {len(b)}")
-    _check_order(order)
-    sums = _distance_sums(a.rss[:, None], b.rss[None, :], order)[0]
-    return float(_similarities(sums, order)[0])
-
-
-def k_est(d_real: float, d_virtual: float, area_m2: float, alpha: float = 0.05) -> int:
-    """Neighbor count from RP densities: ceil(alpha * (d_real + d_virtual) * area).
-
-    Equivalent to ceil(alpha * (n_real + n_virtual)). Float fuzz is rounded
-    away before the ceiling so integer products do not spill upward, and the
-    result is at least 1, the ceiling of any positive product. alpha lies in
-    (0, 1].
-    """
-    _check_alpha(alpha)
-    if d_real < 0 or d_virtual < 0 or (d_real == 0 and d_virtual == 0):
-        raise ValueError("densities must be nonnegative and not both zero")
-    if area_m2 <= 0:
-        raise ValueError("area must be positive")
-    return _ceil_k(alpha * (d_real + d_virtual) * area_m2)
-
-
 def k_est_from_counts(n_real: int, n_virtual: int, alpha: float = 0.05) -> int:
-    """k_est expressed directly on RP counts."""
+    """The density rule's neighbour count, ceil(alpha * (n_real + n_virtual)):
+    the ceil(alpha * (d_real + d_virtual) * area) rule on RP counts.
+
+    Float fuzz is rounded away before the ceiling so integer products do not
+    spill upward, and the result is at least 1, the ceiling of any positive
+    product. alpha lies in (0, 1].
+    """
     if n_real < 0 or n_virtual < 0 or n_real + n_virtual == 0:
         raise ValueError("counts must be nonnegative and not both zero")
     _check_alpha(alpha)
-    return _ceil_k(alpha * (n_real + n_virtual))
-
-
-def _ceil_k(expected: float) -> int:
-    """The density rule's ceiling of a positive expected neighbour count."""
-    if not math.isfinite(expected):
-        raise ValueError(f"expected neighbour count {expected!r} is not finite")
-    return ceil_scaled(expected)
+    return ceil_scaled(alpha * (n_real + n_virtual))
 
 
 def _best_k(ks, means) -> int:
@@ -360,22 +334,3 @@ def error_curves(rp_rss: np.ndarray, rp_positions: np.ndarray, tp_rss: np.ndarra
         delta *= delta
         errors[block] = np.sqrt(delta[0] + delta[1] + delta[2])
     return errors
-
-
-def find_k_opt(rmap: Radiomap, tp_rss: np.ndarray, tp_pos: np.ndarray, k_range) -> int:
-    """The k in k_range minimizing mean positioning error over the test points
-    (``error_curves``' ``tp_rss`` and ``tp_pos``) at Minkowski order 2; ties
-    pick the smallest k."""
-    if not len(tp_rss):
-        raise ValueError("find_k_opt needs at least one test point")
-    ks = list(k_range)
-    for k in ks:
-        _check_count("each k_range entry", k)
-    ks = sorted(set(map(int, ks)))
-    n = len(rmap)
-    if not ks:
-        raise ValueError("empty k range")
-    if ks[0] < 1 or ks[-1] > n:
-        raise ValueError(f"k range must lie within [1, {n}]")
-    curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(), tp_rss, tp_pos, ks[-1])
-    return _best_k(ks, curves.mean(axis=0))

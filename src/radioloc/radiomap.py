@@ -20,7 +20,7 @@ import numpy as np
 from .fitting import FitResult, MeasurementSet
 from .floorplan import Floorplan, lattice_positions, points_xyz
 from .ioutil import (format_json, json_array, json_integer, json_number, json_numbers,
-                     json_object, read_json, read_sidecar, write_sidecar)
+                     json_object, read_bytes, read_json, read_sidecar, write_sidecar)
 from .propagation import (
     AccessPoint,
     LinkTable,
@@ -164,9 +164,8 @@ class RpArrays:
 class Radiomap:
     """The fingerprint database: APs plus real and/or virtual reference points.
 
-    ``rps`` is an RpArrays with one fingerprint column per AP.
-    ``area_m2`` is needed to express RP counts as spatial densities; it may be
-    omitted when only counts matter (e.g. a map loaded for bare positioning).
+    ``rps`` is an RpArrays with one fingerprint column per AP. ``area_m2``,
+    the plan's floor area, is kept with the map in its files, or is None.
     Treated as immutable once built; positioning reads it concurrently without
     locking.
     """
@@ -191,19 +190,6 @@ class Radiomap:
 
     def __len__(self) -> int:
         return len(self.rps)
-
-    def _require_area(self) -> float:
-        if self.area_m2 is None:
-            raise ValueError("radiomap has no area; densities are undefined")
-        return self.area_m2
-
-    @property
-    def d_real(self) -> float:
-        return self.n_real / self._require_area()
-
-    @property
-    def d_virtual(self) -> float:
-        return self.n_virtual / self._require_area()
 
     def rss_matrix(self) -> np.ndarray:
         """The stored, read-only (N, L) fingerprint array, AP-major in memory."""
@@ -284,8 +270,7 @@ def virtual_rp_count(d_virtual: float, area_m2: float) -> int:
 
 
 def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid",
-                      seed: int | None = None, z_m: float = DEVICE_HEIGHT_M,
-                      ) -> np.ndarray:
+                      seed: int | None = None) -> np.ndarray:
     """Positions for ceil(d_virtual * area) virtual reference points, as an (n, 3) array.
 
     ``placement`` is "grid" (near-uniform lattice at cell centers) or "random"
@@ -305,7 +290,7 @@ def place_virtual_rps(plan: Floorplan, d_virtual: float, placement: str = "grid"
         xy = np.column_stack([xs, ys])
     else:
         raise ValueError(f"unknown placement {placement!r}")
-    return np.column_stack([xy, np.full(n, float(z_m))])
+    return np.column_stack([xy, np.full(n, DEVICE_HEIGHT_M)])
 
 
 def generate_virtual_fingerprints(
@@ -448,5 +433,7 @@ def load_radiomap(path: str | Path) -> Radiomap:
     """The radiomap in ``path``, read from its lanes file when that file matches
     the radiomap file's bytes and its values pass the checks of the JSON's
     parse, and parsed from the JSON otherwise."""
-    rmap = read_sidecar(path, LANES_FORMAT, _LANES_KEYS, _lanes_layout, _radiomap_from_lanes)
-    return rmap if rmap is not None else read_json(path, "radiomap", radiomap_from_dict)
+    data = read_bytes(path, "radiomap")
+    rmap = read_sidecar(path, data, LANES_FORMAT, _LANES_KEYS, _lanes_layout,
+                        _radiomap_from_lanes)
+    return rmap if rmap is not None else read_json(path, "radiomap", radiomap_from_dict, data)

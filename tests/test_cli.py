@@ -637,7 +637,7 @@ class TestInputErrorsExit2:
 
     def test_build_radiomap_virtual_rp_at_ap(self, world_dir, fit_file, tmp_path, capsys):
         plan = load_floorplan(world_dir / "floorplan.json")
-        x, y, z = place_virtual_rps(plan, 1.0, "grid", z_m=1.2)[0].tolist()
+        x, y, z = place_virtual_rps(plan, 1.0, "grid")[0].tolist()
         aps_doc = json.loads((world_dir / "aps.json").read_text())
         for ap in aps_doc:
             if ap["id"] == "ap01":
@@ -784,10 +784,6 @@ class TestInputErrorsExit2:
         ["build-radiomap", "--rho", "0", "--measurements", "m", "--floorplan", "f",
          "--aps", "a", "--fit", "x"],
         ["build-radiomap", "--sentinel", "-130", "--measurements", "m", "--floorplan", "f",
-         "--aps", "a", "--fit", "x"],
-        ["build-radiomap", "--rp-height", "nan", "--measurements", "m", "--floorplan", "f",
-         "--aps", "a", "--fit", "x"],
-        ["build-radiomap", "--rp-height", "inf", "--measurements", "m", "--floorplan", "f",
          "--aps", "a", "--fit", "x"],
         ["build-radiomap", "--detection-floor", "nan", "--measurements", "m",
          "--floorplan", "f", "--aps", "a", "--fit", "x"],

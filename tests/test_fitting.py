@@ -1,6 +1,9 @@
+import builtins
 import csv
 import hashlib
+import io
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -628,6 +631,29 @@ class TestSurveyLanesFile:
             assert survey_outcome(load_measurements, path) == csv_path_outcome(path)
         assert len(counted_parses) == 3
         assert csv_path_outcome(path)[1] == ["x"]
+
+    def test_survey_beside_a_stale_lanes_file_is_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "meas.csv"
+        save_measurements(two_point_survey(), path)
+        meas = MeasurementSet(["a", "a"], [[0.0, 0.0, 1.2]] * 2, ["x", "y"], [0, 1], [0, 1],
+                              [-50.0, -60.0], [True, True], [0, 0])
+        save_measurements(meas, path)  # repeated ids: the earlier lanes file stays
+        want = csv_path_outcome(path)
+        opened = []
+        real_open = io.open
+
+        def counting(file, *args, **kwargs):
+            opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+            return real_open(file, *args, **kwargs)
+
+        # Path.read_bytes opens through io.open, and a bare open() is builtins.open.
+        monkeypatch.setattr(io, "open", counting)
+        monkeypatch.setattr(builtins, "open", counting)
+        got = survey_outcome(load_measurements, path)
+        monkeypatch.undo()
+        assert got == want
+        assert opened.count(os.fspath(path)) == 1
+        assert opened.count(os.fspath(sidecar_path(path))) == 1
 
     def test_directory_at_the_lanes_path_replaces_neither_file(self, tmp_path):
         path = tmp_path / "meas.csv"

@@ -7,13 +7,11 @@ from radioloc.positioning import (
     SCORE_BLOCK,
     SIMILARITY_CAP,
     WknnConfig,
+    _best_k,
     error_curves,
-    find_k_opt,
-    k_est,
     k_est_from_counts,
     locate,
     locate_many,
-    similarity,
 )
 from radioloc.propagation import AccessPoint
 from radioloc.radiomap import Fingerprint, Radiomap, RpArrays
@@ -31,28 +29,30 @@ def make_map(entries, area=100.0, n_aps=None):
     return Radiomap(aps, rps, area_m2=area)
 
 
+def similarity(rp, target, order=2.0):
+    """The similarity ``locate`` gives the one RP of a map to a target."""
+    rmap = make_map([(0.0, 0.0, rp)])
+    return locate(rmap, Fingerprint(target), WknnConfig(k=1, order=order)).similarities[0]
+
+
 class TestSimilarity:
     def test_identical_returns_cap(self):
-        a = Fingerprint([-50.0, -60.0])
-        assert similarity(a, Fingerprint([-50.0, -60.0])) == SIMILARITY_CAP
+        assert similarity([-50.0, -60.0], [-50.0, -60.0]) == SIMILARITY_CAP
 
     def test_euclidean_three_four_five(self):
-        a = Fingerprint([-50.0, -60.0])
-        b = Fingerprint([-53.0, -64.0])
-        assert similarity(a, b, order=2.0) == pytest.approx(1.0 / 5.0)
+        assert similarity([-50.0, -60.0], [-53.0, -64.0], order=2.0) == pytest.approx(1.0 / 5.0)
 
     def test_manhattan(self):
-        a = Fingerprint([-50.0, -60.0, -70.0])
-        b = Fingerprint([-51.0, -62.0, -73.0])
-        assert similarity(a, b, order=1.0) == pytest.approx(1.0 / 6.0)
+        assert similarity([-50.0, -60.0, -70.0], [-51.0, -62.0, -73.0],
+                          order=1.0) == pytest.approx(1.0 / 6.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            similarity(Fingerprint([-50.0]), Fingerprint([-50.0, -60.0]))
+        with pytest.raises(ValueError, match="length must match"):
+            similarity([-50.0], [-50.0, -60.0])
 
     def test_order_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            similarity(Fingerprint([-50.0]), Fingerprint([-51.0]), order=0.5)
+        with pytest.raises(ValueError, match=r"must lie in \[1, 34\]"):
+            similarity([-50.0], [-51.0], order=0.5)
 
 
 class TestKEst:
@@ -64,25 +64,36 @@ class TestKEst:
 
     def test_integer_product_not_rounded_up(self):
         assert k_est_from_counts(20, 500, alpha=0.05) == 26
-        assert k_est(0.2, 5.0, 100.0, alpha=0.05) == 26
+        # 0.55 * 100 and 0.07 * 100 are an ulp above 55 and 7.
+        assert 0.55 * 100 > 55 and 0.07 * 100 > 7
+        assert k_est_from_counts(40, 60, alpha=0.55) == 55
+        assert k_est_from_counts(100, 0, alpha=0.07) == 7
 
     def test_density_form_matches_count_form(self):
-        area = 504.0
-        assert k_est(15 / area, 504 / area, area, 0.05) == 26
+        # ceil(alpha * (d_real + d_virtual) * area) over a map of 15 real and
+        # 504 virtual RPs: the map's counts give its neighbour count.
+        plain = make_map([(float(i), 0.0, [-50.0 - i % 50]) for i in range(519)])
+        rmap = Radiomap(plain.aps, RpArrays(plain.rps.pos, plain.rps.rss, np.arange(519) >= 15),
+                        area_m2=504.0)
+        assert (rmap.n_real, rmap.n_virtual) == (15, 504)
+        assert k_est_from_counts(15, 504, 0.05) == 26
+        assert len(locate(rmap, Fingerprint([-60.0]), WknnConfig(alpha=0.05)).indices) == 26
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            k_est(0.0, 0.0, 100.0, 0.05)
-        with pytest.raises(ValueError):
-            k_est(0.1, 0.1, 100.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not both zero"):
+            k_est_from_counts(0, 0, 0.05)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            k_est_from_counts(10, 10, 0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
             k_est_from_counts(-1, 5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            k_est_from_counts(5, -1)
 
     def test_tiny_alpha_gives_one_neighbor(self):
         # The ceiling of any positive product is at least 1, though rounding
         # to 9 decimals takes 1e-298 to 0.
         assert k_est_from_counts(72, 5040, alpha=1e-300) == 1
-        assert k_est(0.2, 10.0, 504.0, alpha=1e-300) == 1
+        assert k_est_from_counts(1, 0, alpha=1e-300) == 1
         assert k_est_from_counts(72, 5040, alpha=1.0) == 5112
 
     @pytest.mark.parametrize("alpha", [0.0, -0.05, 1.0000001, 1e308, float("inf"),
@@ -91,13 +102,9 @@ class TestKEst:
         with pytest.raises(ValueError, match="alpha must lie in"):
             k_est_from_counts(72, 5040, alpha)
         with pytest.raises(ValueError, match="alpha must lie in"):
-            k_est(0.2, 10.0, 504.0, alpha)
+            k_est_from_counts(1, 0, alpha)
         with pytest.raises(ValueError, match="alpha must lie in"):
             WknnConfig(alpha=alpha)
-
-    def test_overflowing_density_product_raises(self):
-        with pytest.raises(ValueError, match="not finite"):
-            k_est(1e308, 1e308, 1e308, alpha=1.0)
 
 
 class TestLocate:
@@ -121,9 +128,9 @@ class TestLocate:
         rmap = make_map(entries)
         target = Fingerprint(entries[17][2])
         # The cap must exceed any finite similarity by a large factor.
-        finite = [similarity(target, Fingerprint(rss)) for i, rss in enumerate(rmap.rss_matrix())
-                  if i != 17]
-        assert SIMILARITY_CAP >= 1e6 * max(finite)
+        ranked = locate(rmap, target, WknnConfig(k=40))
+        assert ranked.indices[0] == 17 and ranked.similarities[0] == SIMILARITY_CAP
+        assert SIMILARITY_CAP >= 1e6 * ranked.similarities[1]
         for k in (1, 5, 40):
             est = locate(rmap, target, WknnConfig(k=k))
             assert abs(est.position.x - entries[17][0]) < 1e-3
@@ -163,7 +170,7 @@ class TestLocate:
             with pytest.raises(ValueError, match=r"must lie in \[1, 34\]"):
                 WknnConfig(order=order)
             with pytest.raises(ValueError, match=r"must lie in \[1, 34\]"):
-                similarity(Fingerprint([-50.0]), Fingerprint([-60.0]), order)
+                similarity([-50.0], [-60.0], order)
             with pytest.raises(ValueError, match=r"must lie in \[1, 34\]"):
                 error_curves(np.array([[-50.0]]), np.zeros((1, 3)), np.array([[-60.0]]),
                              np.zeros((1, 3)), 1, order)
@@ -190,8 +197,7 @@ class TestLocate:
     def test_highest_order_ranks_sub_decibel_distances(self):
         # 0.4 ** 34 and 0.2 ** 34 are normal doubles, so neither RP takes the
         # exact match's cap: the nearer one ranks first, with twice the weight.
-        assert similarity(Fingerprint([-50.0]), Fingerprint([-50.4]), MAX_ORDER) == \
-            pytest.approx(2.5, rel=1e-12)
+        assert similarity([-50.4], [-50.0], MAX_ORDER) == pytest.approx(2.5, rel=1e-12)
         rmap = make_map([(0.0, 0.0, [-50.4]), (10.0, 0.0, [-50.2]), (20.0, 0.0, [-50.0])])
         est = locate(rmap, Fingerprint([-50.0]), WknnConfig(k=3, order=MAX_ORDER))
         assert est.indices.tolist() == [2, 1, 0]
@@ -301,10 +307,18 @@ class TestProperties:
                 assert s == ws
 
 
+def best_k(rmap, tp_rss, tp_pos, k_max):
+    """The sweep's k_opt in 1..k_max: ``_best_k`` over ``error_curves``' mean errors."""
+    curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(), tp_rss, tp_pos, k_max)
+    return _best_k(range(1, k_max + 1), curves.mean(axis=0))
+
+
 class TestFindKOpt:
+    """k_opt, the k of least mean error over test points, as the sweeps find it."""
+
     def test_single_rp_map(self):
         rmap = make_map([(5.0, 5.0, [-50.0])])
-        assert find_k_opt(rmap, [[-50.0]], [[5.0, 5.0, 1.2]], range(1, 2)) == 1
+        assert best_k(rmap, [[-50.0]], [[5.0, 5.0, 1.2]], 1) == 1
 
     def test_colocated_tps_prefer_k1(self):
         entries = [(float(i * 3), float(i * 2), [-50.0 - 3 * i, -80.0 + 2 * i])
@@ -312,34 +326,30 @@ class TestFindKOpt:
         rmap = make_map(entries)
         tp_rss = [rss for _, _, rss in entries[:4]]
         tp_pos = [(x, y, 1.2) for x, y, _ in entries[:4]]
-        assert find_k_opt(rmap, tp_rss, tp_pos, range(1, 11)) == 1
+        assert best_k(rmap, tp_rss, tp_pos, 10) == 1
 
     def test_tie_prefers_smallest_k(self):
         # Exact-match target: the cap makes every k give the same zero error.
         entries = [(0.0, 0.0, [-50.0]), (8.0, 0.0, [-60.0]), (0.0, 8.0, [-70.0])]
         rmap = make_map(entries)
-        assert find_k_opt(rmap, [[-50.0]], [[0.0, 0.0, 1.2]], range(1, 4)) == 1
+        assert best_k(rmap, [[-50.0]], [[0.0, 0.0, 1.2]], 3) == 1
+        # means[k - 1] is k's mean error; the order of ks does not matter.
+        assert _best_k([3, 1, 2], [0.5, 0.5, 0.5]) == 1
+        assert _best_k([3, 2], [0.1, 0.7, 0.7]) == 2
+        assert _best_k([1, 2, 3], [0.3, 0.1, 0.2]) == 2
 
     def test_validation(self):
         rmap = make_map([(0.0, 0.0, [-50.0]), (1.0, 0.0, [-55.0])])
-        with pytest.raises(ValueError):
-            find_k_opt(rmap, [[-52.0]], [[0.5, 0.0, 1.2]], range(1, 10))  # k beyond N
-        with pytest.raises(ValueError):
-            find_k_opt(rmap, np.empty((0, 1)), np.empty((0, 3)), range(1, 2))
+        with pytest.raises(ValueError, match=r"k_max must lie in \[1, 2\]"):
+            best_k(rmap, [[-52.0]], [[0.5, 0.0, 1.2]], 10)  # k beyond N
+        assert error_curves(rmap.rss_matrix(), rmap.positions_matrix(), np.empty((0, 1)),
+                            np.empty((0, 3)), 2).shape == (0, 2)
 
     def test_error_curves_rejects_non_integer_k_max(self):
         for k_max in (2.5, 2.0, True):
             with pytest.raises(ValueError, match="k_max must be an integer"):
                 error_curves(np.array([[-50.0], [-55.0]]), np.zeros((2, 3)),
                              np.array([[-52.0]]), np.zeros((1, 3)), k_max)
-
-    def test_non_integer_k_range_rejected(self):
-        rmap = make_map([(0.0, 0.0, [-50.0]), (1.0, 0.0, [-55.0]), (2.0, 0.0, [-60.0])])
-        for k_range in ([1.9, 2.2], [1, 2.0], [True, 2]):
-            with pytest.raises(ValueError, match="k_range entry must be an integer"):
-                find_k_opt(rmap, [[-52.0]], [[0.5, 0.0, 1.2]], k_range)
-        assert find_k_opt(rmap, [[-52.0]], [[0.5, 0.0, 1.2]], np.arange(1, 4)) == find_k_opt(
-            rmap, [[-52.0]], [[0.5, 0.0, 1.2]], range(1, 4))
 
     def test_error_curves_rejects_wrong_fingerprint_length(self):
         # Two 3-AP test points hold as many values as three 2-AP rows, and
@@ -355,15 +365,3 @@ class TestFindKOpt:
                                  (tp_rss[:, :2] - 200.0, tp_pos)):
             with pytest.raises(ValueError):
                 error_curves(rss, np.zeros((n, 3)), bad_rss, bad_pos, 2)
-
-    def test_matches_error_curves(self):
-        rng = np.random.default_rng(12)
-        entries = [(float(rng.uniform(0, 30)), float(rng.uniform(0, 30)),
-                    list(rng.uniform(-90, -40, 3))) for _ in range(25)]
-        rmap = make_map(entries)
-        tp_pos = np.column_stack([rng.uniform(0, 30, 6), rng.uniform(0, 30, 6), np.full(6, 1.2)])
-        tp_rss = rng.uniform(-90, -40, (6, 3))
-        curves = error_curves(rmap.rss_matrix(), rmap.positions_matrix(), tp_rss, tp_pos, 25)
-        means = curves.mean(axis=0)
-        expected = int(np.argmin(means)) + 1
-        assert find_k_opt(rmap, tp_rss, tp_pos, range(1, 26)) == expected

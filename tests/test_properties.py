@@ -1924,8 +1924,8 @@ def test_output_path_of_the_wrong_kind_exits_2(fuzz_dir, tmp_path, command):
 FLAG_CASES = ([(SIMULATE_ARGV, flag) for flag in ("--seed", "--dr", "--tp-count",
                                                   *(noise[0] for noise in cli._NOISE_FLAGS))]
               + [(FIT_ARGV, "--seed")]
-              + [(BUILD_ARGV, flag) for flag in ("--seed", "--rho", "--dv", "--rp-height",
-                                                 "--sentinel", "--detection-floor")]
+              + [(BUILD_ARGV, flag) for flag in ("--seed", "--rho", "--dv", "--sentinel",
+                                                 "--detection-floor")]
               # LOCATE_ARGV without its "--k 3", which --alpha excludes
               + [(LOCATE_ARGV[:-2], flag) for flag in ("--k", "--alpha", "--order")]
               + [(EVALUATE_ARGV, flag) for flag in ("--seed", "--rho-grid", "--dv-grid",

@@ -10,6 +10,7 @@ from radioloc.errors import InputError
 from radioloc.fitting import FitStrategy, MeasurementRecord, fit
 from radioloc.floorplan import Bounds, Floorplan, Point3
 from radioloc.ioutil import sidecar_path
+from radioloc.positioning import WknnConfig, locate
 from radioloc.propagation import AccessPoint, ModelKind, PropagationParams, predict_rss
 from radioloc.radiomap import (
     MAX_VIRTUAL_RPS,
@@ -218,8 +219,7 @@ class TestRadiomap:
         rps = rps_at((1, 1), (2, 2)) + rps_at((3, 3), virtual=True)
         rmap = Radiomap(aps, rps, area_m2=50.0)
         assert rmap.n_real == 2 and rmap.n_virtual == 1
-        assert rmap.d_real == 2 / 50.0
-        assert rmap.d_virtual == 1 / 50.0
+        assert len(rmap) == 3 and rmap.area_m2 == 50.0
 
     def test_fingerprint_length_checked(self):
         aps = [AccessPoint("a", Point3(1, 1, 2.8)),
@@ -238,10 +238,13 @@ class TestRadiomap:
             Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], rps_at((1, 1)),
                      sentinel_dbm=sentinel)
 
-    def test_density_needs_area(self):
-        rmap = Radiomap([AccessPoint("a", Point3(1, 1, 2.8))], rps_at((1, 1)))
-        with pytest.raises(ValueError):
-            _ = rmap.d_real
+    def test_density_rule_needs_no_area(self):
+        # The density rule reads RP counts, so a map without an area locates too.
+        rmap = Radiomap([AccessPoint("a", Point3(1, 1, 2.8))],
+                        rps_at((1, 1)) + rps_at((3, 3), virtual=True))
+        assert rmap.area_m2 is None
+        assert locate(rmap, Fingerprint([-50.0]), WknnConfig(alpha=1.0)).indices.tolist() \
+            == [0, 1]
 
     def test_json_round_trip_with_nd(self, tmp_path):
         import json

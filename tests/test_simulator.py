@@ -102,7 +102,9 @@ class TestGridPositions:
         world = make_world("twist_like", 1)
         pts = grid_rp_positions(world.plan, 1.0 / world.plan.area)
         assert len(pts) == 1
-        assert (pts[0].x, pts[0].y) == world.plan.bounds.center
+        bounds = world.plan.bounds
+        assert (pts[0].x, pts[0].y) == (0.5 * (bounds.min_x + bounds.max_x),
+                                        0.5 * (bounds.min_y + bounds.max_y))
 
     def test_nonpositive_density(self):
         world = make_world("twist_like", 1)
